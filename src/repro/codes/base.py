@@ -151,7 +151,12 @@ class ErasureCode(abc.ABC):
 
     @abc.abstractmethod
     def repair(self, failed: int, shards: Mapping[int, np.ndarray]) -> RepairResult:
-        """Rebuild one failed node, reading as little as the code allows."""
+        """Rebuild one failed node, reading as little as the code allows.
+
+        ``shards`` maps surviving node → block; the rebuilt block is a
+        fresh array.  RS and MSR also take the stored stripe itself, as a
+        ``(data, parity)`` pair of arrays, and rebuild the row in place.
+        """
 
     # -- planning (used by the cluster simulator without real data) ---------
     def repair_read_fractions(self, failed: int) -> dict[int, float]:
@@ -164,9 +169,13 @@ class ErasureCode(abc.ABC):
         return {i: 1.0 for i in helpers}
 
     # -- validation helpers --------------------------------------------------
-    def _check_data(self, data: np.ndarray) -> np.ndarray:
+    def _check_data(self, data: np.ndarray, shortened: bool = False) -> np.ndarray:
+        """Validate ``(k, L)`` data blocks; ``shortened`` also admits the
+        leading ``1..k`` rows of a stripe whose trailing data nodes are
+        virtual all-zero blocks."""
         data = np.asarray(data)
-        if data.ndim != 2 or data.shape[0] != self.k:
+        rows = data.shape[0] if data.ndim == 2 else -1
+        if rows != self.k and not (shortened and 0 < rows < self.k):
             raise ValueError(f"data must have shape (k={self.k}, L), got {data.shape}")
         if data.shape[1] % self.subpacketization:
             raise ValueError(
@@ -247,6 +256,7 @@ class LinearVectorCode(ErasureCode):
         # Encode applies the same parity rows for the lifetime of the code:
         # compile them once (eagerly, so thread pools never race a lazy build).
         self._parity_plan = CodingPlan(generator[k * l :], w=w)
+        self._shortened_plans: dict[int, CodingPlan] = {}
         self._decode_cache: dict[frozenset[int], tuple[CodingPlan, list[int]]] = {}
 
     # -- layout helpers ------------------------------------------------------
@@ -267,21 +277,115 @@ class LinearVectorCode(ErasureCode):
         return range(node * l, (node + 1) * l)
 
     # -- encode ----------------------------------------------------------------
-    def encode(self, data: np.ndarray) -> np.ndarray:
-        data = self._check_data(data)
-        l = self.subpacketization
-        syms = self._to_symbols(data)
-        parity_syms = self._parity_plan.apply(syms)
-        out = np.concatenate([syms, parity_syms], axis=0)
+    def _shortened_parity_plan(self, data_nodes: int) -> CodingPlan:
+        """Parity plan of the code shortened to its first ``data_nodes``
+        data nodes (the others are virtual all-zero blocks, so their
+        generator columns drop out).  Compiled on first use."""
+        if data_nodes == self.k:
+            return self._parity_plan
+        plan = self._shortened_plans.get(data_nodes)
+        if plan is None:
+            l = self.subpacketization
+            plan = self._shortened_plans[data_nodes] = CodingPlan(
+                self.generator[self.k * l :, : data_nodes * l], w=self.w
+            )
+        return plan
+
+    def encode(self, data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Encode ``(k, L)`` data; parity is computed where it is stored.
+
+        Without ``out`` a fresh ``(n, L)`` codeword is returned.  ``out``
+        donates the destination and is returned: either an ``(n, L)``
+        codeword buffer (data is copied into its first ``k`` rows) or a
+        bare ``(n − k, L)`` parity buffer for callers that keep the data
+        rows elsewhere.  Only in the parity-buffer form may ``data`` hold just
+        the leading rows of a *shortened* stripe, whose remaining data
+        nodes are virtual all-zero blocks.  ``out`` must be a C-contiguous
+        array of the symbol dtype, else :class:`ValueError`.
+        """
+        parities = self.n - self.k  # LRC's ``r`` counts its global parities only
+        parity_only = out is not None and np.ndim(out) == 2 and len(out) == parities
+        data = self._check_data(data, shortened=parity_only)
+        rows, L = data.shape
+        if out is None:
+            out = np.empty((self.n, L), dtype=self.symbol_dtype)
+        elif (
+            not isinstance(out, np.ndarray)
+            or out.shape not in ((self.n, L), (parities, L))
+            or out.dtype != self.symbol_dtype
+            or not out.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"out must be a C-contiguous {np.dtype(self.symbol_dtype)} array of "
+                f"shape ({self.n}, {L}) or ({parities}, {L})"
+            )
+        parity = out
+        if not parity_only:
+            out[: self.k] = data
+            parity = out[self.k :]
+        self._shortened_parity_plan(rows).apply_into(
+            self._to_symbols(data), self._to_symbols(parity)
+        )
         if METRICS.enabled:
             key = self.telemetry_key
             METRICS.counter(f"codes.{key}.encode_calls", unit="calls").inc()
             # GF-multiply volume: one coefficient x byte MAC per parity-matrix
             # entry per symbol column -> r·l x k·l x L/l = r·k·l·L bytes
             METRICS.counter(f"codes.{key}.gf_mul_bytes", unit="bytes").inc(
-                self.r * self.k * l * data.shape[1]
+                self.r * rows * self.subpacketization * L
             )
-        return self._to_blocks(out, self.n)
+        return out
+
+    def _check_stripe(
+        self, stripe, shortened: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Validate a stored stripe handed over for in-place repair.
+
+        The stripe is a ``(data, parity)`` pair of C-contiguous
+        symbol-dtype arrays — ``(k, L)`` and ``(n − k, L)``, node order — that
+        the caller owns; the repair writes the lost node's row into it.
+        ``shortened`` admits ``1..k`` data rows (trailing data nodes are
+        virtual all-zero blocks that are neither read nor counted).
+        """
+        try:
+            data, parity = stripe
+        except (TypeError, ValueError):
+            raise ValueError(
+                "shards must map node -> block or be a (data, parity) pair"
+            ) from None
+        for arr in (data, parity):
+            if (
+                not isinstance(arr, np.ndarray)
+                or arr.ndim != 2
+                or arr.dtype != self.symbol_dtype
+                or not arr.flags.c_contiguous
+                or not arr.flags.writeable
+            ):
+                raise ValueError(
+                    "stripe rows must be writeable C-contiguous 2-D "
+                    f"{np.dtype(self.symbol_dtype)} arrays"
+                )
+        data = self._check_data(data, shortened=shortened)
+        if parity.shape != (self.n - self.k, data.shape[1]):
+            raise ValueError(
+                f"parity must have shape ({self.n - self.k}, {data.shape[1]}), "
+                f"got {parity.shape}"
+            )
+        return data, parity
+
+    def _stripe_from_shards(
+        self, shards: Mapping[int, np.ndarray], helpers: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The helpers' blocks copied into a fresh stripe, as ``(data, parity)``.
+
+        What the mapping form of an in-place repair runs on.  Rows of the
+        other nodes stay uninitialised — their plan columns are zero.
+        """
+        L = shards[helpers[0]].shape[0]
+        codeword = np.empty((self.n, L), dtype=self.symbol_dtype)
+        for i in helpers:
+            codeword[i] = shards[i]
+        return codeword[: self.k], codeword[self.k :]
 
     def encode_batch(self, stripes: np.ndarray) -> np.ndarray:
         """Encode a ``(batch, k, L)`` stack of stripes in one fused dispatch.
@@ -391,14 +495,12 @@ class LinearVectorCode(ErasureCode):
             )
         return self._to_blocks(data_syms, self.k)
 
-    def decode_data_batch(self, shards: Mapping[int, np.ndarray]) -> np.ndarray:
-        """Degraded-read storm: decode a batch sharing one erasure pattern.
+    def _check_shard_stacks(
+        self, shards: Mapping[int, np.ndarray]
+    ) -> tuple[dict[int, np.ndarray], int, int]:
+        """Validate batched shards (node → ``(batch, L)`` stack).
 
-        ``shards`` maps each surviving node to a ``(batch, L)`` stack —
-        the same availability across every stripe, which is exactly what a
-        node failure produces.  One cached solve plan is batch-applied in
-        a single dispatch; byte-identical to looping :meth:`decode_data`
-        stripe by stripe (telemetry included).  Returns ``(batch, k, L)``.
+        Returns the contiguous symbol-dtype stacks plus ``(batch, L)``.
         """
         if not shards:
             raise UnrecoverableError("no shards supplied")
@@ -425,6 +527,18 @@ class LinearVectorCode(ErasureCode):
             raise ValueError(
                 f"block length {L} not a multiple of l={self.subpacketization}"
             )
+        return arrs, batch, L
+
+    def decode_data_batch(self, shards: Mapping[int, np.ndarray]) -> np.ndarray:
+        """Degraded-read storm: decode a batch sharing one erasure pattern.
+
+        ``shards`` maps each surviving node to a ``(batch, L)`` stack —
+        the same availability across every stripe, which is exactly what a
+        node failure produces.  One cached solve plan is batch-applied in
+        a single dispatch; byte-identical to looping :meth:`decode_data`
+        stripe by stripe (telemetry included).  Returns ``(batch, k, L)``.
+        """
+        arrs, batch, L = self._check_shard_stacks(shards)
         avail = frozenset(arrs)
         solve_plan, symbol_rows = self._decode_plan(avail)
         l = self.subpacketization

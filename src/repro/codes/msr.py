@@ -366,6 +366,7 @@ class MSRCode(LinearVectorCode):
             # partial-combination kernels of the streamed/pipelined repair
             self._repair_matrices[f] = repair_matrix
             self._repair_fused[f] = CodingPlan(repair_matrix, w=self._w)
+        self._shortened_fused: dict[tuple[int, int], CodingPlan] = {}
         self._helper_plans: dict[tuple[int, int], CodingPlan] = {}
 
     def repair_planes(self, failed: int) -> list[int]:
@@ -486,65 +487,83 @@ class MSRCode(LinearVectorCode):
             failed_block[prog.dst_planes] = c_f
         return failed_block
 
-    def _repair_coupled_fused(self, failed: int, view: dict[int, np.ndarray]) -> np.ndarray:
-        """Single-plan repair kernel: one fused matrix application.
+    def _fused_plan(self, failed: int, data_nodes: int) -> CodingPlan:
+        """The fused repair plan over a stripe holding ``data_nodes`` data rows.
 
-        Executes the precompiled ``(l × n·l)`` repair matrix (the batched
-        pipeline folded over the identity basis) — byte-identical to
-        :meth:`_repair_coupled_naive` and :meth:`_repair_coupled_batched`.
+        A full stripe uses the precompiled ``(l × n·l)`` plan.  A shortened
+        one (trailing data nodes are virtual all-zero blocks) drops their
+        columns from the cached repair matrix; compiled on first use.
         """
-        gf = GF.get(self._w)
-        l = self.subpacketization
-        sub = next(iter(view.values())).shape[1]
-        S = np.zeros((self.n * l, sub), dtype=gf.dtype)
-        for i, v in view.items():
-            S[i * l : (i + 1) * l] = v
-        return self._repair_fused[failed].apply(S)
+        if data_nodes == self.k:
+            return self._repair_fused[failed]
+        key = (failed, data_nodes)
+        plan = self._shortened_fused.get(key)
+        if plan is None:
+            l = self.subpacketization
+            cols = np.r_[0 : data_nodes * l, self.k * l : self.n * l]
+            plan = self._shortened_fused[key] = CodingPlan(
+                self._repair_matrices[failed][:, cols], w=self._w
+            )
+        return plan
 
-    def repair(self, failed: int, shards: Mapping[int, np.ndarray]) -> RepairResult:
+    def repair(self, failed: int, shards) -> RepairResult:
         """Bandwidth-optimal single-node repair.
 
         Requires all ``n − 1`` helpers; with fewer survivors it falls back
         to a full MDS decode (reading ``k`` whole blocks).  The repair
-        executes one precompiled fused plan covering every ``l/s`` plane;
-        the plane-looped reference kernel is kept as
+        executes one precompiled fused plan covering every ``l/s`` plane,
+        straight over the stripe's blocks viewed as ``(n·l, sub)`` symbols
+        and into the lost node's row — the fused matrix's columns for the
+        failed node are zero, so nothing is staged and that row is never
+        read.  The plane-looped reference kernel is kept as
         :meth:`_repair_coupled_naive` and the staged vectorized kernel as
         :meth:`_repair_coupled_batched`.
+
+        ``shards`` is either a mapping survivor → block (a fresh block is
+        returned) or the stored stripe itself as a ``(data, parity)`` pair
+        of ``(k, L)``/``(r, L)`` arrays: then the lost row is rebuilt in
+        place and ``.block`` is a view of it.  The pair's ``data`` may hold
+        only the leading rows of a shortened stripe; its virtual all-zero
+        data nodes are neither read nor counted.
         """
-        shards = self._check_shards(shards)
-        if failed in shards:
-            raise ValueError(f"node {failed} is present in the supplied shards")
-        helpers = set(range(self.n)) - {failed}
-        if not helpers <= set(shards):
-            return super().repair(failed, shards)
+        if isinstance(shards, Mapping):
+            shards = self._check_shards(shards)
+            if failed in shards:
+                raise ValueError(f"node {failed} is present in the supplied shards")
+            helpers = [i for i in range(self.n) if i != failed]
+            if not set(helpers) <= set(shards):
+                return super().repair(failed, shards)
+            L = shards[helpers[0]].shape[0]
+            if L % self.subpacketization:
+                raise ValueError(
+                    f"block length {L} not a multiple of l={self.subpacketization}"
+                )
+            data, parity = self._stripe_from_shards(shards, helpers)
+        else:
+            data, parity = self._check_stripe(shards, shortened=True)
+            real = len(data)
+            if not (0 <= failed < real or self.k <= failed < self.n):
+                raise ValueError(f"failed node {failed} is not stored in this stripe")
+            helpers = [i for i in (*range(real), *self.parity_nodes) if i != failed]
 
+        block = data[failed] if failed < self.k else parity[failed - self.k]
         l = self.subpacketization
-        L = next(iter(shards.values())).shape[0]
-        if L % l:
-            raise ValueError(f"block length {L} not a multiple of l={l}")
-        sub = L // l
-        planes = self.repair_planes(failed)
-        known_nodes = self._repair_solvers[failed][1]
-
-        view = {i: shards[i].reshape(l, sub) for i in helpers}
-        failed_block = self._repair_coupled_fused(failed, view)
-
-        bytes_read = {i: len(planes) * sub for i in helpers}
+        sub = block.shape[0] // l
+        self._fused_plan(failed, len(data)).apply_into(
+            self._to_symbols(data), block.reshape(l, sub), tail=self._to_symbols(parity)
+        )
+        planes = l // self.s
         if METRICS.enabled:
+            known = self.n - self.s  # cross-column helpers
             METRICS.counter("codes.msr.repair_calls", unit="calls").inc()
             # estimated MAC volume per repaired plane: uncouple the n-r known
             # symbols (2 muls each), the r x (n-r) rhs matmul, the r x r solve,
             # and ~3 muls per coupling pair rebuilt
-            per_plane = (
-                2 * len(known_nodes)
-                + self.r * len(known_nodes)
-                + self.r * self.r
-                + 3 * (self.s - 1)
-            )
+            per_plane = 2 * known + self.r * known + self.r * self.r + 3 * (self.s - 1)
             METRICS.counter("codes.msr.gf_mul_bytes", unit="bytes").inc(
-                len(planes) * sub * per_plane
+                planes * sub * per_plane
             )
-        return RepairResult(block=failed_block.reshape(L), bytes_read=bytes_read)
+        return RepairResult(block=block, bytes_read={i: planes * sub for i in helpers})
 
     def repair_batch(
         self, failed: int, shards: Mapping[int, np.ndarray]
@@ -562,20 +581,7 @@ class MSRCode(LinearVectorCode):
             raise ValueError(f"failed node {failed} out of range for n={self.n}")
         if failed in shards:
             raise ValueError(f"node {failed} is present in the supplied shards")
-        gf = GF.get(self._w)
-        arrs = {}
-        shapes = set()
-        for i, b in shards.items():
-            arr = np.ascontiguousarray(np.asarray(b), dtype=gf.dtype)
-            if arr.ndim != 2:
-                raise ValueError(
-                    f"batched shards must be (batch, L) stacks, got {arr.shape}"
-                )
-            shapes.add(arr.shape)
-            arrs[i] = arr
-        if len(shapes) != 1:
-            raise ValueError(f"inconsistent shard shapes: {shapes}")
-        batch, L = shapes.pop()
+        arrs, batch, L = self._check_shard_stacks(shards)
         helpers = set(range(self.n)) - {failed}
         if not helpers <= set(arrs):
             return [
@@ -583,13 +589,12 @@ class MSRCode(LinearVectorCode):
                 for b in range(batch)
             ]
         l = self.subpacketization
-        if L % l:
-            raise ValueError(f"block length {L} not a multiple of l={l}")
         sub = L // l
         planes = self.repair_planes(failed)
         known_nodes = self._repair_solvers[failed][1]
 
-        S = np.zeros((batch, self.n * l, sub), dtype=gf.dtype)
+        # the failed node's rows stay uninitialised: their columns are zero
+        S = np.empty((batch, self.n * l, sub), dtype=self.symbol_dtype)
         for i in helpers:
             S[:, i * l : (i + 1) * l] = arrs[i].reshape(batch, l, sub)
         blocks = self._repair_fused[failed].apply_batch(S)

@@ -20,9 +20,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..gf import GF, CodingPlan, apply_to_blocks, inverse, matmul, systematic_rs_parity
+from ..gf import GF, CodingPlan, inverse, matmul, systematic_rs_parity
 from ..telemetry import METRICS
-from .base import LinearVectorCode, ParameterError, RepairResult
+from .base import LinearVectorCode, ParameterError, RepairResult, UnrecoverableError
 
 __all__ = ["ReedSolomonCode"]
 
@@ -51,11 +51,10 @@ class ReedSolomonCode(LinearVectorCode):
         super().__init__(n=k + r, k=k, generator=generator, subpacketization=1, w=w)
         #: the r×k parity-coefficient matrix P (p = P @ d)
         self.parity_matrix = parity
-        # per-(failed, helpers) repair-coefficient row + compiled per-helper
-        # scaling plans, built lazily by the streamed/pipelined repair path
+        # per-(failed, helpers) repair-coefficient row and its compiled
+        # one-row plan over the stripe, both built lazily on first repair
         self._repair_coeff_cache: dict[tuple, np.ndarray] = {}
-        self._scale_plans: dict[int, CodingPlan] = {}
-        self._parity_row_plans: dict[int, CodingPlan] = {}
+        self._repair_plans: dict[tuple, CodingPlan] = {}
 
     #: counters land under ``codes.rs.*``
     telemetry_key = "rs"
@@ -69,34 +68,62 @@ class ReedSolomonCode(LinearVectorCode):
         """MDS: tolerates any ``r`` erasures."""
         return self.r
 
-    def repair(self, failed: int, shards: Mapping[int, np.ndarray]) -> RepairResult:
-        """Rebuild one block by decoding from ``k`` survivors (full reads).
+    def repair(self, failed: int, shards) -> RepairResult:
+        """Rebuild one block from ``k`` survivors (full reads).
 
-        Recovers the data via the cached decode plan, then re-derives only
-        the failed block — a lost parity needs one parity row, not the full
-        re-encode of all ``r`` parities.
+        Any lost block — data or parity — is one GF-linear combination of
+        any ``k`` survivors (:meth:`repair_coefficients`), so the repair
+        is a single one-row plan over the stripe, written where the block
+        is stored.  Reads the ``k`` lowest-indexed survivors.
+
+        ``shards`` is either a mapping survivor → block (a fresh block is
+        returned) or the stored stripe itself as a ``(data, parity)``
+        pair of ``(k, L)``/``(r, L)`` arrays: then every node but
+        ``failed`` is a survivor, the lost row is rebuilt in place without
+        being read, and ``.block`` is a view of it.
         """
-        shards = self._check_shards(shards)
-        if failed in shards:
-            raise ValueError(f"node {failed} is present in the supplied shards")
+        if isinstance(shards, Mapping):
+            shards = self._check_shards(shards)
+            if failed in shards:
+                raise ValueError(f"node {failed} is present in the supplied shards")
+            helpers = self._lowest_helpers(shards)
+            data, parity = self._stripe_from_shards(shards, helpers)
+        else:
+            data, parity = self._check_stripe(shards)
+            helpers = tuple(self.repair_read_fractions(failed))  # the planned reads
+        plan = self._repair_plan(failed, helpers)
+        block = data[failed] if failed < self.k else parity[failed - self.k]
+        plan.apply_into(data, block[None, :], tail=parity)
         if METRICS.enabled:
             METRICS.counter("codes.rs.repair_calls", unit="calls").inc()
-        helpers = sorted(shards)[: self.k]
-        data = self.decode_data({i: shards[i] for i in helpers})
-        if failed < self.k:
-            block = data[failed]
-        else:
-            row = self.parity_matrix[failed - self.k : failed - self.k + 1]
-            block = apply_to_blocks(row, data, w=self.w)[0]
-        bytes_read = {i: shards[i].shape[0] for i in helpers}
-        return RepairResult(block=block, bytes_read=bytes_read)
+            METRICS.counter("codes.rs.gf_mul_bytes", unit="bytes").inc(
+                self.k * block.shape[0]
+            )
+        return RepairResult(block=block, bytes_read={i: block.shape[0] for i in helpers})
 
-    def _parity_row_plan(self, failed: int) -> CodingPlan:
-        """Compiled single parity row (re-derives one lost parity block)."""
-        plan = self._parity_row_plans.get(failed)
+    def _lowest_helpers(self, survivors) -> tuple[int, ...]:
+        """The ``k`` lowest-indexed survivors a repair reads."""
+        helpers = tuple(sorted(survivors)[: self.k])
+        if len(helpers) < self.k:
+            raise UnrecoverableError(
+                f"{self.name}: {len(helpers)} survivors cannot rebuild a block, "
+                f"need k={self.k}"
+            )
+        return helpers
+
+    def _repair_plan(self, failed: int, helpers: tuple[int, ...]) -> CodingPlan:
+        """The ``1 × n`` plan ``lost = Σ cᵢ·node(helpers[i])`` over a stripe.
+
+        Columns of non-helpers (the failed node among them) are zero, so
+        those rows are never read.  Compiled on first use from the cached
+        :meth:`repair_coefficients` row.
+        """
+        key = (failed, helpers)
+        plan = self._repair_plans.get(key)
         if plan is None:
-            row = self.parity_matrix[failed - self.k : failed - self.k + 1]
-            plan = self._parity_row_plans[failed] = CodingPlan(row, w=self.w)
+            row = np.zeros((1, self.n), dtype=self.generator.dtype)
+            row[0, list(helpers)] = self.repair_coefficients(failed, helpers)
+            plan = self._repair_plans[key] = CodingPlan(row, w=self.w)
         return plan
 
     def repair_batch(
@@ -106,8 +133,7 @@ class ReedSolomonCode(LinearVectorCode):
 
         ``shards`` maps each surviving node to a ``(batch, L)`` stack — the
         access pattern a node failure produces (every stripe loses the same
-        index).  One batched decode plus, for a lost parity, one batched
-        parity-row application replace ``batch`` separate dispatches;
+        index).  The one-row repair plan is batch-applied in one dispatch;
         byte-identical (results and telemetry) to calling :meth:`repair`
         stripe by stripe.
         """
@@ -115,15 +141,18 @@ class ReedSolomonCode(LinearVectorCode):
             raise ValueError(f"failed node {failed} out of range for n={self.n}")
         if failed in shards:
             raise ValueError(f"node {failed} is present in the supplied shards")
-        helpers = sorted(shards)[: self.k]
-        data = self.decode_data_batch({i: shards[i] for i in helpers})
-        batch, _, L = data.shape
+        arrs, batch, L = self._check_shard_stacks(shards)
+        helpers = self._lowest_helpers(arrs)
+        # non-helper rows stay uninitialised: their plan columns are zero
+        stacked = np.empty((batch, self.n, L), dtype=self.symbol_dtype)
+        for i in helpers:
+            stacked[:, i] = arrs[i]
+        blocks = self._repair_plan(failed, helpers).apply_batch(stacked)[:, 0]
         if METRICS.enabled and batch:
             METRICS.counter("codes.rs.repair_calls", unit="calls").inc(batch)
-        if failed < self.k:
-            blocks = np.ascontiguousarray(data[:, failed])
-        else:
-            blocks = self._parity_row_plan(failed).apply_batch(data)[:, 0]
+            METRICS.counter("codes.rs.gf_mul_bytes", unit="bytes").inc(
+                batch * self.k * L
+            )
         return [
             RepairResult(block=blocks[b], bytes_read={i: L for i in helpers})
             for b in range(batch)
@@ -155,14 +184,6 @@ class ReedSolomonCode(LinearVectorCode):
             )[0]
             cached = self._repair_coeff_cache[key] = coeffs
         return cached
-
-    def _scale_plan(self, coeff: int) -> CodingPlan:
-        """Compiled 1×1 plan for one helper's scaling (shared across calls)."""
-        plan = self._scale_plans.get(coeff)
-        if plan is None:
-            matrix = np.array([[coeff]], dtype=self.generator.dtype)
-            plan = self._scale_plans[coeff] = CodingPlan(matrix, w=self.w)
-        return plan
 
     def repair_streamed(
         self, failed: int, shards: Mapping[int, np.ndarray], chunk_size: int = 1 << 16

@@ -271,6 +271,18 @@ class AdaptiveSelector:
             )
         return conv
 
+    def forget(self, stripe: Hashable) -> None:
+        """Drop every trace of a deleted stripe: queues, flag, counters.
+
+        Not an eviction — trigger 3 must never fire for a stripe that no
+        longer exists — so no conversion is returned or recorded.
+        """
+        self.queue1.remove(stripe)
+        self.queue2.remove(stripe)
+        self._flags.pop(stripe, None)
+        self._writes.pop(stripe, None)
+        self._recoveries.pop(stripe, None)
+
     # -- reporting ----------------------------------------------------------
     @property
     def msr_fraction(self) -> float:

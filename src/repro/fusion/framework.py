@@ -10,6 +10,17 @@ byte the conversions and repairs move.
 The cluster simulator (:mod:`repro.cluster`) uses the same selector and
 cost accounting without materialising data; this class is the
 correctness-bearing reference used by the examples and tests.
+
+Buffer ownership
+----------------
+The store owns every stripe's bytes: :meth:`ECFusion.write` copies the
+caller's data into the stripe's own ``(k, L)`` buffer, and from then on
+data blocks never move — parity is computed where it is stored, a lost
+block is rebuilt in its own row, and a conversion computes the new parity
+set *aside* and swaps it in only once it is complete (an aborted
+conversion leaves the stripe exactly as it was).  :meth:`ECFusion.read`
+and :meth:`ECFusion.read_stripe` return views of that buffer, valid until
+the stripe's next write, recovery or conversion.
 """
 
 from __future__ import annotations
@@ -30,15 +41,25 @@ __all__ = ["StripeStore", "RecoveryReport", "ECFusion"]
 
 @dataclass
 class StripeStore:
-    """Physical representation of one stripe.
+    """Physical representation of one stripe: data once, parity per code.
 
-    ``kind == RS``: ``rs_blocks`` holds the (k+r, L) codeword.
-    ``kind == MSR``: ``msr_groups`` holds q arrays of shape (2r, L).
+    ``data`` is the ``(k, L)`` systematic block set in both codes; no
+    conversion reallocates or copies it.  ``parity`` is the current code's
+    redundancy as ``(r, L)`` arrays: the one RS parity set, or one MSR
+    parity set per group — group ``i`` covers data rows ``i·r..(i+1)·r``,
+    fewer for a padded last group, whose virtual zero blocks are not
+    stored.  A conversion replaces ``kind`` and ``parity`` together, once
+    the new parity sets are complete.
     """
 
     kind: CodeKind
-    rs_blocks: np.ndarray | None = None
-    msr_groups: list[np.ndarray] | None = None
+    data: np.ndarray
+    parity: list[np.ndarray]
+
+    @property
+    def parity_blocks(self) -> int:
+        """Parity blocks stored: r in RS, q·r in MSR."""
+        return sum(len(p) for p in self.parity)
 
 
 @dataclass
@@ -103,9 +124,21 @@ class ECFusion:
             raise KeyError(f"unknown stripe {stripe!r}")
         return store
 
-    def _group_of(self, block: int) -> tuple[int, int]:
-        """Data block index -> (MSR group, node-within-group)."""
-        return block // self.r, block % self.r
+    def _codeword(self, store: StripeStore, node: int):
+        """``(codec, codeword node, data rows, parity rows)`` for stripe node
+        ``node`` — a data block below ``k``, parity ``x`` of the stripe's
+        current layout at ``k + x``.  The rows are views of the stripe's
+        buffers: the whole RS stripe, or the node's MSR group (whose data
+        rows run short when the group is padded)."""
+        if store.kind is CodeKind.RS:
+            return self.rs, node, store.data, store.parity[0]
+        r = self.r
+        if node < self.k:
+            g, j = divmod(node, r)
+        else:
+            g, x = divmod(node - self.k, r)
+            j = r + x
+        return self.msr, j, store.data[g * r : (g + 1) * r], store.parity[g]
 
     # -- application path -------------------------------------------------------
     def write(self, stripe: Hashable, data: np.ndarray) -> list[Conversion]:
@@ -114,6 +147,10 @@ class ECFusion:
         The adaptation rule may first flip the stripe's flag to RS; the
         stripe is then encoded directly in its assigned code, so a
         conversion triggered by the write itself costs nothing extra.
+
+        ``data`` is copied into the stripe's own buffer — the caller's
+        array is not kept.  Overwriting a stripe reuses that buffer and,
+        when the code is unchanged, its parity buffer.
         """
         data = np.ascontiguousarray(data, dtype=np.uint8)
         if data.shape[0] != self.k:
@@ -129,63 +166,84 @@ class ECFusion:
         # is re-encoded below, so its own flip needs no transformation
         self._apply_conversions([c for c in conversions if c.stripe != stripe])
         kind = self.selector.code_of(stripe)
+        r = self.r
+        store = self._stripes.get(stripe)
+        if store is None or store.data.shape != data.shape:
+            store = self._stripes[stripe] = StripeStore(kind, np.empty_like(data), [])
+        sets = 1 if kind is CodeKind.RS else self.transformer.q
+        store.kind = kind
+        store.parity = store.parity[:sets] + [
+            np.empty((r, data.shape[1]), dtype=np.uint8)
+            for _ in range(sets - len(store.parity))
+        ]
+        np.copyto(store.data, data)
         if kind is CodeKind.RS:
-            self._stripes[stripe] = StripeStore(kind=kind, rs_blocks=self.rs.encode(data))
+            self.rs.encode(store.data, out=store.parity[0])
         else:
-            groups = [
-                self.msr.encode(g) for g in self.transformer._pad_groups(data)
-            ]
-            self._stripes[stripe] = StripeStore(kind=kind, msr_groups=groups)
+            for g, parity in enumerate(store.parity):
+                self.msr.encode(store.data[g * r : (g + 1) * r], out=parity)
         return conversions
 
     def read(self, stripe: Hashable, block: int) -> np.ndarray:
-        """Read one data block (always available systematically)."""
+        """Read one data block (always available systematically).
+
+        Returns a view of the stripe's buffer, valid until the stripe's
+        next write, recovery or conversion — copy it to keep it.
+        """
         if not 0 <= block < self.k:
             raise ValueError(f"data block index {block} out of range")
         store = self._locate(stripe)
         if METRICS.enabled:
             METRICS.counter("fusion.store.reads", unit="blocks").inc()
         self._apply_conversions(self.selector.on_read(stripe))
-        if store.kind is CodeKind.RS:
-            return store.rs_blocks[block]
-        g, j = self._group_of(block)
-        return store.msr_groups[g][j]
+        return store.data[block]
 
     def read_stripe(self, stripe: Hashable) -> np.ndarray:
-        """All k data blocks of a stripe, shape (k, L)."""
-        store = self._locate(stripe)
-        if store.kind is CodeKind.RS:
-            return store.rs_blocks[: self.k]
-        blocks = [store.msr_groups[b // self.r][b % self.r] for b in range(self.k)]
-        return np.stack(blocks)
+        """All k data blocks of a stripe, shape (k, L).
+
+        A view of the stripe's buffer in either code, with the validity of
+        :meth:`read`; a conversion leaves the memory it points at alone.
+        """
+        return self._locate(stripe).data[:]
 
     # -- recovery path -------------------------------------------------------------
-    def recover(self, stripe: Hashable, block: int) -> RecoveryReport:
-        """Reconstruct one lost data block under the adaptive policy.
+    def _recover(
+        self,
+        stripe: Hashable,
+        index: int,
+        parity: bool = False,
+        chunk_size: int | None = None,
+    ) -> RecoveryReport:
+        """One recovery under the adaptive policy: convert, then repair.
 
         The Queue2 insertion happens first (Algorithm 1), so a stripe may
         convert to MSR *before* the repair proper — mirroring the paper's
         rule that recovery-prone blocks should already sit in the
-        repair-friendly code for subsequent failures.
+        repair-friendly code for subsequent failures.  A ``parity`` index
+        addresses the layout current after that conversion, so it is
+        checked here.  The codec rebuilds the node in its stored row;
+        ``chunk_size`` selects the streamed (partial-combination) codec.
         """
-        if not 0 <= block < self.k:
-            raise ValueError(f"data block index {block} out of range")
         conversions = self.selector.on_recovery(stripe)
         self._apply_conversions(conversions)
         store = self._locate(stripe)
-
-        if store.kind is CodeKind.RS:
-            shards = {
-                i: store.rs_blocks[i] for i in range(self.rs.n) if i != block
-            }
-            res = self.rs.repair(block, shards)
-            store.rs_blocks[block] = res.block
+        if parity:
+            if not 0 <= index < store.parity_blocks:
+                raise ValueError(
+                    f"{store.kind.name}-mode parity index {index} out of range"
+                )
+            index += self.k
+        code, node, data, par = self._codeword(store, index)
+        if chunk_size is None:
+            res = code.repair(node, (data, par))
         else:
-            g, j = self._group_of(block)
-            grp = store.msr_groups[g]
-            shards = {i: grp[i] for i in range(self.msr.n) if i != j}
-            res = self.msr.repair(j, shards)
-            grp[j] = res.block
+            shards = dict(enumerate(data))
+            # a padded group's virtual data nodes are all-zero helpers
+            shards.update((i, np.zeros_like(par[0])) for i in range(len(data), code.k))
+            shards.update((code.k + x, row) for x, row in enumerate(par))
+            del shards[node]
+            res = code.repair_streamed(node, shards, chunk_size=chunk_size)
+            data[node] = res.block
         self.repair_bytes_read += res.total_bytes_read
         if METRICS.enabled:
             METRICS.counter("fusion.store.recoveries", unit="blocks").inc()
@@ -194,11 +252,21 @@ class ECFusion:
             )
         return RecoveryReport(
             stripe=stripe,
-            block=block,
+            block=index,
             code=store.kind,
             bytes_read=res.total_bytes_read,
             conversions=conversions,
         )
+
+    def recover(self, stripe: Hashable, block: int) -> RecoveryReport:
+        """Reconstruct one lost data block under the adaptive policy.
+
+        The block is rebuilt in its own row of the stripe's buffer from
+        the surviving rows; whatever the lost row held is never read.
+        """
+        if not 0 <= block < self.k:
+            raise ValueError(f"data block index {block} out of range")
+        return self._recover(stripe, block)
 
     def recover_streamed(
         self, stripe: Hashable, block: int, chunk_size: int = 1 << 16
@@ -217,73 +285,17 @@ class ECFusion:
         """
         if not 0 <= block < self.k:
             raise ValueError(f"data block index {block} out of range")
-        conversions = self.selector.on_recovery(stripe)
-        self._apply_conversions(conversions)
-        store = self._locate(stripe)
-
-        if store.kind is CodeKind.RS:
-            shards = {
-                i: store.rs_blocks[i] for i in range(self.rs.n) if i != block
-            }
-            res = self.rs.repair_streamed(block, shards, chunk_size=chunk_size)
-            store.rs_blocks[block] = res.block
-        else:
-            g, j = self._group_of(block)
-            grp = store.msr_groups[g]
-            shards = {i: grp[i] for i in range(self.msr.n) if i != j}
-            res = self.msr.repair_streamed(j, shards, chunk_size=chunk_size)
-            grp[j] = res.block
-        self.repair_bytes_read += res.total_bytes_read
-        if METRICS.enabled:
-            METRICS.counter("fusion.store.recoveries", unit="blocks").inc()
-            METRICS.counter("fusion.store.repair_bytes_read", unit="bytes").inc(
-                res.total_bytes_read
-            )
-        return RecoveryReport(
-            stripe=stripe,
-            block=block,
-            code=store.kind,
-            bytes_read=res.total_bytes_read,
-            conversions=conversions,
-        )
+        return self._recover(stripe, block, chunk_size=chunk_size)
 
     def recover_parity(self, stripe: Hashable, index: int) -> RecoveryReport:
-        """Reconstruct one lost parity block.
+        """Reconstruct one lost parity block, in place.
 
         ``index`` addresses the parity in the stripe's *current* layout:
         ``0..r-1`` in RS mode, ``0..q·r-1`` (group-major) in MSR mode.
         Parity loss counts as a recovery event for Algorithm 1 exactly
         like data loss — the stripe is evidently failure-prone.
         """
-        conversions = self.selector.on_recovery(stripe)
-        self._apply_conversions(conversions)
-        store = self._locate(stripe)
-
-        if store.kind is CodeKind.RS:
-            if not 0 <= index < self.r:
-                raise ValueError(f"RS-mode parity index {index} out of range")
-            node = self.k + index
-            shards = {i: store.rs_blocks[i] for i in range(self.rs.n) if i != node}
-            res = self.rs.repair(node, shards)
-            store.rs_blocks[node] = res.block
-        else:
-            q = self.transformer.q
-            if not 0 <= index < q * self.r:
-                raise ValueError(f"MSR-mode parity index {index} out of range")
-            g, x = divmod(index, self.r)
-            grp = store.msr_groups[g]
-            node = self.msr.k + x
-            shards = {i: grp[i] for i in range(self.msr.n) if i != node}
-            res = self.msr.repair(node, shards)
-            grp[node] = res.block
-        self.repair_bytes_read += res.total_bytes_read
-        return RecoveryReport(
-            stripe=stripe,
-            block=self.k + index,
-            code=store.kind,
-            bytes_read=res.total_bytes_read,
-            conversions=conversions,
-        )
+        return self._recover(stripe, index, parity=True)
 
     # -- conversions ----------------------------------------------------------------
     def _apply_conversions(self, conversions: list[Conversion]) -> None:
@@ -303,22 +315,15 @@ class ECFusion:
         self.transform_cost.gf_ops += cost.gf_ops
 
     def _to_msr(self, store: StripeStore) -> None:
-        data = store.rs_blocks[: self.k]
-        parity = store.rs_blocks[self.k :]
-        result = self.transformer.rs_to_msr(data, parity)
+        result = self.transformer.rs_to_msr(store.data, store.parity[0])
         self._accumulate(result.cost)
-        store.kind = CodeKind.MSR
-        store.msr_groups = result.groups
-        store.rs_blocks = None
+        # swap on success: an aborted transform raised above, stripe untouched
+        store.kind, store.parity = CodeKind.MSR, result.parity
 
     def _to_rs(self, store: StripeStore) -> None:
-        parities = [g[self.r :] for g in store.msr_groups]
-        result = self.transformer.msr_to_rs(parities)
+        result = self.transformer.msr_to_rs(store.parity)
         self._accumulate(result.cost)
-        data = np.concatenate([g[: self.r] for g in store.msr_groups], axis=0)[: self.k]
-        store.kind = CodeKind.RS
-        store.rs_blocks = np.concatenate([data, result.parity], axis=0)
-        store.msr_groups = None
+        store.kind, store.parity = CodeKind.RS, [result.parity]
 
     # -- lifecycle ---------------------------------------------------------------------
     def delete(self, stripe: Hashable) -> None:
@@ -331,11 +336,7 @@ class ECFusion:
         if stripe not in self._stripes:
             raise KeyError(f"unknown stripe {stripe!r}")
         del self._stripes[stripe]
-        self.selector.queue1.remove(stripe)
-        self.selector.queue2.remove(stripe)
-        self.selector._flags.pop(stripe, None)
-        self.selector._writes.pop(stripe, None)
-        self.selector._recoveries.pop(stripe, None)
+        self.selector.forget(stripe)
 
     def __contains__(self, stripe: Hashable) -> bool:
         return stripe in self._stripes
@@ -348,12 +349,7 @@ class ECFusion:
         """Current average ρ = stored blocks / data blocks across stripes."""
         if not self._stripes:
             return (self.k + self.r) / self.k
-        total = 0.0
-        for store in self._stripes.values():
-            if store.kind is CodeKind.RS:
-                total += (self.k + self.r) / self.k
-            else:
-                total += sum(g.shape[0] for g in store.msr_groups) / self.k
+        total = sum((self.k + s.parity_blocks) / self.k for s in self._stripes.values())
         return total / len(self._stripes)
 
     def stats(self) -> dict[str, float]:

@@ -24,7 +24,15 @@ so they act as a "highway" between the two codes:
 
 When r ∤ k the paper pads with virtual empty (all-zero) data nodes; we do
 the same by building the ``B_i`` from the width-qr Cauchy extension of the
-same parity family, whose first k columns coincide with RS(k, r)'s.
+same parity family, whose first k columns coincide with RS(k, r)'s.  The
+virtual nodes are never materialised: a zero block contributes nothing,
+so the last group's matrices simply drop its columns.
+
+Both conversions are destination-passing: they read the caller's data and
+parity arrays in place, write only freshly allocated ``(r, L)`` parity
+sets (Trans1/Trans2 apply straight into them, eq. (3) merges by XOR
+accumulation), and hand those back — no data block is copied, and nothing
+the caller owns is touched, so the caller swaps parities in on success.
 
 :class:`MultiCodeConverter` extends the pair to the full RS/MSR/LRC/FR
 conversion graph of the multi-code policy engine.  RS ↔ MSR keep the
@@ -110,10 +118,35 @@ class TransformCost:
 
 @dataclass
 class RsToMsrResult:
-    """Output of an RS→MSR conversion: one MSR stripe per data group."""
+    """Output of an RS→MSR conversion: the new MSR parities of every group.
 
-    groups: list[np.ndarray]  # q arrays of shape (2r, L): data + MSR parity
+    ``parity`` holds q freshly allocated ``(r, L)`` arrays, group ``i``'s
+    MSR parities at index ``i`` (the shape :meth:`FusionTransformer.msr_to_rs`
+    takes back); ``data`` is the caller's own ``(k, L)`` array — a
+    conversion computes parities alone and never copies a data block.
+    """
+
+    data: np.ndarray
+    parity: list[np.ndarray]
     cost: TransformCost = field(default_factory=TransformCost)
+
+    @property
+    def groups(self) -> list[np.ndarray]:
+        """The q MSR(2r, r) codewords as ``(2r, L)`` arrays (copies).
+
+        Built on demand — each group's data plus parity, the last group
+        zero-padded when r ∤ k — for callers that want whole codewords;
+        the store itself keeps ``data`` and ``parity`` apart.
+        """
+        out = []
+        for i, par in enumerate(self.parity):
+            r, L = par.shape
+            grp = np.zeros((2 * r, L), dtype=par.dtype)
+            real = self.data[i * r : (i + 1) * r]
+            grp[: len(real)] = real
+            grp[r:] = par
+            out.append(grp)
+        return out
 
 
 @dataclass
@@ -180,7 +213,11 @@ class FusionTransformer:
         ]
         # Conversions re-apply the same matrices stripe after stripe —
         # compile each once so the hot path is pure fused-kernel execution.
-        self._group_plans = [CodingPlan(b, w=w) for b in self.group_blocks]
+        # A padded last group multiplies its real data rows only: the
+        # virtual zero blocks' columns of B_q drop out, nothing is padded.
+        self._group_plans = [
+            CodingPlan(b[:, : k - i * r], w=w) for i, b in enumerate(self.group_blocks)
+        ]
         self._trans1_plans = [CodingPlan(t, w=w) for t in self.trans1]
         self._trans2_plans = [CodingPlan(t, w=w) for t in self.trans2]
 
@@ -197,13 +234,10 @@ class FusionTransformer:
                 f"{self.subpacketization}"
             )
 
-    def _pad_groups(self, data: np.ndarray) -> list[np.ndarray]:
-        """Split (k, L) data into q groups of r blocks, zero-padding the last."""
-        k, L = data.shape
-        if self.padding:
-            pad = np.zeros((self.padding, L), dtype=np.uint8)
-            data = np.concatenate([data, pad], axis=0)
-        return [data[i * self.r : (i + 1) * self.r] for i in range(self.q)]
+    def _group_data(self, data: np.ndarray, i: int) -> np.ndarray:
+        """Group ``i``'s real data rows (fewer than r in a padded last group),
+        a view of the caller's ``(k, L)`` array."""
+        return data[i * self.r : (i + 1) * self.r]
 
     def _syms(self, blocks: np.ndarray) -> np.ndarray:
         l = self.subpacketization
@@ -220,10 +254,10 @@ class FusionTransformer:
         data = np.ascontiguousarray(data, dtype=np.uint8)
         if data.shape[0] != self.k:
             raise ValueError(f"expected {self.k} data blocks, got {data.shape[0]}")
-        groups = self._pad_groups(data)
-        return np.stack(
-            [plan.apply(g) for plan, g in zip(self._group_plans, groups)]
-        )
+        out = np.empty((self.q, self.r, data.shape[1]), dtype=np.uint8)
+        for i, plan in enumerate(self._group_plans):
+            plan.apply_into(self._group_data(data, i), out[i])
+        return out
 
     # ------------------------------------------------------------- conversions
     def rs_to_msr(
@@ -233,7 +267,10 @@ class FusionTransformer:
 
         Reads the first q−1 data groups and the r RS parities; the last
         group's intermediary parity comes from eq. (3) without reading its
-        data, and every group's MSR parities from Trans2 (eq. (7)).
+        data, and every group's MSR parities from Trans2 (eq. (7)).  The
+        result carries the q new ``(r, L)`` parity sets and ``data``
+        itself — whole ``(2r, L)`` group codewords only on request
+        (:attr:`RsToMsrResult.groups`).
 
         ``fault_hook(phase, group)`` is called before each source read
         (``("parity", -1)`` for the RS parity set, ``("data", i)`` for
@@ -269,7 +306,6 @@ class FusionTransformer:
         self._check_block_len(L)
         if rs_parity.shape != (self.r, L):
             raise ValueError(f"rs_parity must be ({self.r}, {L}), got {rs_parity.shape}")
-        groups = self._pad_groups(data)
         cost = TransformCost()
 
         parity_ok = self._read_source(fault_hook, "parity", -1)
@@ -295,32 +331,39 @@ class FusionTransformer:
                 f"(parity_ok={parity_ok}, missing groups {sorted(set(missing))})"
             )
 
-        inter: list[np.ndarray | None] = [None] * self.q
-        for i in needed:
-            p_i = self._group_plans[i].apply(groups[i])
-            inter[i] = p_i
-            cost.data_blocks_read += self.r
-            cost.gf_ops += self.r * self.r * L
-        if derived is not None:
-            # eq. (3): the one unread group's p′ = p ⊕ all other p′ sets
-            acc = rs_parity.copy()
-            for i in needed:
-                np.bitwise_xor(acc, inter[i], out=acc)
-            inter[derived] = acc
+        # Every probe passed: from here on only the new parity set (built
+        # aside, handed over on return) and one r-block scratch are written.
+        # All of them are (r, L) like the RS parity they replace, so the
+        # allocator recycles one conversion's freed blocks in the next.
+        r = self.r
+        out = [np.empty((r, L), dtype=np.uint8) for _ in range(self.q)]
+        inter = np.empty((r, L), dtype=np.uint8)  # the current group's p′_i
 
-        out_groups = []
+        def to_msr_parity(i: int) -> None:
+            # Trans2 (eq. (7)): p′_i -> group i's MSR parities, where they stay
+            self._trans2_plans[i].apply_into(self._syms(inter), self._syms(out[i]))
+
+        # eq. (3): the one unread group's p′ = p ⊕ all other p′ sets.  The
+        # running sum lives in that group's still-unused output block; the
+        # last fold lands in the scratch, which Trans2 then consumes.
+        acc = out[derived] if derived is not None else None
+        for pos, i in enumerate(needed):
+            self._group_plans[i].apply_into(self._group_data(data, i), inter)
+            cost.data_blocks_read += r
+            cost.gf_ops += r * r * L
+            to_msr_parity(i)
+            if derived is not None:
+                last = pos == len(needed) - 1
+                np.bitwise_xor(
+                    rs_parity if pos == 0 else acc, inter, out=inter if last else acc
+                )
+        if derived is not None:
+            if not needed:  # q == 1: the lone group's p′ is the RS parity
+                inter[:] = rs_parity
+            to_msr_parity(derived)
         for i in range(self.q):
-            p_syms = self._syms(inter[i])
-            msr_par = self._blocks(self._trans2_plans[i].apply(p_syms), self.r)
             cost.gf_ops += self.trans2[i].size * (L / self.subpacketization)
-            cost.blocks_written += self.r
-            # Group q's data was derived, not read; materialise it for the
-            # caller (in the real system those blocks stay where they are).
-            if i == self.q - 1 and self.padding == 0:
-                grp_data = groups[i]
-            else:
-                grp_data = groups[i]
-            out_groups.append(np.concatenate([grp_data, msr_par], axis=0))
+            cost.blocks_written += r
         if METRICS.enabled:
             # naive re-encode would read all k data blocks; the intermediary
             # highway derives the last group's p' from the RS parities instead
@@ -328,7 +371,7 @@ class FusionTransformer:
             METRICS.counter("fusion.transform.rs_to_msr", unit="conversions").inc()
             METRICS.counter("fusion.transform.gf_ops", unit="gf-ops").inc(cost.gf_ops)
             METRICS.counter("fusion.transform.bytes_saved", unit="bytes").inc(saved)
-        return RsToMsrResult(groups=out_groups, cost=cost)
+        return RsToMsrResult(data=data, parity=out, cost=cost)
 
     def rs_to_msr_batch(
         self, data: np.ndarray, rs_parity: np.ndarray
@@ -364,19 +407,15 @@ class FusionTransformer:
     ) -> list[RsToMsrResult]:
         batch, _, L = data.shape
         l = self.subpacketization
-        if self.padding:
-            pad = np.zeros((batch, self.padding, L), dtype=np.uint8)
-            data = np.concatenate([data, pad], axis=1)
-        groups = [
-            np.ascontiguousarray(data[:, i * self.r : (i + 1) * self.r])
-            for i in range(self.q)
-        ]
+        r = self.r
 
         inter: list[np.ndarray | None] = [None] * self.q
         gf_ops = 0.0
         for i in range(self.q - 1):
-            inter[i] = self._group_plans[i].apply_batch(groups[i])
-            gf_ops += self.r * self.r * L
+            inter[i] = self._group_plans[i].apply_batch(
+                np.ascontiguousarray(data[:, i * r : (i + 1) * r])
+            )
+            gf_ops += r * r * L
         acc = rs_parity.copy()
         for i in range(self.q - 1):
             np.bitwise_xor(acc, inter[i], out=acc)
@@ -384,24 +423,24 @@ class FusionTransformer:
 
         parities = []
         for i in range(self.q):
-            p_syms = inter[i].reshape(batch, self.r * l, L // l)
+            p_syms = inter[i].reshape(batch, r * l, L // l)
             msr_syms = self._trans2_plans[i].apply_batch(p_syms)
-            parities.append(msr_syms.reshape(batch, self.r, L))
+            parities.append(msr_syms.reshape(batch, r, L))
             gf_ops += self.trans2[i].size * (L / l)
 
-        results = []
-        for b in range(batch):
-            cost = TransformCost(
-                data_blocks_read=(self.q - 1) * self.r,
-                parity_blocks_read=self.r,
-                blocks_written=self.q * self.r,
-                gf_ops=gf_ops,
+        results = [
+            RsToMsrResult(
+                data=data[b],
+                parity=[par[b] for par in parities],
+                cost=TransformCost(
+                    data_blocks_read=(self.q - 1) * r,
+                    parity_blocks_read=r,
+                    blocks_written=self.q * r,
+                    gf_ops=gf_ops,
+                ),
             )
-            out_groups = [
-                np.concatenate([groups[i][b], parities[i][b]], axis=0)
-                for i in range(self.q)
-            ]
-            results.append(RsToMsrResult(groups=out_groups, cost=cost))
+            for b in range(batch)
+        ]
         if METRICS.enabled and batch:
             saved = (self.k - (self.q - 1) * self.r) * L
             METRICS.counter("fusion.transform.rs_to_msr", unit="conversions").inc(batch)
@@ -494,26 +533,29 @@ class FusionTransformer:
             raise ValueError(f"expected {self.q} parity groups, got {len(msr_parities)}")
         L = np.asarray(msr_parities[0]).shape[1]
         self._check_block_len(L)
-        data_groups = None
         if data is not None:
             data = np.ascontiguousarray(data, dtype=np.uint8)
             if data.shape != (self.k, L):
                 raise ValueError(f"data must be ({self.k}, {L}), got {data.shape}")
-            data_groups = self._pad_groups(data)
         cost = TransformCost()
-        acc = np.zeros((self.r, L), dtype=np.uint8)
+        # the new RS parity is built aside; eq. (3) XOR-merges each group's
+        # p′_i straight into it (accumulate from the second group on)
+        acc = np.empty((self.r, L), dtype=np.uint8)
         for i, par in enumerate(msr_parities):
             par = np.ascontiguousarray(par, dtype=np.uint8)
             if par.shape != (self.r, L):
                 raise ValueError(f"group {i} parity must be ({self.r}, {L})")
             if self._read_source(fault_hook, "parity", i):
-                p_syms = self._trans1_plans[i].apply(self._syms(par))
-                p_i = self._blocks(p_syms, self.r)
+                self._trans1_plans[i].apply_into(
+                    self._syms(par), self._syms(acc), accumulate=i > 0
+                )
                 cost.parity_blocks_read += self.r
                 cost.gf_ops += self.trans1[i].size * (L / self.subpacketization)
-            elif data_groups is not None and self._read_source(fault_hook, "data", i):
+            elif data is not None and self._read_source(fault_hook, "data", i):
                 # failover: recompute p′_i = B_i·d_i from the group's data
-                p_i = self._group_plans[i].apply(data_groups[i])
+                self._group_plans[i].apply_into(
+                    self._group_data(data, i), acc, accumulate=i > 0
+                )
                 cost.data_blocks_read += self.r
                 cost.gf_ops += self.r * self.r * L
             else:
@@ -521,7 +563,6 @@ class FusionTransformer:
                     f"msr_to_rs: group {i} parities lost and no readable data "
                     f"failover"
                 )
-            np.bitwise_xor(acc, p_i, out=acc)
         cost.blocks_written = self.r
         if METRICS.enabled:
             # naive re-encode would read all k data blocks; Trans1 works from
@@ -543,7 +584,7 @@ class FusionTransformer:
         for g in fwd.groups:
             if not np.array_equal(self.msr.encode(g[: self.r]), g):
                 return False
-        back = self.msr_to_rs([g[self.r :] for g in fwd.groups])
+        back = self.msr_to_rs(fwd.parity)
         return np.array_equal(back.parity, coded[self.k :])
 
 
@@ -653,13 +694,13 @@ class MultiCodeConverter:
             return self.rs.encode(data)[self.k :]
         if code == "msr":
             inter = self.tr.intermediary_parities(data)
-            groups = [
-                self.tr._blocks(
-                    self.tr._trans2_plans[i].apply(self.tr._syms(inter[i])), self.r
+            parity = np.empty((self.q * self.r, data.shape[1]), dtype=np.uint8)
+            for i in range(self.q):
+                self.tr._trans2_plans[i].apply_into(
+                    self.tr._syms(inter[i]),
+                    self.tr._syms(parity[i * self.r : (i + 1) * self.r]),
                 )
-                for i in range(self.q)
-            ]
-            return np.concatenate(groups, axis=0)
+            return parity
         if code == "lrc":
             return self.lrc.encode(data)[self.k :]
         if code == "fr":
@@ -700,9 +741,9 @@ class MultiCodeConverter:
         source = stripe.code
         if (source, target) == ("rs", "msr"):
             res = self.tr._rs_to_msr(stripe.data, stripe.parity, fault_hook)
-            parity = np.concatenate([g[self.r :] for g in res.groups], axis=0)
             return ConversionResult(
-                stripe=CodedStripe("msr", stripe.data, parity), cost=res.cost
+                stripe=CodedStripe("msr", stripe.data, np.concatenate(res.parity)),
+                cost=res.cost,
             )
         if (source, target) == ("msr", "rs"):
             groups = [

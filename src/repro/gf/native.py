@@ -58,12 +58,18 @@ typedef uint8_t v16 __attribute__((vector_size(16)));
  * into an output row using 16-entry low/high nibble product tables
  * (32 bytes per unit).  Units must be sorted by output row so each
  * output tile is accumulated in registers and stored once.  Tiled over
- * the block length for cache residency. */
+ * the block length for cache residency.
+ *
+ * The input rows may live in two arrays: rows [0, split) in `in`, rows
+ * [split, ...) in `tail` (a stripe's data and parity buffers), each with
+ * its own row stride.  Input rows no unit names are never read, so `out`
+ * may be such a row of `in`/`tail` (in-place repair). */
 void gf_apply_units(const uint8_t *tables,   /* nunits * 32 */
                     const int32_t *unit_in,  /* input row per unit */
                     const int32_t *unit_out, /* output row per unit */
                     int32_t nunits,
                     const uint8_t *in, int64_t in_stride,
+                    const uint8_t *tail, int64_t tail_stride, int32_t split,
                     uint8_t *out, int64_t out_stride,
                     int64_t L, int accumulate)
 {
@@ -91,8 +97,10 @@ void gf_apply_units(const uint8_t *tables,   /* nunits * 32 */
                     v16 lo, hi;
                     memcpy(&lo, tp, 16);
                     memcpy(&hi, tp + 16, 16);
-                    const uint8_t *ip =
-                        in + (int64_t)unit_in[k] * in_stride + t0 + t;
+                    int32_t r = unit_in[k];
+                    const uint8_t *ip = (r < split
+                        ? in + (int64_t)r * in_stride
+                        : tail + (int64_t)(r - split) * tail_stride) + t0 + t;
                     v16 x0, x1, x2, x3;
                     memcpy(&x0, ip, 16); memcpy(&x1, ip + 16, 16);
                     memcpy(&x2, ip + 32, 16); memcpy(&x3, ip + 48, 16);
@@ -113,7 +121,10 @@ void gf_apply_units(const uint8_t *tables,   /* nunits * 32 */
                 uint8_t acc = accumulate ? op[t] : 0;
                 for (int32_t k = u; k < ue; k++) {
                     const uint8_t *tp = tables + (int64_t)k * 32;
-                    uint8_t x = in[(int64_t)unit_in[k] * in_stride + t0 + t];
+                    int32_t r = unit_in[k];
+                    uint8_t x = (r < split
+                        ? in + (int64_t)r * in_stride
+                        : tail + (int64_t)(r - split) * tail_stride)[t0 + t];
                     acc ^= tp[x & 15] ^ tp[16 + (x >> 4)];
                 }
                 op[t] = acc;
@@ -140,6 +151,9 @@ _ARGTYPES = [
     ctypes.c_int32,   # nunits
     ctypes.c_void_p,  # in
     ctypes.c_int64,   # in_stride
+    ctypes.c_void_p,  # tail
+    ctypes.c_int64,   # tail_stride
+    ctypes.c_int32,   # split
     ctypes.c_void_p,  # out
     ctypes.c_int64,   # out_stride
     ctypes.c_int64,   # L
@@ -224,8 +238,9 @@ def _self_test(fn) -> bool:
     """Byte-compare the compiled kernel against a pure-python product.
 
     Uses an odd length so both the 64-byte vector body and the scalar
-    tail execute, and checks both accumulate modes.  A miscompiled or
-    mis-targeted build is dropped rather than trusted.
+    tail execute, and checks both accumulate modes and the two-array
+    input split.  A miscompiled or mis-targeted build is dropped rather
+    than trusted.
     """
     from .arithmetic import GF
 
@@ -246,12 +261,29 @@ def _self_test(fn) -> bool:
     run(fn, prog, blocks, got, accumulate=False)
     if not np.array_equal(got, expect):
         return False
+    run(fn, prog, blocks[:1], got, accumulate=False, tail=blocks[1:].copy())
+    if not np.array_equal(got, expect):
+        return False
     run(fn, prog, blocks, got, accumulate=True)  # x ^ x == 0
     return not got[np.nonzero(m.any(axis=1))[0]].any()
 
 
-def run(fn, program: UnitProgram, blocks: np.ndarray, out: np.ndarray, accumulate: bool) -> None:
-    """Invoke the kernel on C-contiguous uint8 ``blocks`` → ``out``."""
+def run(
+    fn,
+    program: UnitProgram,
+    blocks: np.ndarray,
+    out: np.ndarray,
+    accumulate: bool,
+    tail: np.ndarray | None = None,
+) -> None:
+    """Invoke the kernel on uint8 ``blocks`` (+ ``tail``) → ``out``.
+
+    Every array is 2-D with contiguous rows (any row stride).  ``tail``
+    holds the input rows from ``len(blocks)`` on when the input is split
+    over two arrays.
+    """
+    if tail is None:
+        tail = blocks
     fn(
         program.tables.ctypes.data,
         program.unit_in.ctypes.data,
@@ -259,6 +291,9 @@ def run(fn, program: UnitProgram, blocks: np.ndarray, out: np.ndarray, accumulat
         program.nunits,
         blocks.ctypes.data,
         blocks.strides[0],
+        tail.ctypes.data,
+        tail.strides[0],
+        blocks.shape[0],
         out.ctypes.data,
         out.strides[0],
         out.shape[1],

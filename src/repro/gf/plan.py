@@ -236,10 +236,12 @@ class CodingPlan:
 
     # -- backend runners -----------------------------------------------------
     #
-    # Contract: ``blocks`` is C-contiguous ``(in_rows, ncols)`` of the
-    # field dtype; ``out`` is C-contiguous ``(out_rows, ncols)``.  With
-    # ``accumulate=False`` the runner fully defines ``out``; with
-    # ``accumulate=True`` it XORs the product on top of ``out``.
+    # Contract: ``blocks`` is ``(in_rows, ncols)`` and ``out`` is
+    # ``(out_rows, ncols)``, both of the field dtype with contiguous rows
+    # (any row stride).  With ``accumulate=False`` the runner fully defines
+    # ``out``; with ``accumulate=True`` it XORs the product on top of
+    # ``out``.  Input rows whose matrix column is all-zero are never read,
+    # so ``out`` may alias them (in-place repair of a stored codeword).
 
     def _run_translate(self, blocks: np.ndarray, out: np.ndarray, accumulate: bool) -> None:
         if not accumulate:
@@ -250,9 +252,16 @@ class CodingPlan:
                 prod = np.bitwise_xor.reduceat(prod, g.reduce_offsets, axis=0)
             # g.out_rows is duplicate-free, so in-place fancy XOR is safe.
             out[g.out_rows] ^= prod
-        return None
 
     def _run_gather(self, blocks: np.ndarray, out: np.ndarray, accumulate: bool) -> None:
+        """Small-block execution: one fancy-index computes all products.
+
+        ``mul_table[coeff, value]`` over the flat (output-row-sorted) entry
+        layout yields an ``(nnz, ncols)`` product buffer in a single gather;
+        one XOR-reduceat folds each output segment.  Slower per byte than
+        the streaming backends but a constant ~4 NumPy dispatches, so it
+        wins when blocks are small enough that call overhead dominates.
+        """
         prods = self._gf.mul_table()[self._flat_coeffs, blocks[self._flat_in]]
         if self.nnz > len(self._flat_out):
             prods = np.bitwise_xor.reduceat(prods, self._flat_starts, axis=0)
@@ -262,7 +271,6 @@ class CodingPlan:
             if len(self._flat_out) != self.shape[0]:
                 out[:] = 0
             out[self._flat_out] = prods
-        return None
 
     def _pair_unit_count(self) -> int:
         count = self._pair_units
@@ -291,9 +299,7 @@ class CodingPlan:
         ncols = blocks.shape[1]
         if ncols % 2:
             # odd trailing column: one tiny gather finishes it exactly.
-            col = self._apply_gathered(blocks[:, ncols - 1 :], 1)
-            out[:, ncols - 1 :] ^= col
-        return None
+            self._run_gather(blocks[:, ncols - 1 :], out[:, ncols - 1 :], True)
 
     def _native_program(self):
         prog = self._native_prog
@@ -307,70 +313,126 @@ class CodingPlan:
             )
         return prog
 
-    def _run_native(self, blocks: np.ndarray, out: np.ndarray, accumulate: bool) -> None:
+    def _run_native(
+        self,
+        blocks: np.ndarray,
+        out: np.ndarray,
+        accumulate: bool,
+        tail: np.ndarray | None = None,
+    ) -> None:
         prog = self._native_program()
         if not accumulate and len(prog.zero_rows):
             out[prog.zero_rows] = 0
-        _native.run(_native.kernel(), prog, blocks, out, accumulate)
-        return None
+        _native.run(_native.kernel(), prog, blocks, out, accumulate, tail)
 
     # -- application ---------------------------------------------------------
 
-    def _validate(self, blocks: np.ndarray) -> np.ndarray:
-        blocks = np.ascontiguousarray(blocks, dtype=self._gf.dtype)
-        if blocks.ndim != 2 or blocks.shape[0] != self.shape[1]:
-            raise ValueError(
-                f"incompatible shapes: {self.shape} applied to {blocks.shape}"
-            )
+    def _rows(self, blocks: np.ndarray) -> np.ndarray:
+        """``blocks`` as a field-dtype 2-D array with contiguous rows.
+
+        Copy-free for anything that already is one — C-contiguous arrays,
+        row slices, column windows — so callers can hand in views of the
+        buffers they own.
+        """
+        blocks = np.asarray(blocks, dtype=self._gf.dtype)
+        if blocks.ndim == 2 and not (
+            blocks.flags.c_contiguous or blocks.strides[1] == blocks.itemsize
+        ):
+            blocks = np.ascontiguousarray(blocks)
         return blocks
 
-    def apply(self, blocks: np.ndarray) -> np.ndarray:
-        """Compute ``m @ blocks`` (each row of ``blocks`` a storage block)."""
-        blocks = self._validate(blocks)
-        ncols = blocks.shape[1]
-        backend = _backends.choose_backend(self, ncols)
-        if backend == "gather":
-            return self._apply_gathered(blocks, ncols)
-        out = np.empty((self.shape[0], ncols), dtype=self._gf.dtype)
+    def _check_input(
+        self, blocks: np.ndarray, tail: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        blocks = self._rows(blocks)
+        rows = blocks.shape[0] if blocks.ndim == 2 else -1
+        if tail is not None:
+            tail = self._rows(tail)
+            if tail.ndim != 2 or blocks.ndim != 2 or tail.shape[1] != blocks.shape[1]:
+                raise ValueError(
+                    f"tail rows {tail.shape} do not continue blocks {blocks.shape}"
+                )
+            rows += tail.shape[0]
+        if rows != self.shape[1]:
+            shape = blocks.shape if tail is None else (rows,) + blocks.shape[1:]
+            raise ValueError(f"incompatible shapes: {self.shape} applied to {shape}")
+        return blocks, tail
+
+    def _execute(
+        self,
+        blocks: np.ndarray,
+        tail: np.ndarray | None,
+        out: np.ndarray,
+        accumulate: bool,
+    ) -> np.ndarray:
+        backend = _backends.choose_backend(self, blocks.shape[1])
         if backend == "native":
-            self._run_native(blocks, out, accumulate=False)
+            self._run_native(blocks, out, accumulate, tail)
+            return out
+        if tail is not None:
+            # only the compiled kernel walks two arrays; the NumPy
+            # fallbacks gather from one
+            blocks = np.concatenate([blocks, tail])
+        if backend == "gather":
+            self._run_gather(blocks, out, accumulate)
         elif backend == "pair":
-            self._run_pair(blocks, out, accumulate=False)
+            self._run_pair(blocks, out, accumulate)
         else:
-            self._run_translate(blocks, out, accumulate=False)
+            self._run_translate(blocks, out, accumulate)
         return out
 
+    def apply(self, blocks: np.ndarray) -> np.ndarray:
+        """Compute ``m @ blocks`` (each row of ``blocks`` a storage block).
+
+        The allocating form of :meth:`apply_into`: a fresh output buffer,
+        the same execution.
+        """
+        blocks, _ = self._check_input(blocks, None)
+        out = np.empty((self.shape[0], blocks.shape[1]), dtype=self._gf.dtype)
+        return self._execute(blocks, None, out, False)
+
     def apply_into(
-        self, blocks: np.ndarray, out: np.ndarray, accumulate: bool = False
+        self,
+        blocks: np.ndarray,
+        out: np.ndarray,
+        accumulate: bool = False,
+        tail: np.ndarray | None = None,
     ) -> np.ndarray:
         """Compute ``m @ blocks`` into a caller-donated buffer.
 
-        ``out`` must be a C-contiguous field-dtype array of shape
-        ``(out_rows, ncols)``; with ``accumulate=True`` the product is
-        XOR-folded on top of the existing contents (the streamed-repair
-        partial-sum primitive — no temporaries, no output allocation).
-        Returns ``out``.
+        The one execution primitive: every codec and conversion above
+        writes its result where it is stored through this call.
+
+        ``blocks`` and ``out`` are field-dtype ``(in_rows, ncols)`` /
+        ``(out_rows, ncols)`` arrays with contiguous rows; the row stride
+        is free, so row slices and column windows of a larger buffer are
+        used in place (anything else is copied first, for ``blocks``, or
+        refused, for ``out``).  With ``accumulate=True`` the product is
+        XOR-folded on top of ``out`` — the partial-sum primitive of
+        streamed repair and of the eq. (3) parity merge — with no
+        temporaries and no output allocation.
+
+        ``tail`` continues the input rows in a second array (row
+        ``len(blocks) + i`` of the matrix input is ``tail[i]``): a stored
+        stripe keeps data and parity in separate buffers, and a repair
+        reads both.  Input rows whose matrix column is all-zero are never
+        read, so ``out`` may be such rows of ``blocks``/``tail`` — a lost
+        block is rebuilt where it is stored.  Returns ``out``.
         """
-        blocks = self._validate(blocks)
+        blocks, tail = self._check_input(blocks, tail)
         ncols = blocks.shape[1]
         if (
-            out.shape != (self.shape[0], ncols)
+            not isinstance(out, np.ndarray)
+            or out.shape != (self.shape[0], ncols)
             or out.dtype != self._gf.dtype
-            or not out.flags.c_contiguous
+            or not (out.flags.c_contiguous or out.strides[1] == out.itemsize)
+            or not out.flags.writeable
         ):
             raise ValueError(
-                f"out must be C-contiguous {self._gf.dtype} of shape "
-                f"{(self.shape[0], ncols)}"
+                f"out must be a writeable {self._gf.dtype} array of shape "
+                f"{(self.shape[0], ncols)} with contiguous rows"
             )
-        backend = _backends.choose_backend(self, ncols)
-        runner = {
-            "gather": self._run_gather,
-            "native": self._run_native,
-            "pair": self._run_pair,
-            "translate": self._run_translate,
-        }[backend]
-        runner(blocks, out, accumulate)
-        return out
+        return self._execute(blocks, tail, out, accumulate)
 
     def apply_batch(self, stacked: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Apply one compiled plan across a batch of stripes at once.
@@ -414,25 +476,6 @@ class CodingPlan:
         )
         res = self.apply(folded).reshape(self.shape[0], batch, ncols)
         np.copyto(out, res.transpose(1, 0, 2))
-        return out
-
-    def _apply_gathered(self, blocks: np.ndarray, ncols: int) -> np.ndarray:
-        """Small-block execution: one fancy-index computes all products.
-
-        ``mul_table[coeff, value]`` over the flat (output-row-sorted) entry
-        layout yields an ``(nnz, ncols)`` product buffer in a single gather;
-        one XOR-reduceat folds each output segment.  Slower per byte than
-        the streaming backends but a constant ~4 NumPy dispatches, so it
-        wins when blocks are small enough that call overhead dominates.
-        """
-        gf = self._gf
-        prods = gf.mul_table()[self._flat_coeffs, blocks[self._flat_in]]
-        if self.nnz > len(self._flat_out):
-            prods = np.bitwise_xor.reduceat(prods, self._flat_starts, axis=0)
-        if len(self._flat_out) == self.shape[0]:
-            return np.ascontiguousarray(prods, dtype=gf.dtype)
-        out = np.zeros((self.shape[0], ncols), dtype=gf.dtype)
-        out[self._flat_out] = prods
         return out
 
     __call__ = apply

@@ -131,12 +131,46 @@ class TestRepair:
         with pytest.raises(ValueError):
             rs.repair(0, {i: coded[i] for i in range(6)})
 
+    def test_repair_needs_k_survivors(self):
+        rs = ReedSolomonCode(4, 2)
+        coded = rs.encode(make_data(np.random.default_rng(6), 4))
+        with pytest.raises(UnrecoverableError):
+            rs.repair(0, {i: coded[i] for i in (1, 2, 5)})
+        with pytest.raises(UnrecoverableError):
+            rs.repair_batch(0, {i: coded[i][None] for i in (1, 2, 5)})
+
     def test_repair_read_fractions_plan(self):
         rs = ReedSolomonCode(8, 3)
         plan = rs.repair_read_fractions(0)
         assert len(plan) == 8
         assert all(v == 1.0 for v in plan.values())
         assert 0 not in plan
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([1, 5, 64, 4097]),
+)
+def test_prop_one_row_repair_equals_decode(seed, k, r, L):
+    """``lost = Σ cᵢ·shardᵢ`` over the k lowest survivors, for every failed
+    node and every survivor set, is what the k×k decode would rebuild."""
+    rng = np.random.default_rng(seed)
+    rs = ReedSolomonCode(k, r)
+    coded = rs.encode(make_data(rng, k, L))
+    for failed in range(rs.n):
+        others = [i for i in range(rs.n) if i != failed]
+        extra = int(rng.integers(0, r))  # 0..r-1 further erasures
+        survivors = sorted(rng.permutation(others)[: len(others) - extra].tolist())
+        shards = {i: coded[i] for i in survivors}
+        res = rs.repair(failed, shards)
+        decoded = rs.encode(rs.decode_data({i: coded[i] for i in survivors[:k]}))
+        assert np.array_equal(res.block, decoded[failed])
+        assert np.array_equal(res.block, coded[failed])
+        assert res.bytes_read == {i: L for i in survivors[:k]}
+        assert all(np.array_equal(shards[i], coded[i]) for i in survivors)
 
 
 @settings(max_examples=20, deadline=None)

@@ -230,7 +230,7 @@ class TestParityRecovery:
         assert np.array_equal(fusion.read_stripe("s"), data)
         # repaired parity must re-verify against a fresh encode
         store = fusion._stripes["s"]
-        assert np.array_equal(store.rs_blocks, fusion.rs.encode(data))
+        assert np.array_equal(store.parity[0], fusion.rs.encode(data)[4:])
 
     def test_msr_mode_parity_repair(self, fusion):
         rng = np.random.default_rng(41)
@@ -240,8 +240,8 @@ class TestParityRecovery:
         rep = fusion.recover_parity("s", 3)  # group 1, parity 1
         assert rep.code is CodeKind.MSR
         store = fusion._stripes["s"]
-        for g, grp in enumerate(store.msr_groups):
-            assert np.array_equal(fusion.msr.encode(grp[:2]), grp), g
+        for g, parity in enumerate(store.parity):
+            assert np.array_equal(fusion.msr.encode(data[2 * g : 2 * g + 2])[2:], parity), g
 
     def test_index_bounds(self, fusion):
         rng = np.random.default_rng(42)
@@ -255,3 +255,49 @@ class TestParityRecovery:
         before = fusion.selector.queue2.total_hits
         fusion.recover_parity("s", 0)
         assert fusion.selector.queue2.total_hits == before + 1
+
+
+class TestPaddedStripes:
+    """r ∤ k: the last MSR group's virtual zero blocks are never stored."""
+
+    @pytest.mark.parametrize("k,r", [(4, 3), (5, 2), (7, 3)])
+    def test_only_real_blocks_are_stored_and_counted(self, k, r):
+        fusion = ECFusion(k=k, r=r, queue_capacity=1)
+        rng = np.random.default_rng(60)
+        data = make_data(rng, k=k, L=r * r * 3)
+        fusion.write("s", data)
+        assert fusion.storage_overhead() == fusion.cost_model.storage_overhead("rs")
+        fusion.recover("s", k - 1)  # -> MSR; the lost block sits in the padded group
+        assert fusion.code_of("s") is CodeKind.MSR
+        store = fusion._stripes["s"]
+        assert store.data.shape[0] + store.parity_blocks == k + -(-k // r) * r
+        assert fusion.storage_overhead() == fusion.cost_model.storage_overhead("msr")
+        assert fusion.stats()["storage_overhead"] == fusion.storage_overhead()
+        for block in range(k):
+            store.data[block] ^= 0xFF  # lose it
+            fusion.recover("s", block)
+            assert np.array_equal(fusion.read_stripe("s"), data)
+        parity = [p.copy() for p in store.parity]
+        for index in range(store.parity_blocks):
+            g, x = divmod(index, r)
+            store.parity[g][x] ^= 0xFF
+            fusion.recover_parity("s", index)
+            assert np.array_equal(store.parity[g], parity[g])
+        for chunk in (7, 1 << 16):
+            store.data[k - 1] ^= 0xFF
+            fusion.recover_streamed("s", k - 1, chunk_size=chunk)
+            assert np.array_equal(fusion.read_stripe("s"), data)
+        # Queue2 holds one stripe: a failure elsewhere evicts "s" back to RS
+        fusion.write("t", data)
+        fusion.recover("t", 0)
+        assert fusion.code_of("s") is CodeKind.RS
+        assert np.array_equal(fusion.read_stripe("s"), data)
+        assert np.array_equal(store.parity[0], fusion.rs.encode(data)[k:])
+        assert store.parity_blocks == r
+
+    def test_k4_r3_overhead_matches_the_cost_model(self):
+        # regression: the zero blocks used to be stored and counted, ρ = 3.0
+        fusion = ECFusion(k=4, r=3)
+        fusion.write("s", make_data(np.random.default_rng(61), k=4, L=18))
+        fusion.recover("s", 0)
+        assert fusion.storage_overhead() == 2.5

@@ -8,8 +8,8 @@ deliberately kept each original as an executable specification:
 * the plan's two dispatch paths (single-gather for tiny blocks,
   per-coefficient-group translate for large ones) vs each other;
 * MSR repair's kernel ladder ``_repair_coupled_naive`` (plane-looped) →
-  ``_repair_coupled_batched`` (vectorized) → ``_repair_coupled_fused``
-  (one precompiled plan) — all three must agree bit-for-bit for every
+  ``_repair_coupled_batched`` (vectorized) → ``repair`` (one
+  precompiled fused plan) — all three must agree bit-for-bit for every
   single-erasure pattern.
 
 This file is the property net under the perf work: any future "faster"
@@ -132,7 +132,8 @@ def test_msr_repair_kernel_ladder(nr):
         }
         naive = code._repair_coupled_naive(failed, view)
         batched = code._repair_coupled_batched(failed, view)
-        fused = code._repair_coupled_fused(failed, view)
+        shards = {i: coded[i] for i in range(code.n) if i != failed}
+        fused = code.repair(failed, shards).block.reshape(l, sub)
         assert np.array_equal(naive, batched), f"batched diverged at node {failed}"
         assert np.array_equal(naive, fused), f"fused diverged at node {failed}"
         assert np.array_equal(fused.reshape(-1), coded[failed])
