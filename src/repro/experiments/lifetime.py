@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cluster import run_workload
-from ..fusion.adaptation import CodeKind
+from ..hybrid import ECFusionPlanner
 from ..workloads import BathtubPhases, generate_bathtub_failures, make_trace
 from .runner import ExperimentConfig, build_schemes, format_table
 
@@ -90,15 +90,13 @@ def _drive(planner, config, failures, boundaries, variant, trace_name):
             write_once=True,
         )
         result = run_workload(planner, trace, segment, config.cluster)
-        msr = sum(
-            1 for s in planner._seen if planner.selector.code_of(s) is CodeKind.MSR
-        )
+        stripes = len(planner.resident)
         snapshots.append(
             PhaseSnapshot(
                 variant=variant,
                 phase=phase_name,
                 failures=len(segment),
-                msr_stripes=msr,
+                msr_stripes=round(planner.code_fractions()["msr"] * stripes),
                 storage_overhead=planner.storage_overhead(),
                 mean_recovery_latency=result.epsilon2,
             )
@@ -127,8 +125,6 @@ def compute(
         phases.infancy_duration + phases.useful_duration,
         phases.horizon,
     )
-    from ..hybrid import ECFusionPlanner
-
     snapshots: list[PhaseSnapshot] = []
     paper = build_schemes(config)["EC-Fusion"]
     snapshots += _drive(paper, config, failures, boundaries, "paper", trace_name)

@@ -12,15 +12,8 @@ from dataclasses import dataclass, field
 
 from ..chaos import ChaosConfig
 from ..cluster import ClusterConfig
-from ..fusion.costmodel import SystemProfile
-from ..hybrid import (
-    ECFusionPlanner,
-    HACFSPlanner,
-    LRCPlanner,
-    MSRPlanner,
-    RSPlanner,
-    SchemePlanner,
-)
+from ..fusion.costmodel import CostModel, SystemProfile
+from ..hybrid import SchemePlanner, make_planner
 
 __all__ = ["ExperimentConfig", "build_schemes", "format_table", "SCHEME_ORDER"]
 
@@ -132,26 +125,19 @@ class ExperimentConfig:
 
 def build_schemes(config: ExperimentConfig) -> dict[str, SchemePlanner]:
     """Fresh planner instances for the five contenders (adaptive state reset)."""
-    from ..fusion.costmodel import CostModel
-
-    k, r, g = config.k, config.r, config.gamma
-    eta = CostModel(k, r, config.profile).eta
+    eta = CostModel(config.k, config.r, config.profile).eta
     margin = config.fusion_margin_fraction * eta if eta not in (0, float("inf")) else 0.0
+    knobs = {
+        "HACFS": dict(
+            hot_capacity=max(2, int(config.num_stripes * config.hacfs_hot_fraction))
+        ),
+        "EC-Fusion": dict(queue_capacity=config.queue_capacity, margin=margin),
+    }
     return {
-        "RS": RSPlanner(k, r, g),
-        "MSR": MSRPlanner(k, r, g),
-        "LRC": LRCPlanner(k, 2, 2, g),
-        "HACFS": HACFSPlanner(
-            k, g, hot_capacity=max(2, int(config.num_stripes * config.hacfs_hot_fraction))
-        ),
-        "EC-Fusion": ECFusionPlanner(
-            k,
-            r,
-            g,
-            profile=config.profile,
-            queue_capacity=config.queue_capacity,
-            margin=margin,
-        ),
+        name: make_planner(
+            name, config.k, config.r, config.gamma, config.profile, **knobs.get(name, {})
+        )
+        for name in SCHEME_ORDER
     }
 
 

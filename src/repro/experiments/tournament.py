@@ -30,7 +30,9 @@ import dataclasses
 from dataclasses import dataclass, field, replace
 
 from ..cluster import SimulationResult, run_workload
-from ..telemetry import METRICS
+from ..hybrid import make_planner
+from ..hybrid.plans import PlanKind
+from ..telemetry import METRICS, nearest_rank
 from ..workloads import TRACE_NAMES, failures_for_trace, make_trace
 from .parallel import run_campaign_tasks
 from .runner import ExperimentConfig, format_table
@@ -111,8 +113,6 @@ class _RecordingPlanner:
         return getattr(self.inner, name)
 
     def _tally(self, plans):
-        from ..hybrid.plans import PlanKind
-
         for plan in plans:
             if plan.kind is PlanKind.WRITE:
                 self.write_bytes += plan.bytes_written
@@ -138,36 +138,16 @@ class _RecordingPlanner:
 
 def build_tournament_scheme(config: ExperimentConfig, name: str):
     """One tournament contender; FR uses the ρk+1-node DRESS layout."""
-    from ..hybrid import (
-        FRPlanner,
-        LRCPlanner,
-        MSRPlanner,
-        MultiCodePlanner,
-        RSPlanner,
+    if name not in TOURNAMENT_SCHEMES:
+        raise KeyError(f"unknown tournament scheme {name!r}")
+    knobs = {"Policy": dict(queue_capacity=config.queue_capacity, margins=0.1)}
+    return make_planner(
+        name, config.k, config.r, config.gamma, config.profile, **knobs.get(name, {})
     )
-
-    k, r, g = config.k, config.r, config.gamma
-    if name == "RS":
-        return RSPlanner(k, r, g)
-    if name == "MSR":
-        return MSRPlanner(k, r, g)
-    if name == "LRC":
-        return LRCPlanner(k, 2, 2, g)
-    if name == "FR":
-        return FRPlanner(k, k + 1, g)
-    if name == "Policy":
-        return MultiCodePlanner(
-            k, r, g, queue_capacity=config.queue_capacity, margins=0.1
-        )
-    raise KeyError(f"unknown tournament scheme {name!r}")
 
 
 def _percentile(samples: list[float], q: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    idx = min(len(ordered) - 1, max(0, int(round(q * (len(ordered) - 1)))))
-    return ordered[idx]
+    return nearest_rank(sorted(samples), q)
 
 
 def _run_tournament_cell(task: TournamentTask) -> TournamentCell:

@@ -1,7 +1,6 @@
 """The EC-Fusion cost model: Table III and the switching threshold η.
 
-Implements, verbatim from §III-B/C of the paper, the per-block write and
-reconstruction costs of RS(k, r) and MSR(2r, r, r, r²):
+The per-block write and reconstruction costs of §III-B/C of the paper,
 
 .. math::
 
@@ -10,7 +9,10 @@ reconstruction costs of RS(k, r) and MSR(2r, r, r, r²):
    W_{MSR} &= r⁴(r² + γ)/α + γ(2/λ + 1/φ) \\
    R_{MSR} &= (r⁶ + γ(2r² − r))/α + γ((2r−1)/(rλ) + 1/φ)
 
-and the decision threshold (eq. (1))
+are stated once, verbatim, in the code-family descriptors of
+:mod:`repro.codes.families`; :class:`CostModel` binds one descriptor per
+family to a (k, r) configuration and a :class:`SystemProfile` and derives
+the decision threshold (eq. (1))
 
 .. math:: η = (R_{RS} − R_{MSR}) / (W_{MSR} − W_{RS}),
 
@@ -23,11 +25,10 @@ in both the numerator and denominator of η, so the mixing is harmless for
 the decision — we reproduce it literally and expose a
 :class:`SystemProfile` carrying the four platform constants of Table I.
 
-Beyond the paper's RS/MSR pair, the model generalises to per-code
-``(W, R, storage-overhead)`` cost tuples (:class:`CodeCosts`) for the four
-families the multi-code policy engine selects among — RS, MSR
-(the fusion layout MSR(2r, r, r, r²)), Azure-style LRC(k, lrc_r, lrc_z)
-and the fractional-repetition code FR(k, ·, ρ).  Every W/R formula keeps
+The same model prices every family the policy engine selects among — RS,
+MSR (the fusion layout MSR(2r, r, r, r²)), Azure-style
+LRC(k, lrc_r, lrc_z) and the fractional-repetition code FR(k, ·, ρ) — as
+``(W, R, storage-overhead)`` tuples (:class:`CodeCosts`).  Every W/R formula keeps
 the same γ/φ disk-I/O term once, so it still cancels in any pairwise
 comparison.  :meth:`CostModel.score` blends W and R by the write fraction
 ``f = δ/(1+δ)`` and adds a storage rent ``storage_weight · ρ_code · γ/λ``
@@ -40,7 +41,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping
+
+from ..codes.families import FAMILIES, CodeFamily
 
 __all__ = [
     "SystemProfile",
@@ -52,7 +56,7 @@ __all__ = [
 ]
 
 #: The code families the multi-code policy engine can select among.
-CODE_FAMILIES = ("rs", "msr", "lrc", "fr")
+CODE_FAMILIES = tuple(FAMILIES)
 
 #: Sentinel thresholds for degenerate parameter regimes.
 ALWAYS_RS = math.inf
@@ -151,37 +155,45 @@ class CostModel:
         """Total FR node count (default ρ·k+1: ρ copies + one precode chunk)."""
         return self.fr_nodes if self.fr_nodes is not None else self.fr_rho * self.k + 1
 
+    # -- the family table -------------------------------------------------
+    @cached_property
+    def _families(self) -> dict[str, CodeFamily]:
+        shapes = {
+            "rs": (self.r,),
+            "msr": (self.r,),
+            "lrc": (self.lrc_r, self.lrc_z),
+            "fr": (self.fr_n - self.k, self.fr_rho),
+        }
+        return {code: FAMILIES[code](self.k, *shapes[code]) for code in FAMILIES}
+
+    def family(self, code: str) -> CodeFamily:
+        """The descriptor this configuration prices ``code`` with (``"msr"``
+        is the fusion layout, q groups of MSR(2r, r, r, r²))."""
+        try:
+            return self._families[code]
+        except KeyError:
+            raise ValueError(f"unknown code {code!r}") from None
+
     # -- paper §III-C closed forms ---------------------------------------
     @property
     def write_cost_rs(self) -> float:
         """W_RS: cost of writing one RS(k, r) block."""
-        p = self.profile
-        k, r = self.k, self.r
-        return p.gamma * (k * r / p.alpha + ((k + r) / k) / p.lam + 1 / p.phi)
+        return self.write_cost("rs")
 
     @property
     def recovery_cost_rs(self) -> float:
         """R_RS: cost of reconstructing one RS(k, r) block."""
-        p = self.profile
-        k, r = self.k, self.r
-        n = k + r
-        return (n * r**2 + p.gamma * k) / p.alpha + p.gamma * (k / p.lam + 1 / p.phi)
+        return self.recovery_cost("rs")
 
     @property
     def write_cost_msr(self) -> float:
         """W_MSR: cost of writing one MSR(2r, r, r, r²) block."""
-        p = self.profile
-        r = self.r
-        return r**4 * (r**2 + p.gamma) / p.alpha + p.gamma * (2 / p.lam + 1 / p.phi)
+        return self.write_cost("msr")
 
     @property
     def recovery_cost_msr(self) -> float:
         """R_MSR: cost of reconstructing one MSR(2r, r, r, r²) block."""
-        p = self.profile
-        r = self.r
-        return (r**6 + p.gamma * (2 * r**2 - r)) / p.alpha + p.gamma * (
-            (2 * r - 1) / (r * p.lam) + 1 / p.phi
-        )
+        return self.recovery_cost("msr")
 
     # -- decision threshold ------------------------------------------------
     @property
@@ -221,22 +233,7 @@ class CostModel:
         parities; the FR write is almost computation-free (only the θ − B
         precode chunks multiply) but transmits the full replication factor.
         """
-        p = self.profile
-        k = self.k
-        if code == "rs":
-            return self.write_cost_rs
-        if code == "msr":
-            return self.write_cost_msr
-        if code == "lrc":
-            width = k + self.lrc_r + self.lrc_z
-            compute = k * self.lrc_r + (k - self.lrc_z)
-            return p.gamma * (compute / p.alpha + (width / k) / p.lam + 1 / p.phi)
-        if code == "fr":
-            coded_chunks = self.fr_n - self.fr_rho * k
-            return p.gamma * (
-                coded_chunks * k / p.alpha + (self.fr_n / k) / p.lam + 1 / p.phi
-            )
-        raise ValueError(f"unknown code {code!r}")
+        return self.family(code).write_cost(self.profile)
 
     def recovery_cost(self, code: str) -> float:
         """R: per-block reconstruction cost of one code family.
@@ -245,18 +242,7 @@ class CostModel:
         pure copy — exactly γ bytes over the wire, zero GF operations —
         the cheapest recovery any layout can offer.
         """
-        p = self.profile
-        k = self.k
-        if code == "rs":
-            return self.recovery_cost_rs
-        if code == "msr":
-            return self.recovery_cost_msr
-        if code == "lrc":
-            group = k / self.lrc_z
-            return p.gamma * (group / p.alpha + group / p.lam + 1 / p.phi)
-        if code == "fr":
-            return p.gamma * (1 / p.lam + 1 / p.phi)
-        raise ValueError(f"unknown code {code!r}")
+        return self.family(code).recovery_cost(self.profile)
 
     def storage_overhead(self, code: str) -> float:
         """ρ = stored / data chunks in the fusion store's layout.
@@ -265,17 +251,7 @@ class CostModel:
         layout the transformer produces, not the (k+r)/k of a standalone
         MSR(k+r, k) — the policy prices what the store would actually hold.
         """
-        k, r = self.k, self.r
-        if code == "rs":
-            return (k + r) / k
-        if code == "msr":
-            q = -(-k // r)
-            return (k + q * r) / k
-        if code == "lrc":
-            return (k + self.lrc_r + self.lrc_z) / k
-        if code == "fr":
-            return self.fr_n / k
-        raise ValueError(f"unknown code {code!r}")
+        return self.family(code).storage_overhead
 
     def costs(self, code: str) -> CodeCosts:
         """The full (W, R, ρ) tuple for one code family."""
@@ -368,20 +344,20 @@ class CostModel:
         return current
 
     # -- Table III generic application/recovery entries --------------------
+    def _table3(self, code: str) -> CodeFamily:
+        """Table III tabulates the paper's own pair only."""
+        if code not in ("rs", "msr"):
+            raise ValueError(f"unknown code {code!r}")
+        return self.family(code)
+
     def application_compute(self, code: str, beta: float) -> float:
         """Table III 'Computational Cost' row for application workloads.
 
-        ``beta`` is the write/read ratio; costs are GF-operation counts.
+        ``beta`` is the write/read ratio; costs are GF-operation counts
+        (for MSR(2r, r) of one group, i.e. k = r).
         """
-        g = self.profile.gamma
-        k, r = self.k, self.r
         frac = beta / (1 + beta)
-        if code == "rs":
-            return frac * g * k * r
-        if code == "msr":
-            l = r**2
-            return frac * (l**3 + l * g * r * r)  # k = r for MSR(2r, r)
-        raise ValueError(f"unknown code {code!r}")
+        return frac * self._table3(code).instance_encode_ops(self.profile.gamma)
 
     def application_transmission(self, beta: float) -> float:
         """Table III transmission cost (chunks) — identical for RS and MSR."""
@@ -394,30 +370,13 @@ class CostModel:
 
     def recovery_compute(self, code: str) -> float:
         """Table III computational cost for recovering one block."""
-        g = self.profile.gamma
-        k, r = self.k, self.r
-        if code == "rs":
-            return (k + r) * r**2 + g * k
-        if code == "msr":
-            l = r**2
-            n = 2 * r
-            return l**3 + l * g * (n - 1) / r
-        raise ValueError(f"unknown code {code!r}")
+        return self._table3(code).repair_ops(self.profile.gamma)
 
     def recovery_transmission(self, code: str) -> float:
         """Table III transmission cost (chunks) for recovering one block."""
-        k, r = self.k, self.r
-        if code == "rs":
-            return float(k)
-        if code == "msr":
-            return (2 * r - 1) / r
-        raise ValueError(f"unknown code {code!r}")
+        return self._table3(code).repair_chunks
 
     def recovery_disk_io(self, code: str) -> tuple[float, float]:
         """Table III disk I/O (min, max) operation counts for recovery."""
         g, phi = self.profile.gamma, self.profile.phi
-        if code == "rs":
-            return (g / phi, g / phi)
-        if code == "msr":
-            return (g / (self.r * phi), g / phi)
-        raise ValueError(f"unknown code {code!r}")
+        return (g / (self._table3(code).read_split * phi), g / phi)

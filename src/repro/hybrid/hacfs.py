@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from typing import Hashable
 
+from ..codes.families import LRCFamily
 from ..fusion.queues import CachePolicy, TrackingQueue
-from .planners import LRCPlanner, SchemePlanner
+from .planners import SchemePlanner
 from .plans import OpPlan, PlanKind
 
 __all__ = ["HACFSPlanner"]
@@ -57,8 +58,8 @@ class HACFSPlanner(SchemePlanner):
             raise ValueError("HACFS fast code LRC(k,2,k/2) needs even k")
         self.k, self.gamma = k, gamma
         self.r = 2
-        self.fast = LRCPlanner(k, 2, k // 2, gamma)
-        self.compact = LRCPlanner(k, 2, 2, gamma)
+        self.fast = LRCFamily(k, 2, k // 2)
+        self.compact = LRCFamily(k, 2, 2)
         self.name = f"HACFS-{k}"
         self._hot = TrackingQueue(hot_capacity, policy)
         self.upcode_threshold = upcode_threshold
@@ -77,10 +78,10 @@ class HACFSPlanner(SchemePlanner):
     def storage_overhead(self) -> float:
         total = len(self._seen)
         if not total:
-            return self.compact.storage_overhead()
+            return self.compact.storage_overhead
         fast_count = sum(1 for s in self._seen if self._is_fast.get(s, False))
         h = fast_count / total
-        return h * self.fast.storage_overhead() + (1 - h) * self.compact.storage_overhead()
+        return h * self.fast.storage_overhead + (1 - h) * self.compact.storage_overhead
 
     # -- adaptation -----------------------------------------------------------
     def _touch(self, stripe: Hashable, charge_upcode: bool = True) -> list[OpPlan]:
@@ -135,7 +136,7 @@ class HACFSPlanner(SchemePlanner):
         conv = self._touch(stripe, charge_upcode=False)
         self._seen.add(stripe)
         current = self.fast if self._is_fast[stripe] else self.compact
-        return conv + current.plan_write(stripe)
+        return conv + [self._write_plan(current)]
 
     def plan_read(self, stripe: Hashable, block: int) -> list[OpPlan]:
         self._check_block(block)
@@ -146,4 +147,4 @@ class HACFSPlanner(SchemePlanner):
     def plan_recovery(self, stripe: Hashable, block: int) -> list[OpPlan]:
         self._check_block(block)
         current = self.fast if self._is_fast.get(stripe, False) else self.compact
-        return current.plan_recovery(stripe, block)
+        return [self._recovery_plan(current, block)]

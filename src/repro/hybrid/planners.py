@@ -1,10 +1,13 @@
-"""Scheme planners for the static (single-code) baselines: RS, MSR, LRC, FR.
+"""The planner protocol and the static (single-code) planner.
 
-Each planner answers, for one chunk size γ, what a full-stripe write, a
+A planner answers, for one chunk size γ, what a full-stripe write, a
 single-chunk read, and a single-chunk recovery cost in reads/writes/compute
-— the quantities Table III of the paper tabulates.  Slot numbering within a
-stripe: ``0..k-1`` data chunks, then parity chunks in scheme-specific
-order.
+— the quantities Table III of the paper tabulates.  The numbers themselves
+live in the code-family descriptors of :mod:`repro.codes.families`; a
+planner only turns them into :class:`~repro.hybrid.plans.OpPlan` objects.
+:class:`StaticPlanner` does that for one fixed family, and
+:class:`RSPlanner`, :class:`MSRPlanner`, :class:`LRCPlanner` and
+:class:`FRPlanner` are its constructions for the four baselines.
 
 Compute units are GF multiply/XOR *byte* operations, matching the paper's
 "number of XOR/GF multiplications" α denominator.
@@ -15,17 +18,30 @@ from __future__ import annotations
 import abc
 from typing import Hashable
 
-from ..codes.fr import FractionalRepetitionCode
+from ..codes.families import (
+    BaselineMSRFamily,
+    CodeFamily,
+    FRFamily,
+    LRCFamily,
+    RSFamily,
+)
 from .plans import OpPlan, PlanKind
 
-__all__ = ["SchemePlanner", "RSPlanner", "MSRPlanner", "LRCPlanner", "FRPlanner"]
+__all__ = [
+    "SchemePlanner",
+    "StaticPlanner",
+    "RSPlanner",
+    "MSRPlanner",
+    "LRCPlanner",
+    "FRPlanner",
+]
 
 
 class SchemePlanner(abc.ABC):
     """Interface every redundancy scheme exposes to the simulator.
 
     Planners are *stateful* for adaptive schemes (HACFS, EC-Fusion track
-    per-stripe heat); the static baselines here ignore the stripe ID.
+    per-stripe heat); :class:`StaticPlanner` ignores the stripe ID.
     """
 
     #: human-readable scheme name for experiment tables
@@ -79,38 +95,57 @@ class SchemePlanner(abc.ABC):
         return out
 
     # -- shared helpers ----------------------------------------------------
-    def _write_all(self, slots: int, compute: float) -> OpPlan:
+    def _write_plan(self, family: CodeFamily) -> OpPlan:
         g = self.gamma
         return OpPlan(
             kind=PlanKind.WRITE,
-            compute_ops=compute,
-            writes={s: g for s in range(slots)},
+            compute_ops=family.encode_ops(g),
+            writes={s: g for s in range(family.width)},
         )
 
     def _read_one(self, block: int) -> OpPlan:
         return OpPlan(kind=PlanKind.READ, reads={block: self.gamma})
+
+    def _recovery_plan(self, family: CodeFamily, slot: int) -> OpPlan:
+        g = self.gamma
+        return OpPlan(
+            kind=PlanKind.RECOVERY,
+            compute_ops=family.repair_ops(g),
+            reads=family.repair_reads(slot, g),
+            writes={slot: g},
+        )
 
     def _check_block(self, block: int) -> None:
         if not 0 <= block < self.k:
             raise ValueError(f"data block {block} out of range for k={self.k}")
 
 
-class RSPlanner(SchemePlanner):
-    """RS(k, r): cheap writes, expensive repair (reads k whole chunks)."""
+class StaticPlanner(SchemePlanner):
+    """Every stripe in one code family, for ever.
 
-    def __init__(self, k: int, r: int, gamma: float):
-        self.name = f"RS({k},{r})"
-        self.k, self.r, self.gamma = k, r, gamma
+    The family descriptor is available as :attr:`family`; its shape
+    members (``l``, ``z``, ``virtual_nodes``, ...) are the planner's too.
+    """
+
+    def __init__(self, family: CodeFamily, gamma: float):
+        self.family = family
+        self.k, self.r, self.gamma = family.k, family.r, gamma
+        self.name = family.label
+
+    def __getattr__(self, attr):
+        if attr == "family":  # not constructed yet (copy/unpickle probes)
+            raise AttributeError(attr)
+        return getattr(self.family, attr)
 
     @property
     def width(self) -> int:
-        return self.k + self.r
+        return self.family.width
 
     def storage_overhead(self) -> float:
-        return (self.k + self.r) / self.k
+        return self.family.storage_overhead
 
     def plan_write(self, stripe: Hashable) -> list[OpPlan]:
-        return [self._write_all(self.k + self.r, compute=self.gamma * self.k * self.r)]
+        return [self._write_plan(self.family)]
 
     def plan_read(self, stripe: Hashable, block: int) -> list[OpPlan]:
         self._check_block(block)
@@ -118,18 +153,17 @@ class RSPlanner(SchemePlanner):
 
     def plan_recovery(self, stripe: Hashable, block: int) -> list[OpPlan]:
         self._check_block(block)
-        helpers = [s for s in range(self.width) if s != block][: self.k]
-        return [
-            OpPlan(
-                kind=PlanKind.RECOVERY,
-                compute_ops=(self.k + self.r) * self.r**2 + self.gamma * self.k,
-                reads={s: self.gamma for s in helpers},
-                writes={block: self.gamma},
-            )
-        ]
+        return [self._recovery_plan(self.family, block)]
 
 
-class MSRPlanner(SchemePlanner):
+class RSPlanner(StaticPlanner):
+    """RS(k, r): cheap writes, expensive repair (reads k whole chunks)."""
+
+    def __init__(self, k: int, r: int, gamma: float):
+        super().__init__(RSFamily(k, r), gamma)
+
+
+class MSRPlanner(StaticPlanner):
     """IH-EC baseline MSR(k+r, k, r, l) — the paper pads with virtual nodes.
 
     One virtual (all-zero, unstored) data node is added whenever
@@ -137,130 +171,27 @@ class MSRPlanner(SchemePlanner):
     """
 
     def __init__(self, k: int, r: int, gamma: float):
-        self.k, self.r, self.gamma = k, r, gamma
-        n_real = k + r
-        self.n_eff = -(-n_real // r) * r  # pad up to a multiple of r
-        self.virtual_nodes = self.n_eff - n_real
-        self.l = r ** (self.n_eff // r)
-        self.name = f"MSR({n_real},{k},{r},{self.l})"
-
-    @property
-    def width(self) -> int:
-        return self.k + self.r  # virtual nodes occupy no slot
-
-    def storage_overhead(self) -> float:
-        return (self.k + self.r) / self.k
-
-    def plan_write(self, stripe: Hashable) -> list[OpPlan]:
-        compute = self.l**3 + self.l * self.gamma * self.k * self.r
-        return [self._write_all(self.k + self.r, compute=compute)]
-
-    def plan_read(self, stripe: Hashable, block: int) -> list[OpPlan]:
-        self._check_block(block)
-        return [self._read_one(block)]
-
-    def plan_recovery(self, stripe: Hashable, block: int) -> list[OpPlan]:
-        self._check_block(block)
-        helpers = [s for s in range(self.width) if s != block]
-        per_helper = self.gamma / self.r  # optimal repair: 1/r of each block
-        compute = self.l**3 + self.l * self.gamma * (self.n_eff - 1) / self.r
-        return [
-            OpPlan(
-                kind=PlanKind.RECOVERY,
-                compute_ops=compute,
-                reads={s: per_helper for s in helpers},
-                writes={block: self.gamma},
-            )
-        ]
+        super().__init__(BaselineMSRFamily(k, r), gamma)
 
 
-class LRCPlanner(SchemePlanner):
+class LRCPlanner(StaticPlanner):
     """LRC(k, r, z): local repair for data chunks at higher storage cost."""
 
     def __init__(self, k: int, r: int, z: int, gamma: float):
         if k % z:
             raise ValueError(f"z={z} must divide k={k}")
-        self.k, self.r, self.z, self.gamma = k, r, z, gamma
-        self.group_size = k // z
-        self.name = f"LRC({k},{r},{z})"
-
-    @property
-    def width(self) -> int:
-        return self.k + self.z + self.r
-
-    def storage_overhead(self) -> float:
-        return (self.k + self.z + self.r) / self.k
-
-    def local_parity_slot(self, group: int) -> int:
-        return self.k + group
-
-    def plan_write(self, stripe: Hashable) -> list[OpPlan]:
-        # r global RS parities (γkr mults) + z local XORs ((k − z)γ XORs)
-        compute = self.gamma * (self.k * self.r + (self.k - self.z))
-        return [self._write_all(self.width, compute=compute)]
-
-    def plan_read(self, stripe: Hashable, block: int) -> list[OpPlan]:
-        self._check_block(block)
-        return [self._read_one(block)]
-
-    def plan_recovery(self, stripe: Hashable, block: int) -> list[OpPlan]:
-        self._check_block(block)
-        group = block // self.group_size
-        peers = [
-            s
-            for s in range(group * self.group_size, (group + 1) * self.group_size)
-            if s != block
-        ]
-        helpers = peers + [self.local_parity_slot(group)]
-        return [
-            OpPlan(
-                kind=PlanKind.RECOVERY,
-                compute_ops=self.gamma * self.group_size,
-                reads={s: self.gamma for s in helpers},
-                writes={block: self.gamma},
-            )
-        ]
+        super().__init__(LRCFamily(k, r, z), gamma)
 
 
-class FRPlanner(SchemePlanner):
+class FRPlanner(StaticPlanner):
     """FR(k, r, ρ): uncoded copy repair at replication-grade storage.
 
-    The planner instantiates the real
-    :class:`~repro.codes.fr.FractionalRepetitionCode` so its recovery
-    reads follow the code's actual replica placement — the simulator and
-    the codec price repair identically (γ bytes total, spread over the
-    ≤ ρ replica holders of the lost chunks, zero GF compute).
+    The family instantiates the real
+    :class:`~repro.codes.fr.FractionalRepetitionCode` so recovery reads
+    follow the code's actual replica placement — the simulator and the
+    codec price repair identically (γ bytes total, spread over the ≤ ρ
+    replica holders of the lost chunks, zero GF compute).
     """
 
     def __init__(self, k: int, r: int, gamma: float, rho: int = 2):
-        self.code = FractionalRepetitionCode(k, r, rho=rho)
-        self.k, self.r, self.gamma, self.rho = k, r, gamma, rho
-        self.name = self.code.name
-
-    @property
-    def width(self) -> int:
-        return self.k + self.r
-
-    def storage_overhead(self) -> float:
-        return (self.k + self.r) / self.k
-
-    def plan_write(self, stripe: Hashable) -> list[OpPlan]:
-        # only the θ − B precode chunks cost GF multiplies; replication is free
-        coded_chunks = self.code.num_chunks - self.code.num_data_chunks
-        return [self._write_all(self.width, compute=self.gamma * coded_chunks * self.k)]
-
-    def plan_read(self, stripe: Hashable, block: int) -> list[OpPlan]:
-        self._check_block(block)
-        return [self._read_one(block)]
-
-    def plan_recovery(self, stripe: Hashable, block: int) -> list[OpPlan]:
-        self._check_block(block)
-        fractions = self.code.repair_read_fractions(block)
-        return [
-            OpPlan(
-                kind=PlanKind.RECOVERY,
-                compute_ops=0.0,
-                reads={s: frac * self.gamma for s, frac in fractions.items()},
-                writes={block: self.gamma},
-            )
-        ]
+        super().__init__(FRFamily(k, r, rho), gamma)

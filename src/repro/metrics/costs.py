@@ -9,11 +9,27 @@ fast LRC for HACFS).
 Scheme identifiers: ``"rs"``, ``"msr"``, ``"lrc"``, ``"hacfs"``,
 ``"ecfusion"``.  Units: storage is the ratio ρ; computation is GF
 multiply/XOR byte-operation counts; transmission is chunk counts.
+
+Every number is a lookup into the code-family descriptors of
+:mod:`repro.codes.families`; the two hybrids mix their base and alternate
+family by ``h``.  Recovery transmission for the MSR baseline follows the
+paper's Fig. 15 convention and counts the virtual padding node among the
+helpers (11/3 chunks at k = 8) — see
+:class:`~repro.codes.families.BaselineMSRFamily`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
+
+from ..codes.families import (
+    BaselineMSRFamily,
+    CodeFamily,
+    GroupedMSRFamily,
+    LRCFamily,
+    RSFamily,
+)
 
 __all__ = ["SCHEMES", "AnalyticCosts", "CostBreakdown"]
 
@@ -49,98 +65,48 @@ class AnalyticCosts:
         if k <= 0 or r <= 0 or gamma <= 0:
             raise ValueError("k, r and gamma must be positive")
         self.k, self.r, self.gamma = k, r, gamma
-        # EC-Fusion grouping: q groups of r, padded as in §III-D
-        self.q = -(-k // r)
-        self.l_fusion = r * r  # MSR(2r, r) sub-packetization
-        # IH-EC MSR baseline MSR(k+r, k, r, l) with virtual-node padding
-        n_real = k + r
-        self.n_msr = -(-n_real // r) * r
-        self.l_msr = r ** (self.n_msr // r)
+        rs, lrc = RSFamily(k, r), LRCFamily(k, 2, 2)
+        #: scheme → (base family, alternate family an EH-EC scheme holds a
+        #: fraction h of its stripes in).  HACFS's fast code LRC(k, 2, k/2)
+        #: is evaluated at a fractional z for odd k, as the closed forms
+        #: always were.
+        self.members: dict[str, tuple[CodeFamily, CodeFamily | None]] = {
+            "rs": (rs, None),
+            "msr": (BaselineMSRFamily(k, r), None),
+            "lrc": (lrc, None),
+            "hacfs": (lrc, LRCFamily(k, 2, k / 2)),
+            "ecfusion": (rs, GroupedMSRFamily(k, r)),
+        }
 
-    # -- helpers ----------------------------------------------------------
-    def _check(self, scheme: str, h: float) -> None:
+    def _at(self, scheme: str, h: float, metric: Callable[[CodeFamily], float]):
+        """``metric`` of a scheme's family, mixed by h for the two hybrids."""
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
         if not 0.0 <= h <= 1.0:
             raise ValueError("hybrid ratio h must be in [0, 1]")
-
-    @staticmethod
-    def _mix(h: float, base: float, alt: float) -> float:
-        return (1 - h) * base + h * alt
+        base, alt = self.members[scheme]
+        if alt is None:
+            return metric(base)
+        return (1 - h) * metric(base) + h * metric(alt)
 
     # -- storage (Fig. 13) ---------------------------------------------------
     def storage(self, scheme: str, h: float = 0.0) -> float:
         """ρ = stored chunks / data chunks at hybrid ratio h."""
-        self._check(scheme, h)
-        k, r = self.k, self.r
-        if scheme == "rs":
-            return (k + r) / k
-        if scheme == "msr":
-            return (k + r) / k  # virtual nodes are not stored
-        if scheme == "lrc":
-            return (k + 2 + 2) / k
-        if scheme == "hacfs":
-            compact = (k + 2 + 2) / k
-            fast = (k + 2 + k / 2) / k
-            return self._mix(h, compact, fast)
-        # ecfusion: RS stripes vs MSR(2r, r)-converted stripes (k + q·r chunks)
-        rs = (k + r) / k
-        msr = (k + self.q * r) / k
-        return self._mix(h, rs, msr)
+        return self._at(scheme, h, lambda f: f.storage_overhead)
 
     # -- computation (Fig. 14) --------------------------------------------------
     def app_compute(self, scheme: str, h: float = 0.0) -> float:
         """GF operations to encode one full stripe of k chunks."""
-        self._check(scheme, h)
-        g, k, r = self.gamma, self.k, self.r
-        if scheme == "rs":
-            return g * k * r
-        if scheme == "msr":
-            return self.l_msr**3 + self.l_msr * g * k * r
-        if scheme == "lrc":
-            return g * (k * 2 + (k - 2))
-        if scheme == "hacfs":
-            compact = g * (k * 2 + (k - 2))
-            fast = g * (k * 2 + (k - k / 2))
-            return self._mix(h, compact, fast)
-        l = self.l_fusion
-        rs = g * k * r
-        msr = self.q * (l**3 + l * g * r * r)
-        return self._mix(h, rs, msr)
+        return self._at(scheme, h, lambda f: f.encode_ops(self.gamma))
 
     def rec_compute(self, scheme: str, h: float = 0.0) -> float:
         """GF operations to reconstruct one chunk."""
-        self._check(scheme, h)
-        g, k, r = self.gamma, self.k, self.r
-        if scheme == "rs":
-            return (k + r) * r**2 + g * k
-        if scheme == "msr":
-            return self.l_msr**3 + self.l_msr * g * (self.n_msr - 1) / r
-        if scheme == "lrc":
-            return g * (k / 2)
-        if scheme == "hacfs":
-            compact = g * (k / 2)
-            fast = g * 2.0
-            return self._mix(h, compact, fast)
-        l = self.l_fusion
-        rs = (k + r) * r**2 + g * k
-        msr = l**3 + l * g * (2 * r - 1) / r
-        return self._mix(h, rs, msr)
+        return self._at(scheme, h, lambda f: f.repair_ops(self.gamma))
 
     # -- transmission (Fig. 15) ----------------------------------------------------
     def app_transmission(self, scheme: str, h: float = 0.0) -> float:
         """Chunks transferred to write one full stripe."""
-        self._check(scheme, h)
-        k, r = self.k, self.r
-        if scheme == "rs":
-            return k + r
-        if scheme == "msr":
-            return k + r  # virtual chunks carry no bytes
-        if scheme == "lrc":
-            return k + 4
-        if scheme == "hacfs":
-            return self._mix(h, k + 4, k + 2 + k / 2)
-        return self._mix(h, k + r, k + self.q * r)
+        return self._at(scheme, h, lambda f: f.width)
 
     def rec_transmission(self, scheme: str, h: float = 1.0) -> float:
         """Chunks transferred to reconstruct one chunk.
@@ -149,17 +115,7 @@ class AnalyticCosts:
         requests (h = 1 by default here): recoveries hit the repair-friendly
         code.
         """
-        self._check(scheme, h)
-        k, r = self.k, self.r
-        if scheme == "rs":
-            return float(k)
-        if scheme == "msr":
-            return (self.n_msr - 1) / r
-        if scheme == "lrc":
-            return k / 2
-        if scheme == "hacfs":
-            return self._mix(h, k / 2, 2.0)
-        return self._mix(h, float(k), (2 * r - 1) / r)
+        return self._at(scheme, h, lambda f: f.repair_chunks)
 
     # -- bundle -----------------------------------------------------------------------
     def breakdown(self, scheme: str, h: float = 0.0, rec_h: float = 1.0) -> CostBreakdown:

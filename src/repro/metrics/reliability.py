@@ -128,15 +128,15 @@ class ReliabilityModel:
         return (transfer + compute + disk) / 3600.0
 
     def _stripe_width(self, scheme: str) -> tuple[int, int]:
-        """(chunks per failure domain, tolerance) for the Markov chain."""
-        k, r = self.k, self.r
-        if scheme in ("rs", "msr"):
-            return k + r, r
-        if scheme in ("lrc", "hacfs"):
-            return k + 2 + 2, 3  # LRC(k,2,2) tolerates any 3
-        if scheme == "ecfusion":
-            return k + r, r  # RS-mode shape; MSR groups handled in mttdl()
-        raise ValueError(f"unknown scheme {scheme!r}")
+        """(chunks per failure domain, tolerance) for the Markov chain.
+
+        For the two hybrids this is the base family's shape (LRC(k,2,2)
+        for HACFS, RS for EC-Fusion — MSR groups are handled in mttdl()).
+        """
+        if scheme not in self.costs.members:
+            raise ValueError(f"unknown scheme {scheme!r}")
+        base, _ = self.costs.members[scheme]
+        return base.width, base.tolerance
 
     # -- MTTDL ----------------------------------------------------------------
     def mttdl(self, scheme: str, h: float = 1 / 6) -> SchemeReliability:
@@ -145,21 +145,18 @@ class ReliabilityModel:
             # mixture: (1-h) RS(k,r) stripes + h stripes split into q
             # MSR(2r, r) groups, each its own 2r-chunk failure domain with
             # tolerance r and fast repair.
+            rs, msr = self.costs.members["ecfusion"]
             rs_part = mttdl_markov(
-                self.k + self.r,
-                self.r,
-                self.failure_rate,
-                1.0 / self.repair_hours("rs"),
+                rs.width, rs.tolerance, self.failure_rate, 1.0 / self.repair_hours("rs")
             )
-            msr_groups = -(-self.k // self.r)
             msr_part = (
                 mttdl_markov(
-                    2 * self.r,
-                    self.r,
+                    msr.n_eff,
+                    msr.tolerance,
                     self.failure_rate,
                     1.0 / self.repair_hours("ecfusion", 1.0),
                 )
-                / msr_groups  # q independent groups per stripe
+                / msr.copies  # q independent groups per stripe
             )
             loss_rate = (1 - h) / rs_part + h / msr_part
             mttdl_hours = 1.0 / loss_rate

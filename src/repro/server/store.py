@@ -137,24 +137,11 @@ class ServerConfig:
 
     def make_scheme(self) -> SchemePlanner:
         """A fresh planner instance for :attr:`scheme` at the serving γ."""
-        from ..hybrid import (
-            ECFusionPlanner,
-            HACFSPlanner,
-            LRCPlanner,
-            MSRPlanner,
-            RSPlanner,
-        )
+        from ..hybrid import make_planner
 
-        k, r, g = self.k, self.r, self.chunk_size
-        if self.scheme == "RS":
-            return RSPlanner(k, r, g)
-        if self.scheme == "MSR":
-            return MSRPlanner(k, r, g)
-        if self.scheme == "LRC":
-            return LRCPlanner(k, 2, 2, g)
-        if self.scheme == "HACFS":
-            return HACFSPlanner(k, g)
-        return ECFusionPlanner(k, r, g, profile=self.profile)
+        return make_planner(
+            self.scheme, self.k, self.r, self.chunk_size, profile=self.profile
+        )
 
 
 @dataclass(frozen=True)

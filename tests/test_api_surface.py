@@ -7,17 +7,10 @@ import pytest
 
 import repro
 
-PACKAGES = [
-    "repro",
-    "repro.gf",
-    "repro.codes",
-    "repro.fusion",
-    "repro.hybrid",
-    "repro.cluster",
-    "repro.workloads",
-    "repro.metrics",
-    "repro.experiments",
-]
+#: every package under ``repro`` — derived, so a new one is checked from day one
+PACKAGES = ["repro"] + sorted(
+    f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__) if info.ispkg
+)
 
 
 def all_modules():

@@ -6,12 +6,15 @@ from every package module that carries them.
 """
 
 import doctest
+import pathlib
+import re
 
 import pytest
 
 import repro.cluster.events
 import repro.cluster.pipeline
 import repro.codes.evenodd
+import repro.codes.families
 import repro.codes.fr
 import repro.codes.hitchhiker
 import repro.codes.lrc
@@ -33,6 +36,7 @@ MODULES = [
     repro.codes.product,
     repro.codes.lrc,
     repro.codes.evenodd,
+    repro.codes.families,
     repro.codes.fr,
     repro.codes.rdp,
     repro.codes.hitchhiker,
@@ -50,4 +54,15 @@ MODULES = [
 def test_module_doctests(module):
     results = doctest.testmod(module, verbose=False)
     assert results.attempted > 0, f"{module.__name__} lost its doc examples"
+    assert results.failed == 0
+
+
+def test_codes_guide_examples():
+    """The ``pycon`` blocks of docs/codes.md run against the real classes —
+    the at-a-glance table there is evaluated from the family descriptors."""
+    guide = pathlib.Path(__file__).resolve().parent.parent / "docs" / "codes.md"
+    blocks = re.findall(r"```pycon\n(.*?)```", guide.read_text(), re.S)
+    test = doctest.DocTestParser().get_doctest("\n".join(blocks), {}, "codes.md", None, 0)
+    results = doctest.DocTestRunner(verbose=False).run(test)
+    assert results.attempted > 20
     assert results.failed == 0

@@ -7,8 +7,9 @@ Four layers under one roof because they share the same fixtures:
 * :class:`repro.fusion.adaptation.AdaptiveSelector` in multi-code mode —
   validation, retargeting triggers, hysteresis, and the seeded
   oscillating-workload regression that pins bounded conversion counts;
-* :class:`repro.hybrid.multicode.MultiCodePlanner` — conversion plan
-  accounting and storage averaging;
+* :class:`repro.hybrid.adaptive.MultiCodePlanner` — conversion plan
+  accounting (against the edge table of :mod:`repro.codes.families`) and
+  storage averaging;
 * the tournament experiment's ``--jobs N`` determinism (chaos off and on,
   both seeded).
 """
@@ -18,6 +19,7 @@ import json
 import pytest
 
 from repro import telemetry
+from repro.codes.families import GroupedMSRFamily, RSFamily, conversion
 from repro.experiments import ExperimentConfig, tournament
 from repro.fusion.adaptation import AdaptiveSelector, CodeKind
 from repro.fusion.costmodel import CODE_FAMILIES, CostModel, SystemProfile
@@ -195,31 +197,42 @@ class TestMultiCodePlanner:
         p = MultiCodePlanner(8, 3, 1.0)
         assert p.width == max(8 + 9, 8 + 3, 8 + 4, 17)  # msr q·r=9 → 17
 
+    @staticmethod
+    def _converted(planner):
+        """Write a stripe, repair it once: (conversion plan, repair plan)."""
+        planner.plan_write("s")
+        conv, repair = planner.plan_recovery("s", 0)
+        assert conv.kind is PlanKind.CONVERSION and conv.distributed
+        return conv, repair
+
     def test_rs_msr_conversion_matches_fusion_planner(self):
-        """The rs→msr edge must price exactly like ECFusionPlanner."""
-        mc = MultiCodePlanner(8, 3, 27.0)
-        ec = ECFusionPlanner(8, 3, 27.0)
-        plan_mc = mc._conversion_plan(CodeKind.RS, CodeKind.MSR)
-        plan_ec = ec._to_msr_plan()
-        assert plan_mc.reads == plan_ec.reads
-        assert plan_mc.writes == plan_ec.writes
-        assert plan_mc.compute_ops == pytest.approx(plan_ec.compute_ops)
+        """Both planners execute rs→msr as the table's highway edge."""
+        g = 27.0 * 1024 * 1024
+        highway = conversion(RSFamily(8, 3), GroupedMSRFamily(8, 3), g)
+        for planner in (
+            MultiCodePlanner(8, 3, g, codes=("rs", "msr")),
+            ECFusionPlanner(8, 3, g),
+        ):
+            conv, _ = self._converted(planner)
+            assert (conv.reads, conv.writes, conv.compute_ops) == highway
+            # Fig. 12(b): the last data group (blocks 6, 7) is never read
+            assert set(conv.reads) == set(range(6)) | {8, 9, 10}
+            assert set(conv.writes) == set(range(8, 17))
 
     def test_lrc_fr_edges_are_full_reencode(self):
-        mc = MultiCodePlanner(8, 3, 27.0)
-        for target in (CodeKind.LRC, CodeKind.FR):
-            plan = mc._conversion_plan(CodeKind.RS, target)
-            assert plan.kind is PlanKind.CONVERSION
-            assert set(plan.reads) == set(range(8))  # the k data chunks
-            assert all(s >= 8 for s in plan.writes)  # target parity slots
-            assert plan.distributed
+        for target in ("lrc", "fr"):
+            mc = MultiCodePlanner(8, 3, 27.0, codes=("rs", target))
+            conv, _ = self._converted(mc)
+            family = mc.cost_model.family(target)
+            assert set(conv.reads) == set(range(8))  # the k data chunks
+            assert set(conv.writes) == set(family.parity_slots)
+            assert conv.compute_ops == family.encode_ops(27.0)
 
     def test_recovery_plan_bytes_per_family(self):
         g = 27.0
-        mc = MultiCodePlanner(8, 3, g)
-        rs = mc._recovery_plan(CodeKind.RS, 0)
-        fr = mc._recovery_plan(CodeKind.FR, 0)
-        lrc = mc._recovery_plan(CodeKind.LRC, 0)
+        rs = MultiCodePlanner(8, 3, g, codes=("rs",)).plan_recovery("s", 0)[-1]
+        _, fr = self._converted(MultiCodePlanner(8, 3, g, codes=("rs", "fr")))
+        _, lrc = self._converted(MultiCodePlanner(8, 3, g, codes=("rs", "lrc")))
         assert rs.bytes_read == pytest.approx(8 * g)
         assert fr.bytes_read == pytest.approx(g)  # uncoded copy repair
         assert lrc.bytes_read < rs.bytes_read
@@ -266,6 +279,14 @@ def _tournament_digest(jobs, chaos=False):
 
 
 class TestTournament:
+    def test_percentile_is_nearest_rank(self):
+        """ceil(q·n) − 1, as everywhere else — not round(q·(n − 1))."""
+        samples = [float(v) for v in range(100, 0, -1)]
+        assert tournament._percentile(samples, 0.5) == 50.0  # the 50th, not the 51st
+        assert tournament._percentile(samples, 0.99) == 99.0
+        assert tournament._percentile([7.0], 0.99) == 7.0
+        assert tournament._percentile([], 0.99) == 0.0
+
     def test_jobs_parallelism_is_deterministic(self):
         """jobs=2 must be byte-identical to jobs=1, telemetry included."""
         c1, m1 = _tournament_digest(jobs=1)
