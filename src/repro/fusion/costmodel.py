@@ -74,7 +74,12 @@ class SystemProfile:
         Storage-grade codecs (ISA-L style SIMD table lookups on a 3 GHz
         Xeon) sustain on the order of 5e9 such operations per second, which
         keeps RS encoding of 27 MB chunks in the tens of milliseconds the
-        paper's testbed exhibits.
+        paper's testbed exhibits.  The literal is not calibrated (ROADMAP
+        item 1): this repo's own kernel, one core of the reference sandbox,
+        RS(6, 3) encode at 1.125 MiB blocks (``r`` = 3 multiply-accumulates
+        per data byte), measures 4.7 GB/s of data ≈ 1.4e10 such operations
+        per second on the 128-bit rung and 9–10 GB/s ≈ 3e10, memory-bound,
+        on the GFNI/AVX-512 rung (``docs/performance.md``).
     lam:
         Network bandwidth in bytes per second (1 Gbps NIC → 125e6).
     phi:

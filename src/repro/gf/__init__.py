@@ -10,7 +10,8 @@ Public surface:
   kernel :func:`repro.gf.plan.apply_to_blocks_naive`);
 * :mod:`repro.gf.backends` — the kernel backend registry CodingPlan
   executes through (``translate``/``gather``/``pair``/``native``,
-  selectable via ``REPRO_GF_BACKEND``);
+  selectable via ``REPRO_GF_BACKEND``); :func:`native_info` names the
+  SIMD rung behind ``native`` on this host, or why there is none;
 * :mod:`repro.gf.polynomial` — polynomial eval/interpolation (RS oracle).
 """
 
@@ -31,6 +32,7 @@ from .matrix import (
     systematic_rs_parity,
     vandermonde,
 )
+from .native import native_info
 from .tables import PRIMITIVE_POLYS, GFTables, get_tables
 
 __all__ = [
@@ -58,4 +60,5 @@ __all__ = [
     "CodingPlan",
     "BACKEND_NAMES",
     "available_backends",
+    "native_info",
 ]

@@ -26,12 +26,14 @@ Four are registered:
     blocks with no compiler required; table build is memory-bounded by
     :data:`PAIR_MAX_UNITS`.
 ``native``
-    The runtime-compiled nibble-split shuffle kernel
-    (:mod:`repro.gf.native`); GB/s-class, silently absent when the host
-    has no C compiler or fails the build self-test.
+    The runtime-compiled SIMD kernel (:mod:`repro.gf.native`): GFNI
+    affine multiply or nibble-split shuffle at the widest vector the CPU
+    has; GB/s-class.  Absent when the host has no C compiler or no rung
+    passes the load-time self-test — :func:`repro.gf.native.native_info`
+    says which.
 
 Selection is by measured crossover on ``(nnz, block_bytes)`` — see
-:func:`choose_backend` and ``docs/performance.md`` — and can be forced
+:func:`resolve_backend` and ``docs/performance.md`` — and can be forced
 with ``REPRO_GF_BACKEND=<name>`` for testing.  A forced backend that
 cannot run a given plan/shape (w > 8, native unavailable, odd
 constraints) falls back down the same ladder rather than erroring, so
@@ -50,6 +52,7 @@ __all__ = [
     "BACKEND_NAMES",
     "available_backends",
     "forced_backend",
+    "resolve_backend",
     "choose_backend",
     "PAIR_MAX_UNITS",
 ]
@@ -98,7 +101,7 @@ def forced_backend() -> str | None:
 
 
 def _supports(name: str, plan, ncols: int, forced: bool) -> bool:
-    """Whether ``name`` can execute ``plan`` on ``ncols``-byte blocks."""
+    """Whether NumPy backend ``name`` can execute ``plan`` on ``ncols``-byte blocks."""
     if name == "translate":
         return True
     if plan.w > 8 or plan.nnz == 0:
@@ -109,13 +112,11 @@ def _supports(name: str, plan, ncols: int, forced: bool) -> bool:
         )
     if name == "pair":
         return ncols >= 2 and plan._pair_unit_count() <= PAIR_MAX_UNITS
-    if name == "native":
-        return _native.native_available()
     return False
 
 
-def choose_backend(plan, ncols: int) -> str:
-    """Pick the execution backend for one application of ``plan``.
+def resolve_backend(plan, ncols: int) -> tuple:
+    """``(backend name, compiled kernel or None)`` for one application of ``plan``.
 
     The heuristic encodes the measured crossovers (single core,
     ``docs/performance.md``):
@@ -131,19 +132,30 @@ def choose_backend(plan, ncols: int) -> str:
 
     A validated ``REPRO_GF_BACKEND`` wins whenever it supports the
     (plan, shape); unsupported combinations fall back down the ladder.
+    Both switches are read here, once per application, and the kernel is
+    returned with the name so the caller does not look it up again.
     """
     forced = forced_backend()
-    if forced is not None and _supports(forced, plan, ncols, forced=True):
-        return forced
-    if plan.w > 8 or plan.nnz == 0:
-        return "translate"
+    byte_field = plan.w <= 8 and plan.nnz > 0
+    if forced == "native":
+        if byte_field and (fn := _native.kernel()) is not None:
+            return "native", fn
+    elif forced is not None and _supports(forced, plan, ncols, forced=True):
+        return forced, None
+    if not byte_field:
+        return "translate", None
     if plan.nnz * ncols <= plan._GATHER_LIMIT:
-        return "gather"
-    if _supports("native", plan, ncols, forced=False):
-        return "native"
+        return "gather", None
+    if forced != "native" and (fn := _native.kernel()) is not None:
+        return "native", fn
     if ncols >= PAIR_MIN_COLS and _supports("pair", plan, ncols, forced=False):
-        return "pair"
-    return "translate"
+        return "pair", None
+    return "translate", None
+
+
+def choose_backend(plan, ncols: int) -> str:
+    """The backend :func:`resolve_backend` picks for ``ncols`` columns."""
+    return resolve_backend(plan, ncols)[0]
 
 
 # -- pair-backend lowering ---------------------------------------------------

@@ -1,34 +1,52 @@
-"""Runtime-compiled nibble-split GF(2^8) kernel (the ``native`` backend).
+"""Runtime-compiled GF(2^8) multiply-accumulate kernel (the ``native`` backend).
 
-The fastest way to scale bytes by a GF(2^8) constant on commodity CPUs is
-the classic nibble-split shuffle (Plank et al., *Screaming Fast Galois
-Field Arithmetic*, FAST'13): split every input byte into low/high
-nibbles, look each up in a 16-entry product table held in a vector
-register, XOR the halves.  One 16-lane table shuffle replaces sixteen
-scalar table loads, so a single core sustains multiple GB/s — an order
-of magnitude past what any byte-table path reachable from NumPy or
-``bytes.translate`` can do.
+Scaling bytes by a GF(2^8) constant has two fast formulations on
+commodity CPUs, and this module carries both in one C source:
 
-Python cannot express that shuffle, so this module carries a ~60-line C
-kernel as a string, compiles it **at import of first use** with whatever
-C compiler the host has (``cc``/``gcc``/``clang``), and binds it through
-:mod:`ctypes`.  Three properties make the scheme safe to ship:
+* **nibble-split shuffle** (Plank et al., *Screaming Fast Galois Field
+  Arithmetic*, FAST'13): split every input byte into low/high nibbles,
+  look each up in a 16-entry product table held in a vector register,
+  XOR the halves — two byte shuffles per coefficient per vector;
+* **affine multiply**: multiplication by a constant ``c`` is linear over
+  GF(2), i.e. an 8×8 bit matrix ``M_c``; GFNI's ``vgf2p8affineqb``
+  applies one such matrix to every byte of a vector, so a coefficient
+  costs *one* instruction per 64 bytes (:func:`affine_matrices`).
 
-* **Graceful absence.**  No compiler, a failed compile, or a kernel that
-  does not byte-match the pure-python reference on a self-test simply
-  means :func:`kernel` returns ``None`` and the caller stays on the
-  NumPy backends.  ``REPRO_GF_NATIVE=0`` force-disables it.
-* **Host-local codegen.**  The kernel is compiled on the machine that
-  runs it, so ``-march=native`` is always legal; without it GCC expands
-  ``__builtin_shuffle`` to scalar code and the kernel is no faster than
-  ``bytes.translate``.  Flag sets are tried best-first and the build is
-  cached on disk keyed by a hash of (source, flags).
+Python can express neither, so the kernel is a C string compiled **at
+first use** with whatever C compiler the host has (``cc``/``gcc``/
+``clang``) and bound through :mod:`ctypes`.  The source holds a
+**vector-width ladder**; the preprocessor keeps the widest rung the
+compile flags allow and the library reports which (``gf_isa``):
+
+* ``gfni-avx512`` — affine multiply, 2 × 64 B per step, masked ragged
+  end (GFNI + AVX-512BW);
+* ``gfni-avx2`` — the same loop on 2 × 32 B (GFNI + AVX2);
+* ``avx2`` — nibble shuffle on 2 × 32 B, tables duplicated per lane;
+* ``generic`` — nibble shuffle on 16-byte GCC vectors (PSHUFB with
+  SSSE3, TBL on NEON, scalar code otherwise).
+
+Four properties make the scheme safe to ship:
+
+* **Graceful absence.**  No compiler, a failed compile, or a build that
+  does not byte-match the table reference on the load-time self-test
+  drops to the next entry of :data:`_RUNGS`; when none is left
+  :func:`kernel` returns ``None`` and callers stay on the NumPy
+  backends.  :func:`native_info` says which rung serves, or why none
+  does.  ``REPRO_GF_NATIVE=0`` force-disables the backend.
+* **Host-local codegen.**  ``-march=native`` is tried first and is always
+  legal on the machine that compiles; the explicit ``-m…`` rungs below it
+  run only when ``/proc/cpuinfo`` lists what they need.  The build is
+  cached on disk keyed by (source, compiler, flags, **CPU features**), so
+  a temp dir shared between unlike hosts never hands one host the
+  other's instructions.
+* **The rung is observed, never configured.**  Nothing selects a rung
+  but the CPU and the compiler.
 * **One generic entry point.**  The C side executes a *unit program*:
   one unit per nonzero matrix coefficient, carrying a 32-byte low/high
-  nibble product table plus input/output row indices, sorted by output
-  row.  Any ``CodingPlan`` — encode generator, cached decode solve,
-  fused MSR repair — lowers to the same program shape, so the compiled
-  artifact is shared by every code in the repo.
+  nibble product table, the 8-byte affine matrix and input/output row
+  indices, sorted by output row.  Any ``CodingPlan`` — encode generator,
+  cached decode solve, fused MSR repair — lowers to the same program
+  shape, so the compiled artifact is shared by every code in the repo.
 
 The kernel mutates nothing global and releases no resources at exit;
 the cached ``.so`` under the system temp dir is reused across runs.
@@ -39,6 +57,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import tempfile
@@ -46,25 +65,202 @@ import threading
 
 import numpy as np
 
-__all__ = ["kernel", "native_available", "UnitProgram", "build_unit_program", "run"]
+__all__ = [
+    "kernel",
+    "native_available",
+    "native_info",
+    "affine_matrices",
+    "UnitProgram",
+    "build_unit_program",
+    "run",
+]
 
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
 
+#if defined(__GFNI__) && defined(__AVX512F__) && defined(__AVX512BW__)
+#define GF_ISA "gfni-avx512"
+#define GF_AFFINE512 1
+#elif defined(__GFNI__) && defined(__AVX2__)
+#define GF_ISA "gfni-avx2"
+#define GF_AFFINE256 1
+#elif defined(__AVX2__)
+#define GF_ISA "avx2"
+#define GF_NIBBLE256 1
+#else
+#define GF_ISA "generic"
+#endif
+
+#ifdef __AVX2__
+#include <immintrin.h>
+#endif
+
+const char *gf_isa(void) { return GF_ISA; }
+
+/* One pass: op[0..len) (^)= sum_k mul(c_k, ip[k][0..len)) over the n
+ * units of one output row.  tp holds the units' 32-byte nibble tables,
+ * ap their affine matrices.  Returns how many leading bytes were done;
+ * the caller finishes the rest byte by byte. */
+
+#if defined(GF_AFFINE512)
+
+static inline int64_t gf_pass(const uint8_t *const *ip, const uint8_t *tp,
+                              const uint64_t *ap, int n,
+                              uint8_t *op, int64_t len, int acc)
+{
+    (void)tp;
+    int64_t t = 0;
+    for (; t + 128 <= len; t += 128) {
+        __m512i a0 = _mm512_setzero_si512(), a1 = a0;
+        if (acc) {
+            a0 = _mm512_loadu_si512(op + t);
+            a1 = _mm512_loadu_si512(op + t + 64);
+        }
+        for (int k = 0; k < n; k++) {
+            __m512i m = _mm512_set1_epi64((long long)ap[k]);
+            a0 = _mm512_xor_si512(a0, _mm512_gf2p8affine_epi64_epi8(
+                _mm512_loadu_si512(ip[k] + t), m, 0));
+            a1 = _mm512_xor_si512(a1, _mm512_gf2p8affine_epi64_epi8(
+                _mm512_loadu_si512(ip[k] + t + 64), m, 0));
+        }
+        _mm512_storeu_si512(op + t, a0);
+        _mm512_storeu_si512(op + t + 64, a1);
+    }
+    /* the ragged end, at most two steps: masked lanes are neither read
+     * nor written */
+    for (; t < len; t += 64) {
+        __mmask64 mk = len - t >= 64 ? ~(__mmask64)0
+                                     : (((__mmask64)1 << (len - t)) - 1);
+        __m512i a = acc ? _mm512_maskz_loadu_epi8(mk, op + t)
+                        : _mm512_setzero_si512();
+        for (int k = 0; k < n; k++)
+            a = _mm512_xor_si512(a, _mm512_gf2p8affine_epi64_epi8(
+                _mm512_maskz_loadu_epi8(mk, ip[k] + t),
+                _mm512_set1_epi64((long long)ap[k]), 0));
+        _mm512_mask_storeu_epi8(op + t, mk, a);
+    }
+    return len;
+}
+
+#elif defined(GF_AFFINE256)
+
+static inline int64_t gf_pass(const uint8_t *const *ip, const uint8_t *tp,
+                              const uint64_t *ap, int n,
+                              uint8_t *op, int64_t len, int acc)
+{
+    (void)tp;
+    int64_t t = 0;
+    for (; t + 64 <= len; t += 64) {
+        __m256i a0 = _mm256_setzero_si256(), a1 = a0;
+        if (acc) {
+            a0 = _mm256_loadu_si256((const __m256i *)(op + t));
+            a1 = _mm256_loadu_si256((const __m256i *)(op + t + 32));
+        }
+        for (int k = 0; k < n; k++) {
+            __m256i m = _mm256_set1_epi64x((long long)ap[k]);
+            a0 = _mm256_xor_si256(a0, _mm256_gf2p8affine_epi64_epi8(
+                _mm256_loadu_si256((const __m256i *)(ip[k] + t)), m, 0));
+            a1 = _mm256_xor_si256(a1, _mm256_gf2p8affine_epi64_epi8(
+                _mm256_loadu_si256((const __m256i *)(ip[k] + t + 32)), m, 0));
+        }
+        _mm256_storeu_si256((__m256i *)(op + t), a0);
+        _mm256_storeu_si256((__m256i *)(op + t + 32), a1);
+    }
+    return t;
+}
+
+#elif defined(GF_NIBBLE256)
+
+static inline int64_t gf_pass(const uint8_t *const *ip, const uint8_t *tp,
+                              const uint64_t *ap, int n,
+                              uint8_t *op, int64_t len, int acc)
+{
+    (void)ap;
+    const __m256i mask = _mm256_set1_epi8(15);
+    int64_t t = 0;
+    for (; t + 64 <= len; t += 64) {
+        __m256i a0 = _mm256_setzero_si256(), a1 = a0;
+        if (acc) {
+            a0 = _mm256_loadu_si256((const __m256i *)(op + t));
+            a1 = _mm256_loadu_si256((const __m256i *)(op + t + 32));
+        }
+        for (int k = 0; k < n; k++) {
+            /* vpshufb shuffles within each 128-bit lane: both lanes
+             * carry the same 16-entry table */
+            __m256i lo = _mm256_broadcastsi128_si256(
+                _mm_loadu_si128((const __m128i *)(tp + 32 * k)));
+            __m256i hi = _mm256_broadcastsi128_si256(
+                _mm_loadu_si128((const __m128i *)(tp + 32 * k + 16)));
+            __m256i x0 = _mm256_loadu_si256((const __m256i *)(ip[k] + t));
+            __m256i x1 = _mm256_loadu_si256((const __m256i *)(ip[k] + t + 32));
+            a0 = _mm256_xor_si256(a0, _mm256_xor_si256(
+                _mm256_shuffle_epi8(lo, _mm256_and_si256(x0, mask)),
+                _mm256_shuffle_epi8(hi, _mm256_and_si256(_mm256_srli_epi64(x0, 4), mask))));
+            a1 = _mm256_xor_si256(a1, _mm256_xor_si256(
+                _mm256_shuffle_epi8(lo, _mm256_and_si256(x1, mask)),
+                _mm256_shuffle_epi8(hi, _mm256_and_si256(_mm256_srli_epi64(x1, 4), mask))));
+        }
+        _mm256_storeu_si256((__m256i *)(op + t), a0);
+        _mm256_storeu_si256((__m256i *)(op + t + 32), a1);
+    }
+    return t;
+}
+
+#else /* generic: GCC vector extensions, PSHUFB / TBL / scalar */
+
 typedef uint8_t v16 __attribute__((vector_size(16)));
 
+static inline int64_t gf_pass(const uint8_t *const *ip, const uint8_t *tp,
+                              const uint64_t *ap, int n,
+                              uint8_t *op, int64_t len, int acc)
+{
+    (void)ap;
+    const v16 mask = {15,15,15,15,15,15,15,15,15,15,15,15,15,15,15,15};
+    int64_t t = 0;
+    for (; t + 64 <= len; t += 64) {
+        v16 a0, a1, a2, a3;
+        if (acc) {
+            memcpy(&a0, op + t, 16); memcpy(&a1, op + t + 16, 16);
+            memcpy(&a2, op + t + 32, 16); memcpy(&a3, op + t + 48, 16);
+        } else {
+            a0 = a1 = a2 = a3 = (v16){0};
+        }
+        for (int k = 0; k < n; k++) {
+            v16 lo, hi, x0, x1, x2, x3;
+            memcpy(&lo, tp + 32 * k, 16);
+            memcpy(&hi, tp + 32 * k + 16, 16);
+            memcpy(&x0, ip[k] + t, 16); memcpy(&x1, ip[k] + t + 16, 16);
+            memcpy(&x2, ip[k] + t + 32, 16); memcpy(&x3, ip[k] + t + 48, 16);
+            a0 ^= __builtin_shuffle(lo, x0 & mask)
+                ^ __builtin_shuffle(hi, (x0 >> 4) & mask);
+            a1 ^= __builtin_shuffle(lo, x1 & mask)
+                ^ __builtin_shuffle(hi, (x1 >> 4) & mask);
+            a2 ^= __builtin_shuffle(lo, x2 & mask)
+                ^ __builtin_shuffle(hi, (x2 >> 4) & mask);
+            a3 ^= __builtin_shuffle(lo, x3 & mask)
+                ^ __builtin_shuffle(hi, (x3 >> 4) & mask);
+        }
+        memcpy(op + t, &a0, 16); memcpy(op + t + 16, &a1, 16);
+        memcpy(op + t + 32, &a2, 16); memcpy(op + t + 48, &a3, 16);
+    }
+    return t;
+}
+
+#endif
+
 /* Execute a unit program: each unit XOR-accumulates mul(coeff, in_row)
- * into an output row using 16-entry low/high nibble product tables
- * (32 bytes per unit).  Units must be sorted by output row so each
- * output tile is accumulated in registers and stored once.  Tiled over
- * the block length for cache residency.
+ * into an output row.  Units must be sorted by output row so each
+ * output tile is accumulated in registers and stored once (once per
+ * PASS units, for rows with more).  Tiled over the block length for
+ * cache residency.
  *
  * The input rows may live in two arrays: rows [0, split) in `in`, rows
  * [split, ...) in `tail` (a stripe's data and parity buffers), each with
  * its own row stride.  Input rows no unit names are never read, so `out`
  * may be such a row of `in`/`tail` (in-place repair). */
 void gf_apply_units(const uint8_t *tables,   /* nunits * 32 */
+                    const uint64_t *affine,  /* nunits */
                     const int32_t *unit_in,  /* input row per unit */
                     const int32_t *unit_out, /* output row per unit */
                     int32_t nunits,
@@ -73,79 +269,60 @@ void gf_apply_units(const uint8_t *tables,   /* nunits * 32 */
                     uint8_t *out, int64_t out_stride,
                     int64_t L, int accumulate)
 {
-    const v16 mask = {15,15,15,15,15,15,15,15,15,15,15,15,15,15,15,15};
+    enum { PASS = 32 };
     const int64_t TILE = 32768;
     for (int64_t t0 = 0; t0 < L; t0 += TILE) {
-        int64_t t1 = t0 + TILE < L ? t0 + TILE : L;
-        int64_t nv = (t1 - t0) & ~(int64_t)63;   /* 64-byte vector chunks */
+        int64_t len = t0 + TILE < L ? TILE : L - t0;
         int32_t u = 0;
         while (u < nunits) {
             int32_t row = unit_out[u];
-            int32_t ue = u;
-            while (ue < nunits && unit_out[ue] == row) ue++;
             uint8_t *op = out + (int64_t)row * out_stride + t0;
-            for (int64_t t = 0; t < nv; t += 64) {
-                v16 a0, a1, a2, a3;
-                if (accumulate) {
-                    memcpy(&a0, op + t, 16); memcpy(&a1, op + t + 16, 16);
-                    memcpy(&a2, op + t + 32, 16); memcpy(&a3, op + t + 48, 16);
-                } else {
-                    a0 = a1 = a2 = a3 = (v16){0};
-                }
-                for (int32_t k = u; k < ue; k++) {
-                    const uint8_t *tp = tables + (int64_t)k * 32;
-                    v16 lo, hi;
-                    memcpy(&lo, tp, 16);
-                    memcpy(&hi, tp + 16, 16);
-                    int32_t r = unit_in[k];
-                    const uint8_t *ip = (r < split
+            int acc = accumulate;
+            do {
+                const uint8_t *ip[PASS];
+                int n = 0;
+                while (n < PASS && u + n < nunits && unit_out[u + n] == row) {
+                    int32_t r = unit_in[u + n];
+                    ip[n++] = (r < split
                         ? in + (int64_t)r * in_stride
-                        : tail + (int64_t)(r - split) * tail_stride) + t0 + t;
-                    v16 x0, x1, x2, x3;
-                    memcpy(&x0, ip, 16); memcpy(&x1, ip + 16, 16);
-                    memcpy(&x2, ip + 32, 16); memcpy(&x3, ip + 48, 16);
-                    a0 ^= __builtin_shuffle(lo, x0 & mask)
-                        ^ __builtin_shuffle(hi, (x0 >> 4) & mask);
-                    a1 ^= __builtin_shuffle(lo, x1 & mask)
-                        ^ __builtin_shuffle(hi, (x1 >> 4) & mask);
-                    a2 ^= __builtin_shuffle(lo, x2 & mask)
-                        ^ __builtin_shuffle(hi, (x2 >> 4) & mask);
-                    a3 ^= __builtin_shuffle(lo, x3 & mask)
-                        ^ __builtin_shuffle(hi, (x3 >> 4) & mask);
+                        : tail + (int64_t)(r - split) * tail_stride) + t0;
                 }
-                memcpy(op + t, &a0, 16); memcpy(op + t + 16, &a1, 16);
-                memcpy(op + t + 32, &a2, 16); memcpy(op + t + 48, &a3, 16);
-            }
-            /* scalar tail of this tile */
-            for (int64_t t = nv; t < t1 - t0; t++) {
-                uint8_t acc = accumulate ? op[t] : 0;
-                for (int32_t k = u; k < ue; k++) {
-                    const uint8_t *tp = tables + (int64_t)k * 32;
-                    int32_t r = unit_in[k];
-                    uint8_t x = (r < split
-                        ? in + (int64_t)r * in_stride
-                        : tail + (int64_t)(r - split) * tail_stride)[t0 + t];
-                    acc ^= tp[x & 15] ^ tp[16 + (x >> 4)];
+                const uint8_t *tp = tables + (int64_t)u * 32;
+                int64_t t = gf_pass(ip, tp, affine + u, n, op, len, acc);
+                for (; t < len; t++) {
+                    uint8_t a = acc ? op[t] : 0;
+                    for (int k = 0; k < n; k++) {
+                        uint8_t x = ip[k][t];
+                        a ^= tp[32 * k + (x & 15)] ^ tp[32 * k + 16 + (x >> 4)];
+                    }
+                    op[t] = a;
                 }
-                op[t] = acc;
-            }
-            u = ue;
+                u += n;
+                acc = 1;
+            } while (u < nunits && unit_out[u] == row);
         }
     }
 }
 """
 
-#: tried best-first; ``-march=native`` is what makes ``__builtin_shuffle``
-#: lower to a vector byte-shuffle instruction (PSHUFB / TBL) rather than
-#: scalar loads — without it the kernel is no faster than the NumPy paths.
-_FLAG_SETS = (
-    ("-O3", "-march=native"),
-    ("-O3", "-mssse3"),
-    ("-O3",),
+#: The ladder, tried top down: ``(compiler flags, /proc/cpuinfo features
+#: the build needs)``.  ``-march=native`` needs nothing — the compiler
+#: enables only what the host has — and yields whichever ``isa`` that is;
+#: the explicit rungs below it serve when that build fails its self-test
+#: (or the compiler does not know the flag) and are skipped unless the CPU
+#: lists every feature.  Without ``-mssse3``/NEON, GCC expands
+#: ``__builtin_shuffle`` to scalar code no faster than the NumPy paths.
+_RUNGS = (
+    (("-O3", "-march=native"), ()),
+    (("-O3", "-mavx2", "-mgfni"), ("avx2", "gfni")),
+    (("-O3", "-mavx2"), ("avx2",)),
+    (("-O3", "-mssse3"), ("ssse3",)),
+    (("-O3",), ()),
 )
 
 _ARGTYPES = [
     ctypes.c_void_p,  # tables
+    ctypes.c_void_p,  # affine
     ctypes.c_void_p,  # unit_in
     ctypes.c_void_p,  # unit_out
     ctypes.c_int32,   # nunits
@@ -160,28 +337,58 @@ _ARGTYPES = [
     ctypes.c_int,     # accumulate
 ]
 
+#: the kernel's cache tile; the self-test straddles it
+_TILE = 32768
+
 _lock = threading.Lock()
-_cached: list = []  # [fn_or_None] once resolved
+_cached: list = []  # [(fn_or_None, info)] once resolved
+
+
+def affine_matrices(mul_table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """``x → c·x`` as the 8×8 bit matrix ``vgf2p8affineqb`` reads, one uint64 per ``c``.
+
+    Multiplication by a constant is GF(2)-linear: bit ``i`` of ``c·x`` is
+    the parity of ``x`` masked by row ``i`` of a matrix whose column ``j``
+    is ``c·2^j`` (where ``x`` has bit ``j`` set, ``c·2^j`` is XORed in).
+    The instruction takes row ``i`` from byte ``7 - i`` of the qword.
+    """
+    coeffs = np.asarray(coeffs, np.intp)
+    bit = np.arange(8)
+    basis = mul_table[coeffs[:, None], 1 << bit]  # (n, j) = c·2^j
+    rows = ((basis[:, None, :] >> bit[:, None] & 1) << bit).sum(axis=2)  # (n, i)
+    return np.ascontiguousarray(rows[:, ::-1], np.uint8).view("<u8").ravel()
 
 
 class UnitProgram:
-    """A matrix lowered for :func:`run`: nibble tables + row indices.
+    """A matrix lowered for :func:`run`: per-unit constants + row indices.
 
     ``tables`` is ``(nunits, 32)`` uint8 (16 low-nibble then 16
-    high-nibble products per unit); ``unit_in``/``unit_out`` are int32
-    row indices sorted by output row; ``zero_rows`` lists output rows
-    with no unit at all (all-zero matrix rows), which the kernel never
-    touches and the caller must clear when not accumulating.
+    high-nibble products per unit) and ``affine`` the unit's
+    :func:`affine_matrices` entry — a rung reads whichever it multiplies
+    with; ``unit_in``/``unit_out`` are int32 row indices sorted by output
+    row; ``zero_rows`` lists output rows with no unit at all (all-zero
+    matrix rows), which the kernel never touches and the caller must
+    clear when not accumulating.  ``head`` is the kernel's leading
+    arguments — the four arrays' addresses and the unit count — taken
+    once: the arrays are immutable and live as long as the program.
     """
 
-    __slots__ = ("tables", "unit_in", "unit_out", "zero_rows", "nunits")
+    __slots__ = ("tables", "affine", "unit_in", "unit_out", "zero_rows", "nunits", "head")
 
-    def __init__(self, tables, unit_in, unit_out, zero_rows):
+    def __init__(self, tables, affine, unit_in, unit_out, zero_rows):
         self.tables = tables
+        self.affine = affine
         self.unit_in = unit_in
         self.unit_out = unit_out
         self.zero_rows = zero_rows
         self.nunits = len(unit_in)
+        self.head = (
+            tables.ctypes.data,
+            affine.ctypes.data,
+            unit_in.ctypes.data,
+            unit_out.ctypes.data,
+            self.nunits,
+        )
 
 
 def build_unit_program(
@@ -193,28 +400,50 @@ def build_unit_program(
 ) -> UnitProgram:
     """Lower a sparse coefficient list to a sorted unit program."""
     order = np.argsort(out_rows, kind="stable")
-    outs = np.ascontiguousarray(out_rows[order].astype(np.int32))
-    ins = np.ascontiguousarray(in_rows[order].astype(np.int32))
-    cs = coeffs[order]
+    outs = np.ascontiguousarray(out_rows[order], np.int32)
+    ins = np.ascontiguousarray(in_rows[order], np.int32)
+    cs = np.asarray(coeffs, np.intp)[order]
     nib = np.arange(16)
-    tables = np.empty((len(cs), 32), np.uint8)
-    for k, c in enumerate(cs):
-        tables[k, :16] = mul_table[int(c), nib]
-        tables[k, 16:] = mul_table[int(c), nib << 4]
+    tables = np.ascontiguousarray(mul_table[cs[:, None], np.concatenate([nib, nib << 4])])
     covered = np.zeros(n_out, bool)
     covered[outs] = True
     zero_rows = np.nonzero(~covered)[0]
-    return UnitProgram(np.ascontiguousarray(tables), ins, outs, zero_rows)
+    return UnitProgram(tables, affine_matrices(mul_table, cs), ins, outs, zero_rows)
+
+
+def _cpu_features() -> frozenset[str] | None:
+    """The CPU's feature names as ``/proc/cpuinfo`` lists them (``None``: unknown)."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith(("flags", "Features")):
+                    return frozenset(line.partition(":")[2].split())
+    except OSError:
+        pass
+    return None
+
+
+def _cache_path(flags: tuple[str, ...], cc: str) -> str:
+    """Where the build for this (source, compiler, flags, CPU) lives.
+
+    The CPU is part of the key because ``-march=native`` output is only
+    legal on a host with the same features: a temp dir shared between
+    unlike hosts (container layer, NFS, CI cache) must give each its own
+    build, not a SIGILL.
+    """
+    cpu = _cpu_features()
+    host = " ".join(sorted(cpu)) if cpu is not None else platform.processor()
+    key = hashlib.sha256(
+        "\x00".join((_C_SOURCE, cc, *flags, platform.machine(), host)).encode()
+    ).hexdigest()[:16]
+    return os.path.join(tempfile.gettempdir(), f"repro-gf-native-{key}", "gfkern.so")
 
 
 def _compile(flags: tuple[str, ...], cc: str):
-    """Compile (or reuse) the kernel for one flag set; raises on failure."""
-    key = hashlib.sha256(
-        ("\x00".join((_C_SOURCE, cc) + flags)).encode()
-    ).hexdigest()[:16]
-    cache = os.path.join(tempfile.gettempdir(), f"repro-gf-native-{key}")
-    so = os.path.join(cache, "gfkern.so")
+    """Compile (or reuse) the kernel for one flag set → ``(fn, isa)``; raises on failure."""
+    so = _cache_path(flags, cc)
     if not os.path.exists(so):
+        cache = os.path.dirname(so)
         os.makedirs(cache, exist_ok=True)
         src = os.path.join(cache, "gfkern.c")
         with open(src, "w") as fh:
@@ -231,41 +460,59 @@ def _compile(flags: tuple[str, ...], cc: str):
     fn = lib.gf_apply_units
     fn.argtypes = _ARGTYPES
     fn.restype = None
-    return fn
+    lib.gf_isa.argtypes = []
+    lib.gf_isa.restype = ctypes.c_char_p
+    return fn, lib.gf_isa().decode()
 
 
 def _self_test(fn) -> bool:
-    """Byte-compare the compiled kernel against a pure-python product.
+    """Byte-compare the compiled kernel against the multiplication table.
 
-    Uses an odd length so both the 64-byte vector body and the scalar
-    tail execute, and checks both accumulate modes and the two-array
-    input split.  A miscompiled or mis-targeted build is dropped rather
-    than trusted.
+    One block length past the cache tile plus two of the widest vector
+    iterations (2 × 64 B) plus a ragged end, and column prefixes of it —
+    row-strided views — down to shorter than one vector: every rung runs
+    its full-width body, its narrower steps, its tail and the tile seam.
+    Each length is checked plain, with the input split over two arrays,
+    and accumulating; output lands in an unaligned strided window whose
+    all-zero matrix row, and whose surroundings, must stay untouched.
+    A miscompiled or mis-targeted build is dropped rather than trusted.
     """
     from .arithmetic import GF
 
     mt = GF.get(8).mul_table()
     rng = np.random.default_rng(20260808)
-    m = rng.integers(0, 256, (3, 4), dtype=np.uint8)
+    m = rng.integers(1, 256, (3, 4), dtype=np.uint8)
+    m[0, 2] = 0
     m[2, :] = 0  # an all-zero output row the kernel must skip
-    L = 67
+    L = _TILE + 2 * 128 + 45
     blocks = rng.integers(0, 256, (4, L), dtype=np.uint8)
     expect = np.zeros((3, L), np.uint8)
-    for i in range(3):
-        for j in range(4):
-            expect[i] ^= mt[m[i, j]][blocks[j]]
+    for i, j in zip(*np.nonzero(m)):
+        expect[i] ^= mt[m[i, j]][blocks[j]]
     outs, ins = np.nonzero(m)
     prog = build_unit_program(outs, ins, m[outs, ins], mt, 3)
-    got = np.empty((3, L), np.uint8)
-    got[prog.zero_rows] = 0
-    run(fn, prog, blocks, got, accumulate=False)
-    if not np.array_equal(got, expect):
-        return False
-    run(fn, prog, blocks[:1], got, accumulate=False, tail=blocks[1:].copy())
-    if not np.array_equal(got, expect):
-        return False
-    run(fn, prog, blocks, got, accumulate=True)  # x ^ x == 0
-    return not got[np.nonzero(m.any(axis=1))[0]].any()
+    poison = 0xA5
+    frame = np.empty((3, L + 16), np.uint8)
+    for n in (L, 2 * 128 + 45, 45):
+        view, got = blocks[:, :n], frame[:, 7 : 7 + n]
+
+        def only_wrote(rows01):
+            return (
+                (got[:2] == rows01).all()
+                and (got[2] == poison).all()
+                and (frame[:, :7] == poison).all()
+                and (frame[:, 7 + n :] == poison).all()
+            )
+
+        for split in (4, 1):
+            frame[:] = poison
+            run(fn, prog, view[:split], got, False, view[split:] if split < 4 else None)
+            if not only_wrote(expect[:2, :n]):
+                return False
+        run(fn, prog, view, got, True)  # x ^ x == 0
+        if not only_wrote(0):
+            return False
+    return True
 
 
 def run(
@@ -285,10 +532,7 @@ def run(
     if tail is None:
         tail = blocks
     fn(
-        program.tables.ctypes.data,
-        program.unit_in.ctypes.data,
-        program.unit_out.ctypes.data,
-        program.nunits,
+        *program.head,
         blocks.ctypes.data,
         blocks.strides[0],
         tail.ctypes.data,
@@ -301,6 +545,39 @@ def run(
     )
 
 
+def _resolve() -> tuple:
+    """Walk :data:`_RUNGS` → ``(fn or None, native_info dict)``."""
+    cc = next((c for c in ("cc", "gcc", "clang") if shutil.which(c)), None)
+    if cc is None:
+        return None, {"absent": "no compiler"}
+    cpu = _cpu_features()
+    passed_over = []
+    for flags, needs in _RUNGS:
+        if needs and (cpu is None or not cpu.issuperset(needs)):
+            continue
+        name = " ".join(flags)
+        try:
+            fn, isa = _compile(flags, cc)
+        except (OSError, subprocess.SubprocessError):
+            passed_over.append(f"compile failed ({name})")
+            continue
+        if _self_test(fn):
+            info = {"isa": isa, "flags": name, "compiler": cc}
+            if passed_over:
+                info["passed_over"] = passed_over
+            return fn, info
+        passed_over.append(f"self-test failed on {isa} ({name})")
+    return None, {"absent": "; ".join(passed_over)}
+
+
+def _resolved() -> tuple:
+    if not _cached:
+        with _lock:
+            if not _cached:
+                _cached.append(_resolve())
+    return _cached[0]
+
+
 def kernel():
     """The compiled kernel entry point, or ``None`` when unavailable.
 
@@ -310,26 +587,21 @@ def kernel():
     """
     if os.environ.get("REPRO_GF_NATIVE", "1") == "0":
         return None
-    if _cached:
-        return _cached[0]
-    with _lock:
-        if _cached:
-            return _cached[0]
-        fn = None
-        cc = next((c for c in ("cc", "gcc", "clang") if shutil.which(c)), None)
-        if cc is not None:
-            for flags in _FLAG_SETS:
-                try:
-                    cand = _compile(flags, cc)
-                except (OSError, subprocess.SubprocessError):
-                    continue
-                if _self_test(cand):
-                    fn = cand
-                    break
-        _cached.append(fn)
-        return fn
+    return _resolved()[0]
 
 
 def native_available() -> bool:
     """Whether the runtime-compiled kernel is usable on this host."""
     return kernel() is not None
+
+
+def native_info() -> dict:
+    """Which kernel serves the ``native`` backend, or why none does.
+
+    ``{"isa": "gfni-avx512" | "gfni-avx2" | "avx2" | "generic", "flags",
+    "compiler"}`` — plus ``"passed_over"``, the rungs above it that failed
+    to compile or self-test — or ``{"absent": reason}``.
+    """
+    if os.environ.get("REPRO_GF_NATIVE", "1") == "0":
+        return {"absent": "disabled by REPRO_GF_NATIVE=0"}
+    return dict(_resolved()[1])

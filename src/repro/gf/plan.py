@@ -21,12 +21,12 @@ through one of several registered **backends** (:mod:`repro.gf.backends`):
     Wide-block NumPy path gathering packed uint64 products for byte
     *pairs*; ~2–3× ``translate`` at MB-scale blocks, no compiler needed.
 ``native``
-    A runtime-compiled nibble-split shuffle kernel
-    (:mod:`repro.gf.native`) — GB/s-class, used automatically whenever
-    the host can compile it.
+    A runtime-compiled SIMD kernel (:mod:`repro.gf.native`: GFNI affine
+    multiply or nibble-split shuffle, at the widest vector the CPU has)
+    — GB/s-class, used automatically whenever the host can compile it.
 
 Backends are selected per application by the measured-crossover
-heuristic in :func:`repro.gf.backends.choose_backend` (forceable via
+heuristic in :func:`repro.gf.backends.resolve_backend` (forceable via
 ``REPRO_GF_BACKEND``), and every one produces byte-identical output:
 they are pure reassociations of the same GF(2^w) sums.
 
@@ -315,6 +315,7 @@ class CodingPlan:
 
     def _run_native(
         self,
+        fn,
         blocks: np.ndarray,
         out: np.ndarray,
         accumulate: bool,
@@ -323,7 +324,7 @@ class CodingPlan:
         prog = self._native_program()
         if not accumulate and len(prog.zero_rows):
             out[prog.zero_rows] = 0
-        _native.run(_native.kernel(), prog, blocks, out, accumulate, tail)
+        _native.run(fn, prog, blocks, out, accumulate, tail)
 
     # -- application ---------------------------------------------------------
 
@@ -365,9 +366,9 @@ class CodingPlan:
         out: np.ndarray,
         accumulate: bool,
     ) -> np.ndarray:
-        backend = _backends.choose_backend(self, blocks.shape[1])
+        backend, fn = _backends.resolve_backend(self, blocks.shape[1])
         if backend == "native":
-            self._run_native(blocks, out, accumulate, tail)
+            self._run_native(fn, blocks, out, accumulate, tail)
             return out
         if tail is not None:
             # only the compiled kernel walks two arrays; the NumPy

@@ -22,6 +22,7 @@ import json
 import os
 import tempfile
 
+from ..gf import available_backends, native_info
 from .causal import attribution_summary
 from .registry import Counter, Gauge, Histogram, MetricsRegistry, METRICS
 from .snapshots import SnapshotCollector, SNAPSHOTS
@@ -125,7 +126,10 @@ def build_report(
     * ``spans`` — trace analytics from the buffered events;
     * ``attribution`` — causal tail attribution per traced operation
       (:func:`~repro.telemetry.causal.attribution_summary`); ``{}`` when
-      the trace carries no causal spans (figure campaigns, tracing off).
+      the trace carries no causal spans (figure campaigns, tracing off);
+    * ``host`` — what served the bytes: the usable GF backends and the
+      SIMD rung behind ``native``, or the reason there is none
+      (:func:`repro.gf.native_info`).
 
     ``extra`` adds caller-owned top-level sections (the ``serve``
     command's ``serving`` block rides in this way); extra keys may not
@@ -146,6 +150,7 @@ def build_report(
         "spans": analysis.to_dict(top=span_top),
         "attribution": attribution_summary(events),
         "trace": {"events": len(tracer.events), "dropped": tracer.dropped},
+        "host": {"gf_backends": list(available_backends()), "gf_native": native_info()},
     }
     for key, section in (extra or {}).items():
         if key in report:

@@ -1,0 +1,328 @@
+"""Every rung of the ``native`` kernel's vector-width ladder, not just the host's pick.
+
+``repro.gf.native`` compiles one C source whose inner loop the
+preprocessor chooses from the compile flags (GFNI affine multiply at 512
+or 256 bits, AVX2 nibble shuffle, 16-byte generic).  Production only ever
+loads the first rung that passes; this module builds **each** entry of
+``native._RUNGS`` explicitly, skips those the running CPU cannot execute,
+and byte-compares the rest against :func:`repro.gf.apply_to_blocks_naive`
+over the shapes where a vector kernel goes wrong: lengths around every
+vector width and the 32 KiB tile seam, both accumulate modes, the input
+split over two arrays, row-strided views, and the output aliasing an
+input row the matrix never reads.
+
+CPU-independent parts: the affine-matrix table is checked exhaustively
+bit by bit, the build cache is shown to be keyed by the CPU, and the
+load-time gate is shown to reach every region of the kernel and to fall
+down the ladder instead of raising.
+"""
+
+import ctypes
+import shutil
+import subprocess
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.gf import GF, CodingPlan, apply_to_blocks_naive, native_info
+from repro.gf import native
+
+MT = GF.get(8).mul_table()
+CC = next((c for c in ("cc", "gcc", "clang") if shutil.which(c)), None)
+RUNG_IDS = [" ".join(flags) for flags, _ in native._RUNGS]
+
+#: around every vector step (32/64/128 B) and the kernel's cache tile
+LENGTHS = [0, 1, 63, 64, 65, 127, 128, 129, 255, 257, 32767, 32768, 32769]
+
+_loaded: dict = {}  # rung id -> (fn, isa) or a skip reason
+
+
+def _load(rung):
+    name = " ".join(rung[0])
+    if name not in _loaded:
+        flags, needs = rung
+        cpu = native._cpu_features()
+        if CC is None:
+            _loaded[name] = "no C compiler"
+        elif needs and (cpu is None or not cpu.issuperset(needs)):
+            _loaded[name] = f"this CPU lacks {sorted(set(needs) - (cpu or set()))}"
+        else:
+            try:
+                _loaded[name] = native._compile(flags, CC)
+            except (OSError, subprocess.SubprocessError) as exc:
+                _loaded[name] = f"does not compile here ({type(exc).__name__})"
+    return _loaded[name]
+
+
+@pytest.fixture(scope="module", params=native._RUNGS, ids=RUNG_IDS)
+def rung_fn(request):
+    got = _load(request.param)
+    if isinstance(got, str):
+        pytest.skip(f"rung {request.param[0]}: {got}")
+    return got[0]
+
+
+# -- the affine table, no CPU involved ------------------------------------------
+
+
+def test_affine_matrices_equal_the_multiplication_table_exhaustively():
+    """All 256 × 256 (c, x): M_c applied to x bit by bit is mul_table[c, x].
+
+    Row ``i`` of ``M_c`` sits in byte ``7 - i`` of the qword and output
+    bit ``i`` is the parity of ``row & x`` — the instruction's definition,
+    spelled out in Python.
+    """
+    matrices = native.affine_matrices(MT, np.arange(256))
+    assert matrices.dtype == np.uint64 and matrices.shape == (256,)
+    parity = [bin(v).count("1") & 1 for v in range(256)]
+    for c in range(256):
+        rows = [(int(matrices[c]) >> (8 * (7 - i))) & 0xFF for i in range(8)]
+        for x in range(256):
+            y = sum(parity[rows[i] & x] << i for i in range(8))
+            assert y == MT[c, x], (c, x)
+
+
+def test_unit_program_carries_both_constant_forms_sorted_by_output_row():
+    m = np.array([[0, 3, 0], [7, 0, 1], [0, 0, 0]], np.uint8)
+    outs, ins = np.nonzero(m)
+    # hand the entries in reverse: the lowering sorts by output row
+    prog = native.build_unit_program(outs[::-1], ins[::-1], m[outs, ins][::-1], MT, 3)
+    assert prog.unit_out.tolist() == [0, 1, 1] and prog.nunits == 3
+    coeffs = [int(m[o, i]) for o, i in zip(prog.unit_out, prog.unit_in)]
+    assert sorted(coeffs[1:]) == [1, 7] and coeffs[0] == 3
+    for k, c in enumerate(coeffs):
+        assert prog.tables[k, :16].tolist() == MT[c, :16].tolist()
+        assert prog.tables[k, 16:].tolist() == MT[c, np.arange(16) << 4].tolist()
+    assert prog.affine.tolist() == native.affine_matrices(MT, coeffs).tolist()
+    assert prog.zero_rows.tolist() == [2]
+    assert prog.head == (
+        prog.tables.ctypes.data, prog.affine.ctypes.data,
+        prog.unit_in.ctypes.data, prog.unit_out.ctypes.data, 3,
+    )
+
+
+# -- each rung against the executable specification -----------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    rows=st.integers(1, 5),
+    cols=st.integers(1, 9),
+    n=st.sampled_from(LENGTHS),
+    sparsity=st.sampled_from([0.0, 0.3, 0.9]),
+    accumulate=st.booleans(),
+    split=st.booleans(),
+    strided=st.booleans(),
+    alias=st.booleans(),
+)
+def test_rung_matches_naive(rung_fn, seed, rows, cols, n, sparsity, accumulate, split, strided, alias):
+    rng = np.random.default_rng(seed)
+    m = rng.integers(0, 256, (rows, cols), dtype=np.uint8)
+    m[rng.random(m.shape) < sparsity] = 0
+    alias = alias and cols > rows
+    if alias:
+        # the output is the first `rows` input rows, which the matrix never reads
+        m[:, :rows] = 0
+    pad, lo = (13, 6) if strided else (0, 0)
+    store = rng.integers(0, 256, (cols, n + pad), dtype=np.uint8)
+    out_store = store if alias else rng.integers(0, 256, (rows, n + pad), dtype=np.uint8)
+    blocks = store[:, lo : lo + n]
+    out = out_store[:rows, lo : lo + n]
+    stores_before = store.copy(), out_store.copy()
+    before, base = blocks.copy(), out.copy()
+    # with an aliased output the head array must hold all of it
+    cut = int(rng.integers(rows if alias else 1, cols + 1)) if split else cols
+    head, tail = (blocks[:cut], blocks[cut:].copy()) if cut < cols else (blocks, None)
+
+    outs, ins = np.nonzero(m)
+    prog = native.build_unit_program(outs, ins, m[outs, ins], MT, rows)
+    if not accumulate:
+        out[prog.zero_rows] = 0
+    native.run(rung_fn, prog, head, out, accumulate, tail)
+
+    product = apply_to_blocks_naive(m, before)
+    assert np.array_equal(out, base ^ product if accumulate else product)
+    # nothing but the output rows' column window moved
+    out[:] = base
+    assert np.array_equal(store, stores_before[0])
+    assert np.array_equal(out_store, stores_before[1])
+
+
+def test_rows_wider_than_one_pass_of_units(rung_fn):
+    """An output row with more units than the kernel folds per pass (32)."""
+    rng = np.random.default_rng(4)
+    m = rng.integers(1, 256, (2, 75), dtype=np.uint8)
+    blocks = rng.integers(0, 256, (75, 389), dtype=np.uint8)
+    outs, ins = np.nonzero(m)
+    prog = native.build_unit_program(outs, ins, m[outs, ins], MT, 2)
+    for accumulate in (False, True):
+        out = np.full((2, 389), 0x5A, np.uint8)
+        native.run(rung_fn, prog, blocks, out, accumulate)
+        want = apply_to_blocks_naive(m, blocks)
+        assert np.array_equal(out, want ^ 0x5A if accumulate else want)
+
+
+def test_every_rung_passes_the_load_time_self_test(rung_fn):
+    assert native._self_test(rung_fn)
+
+
+def test_report_which_rungs_ran():
+    """Print the ladder as exercised here (CI's ``native`` leg reads it with ``-s``)."""
+    seen = []
+    for rung, name in zip(native._RUNGS, RUNG_IDS):
+        got = _load(rung)
+        seen.append(got if isinstance(got, str) else got[1])
+        print(f"native rung [{name}]: " + (f"skipped, {got}" if isinstance(got, str) else f"ran isa={got[1]}"))
+    if CC is not None:
+        assert "generic" in seen, "the plain -O3 rung must build wherever a compiler exists"
+
+
+# -- the load-time gate ---------------------------------------------------------
+
+
+def _corrupting(fn, row, col):
+    """``fn`` with one wrong output byte at (row, col), where the call is long enough."""
+
+    def broken(*args):
+        fn(*args)
+        out, out_stride, length = args[10], args[11], args[12]
+        if col < length:
+            byte = ctypes.c_uint8.from_address(out + row * out_stride + col)
+            byte.value ^= 1
+
+    return broken
+
+
+@pytest.mark.parametrize(
+    "col",
+    [3, 100, 150, 290, native._TILE - 1, native._TILE + 70, native._TILE + 2 * 128 + 44],
+    ids=["first-bytes", "second-vector", "third-vector", "short-tail", "tile-end", "second-tile", "ragged-end"],
+)
+def test_self_test_reaches_every_region_of_the_kernel(col):
+    fn = native.kernel()
+    if fn is None:
+        pytest.skip("no native kernel on this host")
+    assert native._self_test(fn)
+    for row in (0, 1):
+        assert not native._self_test(_corrupting(fn, row, col)), (row, col)
+
+
+def test_self_test_notices_a_touched_zero_row():
+    fn = native.kernel()
+    if fn is None:
+        pytest.skip("no native kernel on this host")
+    assert not native._self_test(_corrupting(fn, 2, 10))
+
+
+@pytest.fixture
+def fresh_resolution(monkeypatch):
+    """Let ``kernel()`` resolve again inside the test, and forget it after."""
+    monkeypatch.delenv("REPRO_GF_NATIVE", raising=False)
+    monkeypatch.delenv("REPRO_GF_BACKEND", raising=False)
+    monkeypatch.setattr(native, "_cached", [])
+
+
+def _plan_still_correct():
+    rng = np.random.default_rng(6)
+    m = rng.integers(0, 256, (3, 5), dtype=np.uint8)
+    blocks = rng.integers(0, 256, (5, 5000), dtype=np.uint8)
+    assert np.array_equal(CodingPlan(m).apply(blocks), apply_to_blocks_naive(m, blocks))
+
+
+@pytest.mark.skipif(CC is None, reason="needs a C compiler")
+def test_a_failing_rung_falls_to_the_next_one(fresh_resolution, monkeypatch):
+    real, calls = native._self_test, []
+
+    def first_fails(fn):
+        calls.append(fn)
+        return len(calls) > 1 and real(fn)
+
+    monkeypatch.setattr(native, "_self_test", first_fails)
+    info = native_info()
+    assert native.kernel() is not None and len(calls) == 2
+    assert info["flags"] != RUNG_IDS[0]
+    assert info["passed_over"][0].startswith("self-test failed on ")
+    assert RUNG_IDS[0] in info["passed_over"][0]
+    _plan_still_correct()
+    assert CodingPlan(np.ones((1, 2), np.uint8)).backend_for(1 << 17) == "native"
+
+
+@pytest.mark.skipif(CC is None, reason="needs a C compiler")
+def test_the_fallback_rung_alone_serves(fresh_resolution, monkeypatch):
+    monkeypatch.setattr(native, "_RUNGS", native._RUNGS[-1:])
+    assert native_info()["isa"] == "generic" and native_info()["flags"] == "-O3"
+    _plan_still_correct()
+
+
+@pytest.mark.skipif(CC is None, reason="needs a C compiler")
+def test_no_passing_rung_means_numpy_backends_not_an_error(fresh_resolution, monkeypatch):
+    monkeypatch.setattr(native, "_self_test", lambda fn: False)
+    assert native.kernel() is None and not native.native_available()
+    reason = native_info()["absent"]
+    assert reason.count("self-test failed on") >= 1 and "-O3" in reason
+    assert CodingPlan(np.ones((1, 2), np.uint8)).backend_for(1 << 17) == "pair"
+    monkeypatch.setenv("REPRO_GF_BACKEND", "native")  # forced, absent: falls back
+    _plan_still_correct()
+
+
+def test_no_compiler_is_reported_not_raised(fresh_resolution, monkeypatch):
+    monkeypatch.setattr(native.shutil, "which", lambda name: None)
+    assert native.kernel() is None
+    assert native_info() == {"absent": "no compiler"}
+    _plan_still_correct()
+
+
+@pytest.mark.skipif(CC is None, reason="needs a C compiler")
+def test_a_compiler_that_fails_is_reported_per_rung(fresh_resolution, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise subprocess.CalledProcessError(1, args[0])
+
+    monkeypatch.setattr(tempfile, "tempdir", tempfile.mkdtemp(prefix="gfkern-empty-"))
+    monkeypatch.setattr(native.subprocess, "run", refuse)
+    assert native.kernel() is None
+    assert native_info()["absent"].startswith(f"compile failed ({RUNG_IDS[0]})")
+
+
+def test_kill_switch_is_honoured_on_every_call(monkeypatch):
+    monkeypatch.delenv("REPRO_GF_BACKEND", raising=False)
+    plan = CodingPlan(np.ones((1, 2), np.uint8))
+    before = plan.backend_for(1 << 17)
+    monkeypatch.setenv("REPRO_GF_NATIVE", "0")
+    assert native.kernel() is None
+    assert native_info() == {"absent": "disabled by REPRO_GF_NATIVE=0"}
+    assert plan.backend_for(1 << 17) == "pair"
+    monkeypatch.delenv("REPRO_GF_NATIVE")
+    assert plan.backend_for(1 << 17) == before
+
+
+# -- the on-disk cache is per CPU ----------------------------------------------
+
+
+def test_cache_key_separates_hosts_with_different_cpu_features(monkeypatch):
+    flags = ("-O3", "-march=native")
+    here = native._cache_path(flags, "cc")
+    assert here == native._cache_path(flags, "cc")
+    assert here != native._cache_path(("-O3",), "cc") != native._cache_path(flags, "gcc")
+    monkeypatch.setattr(native, "_cpu_features", lambda: frozenset({"ssse3", "avx2"}))
+    narrow = native._cache_path(flags, "cc")
+    monkeypatch.setattr(native, "_cpu_features", lambda: frozenset({"ssse3", "avx2", "gfni", "avx512bw"}))
+    wide = native._cache_path(flags, "cc")
+    assert len({here, narrow, wide}) == 3
+
+
+@pytest.mark.skipif(CC is None, reason="needs a C compiler")
+def test_a_shared_temp_dir_gives_each_cpu_its_own_build(monkeypatch, tmp_path):
+    """A host never dlopens what a host with other features compiled."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    built = []
+    for features in ({"ssse3"}, {"ssse3", "avx2", "gfni"}):
+        monkeypatch.setattr(native, "_cpu_features", lambda f=frozenset(features): f)
+        fn, isa = native._compile(("-O3",), CC)
+        assert isa == "generic" and native._self_test(fn)
+        built.append(native._cache_path(("-O3",), CC))
+    assert built[0] != built[1]
+    assert sorted(p.name for p in tmp_path.glob("repro-gf-native-*/gfkern.so")) == ["gfkern.so"] * 2

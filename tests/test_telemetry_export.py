@@ -117,6 +117,22 @@ class TestReport:
         assert report["trace"] == {"events": 1, "dropped": 0}
         assert report["spans"]["aggregates"]["recovery"]["count"] == 1
 
+    def test_host_section_names_the_gf_kernel_and_round_trips(self, tmp_path, monkeypatch):
+        from repro.gf import available_backends, native_info
+
+        host = self.make_report()["host"]
+        assert host == {"gf_backends": list(available_backends()), "gf_native": native_info()}
+        assert ("native" in host["gf_backends"]) == ("isa" in host["gf_native"])
+        assert set(host["gf_native"]) >= {"isa", "flags", "compiler"} or set(host["gf_native"]) == {"absent"}
+        path = tmp_path / "out.json"
+        write_report(path, self.make_report())
+        assert json.loads(path.read_text())["host"] == host
+        # a disabled kernel is disclosed, not silently missing
+        monkeypatch.setenv("REPRO_GF_NATIVE", "0")
+        off = self.make_report()["host"]
+        assert "native" not in off["gf_backends"]
+        assert off["gf_native"] == {"absent": "disabled by REPRO_GF_NATIVE=0"}
+
     def test_write_report_atomic_and_json(self, tmp_path):
         path = tmp_path / "out.json"
         write_report(path, self.make_report())
