@@ -11,10 +11,9 @@ Also records the pipelined-repair comparison (simulated recovery-time
 speedups — deterministic, unlike wall-clock — see
 ``test_campaign_pipeline_repair``).
 
-Structured timings land in ``BENCH_campaign.json`` at the repo root via
+Structured timings land in ``benchmarks/results/campaign*.json`` via
 ``save_result``; absolute wall-clock is machine-dependent, so no
-wall-clock number in this file is ratio-compared by CI (the perf-smoke
-job only checks the kernel speedups in ``BENCH_kernels.json``).
+wall-clock number in this file is asserted or compared by CI.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Durability-engine benchmark — MC↔analytic agreement and the geo sweep.
 
 Two fully seeded measurements whose ``compare`` numbers are functions of
-the simulation alone (no wall-clock), so CI can ratio-diff them against
-the committed ``BENCH_durability.json`` baseline:
+the simulation alone (no wall-clock); the committed
+``benchmarks/results/durability_*.json`` hold the reference values:
 
 * the flat-topology cross-validation ratio ``MC MTTDL / analytic
   MTTDL`` — the headline correctness number; it drifts only if the

@@ -24,11 +24,10 @@ regression.
 
 Every timed pair is also checked byte-identical before it is reported.
 
-The structured results land in ``BENCH_kernels.json`` at the repo root
-(via the ``save_result`` fixture); CI's non-blocking perf-smoke job
-re-runs this file and compares the *speedup ratios* — machine-speed
-independent, unlike raw throughput — against the committed baseline at
-±30 % (``scripts/check_perf_baseline.py``).
+The structured results land in ``benchmarks/results/kernels*.json`` (via
+the ``save_result`` fixture).  Their *speedup ratios* are machine-speed
+independent, unlike raw throughput; wall-clock regressions are gated by
+``bench/run.py``, not by this file.
 """
 
 from __future__ import annotations

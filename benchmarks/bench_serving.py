@@ -10,9 +10,9 @@ in CI):
 * a storm run whose degraded-read p99 pins the piggyback/reconstruction
   path's latency under correlated faults.
 
-Structured entries land in ``BENCH_serving.json`` at the repo root via
-``save_result``; the perf-smoke job diffs the ``compare`` ratios against
-the committed baseline (they only move when serving behaviour changes).
+Structured entries land in ``benchmarks/results/serving_*.json`` via
+``save_result``; their ``compare`` ratios only move when serving
+behaviour changes.
 """
 
 from __future__ import annotations

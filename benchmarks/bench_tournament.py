@@ -2,8 +2,8 @@
 
 One compact seeded tournament (two Table V traces × clean/storm × five
 contenders) whose ``compare`` numbers are pure functions of the seeded
-simulation — no wall-clock anywhere — so CI ratio-diffs them against the
-committed ``BENCH_tournament.json`` baseline:
+simulation — no wall-clock anywhere; the committed
+``benchmarks/results/tournament_win_regions.json`` holds the reference:
 
 * FR's and the policy's recovery bytes per repair relative to RS — the
   headline repair-traffic result (FR reads exactly γ, RS reads k·γ);

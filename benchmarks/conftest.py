@@ -19,43 +19,9 @@ import pytest
 from repro.experiments import ExperimentConfig
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 #: schema tag stamped into every ``results/{name}.json``
 BENCH_RESULT_SCHEMA = "repro.bench-result/v1"
-
-#: result-name roots whose structured entries also maintain a committed
-#: repo-root baseline (``BENCH_kernels.json`` / ``BENCH_campaign.json`` /
-#: ``BENCH_serving.json`` / ``BENCH_durability.json`` /
-#: ``BENCH_tournament.json``) that CI's perf-smoke job diffs against a
-#: fresh run
-BASELINE_ROOTS = ("kernels", "campaign", "serving", "durability", "tournament")
-
-
-def _update_baseline(root: str, entries: list[dict]) -> None:
-    """Merge ``entries`` (keyed by entry name) into ``BENCH_{root}.json``.
-
-    Merging instead of overwriting lets the several ``bench_{root}*``
-    tests each contribute their rows to one committed baseline file, in
-    any order, and keeps the file byte-stable across reruns that produce
-    the same numbers.
-    """
-    path = REPO_ROOT / f"BENCH_{root}.json"
-    merged: dict[str, dict] = {}
-    if path.exists():
-        try:
-            for entry in json.loads(path.read_text()).get("entries", []):
-                merged[entry["name"]] = entry
-        except (ValueError, KeyError, TypeError):
-            pass  # unreadable baseline: rebuild it from this run
-    for entry in entries:
-        merged[entry["name"]] = entry
-    envelope = {
-        "schema": BENCH_RESULT_SCHEMA,
-        "name": root,
-        "entries": [merged[name] for name in sorted(merged)],
-    }
-    path.write_text(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
 
 
 @pytest.fixture(scope="session")
@@ -84,9 +50,6 @@ def save_result():
         (RESULTS_DIR / f"{name}.json").write_text(
             json.dumps(envelope, indent=2, sort_keys=True) + "\n"
         )
-        root = name.split("_", 1)[0]
-        if root in BASELINE_ROOTS and isinstance(data, dict) and "entries" in data:
-            _update_baseline(root, data["entries"])
         print(f"\n{text}\n")
 
     return _save

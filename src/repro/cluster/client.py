@@ -91,16 +91,13 @@ class PlanExecutor:
             if not node.alive:  # died while we waited out the partition
                 raise DeadNodeError(node.node_id)
 
-    # historical (pre-pipeline) spelling, kept for callers in the wild
-    _check_reachable = check_reachable
-
     def _read_path(self, node: DataNode, nbytes: float) -> Generator:
-        yield from self._check_reachable(node)
+        yield from self.check_reachable(node)
         yield node.disk.read_ev(nbytes)
         yield node.nic.transfer_ev(nbytes)
 
     def _write_path(self, node: DataNode, nbytes: float) -> Generator:
-        yield from self._check_reachable(node)
+        yield from self.check_reachable(node)
         yield node.nic.transfer_ev(nbytes)
         yield node.disk.write_ev(nbytes)
 

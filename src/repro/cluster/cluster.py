@@ -18,7 +18,7 @@ from ..chaos.invariants import InvariantChecker
 from ..fusion.costmodel import SystemProfile
 from ..hybrid.planners import SchemePlanner
 from ..hybrid.plans import PlanKind
-from ..telemetry import METRICS, SNAPSHOTS, TRACER
+from ..telemetry import METRICS, SNAPSHOTS, TRACER, nearest_rank
 from ..workloads.failures import FailureEvent, NodeFailureEvent
 from ..workloads.trace import OpType, Trace
 from .client import Client, DeadNodeError, PlanExecutor
@@ -152,26 +152,18 @@ class SimulationResult:
         )
         return total / (mu1 + mu2)
 
-    @staticmethod
-    def _percentile(samples: list[float], q: float) -> float:
-        if not samples:
-            return 0.0
-        ordered = sorted(samples)
-        idx = min(len(ordered) - 1, max(0, int(round(q * (len(ordered) - 1)))))
-        return ordered[idx]
-
     def app_percentile(self, q: float) -> float:
         """Application latency percentile (q in [0, 1]); tail behaviour the
         paper's mean-only figures hide."""
         if not 0 <= q <= 1:
             raise ValueError("q must be in [0, 1]")
-        return self._percentile(self.app_latencies, q)
+        return nearest_rank(sorted(self.app_latencies), q)
 
     def recovery_percentile(self, q: float) -> float:
         """Recovery latency percentile (q in [0, 1])."""
         if not 0 <= q <= 1:
             raise ValueError("q must be in [0, 1]")
-        return self._percentile(self.recovery_latencies, q)
+        return nearest_rank(sorted(self.recovery_latencies), q)
 
     @property
     def conversion_fraction(self) -> float:

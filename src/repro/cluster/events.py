@@ -341,6 +341,13 @@ class FIFOResource:
     def _release_cb(self, _ev: Event) -> None:
         self.release()
 
+    def _record(self, duration: float, waited: float) -> None:
+        """One granted hold into the ``sim.*.<resource class>`` series."""
+        key = self.metric_key
+        METRICS.histogram(f"sim.queue_wait.{key}", unit="s").observe(waited)
+        METRICS.counter(f"sim.busy_time.{key}", unit="s").inc(duration)
+        METRICS.counter(f"sim.served.{key}", unit="requests").inc()
+
     def use_ev(self, duration: float) -> Event:
         """Event that fires once an acquire → hold → release cycle is done.
 
@@ -353,18 +360,20 @@ class FIFOResource:
         if duration < 0:
             raise ValueError("duration must be non-negative")
         sim = self.sim
-        if self._in_service < self.capacity and not METRICS.enabled:
+        if self._in_service < self.capacity:
             # Uncontended fast path: claim a server now and wait only for
             # the hold itself.  ``acquire`` would bump ``_in_service`` at
             # this exact moment anyway and deliver the grant through a
             # zero-delay heap event; completion lands at the identical
             # timestamp, so skipping the grant event removes ~a third of all
-            # heap traffic without moving any latency.  (The metered path
-            # keeps the grant event so queue-wait histograms still observe
-            # zeros.)
+            # heap traffic without moving any latency.  Telemetry records
+            # the zero queue wait here rather than taking the slow path:
+            # the event order must not depend on who is watching.
             self._in_service += 1
             self.busy_time += duration
             self.served += 1
+            if METRICS.enabled:
+                self._record(duration, 0.0)
             done = sim.timeout(duration)
             done.callbacks.append(self._release_cb)
             return done
@@ -379,12 +388,7 @@ class FIFOResource:
             self.busy_time += duration
             self.served += 1
             if METRICS.enabled:
-                key = self.metric_key
-                METRICS.histogram(f"sim.queue_wait.{key}", unit="s").observe(
-                    sim.now - queued_at
-                )
-                METRICS.counter(f"sim.busy_time.{key}", unit="s").inc(duration)
-                METRICS.counter(f"sim.served.{key}", unit="requests").inc()
+                self._record(duration, sim.now - queued_at)
             hold = sim.timeout(duration)
             hold.callbacks.append(_finished)
 

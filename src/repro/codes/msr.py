@@ -31,7 +31,6 @@ Properties (verified at construction / in the test suite)
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -49,37 +48,6 @@ from ..telemetry import METRICS
 from .base import LinearVectorCode, ParameterError, RepairResult, UnrecoverableError
 
 __all__ = ["MSRCode"]
-
-
-@dataclass(frozen=True)
-class _RepairProgram:
-    """Precompiled batched single-node repair for one failed node.
-
-    All ``l/s`` repair-plane solve systems share the same matrices
-    (``h_known``, ``hu_inv``) — only the right-hand sides differ — so the
-    per-plane Python loop collapses into index arrays applied once:
-
-    * ``(n1, z1, c1, n2, z2, c2)`` uncouple every known symbol in one shot:
-      ``U = c1·C[n1, z1] ⊕ c2·C[n2, z2]`` (a fixed symbol has ``c1 = 1,
-      c2 = 0``);
-    * the planes batch into columns for the two :class:`CodingPlan`
-      applications (solve systems are column-independent);
-    * ``dst_planes[pos]`` are the failed-node planes each same-column
-      helper's coupling pairs rebuild.
-    """
-
-    planes: np.ndarray  # (P,) repair-plane indices
-    known: np.ndarray  # (K,) cross-column helper nodes
-    helpers_same_col: np.ndarray  # (s-1,) same-column helper nodes
-    n1: np.ndarray  # (K, P) first gather: node index
-    z1: np.ndarray  # (K, P) first gather: plane index
-    c1: np.ndarray  # (K, P) first gather: coefficient
-    n2: np.ndarray  # (K, P) second gather: node index
-    z2: np.ndarray  # (K, P) second gather: plane index
-    c2: np.ndarray  # (K, P) second gather: coefficient
-    h_known_plan: CodingPlan  # compiled h_scalar[:, known]
-    hu_inv_plan: CodingPlan  # compiled inverse of h_scalar[:, unknown]
-    dst_planes: np.ndarray  # (s-1, P) failed-node planes rebuilt via coupling
 
 
 class MSRCode(LinearVectorCode):
@@ -152,7 +120,7 @@ class MSRCode(LinearVectorCode):
             super().__init__(n=n, k=k, generator=generator, subpacketization=l, w=w)
             self.gamma = g
             self.h_scalar = h_scalar
-            self._prepare_repair_programs()
+            self._prepare_repair_plans()
             if self._verify_mds(verify, rng):
                 return
             last_err = UnrecoverableError(f"gamma={g} fails the MDS check")
@@ -277,93 +245,36 @@ class MSRCode(LinearVectorCode):
         return True
 
     # --------------------------------------------------------------------- repair
-    def _prepare_repair_programs(self) -> None:
-        """Precompute, per failed node, the batched repair program.
+    def _prepare_repair_plans(self) -> None:
+        """Precompute, per failed node, the fused repair plan.
 
-        Besides the r×r solve matrix over the unknown U's (kept in
-        ``_repair_solvers`` for the naive reference path), this compiles a
-        :class:`_RepairProgram` whose index/coefficient arrays let the
-        batched kernel process all ``l/s`` planes in one vectorized pass —
-        and then folds the *entire* pipeline (uncouple → solve → coupling
-        rebuild), which is GF-linear in the helper symbols, into a single
-        ``(l × n·l)`` matrix by running the batched kernel on the identity
-        basis.  :meth:`repair` executes that one fused :class:`CodingPlan`.
+        The r×r solve matrix over the unknown U's is kept in
+        ``_repair_solvers`` for the plane-looped reference kernel.  The
+        *entire* repair pipeline (uncouple → solve → coupling rebuild) is
+        GF-linear in the helper symbols, so running that reference kernel
+        on the identity basis yields its ``(l × n·l)`` matrix;
+        :meth:`repair` executes that one fused :class:`CodingPlan`.
         """
-        gf = GF.get(self._w)
-        _, Minv = self._coupling_coeffs(self.gamma)
+        l = self.subpacketization
+        eye = np.eye(self.n * l, dtype=self._gf.dtype)
         self._repair_solvers: dict[int, tuple[list[int], list[int], np.ndarray]] = {}
-        self._repair_programs: dict[int, _RepairProgram] = {}
+        # the raw matrices are kept: their per-helper column slices are the
+        # partial-combination kernels of the streamed/pipelined repair
+        # (columns of the failed node stay zero)
+        self._repair_matrices: dict[int, np.ndarray] = {}
         self._repair_fused: dict[int, CodingPlan] = {}
         for f in range(self.n):
             x0, y0 = self._coords(f)
             same_col = [self._node(x, y0) for x in range(self.s) if x != x0]
             unknown_nodes = [f] + same_col
             known_nodes = [i for i in range(self.n) if i not in unknown_nodes]
-            hu = self.h_scalar[:, unknown_nodes]
-            hu_inv = inverse(hu, w=self._w)
+            hu_inv = inverse(self.h_scalar[:, unknown_nodes], w=self._w)
             self._repair_solvers[f] = (unknown_nodes, known_nodes, hu_inv)
 
-            planes = np.asarray(self.repair_planes(f), dtype=np.intp)
-            K, P = len(known_nodes), len(planes)
-            n1 = np.empty((K, P), dtype=np.intp)
-            z1 = np.empty((K, P), dtype=np.intp)
-            n2 = np.empty((K, P), dtype=np.intp)
-            z2 = np.empty((K, P), dtype=np.intp)
-            c1 = np.empty((K, P), dtype=gf.dtype)
-            c2 = np.empty((K, P), dtype=gf.dtype)
-            for a, i in enumerate(known_nodes):
-                x, _ = self._coords(i)
-                for b, z in enumerate(int(z) for z in planes):
-                    part = self._partner(i, z)
-                    if part is None:
-                        # fixed symbol: U = C, expressed as 1·C ⊕ 0·C
-                        n1[a, b], z1[a, b], c1[a, b] = i, z, 1
-                        n2[a, b], z2[a, b], c2[a, b] = i, z, 0
-                        continue
-                    j, zp = part
-                    xj, _ = self._coords(j)
-                    if x < xj:
-                        row = Minv[0]
-                        n1[a, b], z1[a, b] = i, z
-                        n2[a, b], z2[a, b] = j, zp
-                    else:
-                        row = Minv[1]
-                        n1[a, b], z1[a, b] = j, zp
-                        n2[a, b], z2[a, b] = i, z
-                    c1[a, b], c2[a, b] = int(row[0]), int(row[1])
-            dst = np.empty((len(same_col), P), dtype=np.intp)
-            for pos, helper in enumerate(same_col):
-                x, _ = self._coords(helper)
-                dst[pos] = [self._set_digit(int(z), y0, x) for z in planes]
-            self._repair_programs[f] = _RepairProgram(
-                planes=planes,
-                known=np.asarray(known_nodes, dtype=np.intp),
-                helpers_same_col=np.asarray(same_col, dtype=np.intp),
-                n1=n1,
-                z1=z1,
-                c1=c1,
-                n2=n2,
-                z2=z2,
-                c2=c2,
-                h_known_plan=CodingPlan(self.h_scalar[:, known_nodes], w=self._w),
-                hu_inv_plan=CodingPlan(hu_inv, w=self._w),
-                dst_planes=dst,
-            )
-
-        # Repair is linear over the helper symbols: feeding the batched
-        # kernel the identity basis yields its (l × n·l) matrix, whose
-        # compiled plan replaces the whole multi-stage pipeline with one
-        # fused application (columns of the failed node stay zero).
-        l = self.subpacketization
-        eye = np.eye(self.n * l, dtype=gf.dtype)
-        self._repair_matrices: dict[int, np.ndarray] = {}
-        for f in range(self.n):
             basis_view = {
                 i: eye[i * l : (i + 1) * l] for i in range(self.n) if i != f
             }
-            repair_matrix = self._repair_coupled_batched(f, basis_view)
-            # the raw matrix is kept: its per-helper column slices are the
-            # partial-combination kernels of the streamed/pipelined repair
+            repair_matrix = self._repair_coupled_naive(f, basis_view)
             self._repair_matrices[f] = repair_matrix
             self._repair_fused[f] = CodingPlan(repair_matrix, w=self._w)
         self._shortened_fused: dict[tuple[int, int], CodingPlan] = {}
@@ -381,11 +292,11 @@ class MSRCode(LinearVectorCode):
     def _repair_coupled_naive(self, failed: int, view: dict[int, np.ndarray]) -> np.ndarray:
         """Reference repair kernel: one solve per plane, Python-looped.
 
-        This is the original (pre-vectorization) implementation, kept as
-        the executable specification the batched path is property-tested
-        against (``tests/test_kernel_equivalence.py``).  ``view`` maps each
-        helper to its ``(l, sub)`` plane view; returns the rebuilt
-        ``(l, sub)`` block.
+        The executable specification: the fused matrix is derived from it
+        at construction and :meth:`repair` is property-tested against it
+        (``tests/test_kernel_equivalence.py``).  ``view`` maps each helper
+        to its ``(l, sub)`` plane view; returns the rebuilt ``(l, sub)``
+        block.
         """
         gf = GF.get(self._w)
         l = self.subpacketization
@@ -443,50 +354,6 @@ class MSRCode(LinearVectorCode):
                 failed_block[z_dst] = c_f
         return failed_block
 
-    def _repair_coupled_batched(self, failed: int, view: dict[int, np.ndarray]) -> np.ndarray:
-        """Vectorized repair kernel: all ``l/s`` planes solved in one pass.
-
-        Byte-identical to :meth:`_repair_coupled_naive` (same GF formulas,
-        planes batched into columns of the shared solve systems).
-        """
-        gf = GF.get(self._w)
-        prog = self._repair_programs[failed]
-        l = self.subpacketization
-        sub = next(iter(view.values())).shape[1]
-        P = len(prog.planes)
-
-        # All helper planes as one (n, l, sub) array; the failed node's row
-        # stays zero and is never gathered.
-        S = np.zeros((self.n, l, sub), dtype=gf.dtype)
-        for i, v in view.items():
-            S[i] = v
-
-        # Uncouple every (known node, plane) symbol in two fancy gathers.
-        known_u = np.bitwise_xor(
-            gf.mul(prog.c1[:, :, None], S[prog.n1, prog.z1]),
-            gf.mul(prog.c2[:, :, None], S[prog.n2, prog.z2]),
-        )
-        # The P per-plane solve systems share their matrices — batch the
-        # planes into columns of one fused application each.
-        rhs = prog.h_known_plan.apply(known_u.reshape(len(prog.known), P * sub))
-        solved = prog.hu_inv_plan.apply(rhs).reshape(self.r, P, sub)
-
-        failed_block = np.empty((l, sub), dtype=gf.dtype)
-        # U == C on repair planes for the failed node
-        failed_block[prog.planes] = solved[0]
-
-        if len(prog.helpers_same_col):
-            # Rebuild the remaining planes through the coupling pairs with the
-            # same-column helpers.  Both pair orientations reduce to the same
-            # formulas (XOR commutes): u_f = γ⁻¹(c_h ⊕ u_h), c_f = γ·u_h ⊕ u_f.
-            inv_gamma = int(gf.inv(self.gamma))
-            u_h = solved[1:]  # (s-1, P, sub)
-            c_h = S[prog.helpers_same_col[:, None], prog.planes[None, :]]
-            u_f = gf.mul(inv_gamma, np.bitwise_xor(c_h, u_h))
-            c_f = np.bitwise_xor(gf.mul(self.gamma, u_h), u_f)
-            failed_block[prog.dst_planes] = c_f
-        return failed_block
-
     def _fused_plan(self, failed: int, data_nodes: int) -> CodingPlan:
         """The fused repair plan over a stripe holding ``data_nodes`` data rows.
 
@@ -516,8 +383,7 @@ class MSRCode(LinearVectorCode):
         and into the lost node's row — the fused matrix's columns for the
         failed node are zero, so nothing is staged and that row is never
         read.  The plane-looped reference kernel is kept as
-        :meth:`_repair_coupled_naive` and the staged vectorized kernel as
-        :meth:`_repair_coupled_batched`.
+        :meth:`_repair_coupled_naive`.
 
         ``shards`` is either a mapping survivor → block (a fresh block is
         returned) or the stored stripe itself as a ``(data, parity)`` pair

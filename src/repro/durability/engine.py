@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cluster.namenode import NameNode
+from ..codes.families import BaselineMSRFamily, GroupedMSRFamily, RSFamily
 from ..experiments.parallel import map_tasks
 from ..fusion.costmodel import SystemProfile
 from ..metrics.reliability import HOURS_PER_YEAR, ReliabilityModel
@@ -226,9 +227,11 @@ def _prepare_scheme(config: DurabilityConfig, scheme: str):
     chunk_rate = 1.0 / config.disk_mttf_hours
     k, r = config.k, config.r
     width = k + r
+    # helper counts are the family descriptors', not literals
+    rs_reads = len(RSFamily(k, r).repair_reads(0))
     if scheme == "rs":
         a = _patterns(
-            topo, width, [(0, width)], r, k, model.repair_hours("rs"), chunk_rate
+            topo, width, [(0, width)], r, rs_reads, model.repair_hours("rs"), chunk_rate
         )
         return a, None
     if scheme == "msr":
@@ -237,7 +240,7 @@ def _prepare_scheme(config: DurabilityConfig, scheme: str):
             width,
             [(0, width)],
             r,
-            width - 1,
+            BaselineMSRFamily(k, r).stored_helpers,
             model.repair_hours("msr"),
             chunk_rate,
         )
@@ -247,10 +250,10 @@ def _prepare_scheme(config: DurabilityConfig, scheme: str):
         # q = ⌈k/r⌉ independent MSR(2r, r) groups with fast repair —
         # the exact population the analytic mixture MTTDL integrates
         rs_patterns = _patterns(
-            topo, width, [(0, width)], r, k, model.repair_hours("rs"), chunk_rate
+            topo, width, [(0, width)], r, rs_reads, model.repair_hours("rs"), chunk_rate
         )
-        q = -(-k // r)
-        group = 2 * r
+        msr = GroupedMSRFamily(k, r)
+        q, group = msr.copies, msr.n_eff
         msr_patterns = _patterns(
             topo,
             q * group,

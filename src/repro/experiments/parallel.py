@@ -26,21 +26,10 @@ Workers inherit the parent's telemetry switches (enabled flags, trace
 capacity, snapshot interval) through the explicit ``flags`` payload —
 never through fork-time global state — so a ``--report`` campaign
 collects the same series under any job count.
-
-Large worker→parent payloads (results plus exported telemetry can reach
-tens of MB per cell under ``--report``) bypass the executor's result
-pipe: the worker pickles once into a ``multiprocessing.shared_memory``
-segment and ships only a tiny handle; the parent reclaims, copies and
-unlinks the segment.  The bytes that cross are the *same* pickle the
-pipe would have carried, so byte-identity with serial is untouched.
-``REPRO_SHM_MIN_BYTES`` tunes the cutover (default 256 KiB; negative
-disables shared-memory transfer entirely).
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -49,11 +38,6 @@ from ..cluster import SimulationResult, run_workload
 from ..telemetry import METRICS, SNAPSHOTS, TRACER
 from ..workloads import failures_for_trace, make_trace
 from .runner import SCHEME_ORDER, ExperimentConfig, build_schemes
-
-try:  # pragma: no cover - present on every supported platform
-    from multiprocessing import resource_tracker, shared_memory
-except ImportError:  # pragma: no cover
-    shared_memory = None  # type: ignore[assignment]
 
 __all__ = ["CampaignTask", "campaign_tasks", "run_campaign_tasks", "map_tasks"]
 
@@ -116,90 +100,6 @@ def _merge_telemetry(state: dict) -> None:
     METRICS.merge_state(state["metrics"])
     TRACER.merge_state(state["trace"])
     SNAPSHOTS.merge_state(state["snapshots"])
-
-
-# -- shared-memory payload transfer -----------------------------------------
-
-#: default worker→parent payload size at which SHM beats the result pipe
-_SHM_DEFAULT_MIN_BYTES = 1 << 18
-
-#: parent-side reclaim statistics — how many segments / payload bytes the
-#: current process pulled over shared memory (tests observe this)
-SHM_STATS = {"segments": 0, "bytes": 0}
-
-
-def _shm_min_bytes() -> int | None:
-    """The SHM cutover in bytes, or None when transfer is disabled."""
-    if shared_memory is None:
-        return None
-    raw = os.environ.get("REPRO_SHM_MIN_BYTES", "")
-    if not raw:
-        return _SHM_DEFAULT_MIN_BYTES
-    try:
-        val = int(raw)
-    except ValueError:
-        return _SHM_DEFAULT_MIN_BYTES
-    return None if val < 0 else val
-
-
-@dataclass(frozen=True)
-class _ShmHandle:
-    """Worker→parent ticket for one pickled payload parked in SHM."""
-
-    name: str
-    size: int
-
-
-def _ship(payload):
-    """Worker-side: park a large payload in shared memory, else pass through.
-
-    The payload is pickled exactly once either way — the executor pipe
-    would pickle a passed-through object with the same protocol — so the
-    reclaimed object is byte-identical to what the pipe delivers.
-    """
-    min_bytes = _shm_min_bytes()
-    if min_bytes is None:
-        return payload
-    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(blob) < min_bytes:
-        return payload
-    seg = shared_memory.SharedMemory(create=True, size=max(len(blob), 1))
-    seg.buf[: len(blob)] = blob
-    # The worker exits before the parent reads: stop this process's
-    # resource tracker from reaping the segment at shutdown — the parent
-    # unlinks it after reclaiming (see cpython bpo-39959).
-    try:
-        resource_tracker.unregister(seg._name, "shared_memory")
-    except Exception:
-        pass
-    handle = _ShmHandle(name=seg.name, size=len(blob))
-    seg.close()
-    return handle
-
-
-def _reclaim(payload):
-    """Parent-side: resolve a SHM handle back into its payload object."""
-    if not isinstance(payload, _ShmHandle):
-        return payload
-    seg = shared_memory.SharedMemory(name=payload.name)
-    try:
-        blob = bytes(seg.buf[: payload.size])
-    finally:
-        seg.close()
-        seg.unlink()
-    SHM_STATS["segments"] += 1
-    SHM_STATS["bytes"] += payload.size
-    return pickle.loads(blob)
-
-
-@dataclass(frozen=True)
-class _ShmCall:
-    """Picklable wrapper running ``fn`` in a worker and shipping via SHM."""
-
-    fn: Callable
-
-    def __call__(self, task):
-        return _ship(self.fn(task))
 
 
 # -- cell execution ---------------------------------------------------------
@@ -269,9 +169,7 @@ def run_campaign_tasks(
     items = [(task, flags, runner) for task in tasks]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            payloads = [
-                _reclaim(p) for p in pool.map(_ShmCall(_isolated_cell), items)
-            ]
+            payloads = list(pool.map(_isolated_cell, items))
     else:
         payloads = [_isolated_cell(item) for item in items]
     # Rebuild global telemetry deterministically: pre-existing state
@@ -299,5 +197,5 @@ def map_tasks(fn, tasks: list, jobs: int = 1) -> list:
         raise ValueError("jobs must be >= 1")
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            return [_reclaim(p) for p in pool.map(_ShmCall(fn), tasks)]
+            return list(pool.map(fn, tasks))
     return [fn(task) for task in tasks]

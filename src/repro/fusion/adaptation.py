@@ -23,7 +23,7 @@ codes — and Queue2 evictions return cooled stripes to the default family.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Hashable, Mapping, Sequence
@@ -188,14 +188,17 @@ class AdaptiveSelector:
         self._events += 1
         if self.idle_window is None:
             return []
-        out: list[Conversion] = []
-        for entry in self.queue2.expire_idle(self._events - self.idle_window):
-            if self.codes is None:
-                if self.code_of(entry.key) is CodeKind.MSR:
-                    out.append(self._convert(entry.key, CodeKind.RS, "idle-expiry"))
-            elif self.code_of(entry.key) is not self.default:
-                out.append(self._convert(entry.key, self.default, "idle-expiry"))
-        return out
+        return self._cool(
+            self.queue2.expire_idle(self._events - self.idle_window), "idle-expiry"
+        )
+
+    def _cool(self, entries, trigger: str) -> list[Conversion]:
+        """Trigger 3: a cooled non-default stripe returns to the default."""
+        return [
+            self._convert(entry.key, self.default, trigger)
+            for entry in entries
+            if self.code_of(entry.key) is not self.default
+        ]
 
     def _retarget(self, stripe: Hashable, trigger: str) -> list[Conversion]:
         """Multi-code re-score of one stripe; converts if a family wins
@@ -238,12 +241,7 @@ class AdaptiveSelector:
         out = self._tick()
         self._recoveries[stripe] += 1
         evicted = self.queue2.record(stripe, clock=self._events)
-        for entry in evicted:
-            if self.codes is None:
-                if self.code_of(entry.key) is CodeKind.MSR:
-                    out.append(self._convert(entry.key, CodeKind.RS, "queue2-evict"))
-            elif self.code_of(entry.key) is not self.default:
-                out.append(self._convert(entry.key, self.default, "queue2-evict"))
+        out.extend(self._cool(evicted, "queue2-evict"))
         if self.codes is not None:
             out.extend(self._retarget(stripe, "recovery-insert"))
         elif self.code_of(stripe) is not CodeKind.MSR and self.cost_model.prefers_msr(
@@ -287,40 +285,32 @@ class AdaptiveSelector:
     @property
     def msr_fraction(self) -> float:
         """Fraction of tracked stripes currently held in MSR."""
-        if not self._flags:
-            return 0.0
-        msr = sum(1 for v in self._flags.values() if v is CodeKind.MSR)
-        return msr / len(self._flags)
+        return self.code_fractions().get("msr", 0.0)
 
     def code_fractions(self) -> dict[str, float]:
         """Fraction of tracked stripes per code family (multi-code view)."""
         kinds = self.codes or (CodeKind.RS, CodeKind.MSR)
-        if not self._flags:
-            return {kind.value: 0.0 for kind in kinds}
-        total = len(self._flags)
-        return {
-            kind.value: sum(1 for v in self._flags.values() if v is kind) / total
-            for kind in kinds
-        }
+        held = Counter(self._flags.values())
+        total = len(self._flags) or 1
+        return {kind.value: held[kind] / total for kind in kinds}
 
     def stats(self) -> dict[str, float]:
         """Counters for experiment reports."""
-        by_trigger: dict[str, int] = defaultdict(int)
+        by_trigger: Counter[str] = Counter()
+        by_target: Counter[CodeKind] = Counter()
         for c in self.conversions:
             by_trigger[c.trigger] += 1
+            by_target[c.target] += 1
+        fractions = self.code_fractions()
         out = {
             "eta": self.eta,
             "conversions": len(self.conversions),
-            "to_msr": sum(1 for c in self.conversions if c.target is CodeKind.MSR),
-            "to_rs": sum(1 for c in self.conversions if c.target is CodeKind.RS),
-            "msr_fraction": self.msr_fraction,
+            "to_msr": by_target[CodeKind.MSR],
+            "to_rs": by_target[CodeKind.RS],
+            "msr_fraction": fractions.get("msr", 0.0),
             **{f"trigger:{k}": v for k, v in by_trigger.items()},
         }
         if self.codes is not None:
-            for kind in self.codes:
-                out[f"to_{kind.value}"] = sum(
-                    1 for c in self.conversions if c.target is kind
-                )
-            for name, frac in self.code_fractions().items():
-                out[f"fraction:{name}"] = frac
+            out.update((f"to_{kind.value}", by_target[kind]) for kind in self.codes)
+            out.update((f"fraction:{name}", frac) for name, frac in fractions.items())
         return out

@@ -51,7 +51,6 @@ from .spans import (
 )
 from .causal import (
     PHASES,
-    SpanNode,
     TailExplanation,
     attribute_phases,
     attribution_summary,
@@ -78,7 +77,6 @@ __all__ = [
     "SnapshotSeries",
     "Span",
     "SpanContext",
-    "SpanNode",
     "TailExplanation",
     "TraceAnalysis",
     "TraceEvent",

@@ -44,13 +44,12 @@ Examples
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .spans import nearest_rank
+from .spans import _ID_KEYS, Span, nearest_rank
 
 __all__ = [
     "PHASES",
-    "SpanNode",
     "build_traces",
     "attribute_phases",
     "critical_path",
@@ -64,52 +63,8 @@ __all__ = [
 #: The phase vocabulary the serving/recovery emitters use (plus ``other``).
 PHASES = ("queue", "network", "decode", "repair-ride", "retry", "other")
 
-#: Root-span kinds whose *residual* time is untagged coordination work.
-_ROOT_KINDS = ("request", "recovery")
 
-
-@dataclass
-class SpanNode:
-    """One reconstructed causal span with its children attached."""
-
-    kind: str
-    start: float
-    end: float
-    trace_id: int
-    span_id: int
-    parent_id: int | None = None
-    fields: dict = field(default_factory=dict)
-    children: list["SpanNode"] = field(default_factory=list)
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    @property
-    def phase(self) -> str:
-        """The phase this span's own (child-uncovered) time belongs to.
-
-        Explicit ``phase`` tags win; root kinds fall back to ``other``
-        (their residual is coordination, not a named phase); anything
-        else stands under its kind name.
-        """
-        tagged = self.fields.get("phase")
-        if tagged:
-            return str(tagged)
-        if self.kind in _ROOT_KINDS:
-            return "other"
-        return self.kind
-
-    def label(self) -> str:
-        """Short human identifier for rendering (kind + salient fields)."""
-        bits = [self.kind]
-        for key in ("op", "stage", "key", "stripe", "block", "attempt"):
-            if key in self.fields:
-                bits.append(f"{key}={self.fields[key]}")
-        return " ".join(bits)
-
-
-def build_traces(events) -> list[SpanNode]:
+def build_traces(events) -> list[Span]:
     """Reconstruct span trees from event dicts; returns the root spans.
 
     Only events carrying the three causal ids *and* a ``latency`` take
@@ -120,28 +75,13 @@ def build_traces(events) -> list[SpanNode]:
     is deterministic: roots sort by ``(start, span_id)``, children
     likewise.
     """
-    nodes: dict[tuple, SpanNode] = {}
+    nodes: dict[tuple, Span] = {}
     for ev in events:
         if "trace_id" not in ev or "span_id" not in ev or "latency" not in ev:
             continue
-        end = float(ev["ts"])
-        latency = float(ev["latency"])
-        payload = {
-            k: v
-            for k, v in ev.items()
-            if k not in ("ts", "kind", "latency", "trace_id", "span_id", "parent_id")
-        }
-        node = SpanNode(
-            kind=str(ev.get("kind", "span")),
-            start=end - latency,
-            end=end,
-            trace_id=int(ev["trace_id"]),
-            span_id=int(ev["span_id"]),
-            parent_id=(int(ev["parent_id"]) if ev.get("parent_id") is not None else None),
-            fields=payload,
-        )
+        node = Span.from_event(ev)
         nodes[(node.trace_id, node.span_id)] = node
-    roots: list[SpanNode] = []
+    roots: list[Span] = []
     for node in nodes.values():
         parent = (
             nodes.get((node.trace_id, node.parent_id))
@@ -158,7 +98,7 @@ def build_traces(events) -> list[SpanNode]:
     return roots
 
 
-def _sweep(node: SpanNode):
+def _sweep(node: Span):
     """Yield ``(child, clipped_start, clipped_end)`` in causal time order.
 
     Children are swept left to right across the parent's interval; each
@@ -176,7 +116,7 @@ def _sweep(node: SpanNode):
         cursor = hi
 
 
-def attribute_phases(node: SpanNode) -> dict[str, float]:
+def attribute_phases(node: Span) -> dict[str, float]:
     """Per-phase seconds of one span tree; values sum to ``node.duration``.
 
     Leaves contribute their whole duration to their phase.  Internal
@@ -201,7 +141,7 @@ def attribute_phases(node: SpanNode) -> dict[str, float]:
     return out
 
 
-def critical_path(node: SpanNode) -> list[dict]:
+def critical_path(node: Span) -> list[dict]:
     """The root-to-leaf time decomposition as flat, ordered segments.
 
     Each segment is ``{"start", "end", "phase", "label", "depth"}``;
@@ -211,7 +151,7 @@ def critical_path(node: SpanNode) -> list[dict]:
     """
     segments: list[dict] = []
 
-    def walk(span: SpanNode, depth: int) -> None:
+    def walk(span: Span, depth: int) -> None:
         if not span.children:
             segments.append(
                 {
@@ -256,7 +196,7 @@ def critical_path(node: SpanNode) -> list[dict]:
 _percentile = nearest_rank
 
 
-def _select_roots(roots: list[SpanNode], op: str) -> list[SpanNode]:
+def _select_roots(roots: list[Span], op: str) -> list[Span]:
     """Request roots matching an explain target.
 
     ``op`` is a request op (``get``/``put``/``delete``), ``degraded``
@@ -361,7 +301,7 @@ def explain_tail(
     """
     if not 0 <= q <= 1:
         raise ValueError("q must be in [0, 1]")
-    if isinstance(events, list) and events and isinstance(events[0], SpanNode):
+    if isinstance(events, list) and events and isinstance(events[0], Span):
         roots = events
     else:
         roots = build_traces(events)
@@ -452,7 +392,7 @@ def to_chrome_trace(events) -> dict:
                     "args": {
                         "span_id": node.span_id,
                         "parent_id": node.parent_id,
-                        **{k: v for k, v in node.fields.items()},
+                        **{k: v for k, v in node.fields.items() if k not in _ID_KEYS},
                     },
                 }
             )

@@ -47,19 +47,72 @@ __all__ = [
 #: Event kinds that carry a ``latency`` field and reconstruct to spans.
 SPAN_KINDS = ("request", "recovery", "conversion")
 
+#: The causal ids a traced event carries next to its payload.
+_ID_KEYS = ("trace_id", "span_id", "parent_id")
+
+#: Root-span kinds whose *residual* time is untagged coordination work.
+_ROOT_KINDS = ("request", "recovery")
+
 
 @dataclass(frozen=True)
 class Span:
-    """One closed interval of work reconstructed from a completion event."""
+    """One closed interval of work reconstructed from a completion event.
+
+    ``fields`` is the event's whole payload (everything but ``ts``, ``kind``
+    and ``latency``).  Events emitted under a
+    :class:`~repro.telemetry.tracing.SpanContext` also carry the three
+    causal ids, and :func:`repro.telemetry.causal.build_traces` hangs
+    each span's ``children`` under it.
+    """
 
     kind: str
     start: float
     end: float
     fields: dict = field(default_factory=dict)
+    trace_id: int | None = None
+    span_id: int | None = None
+    parent_id: int | None = None
+    children: list["Span"] = field(default_factory=list)
+
+    @classmethod
+    def from_event(cls, ev: dict) -> "Span":
+        """Rebuild ``[ts − latency, ts]`` from one completion event."""
+        end = float(ev["ts"])
+        ids = {key: int(ev[key]) for key in _ID_KEYS if ev.get(key) is not None}
+        return cls(
+            kind=str(ev.get("kind", "span")),
+            start=end - float(ev["latency"]),
+            end=end,
+            fields={k: v for k, v in ev.items() if k not in ("ts", "kind", "latency")},
+            **ids,
+        )
 
     @property
     def duration(self) -> float:
         return self.end - self.start
+
+    @property
+    def phase(self) -> str:
+        """The phase this span's own (child-uncovered) time belongs to.
+
+        Explicit ``phase`` tags win; root kinds fall back to ``other``
+        (their residual is coordination, not a named phase); anything
+        else stands under its kind name.
+        """
+        tagged = self.fields.get("phase")
+        if tagged:
+            return str(tagged)
+        if self.kind in _ROOT_KINDS:
+            return "other"
+        return self.kind
+
+    def label(self) -> str:
+        """Short human identifier for rendering (kind + salient fields)."""
+        bits = [self.kind]
+        for key in ("op", "stage", "key", "stripe", "block", "attempt"):
+            if key in self.fields:
+                bits.append(f"{key}={self.fields[key]}")
+        return " ".join(bits)
 
     def to_dict(self) -> dict:
         """Flat JSON-ready view (payload fields inlined)."""
@@ -90,19 +143,15 @@ def nearest_rank(ordered: list[float], q: float) -> float:
     return ordered[min(len(ordered) - 1, idx)]
 
 
-#: Backwards-compatible alias used throughout this module.
-_percentile = nearest_rank
-
-
 def _latency_summary(durations: list[float]) -> dict:
     ordered = sorted(durations)
     n = len(ordered)
     return {
         "count": n,
         "mean": sum(ordered) / n if n else 0.0,
-        "p50": _percentile(ordered, 0.50),
-        "p95": _percentile(ordered, 0.95),
-        "p99": _percentile(ordered, 0.99),
+        "p50": nearest_rank(ordered, 0.50),
+        "p95": nearest_rank(ordered, 0.95),
+        "p99": nearest_rank(ordered, 0.99),
         "max": ordered[-1] if n else 0.0,
     }
 
@@ -273,15 +322,11 @@ class TraceAnalysis:
 def analyze_events(events: Iterable[dict]) -> TraceAnalysis:
     """Build a :class:`TraceAnalysis` from already-parsed event dicts."""
     events = list(events)
-    spans = []
-    for ev in events:
-        if ev.get("kind") in SPAN_KINDS and "latency" in ev:
-            end = float(ev["ts"])
-            latency = float(ev["latency"])
-            payload = {
-                k: v for k, v in ev.items() if k not in ("ts", "kind", "latency")
-            }
-            spans.append(Span(kind=ev["kind"], start=end - latency, end=end, fields=payload))
+    spans = [
+        Span.from_event(ev)
+        for ev in events
+        if ev.get("kind") in SPAN_KINDS and "latency" in ev
+    ]
     return TraceAnalysis(events=events, spans=spans)
 
 

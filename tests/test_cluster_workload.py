@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig, run_workload
+from repro.cluster import Cluster, ClusterConfig, SimulationResult, run_workload
 from repro.fusion.costmodel import SystemProfile
 from repro.hybrid import ECFusionPlanner, OpPlan, PlanKind, RSPlanner
 from repro.workloads import FailureEvent, OpType, Request, Trace
@@ -178,3 +178,18 @@ class TestPercentiles:
             res.app_percentile(1.5)
         with pytest.raises(ValueError):
             res.recovery_percentile(-0.1)
+
+    def test_p50_of_100_samples_is_the_50th(self):
+        """Nearest rank, not ``round(q·(n−1))`` (which picks the 51st)."""
+        res = SimulationResult(
+            scheme="t",
+            trace="t",
+            read_latencies=[float(i) for i in range(100, 40, -1)],
+            write_latencies=[float(i) for i in range(1, 41)],
+            recovery_latencies=[float(i) for i in range(100, 0, -1)],
+        )
+        assert res.app_percentile(0.5) == 50.0
+        assert res.recovery_percentile(0.5) == 50.0
+        assert res.recovery_percentile(0.99) == 99.0
+        assert res.recovery_percentile(1.0) == 100.0
+        assert res.app_percentile(0.0) == 1.0

@@ -1,5 +1,6 @@
 """Tests for the coupled-layer MSR code — MDS + optimal repair bandwidth."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -282,3 +283,72 @@ class TestConstraintInvariants:
                                          gf.mul(int(row[1]), int(b))))
         for z in range(l):
             assert not mat_vec(msr.h_scalar, u[:, z]).any(), z
+
+
+#: sha256 of ``_repair_matrices[f].tobytes()`` per failed node, recorded at
+#: commit d7a9440 while the plane-batched kernel still derived the matrices.
+#: Do not re-record: these pin the fused repair plan across rederivations.
+REPAIR_MATRIX_SHA256 = {
+    (4, 2): [
+        "655ccbf14c60a6f61b3b94508882f1f11cc3451f8ea30e74cdc327a2f920f452",
+        "1acd238c91886cd57b5d9d1974d0d54791110dafb866c6e6f7c60e9913fc8bb8",
+        "bbd997b6effee1e80a329d001d2362932513ca17681c9147782da43b99d32e1f",
+        "fed4211a3cc9d60f9affea1221a2e4035342a877f289347b4e40b942a5f3bb43",
+    ],
+    (6, 3): [
+        "e21c9392a22729185ee5f981ef66b369cf8138df9d930ef296c5e60280bfb5e8",
+        "3d63b2be9732449960f48032d2a1efb0d2889c2cda1a5ea91834ede0b068b3b9",
+        "64680b20676981f4e8a17915c126828c67deefcd0f4f32490f6d58f6100b62d4",
+        "4cca30d404730ccbe7d8eed8a5ded78615056ba926aac6100a5aa15e2a656d14",
+        "d38e96314fde58fa9082448bb41d79f1b97b52f6b27b37c75cbebc0b9401e5bb",
+        "82e72184ee65d25cdcb5965b03e43fefa1fdde0d0d238c2ba9b7507e0aea0c4f",
+    ],
+    (8, 4): [
+        "96b1642096dd218c1982b82322d955dbfab6f89ad594a4ae73ff156bb67d10fe",
+        "cd4614f4dafbf6dc2ac1636f79f4a97f6f0615e1d443959a3472e877ccc729da",
+        "f069af1796c321a8a0cd981ef1bd9725c1b07b52a9a398d08884d99e309a7052",
+        "a5f19c7521d79c6d7b79c149455c359659b9700592585094c5e6ec98c43343ba",
+        "85020b42f7638b3a98ac88a9e646ddfc038b2ef36a0eb25627dd26a549404c4e",
+        "5398282c51f69fcb0c835c5b78a1b7fea3c23c999fc00f51e328ef3eb48a91ba",
+        "d394978a88ab4b2c10fb612ef3faaf589ed9b152c5f143adce813e39d0fa0bc2",
+        "47a7118e2adfa6b65f9cb4bd1970cff00cf448bce8f5d5e680eed14cdef06adc",
+    ],
+    (9, 6): [
+        "9599aabbe7539dcd740f640e4a31270ce52fab7671c1fd7fbeeb4c7d5b307a25",
+        "572efd93fbb91441fd1a9fb82c226bab734d810457cf425a3f562e9cbf3d44ed",
+        "8319790f8360f89c3adf4b888068673aaf1a561d3eddcec37f9035d7b8a48558",
+        "6bcbed4205bd20b2a7bf38467ac901adf57f337773c01e8dcd71b773cd8e8c08",
+        "3f442930cf217241a11337ff707f454152e091ee8225fbb957fe819e755cb501",
+        "3049d76166ac6c52bebe75044411d0316ee80c839a422262c995caf4c80e967a",
+        "87fa5e7be17a28d1bf883c67eff895b13eed14dd0f919d0e77b167fb89d8c47f",
+        "0b3fcd4a023b6218eae6667864499fa6d2d984f7dcfcae6bbcc87f70008db9e7",
+        "36a78d80ae08707ee52d45d811c45d4d9ee85261aff5ff5d95dacf96a75caff9",
+    ],
+    (12, 9): [
+        "a911b0636cf0fc3ce3180c9fff4ad4c2fdb5f924d8199c656ed888674a6e5600",
+        "bc58648f7c31eb6d30d23ee267f8a0cc271f56b0f3723886585a831b924bebac",
+        "255f65fadd0c02626c134b58c578d230be83f0b9b684c4dc781a837527aeeb7f",
+        "91d8fa1d9b89caba9eb673ef42ffc4e571ad5458e352e9bb9afa392e919cbcd5",
+        "0230f305e2878173008bbef2e1f144dfa779b78fc33630ecb7a2cfeb470d4b7e",
+        "d755873b8f2e8711c2bc35993794950ae2d4335f266325b886cc0260066b4cdd",
+        "ac534a00fc204b9f608310d100ea31b7be7dc004795a39b889fc690ef9146025",
+        "06e0e7677dc3ab0fe8959b032f83e33849360927a86e85bb7241d82bbcb94863",
+        "2e91ddf438bad480b1693fdf2374ccbbcd1e82b5b38fd2d2a2c37e569be0dd59",
+        "5d196c6816f4bce7eb6b0eecbf478086adad9d00d0b52dc9ec44060aaad94904",
+        "2d7cfc47d5d70b85657440fd4fcfca68e3256640421c95023e5ba943a6d8632c",
+        "6cc73859bcdd7f1ee675924258843d5c98e1f124b61c8e5437acc21db4dbcc66",
+    ],
+}
+
+
+@pytest.mark.parametrize("nk", REPAIR_MATRIX_SHA256, ids=lambda nk: f"msr{nk[0]}_{nk[1]}")
+def test_repair_matrix_digests(nk):
+    """The fused ``(l × n·l)`` repair matrix of every node is unchanged."""
+    n, k = nk
+    msr = MSRCode(n, k, verify="off")
+    l = msr.subpacketization
+    for f, want in enumerate(REPAIR_MATRIX_SHA256[nk]):
+        mat = msr._repair_matrices[f]
+        assert mat.shape == (l, n * l) and mat.dtype == np.uint8
+        assert not mat[:, f * l : (f + 1) * l].any()  # the lost node is never read
+        assert hashlib.sha256(mat.tobytes()).hexdigest() == want, f"node {f}"

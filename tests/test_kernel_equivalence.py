@@ -7,10 +7,9 @@ deliberately kept each original as an executable specification:
   :func:`apply_to_blocks_naive` (the triple loop);
 * the plan's two dispatch paths (single-gather for tiny blocks,
   per-coefficient-group translate for large ones) vs each other;
-* MSR repair's kernel ladder ``_repair_coupled_naive`` (plane-looped) →
-  ``_repair_coupled_batched`` (vectorized) → ``repair`` (one
-  precompiled fused plan) — all three must agree bit-for-bit for every
-  single-erasure pattern.
+* MSR repair's two rungs, ``_repair_coupled_naive`` (plane-looped
+  spec) and ``repair`` (one precompiled fused plan) — they must agree
+  bit-for-bit for every single-erasure pattern.
 
 This file is the property net under the perf work: any future "faster"
 kernel must keep these green.  Block lengths are chosen odd (and odd
@@ -118,7 +117,7 @@ def test_encode_decode_equivalence_odd_lengths(code):
 
 @pytest.mark.parametrize("nr", [(4, 2), (6, 3), (8, 4)])
 def test_msr_repair_kernel_ladder(nr):
-    """naive == batched == fused for every failed node, odd block length."""
+    """spec == fused ``repair()`` for every failed node, odd block length."""
     n, r = nr
     code = MSRCode(n, r, verify="off")
     l = code.subpacketization
@@ -131,10 +130,8 @@ def test_msr_repair_kernel_ladder(nr):
             i: coded[i].reshape(l, sub) for i in range(code.n) if i != failed
         }
         naive = code._repair_coupled_naive(failed, view)
-        batched = code._repair_coupled_batched(failed, view)
         shards = {i: coded[i] for i in range(code.n) if i != failed}
         fused = code.repair(failed, shards).block.reshape(l, sub)
-        assert np.array_equal(naive, batched), f"batched diverged at node {failed}"
         assert np.array_equal(naive, fused), f"fused diverged at node {failed}"
         assert np.array_equal(fused.reshape(-1), coded[failed])
 

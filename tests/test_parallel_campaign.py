@@ -87,56 +87,6 @@ def test_jobs4_byte_identical_to_serial(config):
     ), "repro.report/v1 diverged under jobs=4"
 
 
-def test_shm_transfer_engages_and_stays_byte_identical(monkeypatch):
-    """With the SHM cutover forced to zero every worker payload rides a
-    shared-memory segment; results and report must still match serial."""
-    from repro.experiments import parallel
-
-    serial, serial_report = _run_with_telemetry(PLAIN, jobs=1)
-    before = dict(parallel.SHM_STATS)
-    monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
-    fanned, fanned_report = _run_with_telemetry(PLAIN, jobs=2)
-    if parallel.shared_memory is not None:
-        assert parallel.SHM_STATS["segments"] > before["segments"], (
-            "no payload crossed over shared memory despite a zero cutover"
-        )
-        assert parallel.SHM_STATS["bytes"] > before["bytes"]
-
-    for key in serial.results:
-        assert pickle.dumps(serial.results[key]) == pickle.dumps(fanned.results[key])
-    serial_report["metrics"] = _strip_wall(serial_report["metrics"])
-    fanned_report["metrics"] = _strip_wall(fanned_report["metrics"])
-    assert json.dumps(serial_report, sort_keys=True) == json.dumps(
-        fanned_report, sort_keys=True
-    )
-
-
-def test_shm_transfer_can_be_disabled(monkeypatch):
-    """A negative cutover turns SHM off: payloads use the pipe unchanged."""
-    from repro.experiments import parallel
-
-    monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "-1")
-    before = dict(parallel.SHM_STATS)
-    campaign = run_campaign(PLAIN, traces=["mds1"], use_cache=False, jobs=2)
-    assert parallel.SHM_STATS == before
-    assert campaign.results
-
-
-def test_shm_ship_reclaim_roundtrip(monkeypatch):
-    """The worker-side ship / parent-side reclaim pair is value-exact."""
-    from repro.experiments import parallel
-
-    if parallel.shared_memory is None:
-        pytest.skip("multiprocessing.shared_memory unavailable")
-    monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
-    payload = {"blob": b"x" * 1024, "nested": [1, 2.5, "three"]}
-    shipped = parallel._ship(payload)
-    assert isinstance(shipped, parallel._ShmHandle)
-    assert parallel._reclaim(shipped) == payload
-    monkeypatch.setenv("REPRO_SHM_MIN_BYTES", str(1 << 30))
-    assert parallel._ship(payload) is payload  # under the cutover: pass-through
-
-
 def test_golden_digest_survives_fanout():
     """The pre-chaos golden digest must hold under any job count."""
     config = ExperimentConfig(num_requests=120, num_stripes=24)

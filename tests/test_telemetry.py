@@ -215,3 +215,67 @@ class TestTraceRoundTrip:
             if json.loads(l)["kind"] == "request"
         )
         assert {"ts", "kind", "scheme", "op", "stripe", "latency", "degraded"} <= set(req)
+
+
+class TestTelemetryIsNeutral:
+    """Telemetry on ≡ off for every simulated output.
+
+    Switching the collectors on may only add records; it must never move
+    an event.  (``FIFOResource.use_ev`` used to take its uncontended fast
+    path only while unmetered, which reordered same-instant events.)
+    """
+
+    @staticmethod
+    def _both_ways(run):
+        outputs = []
+        for metered in (False, True):
+            telemetry.disable()
+            telemetry.reset()
+            if metered:
+                telemetry.enable(metrics=True, tracing=True, snapshots=True)
+            outputs.append(run())
+        return outputs
+
+    def test_degraded_serving_run(self):
+        from repro.server import ServerConfig, WorkloadSpec, run_serving
+
+        spec = WorkloadSpec(
+            target_ops=300,
+            duration=6.0,
+            read_fraction=0.7,
+            distribution="latest",
+            num_objects=64,
+            seed=7,
+        )
+        plain, metered = self._both_ways(
+            lambda: run_serving(spec, ServerConfig(failure_rate=200.0))
+        )
+        assert plain.degraded_latencies and plain.repair_latencies
+        assert metered.get_latencies == plain.get_latencies
+        assert metered.put_latencies == plain.put_latencies
+        assert metered.degraded_latencies == plain.degraded_latencies
+        assert metered.repair_latencies == plain.repair_latencies
+        assert metered.stats == plain.stats
+        assert metered == plain
+
+    def test_chaos_run_workload(self):
+        from repro.experiments import ExperimentConfig
+        from repro.experiments.parallel import CampaignTask, _run_cell
+
+        config = ExperimentConfig(
+            num_requests=200,
+            num_stripes=16,
+            chaos_profile="storm",
+            chaos_seed=1,
+            verify_invariants=True,
+        )
+        for scheme in ("LRC", "EC-Fusion"):
+            plain, metered = self._both_ways(
+                lambda: _run_cell(CampaignTask(config, "mds1", scheme))
+            )
+            assert plain.recovery_latencies and plain.chaos["applied"]
+            assert metered.read_latencies == plain.read_latencies
+            assert metered.write_latencies == plain.write_latencies
+            assert metered.recovery_latencies == plain.recovery_latencies
+            assert metered.chaos == plain.chaos
+            assert metered == plain, scheme
