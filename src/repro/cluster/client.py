@@ -54,6 +54,24 @@ class DeadNodeError(RuntimeError):
         self.node = node
 
 
+class _FanOut(Event):
+    """Counting barrier over the chunk pipelines of one plan phase."""
+
+    __slots__ = ("remaining",)
+
+
+def _second_hop(hop: tuple) -> None:
+    """A chunk left its first resource: occupy the second one."""
+    barrier, occupy, nbytes = hop
+    occupy(nbytes, _chunk_landed, barrier)
+
+
+def _chunk_landed(barrier: _FanOut) -> None:
+    barrier.remaining -= 1
+    if not barrier.remaining:
+        barrier.succeed()
+
+
 class PlanExecutor:
     """Executes plans against the cluster's nodes.
 
@@ -102,10 +120,10 @@ class PlanExecutor:
         yield node.disk.write_ev(nbytes)
 
     # Chaos-free fast path: the two-hop chunk pipelines chained through
-    # event callbacks, with no Process / generator / start event per chunk,
-    # and one shared counting barrier instead of per-chunk completion
-    # events.  Only usable when no chaos state is attached — reachability
-    # checks and partition waits need the generator machinery above.
+    # resource callbacks, with no Process / generator / event / closure per
+    # chunk, and one shared counting barrier.  Only usable when no chaos
+    # state is attached — reachability checks and partition waits need the
+    # generator machinery above.
 
     def _fanout_ev(self, info, items, read: bool) -> Event:
         """Barrier event for all chunk pipelines of one plan phase.
@@ -114,31 +132,17 @@ class PlanExecutor:
         Chunks issue in plan order (the same order the process-based path
         starts them) and the barrier fires when the last chunk lands.
         """
-        barrier = Event(self.sim)
-        remaining = [len(items)]
-
-        def _done(_ev):
-            remaining[0] -= 1
-            if not remaining[0]:
-                barrier.succeed()
-
+        barrier = _FanOut(self.sim)
+        barrier.remaining = len(items)
         nodes = self.nodes
         for slot, nbytes in items:
             node = nodes[info.placement[slot]]
             if not node.alive:
                 raise DeadNodeError(node.node_id)
             if read:
-
-                def _mid(_ev, node=node, nbytes=nbytes):
-                    node.nic.transfer_ev(nbytes).wait(_done)
-
-                node.disk.read_ev(nbytes).wait(_mid)
+                node.disk.read_cb(nbytes, _second_hop, (barrier, node.nic.transfer_cb, nbytes))
             else:
-
-                def _mid(_ev, node=node, nbytes=nbytes):
-                    node.disk.write_ev(nbytes).wait(_done)
-
-                node.nic.transfer_ev(nbytes).wait(_mid)
+                node.nic.transfer_cb(nbytes, _second_hop, (barrier, node.disk.write_cb, nbytes))
         return barrier
 
     def execute(

@@ -13,6 +13,14 @@ The cluster substrate needs only four primitives, modelled after simpy:
 The engine is deterministic: ties in time break by scheduling sequence
 number, so a seeded workload always produces identical latencies.
 
+A heap entry is ``(time, seq, daemon, fn, arg)`` and firing it is
+``fn(arg)`` — :meth:`Simulator.call_later` is the primitive, and a
+timeout, a process start, a resource grant and a resource hold are each
+exactly one entry.  The order of ``(time, seq)`` pushes is the simulated
+result (same-instant events contend for shared disks and NICs in that
+order), so the hot paths below keep every push where it is and only make
+it cheaper.
+
 Events may be scheduled as *daemons* (``schedule(..., daemon=True)``):
 like daemon threads, they fire while real work is pending but never keep
 the simulation alive on their own — ``run()`` stops once only daemon
@@ -30,8 +38,8 @@ process that never resumes.
 from __future__ import annotations
 
 import gc
-import heapq
 from collections import deque
+from heapq import heappop, heappush
 from typing import Callable, Generator, Iterable
 
 from ..telemetry import METRICS
@@ -95,9 +103,11 @@ class Event:
         else:
             self.callbacks.append(callback)
 
-    def succeed_cb(self, _fired: "Event") -> None:
-        """Callback adapter: succeed this event when another one fires."""
-        self.succeed()
+
+def _fire(event: Event) -> None:
+    """Heap-entry function of a scheduled event (unless fired early)."""
+    if not event.triggered:
+        event.succeed(event.value)
 
 
 class Simulator:
@@ -120,59 +130,62 @@ class Simulator:
 
     def __init__(self):
         self.now = 0.0
-        self._heap: list[tuple[float, int, bool, Event]] = []
+        self._heap: list[tuple[float, int, bool, Callable, object]] = []
         self._seq = 0
-        self._pending = 0  # scheduled non-daemon events not yet popped
+        self._pending = 0  # scheduled non-daemon entries not yet popped
 
-    def schedule(self, event: Event, delay: float = 0.0, daemon: bool = False) -> Event:
-        """Arrange for ``event`` to succeed ``delay`` seconds from now.
+    @property
+    def events_scheduled(self) -> int:
+        """Heap entries pushed so far (the tie-breaking sequence number)."""
+        return self._seq
 
-        Daemon events fire in time order like any other, but do not keep
+    def call_later(self, delay: float, fn: Callable, arg=None, daemon: bool = False) -> None:
+        """Arrange for ``fn(arg)`` to run ``delay`` seconds from now.
+
+        The entry-scheduling primitive: one heap entry, no :class:`Event`.
+        Daemon entries fire in time order like any other, but do not keep
         :meth:`run` going: the loop stops once only daemons remain.
         """
         if delay < 0:
             raise ValueError("cannot schedule into the past")
-        self._seq += 1
+        self._seq = seq = self._seq + 1
         if not daemon:
             self._pending += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, daemon, event))
-        if METRICS.enabled:
-            METRICS.gauge("sim.heap_depth", unit="events").set(len(self._heap))
+        heappush(self._heap, (self.now + delay, seq, daemon, fn, arg))
+
+    def schedule(self, event: Event, delay: float = 0.0, daemon: bool = False) -> Event:
+        """Arrange for ``event`` to succeed ``delay`` seconds from now
+        (``daemon`` as in :meth:`call_later`)."""
+        self.call_later(delay, _fire, event, daemon)
         return event
 
     def timeout(self, delay: float, daemon: bool = False) -> Event:
         """An event that fires after ``delay`` simulated seconds."""
-        # Inlined schedule(): this is the single most-called scheduling
-        # entry point, and the extra frame shows up in campaign profiles.
-        if delay < 0:
-            raise ValueError("cannot schedule into the past")
         event = Event(self)
-        self._seq += 1
-        if not daemon:
-            self._pending += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, daemon, event))
-        if METRICS.enabled:
-            METRICS.gauge("sim.heap_depth", unit="events").set(len(self._heap))
+        self.call_later(delay, _fire, event, daemon)
         return event
 
-    def process(self, gen: Generator, daemon: bool = False) -> "Process":
+    def process(
+        self, gen: Generator, daemon: bool = False, at: float | None = None
+    ) -> "Process":
         """Start a coroutine process; returns its completion event.
 
-        A daemon process only marks its *kick-off* event as daemon; any
-        events the generator itself schedules choose their own flag (a
-        pure-daemon loop yields ``timeout(..., daemon=True)``).
+        The process starts now, or at the absolute time ``at``.  A daemon
+        process only marks its *kick-off* entry as daemon; any events the
+        generator itself schedules choose their own flag (a pure-daemon
+        loop yields ``timeout(..., daemon=True)``).
         """
-        return Process(self, gen, daemon=daemon)
+        return Process(self, gen, daemon=daemon, at=at)
 
     def all_of(self, events: Iterable[Event]) -> "AllOf":
         """An event that fires once every listed event has fired."""
         return AllOf(self, list(events))
 
     def step(self) -> bool:
-        """Fire the single next event; False when no real work remains.
+        """Fire the single next entry; False when no real work remains.
 
         One iteration of :meth:`run`'s loop — same pop order, same daemon
-        semantics (the clock stops advancing once only daemon events are
+        semantics (the clock stops advancing once only daemon entries are
         left).  This is the hook the asyncio façade
         (:class:`repro.server.AsyncObjectStore`) uses to drive the
         simulation from an ``await``: each awaited operation steps the
@@ -180,38 +193,43 @@ class Simulator:
         """
         if not self._heap or not self._pending:
             return False
-        _t, _, daemon, event = heapq.heappop(self._heap)
+        if METRICS.enabled:
+            METRICS.gauge("sim.heap_depth", unit="events").set(len(self._heap))
+        t, _, daemon, fn, arg = heappop(self._heap)
         if not daemon:
             self._pending -= 1
-        self.now = _t
-        if not event.triggered:
-            event.succeed(event.value)
+        self.now = t
+        fn(arg)
         return True
 
     def run(self, until: float | None = None) -> None:
-        """Execute events in time order until only daemon events remain
+        """Execute entries in time order until only daemon entries remain
         in the heap (or the clock passes ``until``)."""
         # The loop is the single hottest function of a campaign; bind the
         # heap and heappop locally and pause the cyclic GC (the engine
         # allocates ~1M objects per campaign whose liveness GC passes keep
-        # re-scanning; nothing here creates cycles worth collecting
-        # mid-run).  Event order is untouched: same heap, same keys.
+        # re-scanning).  Nothing collects cycles mid-run, so no per-request
+        # object may reference itself (a cached bound method would): it
+        # would live until the run ends and show up as peak RSS.
         heap = self._heap
-        pop = heapq.heappop
+        pop = heappop
+        # The heap only grows while an entry fires, so its depth just
+        # before each pop is its exact high-water mark.
+        depth = METRICS.gauge("sim.heap_depth", unit="events") if METRICS.enabled else None
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
             while heap and self._pending:
-                t = heap[0][0]
-                if until is not None and t > until:
+                if until is not None and heap[0][0] > until:
                     break
-                t, _, daemon, event = pop(heap)
+                if depth is not None:
+                    depth.set(len(heap))
+                t, _, daemon, fn, arg = pop(heap)
                 if not daemon:
                     self._pending -= 1
                 self.now = t
-                if not event.triggered:
-                    event.succeed(event.value)
+                fn(arg)
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -219,18 +237,34 @@ class Simulator:
             self.now = until
 
 
+#: what a process's kick-off entry delivers: "no event failed, send None"
+_START = Event(None)  # type: ignore[arg-type]
+
+
 class Process(Event):
-    """Drives a generator; each yielded :class:`Event` suspends it."""
+    """Drives a generator; each yielded :class:`Event` suspends it.
+
+    ``at=t`` starts the process at the **absolute** time ``t`` (the heap
+    entry carries ``t`` itself: ``now + (t - now) != t`` in floats, and
+    an open-loop request measures its latency from its intended arrival).
+    """
 
     __slots__ = ("_gen",)
 
-    def __init__(self, sim: Simulator, gen: Generator, daemon: bool = False):
+    def __init__(
+        self, sim: Simulator, gen: Generator, daemon: bool = False, at: float | None = None
+    ):
         super().__init__(sim)
         self._gen = gen
-        # Kick off via a zero-delay event so process start respects time order.
-        start = Event(sim)
-        start.wait(self._step)
-        sim.schedule(start, 0.0, daemon=daemon)
+        # Kick off via a heap entry so process start respects time order.
+        if at is None:
+            at = sim.now
+        elif at < sim.now:
+            raise ValueError("cannot start a process in the past")
+        sim._seq = seq = sim._seq + 1
+        if not daemon:
+            sim._pending += 1
+        heappush(sim._heap, (at, seq, daemon, self._step, _START))
 
     def _step(self, fired: Event) -> None:
         try:
@@ -305,14 +339,11 @@ class FIFOResource:
         self.metric_key = name.rstrip("0123456789") or name
         self.capacity = capacity
         self._in_service = 0
-        self._waiting: deque[Event] = deque()
+        #: FIFO of waiters: an :class:`Event` per :meth:`acquire`, a
+        #: ``(fn, arg, duration, queued_at)`` record per :meth:`use_cb`
+        self._waiting: deque = deque()
         self.busy_time = 0.0
         self.served = 0
-
-    @property
-    def _busy(self) -> bool:
-        """True when no server is free (back-compat view of the old flag)."""
-        return self._in_service >= self.capacity
 
     @property
     def queue_depth(self) -> int:
@@ -330,16 +361,23 @@ class FIFOResource:
         return ev
 
     def release(self) -> None:
-        """Hand the freed server to the next waiter (FIFO)."""
+        """Hand the freed server to the next waiter (FIFO).
+
+        The grant is always one zero-delay heap entry, never an inline
+        call: whoever else was scheduled for this instant goes first.
+        """
         if not self._in_service:
             raise RuntimeError(f"{self.name}: release without acquire")
-        if self._waiting:
-            self.sim.schedule(self._waiting.popleft(), 0.0)
+        waiting = self._waiting
+        if waiting:
+            waiter = waiting.popleft()
+            sim = self.sim
+            sim._seq = seq = sim._seq + 1
+            sim._pending += 1
+            grant = self._grant if type(waiter) is tuple else _fire
+            heappush(sim._heap, (sim.now, seq, False, grant, waiter))
         else:
             self._in_service -= 1
-
-    def _release_cb(self, _ev: Event) -> None:
-        self.release()
 
     def _record(self, duration: float, waited: float) -> None:
         """One granted hold into the ``sim.*.<resource class>`` series."""
@@ -348,51 +386,61 @@ class FIFOResource:
         METRICS.counter(f"sim.busy_time.{key}", unit="s").inc(duration)
         METRICS.counter(f"sim.served.{key}", unit="requests").inc()
 
-    def use_ev(self, duration: float) -> Event:
-        """Event that fires once an acquire → hold → release cycle is done.
+    def use_cb(self, duration: float, fn: Callable, arg=None) -> None:
+        """Acquire → hold ``duration`` seconds → release → ``fn(arg)``.
 
-        This is the flattened form of :meth:`use`: the acquire/hold chain
-        runs through event callbacks instead of a generator frame, which
-        removes one to two frame resumptions per resource hold on the
-        simulator's hottest path.  Timing, accounting, FIFO order and the
-        release-before-continuation ordering are identical to :meth:`use`.
+        The callback form of :meth:`use`, and the one implementation of a
+        hold: no :class:`Event`, no closure.  An uncontended hold is one
+        heap entry (the grant a server would deliver at this instant is
+        skipped; completion lands at the identical timestamp), a
+        contended one two (zero-delay grant, then the hold); either way
+        the last entry releases the server *before* it continues, so the
+        next waiter's grant is scheduled ahead of anything ``fn`` does.
         """
         if duration < 0:
             raise ValueError("duration must be non-negative")
         sim = self.sim
         if self._in_service < self.capacity:
-            # Uncontended fast path: claim a server now and wait only for
-            # the hold itself.  ``acquire`` would bump ``_in_service`` at
-            # this exact moment anyway and deliver the grant through a
-            # zero-delay heap event; completion lands at the identical
-            # timestamp, so skipping the grant event removes ~a third of all
-            # heap traffic without moving any latency.  Telemetry records
-            # the zero queue wait here rather than taking the slow path:
-            # the event order must not depend on who is watching.
             self._in_service += 1
             self.busy_time += duration
             self.served += 1
             if METRICS.enabled:
+                # telemetry records the zero wait rather than taking the
+                # queued path: the event order must not depend on who is
+                # watching
                 self._record(duration, 0.0)
-            done = sim.timeout(duration)
-            done.callbacks.append(self._release_cb)
-            return done
-        done = Event(sim)
-        queued_at = sim.now
+            sim._seq = seq = sim._seq + 1
+            sim._pending += 1
+            heappush(sim._heap, (sim.now + duration, seq, False, self._complete, (fn, arg)))
+        else:
+            self._waiting.append((fn, arg, duration, sim.now))
 
-        def _finished(_ev: Event) -> None:
-            self.release()
-            done.succeed()
+    # ``use_cb``, ``_grant`` and ``release`` write their pushes out
+    # (``Simulator.call_later`` minus the frame): a hold is the most
+    # frequent thing the kernel does.
 
-        def _granted(_ev: Event) -> None:
-            self.busy_time += duration
-            self.served += 1
-            if METRICS.enabled:
-                self._record(duration, sim.now - queued_at)
-            hold = sim.timeout(duration)
-            hold.callbacks.append(_finished)
+    def _grant(self, waiter: tuple) -> None:
+        """Zero-delay grant of a queued :meth:`use_cb` waiter."""
+        duration = waiter[2]
+        self.busy_time += duration
+        self.served += 1
+        sim = self.sim
+        if METRICS.enabled:
+            self._record(duration, sim.now - waiter[3])
+        sim._seq = seq = sim._seq + 1
+        sim._pending += 1
+        heappush(sim._heap, (sim.now + duration, seq, False, self._complete, waiter))
 
-        self.acquire().wait(_granted)
+    def _complete(self, waiter: tuple) -> None:
+        """End of a hold: release, *then* continue."""
+        self.release()
+        waiter[0](waiter[1])
+
+    def use_ev(self, duration: float) -> Event:
+        """Event that fires once an acquire → hold → release cycle is done
+        (:meth:`use_cb` for callers that wait from a generator)."""
+        done = Event(self.sim)
+        self.use_cb(duration, done.succeed)
         return done
 
     def use(self, duration: float) -> Generator:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator
 
 from ..telemetry import METRICS
-from .events import FIFOResource, Simulator
+from .events import Event, FIFOResource, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .namenode import NameNode
@@ -56,14 +56,22 @@ class Link(FIFOResource):
             t *= self.derate
         return t
 
-    def transfer_ev(self, nbytes: float):
-        """Event flavour of :meth:`transfer` (the executor's hot path)."""
+    def transfer_cb(self, nbytes: float, fn, arg=None) -> None:
+        """Occupy the link for one transfer, then ``fn(arg)`` (the
+        executor's hot path; :meth:`transfer_ev` and :meth:`transfer`
+        wrap it)."""
         self.bytes_moved += nbytes
         if METRICS.enabled:
             METRICS.counter(f"cluster.net.bytes.{self.metric_key}", unit="bytes").inc(
                 nbytes
             )
-        return self.use_ev(self.transfer_time(nbytes))
+        self.use_cb(self.transfer_time(nbytes), fn, arg)
+
+    def transfer_ev(self, nbytes: float) -> Event:
+        """Event flavour of :meth:`transfer`."""
+        done = Event(self.sim)
+        self.transfer_cb(nbytes, done.succeed)
+        return done
 
     def transfer(self, nbytes: float) -> Generator:
         """Generator: occupy the link for one transfer."""

@@ -398,16 +398,22 @@ class RecoveryScheduler:
         return sum(1 for s, _slot in self.failed_blocks if s == stripe)
 
     def _eligible(self, job: RepairJob) -> bool:
-        if any(self._node_load.get(n, 0) >= self.max_per_node for n in job.nodes):
-            return False
-        if self.max_per_rack is not None and any(
-            self._rack_load.get(r, 0) >= self.max_per_rack for r in job.racks
-        ):
-            return False
-        if self.max_per_dc is not None and any(
-            self._dc_load.get(d, 0) >= self.max_per_dc for d in job.dcs
-        ):
-            return False
+        # plain loops: this runs per queued job per dispatch, and a
+        # generator frame per cap costs more than the caps themselves
+        load, cap = self._node_load, self.max_per_node
+        for n in job.nodes:
+            if load.get(n, 0) >= cap:
+                return False
+        if self.max_per_rack is not None:
+            load, cap = self._rack_load, self.max_per_rack
+            for r in job.racks:
+                if load.get(r, 0) >= cap:
+                    return False
+        if self.max_per_dc is not None:
+            load, cap = self._dc_load, self.max_per_dc
+            for d in job.dcs:
+                if load.get(d, 0) >= cap:
+                    return False
         return True
 
     def _pick(self) -> RepairJob | None:

@@ -15,7 +15,7 @@ import math
 from typing import Generator
 
 from ..telemetry import METRICS
-from .events import FIFOResource, Simulator
+from .events import Event, FIFOResource, Simulator
 
 __all__ = ["Disk"]
 
@@ -63,23 +63,36 @@ class Disk(FIFOResource):
             t *= self.derate
         return t
 
-    def read_ev(self, nbytes: float):
-        """Event flavour of :meth:`read` (the executor's hot path)."""
+    def read_cb(self, nbytes: float, fn, arg=None) -> None:
+        """Occupy the disk for one read, then ``fn(arg)`` (the executor's
+        hot path; :meth:`read_ev` and :meth:`read` wrap it)."""
         self.bytes_read += nbytes
         if METRICS.enabled:
             METRICS.counter("cluster.disk.bytes_read", unit="bytes").inc(nbytes)
-        return self.use_ev(self.access_time(nbytes))
+        self.use_cb(self.access_time(nbytes), fn, arg)
+
+    def read_ev(self, nbytes: float) -> Event:
+        """Event flavour of :meth:`read`."""
+        done = Event(self.sim)
+        self.read_cb(nbytes, done.succeed)
+        return done
 
     def read(self, nbytes: float) -> Generator:
         """Generator: occupy the disk for one read."""
         yield self.read_ev(nbytes)
 
-    def write_ev(self, nbytes: float):
-        """Event flavour of :meth:`write` (the executor's hot path)."""
+    def write_cb(self, nbytes: float, fn, arg=None) -> None:
+        """Occupy the disk for one write, then ``fn(arg)``."""
         self.bytes_written += nbytes
         if METRICS.enabled:
             METRICS.counter("cluster.disk.bytes_written", unit="bytes").inc(nbytes)
-        return self.use_ev(self.access_time(nbytes))
+        self.use_cb(self.access_time(nbytes), fn, arg)
+
+    def write_ev(self, nbytes: float) -> Event:
+        """Event flavour of :meth:`write`."""
+        done = Event(self.sim)
+        self.write_cb(nbytes, done.succeed)
+        return done
 
     def write(self, nbytes: float) -> Generator:
         """Generator: occupy the disk for one write."""

@@ -21,12 +21,16 @@ difference.
 Everything is deterministic: one ``numpy`` Generator seeded from the
 spec draws the whole schedule (times, op mix, key ranks) before the
 clock starts, and the simulator breaks ties by scheduling order — the
-same seed replays byte-identically.
+same seed replays byte-identically.  The schedule is *drawn* up front
+but not *booked* up front: each open-loop arrival starts at its absolute
+time and, on firing, books the next one, so the event heap holds
+in-flight work plus one arrival rather than every offered request.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -156,7 +160,7 @@ def generate_arrivals(spec: WorkloadSpec) -> list[Arrival]:
     rng = np.random.default_rng(spec.seed)
     cdf = None
     if spec.distribution in ("zipfian", "latest"):
-        cdf = _zipf_cdf(spec.num_objects, spec.zipf_theta)
+        cdf = _zipf_cdf(spec.num_objects, spec.zipf_theta).tolist()
     arrivals: list[Arrival] = []
     mean_gap = 1.0 / spec.target_ops
     t = 0.0
@@ -166,8 +170,7 @@ def generate_arrivals(spec: WorkloadSpec) -> list[Arrival]:
             break
         op = "get" if float(rng.random()) < spec.read_fraction else "put"
         if cdf is not None:
-            rank = int(np.searchsorted(cdf, float(rng.random()), side="right"))
-            rank = min(rank, spec.num_objects - 1)
+            rank = min(bisect_right(cdf, float(rng.random())), spec.num_objects - 1)
         else:
             rank = int(rng.integers(spec.num_objects))
         arrivals.append(Arrival(time=t, op=op, rank=rank))
@@ -376,8 +379,13 @@ def run_serving(
                 f"server.latency.{arrival.op}", unit="s", buckets=SERVING_BUCKETS
             ).observe(latency)
 
-    def open_request(arrival: Arrival):
-        yield sim.timeout(arrival.time)
+    def open_request(index: int):
+        # The arrival chain: each request, on firing at its intended
+        # arrival time, books the next one — the heap holds in-flight
+        # work plus one arrival, not the whole offered schedule.
+        arrival = arrivals[index]
+        if index + 1 < len(arrivals):
+            sim.process(open_request(index + 1), at=arrivals[index + 1].time)
         # Latency clock starts at the INTENDED arrival, before any queueing
         # for a connection — the coordinated-omission-free measurement.
         if pool is not None:
@@ -397,8 +405,8 @@ def run_serving(
             yield from perform(arrival, started_at=sim.now)
 
     if spec.mode == "open":
-        for arrival in arrivals:
-            sim.process(open_request(arrival))
+        if arrivals:
+            sim.process(open_request(0), at=arrivals[0].time)
     else:
         cursor = {"next": 0}
         for _ in range(min(spec.workers, len(arrivals))):

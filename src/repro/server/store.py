@@ -185,6 +185,12 @@ class ObjectStore:
             for _ in range(self.config.frontends - 1)
         ]
         self._rr = 0
+        #: a get with nothing lost reads every data slot: one shared plan
+        self._data_slots = list(range(self.config.k))
+        self._full_read = OpPlan(
+            kind=PlanKind.READ,
+            reads={b: self.config.chunk_size for b in self._data_slots},
+        )
         #: chunks currently lost ((stripe, block)); the scheduler reads it
         #: for risk ordering, gets consult it for the degraded path
         self.failed_blocks: set[tuple] = set()
@@ -374,7 +380,9 @@ class ObjectStore:
         yield self.sim.timeout(self.config.metadata_latency)
         degraded = False
         piggybacked = 0
-        chunk = self.config.chunk_size
+        k = self.config.k
+        nodes = self.cluster.nodes
+        failed_blocks = self.failed_blocks
         chaos_state = self.cluster.executor.chaos
         with METRICS.timer("server.service.get", clock=self._clock, buckets=SERVING_BUCKETS):
             for stripe in meta.stripes:
@@ -382,23 +390,16 @@ class ObjectStore:
                 # currently unreachable — reconstruct around a partition
                 # instead of stalling the whole get on one dark node.
                 placement = self.cluster.namenode.lookup(stripe).placement
-                unreachable = {
-                    b
-                    for b in range(self.config.k)
-                    if not self.cluster.nodes[placement[b]].alive
-                    or (
-                        chaos_state is not None
-                        and chaos_state.is_partitioned(placement[b])
-                    )
-                }
-                lost = sorted(
-                    {
-                        b
-                        for s, b in self.failed_blocks
-                        if s == stripe and b < self.config.k
-                    }
-                    | unreachable
-                )
+                lost = set()
+                if failed_blocks:
+                    lost = {b for s, b in failed_blocks if s == stripe and b < k}
+                for b in range(k):
+                    node = placement[b]
+                    if not nodes[node].alive or (
+                        chaos_state is not None and chaos_state.is_partitioned(node)
+                    ):
+                        lost.add(b)
+                lost = sorted(lost)
                 if lost:
                     degraded = True
                     self.stats["degraded_reads"] += 1
@@ -415,7 +416,13 @@ class ObjectStore:
                                 METRICS.counter(
                                     "server.piggybacked_reads", unit="requests"
                                 ).inc()
-                healthy = [b for b in range(self.config.k) if b not in lost]
+                healthy, fanout = self._data_slots, self._full_read
+                if lost:
+                    healthy = [b for b in range(k) if b not in lost]
+                    fanout = OpPlan(
+                        kind=PlanKind.READ,
+                        reads={b: self.config.chunk_size for b in healthy},
+                    )
                 if healthy:
                     # planner hook first: adaptive schemes track read heat
                     # (and may demand a conversion) via plan_read
@@ -425,9 +432,6 @@ class ObjectStore:
                         yield from self._convert(
                             stripe, conversions, via_recovery=False, ctx=root
                         )
-                    fanout = OpPlan(
-                        kind=PlanKind.READ, reads={b: chunk for b in healthy}
-                    )
                     yield self.sim.process(
                         self._frontend().submit([fanout], stripe, ctx=root)
                     )

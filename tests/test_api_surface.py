@@ -59,3 +59,25 @@ def test_public_classes_documented():
         obj = getattr(repro, symbol)
         if isinstance(obj, type) or callable(obj):
             assert obj.__doc__, f"repro.{symbol} is undocumented"
+
+
+def test_des_kernel_callback_surface():
+    """The callback-scheduled kernel's public names (and the ones it retired)."""
+    import inspect
+
+    from repro.cluster import Disk, Event, FIFOResource, Link, Process, Simulator
+
+    for owner, names in (
+        (Simulator, ("call_later", "schedule", "timeout", "process", "step", "run")),
+        (FIFOResource, ("use_cb", "use_ev", "use", "acquire", "release")),
+        (Disk, ("read_cb", "read_ev", "read", "write_cb", "write_ev", "write")),
+        (Link, ("transfer_cb", "transfer_ev", "transfer", "stream_ev")),
+    ):
+        for name in names:
+            assert getattr(owner, name).__doc__, f"{owner.__name__}.{name} is undocumented"
+    assert isinstance(Simulator.events_scheduled, property)
+    assert Simulator.events_scheduled.fset is None  # read-only
+    for start in (Simulator.process, Process.__init__):
+        assert "at" in inspect.signature(start).parameters
+    for owner, gone in ((Event, "succeed_cb"), (FIFOResource, "_busy"), (FIFOResource, "_release_cb")):
+        assert not hasattr(owner, gone), f"{owner.__name__}.{gone} is back"

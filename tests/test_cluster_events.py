@@ -398,3 +398,152 @@ class TestEventFailure:
         sim.process(waiter())
         sim.run()  # the second failure must not re-raise out of run()
         assert caught == ["first"]
+
+
+class TestCallbackHolds:
+    """``use_cb``: the one hold implementation (``use_ev`` wraps it)."""
+
+    def test_release_precedes_continuation(self):
+        sim = Simulator()
+        res = FIFOResource(sim, "r")
+        seen = {}
+
+        def after_first(_arg):
+            # the server was already handed on: the queued waiter is out of
+            # the queue (depth 2 -> 1) ...
+            seen["depth_in_continuation"] = res.queue_depth
+            sim.call_later(0.0, lambda _: seen.update(served_next=res.served))
+
+        res.use_cb(1.0, after_first)
+        res.use_cb(1.0, lambda _: None)
+        assert res.queue_depth == 2
+        sim.run()
+        assert seen["depth_in_continuation"] == 1
+        # ... and its grant entry was pushed before anything the
+        # continuation scheduled for the same instant
+        assert seen["served_next"] == 2
+
+    def test_mixed_waiters_grant_strictly_fifo(self):
+        sim = Simulator()
+        res = FIFOResource(sim, "r", capacity=2)
+        granted = []
+        res.use_cb(10.0, lambda _: None)
+        res.use_cb(11.0, lambda _: None)
+
+        def hold_event(tag, hold):
+            def on_grant(_ev):
+                granted.append((tag, sim.now))
+                sim.call_later(hold, lambda _: res.release())
+
+            res.acquire().wait(on_grant)
+
+        def hold_record(tag, hold):
+            res.use_cb(hold, lambda _: granted.append((tag, sim.now - hold)))
+
+        hold_event("e1", 5.0)
+        hold_record("c2", 2.0)
+        hold_event("e3", 5.0)
+        hold_record("c4", 1.0)
+        assert res.queue_depth == 6
+        sim.run()
+        assert sorted(granted, key=lambda g: g[1]) == [
+            ("e1", 10.0), ("c2", 11.0), ("e3", 13.0), ("c4", 15.0),
+        ]
+        assert res.queue_depth == 0
+
+    def test_hold_costs_one_entry_uncontended_two_contended(self):
+        sim = Simulator()
+        res = FIFOResource(sim, "r")
+        assert sim.events_scheduled == 0
+        res.use_cb(1.0, lambda _: None)
+        assert sim.events_scheduled == 1  # the hold itself, no grant
+        res.use_cb(1.0, lambda _: None)
+        assert sim.events_scheduled == 1  # queued: nothing pushed yet
+        sim.run()
+        assert sim.events_scheduled == 3  # + zero-delay grant + hold
+        assert sim.now == 2.0
+
+    def test_negative_duration_rejected(self):
+        with pytest.raises(ValueError):
+            FIFOResource(Simulator(), "r").use_cb(-1.0, lambda _: None)
+
+    @pytest.mark.parametrize("metered", [False, True])
+    def test_accounting_matches_use_ev_path(self, metered):
+        from repro.telemetry import METRICS
+
+        def drive(hold):
+            METRICS.reset()
+            if metered:
+                METRICS.enable()
+            try:
+                sim = Simulator()
+                res = FIFOResource(sim, "probe7")
+                depths = []
+                for duration in (2.0, 1.0, 3.0):
+                    hold(res, duration)
+                sim.call_later(1.5, lambda _: hold(res, 0.5))
+                for at in (0.5, 2.5, 4.0, 6.25):
+                    sim.call_later(at, lambda _: depths.append(res.queue_depth))
+                sim.run()
+                series = {
+                    name: METRICS.snapshot().get(name)
+                    for name in (
+                        "sim.queue_wait.probe", "sim.busy_time.probe", "sim.served.probe"
+                    )
+                }
+                return res.busy_time, res.served, depths, sim.now, series
+            finally:
+                METRICS.disable()
+                METRICS.reset()
+
+        via_cb = drive(lambda res, d: res.use_cb(d, lambda _: None))
+        via_ev = drive(lambda res, d: res.use_ev(d).wait(lambda _ev: None))
+        assert via_cb == via_ev
+        assert via_cb[:4] == (6.5, 4, [3, 3, 2, 1], 6.5)
+        assert (via_cb[4]["sim.served.probe"] is not None) == metered
+
+
+class TestProcessAt:
+    @pytest.mark.parametrize(
+        "now, t",
+        [
+            (0.0, 0.1 + 0.2),
+            # 0.2 + (t - 0.2) != t in floats: only pushing t itself is exact
+            (0.2, 0.7 + 0.1),
+        ],
+    )
+    def test_starts_at_the_absolute_time_bit_exactly(self, now, t):
+        sim = Simulator()
+        sim.run(until=now)
+        started = []
+
+        def proc():
+            started.append(sim.now)
+            yield sim.timeout(1)
+
+        sim.process(proc(), at=t)
+        sim.run()
+        assert started == [t]
+        assert sim.now == t + 1
+
+    def test_start_in_the_past_rejected(self):
+        sim = Simulator()
+        sim.run(until=2.0)
+
+        def proc():
+            yield sim.timeout(1)
+
+        with pytest.raises(ValueError):
+            sim.process(proc(), at=1.0)
+
+    def test_call_later_rejects_the_past_and_honours_daemon(self):
+        sim = Simulator()
+        with pytest.raises(ValueError):
+            sim.call_later(-1.0, lambda _: None)
+        fired = []
+        sim.call_later(1.0, fired.append, "daemon", daemon=True)
+        sim.run()
+        assert fired == [] and sim.now == 0.0  # daemons alone keep nothing alive
+        sim.call_later(2.0, fired.append, "work")
+        sim.run()
+        assert fired == ["daemon", "work"]

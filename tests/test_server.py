@@ -346,3 +346,94 @@ class TestServing:
         ]
         assert times and min(times) < 5.0
         assert max(times) < 2 * 5.0  # nowhere near the default 120 s horizon
+
+
+# --------------------------------------------------------------- arrival chain
+def _watch_heap(monkeypatch, interval=0.002):
+    """Sample every run_serving simulator's heap from a daemon process.
+
+    Returns two lists filled during the run: booked arrivals (future-dated
+    process starts — every other process starts at ``now``) and heap depth.
+    """
+    from repro.cluster import events
+    from repro.server import loadgen
+
+    booked, depth = [], []
+
+    class WatchedStore(ObjectStore):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sim = self.sim
+
+            def watch():
+                while True:
+                    booked.append(
+                        sum(
+                            1
+                            for t, _seq, _daemon, _fn, arg in sim._heap
+                            if arg is events._START and t > sim.now
+                        )
+                    )
+                    depth.append(len(sim._heap))
+                    yield sim.timeout(interval, daemon=True)
+
+            sim.process(watch(), daemon=True)
+
+    monkeypatch.setattr(loadgen, "ObjectStore", WatchedStore)
+    return booked, depth
+
+
+class TestArrivalChain:
+    def test_open_loop_books_one_arrival_at_a_time(self, monkeypatch):
+        """Each arrival books the next: the heap holds in-flight work plus
+        one future arrival, never the offered schedule — even when a
+        saturated connection pool lets the backlog of started requests grow."""
+        booked, depth = _watch_heap(monkeypatch)
+        spec = WorkloadSpec(target_ops=400.0, duration=2.0, connections=2, seed=9)
+        res = run_serving(spec)
+        assert res.offered > 700
+        assert res.offered == res.completed + res.failed
+        assert len(booked) > 500
+        assert max(booked) == 1
+        assert max(depth) < res.offered // 8
+
+    def test_closed_loop_books_nothing_and_is_untouched(self, monkeypatch):
+        from tests.test_sim_golden import _digest
+
+        spec = WorkloadSpec(
+            mode="closed", workers=4, target_ops=200.0, duration=3.0,
+            read_fraction=0.8, seed=4,
+        )
+        cfg = ServerConfig(failure_rate=5.0)
+        r = run_serving(spec, cfg)
+        assert r.offered == r.completed + r.failed
+        # recorded at 3dc3b35, before the arrival chain existed
+        assert _digest(
+            r.get_latencies, r.put_latencies, r.degraded_latencies,
+            r.repair_latencies, r.stats, r.failed, r.chaos,
+        ) == "f5c541a369bbccaa0f4a7d4eb4089344e9493d556c73e098a0001094659218a5"
+        booked, _depth = _watch_heap(monkeypatch)
+        run_serving(spec, cfg)
+        assert booked and max(booked) == 0
+
+
+def test_finished_requests_die_by_refcount_alone():
+    """``Simulator.run`` pauses the cyclic GC, so a per-request kernel
+    object that referenced itself (a cached bound method, say) would live
+    until the run ends and show up as peak RSS.  Stronger than a weakref
+    to one sample: with the collector off, *no* finished process or fired
+    fan-out barrier of a 2,000-request run is left alive."""
+    import gc
+
+    from repro.cluster.client import _FanOut
+    from repro.cluster.events import Process
+
+    gc.collect()
+    gc.disable()
+    try:
+        res = run_serving(WorkloadSpec(target_ops=400.0, duration=5.0, seed=3))
+        alive = [o for o in gc.get_objects() if isinstance(o, (Process, _FanOut))]
+    finally:
+        gc.enable()
+    assert res.completed == res.offered > 1900
+    assert alive == []
