@@ -223,6 +223,98 @@ class PlanExecutor:
                     bytes=plan.bytes_written,
                 )
 
+    # Closed form of ``execute`` for a plan nothing can interleave with
+    # (``run_workload``'s quiet window): on idle resources every hold is
+    # granted where it is asked for, so the event path's timestamps are a
+    # chain of float additions, repeated here in its order and association.
+
+    def _price_fanout(self, info, items, t: float, holds: list, read: bool):
+        """Landing time of :meth:`_fanout_ev` issued at ``t``, or ``None``."""
+        nodes = self.nodes
+        placement = info.placement
+        base = len(holds)
+        seen = set()
+        second = []
+        end = last = t
+        shuffled = False
+        for slot, nbytes in items:
+            where = placement[slot]
+            node = nodes[where]
+            disk, nic = node.disk, node.nic
+            if not node.alive or disk._in_service or nic._in_service:
+                return None
+            seen.add(where)
+            if read:
+                first, then = disk.access_time(nbytes), nic.transfer_time(nbytes)
+                holds.append((disk.book_read, nbytes, first))
+                second.append((nic.book_transfer, nbytes, then))
+            else:
+                first, then = nic.transfer_time(nbytes), disk.access_time(nbytes)
+                holds.append((nic.book_transfer, nbytes, first))
+                second.append((disk.book_write, nbytes, then))
+            mid = t + first
+            if mid < last:
+                shuffled = True
+            last = mid
+            landed = mid + then
+            if landed > end:
+                end = landed
+        if len(seen) != len(second):
+            return None  # two chunks on one node queue behind each other
+        if shuffled:
+            # unequal chunks: second hops begin in first-hop completion
+            # order, plan order breaking ties (as ``seq`` does)
+            mids = [t + hold[2] for hold in holds[base:]]
+            second = [second[i] for i in sorted(range(len(mids)), key=mids.__getitem__)]
+        holds += second
+        return end
+
+    def price(self, plan: OpPlan, info, cpu: Cpu, nic: Link, t: float):
+        """``(landing time, holds)`` of ``plan`` started at ``t`` with every
+        resource it touches idle and nothing else scheduled — exactly
+        what :meth:`execute` would reach, hop by hop — or ``None`` for
+        anything this cannot say: chaos or a fabric attached, a dead
+        node, two chunks on one node, a resource in service.
+
+        ``holds`` is the accounting the event path would have applied,
+        in its order, as ``(book, amount, duration)``; :meth:`book`
+        applies it.
+        """
+        if self.chaos is not None or self.fabric is not None:
+            return None
+        if cpu._in_service or nic._in_service:
+            return None
+        holds: list = []
+        if plan.reads:
+            t = self._price_fanout(info, plan.reads.items(), t, holds, read=True)
+            if t is None:
+                return None
+            if not plan.distributed:
+                nbytes = plan.bytes_read
+                d = nic.transfer_time(nbytes)
+                holds.append((nic.book_transfer, nbytes, d))
+                t = t + d
+        if plan.compute_ops:
+            d = cpu.compute_time(plan.compute_ops)
+            holds.append((cpu.book_compute, plan.compute_ops, d))
+            t = t + d
+        if plan.writes:
+            if not plan.distributed:
+                nbytes = plan.bytes_written
+                d = nic.transfer_time(nbytes)
+                holds.append((nic.book_transfer, nbytes, d))
+                t = t + d
+            t = self._price_fanout(info, plan.writes.items(), t, holds, read=False)
+            if t is None:
+                return None
+        return t, holds
+
+    @staticmethod
+    def book(holds: list) -> None:
+        """Apply the accounting of priced holds (see :meth:`price`)."""
+        for book, amount, duration in holds:
+            book(amount, duration)
+
     def run_plans(
         self,
         plans: list[OpPlan],

@@ -515,17 +515,48 @@ def run_workload(
             )
         return True
 
-    def run_request(req):
-        degraded = False
-        try:
-            if req.op is OpType.WRITE:
-                plans = scheme.plan_write(req.stripe)
+    def plan_healthy(req):
+        """Plans of a write or a healthy read; ``None`` for a degraded read."""
+        if req.op is OpType.WRITE:
+            plans = scheme.plan_write(req.stripe)
+            if failed_blocks:  # a full rewrite re-materialises every chunk
                 failed_blocks.difference_update(
                     {fb for fb in failed_blocks if fb[0] == req.stripe}
-                )  # a full rewrite re-materialises every chunk
-                if chaos_state is not None:
-                    chaos_state.rewrite_stripe(req.stripe)
-            elif (req.stripe, req.block) in failed_blocks:
+                )
+            if chaos_state is not None:
+                chaos_state.rewrite_stripe(req.stripe)
+            return plans
+        if (req.stripe, req.block) in failed_blocks:
+            return None
+        return scheme.plan_read(req.stripe, req.block)
+
+    def record_request(req, latency, degraded):
+        """One served application request (latency sample + telemetry)."""
+        if req.op is OpType.WRITE:
+            result.write_latencies.append(latency)
+        else:
+            result.read_latencies.append(latency)
+        if METRICS.enabled:
+            METRICS.counter(f"cluster.requests.{req.op.value}", unit="requests").inc()
+        if TRACER.enabled:
+            TRACER.emit(
+                "request",
+                ts=sim.now,
+                scheme=scheme.name,
+                op=req.op.value,
+                stripe=req.stripe,
+                latency=latency,
+                degraded=degraded,
+            )
+
+    def run_request(req, plans=None):
+        """One request on the event path (``plans``: already planned by
+        :func:`plan_healthy` when a quiet window fell back to here)."""
+        degraded = False
+        try:
+            if plans is None:
+                plans = plan_healthy(req)
+            if plans is None:
                 result.degraded_reads += 1
                 degraded = True
                 if METRICS.enabled:
@@ -535,8 +566,6 @@ def run_workload(
                     if served:
                         return
                 plans = scheme.plan_degraded_read(req.stripe, req.block)
-            else:
-                plans = scheme.plan_read(req.stripe, req.block)
             conversions, main = _split_plans(plans)
             if conversions:
                 yield from run_conversion(
@@ -546,26 +575,9 @@ def run_workload(
                     req.stripe,
                     conversions,
                 )
-            op_name = "write" if req.op is OpType.WRITE else "read"
-            with METRICS.timer(f"cluster.latency.{op_name}", clock=sim_clock) as t:
+            with METRICS.timer(f"cluster.latency.{req.op.value}", clock=sim_clock) as t:
                 yield sim.process(cluster.client.submit(main, req.stripe))
-            latency = t.elapsed
-            if req.op is OpType.WRITE:
-                result.write_latencies.append(latency)
-            else:
-                result.read_latencies.append(latency)
-            if METRICS.enabled:
-                METRICS.counter(f"cluster.requests.{op_name}", unit="requests").inc()
-            if TRACER.enabled:
-                TRACER.emit(
-                    "request",
-                    ts=sim.now,
-                    scheme=scheme.name,
-                    op=op_name,
-                    stripe=req.stripe,
-                    latency=latency,
-                    degraded=degraded,
-                )
+            record_request(req, t.elapsed, degraded)
         except (PartitionError, DeadNodeError) as exc:
             # chaos made the request fail outright; count it, don't hide it
             result.failed_requests += 1
@@ -583,9 +595,78 @@ def run_workload(
             progress["done"] += 1
             fire_due_triggers()
 
-    def closed_app_stream():
-        for req in requests:
-            yield sim.process(run_request(req))
+    # The closed loop is a callback chain: request i+1 starts in the heap
+    # entry that finished request i.  When that entry leaves nothing else
+    # scheduled (no non-daemon entry, hence every resource idle, and no
+    # daemon due before the request would land) nothing can interleave
+    # with the request — a *quiet window*: it is planned as ``run_request``
+    # plans it, priced by ``PlanExecutor.price`` and booked as ONE entry at
+    # its landing time, whose callback applies the event path's accounting.
+    # Only the rest of the opening entry can still run inside the window;
+    # if it pushes anything, the kernel first withdraws the landing entry
+    # and calls ``fall_back``, so ``run_request`` starts as the ordinary
+    # process, numbered before the intruder, with nothing booked yet
+    # (docs/performance.md § Quiet-window fast-forward).
+    executor, client = cluster.executor, cluster.client
+    heap = sim._heap
+    pending = iter(requests)
+
+    def price_plans(plans, stripe, t, holds):
+        for plan in plans:
+            priced = executor.price(
+                plan, cluster.namenode.lookup(stripe), client.cpu, client.nic, t
+            )
+            if priced is None:
+                return None
+            t = priced[0]
+            holds += priced[1]
+        return t
+
+    def next_request(prev=None):
+        if prev is not None and prev.exc is not None:
+            raise prev.exc  # an event-path request died of an unexpected error
+        req = next(pending, None)
+        if req is None:
+            return
+        plans = None
+        if (
+            not sim._pending
+            and chaos_state is None
+            and executor.fabric is None
+            and (not heap or heap[0][0] > sim.now)
+        ):
+            plans = plan_healthy(req)
+            if plans is not None:
+                conversions, main = _split_plans(plans)
+                holds: list = []
+                converted = landing = price_plans(conversions, req.stripe, sim.now, holds)
+                if converted is not None:
+                    landing = price_plans(main, req.stripe, converted, holds)
+                if landing is not None and (not heap or heap[0][0] > landing):
+                    priced = (req, plans, conversions, sim.now, converted, holds)
+                    sim._window = (fall_back, sim.call_at(landing, land, priced))
+                    return
+        sim.process(run_request(req, plans)).wait(next_request)
+
+    def fall_back(priced):
+        sim.process(run_request(*priced[:2])).wait(next_request)
+
+    def land(priced):
+        sim._window = None
+        req, _, conversions, started, converted, holds = priced
+        executor.book(holds)
+        if conversions:
+            latency = converted - started
+            if METRICS.enabled:
+                METRICS.histogram("cluster.latency.conversion", unit="s").observe(latency)
+            _record_conversion(result, scheme, req.stripe, conversions, latency, converted)
+        latency = sim.now - converted
+        if METRICS.enabled:
+            METRICS.histogram(f"cluster.latency.{req.op.value}", unit="s").observe(latency)
+        record_request(req, latency, False)
+        progress["done"] += 1
+        fire_due_triggers()
+        next_request()
 
     def open_app_request(req):
         yield sim.timeout(req.time)
@@ -674,7 +755,7 @@ def run_workload(
             yield sim.all_of(jobs)
 
     if mode == "closed":
-        sim.process(closed_app_stream())
+        sim.call_later(0.0, next_request)
         for j, event in enumerate(failures):
             sim.process(recovery_job(event, trigger=fail_triggers[j]))
         # node storms fire once half the request stream has completed
@@ -706,6 +787,9 @@ def run_workload(
         if checker is not None:
             checker.attach()
     sim.run()
+    # the chain's closures name each other through this cell: empty it, so
+    # the cluster dies by refcount, not whenever the cyclic GC next runs
+    next_request = None  # noqa: F841
 
     result.storage_overhead = scheme.storage_overhead()
     result.sim_time = sim.now

@@ -67,6 +67,17 @@ class Link(FIFOResource):
             )
         self.use_cb(self.transfer_time(nbytes), fn, arg)
 
+    def book_transfer(self, nbytes: float, duration: float) -> None:
+        """:meth:`Disk.book_read` for an uncontended :meth:`transfer_cb`."""
+        self.bytes_moved += nbytes
+        self.busy_time += duration
+        self.served += 1
+        if METRICS.enabled:
+            METRICS.counter(f"cluster.net.bytes.{self.metric_key}", unit="bytes").inc(
+                nbytes
+            )
+            self._record(duration, 0.0)
+
     def transfer_ev(self, nbytes: float) -> Event:
         """Event flavour of :meth:`transfer`."""
         done = Event(self.sim)
@@ -250,6 +261,15 @@ class Cpu(FIFOResource):
         if METRICS.enabled:
             METRICS.counter(f"cluster.cpu.ops.{self.metric_key}", unit="gf-ops").inc(ops)
         return self.use_ev(self.compute_time(ops))
+
+    def book_compute(self, ops: float, duration: float) -> None:
+        """:meth:`Disk.book_read` for an uncontended :meth:`compute_ev`."""
+        self.ops_done += ops
+        self.busy_time += duration
+        self.served += 1
+        if METRICS.enabled:
+            METRICS.counter(f"cluster.cpu.ops.{self.metric_key}", unit="gf-ops").inc(ops)
+            self._record(duration, 0.0)
 
     def compute(self, ops: float) -> Generator:
         """Generator: occupy the CPU for ``ops`` GF operations."""

@@ -71,6 +71,16 @@ class Disk(FIFOResource):
             METRICS.counter("cluster.disk.bytes_read", unit="bytes").inc(nbytes)
         self.use_cb(self.access_time(nbytes), fn, arg)
 
+    def book_read(self, nbytes: float, duration: float) -> None:
+        """What an uncontended :meth:`read_cb` books, minus the heap entry
+        (a quiet window prices the hold and books it at landing)."""
+        self.bytes_read += nbytes
+        self.busy_time += duration
+        self.served += 1
+        if METRICS.enabled:
+            METRICS.counter("cluster.disk.bytes_read", unit="bytes").inc(nbytes)
+            self._record(duration, 0.0)
+
     def read_ev(self, nbytes: float) -> Event:
         """Event flavour of :meth:`read`."""
         done = Event(self.sim)
@@ -87,6 +97,15 @@ class Disk(FIFOResource):
         if METRICS.enabled:
             METRICS.counter("cluster.disk.bytes_written", unit="bytes").inc(nbytes)
         self.use_cb(self.access_time(nbytes), fn, arg)
+
+    def book_write(self, nbytes: float, duration: float) -> None:
+        """:meth:`book_read` for an uncontended :meth:`write_cb`."""
+        self.bytes_written += nbytes
+        self.busy_time += duration
+        self.served += 1
+        if METRICS.enabled:
+            METRICS.counter("cluster.disk.bytes_written", unit="bytes").inc(nbytes)
+            self._record(duration, 0.0)
 
     def write_ev(self, nbytes: float) -> Event:
         """Event flavour of :meth:`write`."""

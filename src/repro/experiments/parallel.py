@@ -1,9 +1,11 @@
 """Process-parallel campaign execution with deterministic merging.
 
 A campaign is a bag of independent (scheme, trace) cells: every cell
-rebuilds its own workload trace, failure stream and planner state from
-the frozen :class:`~repro.experiments.runner.ExperimentConfig`, so cells
-can run in any order — or in different processes — and produce identical
+derives its workload trace, failure stream and planner state from the
+frozen :class:`~repro.experiments.runner.ExperimentConfig` alone (the
+read-only trace and failure stream are built once per trace and
+process, the planner per cell), so cells can run in any order — or in
+different processes — and produce identical
 :class:`~repro.cluster.SimulationResult` objects.
 
 The contract this module enforces is *byte-identity with serial*: a
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from ..cluster import SimulationResult, run_workload
@@ -105,32 +108,56 @@ def _merge_telemetry(state: dict) -> None:
 # -- cell execution ---------------------------------------------------------
 
 
-def _run_cell(task: CampaignTask) -> SimulationResult:
+def _run_cell(task: CampaignTask, built: dict | None = None) -> SimulationResult:
     """Build a cell's trace/failures/planner and replay the workload.
 
-    Scheme construction and trace generation emit no telemetry and are
-    deterministic functions of the config, so rebuilding them per cell
-    (rather than once per trace as the old serial loop did) changes
-    nothing observable.
+    Trace generation and the failure stream are deterministic functions
+    of the config and emit no telemetry, so the schemes of one trace
+    share one build through ``built`` (the caller's dict, which lives as
+    long as its campaign): a :class:`~repro.workloads.Request` is frozen
+    and ``run_workload`` copies the request list before it replays.
     """
     cfg = task.config
-    trace = make_trace(
-        task.trace_name,
-        num_requests=cfg.num_requests,
-        num_stripes=cfg.num_stripes,
-        blocks_per_stripe=cfg.k,
-        write_once=True,  # §IV-A.5: each write request is a new HDFS file
-    )
-    failures = failures_for_trace(
-        trace,
-        blocks_per_stripe=cfg.k,
-        rate=cfg.failure_rate,
-        seed=cfg.seed,
-        num_stripes=cfg.num_stripes,
-        spatial_decay=cfg.spatial_decay,
-    )
+    key = (
+        task.trace_name, cfg.num_requests, cfg.num_stripes, cfg.k,
+        cfg.failure_rate, cfg.seed, cfg.spatial_decay,
+    )  # fmt: skip
+    if built is None:
+        built = {}
+    if key not in built:
+        built.clear()  # cells come trace-major: one build is live at a time
+        trace = make_trace(
+            task.trace_name,
+            num_requests=cfg.num_requests,
+            num_stripes=cfg.num_stripes,
+            blocks_per_stripe=cfg.k,
+            write_once=True,  # §IV-A.5: each write request is a new HDFS file
+        )
+        built[key] = trace, failures_for_trace(
+            trace,
+            blocks_per_stripe=cfg.k,
+            rate=cfg.failure_rate,
+            seed=cfg.seed,
+            num_stripes=cfg.num_stripes,
+            spatial_decay=cfg.spatial_decay,
+        )
+    trace, failures = built[key]
     scheme = build_schemes(cfg)[task.scheme_name]
     return run_workload(scheme, trace, failures, cfg.cluster, chaos=cfg.chaos)
+
+
+#: a pool worker's ``built`` dict: set by the pool's initializer, so it
+#: exists in worker processes only and dies with the campaign's pool
+_worker_built: dict | None = None
+
+
+def _init_worker() -> None:
+    global _worker_built
+    _worker_built = {}
+
+
+def _run_cell_in_worker(task: CampaignTask) -> SimulationResult:
+    return _run_cell(task, _worker_built)
 
 
 def _isolated_cell(item: tuple) -> tuple:
@@ -162,13 +189,16 @@ def run_campaign_tasks(
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    pooled = jobs > 1 and len(tasks) > 1
     if runner is None:
-        runner = _run_cell
+        runner = _run_cell_in_worker if pooled else partial(_run_cell, built={})
     flags = _telemetry_flags()
     prior = _export_telemetry()  # pre-campaign accumulations to keep
     items = [(task, flags, runner) for task in tasks]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+    if pooled:
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(tasks)), initializer=_init_worker
+        ) as pool:
             payloads = list(pool.map(_isolated_cell, items))
     else:
         payloads = [_isolated_cell(item) for item in items]

@@ -102,6 +102,43 @@ def test_task_order_is_canonical():
     assert all(t.trace_name == "web2" for t in tasks[5:])
 
 
+def test_one_trace_build_per_trace_shared_read_only(monkeypatch):
+    """The schemes of a trace replay one build: sound because a request
+    is frozen and ``run_workload`` replays a copy of the request list."""
+    import dataclasses
+
+    from repro.experiments import parallel
+
+    builds, replayed = [], []
+    make_trace, run_workload = parallel.make_trace, parallel.run_workload
+
+    def counting_make_trace(*args, **kwargs):
+        builds.append(make_trace(*args, **kwargs))
+        return builds[-1]
+
+    def recording_run_workload(scheme, trace, failures, *args, **kwargs):
+        before = list(trace.requests), list(failures)
+        result = run_workload(scheme, trace, failures, *args, **kwargs)
+        assert (list(trace.requests), list(failures)) == before
+        replayed.append(trace)
+        return result
+
+    monkeypatch.setattr(parallel, "make_trace", counting_make_trace)
+    monkeypatch.setattr(parallel, "run_workload", recording_run_workload)
+    tasks = campaign_tasks(PLAIN, ["mds1", "web1"])
+    shared = run_campaign_tasks(tasks, jobs=1)
+    assert len(builds) == 2 and len(replayed) == 10
+    assert all(t is builds[0] for t in replayed[:5]) and all(t is builds[1] for t in replayed[5:])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        builds[0].requests[0].stripe = 99
+    # a build per cell (what a direct ``_run_cell`` call still does) agrees
+    fresh = [parallel._run_cell(task) for task in tasks]
+    assert len(builds) == 12
+    assert [pickle.dumps(r) for r in shared] == [pickle.dumps(r) for r in fresh]
+    # and nothing outlives the campaign in the parent process
+    assert parallel._worker_built is None
+
+
 def test_fanout_preserves_pre_campaign_telemetry():
     """Whatever the collectors held before the campaign must survive it."""
     telemetry.enable(metrics=True)
