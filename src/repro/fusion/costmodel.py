@@ -201,9 +201,10 @@ class CostModel:
         return self.recovery_cost("msr")
 
     # -- decision threshold ------------------------------------------------
-    @property
+    @cached_property
     def eta(self) -> float:
-        """The switching threshold η of eq. (1).
+        """The switching threshold η of eq. (1) (computed once: the model and
+        its profile are frozen, and the selector asks on every decision).
 
         Degenerate regimes get sentinel values: if MSR writes are not more
         expensive than RS writes there is no write-side reason to prefer RS

@@ -40,13 +40,16 @@ class GF:
     5
     """
 
-    __slots__ = ("tables", "_mul_table", "_translate_tables", "_mul_table_lock")
+    __slots__ = ("tables", "dtype", "_mul_table", "_translate_tables", "_mul_table_lock")
 
     _instances: dict[int, "GF"] = {}
     _instances_lock = threading.Lock()
 
     def __init__(self, tables: GFTables):
         self.tables = tables
+        #: NumPy dtype used for field elements (a slot, not a property
+        #: chain: every block application reads it several times)
+        self.dtype = tables.dtype
         # Full multiplication table for small fields: one gather replaces
         # two log lookups + exp lookup + zero masking.  Built lazily; only
         # affordable for w <= 8 (GF(2^16) would need 8 GiB).
@@ -83,11 +86,6 @@ class GF:
     def order(self) -> int:
         """Field size 2^w."""
         return self.tables.order
-
-    @property
-    def dtype(self) -> type:
-        """NumPy dtype used for field elements."""
-        return self.tables.dtype
 
     def _as_elems(self, a) -> np.ndarray:
         arr = np.asarray(a)

@@ -14,10 +14,11 @@ Four are registered:
     ``w`` (w > 8 falls back to log/exp) and any shape; the universal
     fallback.
 ``gather``
-    One double fancy-index into the 256×256 multiplication table
-    computes *every* product at once (~4 NumPy dispatches total).
-    Materialises an ``(nnz, ncols)`` buffer, so it only wins — and is
-    only heuristically chosen — when ``nnz * ncols`` is tiny.
+    One double fancy-index into the multiplication table computes
+    *every* product at once (~4 NumPy dispatches total).  Materialises an
+    ``(nnz, ncols)`` buffer, so it only wins — and is only heuristically
+    chosen, on a host without the compiled kernel — when ``nnz * ncols``
+    is tiny.
 ``pair``
     Wide-block NumPy path: views input rows as uint16 *byte pairs* and
     gathers from per-(input-row, output-chunk) 64 K-entry uint64 tables
@@ -32,17 +33,18 @@ Four are registered:
     passes the load-time self-test — :func:`repro.gf.native.native_info`
     says which.
 
-Selection is by measured crossover on ``(nnz, block_bytes)`` — see
-:func:`resolve_backend` and ``docs/performance.md`` — and can be forced
-with ``REPRO_GF_BACKEND=<name>`` for testing.  A forced backend that
-cannot run a given plan/shape (w > 8, native unavailable, odd
+``native`` and ``pair`` are lowered from the 256-wide GF(2^8) tables and
+serve ``w == 8`` only; ``gather`` serves any ``w ≤ 8``.  Selection is
+``native`` wherever the kernel exists and by measured crossover on
+``(nnz, block_bytes)`` where it does not — see :func:`resolve_backend`
+and ``docs/performance.md`` — and can be forced with
+``REPRO_GF_BACKEND=<name>`` for testing.  A forced backend that cannot
+run a given plan/shape (another field width, native unavailable, odd
 constraints) falls back down the same ladder rather than erroring, so
 the override is always safe to set globally.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -80,16 +82,16 @@ def available_backends(w: int = 8) -> tuple[str, ...]:
     """Backends usable for field width ``w`` on this host."""
     if w > 8:
         return ("translate",)
-    names = ["gather", "translate"]
-    names.insert(0, "pair")
+    if w < 8:
+        return ("gather", "translate")
     if _native.native_available():
-        names.insert(0, "native")
-    return tuple(names)
+        return BACKEND_NAMES
+    return BACKEND_NAMES[1:]
 
 
 def forced_backend() -> str | None:
     """The ``REPRO_GF_BACKEND`` override, validated against the registry."""
-    name = os.environ.get("REPRO_GF_BACKEND", "")
+    name = _native.switch(_native.BACKEND_SWITCH)
     if not name:
         return None
     if name not in BACKEND_NAMES:
@@ -111,24 +113,25 @@ def _supports(name: str, plan, ncols: int, forced: bool) -> bool:
             GATHER_FORCE_LIMIT if forced else plan._GATHER_LIMIT
         )
     if name == "pair":
-        return ncols >= 2 and plan._pair_unit_count() <= PAIR_MAX_UNITS
+        return plan.w == 8 and ncols >= 2 and plan._pair_unit_count() <= PAIR_MAX_UNITS
     return False
 
 
 def resolve_backend(plan, ncols: int) -> tuple:
     """``(backend name, compiled kernel or None)`` for one application of ``plan``.
 
-    The heuristic encodes the measured crossovers (single core,
-    ``docs/performance.md``):
+    ``native`` serves every GF(2^8) plan at every width wherever the
+    compiled kernel exists: one application is one C call, and it beats
+    the ~4-dispatch ``gather`` path from a single column up
+    (``docs/performance.md``).  The measured crossovers are the ladder of
+    a host without it (single core):
 
     * ``nnz * ncols`` at or under the plan's ``_GATHER_LIMIT`` —
-      dispatch overhead dominates, the ~4-call ``gather`` path wins;
-    * anything larger goes ``native`` when the compiled kernel exists
-      (fastest from a few KB up, by an order of magnitude at MB scale);
-    * without a compiler, ``pair`` takes blocks past
-      :data:`PAIR_MIN_COLS` where its u64 packed gathers beat byte
-      streaming;
-    * ``translate`` otherwise — and always for w > 8.
+      dispatch overhead dominates, ``gather`` wins;
+    * ``pair`` takes GF(2^8) blocks past :data:`PAIR_MIN_COLS` where its
+      u64 packed gathers beat byte streaming;
+    * ``translate`` otherwise — and always for w > 8 or an all-zero
+      matrix.
 
     A validated ``REPRO_GF_BACKEND`` wins whenever it supports the
     (plan, shape); unsupported combinations fall back down the ladder.
@@ -136,18 +139,14 @@ def resolve_backend(plan, ncols: int) -> tuple:
     returned with the name so the caller does not look it up again.
     """
     forced = forced_backend()
-    byte_field = plan.w <= 8 and plan.nnz > 0
-    if forced == "native":
-        if byte_field and (fn := _native.kernel()) is not None:
-            return "native", fn
-    elif forced is not None and _supports(forced, plan, ncols, forced=True):
+    if forced not in (None, "native") and _supports(forced, plan, ncols, forced=True):
         return forced, None
-    if not byte_field:
+    if plan.w > 8 or plan.nnz == 0:
         return "translate", None
+    if plan.w == 8 and (fn := _native.kernel()) is not None:
+        return "native", fn
     if plan.nnz * ncols <= plan._GATHER_LIMIT:
         return "gather", None
-    if forced != "native" and (fn := _native.kernel()) is not None:
-        return "native", fn
     if ncols >= PAIR_MIN_COLS and _supports("pair", plan, ncols, forced=False):
         return "pair", None
     return "translate", None

@@ -14,9 +14,23 @@ commodity CPUs, and this module carries both in one C source:
 
 Python can express neither, so the kernel is a C string compiled **at
 first use** with whatever C compiler the host has (``cc``/``gcc``/
-``clang``) and bound through :mod:`ctypes`.  The source holds a
-**vector-width ladder**; the preprocessor keeps the widest rung the
-compile flags allow and the library reports which (``gf_isa``):
+``clang``).  The same source has **two entries** to the same
+``gf_apply_units``:
+
+* ``fastcall`` — where ``Python.h`` for the running interpreter exists,
+  the shared object is also an extension module whose ``apply`` takes the
+  block arrays through the buffer protocol, re-checks in C what the
+  kernel relies on (2-D, one-byte items, unit column stride, equal
+  widths, writable output) and releases the GIL around the kernel: one
+  application is one C call, ≈ 1 µs over the kernel;
+* ``ctypes`` — without headers, or when that build fails, the plain
+  symbol is bound through :mod:`ctypes` and wrapped to the same
+  signature and the same checks (≈ 8 µs of marshalling per application,
+  the same GB/s once blocks are large).
+
+The source also holds a **vector-width ladder**; the preprocessor keeps
+the widest rung the compile flags allow and the library reports which
+(``gf_isa``):
 
 * ``gfni-avx512`` — affine multiply, 2 × 64 B per step, masked ragged
   end (GFNI + AVX-512BW);
@@ -31,16 +45,19 @@ Four properties make the scheme safe to ship:
   does not byte-match the table reference on the load-time self-test
   drops to the next entry of :data:`_RUNGS`; when none is left
   :func:`kernel` returns ``None`` and callers stay on the NumPy
-  backends.  :func:`native_info` says which rung serves, or why none
-  does.  ``REPRO_GF_NATIVE=0`` force-disables the backend.
+  backends.  A fastcall build that fails costs the entry, never the
+  rung.  :func:`native_info` says which rung and entry serve, what was
+  passed over, or why nothing does.  ``REPRO_GF_NATIVE=0`` force-disables
+  the backend.
 * **Host-local codegen.**  ``-march=native`` is tried first and is always
   legal on the machine that compiles; the explicit ``-m…`` rungs below it
   run only when ``/proc/cpuinfo`` lists what they need.  The build is
-  cached on disk keyed by (source, compiler, flags, **CPU features**), so
-  a temp dir shared between unlike hosts never hands one host the
-  other's instructions.
-* **The rung is observed, never configured.**  Nothing selects a rung
-  but the CPU and the compiler.
+  cached on disk keyed by (source, compiler, flags, **CPU features**,
+  **interpreter ABI**), so a temp dir shared between unlike hosts never
+  hands one host the other's instructions, nor one Python the other's
+  extension module.
+* **The rung and the entry are observed, never configured.**  Nothing
+  selects them but the CPU, the compiler and the headers present.
 * **One generic entry point.**  The C side executes a *unit program*:
   one unit per nonzero matrix coefficient, carrying a 32-byte low/high
   nibble product table, the 8-byte affine matrix and input/output row
@@ -56,10 +73,13 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
 import platform
 import shutil
 import subprocess
+import sysconfig
 import tempfile
 import threading
 
@@ -76,6 +96,10 @@ __all__ = [
 ]
 
 _C_SOURCE = r"""
+#ifdef GF_PY_ENTRY
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#endif
 #include <stdint.h>
 #include <string.h>
 
@@ -303,6 +327,117 @@ void gf_apply_units(const uint8_t *tables,   /* nunits * 32 */
         }
     }
 }
+
+#ifdef GF_PY_ENTRY
+/* The second entry to the same kernel: a CPython function taking the
+ * arrays through the buffer protocol, so one application is one C call
+ * with no per-argument marshalling objects.  It re-checks what the
+ * kernel relies on and releases the GIL around it, as ctypes does. */
+
+static int gf_rows(PyObject *obj, Py_buffer *view, int flags, const char *what)
+{
+    if (PyObject_GetBuffer(obj, view, flags) < 0)
+        return -1;
+    if (view->ndim == 2 && view->itemsize == 1
+        && (view->shape[1] <= 1 || view->strides[1] == 1))
+        return 0;
+    PyBuffer_Release(view);
+    PyErr_Format(PyExc_ValueError,
+                 "%s must be a 2-D array of bytes with contiguous rows", what);
+    return -1;
+}
+
+static PyObject *gf_py_apply(PyObject *self, PyObject *const *args,
+                             Py_ssize_t nargs)
+{
+    (void)self;
+    if (nargs != 9) {
+        PyErr_Format(PyExc_TypeError,
+                     "apply() takes 9 positional arguments (%zd given)", nargs);
+        return NULL;
+    }
+    /* the unit program's four arrays, as the addresses UnitProgram.head
+     * took once: the program owns them and they never change */
+    const void *prog[4];
+    for (int i = 0; i < 4; i++) {
+        prog[i] = PyLong_AsVoidPtr(args[i]);
+        if (prog[i] == NULL && PyErr_Occurred())
+            return NULL;
+    }
+    long nunits = PyLong_AsLong(args[4]);
+    if (nunits == -1 && PyErr_Occurred())
+        return NULL;
+    if (nunits < 0 || nunits > INT32_MAX) {
+        PyErr_SetString(PyExc_ValueError, "nunits out of range");
+        return NULL;
+    }
+    int accumulate = PyObject_IsTrue(args[8]);
+    if (accumulate < 0)
+        return NULL;
+
+    Py_buffer in, tl, out;
+    PyObject *result = NULL;
+    int split_input = args[6] != Py_None;
+    if (gf_rows(args[5], &in, PyBUF_STRIDES, "blocks") < 0)
+        return NULL;
+    if (split_input && gf_rows(args[6], &tl, PyBUF_STRIDES, "tail") < 0)
+        goto release_in;
+    if (gf_rows(args[7], &out, PyBUF_STRIDES | PyBUF_WRITABLE, "out") < 0)
+        goto release_tail;
+    if (in.shape[1] != out.shape[1]
+        || (split_input && tl.shape[1] != out.shape[1])) {
+        PyErr_SetString(PyExc_ValueError,
+                        "blocks, tail and out must have the same width");
+        goto release_out;
+    }
+    if (in.shape[0] > INT32_MAX) {
+        PyErr_SetString(PyExc_ValueError, "blocks has too many rows");
+        goto release_out;
+    }
+    {
+        const uint8_t *tail = split_input ? tl.buf : in.buf;
+        int64_t tail_stride = split_input ? tl.strides[0] : in.strides[0];
+        Py_BEGIN_ALLOW_THREADS
+        gf_apply_units(prog[0], prog[1], prog[2], prog[3], (int32_t)nunits,
+                       in.buf, in.strides[0], tail, tail_stride,
+                       (int32_t)in.shape[0],
+                       out.buf, out.strides[0], out.shape[1], accumulate);
+        Py_END_ALLOW_THREADS
+    }
+    result = Py_None;
+    Py_INCREF(result);
+release_out:
+    PyBuffer_Release(&out);
+release_tail:
+    if (split_input)
+        PyBuffer_Release(&tl);
+release_in:
+    PyBuffer_Release(&in);
+    return result;
+}
+
+static PyObject *gf_py_isa(PyObject *self, PyObject *ignored)
+{
+    (void)self; (void)ignored;
+    return PyUnicode_FromString(GF_ISA);
+}
+
+static PyMethodDef gf_methods[] = {
+    {"apply", (PyCFunction)(void (*)(void))gf_py_apply, METH_FASTCALL,
+     "apply(tables, affine, unit_in, unit_out, nunits, blocks, tail, out, accumulate)"},
+    {"isa", gf_py_isa, METH_NOARGS, "The vector rung this build runs."},
+    {NULL, NULL, 0, NULL}
+};
+
+static PyModuleDef_Slot gf_slots[] = {{0, NULL}};
+
+static struct PyModuleDef gf_module = {
+    PyModuleDef_HEAD_INIT, "gfkern", NULL, 0, gf_methods, gf_slots,
+    NULL, NULL, NULL
+};
+
+PyMODINIT_FUNC PyInit_gfkern(void) { return PyModuleDef_Init(&gf_module); }
+#endif
 """
 
 #: The ladder, tried top down: ``(compiler flags, /proc/cpuinfo features
@@ -342,6 +477,26 @@ _TILE = 32768
 
 _lock = threading.Lock()
 _cached: list = []  # [(fn_or_None, info)] once resolved
+
+#: what cannot-build-or-load looks like, for either entry
+_BUILD_ERRORS = (OSError, subprocess.SubprocessError, ImportError)
+
+#: the switches as ``os.environ`` stores them (bytes on POSIX, upper-cased
+#: str on Windows), so an unset one costs a dict probe
+KILL_SWITCH = os.environ.encodekey("REPRO_GF_NATIVE")
+BACKEND_SWITCH = os.environ.encodekey("REPRO_GF_BACKEND")
+
+
+def switch(key) -> str | None:
+    """The current value of an environment switch (``None``: unset).
+
+    Read per call — tests and probes flip the switches mid-process through
+    ``os.environ`` — but from the mapping ``os.environ`` itself reads:
+    ``os.environ.get`` raises and catches a ``KeyError`` for every unset
+    name, which at a few µs per kernel application is most of the call.
+    """
+    raw = os.environ._data.get(key)
+    return None if raw is None else os.environ.decodevalue(raw)
 
 
 def affine_matrices(mul_table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -423,24 +578,75 @@ def _cpu_features() -> frozenset[str] | None:
     return None
 
 
+def _abi_tag() -> str:
+    """The running interpreter's extension ABI (``SOABI``)."""
+    return sysconfig.get_config_var("SOABI") or ""
+
+
+def _python_cflags() -> tuple[str, ...]:
+    """Compile flags that add the fastcall entry; ``()`` without ``Python.h``."""
+    include = sysconfig.get_path("include")
+    if not include or not os.path.exists(os.path.join(include, "Python.h")):
+        return ()
+    # pyconfig.h may live apart (multiarch distributions)
+    dirs = dict.fromkeys((include, sysconfig.get_path("platinclude") or include))
+    return ("-DGF_PY_ENTRY", *(f"-I{d}" for d in dirs))
+
+
 def _cache_path(flags: tuple[str, ...], cc: str) -> str:
-    """Where the build for this (source, compiler, flags, CPU) lives.
+    """Where the build for this (source, compiler, flags, CPU, interpreter) lives.
 
     The CPU is part of the key because ``-march=native`` output is only
     legal on a host with the same features: a temp dir shared between
     unlike hosts (container layer, NFS, CI cache) must give each its own
-    build, not a SIGILL.
+    build, not a SIGILL.  The interpreter ABI is part of it because the
+    fastcall entry is an extension module: two Pythons sharing a temp dir
+    must never import each other's.
     """
     cpu = _cpu_features()
     host = " ".join(sorted(cpu)) if cpu is not None else platform.processor()
     key = hashlib.sha256(
-        "\x00".join((_C_SOURCE, cc, *flags, platform.machine(), host)).encode()
+        "\x00".join((_C_SOURCE, cc, *flags, platform.machine(), host, _abi_tag())).encode()
     ).hexdigest()[:16]
     return os.path.join(tempfile.gettempdir(), f"repro-gf-native-{key}", "gfkern.so")
 
 
-def _compile(flags: tuple[str, ...], cc: str):
-    """Compile (or reuse) the kernel for one flag set → ``(fn, isa)``; raises on failure."""
+def _ctypes_entry(cfn):
+    """``gf_apply_units`` behind the fastcall entry's signature and checks."""
+
+    def apply(tables, affine, unit_in, unit_out, nunits, blocks, tail, out, accumulate):
+        for name, a in (("blocks", blocks), ("tail", tail), ("out", out)):
+            if a is not None and not (
+                a.ndim == 2 and a.itemsize == 1 and (a.flags.c_contiguous or a.strides[1] == 1)
+            ):
+                raise ValueError(f"{name} must be a 2-D array of bytes with contiguous rows")
+        if not out.flags.writeable:
+            raise ValueError("out is read-only")
+        width = out.shape[1]
+        if blocks.shape[1] != width or (tail is not None and tail.shape[1] != width):
+            raise ValueError("blocks, tail and out must have the same width")
+        rows, stride = blocks.ctypes.data, blocks.strides[0]
+        more, more_stride = (rows, stride) if tail is None else (tail.ctypes.data, tail.strides[0])
+        cfn(
+            tables, affine, unit_in, unit_out, nunits,
+            rows, stride, more, more_stride, blocks.shape[0],
+            out.ctypes.data, out.strides[0], width, 1 if accumulate else 0,
+        )  # fmt: skip
+
+    return apply
+
+
+def _compile(flags: tuple[str, ...], cc: str, py_cflags: tuple[str, ...] = ()):
+    """Compile (or reuse) the kernel for one flag set → ``(fn, isa)``; raises on failure.
+
+    ``fn`` is ``apply(tables, affine, unit_in, unit_out, nunits, blocks,
+    tail | None, out, accumulate)`` whichever entry serves: with
+    ``py_cflags`` (:func:`_python_cflags`) the build is also an extension
+    module and ``fn`` its fastcall function; without, the plain shared
+    object's ``gf_apply_units`` bound through :mod:`ctypes` and wrapped to
+    the same signature.
+    """
+    flags = flags + py_cflags
     so = _cache_path(flags, cc)
     if not os.path.exists(so):
         cache = os.path.dirname(so)
@@ -456,13 +662,20 @@ def _compile(flags: tuple[str, ...], cc: str):
             timeout=120,
         )
         os.replace(tmp, so)  # atomic: concurrent builders all win
+    if py_cflags:
+        loader = importlib.machinery.ExtensionFileLoader("gfkern", so)
+        mod = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location("gfkern", so, loader=loader)
+        )
+        loader.exec_module(mod)
+        return mod.apply, mod.isa()
     lib = ctypes.CDLL(so)
     fn = lib.gf_apply_units
     fn.argtypes = _ARGTYPES
     fn.restype = None
     lib.gf_isa.argtypes = []
     lib.gf_isa.restype = ctypes.c_char_p
-    return fn, lib.gf_isa().decode()
+    return _ctypes_entry(fn), lib.gf_isa().decode()
 
 
 def _self_test(fn) -> bool:
@@ -525,24 +738,12 @@ def run(
 ) -> None:
     """Invoke the kernel on uint8 ``blocks`` (+ ``tail``) → ``out``.
 
-    Every array is 2-D with contiguous rows (any row stride).  ``tail``
-    holds the input rows from ``len(blocks)`` on when the input is split
-    over two arrays.
+    Every array is 2-D with contiguous rows (any row stride) — the entry
+    refuses anything else, and a read-only ``out``, before writing a
+    byte.  ``tail`` holds the input rows from ``len(blocks)`` on when the
+    input is split over two arrays.
     """
-    if tail is None:
-        tail = blocks
-    fn(
-        *program.head,
-        blocks.ctypes.data,
-        blocks.strides[0],
-        tail.ctypes.data,
-        tail.strides[0],
-        blocks.shape[0],
-        out.ctypes.data,
-        out.strides[0],
-        out.shape[1],
-        1 if accumulate else 0,
-    )
+    fn(*program.head, blocks, tail, out, accumulate)
 
 
 def _resolve() -> tuple:
@@ -551,18 +752,30 @@ def _resolve() -> tuple:
     if cc is None:
         return None, {"absent": "no compiler"}
     cpu = _cpu_features()
+    py_cflags = _python_cflags()
+    # a fastcall build that fails costs the entry, never the rung
+    entries = (py_cflags, ()) if py_cflags else ((),)
     passed_over = []
     for flags, needs in _RUNGS:
         if needs and (cpu is None or not cpu.issuperset(needs)):
             continue
         name = " ".join(flags)
-        try:
-            fn, isa = _compile(flags, cc)
-        except (OSError, subprocess.SubprocessError):
-            passed_over.append(f"compile failed ({name})")
+        for entry_cflags in entries:
+            try:
+                fn, isa = _compile(flags, cc, entry_cflags)
+                break
+            except _BUILD_ERRORS:
+                which = " for the fastcall entry" if entry_cflags else ""
+                passed_over.append(f"compile failed ({name}){which}")
+        else:
             continue
         if _self_test(fn):
-            info = {"isa": isa, "flags": name, "compiler": cc}
+            info = {
+                "isa": isa,
+                "flags": name,
+                "compiler": cc,
+                "entry": "fastcall" if entry_cflags else "ctypes",
+            }
             if passed_over:
                 info["passed_over"] = passed_over
             return fn, info
@@ -585,7 +798,7 @@ def kernel():
     ``REPRO_GF_NATIVE=0`` kill-switch is honoured on every call so tests
     can disable the backend without restarting the interpreter.
     """
-    if os.environ.get("REPRO_GF_NATIVE", "1") == "0":
+    if switch(KILL_SWITCH) == "0":
         return None
     return _resolved()[0]
 
@@ -599,9 +812,10 @@ def native_info() -> dict:
     """Which kernel serves the ``native`` backend, or why none does.
 
     ``{"isa": "gfni-avx512" | "gfni-avx2" | "avx2" | "generic", "flags",
-    "compiler"}`` — plus ``"passed_over"``, the rungs above it that failed
-    to compile or self-test — or ``{"absent": reason}``.
+    "compiler", "entry": "fastcall" | "ctypes"}`` — plus ``"passed_over"``,
+    the rungs above it that failed to compile or self-test and any
+    fastcall build that failed — or ``{"absent": reason}``.
     """
-    if os.environ.get("REPRO_GF_NATIVE", "1") == "0":
+    if switch(KILL_SWITCH) == "0":
         return {"absent": "disabled by REPRO_GF_NATIVE=0"}
     return dict(_resolved()[1])

@@ -15,20 +15,24 @@ through one of several registered **backends** (:mod:`repro.gf.backends`):
     coefficients)`` dispatches, any field width.
 ``gather``
     One double fancy-index into the multiplication table computes every
-    product at once (~4 NumPy calls total) — wins when blocks are so
-    small that dispatch overhead, not bandwidth, dominates.
+    product at once (~4 NumPy calls total) — the tiny-block path of a
+    host without the compiled kernel, where dispatch overhead, not
+    bandwidth, dominates.
 ``pair``
     Wide-block NumPy path gathering packed uint64 products for byte
     *pairs*; ~2–3× ``translate`` at MB-scale blocks, no compiler needed.
 ``native``
     A runtime-compiled SIMD kernel (:mod:`repro.gf.native`: GFNI affine
     multiply or nibble-split shuffle, at the widest vector the CPU has)
-    — GB/s-class, used automatically whenever the host can compile it.
+    — GB/s-class and one C call per application, so it serves every
+    GF(2^8) plan at every block size wherever the host can compile it.
 
-Backends are selected per application by the measured-crossover
-heuristic in :func:`repro.gf.backends.resolve_backend` (forceable via
-``REPRO_GF_BACKEND``), and every one produces byte-identical output:
-they are pure reassociations of the same GF(2^w) sums.
+Backends are selected per application by
+:func:`repro.gf.backends.resolve_backend` — ``native`` first, the
+measured crossovers between the NumPy paths where there is no kernel —
+(forceable via ``REPRO_GF_BACKEND``), and every one produces
+byte-identical output: they are pure reassociations of the same GF(2^w)
+sums.
 
 :func:`apply_to_blocks_naive` keeps the original row-by-row kernel as
 the executable specification; ``tests/test_kernel_equivalence.py`` and
@@ -137,11 +141,12 @@ class CodingPlan:
         "_native_prog",
     )
 
-    #: Below this many product elements (``nnz * block_len``) the backend
-    #: heuristic switches to the single-gather path: one double
-    #: fancy-index into the multiplication table computes every product
-    #: at once (~4 NumPy calls total), which beats every streaming
-    #: backend when dispatch overhead — not memory bandwidth — dominates.
+    #: Below this many product elements (``nnz * block_len``) the NumPy
+    #: ladder switches to the single-gather path: one double fancy-index
+    #: into the multiplication table computes every product at once (~4
+    #: NumPy calls total), which beats every streaming NumPy backend when
+    #: dispatch overhead — not memory bandwidth — dominates.  (The
+    #: compiled kernel, where it exists, beats it from one column up.)
     _GATHER_LIMIT = 1 << 13
 
     #: At or above this many columns per stripe, :meth:`apply_batch`

@@ -128,7 +128,8 @@ def build_report(
       (:func:`~repro.telemetry.causal.attribution_summary`); ``{}`` when
       the trace carries no causal spans (figure campaigns, tracing off);
     * ``host`` — what served the bytes: the usable GF backends and the
-      SIMD rung behind ``native``, or the reason there is none
+      SIMD rung behind ``native`` with the entry Python calls it through
+      (``fastcall`` or ``ctypes``), or the reason there is none
       (:func:`repro.gf.native_info`).
 
     ``extra`` adds caller-owned top-level sections (the ``serve``

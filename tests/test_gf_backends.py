@@ -10,10 +10,13 @@ and both ``apply_into`` accumulate modes, the output must equal
 :func:`repro.gf.apply_to_blocks_naive` bit for bit.
 
 Hypothesis drives the shape/sparsity/backend space; targeted tests pin
-the `_GATHER_LIMIT` dispatch boundary, the w > 8 translate-only
-fallback, batch fold-vs-loop duality, the forced-backend fallback
-ladder, and the ``_scaled_rows`` scratch reuse (the zero-allocation fix
-this suite guards).
+native-first dispatch and, under ``REPRO_GF_NATIVE=0``, the NumPy
+ladder's `_GATHER_LIMIT` / `PAIR_MIN_COLS` boundaries, both sides of
+every crossover for w = 4 and w = 8 (``native`` and ``pair`` are
+GF(2^8)-only lowerings), the switches' read-per-application meaning,
+the w > 8 translate-only fallback, batch fold-vs-loop duality, the
+forced-backend fallback ladder, and the ``_scaled_rows`` scratch reuse
+(the zero-allocation fix this suite guards).
 """
 
 import contextlib
@@ -29,6 +32,7 @@ from repro.gf import GF, CodingPlan, apply_to_blocks_naive
 from repro.gf import native as native_mod
 from repro.gf.backends import (
     BACKEND_NAMES,
+    PAIR_MIN_COLS,
     available_backends,
     choose_backend,
     forced_backend,
@@ -42,20 +46,30 @@ FORCING_IDS = ["auto" if f is None else f for f in FORCINGS]
 
 
 @contextlib.contextmanager
-def forced(name):
-    """Scope the REPRO_GF_BACKEND override (None clears it)."""
-    old = os.environ.get("REPRO_GF_BACKEND")
-    if name is None:
-        os.environ.pop("REPRO_GF_BACKEND", None)
+def _scoped_env(key, value):
+    """Set (``None``: clear) one environment switch for the block."""
+    old = os.environ.get(key)
+    if value is None:
+        os.environ.pop(key, None)
     else:
-        os.environ["REPRO_GF_BACKEND"] = name
+        os.environ[key] = value
     try:
         yield
     finally:
         if old is None:
-            os.environ.pop("REPRO_GF_BACKEND", None)
+            os.environ.pop(key, None)
         else:
-            os.environ["REPRO_GF_BACKEND"] = old
+            os.environ[key] = old
+
+
+def forced(name):
+    """Scope the REPRO_GF_BACKEND override (None clears it)."""
+    return _scoped_env("REPRO_GF_BACKEND", name)
+
+
+def native_killed():
+    """Scope ``REPRO_GF_NATIVE=0``: the host as if it had no compiler."""
+    return _scoped_env("REPRO_GF_NATIVE", "0")
 
 
 @pytest.fixture(autouse=True)
@@ -155,17 +169,24 @@ def test_wide_blocks_past_tile_boundaries(backend):
 
 
 def test_gather_limit_boundary():
-    """The heuristic flips exactly at nnz·ncols == _GATHER_LIMIT."""
+    """Without the kernel the ladder flips exactly at nnz·ncols == _GATHER_LIMIT;
+    with it there is no gather side at all."""
     rng = np.random.default_rng(5)
     m = rng.integers(1, 256, (4, 4), dtype=np.uint8)  # dense: nnz = 16
     plan = CodingPlan(m, w=8)
     edge = plan._GATHER_LIMIT // plan.nnz
     with forced(None):
-        assert plan.backend_for(edge) == "gather"
-        assert plan.backend_for(edge + 1) != "gather"
+        with native_killed():
+            assert plan.backend_for(edge) == "gather"
+            assert plan.backend_for(edge + 1) == "translate"
+        if native_mod.native_available():
+            assert {plan.backend_for(n) for n in (1, edge, edge + 1)} == {"native"}
     for ncols in (edge - 1, edge, edge + 1):
         blocks = rng.integers(0, 256, (4, ncols), dtype=np.uint8)
-        assert np.array_equal(plan.apply(blocks), apply_to_blocks_naive(m, blocks))
+        want = apply_to_blocks_naive(m, blocks)
+        assert np.array_equal(plan.apply(blocks), want)
+        with native_killed():
+            assert np.array_equal(plan.apply(blocks), want)
 
 
 def test_w16_always_translates_under_any_forcing():
@@ -203,16 +224,97 @@ def test_unknown_forced_backend_is_rejected():
 
 
 def test_choose_backend_heuristic_shape():
-    """Sanity-pin the unforced crossover ladder on a dense 4×4 plan."""
+    """Native first where the kernel exists; the crossover ladder where not."""
     rng = np.random.default_rng(12)
     plan = CodingPlan(rng.integers(1, 256, (4, 4), dtype=np.uint8), w=8)
+    widths = (8, 1 << 12, PAIR_MIN_COLS - 1, PAIR_MIN_COLS, 1 << 20)
     with forced(None):
-        small = choose_backend(plan, 8)
-        large = choose_backend(plan, 1 << 20)
-    assert small == "gather"
-    assert large in ("native", "pair", "translate")
-    if native_mod.native_available():
-        assert large == "native"
+        with native_killed():
+            ladder = [choose_backend(plan, n) for n in widths]
+        unforced = [choose_backend(plan, n) for n in widths]
+    assert ladder == ["gather", "translate", "translate", "pair", "pair"]
+    assert unforced == (["native"] * 5 if native_mod.native_available() else ladder)
+
+
+#: one column count on each side of every crossover: _GATHER_LIMIT / nnz
+#: (1024 for the 2×4 matrix below), PAIR_MIN_COLS, pair's odd trailing column
+CROSSOVER_WIDTHS = [1, 1024, 1025, 5000, PAIR_MIN_COLS - 1, PAIR_MIN_COLS, PAIR_MIN_COLS + 1]
+
+
+@pytest.mark.parametrize("w", [4, 8])
+@pytest.mark.parametrize("killed", [False, True], ids=["native-present", "REPRO_GF_NATIVE=0"])
+@pytest.mark.parametrize("backend", FORCINGS, ids=FORCING_IDS)
+def test_both_sides_of_every_crossover_for_w4_and_w8(w, killed, backend):
+    """``native`` and ``pair`` are lowered from 256-wide tables: GF(2^4) plans
+    must never reach them, whichever side of a threshold the width falls."""
+    m = np.array([[9, 14, 13, 11], [14, 9, 11, 13]], np.uint8)
+    assert CodingPlan(m, w=w).nnz * CROSSOVER_WIDTHS[1] == CodingPlan._GATHER_LIMIT
+    rng = np.random.default_rng(40 + w)
+    with forced(backend), (native_killed() if killed else contextlib.nullcontext()):
+        plan = CodingPlan(m, w=w)
+        for ncols in CROSSOVER_WIDTHS:
+            blocks = rng.integers(0, 1 << w, (4, ncols), dtype=np.uint8)
+            want = apply_to_blocks_naive(m, blocks, w=w)
+            chosen = plan.backend_for(ncols)
+            assert chosen in available_backends(w), (ncols, chosen)
+            assert np.array_equal(plan.apply(blocks), want), (ncols, chosen)
+            base = rng.integers(0, 1 << w, (2, ncols), dtype=np.uint8)
+            out = base.copy()
+            plan.apply_into(blocks[:1], out, accumulate=True, tail=blocks[1:])
+            assert np.array_equal(out, base ^ want), (ncols, chosen)
+
+
+def test_field_width_gates_the_gf256_lowerings():
+    assert available_backends(4) == ("gather", "translate")
+    assert available_backends(8)[-3:] == ("pair", "gather", "translate")
+    plan = CodingPlan(np.array([[9, 14], [14, 9]], np.uint8), w=4)
+    for backend in ("native", "pair"):
+        with forced(backend):
+            assert plan.backend_for(2) == "gather"
+            assert plan.backend_for(1 << 17) == "translate"
+
+
+def test_each_switch_is_read_per_application(monkeypatch):
+    """Flip a switch between two applications of one plan: the next one follows."""
+    ran = []
+    for name in ("native", "gather", "pair", "translate"):
+        real = getattr(CodingPlan, f"_run_{name}")
+
+        def spy(self, *args, _real=real, _name=name):
+            ran.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(CodingPlan, f"_run_{name}", spy)
+    rng = np.random.default_rng(31)
+    m = rng.integers(1, 256, (3, 6), dtype=np.uint8)
+    blocks = rng.integers(0, 256, (6, 64), dtype=np.uint8)
+    want = apply_to_blocks_naive(m, blocks)
+    plan = CodingPlan(m)
+    out = np.empty((3, 64), np.uint8)
+    switches = ("REPRO_GF_NATIVE", "REPRO_GF_BACKEND")
+    for key in switches:
+        monkeypatch.delenv(key, raising=False)
+    first = "native" if native_mod.native_available() else "gather"
+    for setting, expect in (
+        ({}, first),
+        ({"REPRO_GF_NATIVE": "0"}, "gather"),
+        ({}, first),
+        ({"REPRO_GF_BACKEND": "translate"}, "translate"),
+        ({}, first),
+        ({"REPRO_GF_BACKEND": "gather"}, "gather"),
+        ({"REPRO_GF_BACKEND": "native", "REPRO_GF_NATIVE": "0"}, "gather"),
+        ({"REPRO_GF_BACKEND": "native"}, first),
+    ):
+        for key in switches:
+            if key in setting:
+                monkeypatch.setenv(key, setting[key])
+            else:
+                monkeypatch.delenv(key, raising=False)
+        del ran[:]
+        out[:] = 0xEE
+        plan.apply_into(blocks, out)
+        assert ran == [expect], (setting, ran)
+        assert np.array_equal(out, want)
 
 
 # -- batch duality -----------------------------------------------------------

@@ -1,26 +1,32 @@
-"""Every rung of the ``native`` kernel's vector-width ladder, not just the host's pick.
+"""Every rung of the ``native`` kernel's vector-width ladder, through both entries.
 
 ``repro.gf.native`` compiles one C source whose inner loop the
 preprocessor chooses from the compile flags (GFNI affine multiply at 512
-or 256 bits, AVX2 nibble shuffle, 16-byte generic).  Production only ever
-loads the first rung that passes; this module builds **each** entry of
-``native._RUNGS`` explicitly, skips those the running CPU cannot execute,
-and byte-compares the rest against :func:`repro.gf.apply_to_blocks_naive`
-over the shapes where a vector kernel goes wrong: lengths around every
-vector width and the 32 KiB tile seam, both accumulate modes, the input
-split over two arrays, row-strided views, and the output aliasing an
-input row the matrix never reads.
+or 256 bits, AVX2 nibble shuffle, 16-byte generic) and which is entered
+either as a CPython fastcall function (arrays through the buffer
+protocol; needs ``Python.h``) or through :mod:`ctypes`.  Production only
+ever loads the first rung that passes, behind the fastcall entry when it
+builds; this module builds **each** entry of ``native._RUNGS`` behind
+**each** entry explicitly, skips what the running CPU cannot execute or
+the host cannot build, and byte-compares the rest against
+:func:`repro.gf.apply_to_blocks_naive` over the shapes where a vector
+kernel goes wrong: lengths around every vector width and the 32 KiB tile
+seam, both accumulate modes, the input split over two arrays,
+row-strided views, and the output aliasing an input row the matrix never
+reads.  Either entry must refuse what the kernel cannot walk before
+writing a byte, take read-only input, and release the GIL.
 
 CPU-independent parts: the affine-matrix table is checked exhaustively
-bit by bit, the build cache is shown to be keyed by the CPU, and the
-load-time gate is shown to reach every region of the kernel and to fall
-down the ladder instead of raising.
+bit by bit, the build cache is shown to be keyed by the CPU and the
+interpreter ABI, and the load-time gate is shown to reach every region
+of the kernel and to fall down the ladder instead of raising.
 """
 
-import ctypes
 import shutil
 import subprocess
+import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -33,35 +39,55 @@ from repro.gf import native
 MT = GF.get(8).mul_table()
 CC = next((c for c in ("cc", "gcc", "clang") if shutil.which(c)), None)
 RUNG_IDS = [" ".join(flags) for flags, _ in native._RUNGS]
+ENTRIES = ("fastcall", "ctypes")
 
 #: around every vector step (32/64/128 B) and the kernel's cache tile
 LENGTHS = [0, 1, 63, 64, 65, 127, 128, 129, 255, 257, 32767, 32768, 32769]
 
-_loaded: dict = {}  # rung id -> (fn, isa) or a skip reason
+_loaded: dict = {}  # (rung id, entry) -> (fn, isa) or a skip reason
 
 
-def _load(rung):
+def _load(rung, entry):
     name = " ".join(rung[0])
-    if name not in _loaded:
+    if (name, entry) not in _loaded:
         flags, needs = rung
         cpu = native._cpu_features()
+        py_cflags = native._python_cflags() if entry == "fastcall" else ()
         if CC is None:
-            _loaded[name] = "no C compiler"
+            got = "no C compiler"
         elif needs and (cpu is None or not cpu.issuperset(needs)):
-            _loaded[name] = f"this CPU lacks {sorted(set(needs) - (cpu or set()))}"
+            got = f"this CPU lacks {sorted(set(needs) - (cpu or set()))}"
+        elif entry == "fastcall" and not py_cflags:
+            got = "no Python.h for this interpreter"
         else:
             try:
-                _loaded[name] = native._compile(flags, CC)
-            except (OSError, subprocess.SubprocessError) as exc:
-                _loaded[name] = f"does not compile here ({type(exc).__name__})"
-    return _loaded[name]
+                got = native._compile(flags, CC, py_cflags)
+            except native._BUILD_ERRORS as exc:
+                got = f"does not compile here ({type(exc).__name__})"
+        _loaded[name, entry] = got
+    return _loaded[name, entry]
 
 
-@pytest.fixture(scope="module", params=native._RUNGS, ids=RUNG_IDS)
+@pytest.fixture(
+    scope="module",
+    params=[(rung, entry) for entry in ENTRIES for rung in native._RUNGS],
+    # the bare flag set is the ctypes entry, as it was before there were two
+    ids=[name if entry == "ctypes" else f"{entry} {name}" for entry in ENTRIES for name in RUNG_IDS],
+)
 def rung_fn(request):
-    got = _load(request.param)
+    rung, entry = request.param
+    got = _load(rung, entry)
     if isinstance(got, str):
-        pytest.skip(f"rung {request.param[0]}: {got}")
+        pytest.skip(f"rung {rung[0]} via {entry}: {got}")
+    return got[0]
+
+
+@pytest.fixture(scope="module", params=ENTRIES)
+def entry_fn(request):
+    """The plain ``-O3`` build behind each entry (what the entry tests need)."""
+    got = _load(native._RUNGS[-1], request.param)
+    if isinstance(got, str):
+        pytest.skip(f"{request.param} entry: {got}")
     return got[0]
 
 
@@ -173,12 +199,143 @@ def test_every_rung_passes_the_load_time_self_test(rung_fn):
 def test_report_which_rungs_ran():
     """Print the ladder as exercised here (CI's ``native`` leg reads it with ``-s``)."""
     seen = []
-    for rung, name in zip(native._RUNGS, RUNG_IDS):
-        got = _load(rung)
-        seen.append(got if isinstance(got, str) else got[1])
-        print(f"native rung [{name}]: " + (f"skipped, {got}" if isinstance(got, str) else f"ran isa={got[1]}"))
+    for entry in ENTRIES:
+        for rung, name in zip(native._RUNGS, RUNG_IDS):
+            got = _load(rung, entry)
+            seen.append(got if isinstance(got, str) else got[1])
+            print(
+                f"native rung [{name}] entry={entry}: "
+                + (f"skipped, {got}" if isinstance(got, str) else f"ran isa={got[1]}")
+            )
+    print(f"native serves: {native_info()}")
     if CC is not None:
         assert "generic" in seen, "the plain -O3 rung must build wherever a compiler exists"
+
+
+# -- what an entry refuses, accepts and lets run beside it -----------------------
+
+
+def _program(m):
+    outs, ins = np.nonzero(m)
+    return native.build_unit_program(outs, ins, m[outs, ins], MT, m.shape[0])
+
+
+REFUSED = {
+    "blocks-rows-not-contiguous": lambda b, t, o: (b[:, ::2], None, o[:, :32]),
+    "out-rows-not-contiguous": lambda b, t, o: (b[:, :32], None, o[:, ::2]),
+    "tail-rows-not-contiguous": lambda b, t, o: (b[:2, :32], t[:, ::2], o[:, :32]),
+    "blocks-uint16": lambda b, t, o: (b.view(np.uint16), None, o[:, :32]),
+    "out-uint16": lambda b, t, o: (b[:, :32], None, o.view(np.uint16)),
+    "blocks-1d": lambda b, t, o: (b[0], None, o),
+    "out-3d": lambda b, t, o: (b, None, o[None]),
+    "out-1d": lambda b, t, o: (b, None, o[0]),
+    "tail-1d": lambda b, t, o: (b[:2], t[0], o),
+    "tail-narrower": lambda b, t, o: (b[:2], t[:, :63], o),
+    "tail-wider": lambda b, t, o: (b[:2, :63], t, o[:, :63]),
+    "blocks-narrower-than-out": lambda b, t, o: (b[:, :63], None, o),
+    "out-read-only": lambda b, t, o: (b, None, _frozen(o)),
+}
+
+
+def _frozen(a):
+    view = a[:]
+    view.setflags(write=False)
+    return view
+
+
+@pytest.mark.parametrize("case", REFUSED)
+@pytest.mark.parametrize("accumulate", [False, True])
+def test_an_entry_refuses_what_the_kernel_cannot_walk_and_writes_nothing(entry_fn, case, accumulate):
+    rng = np.random.default_rng(9)
+    m = rng.integers(1, 256, (2, 4), dtype=np.uint8)
+    blocks = rng.integers(0, 256, (4, 64), dtype=np.uint8)
+    tail = blocks[2:].copy()
+    out = np.full((2, 64), 0xA5, np.uint8)
+    before = blocks.copy(), tail.copy()
+    head, more, dest = REFUSED[case](blocks, tail, out)
+    with pytest.raises((ValueError, BufferError)):
+        native.run(entry_fn, _program(m), head, dest, accumulate, more)
+    assert (out == 0xA5).all()
+    assert np.array_equal(blocks, before[0]) and np.array_equal(tail, before[1])
+
+
+def test_an_entry_takes_read_only_input(entry_fn):
+    rng = np.random.default_rng(10)
+    m = rng.integers(1, 256, (2, 4), dtype=np.uint8)
+    blocks = rng.integers(0, 256, (4, 300), dtype=np.uint8)
+    want = apply_to_blocks_naive(m, blocks)
+    frozen = _frozen(blocks)
+    assert not frozen.flags.writeable
+    for head, tail in ((frozen, None), (frozen[:1], frozen[1:])):
+        out = np.empty((2, 300), np.uint8)
+        native.run(entry_fn, _program(m), head, out, False, tail)
+        assert np.array_equal(out, want)
+    # bytes behind a memoryview are as read-only as it gets
+    raw = np.frombuffer(blocks.tobytes(), np.uint8).reshape(4, 300)
+    assert not raw.flags.writeable
+    native.run(entry_fn, _program(m), raw, out, True)
+    assert not out.any()
+
+
+def test_an_entry_repairs_in_place(entry_fn):
+    """``out`` is the rows of the stored stripe the matrix never reads."""
+    rng = np.random.default_rng(11)
+    stripe = rng.integers(0, 256, (6, 1000), dtype=np.uint8)
+    # a column window of a wider buffer: the tail's row stride is its own
+    parity = rng.integers(0, 256, (3, 1024), dtype=np.uint8)[:, 5:1005]
+    m = rng.integers(1, 256, (2, 9), dtype=np.uint8)
+    m[:, [1, 4]] = 0  # the lost rows
+    want = apply_to_blocks_naive(m, np.concatenate([stripe, parity]))
+    keep = stripe.copy()
+    native.run(entry_fn, _program(m), stripe, stripe[1:5:3], False, parity)
+    assert np.array_equal(stripe[[1, 4]], want)
+    rest = [0, 2, 3, 5]
+    assert np.array_equal(stripe[rest], keep[rest])
+
+
+def test_an_entry_releases_the_gil(entry_fn):
+    """Two threads, 1 MB blocks: the second runs *while* the first is in the kernel.
+
+    With the switch interval out of reach the interpreter never takes the
+    GIL from a running thread, so the main thread's marks can only land
+    before the worker's last one if the worker gave the GIL up by itself
+    — which nothing in its loop does but the kernel call.
+    """
+    rng = np.random.default_rng(12)
+    m = rng.integers(1, 256, (3, 6), dtype=np.uint8)
+    blocks = rng.integers(0, 256, (6, 1 << 20), dtype=np.uint8)
+    out = np.empty((3, 1 << 20), np.uint8)
+    prog = _program(m)
+    log = []
+
+    def worker():
+        for _ in range(40):
+            native.run(entry_fn, prog, blocks, out, False)
+            log.append("kernel")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(600.0)
+    try:
+        thread = threading.Thread(target=worker)
+        thread.start()
+        for _ in range(40):
+            log.append("main")
+        thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert log.count("kernel") == 40
+    assert "kernel" in log[log.index("main") :], "the kernel call held the GIL throughout"
+    assert np.array_equal(out[:, :4096], apply_to_blocks_naive(m, blocks[:, :4096]))
+
+
+def test_the_fastcall_entry_counts_its_arguments():
+    got = _load(native._RUNGS[-1], "fastcall")
+    if isinstance(got, str):
+        pytest.skip(got)
+    with pytest.raises(TypeError, match="9 positional"):
+        got[0](1, 2, 3)
+    with pytest.raises((TypeError, OverflowError)):
+        got[0]("tables", 0, 0, 0, 0, None, None, None, False)
 
 
 # -- the load-time gate ---------------------------------------------------------
@@ -189,10 +346,9 @@ def _corrupting(fn, row, col):
 
     def broken(*args):
         fn(*args)
-        out, out_stride, length = args[10], args[11], args[12]
-        if col < length:
-            byte = ctypes.c_uint8.from_address(out + row * out_stride + col)
-            byte.value ^= 1
+        out = args[7]
+        if col < out.shape[1]:
+            out[row, col] ^= 1
 
     return broken
 
@@ -269,6 +425,36 @@ def test_no_passing_rung_means_numpy_backends_not_an_error(fresh_resolution, mon
     _plan_still_correct()
 
 
+@pytest.mark.skipif(CC is None, reason="needs a C compiler")
+def test_the_entry_that_serves_is_disclosed(fresh_resolution):
+    info = native_info()
+    assert info["entry"] == ("fastcall" if native._python_cflags() else "ctypes")
+    assert "passed_over" not in info or "fastcall" not in " ".join(info["passed_over"])
+
+
+@pytest.mark.skipif(CC is None, reason="needs a C compiler")
+def test_without_headers_the_ctypes_entry_keeps_the_rung(fresh_resolution, monkeypatch):
+    with_headers = native_info()
+    monkeypatch.setattr(native, "_cached", [])
+    monkeypatch.setattr(native, "_python_cflags", lambda: ())
+    info = native_info()
+    assert info["entry"] == "ctypes" and "passed_over" not in info
+    assert (info["isa"], info["flags"]) == (with_headers["isa"], with_headers["flags"])
+    _plan_still_correct()
+    assert CodingPlan(np.ones((1, 2), np.uint8)).backend_for(1) == "native"
+
+
+@pytest.mark.skipif(CC is None, reason="needs a C compiler")
+def test_a_failed_fastcall_build_costs_the_entry_not_the_rung(fresh_resolution, monkeypatch, tmp_path):
+    """Headers that do not compile: same rung through ctypes, and it says so."""
+    (tmp_path / "Python.h").write_text("#error not this interpreter's headers\n")
+    monkeypatch.setattr(native, "_python_cflags", lambda: ("-DGF_PY_ENTRY", f"-I{tmp_path}"))
+    info = native_info()
+    assert info["entry"] == "ctypes" and info["flags"] == RUNG_IDS[0]
+    assert info["passed_over"] == [f"compile failed ({RUNG_IDS[0]}) for the fastcall entry"]
+    _plan_still_correct()
+
+
 def test_no_compiler_is_reported_not_raised(fresh_resolution, monkeypatch):
     monkeypatch.setattr(native.shutil, "which", lambda name: None)
     assert native.kernel() is None
@@ -289,6 +475,7 @@ def test_a_compiler_that_fails_is_reported_per_rung(fresh_resolution, monkeypatc
 
 def test_kill_switch_is_honoured_on_every_call(monkeypatch):
     monkeypatch.delenv("REPRO_GF_BACKEND", raising=False)
+    monkeypatch.delenv("REPRO_GF_NATIVE", raising=False)
     plan = CodingPlan(np.ones((1, 2), np.uint8))
     before = plan.backend_for(1 << 17)
     monkeypatch.setenv("REPRO_GF_NATIVE", "0")
@@ -312,6 +499,19 @@ def test_cache_key_separates_hosts_with_different_cpu_features(monkeypatch):
     monkeypatch.setattr(native, "_cpu_features", lambda: frozenset({"ssse3", "avx2", "gfni", "avx512bw"}))
     wide = native._cache_path(flags, "cc")
     assert len({here, narrow, wide}) == 3
+
+
+def test_cache_key_separates_interpreters_and_entries(monkeypatch):
+    """Two Pythons sharing a temp dir never import each other's extension."""
+    flags = ("-O3",)
+    here = native._cache_path(flags, "cc")
+    paths = {here, native._cache_path(flags + ("-DGF_PY_ENTRY", "-I/usr/include/python3"), "cc")}
+    for tag in ("cpython-310-x86_64-linux-gnu", "cpython-313t-x86_64-linux-gnu"):
+        monkeypatch.setattr(native, "_abi_tag", lambda tag=tag: tag)
+        paths.add(native._cache_path(flags, "cc"))
+    assert len(paths) == 4
+    monkeypatch.undo()
+    assert native._cache_path(flags, "cc") == here
 
 
 @pytest.mark.skipif(CC is None, reason="needs a C compiler")

@@ -123,7 +123,8 @@ class TestReport:
         host = self.make_report()["host"]
         assert host == {"gf_backends": list(available_backends()), "gf_native": native_info()}
         assert ("native" in host["gf_backends"]) == ("isa" in host["gf_native"])
-        assert set(host["gf_native"]) >= {"isa", "flags", "compiler"} or set(host["gf_native"]) == {"absent"}
+        assert set(host["gf_native"]) >= {"isa", "flags", "compiler", "entry"} or set(host["gf_native"]) == {"absent"}
+        assert host["gf_native"].get("entry") in ("fastcall", "ctypes", None)
         path = tmp_path / "out.json"
         write_report(path, self.make_report())
         assert json.loads(path.read_text())["host"] == host
