@@ -38,7 +38,6 @@ from .invariants import (
     InvariantReport,
     InvariantViolation,
     verify_conversion_safety,
-    verify_multicode_conversion_safety,
 )
 
 __all__ = [
@@ -60,5 +59,4 @@ __all__ = [
     "InvariantReport",
     "InvariantViolation",
     "verify_conversion_safety",
-    "verify_multicode_conversion_safety",
 ]

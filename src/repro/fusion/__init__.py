@@ -11,17 +11,15 @@ The paper's three modules map one-to-one onto submodules here:
 
 from .adaptation import AdaptiveSelector, CodeKind, Conversion
 from .costmodel import ALWAYS_MSR, ALWAYS_RS, CostModel, SystemProfile
-from .framework import ECFusion, RecoveryReport, StripeStore
+from .framework import ECFusion, RecoveryReport
 from .queues import CachePolicy, QueueEntry, TrackingQueue
 from .costmodel import CODE_FAMILIES, CodeCosts
 from .transform import (
     ChunkUnavailable,
-    CodedStripe,
-    ConversionResult,
     FusionTransformer,
     MsrToRsResult,
-    MultiCodeConverter,
     RsToMsrResult,
+    StripeStore,
     TransformAborted,
     TransformCost,
 )
@@ -45,9 +43,6 @@ __all__ = [
     "TransformCost",
     "RsToMsrResult",
     "MsrToRsResult",
-    "CodedStripe",
-    "ConversionResult",
-    "MultiCodeConverter",
     "ECFusion",
     "RecoveryReport",
     "StripeStore",

@@ -34,32 +34,9 @@ from ..telemetry import METRICS
 from .adaptation import AdaptiveSelector, CodeKind, Conversion
 from .costmodel import CostModel, SystemProfile
 from .queues import CachePolicy
-from .transform import FusionTransformer, TransformCost
+from .transform import FusionTransformer, StripeStore, TransformCost
 
-__all__ = ["StripeStore", "RecoveryReport", "ECFusion"]
-
-
-@dataclass
-class StripeStore:
-    """Physical representation of one stripe: data once, parity per code.
-
-    ``data`` is the ``(k, L)`` systematic block set in both codes; no
-    conversion reallocates or copies it.  ``parity`` is the current code's
-    redundancy as ``(r, L)`` arrays: the one RS parity set, or one MSR
-    parity set per group — group ``i`` covers data rows ``i·r..(i+1)·r``,
-    fewer for a padded last group, whose virtual zero blocks are not
-    stored.  A conversion replaces ``kind`` and ``parity`` together, once
-    the new parity sets are complete.
-    """
-
-    kind: CodeKind
-    data: np.ndarray
-    parity: list[np.ndarray]
-
-    @property
-    def parity_blocks(self) -> int:
-        """Parity blocks stored: r in RS, q·r in MSR."""
-        return sum(len(p) for p in self.parity)
+__all__ = ["RecoveryReport", "ECFusion"]
 
 
 @dataclass
@@ -301,29 +278,8 @@ class ECFusion:
     def _apply_conversions(self, conversions: list[Conversion]) -> None:
         for conv in conversions:
             store = self._stripes.get(conv.stripe)
-            if store is None or store.kind is conv.target:
-                continue
-            if conv.target is CodeKind.MSR:
-                self._to_msr(store)
-            else:
-                self._to_rs(store)
-
-    def _accumulate(self, cost: TransformCost) -> None:
-        self.transform_cost.data_blocks_read += cost.data_blocks_read
-        self.transform_cost.parity_blocks_read += cost.parity_blocks_read
-        self.transform_cost.blocks_written += cost.blocks_written
-        self.transform_cost.gf_ops += cost.gf_ops
-
-    def _to_msr(self, store: StripeStore) -> None:
-        result = self.transformer.rs_to_msr(store.data, store.parity[0])
-        self._accumulate(result.cost)
-        # swap on success: an aborted transform raised above, stripe untouched
-        store.kind, store.parity = CodeKind.MSR, result.parity
-
-    def _to_rs(self, store: StripeStore) -> None:
-        result = self.transformer.msr_to_rs(store.parity)
-        self._accumulate(result.cost)
-        store.kind, store.parity = CodeKind.RS, [result.parity]
+            if store is not None:
+                self.transform_cost += self.transformer.convert(store, conv.target)
 
     # -- lifecycle ---------------------------------------------------------------------
     def delete(self, stripe: Hashable) -> None:

@@ -1,5 +1,12 @@
-"""Code transformation between RS(k, r) and MSR(2r, r, r, r²) — §III-D,
-plus the multi-code conversion graph of the policy engine.
+"""The one converter: every edge of the RS/MSR/LRC/FR code-family graph,
+with RS(k, r) ↔ MSR(2r, r, r, r²) on the §III-D highway.
+
+:meth:`FusionTransformer.convert` moves a :class:`StripeStore` between any
+two families of :data:`repro.codes.families.FAMILIES`.  Its edge table is
+keyed like :data:`~repro.codes.families.CONVERSION_EDGES`: the two
+registered cheap edges, RS → MSR and MSR → RS, run the intermediary-parity
+highway below; every other pair is a *full re-encode* — read the k data
+chunks, encode the target family's parity with that family's own codec.
 
 The trick (paper eqs. (3)–(7)): slice the RS parity-coefficient matrix
 ``P`` (r×k) column-wise into q = ⌈k/r⌉ invertible r×r blocks ``B_i``.
@@ -34,21 +41,21 @@ sets (Trans1/Trans2 apply straight into them, eq. (3) merges by XOR
 accumulation), and hand those back — no data block is copied, and nothing
 the caller owns is touched, so the caller swaps parities in on success.
 
-:class:`MultiCodeConverter` extends the pair to the full RS/MSR/LRC/FR
-conversion graph of the multi-code policy engine.  RS ↔ MSR keep the
-intermediary-parity highway above; every other edge is a *journalled full
-re-encode* — read the k data chunks (decoding lost groups from the source
-family's parities when a fault hook reports them unavailable), encode the
-target family's parities, commit.  Any loss beyond what the source code
-can decode raises :class:`TransformAborted` with the inputs untouched and
-the journal entry closed as an abort, so a stripe is never left
-half-converted.
+A full re-encode reads around a data group the fault hook reports lost by
+decoding it with the *source* family's codec from the rest of its code
+instance — the whole stripe for RS/LRC/FR, the group's own MSR(2r, r)
+codeword for MSR (the any-code repair view of arXiv:1101.0133; FR's
+uncoded replicas, arXiv:1509.03800, are one more decodable instance).
+Every conversion is journalled; a loss beyond what the source can decode
+raises :class:`TransformAborted` with the stripe untouched and the entry
+closed as an abort, so a stripe is never left half-converted.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,9 +64,12 @@ from ..codes import (
     LocalReconstructionCode,
     MSRCode,
     ReedSolomonCode,
+    UnrecoverableError,
 )
 from ..gf import CodingPlan, cauchy, inverse, matmul
 from ..telemetry import METRICS
+from .adaptation import CodeKind
+from .costmodel import CostModel, SystemProfile
 
 __all__ = [
     "ChunkUnavailable",
@@ -67,19 +77,17 @@ __all__ = [
     "TransformCost",
     "RsToMsrResult",
     "MsrToRsResult",
+    "StripeStore",
     "FusionTransformer",
-    "CodedStripe",
-    "ConversionResult",
-    "MultiCodeConverter",
 ]
 
 
 class ChunkUnavailable(RuntimeError):
     """Raised by a conversion fault hook: this source chunk cannot be read.
 
-    ``phase`` is ``"parity"`` (the stripe's RS or MSR parity set) or
-    ``"data"`` (one data group); ``group`` is the group index (−1 for the
-    whole-stripe RS parity set).
+    ``phase`` is ``"parity"`` (the stripe's parity set) or ``"data"`` (one
+    data group); ``group`` is the group index (−1 for the one parity set of
+    an RS, LRC or FR stripe).
     """
 
     def __init__(self, phase: str, group: int):
@@ -114,6 +122,13 @@ class TransformCost:
     @property
     def blocks_read(self) -> int:
         return self.data_blocks_read + self.parity_blocks_read
+
+    def __iadd__(self, other: TransformCost) -> TransformCost:
+        self.data_blocks_read += other.data_blocks_read
+        self.parity_blocks_read += other.parity_blocks_read
+        self.blocks_written += other.blocks_written
+        self.gf_ops += other.gf_ops
+        return self
 
 
 @dataclass
@@ -157,13 +172,39 @@ class MsrToRsResult:
     cost: TransformCost = field(default_factory=TransformCost)
 
 
+@dataclass
+class StripeStore:
+    """Physical representation of one stripe: data once, parity per code.
+
+    ``data`` is the ``(k, L)`` systematic block set in every family; no
+    conversion reallocates or copies it.  ``parity`` is the current code's
+    redundancy, one array per code instance: the single parity set of an
+    RS, LRC or FR stripe (the codec's nodes ``k..n-1`` in order), or one
+    ``(r, L)`` MSR parity set per group — group ``i`` covers data rows
+    ``i·r..(i+1)·r``, fewer for a padded last group, whose virtual zero
+    blocks are not stored.  A conversion replaces ``kind`` and ``parity``
+    together, once the new parity sets are complete.
+    """
+
+    kind: CodeKind
+    data: np.ndarray
+    parity: list[np.ndarray]
+
+    @property
+    def parity_blocks(self) -> int:
+        """Parity blocks stored: r in RS, q·r in MSR."""
+        return sum(len(p) for p in self.parity)
+
+
 class FusionTransformer:
-    """Precomputed Trans1/Trans2 maps for an EC-Fusion(k, r) pair.
+    """The converter of an EC-Fusion(k, r) store, with precomputed
+    Trans1/Trans2 maps for its RS ↔ MSR highway.
 
     Parameters
     ----------
     k, r:
-        The RS(k, r) shape.  The MSR side is always MSR(2r, r, r, r²).
+        The RS(k, r) shape.  The MSR side is always MSR(2r, r, r, r²); LRC
+        and FR take the shapes their :attr:`cost_model` descriptors price.
     msr:
         Optionally share an existing :class:`MSRCode` (must be (2r, r)).
 
@@ -177,6 +218,12 @@ class FusionTransformer:
     >>> back = tr.msr_to_rs([g[2:] for g in out.groups])
     >>> bool(np.array_equal(back.parity, coded[4:]))
     True
+    >>> stripe = tr.encode(data, "rs")
+    >>> tr.convert(stripe, "fr").blocks_written, stripe.kind.value
+    (5, 'fr')
+    >>> cost = tr.convert(stripe, "rs")
+    >>> bool(np.array_equal(stripe.parity[0], coded[4:])), tr.journal_committed
+    (True, 2)
     """
 
     def __init__(self, k: int, r: int, msr: MSRCode | None = None, w: int = 8):
@@ -220,6 +267,11 @@ class FusionTransformer:
         ]
         self._trans1_plans = [CodingPlan(t, w=w) for t in self.trans1]
         self._trans2_plans = [CodingPlan(t, w=w) for t in self.trans2]
+        self._codecs = {"rs": self.rs, "msr": msr}
+        self._routes: dict[tuple[str, str], tuple] = {}
+        #: the conversion journal: :meth:`convert` calls begun and not yet
+        #: closed (0 at rest), committed, and aborted
+        self.journal_open = self.journal_committed = self.journal_aborted = 0
 
     # ------------------------------------------------------------------ helpers
     @property
@@ -243,10 +295,6 @@ class FusionTransformer:
         l = self.subpacketization
         rows, L = blocks.shape
         return blocks.reshape(rows * l, L // l)
-
-    def _blocks(self, syms: np.ndarray, rows: int) -> np.ndarray:
-        total, sub = syms.shape
-        return syms.reshape(rows, (total // rows) * sub)
 
     # ---------------------------------------------------------------- eq. (3)
     def intermediary_parities(self, data: np.ndarray) -> np.ndarray:
@@ -572,6 +620,168 @@ class FusionTransformer:
             METRICS.counter("fusion.transform.bytes_saved", unit="bytes").inc(self.k * L)
         return MsrToRsResult(parity=acc, cost=cost)
 
+    # ---------------------------------------------------------- the families
+    @cached_property
+    def cost_model(self) -> CostModel:
+        """``CostModel(k, r)``: its family descriptors shape and price
+        every code the converter holds."""
+        return CostModel(self.k, self.r, SystemProfile())
+
+    def codec(self, code: str):
+        """The codec holding ``code``'s parity (``"msr"``: one group's
+        MSR(2r, r)).  LRC and FR are built on first use in the shape of
+        their :attr:`cost_model` descriptor; a shape their codec cannot
+        take raises :class:`~repro.codes.ParameterError`."""
+        codec = self._codecs.get(code)
+        if codec is None:
+            fam = self.cost_model.family(code)
+            if code == "lrc":
+                codec = LocalReconstructionCode(self.k, fam.r, fam.z, w=self._w)
+            else:
+                codec = FractionalRepetitionCode(self.k, fam.r, rho=fam.rho, w=self._w)
+            self._codecs[code] = codec
+        return codec
+
+    def _instances(self, code: str) -> list[range]:
+        """Data rows of each code instance of a ``code`` stripe, one per
+        parity array: every row, or one group per MSR instance."""
+        if code != "msr":
+            return [range(self.k)]
+        return [range(i * self.r, min((i + 1) * self.r, self.k)) for i in range(self.q)]
+
+    def encode(self, data: np.ndarray, code: str) -> StripeStore:
+        """A fresh stripe of ``(k, L)`` data in ``code``, each family's
+        parity computed by that family's own codec."""
+        code = CodeKind(code)
+        data = np.ascontiguousarray(data, dtype=np.uint8)
+        if data.ndim != 2 or data.shape[0] != self.k:
+            raise ValueError(f"expected ({self.k}, L) data blocks, got {data.shape}")
+        codec = self.codec(code)
+        parity = [
+            codec.encode(
+                data[rows.start : rows.stop],
+                out=np.empty((codec.n - codec.k, data.shape[1]), dtype=np.uint8),
+            )
+            for rows in self._instances(code)
+        ]
+        return StripeStore(code, data, parity)
+
+    # ---------------------------------------------------------- the converter
+    def convert(
+        self, stripe: StripeStore, target: str, fault_hook=None
+    ) -> TransformCost:
+        """Move ``stripe`` into ``target`` in place and return what it cost.
+
+        RS → MSR and MSR → RS run :meth:`rs_to_msr` / :meth:`msr_to_rs`
+        (the latter with the stripe's data as its failover); every other
+        edge is a :meth:`_reencode`.  ``fault_hook(phase, group)`` probes
+        each source read as in those methods: ``("data", i)`` per data
+        group, ``("parity", g)`` per MSR group's parities or
+        ``("parity", -1)`` for the parity set of an RS, LRC or FR stripe.
+
+        The stripe's shape, family and block length are checked before the
+        conversion is journalled; from then on any exception closes the
+        entry as an abort and leaves the stripe exactly as it was — the new
+        parity is built aside, and ``kind`` and ``parity`` are swapped
+        together on success only.  ``data`` never moves.
+        """
+        source = stripe.kind
+        if source == target:
+            return TransformCost()
+        route = self._routes.get((source, target)) or self._route(source, target)
+        edge, target, sets, rows, unit = route
+        L = stripe.data.shape[-1]
+        shapes = [p.shape for p in stripe.parity]
+        if stripe.data.shape != (self.k, L) or L % unit or shapes != [(rows, L)] * sets:
+            raise ValueError(
+                f"a {CodeKind(source).value}->{target.value} stripe is "
+                f"({self.k}, L) data and {sets} ({rows}, L) parity arrays, L a "
+                f"multiple of {unit}; got {stripe.data.shape} and {shapes}"
+            )
+        self.journal_open += 1
+        try:
+            parity, cost = edge(self, stripe, source, target, fault_hook)
+        except BaseException:
+            self.journal_aborted += 1
+            if METRICS.enabled:
+                METRICS.counter("fusion.transform.aborted", unit="conversions").inc()
+            raise
+        finally:
+            self.journal_open -= 1
+        self.journal_committed += 1
+        stripe.kind, stripe.parity = target, parity
+        return cost
+
+    def _route(self, source, target) -> tuple:
+        """``(edge, target member, source parity arrays, their rows, block
+        length unit)`` of one ordered pair, worked out on its first use."""
+        codec = self.codec(source)  # an unknown family raises ValueError
+        route = self._routes[source, target] = (
+            self._EDGES.get((source, target), FusionTransformer._reencode),
+            CodeKind(target),
+            self.q if source == "msr" else 1,
+            codec.n - codec.k,
+            math.lcm(codec.subpacketization, self.codec(target).subpacketization),
+        )
+        return route
+
+    def _highway_to_msr(self, stripe, source, target, fault_hook):
+        res = self.rs_to_msr(stripe.data, stripe.parity[0], fault_hook=fault_hook)
+        return res.parity, res.cost
+
+    def _highway_to_rs(self, stripe, source, target, fault_hook):
+        res = self.msr_to_rs(stripe.parity, fault_hook=fault_hook, data=stripe.data)
+        return [res.parity], res.cost
+
+    def _reencode(self, stripe, source, target, fault_hook):
+        """Full re-encode: read the k data chunks, encode ``target``'s
+        parity, priced by the target descriptor's ``encode_ops``."""
+        edge = f"{CodeKind(source).value}_to_{target.value}"
+        with METRICS.timer(f"fusion.transform.wall.{edge}", unit="s"):
+            cost = TransformCost()
+            data = self._read_data(stripe, source, fault_hook, cost)
+            parity = self.encode(data, target).parity
+            cost.blocks_written = sum(len(p) for p in parity)
+            cost.gf_ops += self.cost_model.family(target).encode_ops(data.shape[1])
+        if METRICS.enabled:
+            METRICS.counter(f"fusion.transform.{edge}", unit="conversions").inc()
+            METRICS.counter("fusion.transform.gf_ops", unit="gf-ops").inc(cost.gf_ops)
+        return parity, cost
+
+    #: the registered cheap edges, keyed like
+    #: :data:`repro.codes.families.CONVERSION_EDGES`
+    _EDGES = {("rs", "msr"): _highway_to_msr, ("msr", "rs"): _highway_to_rs}
+
+    def _read_data(self, stripe: StripeStore, source, fault_hook, cost: TransformCost):
+        """The k data chunks, each data group the fault hook reports lost
+        decoded by the source codec from the rest of its code instance —
+        the group's own MSR(2r, r) codeword for an MSR stripe.  A decoded
+        copy comes back; ``stripe`` is never written."""
+        k, L = self.k, stripe.data.shape[1]
+        lost = {
+            row for g, rows in enumerate(self._instances("msr"))
+            if not self._read_source(fault_hook, "data", g) for row in rows
+        }
+        cost.data_blocks_read += k - len(lost)
+        data = stripe.data.copy() if lost else stripe.data
+        codec = self.codec(source)
+        for g, (rows, parity) in enumerate(zip(self._instances(source), stripe.parity)):
+            if lost.isdisjoint(rows):
+                continue
+            if not self._read_source(fault_hook, "parity", g if source == "msr" else -1):
+                raise TransformAborted(f"{codec.name} instance {g}: data, parity lost")
+            shards = {j: data[row] for j, row in enumerate(rows) if row not in lost}
+            # a padded MSR group's virtual data nodes are known zero blocks
+            shards.update((j, np.zeros(L, np.uint8)) for j in range(len(rows), codec.k))
+            shards.update((codec.k + x, block) for x, block in enumerate(parity))
+            try:
+                data[rows.start : rows.stop] = codec.decode_data(shards)[: len(rows)]
+            except UnrecoverableError as exc:
+                raise TransformAborted(f"{codec.name} instance {g}: {exc}") from exc
+            cost.parity_blocks_read += len(parity)
+            cost.gf_ops += len(lost.intersection(rows)) * codec.k * L
+        return data
+
     # -------------------------------------------------------------- validation
     def verify_roundtrip(self, rng: np.random.Generator, L: int | None = None) -> bool:
         """Self-check: RS → MSR → RS reproduces the original parities and
@@ -587,277 +797,3 @@ class FusionTransformer:
         back = self.msr_to_rs(fwd.parity)
         return np.array_equal(back.parity, coded[self.k :])
 
-
-@dataclass
-class CodedStripe:
-    """One stripe's bytes in a specific code family.
-
-    ``data`` is always the systematic (k, L) block; ``parity`` holds the
-    family's redundancy in its own layout — RS: (r, L); MSR: (q·r, L)
-    with group i's parities at rows ``i·r..(i+1)·r``; LRC and FR: the
-    code's shards ``k..n-1`` in node order.
-    """
-
-    code: str
-    data: np.ndarray
-    parity: np.ndarray
-
-
-@dataclass
-class ConversionResult:
-    """Output of one multi-code conversion edge."""
-
-    stripe: CodedStripe
-    cost: TransformCost = field(default_factory=TransformCost)
-
-
-class MultiCodeConverter:
-    """Data-carrying conversions across the RS/MSR/LRC/FR graph.
-
-    RS ↔ MSR delegate to :class:`FusionTransformer` (the intermediary-
-    parity highway, including its fault failovers).  Every other edge is
-    a journalled full re-encode: read the k data chunks, re-encode the
-    target family's parities, commit.  ``fault_hook(phase, group)`` may
-    raise :class:`ChunkUnavailable` for ``("data", i)`` probes (data
-    group i) and ``("parity", g)`` probes (the source family's parity
-    set; g is the MSR group index, −1 otherwise); a lost data group fails
-    over to decoding from the source parities, and anything beyond that
-    aborts with the inputs untouched.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> conv = MultiCodeConverter(k=4, r=2)
-    >>> rng = np.random.default_rng(0)
-    >>> data = rng.integers(0, 256, (4, conv.subpacketization), dtype=np.uint8)
-    >>> stripe = conv.encode(data, "rs")
-    >>> out = conv.convert(stripe, "fr")
-    >>> out.stripe.code
-    'fr'
-    >>> back = conv.convert(out.stripe, "rs")
-    >>> bool(np.array_equal(back.stripe.parity, stripe.parity))
-    True
-    """
-
-    FAMILIES = ("rs", "msr", "lrc", "fr")
-
-    def __init__(
-        self,
-        k: int,
-        r: int,
-        lrc_r: int = 2,
-        lrc_z: int = 2,
-        fr_rho: int = 2,
-        fr_nodes: int | None = None,
-        w: int = 8,
-    ):
-        self.k, self.r, self._w = k, r, w
-        self.tr = FusionTransformer(k, r, w=w)
-        self.q = self.tr.q
-        self.rs = self.tr.rs
-        self.lrc = LocalReconstructionCode(k, lrc_r, lrc_z, w=w)
-        fr_n = fr_nodes if fr_nodes is not None else fr_rho * k + 1
-        self.fr = FractionalRepetitionCode(k, fr_n - k, rho=fr_rho, w=w)
-        self._group_inv_plans = [
-            CodingPlan(binv, w=w) for binv in self.tr._group_blocks_inv
-        ]
-        #: conversion journal: ("begin"|"commit"|"abort", source, target)
-        self.journal: list[tuple[str, str, str]] = []
-
-    @property
-    def subpacketization(self) -> int:
-        """Block lengths must be a multiple of this (lcm of the families')."""
-        return math.lcm(self.tr.subpacketization, self.fr.subpacketization)
-
-    @property
-    def open_journal_entries(self) -> int:
-        """Conversions begun but neither committed nor aborted (0 at rest)."""
-        begins = sum(1 for e in self.journal if e[0] == "begin")
-        closed = sum(1 for e in self.journal if e[0] in ("commit", "abort"))
-        return begins - closed
-
-    # ------------------------------------------------------------------ encode
-    def encode(self, data: np.ndarray, code: str = "rs") -> CodedStripe:
-        """Encode fresh (k, L) data directly into one family."""
-        data = np.ascontiguousarray(data, dtype=np.uint8)
-        if data.shape[0] != self.k:
-            raise ValueError(f"expected {self.k} data blocks, got {data.shape[0]}")
-        if data.shape[1] % self.subpacketization:
-            raise ValueError(
-                f"block length {data.shape[1]} not a multiple of "
-                f"{self.subpacketization}"
-            )
-        return CodedStripe(code=code, data=data, parity=self._encode_parity(data, code))
-
-    def _encode_parity(self, data: np.ndarray, code: str) -> np.ndarray:
-        if code == "rs":
-            return self.rs.encode(data)[self.k :]
-        if code == "msr":
-            inter = self.tr.intermediary_parities(data)
-            parity = np.empty((self.q * self.r, data.shape[1]), dtype=np.uint8)
-            for i in range(self.q):
-                self.tr._trans2_plans[i].apply_into(
-                    self.tr._syms(inter[i]),
-                    self.tr._syms(parity[i * self.r : (i + 1) * self.r]),
-                )
-            return parity
-        if code == "lrc":
-            return self.lrc.encode(data)[self.k :]
-        if code == "fr":
-            return self.fr.encode(data)[self.k :]
-        raise ValueError(f"unknown code family {code!r}; choose from {self.FAMILIES}")
-
-    # ----------------------------------------------------------------- convert
-    def convert(
-        self, stripe: CodedStripe, target: str, fault_hook=None
-    ) -> ConversionResult:
-        """Convert one stripe to ``target``, journalled and chaos-safe.
-
-        On :class:`TransformAborted` the inputs are untouched, no partial
-        output exists, and the journal entry closes as an abort.
-        """
-        if target not in self.FAMILIES:
-            raise ValueError(f"unknown code family {target!r}")
-        source = stripe.code
-        if source == target:
-            return ConversionResult(stripe=stripe)
-        self.journal.append(("begin", source, target))
-        try:
-            with METRICS.timer(f"fusion.transform.wall.{source}_to_{target}", unit="s"):
-                out = self._convert(stripe, target, fault_hook)
-        except TransformAborted:
-            self.journal.append(("abort", source, target))
-            if METRICS.enabled:
-                METRICS.counter(
-                    "fusion.transform.aborted", unit="conversions"
-                ).inc()
-            raise
-        self.journal.append(("commit", source, target))
-        return out
-
-    def _convert(
-        self, stripe: CodedStripe, target: str, fault_hook
-    ) -> ConversionResult:
-        source = stripe.code
-        if (source, target) == ("rs", "msr"):
-            res = self.tr._rs_to_msr(stripe.data, stripe.parity, fault_hook)
-            return ConversionResult(
-                stripe=CodedStripe("msr", stripe.data, np.concatenate(res.parity)),
-                cost=res.cost,
-            )
-        if (source, target) == ("msr", "rs"):
-            groups = [
-                stripe.parity[i * self.r : (i + 1) * self.r] for i in range(self.q)
-            ]
-            res = self.tr._msr_to_rs(groups, fault_hook, data=stripe.data)
-            return ConversionResult(
-                stripe=CodedStripe("rs", stripe.data, res.parity), cost=res.cost
-            )
-        # journalled full re-encode for every remaining edge
-        cost = TransformCost()
-        data = self._read_data(stripe, fault_hook, cost)
-        parity = self._encode_parity(data, target)
-        cost.blocks_written = parity.shape[0]
-        cost.gf_ops += self._encode_gf_ops(target, data.shape[1])
-        if METRICS.enabled:
-            METRICS.counter(
-                f"fusion.transform.{source}_to_{target}", unit="conversions"
-            ).inc()
-            METRICS.counter("fusion.transform.gf_ops", unit="gf-ops").inc(cost.gf_ops)
-        return ConversionResult(stripe=CodedStripe(target, data, parity), cost=cost)
-
-    def _encode_gf_ops(self, code: str, L: int) -> float:
-        k, r = self.k, self.r
-        if code == "rs":
-            return float(k * r * L)
-        if code == "msr":
-            l = self.tr.subpacketization
-            return float(self.q * (r * r * L + self.tr.trans2[0].size * (L / l)))
-        if code == "lrc":
-            return float((k * self.lrc.r + (k - self.lrc.z)) * L)
-        coded = self.fr.num_chunks - self.fr.num_data_chunks
-        return float(coded * k * L)
-
-    # ----------------------------------------------------------- source reads
-    def _read_data(
-        self, stripe: CodedStripe, fault_hook, cost: TransformCost
-    ) -> np.ndarray:
-        """Read the k data chunks, decoding lost groups from source parity.
-
-        Probes ``("data", i)`` per group; a lost group probes the source
-        family's parities (``("parity", g)`` per MSR group, ``("parity",
-        -1)`` otherwise) and decodes.  Never mutates ``stripe``.
-        """
-        k, r, q = self.k, self.r, self.q
-        missing = [
-            i for i in range(q) if not self.tr._read_source(fault_hook, "data", i)
-        ]
-        if not missing:
-            cost.data_blocks_read += k
-            return stripe.data
-        lost_nodes = [
-            node for g in missing for node in range(g * r, min((g + 1) * r, k))
-        ]
-        cost.data_blocks_read += k - len(lost_nodes)
-        if stripe.code == "msr":
-            return self._decode_msr_groups(stripe, missing, lost_nodes, fault_hook, cost)
-        if not self.tr._read_source(fault_hook, "parity", -1):
-            raise TransformAborted(
-                f"{stripe.code} re-encode: data groups {missing} and the "
-                f"{stripe.code} parities are all unavailable"
-            )
-        code = {"rs": self.rs, "lrc": self.lrc, "fr": self.fr}[stripe.code]
-        shards = {i: stripe.data[i] for i in range(k) if i not in lost_nodes}
-        shards.update({k + j: stripe.parity[j] for j in range(stripe.parity.shape[0])})
-        try:
-            data = code.decode_data(shards)
-        except Exception as exc:
-            raise TransformAborted(
-                f"{stripe.code} re-encode: decode of lost groups {missing} "
-                f"failed ({exc})"
-            ) from exc
-        cost.parity_blocks_read += stripe.parity.shape[0]
-        cost.gf_ops += len(lost_nodes) * k * stripe.data.shape[1]
-        return data
-
-    def _decode_msr_groups(
-        self,
-        stripe: CodedStripe,
-        missing: list[int],
-        lost_nodes: list[int],
-        fault_hook,
-        cost: TransformCost,
-    ) -> np.ndarray:
-        """MSR source: a group's data is B_i⁻¹·Trans1_i(its own parities)."""
-        r, k, L = self.r, self.k, stripe.data.shape[1]
-        data = stripe.data.copy()
-        for g in missing:
-            if not self.tr._read_source(fault_hook, "parity", g):
-                raise TransformAborted(
-                    f"msr re-encode: group {g} data and parities both lost"
-                )
-            par = stripe.parity[g * r : (g + 1) * r]
-            p_syms = self.tr._trans1_plans[g].apply(self.tr._syms(par))
-            p_i = self.tr._blocks(p_syms, r)
-            grp = self._group_inv_plans[g].apply(p_i)  # eq. (4): d_i = B_i⁻¹·p′_i
-            for row, node in enumerate(range(g * r, min((g + 1) * r, k))):
-                data[node] = grp[row]
-            cost.parity_blocks_read += r
-            cost.gf_ops += self.tr.trans1[g].size * (L / self.tr.subpacketization)
-            cost.gf_ops += r * r * L
-        return data
-
-    # -------------------------------------------------------------- validation
-    def verify_roundtrip(self, rng: np.random.Generator, L: int | None = None) -> bool:
-        """Self-check: a full tour rs → lrc → fr → msr → rs preserves the
-        data bytes and reproduces the original RS parities exactly."""
-        if L is None:
-            L = self.subpacketization * 4
-        data = rng.integers(0, 256, (self.k, L), dtype=np.uint8)
-        stripe = self.encode(data, "rs")
-        original_parity = stripe.parity.copy()
-        for target in ("lrc", "fr", "msr", "rs"):
-            stripe = self.convert(stripe, target).stripe
-            if not np.array_equal(stripe.data, data):
-                return False
-        return np.array_equal(stripe.parity, original_parity)

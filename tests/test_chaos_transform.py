@@ -1,10 +1,13 @@
-"""Mid-conversion fault injection for the RS↔MSR transform (§III-D).
+"""Mid-conversion fault injection for the RS↔MSR transform (§III-D) and
+the conversion-safety sweep over every edge of the code-family graph.
 
 A conversion interrupted by a source loss must either complete with
 byte-identical output via its documented failover path, or abort cleanly
 with :class:`TransformAborted` leaving every input array untouched — a
 stripe is never left half-converted.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -106,9 +109,18 @@ class TestMsrToRsFaults:
             )
 
 
-@pytest.mark.parametrize("k,r", [(4, 2), (6, 3), (6, 2), (5, 2)])
+@pytest.mark.parametrize("k,r", [(4, 2), (6, 3), (6, 2), (5, 2), (8, 3), (12, 4)])
 def test_conversion_safety_sweep(k, r):
-    """The invariant-harness conversion check: every single-loss scenario
-    byte-identical, every beyond-failover scenario a clean abort."""
-    failures = verify_conversion_safety(k, r, np.random.default_rng(99))
+    """The invariant-harness conversion check over every edge of the
+    code-family graph: every single loss within the source's tolerance
+    byte-identical, every beyond-failover loss a clean abort.  Only a
+    family that cannot exist at the shape is skipped, and says so."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        failures = verify_conversion_safety(k, r, np.random.default_rng(99))
     assert failures == []
+    skipped = [str(w.message) for w in caught]
+    if (k, r) == (5, 2):  # LRC(5, 2, 2): z = 2 does not divide k = 5
+        assert skipped == ["conversion sweep at (5,2) skips lrc: z=2 must divide k=5"]
+    else:
+        assert skipped == []

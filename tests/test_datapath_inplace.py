@@ -136,12 +136,12 @@ def test_data_memory_survives_both_conversions(k, r):
     fusion.write("s", data)
     store = fusion._stripes["s"]
     before = fusion.read_stripe("s")
-    fusion._to_msr(store)
+    fusion.transformer.convert(store, CodeKind.MSR)
     assert store.kind is CodeKind.MSR
     in_msr = fusion.read_stripe("s")
     assert np.shares_memory(before, in_msr)
     assert before.ctypes.data == in_msr.ctypes.data
-    fusion._to_rs(store)
+    fusion.transformer.convert(store, CodeKind.RS)
     assert store.kind is CodeKind.RS
     after = fusion.read_stripe("s")
     assert np.shares_memory(before, after)
@@ -175,8 +175,8 @@ def test_aborted_conversion_leaves_the_stripe_as_it_was(direction, monkeypatch):
             fusion.recover("s", 0)  # the policy's own RS -> MSR conversion
             assert store.kind is CodeKind.MSR
 
-            def convert():
-                fusion._to_rs(store)
+            def convert():  # the converter's MSR -> RS edge
+                fusion.transformer.convert(store, CodeKind.RS)
         else:
 
             def convert():  # the first recovery converts before it repairs
@@ -187,7 +187,7 @@ def test_aborted_conversion_leaves_the_stripe_as_it_was(direction, monkeypatch):
         real = getattr(fusion.transformer, direction)
         monkeypatch.setattr(
             fusion.transformer, direction,
-            lambda *a, _real=real, _hook=hook, **kw: _real(*a, fault_hook=_hook, **kw),
+            lambda *a, _real=real, _hook=hook, **kw: _real(*a, **{**kw, "fault_hook": _hook}),
         )
         try:
             convert()
@@ -399,14 +399,14 @@ def test_allocation_budget_at_megabyte_blocks():
         peaks["rs write"] = _peak(lambda: fusion.write(stripe + "/rs", data))
         fusion.write(stripe, data)
         store = fusion._stripes[stripe]
-        # the first recovery converts RS -> MSR (``_to_msr``), then repairs
+        # the first recovery converts RS -> MSR (``convert``), then repairs
         peaks["to_msr"] = _peak(lambda: fusion.recover(stripe, 2))
         assert store.kind is CodeKind.MSR
         peaks["msr recover"] = _peak(lambda: fusion.recover(stripe, 3))
         peaks["msr parity"] = _peak(lambda: fusion.recover_parity(stripe, 5))
         peaks["msr write"] = _peak(lambda: fusion.write(stripe, data))
         assert store.kind is CodeKind.MSR
-        peaks["to_rs"] = _peak(lambda: fusion._to_rs(store))
+        peaks["to_rs"] = _peak(lambda: fusion.transformer.convert(store, CodeKind.RS))
         assert store.kind is CodeKind.RS
         peaks["rs recover"] = _peak(lambda: fusion.recover(stripe, 1))
         assert store.kind is CodeKind.RS
