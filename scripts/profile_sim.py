@@ -13,13 +13,14 @@ only.  Two passes over the same seed:
 2. a counting pass that tallies what the DES kernel was asked to do:
    heap entries pushed, peak heap depth, ``Event`` / ``Process`` objects
    allocated and generator resumes, each per request, and how many
-   requests were priced in a quiet window (one ``call_at`` entry each,
-   less the windows an intruder closed) instead of replayed hop by hop.
+   requests were priced in a quiet window (the windows opened, less the
+   ones an intruder closed) instead of replayed hop by hop.
 
 The counts of pass 2 are a pure function of the seed — no wall clock in
 them — so ``--check`` (pass 2 only) compares them with the ceilings
 below and exits 1 above any of them: CI's ``bench-smoke`` job runs
-``steady --check`` as a noise-free gate on the kernel's event economy.
+``--check`` on all four shapes as a noise-free gate on the kernel's
+event economy.
 Point ``PYTHONPATH`` at another checkout's ``src/`` to count that tree
 with the same instrument.
 """
@@ -59,13 +60,19 @@ SHAPES = {
 #: per offered request; the closed-loop campaign never did).
 #: ``fig17`` is the closed-loop shape: since the quiet-window fast-forward
 #: 73 % of its requests are one entry each (19.02 → 6.73 / 6.74 entries per
-#: request at seeds 21 / 5, 3.47 → 1.40 events); open-loop serving opens no
-#: window, so the other three ceilings — and counts — are the kernel's own.
+#: request at seeds 21 / 5); open-loop serving opens no window, so the
+#: other three entry ceilings — and counts — are the kernel's own.
+#: Since requests run as callback chains (``ObjectStore.get_cb`` …,
+#: ``PlanExecutor.run_cb``) a healthy serving request allocates no
+#: ``Event`` or ``Process`` and resumes no generator (``steady``: 3.05 /
+#: 2.00 / 6.05 before); what is left elsewhere is repair jobs, ridden
+#: ``job.done`` events, the chaos path's per-chunk processes and the
+#: campaign's ``run_request`` processes.
 CEILINGS = {
-    "steady": dict(entries=16.0, events=5.0, peak_depth=200),
-    "degraded": dict(entries=34.5, events=10.0, peak_depth=200),
-    "storm": dict(entries=22.5, events=16.0, peak_depth=1000),
-    "fig17": dict(entries=7.0, events=1.5, peak_depth=400),
+    "steady": dict(entries=16.0, events=0.05, processes=0.05, resumes=0.05, peak_depth=200),
+    "degraded": dict(entries=34.5, events=2.35, processes=1.5, resumes=3.8, peak_depth=200),
+    "storm": dict(entries=22.5, events=12.5, processes=4.6, resumes=16.0, peak_depth=1000),
+    "fig17": dict(entries=7.0, events=0.55, processes=0.85, resumes=1.8, peak_depth=400),
 }
 
 
@@ -111,14 +118,22 @@ def count_pass(shape: str, seed: int) -> dict:
         resumes[0] += 1
         return step(self, fired)
 
-    # a quiet window is one ``call_at`` entry; ``_intrude`` withdraws it
-    # (kernels before the fast-forward have neither: nothing is priced)
-    call_at = getattr(events.Simulator, "call_at", None)
-    intrude = getattr(events.Simulator, "_intrude", None)
+    # a quiet window is what ``sim._window`` is set to when the closed loop
+    # opens one; ``_intrude`` closes it early (``call_at`` alone is no
+    # witness: open-loop arrivals are ``call_at`` entries too).  Kernels
+    # before the fast-forward have no window: nothing is priced.
+    window = events.Simulator.__dict__.get("_window")  # the slot descriptor
 
-    def counting_call_at(self, *args):
-        priced[0] += 1
-        return call_at(self, *args)
+    class CountingWindow:
+        def __get__(self, sim, owner=None):
+            return window.__get__(sim, owner)
+
+        def __set__(self, sim, value):
+            if value is not None:
+                priced[0] += 1
+            window.__set__(sim, value)
+
+    intrude = getattr(events.Simulator, "_intrude", None)
 
     def counting_intrude(self):
         priced[0] -= 1
@@ -126,8 +141,8 @@ def count_pass(shape: str, seed: int) -> dict:
 
     events.Event.__new__ = events.Simulator.__new__ = staticmethod(counting_new)
     events.Process._step = counting_step
-    if call_at is not None:
-        events.Simulator.call_at = counting_call_at
+    if window is not None:
+        events.Simulator._window = CountingWindow()
         events.Simulator._intrude = counting_intrude
     METRICS.reset()
     METRICS.enable()  # only for the heap-depth gauge's high-water mark

@@ -351,7 +351,7 @@ class ChaosEngine:
                     node = self.cluster.nodes[info.placement[slot]]
                     if not node.alive or self.state.is_partitioned(node.node_id):
                         continue
-                    yield from node.disk.read(self.profile.verify_bytes)
+                    yield node.disk.read_ev(self.profile.verify_bytes)
                     self.scrub_chunks += 1
                     if METRICS.enabled:
                         METRICS.counter("chaos.scrub.chunks", unit="chunks").inc()

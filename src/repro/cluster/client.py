@@ -9,6 +9,13 @@ pipeline:
    (the client for application ops, the rebuilt node for recovery);
 3. **writes** — for each target slot, NIC then disk, in parallel.
 
+:meth:`PlanExecutor.run_cb` is the one implementation: each hop is a
+resource callback that starts the next, and the run ends in a
+``done(None, exc)`` call.  :meth:`PlanExecutor.run_plans`,
+:meth:`PlanExecutor.execute` and :meth:`Client.submit` are generator
+adapters over it that yield one :class:`Event` — the same heap entries,
+for callers that are processes.
+
 A request's latency is the makespan of its plans executed in order —
 conversions emitted by adaptive schemes run before the triggering
 operation and are charged to it, exactly as the paper charges EC-Fusion's
@@ -32,7 +39,7 @@ take the historical path untouched, event for event.
 
 from __future__ import annotations
 
-from typing import Generator, Hashable
+from typing import Callable, Generator, Hashable
 
 from ..chaos.faults import PartitionError
 from ..hybrid.plans import OpPlan
@@ -54,10 +61,16 @@ class DeadNodeError(RuntimeError):
         self.node = node
 
 
-class _FanOut(Event):
-    """Counting barrier over the chunk pipelines of one plan phase."""
+class _FanOut:
+    """Counting barrier over the chunk pipelines of one plan phase: the
+    last chunk to land calls ``fn(arg)``."""
 
-    __slots__ = ("remaining",)
+    __slots__ = ("remaining", "fn", "arg")
+
+    def __init__(self, remaining: int, fn: Callable, arg):
+        self.remaining = remaining
+        self.fn = fn
+        self.arg = arg
 
 
 def _second_hop(hop: tuple) -> None:
@@ -69,7 +82,101 @@ def _second_hop(hop: tuple) -> None:
 def _chunk_landed(barrier: _FanOut) -> None:
     barrier.remaining -= 1
     if not barrier.remaining:
-        barrier.succeed()
+        barrier.fn(barrier.arg)
+
+
+class _PlanRun:
+    """One :meth:`PlanExecutor.run_cb` in flight.
+
+    Each hop hands the run itself to the resource as the callback
+    argument, with an unbound step function as the callback, so nothing
+    on the run refers back to it and a finished run dies by refcount.
+    """
+
+    __slots__ = (
+        "executor", "plans", "stripe", "cpu", "nic", "done", "ctx",
+        "at", "plan", "info", "trace", "started", "then",
+    )
+
+    def __init__(self, executor, plans, stripe, cpu, nic, done, ctx):
+        self.executor = executor
+        self.plans = plans
+        self.stripe = stripe
+        self.cpu = cpu
+        self.nic = nic
+        self.done = done
+        self.ctx = ctx
+        self.at = 0
+
+    def next_plan(self) -> None:
+        """Start the next plan, or report the run done."""
+        if self.at == len(self.plans):
+            self.done(None, None)
+            return
+        plan = self.plan = self.plans[self.at]
+        self.at += 1
+        executor = self.executor
+        self.info = executor.namenode.lookup(self.stripe)
+        self.trace = self.ctx is not None and TRACER.enabled
+        if plan.reads:
+            self.started = executor.sim.now
+            executor._fanout(self, plan.reads.items(), True, _PlanRun.reads_landed)
+        else:
+            self.compute()
+
+    def reads_landed(self) -> None:
+        plan = self.plan
+        if plan.distributed:
+            self.ingested()
+        else:  # ingest at the coordinator
+            self.nic.transfer_cb(plan.bytes_read, _PlanRun.ingested, self)
+
+    def ingested(self) -> None:
+        if self.trace:
+            self.span("network", stage="read", bytes=self.plan.bytes_read)
+        self.compute()
+
+    def compute(self) -> None:
+        ops = self.plan.compute_ops
+        if ops:
+            self.started = self.executor.sim.now
+            self.cpu.compute_cb(ops, _PlanRun.computed, self)
+        else:
+            self.write()
+
+    def computed(self) -> None:
+        if self.trace:
+            self.span("decode", ops=self.plan.compute_ops)
+        self.write()
+
+    def write(self) -> None:
+        plan = self.plan
+        if not plan.writes:
+            self.next_plan()
+            return
+        self.started = self.executor.sim.now
+        if plan.distributed:
+            self.egressed()
+        else:  # egress from the coordinator
+            self.nic.transfer_cb(plan.bytes_written, _PlanRun.egressed, self)
+
+    def egressed(self) -> None:
+        self.executor._fanout(self, self.plan.writes.items(), False, _PlanRun.written)
+
+    def written(self) -> None:
+        if self.trace:
+            self.span("network", stage="write", bytes=self.plan.bytes_written)
+        self.next_plan()
+
+    def landed(self, barrier: Event) -> None:
+        """The chaos path's ``AllOf`` over per-chunk processes fired."""
+        if barrier.exc is not None:
+            self.done(None, barrier.exc)
+        else:
+            self.then(self)
+
+    def span(self, phase: str, **fields) -> None:
+        TRACER.span("phase", self.ctx, self.started, self.executor.sim.now, phase=phase, **fields)
 
 
 class PlanExecutor:
@@ -119,109 +226,57 @@ class PlanExecutor:
         yield node.nic.transfer_ev(nbytes)
         yield node.disk.write_ev(nbytes)
 
-    # Chaos-free fast path: the two-hop chunk pipelines chained through
-    # resource callbacks, with no Process / generator / event / closure per
-    # chunk, and one shared counting barrier.  Only usable when no chaos
-    # state is attached — reachability checks and partition waits need the
-    # generator machinery above.
-
-    def _fanout_ev(self, info, items, read: bool) -> Event:
-        """Barrier event for all chunk pipelines of one plan phase.
+    def _fanout(self, run: _PlanRun, items, read: bool, then: Callable) -> None:
+        """Run every chunk pipeline of one plan phase, then ``then(run)``.
 
         ``read=True`` runs disk → NIC per chunk; ``read=False`` NIC → disk.
-        Chunks issue in plan order (the same order the process-based path
-        starts them) and the barrier fires when the last chunk lands.
+        Chunks issue in plan order.  Chaos-free, the two hops chain
+        through resource callbacks under one counting barrier (per chunk
+        a 3-tuple: no process, event or closure); a dead node fails the
+        run at its chunk.  Under chaos each chunk is a process of its own
+        — reachability checks and partition waits need the generator
+        machinery — and the run waits on their ``AllOf``.
         """
-        barrier = _FanOut(self.sim)
-        barrier.remaining = len(items)
-        nodes = self.nodes
-        for slot, nbytes in items:
-            node = nodes[info.placement[slot]]
-            if not node.alive:
-                raise DeadNodeError(node.node_id)
-            if read:
-                node.disk.read_cb(nbytes, _second_hop, (barrier, node.nic.transfer_cb, nbytes))
-            else:
-                node.nic.transfer_cb(nbytes, _second_hop, (barrier, node.disk.write_cb, nbytes))
-        return barrier
+        nodes, placement = self.nodes, run.info.placement
+        if self.chaos is None:
+            barrier = _FanOut(len(items), then, run)
+            for slot, nbytes in items:
+                node = nodes[placement[slot]]
+                if not node.alive:
+                    run.done(None, DeadNodeError(node.node_id))
+                    return
+                if read:
+                    node.disk.read_cb(nbytes, _second_hop, (barrier, node.nic.transfer_cb, nbytes))
+                else:
+                    node.nic.transfer_cb(nbytes, _second_hop, (barrier, node.disk.write_cb, nbytes))
+            return
+        path = self._read_path if read else self._write_path
+        sim = self.sim
+        run.then = then
+        sim.all_of(
+            [sim.process(path(nodes[placement[slot]], nbytes)) for slot, nbytes in items]
+        ).wait(run.landed)
 
-    def execute(
+    def run_cb(
         self,
-        plan: OpPlan,
+        plans: list[OpPlan],
         stripe: Hashable,
         cpu: Cpu,
         nic: Link,
+        done: Callable,
         ctx: SpanContext | None = None,
-    ) -> Generator:
-        """Generator that performs one plan; yield it inside a process.
+    ) -> None:
+        """Execute ``plans`` in order, then call ``done(None, exc)``.
 
-        With a causal ``ctx`` the three sections close as child phase
-        spans (``network`` / ``decode`` / ``network``); without one the
-        generator is byte-for-byte the historical hot path.
+        The one implementation of a plan's hop sequence: read fan-out,
+        coordinator ingest, compute, coordinator egress, write fan-out
+        (a ``distributed`` plan skips the coordinator hops).  ``exc`` is
+        ``None`` on success, else the error that stopped the run — a
+        :class:`DeadNodeError` or :class:`~repro.chaos.PartitionError`
+        from a chunk.  With a causal ``ctx`` the three sections close as
+        child phase spans (``network`` / ``decode`` / ``network``).
         """
-        info = self.namenode.lookup(stripe)
-        fast = self.chaos is None  # chunk paths need no reachability machinery
-        trace = ctx is not None and TRACER.enabled
-        if plan.reads:
-            started = self.sim.now if trace else 0.0
-            if fast:
-                yield self._fanout_ev(info, plan.reads.items(), read=True)
-            else:
-                reads = [
-                    self.sim.process(
-                        self._read_path(self.nodes[info.placement[slot]], nbytes)
-                    )
-                    for slot, nbytes in plan.reads.items()
-                ]
-                yield self.sim.all_of(reads)
-            if not plan.distributed:
-                yield nic.transfer_ev(plan.bytes_read)  # ingest at the coordinator
-            if trace:
-                TRACER.span(
-                    "phase",
-                    ctx,
-                    started,
-                    self.sim.now,
-                    phase="network",
-                    stage="read",
-                    bytes=plan.bytes_read,
-                )
-        if plan.compute_ops:
-            started = self.sim.now if trace else 0.0
-            yield cpu.compute_ev(plan.compute_ops)
-            if trace:
-                TRACER.span(
-                    "phase",
-                    ctx,
-                    started,
-                    self.sim.now,
-                    phase="decode",
-                    ops=plan.compute_ops,
-                )
-        if plan.writes:
-            started = self.sim.now if trace else 0.0
-            if not plan.distributed:
-                yield nic.transfer_ev(plan.bytes_written)  # egress from the coordinator
-            if fast:
-                yield self._fanout_ev(info, plan.writes.items(), read=False)
-            else:
-                writes = [
-                    self.sim.process(
-                        self._write_path(self.nodes[info.placement[slot]], nbytes)
-                    )
-                    for slot, nbytes in plan.writes.items()
-                ]
-                yield self.sim.all_of(writes)
-            if trace:
-                TRACER.span(
-                    "phase",
-                    ctx,
-                    started,
-                    self.sim.now,
-                    phase="network",
-                    stage="write",
-                    bytes=plan.bytes_written,
-                )
+        _PlanRun(self, plans, stripe, cpu, nic, done, ctx).next_plan()
 
     # Closed form of ``execute`` for a plan nothing can interleave with
     # (``run_workload``'s quiet window): on idle resources every hold is
@@ -229,7 +284,7 @@ class PlanExecutor:
     # chain of float additions, repeated here in its order and association.
 
     def _price_fanout(self, info, items, t: float, holds: list, read: bool):
-        """Landing time of :meth:`_fanout_ev` issued at ``t``, or ``None``."""
+        """Landing time of :meth:`_fanout` issued at ``t``, or ``None``."""
         nodes = self.nodes
         placement = info.placement
         base = len(holds)
@@ -323,9 +378,21 @@ class PlanExecutor:
         nic: Link,
         ctx: SpanContext | None = None,
     ) -> Generator:
-        """Execute plans sequentially (conversion → main operation)."""
-        for plan in plans:
-            yield from self.execute(plan, stripe, cpu, nic, ctx=ctx)
+        """Generator adapter of :meth:`run_cb` (conversion → main operation)."""
+        outcome = Event(self.sim)
+        self.run_cb(plans, stripe, cpu, nic, outcome.settle, ctx)
+        yield outcome
+
+    def execute(
+        self,
+        plan: OpPlan,
+        stripe: Hashable,
+        cpu: Cpu,
+        nic: Link,
+        ctx: SpanContext | None = None,
+    ) -> Generator:
+        """Generator that performs one plan (:meth:`run_plans` of ``[plan]``)."""
+        yield from self.run_plans([plan], stripe, cpu, nic, ctx=ctx)
 
 
 class Client:
@@ -344,19 +411,52 @@ class Client:
         self.cpu = Cpu(sim, name="client-cpu", alpha=alpha)
         self.nic = Link(sim, name="client-nic", bandwidth=net_bandwidth, latency=net_latency)
 
+    def submit_cb(
+        self,
+        plans: list[OpPlan],
+        stripe: Hashable,
+        done: Callable,
+        ctx: SpanContext | None = None,
+    ) -> None:
+        """One application request (all its plans), then ``done(None, exc)``.
+
+        With an oversubscribed fabric attached, the request's
+        cross-domain bytes first queue on the shared rack uplinks / DC
+        interconnects (admission at the fabric edge) before the per-node
+        pipelines run (:meth:`PlanExecutor.run_cb`).
+        """
+        executor = self.executor
+        if executor.fabric is not None:
+            charged = executor.fabric.charge(plans, stripe, where=None)
+            if charged is not None:
+                charged.wait(
+                    lambda _ev: executor.run_cb(plans, stripe, self.cpu, self.nic, done, ctx)
+                )
+                return
+        executor.run_cb(plans, stripe, self.cpu, self.nic, done, ctx)
+
+    def start_cb(
+        self,
+        plans: list[OpPlan],
+        stripe: Hashable,
+        done: Callable,
+        ctx: SpanContext | None = None,
+    ) -> None:
+        """:meth:`submit_cb` from a zero-delay entry — the process-start
+        hop ``sim.process(client.submit(…))`` pays, kept because
+        same-instant work ahead of it must go first."""
+        self.sim.call_later(0.0, self._start, (plans, stripe, done, ctx))
+
+    def _start(self, request: tuple) -> None:
+        self.submit_cb(*request)
+
     def submit(
         self,
         plans: list[OpPlan],
         stripe: Hashable,
         ctx: SpanContext | None = None,
     ) -> Generator:
-        """Generator for one application request (all its plans).
-
-        With an oversubscribed fabric attached, the request's
-        cross-domain bytes first queue on the shared rack uplinks / DC
-        interconnects (admission at the fabric edge) before the per-node
-        pipelines run.
-        """
-        if self.executor.fabric is not None:
-            yield from self.executor.fabric.charge(plans, stripe, where=None)
-        yield from self.executor.run_plans(plans, stripe, self.cpu, self.nic, ctx=ctx)
+        """Generator adapter of :meth:`submit_cb`."""
+        outcome = Event(self.sim)
+        self.submit_cb(plans, stripe, outcome.settle, ctx)
+        yield outcome

@@ -96,6 +96,18 @@ class Event:
             cb(self)
         return self
 
+    def settle(self, value=None, exc: BaseException | None = None) -> None:
+        """:meth:`succeed` with ``value``, or :meth:`fail` with ``exc``.
+
+        The completion-callback signature ``done(value, exc)`` of the
+        callback chains (``PlanExecutor.run_cb``, ``ObjectStore.get_cb``
+        …): an event's ``settle`` is how a generator waits on one.
+        """
+        if exc is None:
+            self.succeed(value)
+        else:
+            self.fail(exc)
+
     def wait(self, callback: Callable[["Event"], None]) -> None:
         """Register ``callback``; runs immediately if already triggered."""
         if self.triggered:
@@ -483,5 +495,7 @@ class FIFOResource:
         return done
 
     def use(self, duration: float) -> Generator:
-        """Generator helper: hold the resource for ``duration`` seconds."""
+        """Generator helper: hold the resource for ``duration`` seconds
+        (kept for the simulator probe; everything else spells a hold as
+        ``use_cb`` or ``yield use_ev(…)``)."""
         yield self.use_ev(duration)

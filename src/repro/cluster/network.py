@@ -8,7 +8,7 @@ the heart of the online-recovery scenario.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING
 
 from ..telemetry import METRICS
 from .events import Event, FIFOResource, Simulator
@@ -58,8 +58,7 @@ class Link(FIFOResource):
 
     def transfer_cb(self, nbytes: float, fn, arg=None) -> None:
         """Occupy the link for one transfer, then ``fn(arg)`` (the
-        executor's hot path; :meth:`transfer_ev` and :meth:`transfer`
-        wrap it)."""
+        executor's hot path; :meth:`transfer_ev` wraps it)."""
         self.bytes_moved += nbytes
         if METRICS.enabled:
             METRICS.counter(f"cluster.net.bytes.{self.metric_key}", unit="bytes").inc(
@@ -79,14 +78,10 @@ class Link(FIFOResource):
             self._record(duration, 0.0)
 
     def transfer_ev(self, nbytes: float) -> Event:
-        """Event flavour of :meth:`transfer`."""
+        """Event flavour of :meth:`transfer_cb`."""
         done = Event(self.sim)
         self.transfer_cb(nbytes, done.succeed)
         return done
-
-    def transfer(self, nbytes: float) -> Generator:
-        """Generator: occupy the link for one transfer."""
-        yield self.transfer_ev(nbytes)
 
     def stream_ev(self, nbytes: float, first: bool = True):
         """Transfer one chunk of an open stream.
@@ -197,7 +192,7 @@ class Fabric:
                     latency=latency,
                 )
 
-    def charge(self, plans, stripe, where: int | None) -> Generator:
+    def charge(self, plans, stripe, where: int | None) -> Event | None:
         """Occupy the fabric for one plan batch's cross-domain bytes.
 
         ``where`` is the coordinating node (the decode worker for
@@ -205,9 +200,11 @@ class Fabric:
         DC 0 and is outside every rack.  Chunks local to the
         coordinator's domain are free; remote bytes queue on the remote
         domain's shared link, one parallel transfer per touched link.
+        Returns the barrier over those transfers, or ``None`` when the
+        batch crosses no shared link.
         """
         if not self.rack_uplinks and not self.dc_links:
-            return
+            return None
         namenode = self.namenode
         if where is None:
             w_rack, w_dc = None, 0
@@ -227,10 +224,9 @@ class Fabric:
                     dc_link = self.dc_links.get(rack % namenode.dcs)
                     if dc_link is not None and rack % namenode.dcs != w_dc:
                         load[dc_link] = load.get(dc_link, 0.0) + nbytes
-        if load:
-            yield self.sim.all_of(
-                [link.transfer_ev(nbytes) for link, nbytes in load.items()]
-            )
+        if not load:
+            return None
+        return self.sim.all_of([link.transfer_ev(nbytes) for link, nbytes in load.items()])
 
 
 class Cpu(FIFOResource):
@@ -255,22 +251,24 @@ class Cpu(FIFOResource):
             t *= self.derate
         return t
 
-    def compute_ev(self, ops: float):
-        """Event flavour of :meth:`compute` (the executor's hot path)."""
+    def compute_cb(self, ops: float, fn, arg=None) -> None:
+        """Occupy the CPU for ``ops`` GF operations, then ``fn(arg)``."""
         self.ops_done += ops
         if METRICS.enabled:
             METRICS.counter(f"cluster.cpu.ops.{self.metric_key}", unit="gf-ops").inc(ops)
-        return self.use_ev(self.compute_time(ops))
+        self.use_cb(self.compute_time(ops), fn, arg)
+
+    def compute_ev(self, ops: float) -> Event:
+        """Event flavour of :meth:`compute_cb`."""
+        done = Event(self.sim)
+        self.compute_cb(ops, done.succeed)
+        return done
 
     def book_compute(self, ops: float, duration: float) -> None:
-        """:meth:`Disk.book_read` for an uncontended :meth:`compute_ev`."""
+        """:meth:`Disk.book_read` for an uncontended :meth:`compute_cb`."""
         self.ops_done += ops
         self.busy_time += duration
         self.served += 1
         if METRICS.enabled:
             METRICS.counter(f"cluster.cpu.ops.{self.metric_key}", unit="gf-ops").inc(ops)
             self._record(duration, 0.0)
-
-    def compute(self, ops: float) -> Generator:
-        """Generator: occupy the CPU for ``ops`` GF operations."""
-        yield self.compute_ev(ops)

@@ -137,11 +137,13 @@ class RecoveryManager:
         worker = self._decode_node(plans, stripe)
         if self.throttle is not None:
             for plan in plans:
-                yield from self.throttle.transfer(plan.transfer_bytes)
+                yield self.throttle.transfer_ev(plan.transfer_bytes)
         if self.executor.fabric is not None:
             # cross-rack/cross-DC helper bytes queue on the shared
             # oversubscribed uplinks, coordinated at the decode worker
-            yield from self.executor.fabric.charge(plans, stripe, where=worker.node_id)
+            charged = self.executor.fabric.charge(plans, stripe, where=worker.node_id)
+            if charged is not None:
+                yield charged
         if METRICS.enabled:
             METRICS.counter("cluster.recovery.jobs", unit="jobs").inc()
             METRICS.counter("cluster.recovery.bytes_read", unit="bytes").inc(

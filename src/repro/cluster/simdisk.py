@@ -12,7 +12,6 @@ uses, so simulated disk behaviour and Table III's γ/φ terms agree.
 from __future__ import annotations
 
 import math
-from typing import Generator
 
 from ..telemetry import METRICS
 from .events import Event, FIFOResource, Simulator
@@ -65,7 +64,7 @@ class Disk(FIFOResource):
 
     def read_cb(self, nbytes: float, fn, arg=None) -> None:
         """Occupy the disk for one read, then ``fn(arg)`` (the executor's
-        hot path; :meth:`read_ev` and :meth:`read` wrap it)."""
+        hot path; :meth:`read_ev` wraps it)."""
         self.bytes_read += nbytes
         if METRICS.enabled:
             METRICS.counter("cluster.disk.bytes_read", unit="bytes").inc(nbytes)
@@ -82,14 +81,10 @@ class Disk(FIFOResource):
             self._record(duration, 0.0)
 
     def read_ev(self, nbytes: float) -> Event:
-        """Event flavour of :meth:`read`."""
+        """Event flavour of :meth:`read_cb` (``yield disk.read_ev(n)``)."""
         done = Event(self.sim)
         self.read_cb(nbytes, done.succeed)
         return done
-
-    def read(self, nbytes: float) -> Generator:
-        """Generator: occupy the disk for one read."""
-        yield self.read_ev(nbytes)
 
     def write_cb(self, nbytes: float, fn, arg=None) -> None:
         """Occupy the disk for one write, then ``fn(arg)``."""
@@ -108,11 +103,7 @@ class Disk(FIFOResource):
             self._record(duration, 0.0)
 
     def write_ev(self, nbytes: float) -> Event:
-        """Event flavour of :meth:`write`."""
+        """Event flavour of :meth:`write_cb`."""
         done = Event(self.sim)
         self.write_cb(nbytes, done.succeed)
         return done
-
-    def write(self, nbytes: float) -> Generator:
-        """Generator: occupy the disk for one write."""
-        yield self.write_ev(nbytes)

@@ -35,8 +35,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..chaos.faults import ChaosConfig, PartitionError
-from ..cluster.client import DeadNodeError
+from ..chaos.faults import ChaosConfig
 from ..cluster.events import FIFOResource
 from ..telemetry import METRICS, SNAPSHOTS, serving_buckets
 from ..telemetry.spans import nearest_rank
@@ -306,6 +305,122 @@ def _attach_snapshots(store: ObjectStore, result: ServingResult) -> None:
     SNAPSHOTS.sample_into(store.sim, f"serve/{store.scheme.name}", probes)
 
 
+class _Offered:
+    """One offered request, from its arrival (or dispatch) to its
+    completion callback."""
+
+    __slots__ = ("drive", "arrival", "started_at", "key")
+
+    def __init__(self, drive: "_Drive", arrival: Arrival, started_at: float):
+        self.drive = drive
+        self.arrival = arrival
+        self.started_at = started_at
+
+    def start(self, _grant=None) -> None:
+        """Resolve the key and start the operation (also the connection
+        pool's grant callback)."""
+        drive, arrival = self.drive, self.arrival
+        if drive.spec.distribution == "latest":
+            self.key = drive.recency[len(drive.recency) - 1 - arrival.rank]
+        else:
+            self.key = drive.keys[arrival.rank]
+        if arrival.op == "get":
+            drive.store.get_cb(self.key, self.served)
+        else:
+            drive.store.put_cb(self.key, drive.spec.object_size, self.served)
+
+    def served(self, facts: dict | None, exc: BaseException | None) -> None:
+        """Account the finished request, then free its connection (open
+        loop) or start the worker's next request (closed loop)."""
+        drive = self.drive
+        result = drive.result
+        op = self.arrival.op
+        if exc is not None:  # the store hands over typed failures only
+            result.failed += 1
+            if METRICS.enabled:
+                METRICS.counter("server.requests.failed", unit="requests").inc()
+        else:
+            if op == "put":
+                drive.recency.remove(self.key)
+                drive.recency.append(self.key)
+            latency = drive.sim.now - self.started_at
+            result.completed += 1
+            if op == "get":
+                result.get_latencies.append(latency)
+                if facts["degraded"]:
+                    result.degraded_latencies.append(latency)
+                    if METRICS.enabled:
+                        METRICS.histogram(
+                            "server.latency.degraded_read",
+                            unit="s",
+                            buckets=SERVING_BUCKETS,
+                        ).observe(latency)
+            else:
+                result.put_latencies.append(latency)
+            if METRICS.enabled:
+                METRICS.histogram(
+                    f"server.latency.{op}", unit="s", buckets=SERVING_BUCKETS
+                ).observe(latency)
+        if drive.spec.mode == "closed":
+            drive.next_closed()
+        elif drive.pool is not None:
+            drive.pool.release()
+
+
+class _Drive:
+    """The request chain of one :func:`run_serving` call.
+
+    Open loop: each arrival is one absolute-time entry that, on firing,
+    books the next arrival *first*, then takes a connection (one grant
+    entry when a pool is configured) and starts its operation.  Closed
+    loop: each worker starts with one zero-delay entry and starts its next
+    operation from the previous one's completion callback.
+    """
+
+    def __init__(
+        self,
+        store: ObjectStore,
+        spec: WorkloadSpec,
+        result: ServingResult,
+        keys: list[str],
+        pool: FIFOResource | None,
+        arrivals: list[Arrival],
+    ):
+        self.store = store
+        self.sim = store.sim
+        self.spec = spec
+        self.result = result
+        self.keys = keys
+        #: most-recently-written last; ``latest`` reads it back to front
+        self.recency: list[str] = list(keys)
+        self.pool = pool
+        self.arrivals = arrivals
+        self.cursor = 0  # the closed loop's next arrival
+
+    def arrive(self, index: int) -> None:
+        # The arrival chain: the heap holds in-flight work plus one
+        # arrival, not the whole offered schedule.
+        arrivals = self.arrivals
+        if index + 1 < len(arrivals):
+            self.sim.call_at(arrivals[index + 1].time, self.arrive, index + 1)
+        # Latency clock starts at the INTENDED arrival, before any queueing
+        # for a connection — the coordinated-omission-free measurement.
+        arrival = arrivals[index]
+        request = _Offered(self, arrival, arrival.time)
+        if self.pool is not None:
+            self.pool.acquire().wait(request.start)
+        else:
+            request.start()
+
+    def next_closed(self, _arg=None) -> None:
+        if self.cursor < len(self.arrivals):
+            arrival = self.arrivals[self.cursor]
+            self.cursor += 1
+            # Closed loop: the clock starts at dispatch — by construction
+            # this hides queueing the worker itself caused by not sending.
+            _Offered(self, arrival, self.sim.now).start()
+
+
 def run_serving(
     spec: WorkloadSpec,
     config: ServerConfig | None = None,
@@ -323,8 +438,6 @@ def run_serving(
     store = ObjectStore(config, seed=spec.seed)
     result = ServingResult(scheme=store.scheme.name, spec=spec)
     keys = store.preload(spec.num_objects, spec.object_size)
-    #: most-recently-written last; ``latest`` reads it back to front
-    recency: list[str] = list(keys)
     if chaos is not None:
         store.attach_chaos(chaos, horizon=spec.duration)
     store.start_failure_injector()
@@ -340,77 +453,13 @@ def run_serving(
     arrivals = generate_arrivals(spec)
     result.offered = len(arrivals)
 
-    def resolve(arrival: Arrival) -> str:
-        if spec.distribution == "latest":
-            return recency[len(recency) - 1 - arrival.rank]
-        return keys[arrival.rank]
-
-    def perform(arrival: Arrival, started_at: float):
-        """Run one op and account its latency from ``started_at``."""
-        key = resolve(arrival)
-        try:
-            if arrival.op == "get":
-                facts = yield from store.get_op(key)
-            else:
-                facts = yield from store.put_op(key, spec.object_size)
-                recency.remove(key)
-                recency.append(key)
-        except (PartitionError, DeadNodeError):
-            result.failed += 1
-            if METRICS.enabled:
-                METRICS.counter("server.requests.failed", unit="requests").inc()
-            return
-        latency = sim.now - started_at
-        result.completed += 1
-        if arrival.op == "get":
-            result.get_latencies.append(latency)
-            if facts["degraded"]:
-                result.degraded_latencies.append(latency)
-                if METRICS.enabled:
-                    METRICS.histogram(
-                        "server.latency.degraded_read",
-                        unit="s",
-                        buckets=SERVING_BUCKETS,
-                    ).observe(latency)
-        else:
-            result.put_latencies.append(latency)
-        if METRICS.enabled:
-            METRICS.histogram(
-                f"server.latency.{arrival.op}", unit="s", buckets=SERVING_BUCKETS
-            ).observe(latency)
-
-    def open_request(index: int):
-        # The arrival chain: each request, on firing at its intended
-        # arrival time, books the next one — the heap holds in-flight
-        # work plus one arrival, not the whole offered schedule.
-        arrival = arrivals[index]
-        if index + 1 < len(arrivals):
-            sim.process(open_request(index + 1), at=arrivals[index + 1].time)
-        # Latency clock starts at the INTENDED arrival, before any queueing
-        # for a connection — the coordinated-omission-free measurement.
-        if pool is not None:
-            yield pool.acquire()
-        try:
-            yield from perform(arrival, started_at=arrival.time)
-        finally:
-            if pool is not None:
-                pool.release()
-
-    def closed_worker(cursor: dict):
-        while cursor["next"] < len(arrivals):
-            arrival = arrivals[cursor["next"]]
-            cursor["next"] += 1
-            # Closed loop: the clock starts at dispatch — by construction
-            # this hides queueing the worker itself caused by not sending.
-            yield from perform(arrival, started_at=sim.now)
-
+    drive = _Drive(store, spec, result, keys, pool, arrivals)
     if spec.mode == "open":
         if arrivals:
-            sim.process(open_request(0), at=arrivals[0].time)
+            sim.call_at(arrivals[0].time, drive.arrive, 0)
     else:
-        cursor = {"next": 0}
         for _ in range(min(spec.workers, len(arrivals))):
-            sim.process(closed_worker(cursor))
+            sim.call_later(0.0, drive.next_closed)
     sim.run()
 
     result.sim_time = sim.now

@@ -33,13 +33,15 @@ from __future__ import annotations
 import asyncio
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from ..chaos.engine import ChaosEngine
-from ..chaos.faults import ChaosConfig
-from ..cluster.client import Client
+from ..chaos.faults import ChaosConfig, PartitionError
+from ..cluster.client import Client, DeadNodeError
 from ..cluster.cluster import Cluster, ClusterConfig, _split_plans
+from ..cluster.events import Event
 from ..cluster.recovery import RecoveryError
 from ..fusion.costmodel import SystemProfile
 from ..hybrid.planners import SchemePlanner
@@ -157,10 +159,12 @@ class ObjectMeta:
 class ObjectStore:
     """Striped objects over the simulated cluster (see module docstring).
 
-    Operations are *generator processes* against the store's simulator:
-    drive them with ``yield from`` inside another process, with
-    ``sim.process(...)`` + ``sim.run()``, or through
-    :class:`AsyncObjectStore`.  Each returns a small dict of facts about
+    Operations are *callback chains* against the store's simulator:
+    ``get_cb`` / ``put_cb`` / ``delete_cb`` start one and it ends in
+    ``done(facts, exc)``.  ``get_op`` / ``put_op`` / ``delete_op`` are
+    their generator adapters: drive them with ``yield from`` inside
+    another process, with ``sim.process(...)`` + ``sim.run()``, or
+    through :class:`AsyncObjectStore`.  The facts are a small dict about
     the completed operation (``latency``, and for gets ``degraded`` /
     ``piggybacked``).
     """
@@ -235,243 +239,83 @@ class ObjectStore:
             {fb for fb in self.failed_blocks if fb[0] in gone}
         )
 
-    def _convert(
-        self, stripe: int, conversions: list[OpPlan], via_recovery: bool, ctx=None
-    ):
-        """Run an adaptive scheme's code conversion, journalled under chaos."""
-        chaos_state = self.cluster.executor.chaos
-        if chaos_state is not None:
-            chaos_state.begin_conversion(stripe, self.cluster.namenode)
-        committed = False
-        try:
-            with METRICS.timer("server.service.conversion", clock=self._clock, buckets=SERVING_BUCKETS) as t:
-                if via_recovery:
-                    yield self.sim.process(
-                        self.cluster.recovery.submit(conversions, stripe, ctx=ctx)
-                    )
-                else:
-                    yield self.sim.process(
-                        self._frontend().submit(conversions, stripe, ctx=ctx)
-                    )
-            committed = True
-        finally:
-            if chaos_state is not None:
-                chaos_state.end_conversion(
-                    stripe, self.cluster.namenode, committed=committed
-                )
-        self.conversion_latencies.append(t.elapsed)
-        if METRICS.enabled:
-            METRICS.counter("server.conversions", unit="conversions").inc()
+    def _convert(self, stripe: int, conversions: list[OpPlan], via_recovery: bool, ctx, done):
+        """Run an adaptive scheme's code conversion, journalled under chaos,
+        then ``done(None, exc)``.
+
+        Through a frontend (the request's own conversion) or, for a
+        repair's, through the recovery manager as a process of its own.
+        """
+        conversion = _Conversion(self, stripe, done)
+        if via_recovery:
+            self.sim.process(self.cluster.recovery.submit(conversions, stripe, ctx=ctx)).wait(
+                conversion.landed
+            )
+        else:
+            self._frontend().start_cb(conversions, stripe, conversion.finish, ctx)
 
     # -- operations ----------------------------------------------------------
-    def put_op(self, key: str, size: float | None = None):
-        """Store (or overwrite) ``key``; returns ``{"latency": ...}``.
+    # Each operation is a chain of callbacks over one ``_Request`` (the
+    # ``*_cb`` methods); ``put_op`` / ``get_op`` / ``delete_op`` are the
+    # generator adapters for callers that are processes.
+
+    def put_cb(self, key: str, size: float | None, done: Callable) -> None:
+        """Store (or overwrite) ``key``, then ``done({"latency": ...}, None)``.
 
         The object stripes across ``ceil(size / (k·chunk_size))`` fresh
         stripes — overwrites allocate new stripes and retire the old ones,
         so a rewrite never races the repair of a chunk it just replaced.
+        A chunk access that fails with :class:`DeadNodeError` or
+        :class:`~repro.chaos.PartitionError` ends the chain in
+        ``done(None, exc)``; any other error raises out of the simulator.
         """
         size = float(size) if size is not None else self.config.stripe_bytes
         if size <= 0:
             raise ValueError("object size must be positive")
-        nstripes = max(1, math.ceil(size / self.config.stripe_bytes))
-        start = self.sim.now
-        root = TRACER.start_trace()  # None while tracing is off
-        yield self.sim.timeout(self.config.metadata_latency)
-        stripes = tuple(self._alloc_stripe() for _ in range(nstripes))
-        with METRICS.timer("server.service.put", clock=self._clock, buckets=SERVING_BUCKETS):
-            for stripe in stripes:
-                plans = self.scheme.plan_write(stripe)
-                conversions, main = _split_plans(plans)
-                if conversions:
-                    yield from self._convert(
-                        stripe, conversions, via_recovery=False, ctx=root
-                    )
-                yield self.sim.process(self._frontend().submit(main, stripe, ctx=root))
-        old = self.objects.get(key)
-        if old is not None:
-            self._forget(old)
-        self.objects[key] = ObjectMeta(
-            key=key, size=size, stripes=stripes, created=self.sim.now
-        )
-        self.stats["puts"] += 1
-        latency = self.sim.now - start
-        if METRICS.enabled:
-            METRICS.counter("server.requests.put", unit="requests").inc()
-        if TRACER.enabled:
-            TRACER.emit(
-                "request",
-                ts=self.sim.now,
-                ctx=root,
-                op="put",
-                key=key,
-                stripes=len(stripes),
-                latency=latency,
-            )
-        return {"latency": latency}
+        request = _Request(self, key, done)
+        request.size = size
+        self.sim.call_later(self.config.metadata_latency, _Request.put_begin, request)
 
-    def _read_lost_chunk(self, stripe: int, block: int, ctx=None):
-        """Degraded read of one lost data chunk; returns True if it rode.
+    def get_cb(self, key: str, done: Callable) -> None:
+        """Read the whole object behind ``key``, then ``done(facts, None)``.
 
-        Mirrors the cluster driver's ``ride_repair``: join the repair job
-        already rebuilding the chunk when one is queued or running (a
-        queued job gets boosted); reconstruct just for this read when
-        there is none, or when the ridden job gives up.  Under causal
-        tracing the wait splits into a ``queue`` span (until the ridden
-        job dispatched) and a ``repair-ride`` span (until it landed).
-        """
-        plans = None
-        rode = False
-        ride_started = self.sim.now
-        job = self.cluster.scheduler.ride_job(stripe, block)
-        if job is not None:
-            try:
-                yield job.done
-                plans = self.scheme.plan_read(stripe, block)
-                rode = True
-            except RecoveryError:
-                plans = None  # the repair gave up; reconstruct after all
-            if ctx is not None and TRACER.enabled:
-                now = self.sim.now
-                dispatched = (
-                    job.dispatched_at if job.dispatched_at is not None else now
-                )
-                split = min(max(dispatched, ride_started), now)
-                if split > ride_started:
-                    TRACER.span(
-                        "phase",
-                        ctx,
-                        ride_started,
-                        split,
-                        phase="queue",
-                        stripe=stripe,
-                        block=block,
-                    )
-                TRACER.span(
-                    "phase",
-                    ctx,
-                    split,
-                    now,
-                    phase="repair-ride",
-                    stripe=stripe,
-                    block=block,
-                    rode=rode,
-                )
-        if plans is None:
-            plans = self.scheme.plan_degraded_read(stripe, block)
-        conversions, main = _split_plans(plans)
-        if conversions:
-            yield from self._convert(stripe, conversions, via_recovery=False, ctx=ctx)
-        yield self.sim.process(self._frontend().submit(main, stripe, ctx=ctx))
-        return rode
-
-    def get_op(self, key: str):
-        """Read the whole object behind ``key``.
-
-        Returns ``{"latency", "degraded", "piggybacked"}`` — a get is
+        ``facts`` is ``{"latency", "degraded", "piggybacked"}`` — a get is
         *degraded* when any of its chunks was lost at dispatch time, and
         ``piggybacked`` counts chunks served by riding in-flight repairs.
+        Failures end the chain as in :meth:`put_cb`.
         """
         meta = self.objects.get(key)
         if meta is None:
             raise KeyError(f"no object {key!r}")
-        start = self.sim.now
-        root = TRACER.start_trace()  # None while tracing is off
-        yield self.sim.timeout(self.config.metadata_latency)
-        degraded = False
-        piggybacked = 0
-        k = self.config.k
-        nodes = self.cluster.nodes
-        failed_blocks = self.failed_blocks
-        chaos_state = self.cluster.executor.chaos
-        with METRICS.timer("server.service.get", clock=self._clock, buckets=SERVING_BUCKETS):
-            for stripe in meta.stripes:
-                # A chunk is unreadable when it is erased *or* its node is
-                # currently unreachable — reconstruct around a partition
-                # instead of stalling the whole get on one dark node.
-                placement = self.cluster.namenode.lookup(stripe).placement
-                lost = set()
-                if failed_blocks:
-                    lost = {b for s, b in failed_blocks if s == stripe and b < k}
-                for b in range(k):
-                    node = placement[b]
-                    if not nodes[node].alive or (
-                        chaos_state is not None and chaos_state.is_partitioned(node)
-                    ):
-                        lost.add(b)
-                lost = sorted(lost)
-                if lost:
-                    degraded = True
-                    self.stats["degraded_reads"] += 1
-                    if METRICS.enabled:
-                        METRICS.counter(
-                            "server.degraded_reads", unit="requests"
-                        ).inc()
-                    for block in lost:
-                        rode = yield from self._read_lost_chunk(stripe, block, ctx=root)
-                        if rode:
-                            piggybacked += 1
-                            self.stats["piggybacked_reads"] += 1
-                            if METRICS.enabled:
-                                METRICS.counter(
-                                    "server.piggybacked_reads", unit="requests"
-                                ).inc()
-                healthy, fanout = self._data_slots, self._full_read
-                if lost:
-                    healthy = [b for b in range(k) if b not in lost]
-                    fanout = OpPlan(
-                        kind=PlanKind.READ,
-                        reads={b: self.config.chunk_size for b in healthy},
-                    )
-                if healthy:
-                    # planner hook first: adaptive schemes track read heat
-                    # (and may demand a conversion) via plan_read
-                    plans = self.scheme.plan_read(stripe, healthy[0])
-                    conversions, _ = _split_plans(plans)
-                    if conversions:
-                        yield from self._convert(
-                            stripe, conversions, via_recovery=False, ctx=root
-                        )
-                    yield self.sim.process(
-                        self._frontend().submit([fanout], stripe, ctx=root)
-                    )
-        self.stats["gets"] += 1
-        latency = self.sim.now - start
-        if METRICS.enabled:
-            METRICS.counter("server.requests.get", unit="requests").inc()
-        if TRACER.enabled:
-            TRACER.emit(
-                "request",
-                ts=self.sim.now,
-                ctx=root,
-                op="get",
-                key=key,
-                latency=latency,
-                degraded=degraded,
-                piggybacked=piggybacked,
-            )
-        return {"latency": latency, "degraded": degraded, "piggybacked": piggybacked}
+        request = _Request(self, key, done)
+        request.stripes = meta.stripes
+        self.sim.call_later(self.config.metadata_latency, _Request.get_begin, request)
 
-    def delete_op(self, key: str):
-        """Unlink ``key`` — a pure namenode metadata operation (no data I/O)."""
+    def delete_cb(self, key: str, done: Callable) -> None:
+        """Unlink ``key`` — a pure namenode metadata operation (no data
+        I/O) — then ``done({"latency": ...}, None)``."""
         if key not in self.objects:
             raise KeyError(f"no object {key!r}")
-        start = self.sim.now
-        root = TRACER.start_trace()  # None while tracing is off
-        yield self.sim.timeout(self.config.metadata_latency)
-        meta = self.objects.pop(key, None)
-        if meta is not None:
-            self._forget(meta)
-        self.stats["deletes"] += 1
-        latency = self.sim.now - start
-        if METRICS.enabled:
-            METRICS.counter("server.requests.delete", unit="requests").inc()
-        if TRACER.enabled:
-            TRACER.emit(
-                "request", ts=self.sim.now, ctx=root, op="delete", key=key,
-                latency=latency,
-            )
-        return {"latency": latency}
+        request = _Request(self, key, done)
+        self.sim.call_later(self.config.metadata_latency, _Request.delete_end, request)
+
+    def put_op(self, key: str, size: float | None = None):
+        """Generator adapter of :meth:`put_cb`; returns its facts."""
+        outcome = Event(self.sim)
+        self.put_cb(key, size, outcome.settle)
+        return (yield outcome)
+
+    def get_op(self, key: str):
+        """Generator adapter of :meth:`get_cb`; returns its facts."""
+        outcome = Event(self.sim)
+        self.get_cb(key, outcome.settle)
+        return (yield outcome)
+
+    def delete_op(self, key: str):
+        """Generator adapter of :meth:`delete_cb`; returns its facts."""
+        outcome = Event(self.sim)
+        self.delete_cb(key, outcome.settle)
+        return (yield outcome)
 
     # -- preload -------------------------------------------------------------
     def preload(
@@ -504,7 +348,9 @@ class ObjectStore:
         root = TRACER.start_trace()  # each repair is its own causal trace
         try:
             if conversions:
-                yield from self._convert(stripe, conversions, via_recovery=True, ctx=root)
+                converted = Event(self.sim)
+                self._convert(stripe, conversions, True, root, converted.settle)
+                yield converted
             with METRICS.timer("server.service.repair", clock=self._clock, buckets=SERVING_BUCKETS) as t:
                 yield self.cluster.scheduler.submit(main, stripe, block, ctx=root)
         except RecoveryError as exc:
@@ -614,6 +460,326 @@ class ObjectStore:
         engine.attach()
         self.chaos_engine = engine
         return engine
+
+
+def _histogram(name: str):
+    """The serving histogram a ``METRICS.timer`` over ``name`` would feed
+    (``None`` while metrics are off)."""
+    if METRICS.enabled:
+        return METRICS.histogram(name, unit="s", buckets=SERVING_BUCKETS)
+    return None
+
+
+class _Conversion:
+    """One :meth:`ObjectStore._convert` in flight (journal entry open)."""
+
+    __slots__ = ("store", "stripe", "done", "chaos", "t0", "hist")
+
+    def __init__(self, store: ObjectStore, stripe: int, done: Callable):
+        self.store = store
+        self.stripe = stripe
+        self.done = done
+        self.chaos = store.cluster.executor.chaos
+        if self.chaos is not None:
+            self.chaos.begin_conversion(stripe, store.cluster.namenode)
+        self.t0, self.hist = store.sim.now, _histogram("server.service.conversion")
+
+    def finish(self, _value=None, exc: BaseException | None = None) -> None:
+        """Close the journal entry (committed or aborted), record, report."""
+        store = self.store
+        if self.chaos is not None:
+            self.chaos.end_conversion(self.stripe, store.cluster.namenode, committed=exc is None)
+        if exc is None:
+            elapsed = store.sim.now - self.t0
+            if self.hist is not None:
+                self.hist.observe(elapsed)
+            store.conversion_latencies.append(elapsed)
+            if METRICS.enabled:
+                METRICS.counter("server.conversions", unit="conversions").inc()
+        self.done(None, exc)
+
+    def landed(self, process: Event) -> None:
+        """The repair path's conversion process finished."""
+        self.finish(None, process.exc)
+
+
+class _Request:
+    """One get / put / delete in flight: the state of its callback chain.
+
+    Steps are unbound functions handed to the kernel with the request as
+    their argument, and event waits register bound methods of it, so
+    nothing the request holds refers back to it: it dies by refcount once
+    its last entry has fired (``Simulator.run`` pauses the cyclic GC).
+    The push order is the simulated result, so each step books its
+    entries — and calls the planner, the repair scheduler and the
+    frontend round-robin — exactly where it does (the golden digests
+    pin it).
+    """
+
+    __slots__ = (
+        "store", "key", "done", "start", "root", "size", "stripes", "at", "stripe",
+        "t0", "hist", "degraded", "piggybacked", "lost", "lost_at", "rode",
+        "ride_started", "job", "main", "then",
+    )
+
+    def __init__(self, store: ObjectStore, key: str, done: Callable):
+        self.store = store
+        self.key = key
+        self.done = done
+        self.start = store.sim.now
+        self.root = TRACER.start_trace()  # None while tracing is off
+        self.at = 0
+
+    # -- one stripe's plans ----------------------------------------------
+    def serve(self, conversions: list[OpPlan], main: list[OpPlan], then: Callable) -> None:
+        """Conversions first (charged to this request), then the main
+        plans through a frontend, then ``then(self)``."""
+        self.main, self.then = main, then
+        if conversions:
+            self.store._convert(self.stripe, conversions, False, self.root, self.converted)
+        else:
+            self.submit()
+
+    def converted(self, _value=None, exc: BaseException | None = None) -> None:
+        if exc is not None:
+            self.fail(exc)
+        else:
+            self.submit()
+
+    def submit(self) -> None:
+        # the frontend is picked when the kick-off entry is booked
+        self.store._frontend().start_cb(self.main, self.stripe, self.resume, self.root)
+
+    def resume(self, _value=None, exc: BaseException | None = None) -> None:
+        if exc is not None:
+            self.fail(exc)
+        else:
+            self.then(self)
+
+    def fail(self, exc: BaseException) -> None:
+        """A chunk access failed: typed failures end the request, anything
+        else is a bug and raises out of the simulator."""
+        if not isinstance(exc, (PartitionError, DeadNodeError)):
+            raise exc
+        self.done(None, exc)
+
+    # -- put ---------------------------------------------------------------
+    def put_begin(self) -> None:
+        store = self.store
+        nstripes = max(1, math.ceil(self.size / store.config.stripe_bytes))
+        self.stripes = tuple(store._alloc_stripe() for _ in range(nstripes))
+        self.t0, self.hist = store.sim.now, _histogram("server.service.put")
+        self.put_stripe()
+
+    def put_stripe(self) -> None:
+        if self.at == len(self.stripes):
+            self.put_end()
+            return
+        stripe = self.stripe = self.stripes[self.at]
+        self.at += 1
+        conversions, main = _split_plans(self.store.scheme.plan_write(stripe))
+        self.serve(conversions, main, _Request.put_stripe)
+
+    def put_end(self) -> None:
+        store = self.store
+        now = store.sim.now
+        if self.hist is not None:
+            self.hist.observe(now - self.t0)
+        old = store.objects.get(self.key)
+        if old is not None:
+            store._forget(old)
+        store.objects[self.key] = ObjectMeta(
+            key=self.key, size=self.size, stripes=self.stripes, created=now
+        )
+        store.stats["puts"] += 1
+        latency = now - self.start
+        if METRICS.enabled:
+            METRICS.counter("server.requests.put", unit="requests").inc()
+        if TRACER.enabled:
+            TRACER.emit(
+                "request",
+                ts=now,
+                ctx=self.root,
+                op="put",
+                key=self.key,
+                stripes=len(self.stripes),
+                latency=latency,
+            )
+        self.done({"latency": latency}, None)
+
+    # -- get ---------------------------------------------------------------
+    def get_begin(self) -> None:
+        self.degraded, self.piggybacked = False, 0
+        self.t0, self.hist = self.store.sim.now, _histogram("server.service.get")
+        self.get_stripe()
+
+    def get_stripe(self) -> None:
+        if self.at == len(self.stripes):
+            self.get_end()
+            return
+        store = self.store
+        stripe = self.stripe = self.stripes[self.at]
+        self.at += 1
+        k = store.config.k
+        nodes = store.cluster.nodes
+        chaos_state = store.cluster.executor.chaos
+        # A chunk is unreadable when it is erased *or* its node is
+        # currently unreachable — reconstruct around a partition instead
+        # of stalling the whole get on one dark node.
+        placement = store.cluster.namenode.lookup(stripe).placement
+        lost = set()
+        if store.failed_blocks:
+            lost = {b for s, b in store.failed_blocks if s == stripe and b < k}
+        for b in range(k):
+            node = placement[b]
+            if not nodes[node].alive or (
+                chaos_state is not None and chaos_state.is_partitioned(node)
+            ):
+                lost.add(b)
+        self.lost = sorted(lost)
+        self.lost_at = 0
+        if lost:
+            self.degraded = True
+            store.stats["degraded_reads"] += 1
+            if METRICS.enabled:
+                METRICS.counter("server.degraded_reads", unit="requests").inc()
+        self.get_lost()
+
+    def get_lost(self) -> None:
+        """Degraded read of the next lost data chunk.
+
+        Mirrors the cluster driver's ``ride_repair``: join the repair job
+        already rebuilding the chunk when one is queued or running (a
+        queued job gets boosted); reconstruct just for this read when
+        there is none, or when the ridden job gives up.
+        """
+        if self.lost_at == len(self.lost):
+            self.get_healthy()
+            return
+        store = self.store
+        self.rode = False
+        self.ride_started = store.sim.now
+        job = store.cluster.scheduler.ride_job(self.stripe, self.lost[self.lost_at])
+        if job is None:
+            self.reconstruct(None)
+        else:
+            self.job = job
+            job.done.wait(self.ridden)
+
+    def ridden(self, done: Event) -> None:
+        """The ridden repair landed or gave up.  Under causal tracing the
+        wait splits into a ``queue`` span (until the job dispatched) and a
+        ``repair-ride`` span (until it landed)."""
+        job, self.job = self.job, None
+        store = self.store
+        block = self.lost[self.lost_at]
+        plans = None
+        if done.exc is None:
+            plans = store.scheme.plan_read(self.stripe, block)
+            self.rode = True
+        elif not isinstance(done.exc, RecoveryError):
+            raise done.exc
+        ctx = self.root
+        if ctx is not None and TRACER.enabled:
+            now = store.sim.now
+            dispatched = job.dispatched_at if job.dispatched_at is not None else now
+            split = min(max(dispatched, self.ride_started), now)
+            if split > self.ride_started:
+                TRACER.span(
+                    "phase",
+                    ctx,
+                    self.ride_started,
+                    split,
+                    phase="queue",
+                    stripe=self.stripe,
+                    block=block,
+                )
+            TRACER.span(
+                "phase",
+                ctx,
+                split,
+                now,
+                phase="repair-ride",
+                stripe=self.stripe,
+                block=block,
+                rode=self.rode,
+            )
+        self.reconstruct(plans)
+
+    def reconstruct(self, plans: list[OpPlan] | None) -> None:
+        if plans is None:  # nothing to ride, or the repair gave up
+            plans = self.store.scheme.plan_degraded_read(self.stripe, self.lost[self.lost_at])
+        conversions, main = _split_plans(plans)
+        self.serve(conversions, main, _Request.lost_served)
+
+    def lost_served(self) -> None:
+        if self.rode:
+            self.piggybacked += 1
+            self.store.stats["piggybacked_reads"] += 1
+            if METRICS.enabled:
+                METRICS.counter("server.piggybacked_reads", unit="requests").inc()
+        self.lost_at += 1
+        self.get_lost()
+
+    def get_healthy(self) -> None:
+        """One fan-out read of the stripe's readable data chunks."""
+        store = self.store
+        healthy, fanout = store._data_slots, store._full_read
+        if self.lost:
+            healthy = [b for b in range(store.config.k) if b not in self.lost]
+            fanout = OpPlan(
+                kind=PlanKind.READ,
+                reads={b: store.config.chunk_size for b in healthy},
+            )
+        if not healthy:
+            self.get_stripe()
+            return
+        # planner hook first: adaptive schemes track read heat (and may
+        # demand a conversion) via plan_read
+        conversions, _ = _split_plans(store.scheme.plan_read(self.stripe, healthy[0]))
+        self.serve(conversions, [fanout], _Request.get_stripe)
+
+    def get_end(self) -> None:
+        store = self.store
+        now = store.sim.now
+        if self.hist is not None:
+            self.hist.observe(now - self.t0)
+        store.stats["gets"] += 1
+        latency = now - self.start
+        if METRICS.enabled:
+            METRICS.counter("server.requests.get", unit="requests").inc()
+        if TRACER.enabled:
+            TRACER.emit(
+                "request",
+                ts=now,
+                ctx=self.root,
+                op="get",
+                key=self.key,
+                latency=latency,
+                degraded=self.degraded,
+                piggybacked=self.piggybacked,
+            )
+        self.done(
+            {"latency": latency, "degraded": self.degraded, "piggybacked": self.piggybacked},
+            None,
+        )
+
+    # -- delete ------------------------------------------------------------
+    def delete_end(self) -> None:
+        store = self.store
+        meta = store.objects.pop(self.key, None)
+        if meta is not None:
+            store._forget(meta)
+        store.stats["deletes"] += 1
+        latency = store.sim.now - self.start
+        if METRICS.enabled:
+            METRICS.counter("server.requests.delete", unit="requests").inc()
+        if TRACER.enabled:
+            TRACER.emit(
+                "request", ts=store.sim.now, ctx=self.root, op="delete", key=self.key,
+                latency=latency,
+            )
+        self.done({"latency": latency}, None)
 
 
 class AsyncObjectStore:

@@ -31,8 +31,8 @@ class TestDisk:
         disk = Disk(sim)
 
         def proc():
-            yield from disk.read(1000)
-            yield from disk.write(500)
+            yield disk.read_ev(1000)
+            yield disk.write_ev(500)
 
         sim.process(proc())
         sim.run()

@@ -149,7 +149,7 @@ class TestOnlineRecoveryContention:
         cluster = Cluster(config, width=6)
 
         def proc():
-            yield from cluster.nodes[0].disk.read(GAMMA)
+            yield cluster.nodes[0].disk.read_ev(GAMMA)
 
         cluster.sim.process(proc())
         cluster.sim.run()

@@ -353,9 +353,8 @@ def _watch_heap(monkeypatch, interval=0.002):
     """Sample every run_serving simulator's heap from a daemon process.
 
     Returns two lists filled during the run: booked arrivals (future-dated
-    process starts — every other process starts at ``now``) and heap depth.
+    entries of the arrival chain) and heap depth.
     """
-    from repro.cluster import events
     from repro.server import loadgen
 
     booked, depth = [], []
@@ -370,8 +369,9 @@ def _watch_heap(monkeypatch, interval=0.002):
                     booked.append(
                         sum(
                             1
-                            for t, _seq, _daemon, _fn, arg in sim._heap
-                            if arg is events._START and t > sim.now
+                            for t, _seq, _daemon, fn, _arg in sim._heap
+                            if getattr(fn, "__func__", None) is loadgen._Drive.arrive
+                            and t > sim.now
                         )
                     )
                     depth.append(len(sim._heap))
@@ -417,23 +417,112 @@ class TestArrivalChain:
         assert booked and max(booked) == 0
 
 
-def test_finished_requests_die_by_refcount_alone():
-    """``Simulator.run`` pauses the cyclic GC, so a per-request kernel
-    object that referenced itself (a cached bound method, say) would live
-    until the run ends and show up as peak RSS.  Stronger than a weakref
-    to one sample: with the collector off, *no* finished process or fired
-    fan-out barrier of a 2,000-request run is left alive."""
+@pytest.mark.parametrize("failure_rate", [0.0, 200.0], ids=["healthy", "failure_rate=200"])
+def test_finished_requests_die_by_refcount_alone(failure_rate):
+    """``Simulator.run`` pauses the cyclic GC, so a per-request object
+    that referenced itself (a cached bound method, a closure over its own
+    cell) would live until the run ends and show up as peak RSS.
+    Stronger than a weakref to one sample: with the collector off, *no*
+    finished process, fan-out barrier or request-chain state of a
+    2,000-request run is left alive — healthy, and with repairs, rides
+    and conversions in flight."""
     import gc
 
-    from repro.cluster.client import _FanOut
+    from repro.cluster.client import _FanOut, _PlanRun
     from repro.cluster.events import Process
+    from repro.server.loadgen import _Offered
+    from repro.server.store import _Conversion, _Request
 
+    chain = (Process, _FanOut, _PlanRun, _Request, _Conversion, _Offered)
     gc.collect()
     gc.disable()
     try:
-        res = run_serving(WorkloadSpec(target_ops=400.0, duration=5.0, seed=3))
-        alive = [o for o in gc.get_objects() if isinstance(o, (Process, _FanOut))]
+        res = run_serving(
+            WorkloadSpec(target_ops=400.0, duration=5.0, seed=3),
+            ServerConfig(failure_rate=failure_rate),
+        )
+        alive = [o for o in gc.get_objects() if isinstance(o, chain)]
     finally:
         gc.enable()
+    # the failure injector is a daemon loop: it lives as long as its store
+    alive = [
+        o for o in alive if not (isinstance(o, Process) and o._gen.__name__ == "injector")
+    ]
     assert res.completed == res.offered > 1900
+    if failure_rate:
+        assert res.stats["repairs"] > 500 and res.stats["degraded_reads"] > 50
     assert alive == []
+
+
+def test_each_arrival_books_the_next_one_first(monkeypatch):
+    """The arrival chain's order: an arrival's first push is the next
+    arrival, before its own connection grant or metadata round trip."""
+    from repro.cluster.events import Simulator
+    from repro.server import loadgen
+
+    pushes, firsts = [], []
+    for name in ("call_later", "call_at"):
+
+        def logged(self, *args, _push=getattr(Simulator, name), _name=name, **kwargs):
+            pushes.append(_name)
+            return _push(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, name, logged)
+    arrive = loadgen._Drive.arrive
+
+    def watched(self, index):
+        before = len(pushes)
+        arrive(self, index)
+        firsts.append(pushes[before] if len(pushes) > before else None)
+
+    monkeypatch.setattr(loadgen._Drive, "arrive", watched)
+    for connections in (None, 2):
+        firsts.clear()
+        res = run_serving(WorkloadSpec(target_ops=300.0, duration=1.0, connections=connections, seed=9))
+        assert len(firsts) == res.offered > 200
+        assert firsts[:-1] == ["call_at"] * (res.offered - 1)
+
+
+def test_degraded_get_falls_back_when_the_ridden_repair_fails(monkeypatch):
+    """A get riding a repair that gives up reconstructs the chunk itself
+    through ``plan_degraded_read`` — it is neither lost nor counted as
+    piggybacked."""
+    from repro.cluster.recovery import RecoveryError
+
+    store = ObjectStore(ServerConfig(scheme="RS"), seed=0)
+    (key,) = store.preload(1)
+    stripe = store.objects[key].stripes[0]
+
+    def give_up(plans, stripe, ctx=None):
+        yield store.sim.timeout(0.01)
+        raise RecoveryError("every helper is gone")
+
+    monkeypatch.setattr(store.cluster.recovery, "submit", give_up)
+    rebuilt = []
+    plan_degraded_read = store.scheme.plan_degraded_read
+
+    def spy(stripe, block):
+        rebuilt.append((stripe, block))
+        return plan_degraded_read(stripe, block)
+
+    monkeypatch.setattr(store.scheme, "plan_degraded_read", spy)
+    store.failed_blocks.add((stripe, 0))
+    store.sim.process(store._repair(stripe, 0))
+    got = drive(store, store.get_op(key))
+    assert got["degraded"] and got["piggybacked"] == 0
+    assert rebuilt == [(stripe, 0)]
+    assert got["latency"] > 0.01  # it did wait for the ride first
+    assert [u["block"] for u in store.unrecoverable] == [0]
+
+
+def test_frontend_is_picked_when_the_kick_off_is_booked():
+    """A request takes its frontend's round-robin turn as it books the
+    main plans' kick-off entry, not when that entry fires: a pick at the
+    same instant in between (another request's conversion landing) must
+    not take the turn, or the two requests swap coordinators."""
+    store = ObjectStore(ServerConfig(scheme="RS"), seed=0)
+    (key,) = store.preload(1)
+    store.sim.process(store.get_op(key))
+    store.sim.step()  # the process starts: the metadata round trip is booked
+    store.sim.step()  # it lands: the kick-off is booked, its frontend picked
+    assert len(store.sim._heap) == 1 and store._rr == 1
