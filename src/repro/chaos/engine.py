@@ -12,9 +12,9 @@ The engine layers on the DES kernel without touching its semantics:
   profile's timeout and then fail with
   :class:`~repro.chaos.faults.PartitionError`;
 * silent corruption lands in :attr:`ChaosState.corrupted` and stays
-  invisible until the background scrubber (a daemon process that charges
-  real disk time for its checksum reads) walks the working set and
-  notices.
+  invisible until the background scrubber (a daemon callback chain that
+  charges real disk time for its checksum reads) walks the working set
+  and notices.
 
 Everything is deterministic: the schedule is drawn up-front from the
 chaos seed, scrub order follows namenode registration order, and retry
@@ -225,7 +225,7 @@ class ChaosEngine:
                 lambda _, f=fault: self._apply_kill(f)
             )
         if self.profile.corruptions or self.schedule.corruptions:
-            sim.process(self._scrub_loop(), daemon=True)
+            sim.call_later(0.0, ChaosEngine._scrub_start, self, daemon=True)
 
     # -- fault application ---------------------------------------------------
     def _node_resources(self, node_id: int, names: tuple[str, ...]):
@@ -331,33 +331,27 @@ class ChaosEngine:
             TRACER.emit("fault-heal", ts=self.cluster.sim.now, type=fault_type, **fields)
 
     # -- scrubbing -----------------------------------------------------------
-    def _scrub_loop(self):
-        """Daemon: periodically checksum-read every data chunk in the set.
+    # The scrubber is a daemon callback chain: a zero-delay kick-off, then
+    # one ``scrub_interval`` entry per scan, and within a scan one disk
+    # read per eligible chunk (:class:`_Scan`).
+
+    def _scrub_start(self) -> None:
+        self.cluster.sim.call_later(
+            self.profile.scrub_interval, ChaosEngine._scrub_scan, self, daemon=True
+        )
+
+    def _scrub_scan(self) -> None:
+        """Periodically checksum-read every data chunk in the set.
 
         Each verification charges ``verify_bytes`` of real disk time on
         the owning node (checksums live next to the data), so scrubbing
         contends with foreground I/O exactly like HDFS's block scanner.
         Dark or dead nodes are skipped and revisited next scan.
         """
-        sim = self.cluster.sim
-        while True:
-            yield sim.timeout(self.profile.scrub_interval, daemon=True)
-            self.scrub_scans += 1
-            if METRICS.enabled:
-                METRICS.counter("chaos.scrub.scans", unit="scans").inc()
-            for info in self.cluster.namenode.stripes():
-                data_slots = min(self.scheme.k, len(info.placement))
-                for slot in range(data_slots):
-                    node = self.cluster.nodes[info.placement[slot]]
-                    if not node.alive or self.state.is_partitioned(node.node_id):
-                        continue
-                    yield node.disk.read_ev(self.profile.verify_bytes)
-                    self.scrub_chunks += 1
-                    if METRICS.enabled:
-                        METRICS.counter("chaos.scrub.chunks", unit="chunks").inc()
-                    key = (info.stripe_id, slot)
-                    if key in self.state.corrupted and key not in self.state.detected:
-                        self._on_detect(info.stripe_id, slot)
+        self.scrub_scans += 1
+        if METRICS.enabled:
+            METRICS.counter("chaos.scrub.scans", unit="scans").inc()
+        _Scan(self, self.cluster.namenode.stripes()).next_chunk()
 
     def _on_detect(self, stripe_id: Hashable, slot: int) -> None:
         self.state.detect(stripe_id, slot)
@@ -395,3 +389,46 @@ class ChaosEngine:
                 "aborted": self.state.conversions_aborted,
             },
         }
+
+
+class _Scan:
+    """One scrubber pass: a cursor over the stripes registered when the
+    scan started.  Whether a chunk is read (its node alive and not
+    partitioned) is decided when the cursor reaches it."""
+
+    __slots__ = ("engine", "stripes", "at", "slot", "key")
+
+    def __init__(self, engine: ChaosEngine, stripes: list):
+        self.engine = engine
+        self.stripes = stripes
+        self.at = 0
+        self.slot = 0
+
+    def next_chunk(self) -> None:
+        """Read the next eligible chunk, or book the next scan."""
+        engine = self.engine
+        nodes, state = engine.cluster.nodes, engine.state
+        while self.at < len(self.stripes):
+            info = self.stripes[self.at]
+            while self.slot < min(engine.scheme.k, len(info.placement)):
+                slot = self.slot
+                self.slot += 1
+                node = nodes[info.placement[slot]]
+                if not node.alive or state.is_partitioned(node.node_id):
+                    continue
+                self.key = (info.stripe_id, slot)
+                node.disk.read_cb(engine.profile.verify_bytes, _Scan.verified, self)
+                return
+            self.at += 1
+            self.slot = 0
+        engine._scrub_start()
+
+    def verified(self) -> None:
+        engine = self.engine
+        engine.scrub_chunks += 1
+        if METRICS.enabled:
+            METRICS.counter("chaos.scrub.chunks", unit="chunks").inc()
+        state = engine.state
+        if self.key in state.corrupted and self.key not in state.detected:
+            engine._on_detect(*self.key)
+        self.next_chunk()

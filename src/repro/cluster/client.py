@@ -21,13 +21,16 @@ conversions emitted by adaptive schemes run before the triggering
 operation and are charged to it, exactly as the paper charges EC-Fusion's
 transformation overhead to the overall performance (§IV-E).
 
-With a chaos state attached (``executor.chaos``), every chunk access
-first checks the owning node: a dead node fails fast with
+With a chaos state attached (``executor.chaos``), every chunk starts
+from a zero-delay entry of its own and first runs the reachability
+check :meth:`PlanExecutor.reach_cb`: a dead node fails fast with
 :class:`DeadNodeError` (never a silent hang), and a partitioned node
 stalls for the chaos profile's timeout before failing with
 :class:`~repro.chaos.PartitionError` — unless the partition heals during
-the wait, in which case the access proceeds.  Without chaos attached the
-paths are unchanged (``node.alive`` is always True in plain runs).
+the wait, in which case the access proceeds.  The first failing chunk
+ends the run; its siblings keep their holds, unobserved.  Without chaos
+attached the chunks issue inline (``node.alive`` is always True in plain
+runs).
 
 Execution is causally traceable: pass a
 :class:`~repro.telemetry.SpanContext` (``ctx=``) and each plan section
@@ -63,14 +66,15 @@ class DeadNodeError(RuntimeError):
 
 class _FanOut:
     """Counting barrier over the chunk pipelines of one plan phase: the
-    last chunk to land calls ``fn(arg)``."""
+    last chunk to land calls ``then(run)``, the first to fail
+    ``run.done(None, exc)`` — once, whatever its siblings do after."""
 
-    __slots__ = ("remaining", "fn", "arg")
+    __slots__ = ("remaining", "then", "run")
 
-    def __init__(self, remaining: int, fn: Callable, arg):
+    def __init__(self, remaining: int, then: Callable, run: "_PlanRun"):
         self.remaining = remaining
-        self.fn = fn
-        self.arg = arg
+        self.then = then
+        self.run = run
 
 
 def _second_hop(hop: tuple) -> None:
@@ -82,7 +86,43 @@ def _second_hop(hop: tuple) -> None:
 def _chunk_landed(barrier: _FanOut) -> None:
     barrier.remaining -= 1
     if not barrier.remaining:
-        barrier.fn(barrier.arg)
+        barrier.then(barrier.run)
+
+
+def _chunk_failed(barrier: _FanOut, exc: BaseException) -> None:
+    # a failed barrier's count is pushed below zero, where the landings
+    # of the siblings still in flight can never bring it back to zero
+    if barrier.remaining > 0:
+        barrier.remaining = -1
+        barrier.run.done(None, exc)
+
+
+def _chunk_start(chunk: tuple) -> None:
+    """Zero-delay kick-off of one chunk under chaos: check its node."""
+    executor, _barrier, node, _nbytes, _read = chunk
+    executor.reach_cb(node, _chunk_reached, chunk)
+
+
+def _chunk_reached(chunk: tuple, exc: BaseException | None) -> None:
+    _executor, barrier, node, nbytes, read = chunk
+    if exc is not None:
+        _chunk_failed(barrier, exc)
+    elif read:
+        node.disk.read_cb(nbytes, _second_hop, (barrier, node.nic.transfer_cb, nbytes))
+    else:
+        node.nic.transfer_cb(nbytes, _second_hop, (barrier, node.disk.write_cb, nbytes))
+
+
+def _recheck(wait: tuple) -> None:
+    """A partition wait ran out: still dark, dead meanwhile, or healed."""
+    chaos, node, fn, arg = wait
+    if chaos.is_partitioned(node.node_id):
+        chaos.note_partition_timeout(node.node_id)
+        fn(arg, PartitionError(node.node_id))
+    elif not node.alive:  # died while we waited out the partition
+        fn(arg, DeadNodeError(node.node_id))
+    else:
+        fn(arg, None)
 
 
 class _PlanRun:
@@ -95,7 +135,7 @@ class _PlanRun:
 
     __slots__ = (
         "executor", "plans", "stripe", "cpu", "nic", "done", "ctx",
-        "at", "plan", "info", "trace", "started", "then",
+        "at", "plan", "info", "trace", "started",
     )
 
     def __init__(self, executor, plans, stripe, cpu, nic, done, ctx):
@@ -168,13 +208,6 @@ class _PlanRun:
             self.span("network", stage="write", bytes=self.plan.bytes_written)
         self.next_plan()
 
-    def landed(self, barrier: Event) -> None:
-        """The chaos path's ``AllOf`` over per-chunk processes fired."""
-        if barrier.exc is not None:
-            self.done(None, barrier.exc)
-        else:
-            self.then(self)
-
     def span(self, phase: str, **fields) -> None:
         TRACER.span("phase", self.ctx, self.started, self.executor.sim.now, phase=phase, **fields)
 
@@ -198,64 +231,57 @@ class PlanExecutor:
         #: non-blocking network (the historical bit-identical default)
         self.fabric = None
 
-    def check_reachable(self, node: DataNode) -> Generator:
-        """Fail fast on dead nodes; time out (or outwait) partitions.
+    def reach_cb(self, node: DataNode, fn: Callable, arg) -> None:
+        """The reachability check of one chunk access: ``fn(arg, None)``
+        once ``node`` can be reached, ``fn(arg, exc)`` when it cannot.
 
-        Public because the pipelined repair engine
-        (:mod:`repro.cluster.pipeline`) runs the same reachability
-        protocol at every hop of a chunk pipeline.
+        A dead node fails at once with :class:`DeadNodeError`.  A
+        partitioned node books one ``partition_timeout`` entry and is
+        checked again when it fires: still dark → the timeout is noted
+        and :class:`~repro.chaos.PartitionError` reported; died meanwhile
+        → :class:`DeadNodeError`; healed → the access proceeds.  Anything
+        else proceeds inline, booking nothing.  Public because the
+        pipelined repair engine (:mod:`repro.cluster.pipeline`) runs the
+        same protocol at every hop of a chunk pipeline.
         """
         if not node.alive:
-            raise DeadNodeError(node.node_id)
+            fn(arg, DeadNodeError(node.node_id))
+            return
         chaos = self.chaos
         if chaos is not None and chaos.is_partitioned(node.node_id):
-            yield self.sim.timeout(chaos.partition_timeout)
-            if chaos.is_partitioned(node.node_id):
-                chaos.note_partition_timeout(node.node_id)
-                raise PartitionError(node.node_id)
-            if not node.alive:  # died while we waited out the partition
-                raise DeadNodeError(node.node_id)
-
-    def _read_path(self, node: DataNode, nbytes: float) -> Generator:
-        yield from self.check_reachable(node)
-        yield node.disk.read_ev(nbytes)
-        yield node.nic.transfer_ev(nbytes)
-
-    def _write_path(self, node: DataNode, nbytes: float) -> Generator:
-        yield from self.check_reachable(node)
-        yield node.nic.transfer_ev(nbytes)
-        yield node.disk.write_ev(nbytes)
+            self.sim.call_later(chaos.partition_timeout, _recheck, (chaos, node, fn, arg))
+            return
+        fn(arg, None)
 
     def _fanout(self, run: _PlanRun, items, read: bool, then: Callable) -> None:
         """Run every chunk pipeline of one plan phase, then ``then(run)``.
 
         ``read=True`` runs disk → NIC per chunk; ``read=False`` NIC → disk.
-        Chunks issue in plan order.  Chaos-free, the two hops chain
-        through resource callbacks under one counting barrier (per chunk
-        a 3-tuple: no process, event or closure); a dead node fails the
-        run at its chunk.  Under chaos each chunk is a process of its own
-        — reachability checks and partition waits need the generator
-        machinery — and the run waits on their ``AllOf``.
+        Chunks issue in plan order and their two hops chain through
+        resource callbacks under one counting barrier (per chunk a tuple:
+        no process, event or closure).  Chaos-free, a chunk issues inline
+        and a dead node fails the run at its chunk.  Under chaos each
+        chunk starts from a zero-delay entry of its own — same-instant
+        work booked ahead of it goes first — and passes :meth:`reach_cb`
+        before its first hop; the first chunk that fails ends the run with
+        ``run.done(None, exc)``, and its siblings keep booking their holds.
         """
         nodes, placement = self.nodes, run.info.placement
-        if self.chaos is None:
-            barrier = _FanOut(len(items), then, run)
+        barrier = _FanOut(len(items), then, run)
+        if self.chaos is not None:
+            call_later = self.sim.call_later
             for slot, nbytes in items:
-                node = nodes[placement[slot]]
-                if not node.alive:
-                    run.done(None, DeadNodeError(node.node_id))
-                    return
-                if read:
-                    node.disk.read_cb(nbytes, _second_hop, (barrier, node.nic.transfer_cb, nbytes))
-                else:
-                    node.nic.transfer_cb(nbytes, _second_hop, (barrier, node.disk.write_cb, nbytes))
+                call_later(0.0, _chunk_start, (self, barrier, nodes[placement[slot]], nbytes, read))
             return
-        path = self._read_path if read else self._write_path
-        sim = self.sim
-        run.then = then
-        sim.all_of(
-            [sim.process(path(nodes[placement[slot]], nbytes)) for slot, nbytes in items]
-        ).wait(run.landed)
+        for slot, nbytes in items:
+            node = nodes[placement[slot]]
+            if not node.alive:
+                run.done(None, DeadNodeError(node.node_id))
+                return
+            if read:
+                node.disk.read_cb(nbytes, _second_hop, (barrier, node.nic.transfer_cb, nbytes))
+            else:
+                node.nic.transfer_cb(nbytes, _second_hop, (barrier, node.disk.write_cb, nbytes))
 
     def run_cb(
         self,

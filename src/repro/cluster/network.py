@@ -210,13 +210,14 @@ class Fabric:
             w_rack, w_dc = None, 0
         else:
             w_rack, w_dc = namenode.rack_of(where), namenode.dc_of(where)
+        placement = namenode.lookup(stripe).placement
         load: dict[Uplink, float] = {}
         for plan in plans:
             for items in (plan.reads, plan.writes):
                 for slot, nbytes in items.items():
                     if not nbytes:
                         continue
-                    node = namenode.lookup(stripe).placement[slot]
+                    node = placement[slot]
                     rack = namenode.rack_of(node)
                     uplink = self.rack_uplinks.get(rack)
                     if uplink is not None and rack != w_rack:

@@ -28,7 +28,7 @@ reconstruction.
 
 from __future__ import annotations
 
-from typing import Generator, Hashable
+from typing import Callable, Generator, Hashable
 
 from ..chaos.faults import PartitionError
 from ..hybrid.plans import OpPlan, PlanKind
@@ -37,7 +37,7 @@ from ..telemetry.tracing import SpanContext
 from .client import DeadNodeError, PlanExecutor
 from .events import Event, FIFOResource
 from .network import Link
-from .pipeline import DEFAULT_CHUNK, execute_pipelined
+from .pipeline import DEFAULT_CHUNK, run_pipelined_cb
 
 __all__ = ["RecoveryError", "RecoveryManager", "RepairJob", "RecoveryScheduler"]
 
@@ -91,32 +91,30 @@ class RecoveryManager:
         # conversion-only plan lists still need a worker: the stripe's head node
         return self.executor.nodes[info.placement[0]]
 
-    def _execute_attempt(
+    def submit_cb(
         self,
         plans: list[OpPlan],
         stripe: Hashable,
-        worker,
+        done: Callable,
         ctx: SpanContext | None = None,
-    ) -> Generator:
-        """One attempt at the job: conventional or pipelined per plan."""
-        if self.pipeline_chunk is None:
-            yield from self.executor.run_plans(
-                plans, stripe, worker.cpu, worker.nic, ctx=ctx
-            )
-            return
-        for plan in plans:
-            if plan.kind is PlanKind.RECOVERY and plan.reads and plan.writes:
-                yield from execute_pipelined(
-                    self.executor,
-                    plan,
-                    stripe,
-                    chunk_size=self.pipeline_chunk,
-                    ctx=ctx,
-                )
-            else:
-                yield from self.executor.execute(
-                    plan, stripe, worker.cpu, worker.nic, ctx=ctx
-                )
+    ) -> None:
+        """One recovery job (conversions + reconstruction), then
+        ``done(None, exc)``.
+
+        The job passes the repair throttle, then the fabric, then runs
+        its attempts through :meth:`PlanExecutor.run_cb` (or, with
+        ``pipeline_chunk``, :func:`~repro.cluster.pipeline.run_pipelined_cb`
+        for its reconstruction plan).  With chaos attached,
+        :class:`~repro.chaos.PartitionError` from a helper read retries
+        the job with exponential backoff up to the profile's
+        ``max_retries``; :class:`DeadNodeError` (or exhausted retries)
+        ends it with ``exc`` a :class:`RecoveryError` — the job fails
+        *fast and loud* instead of hanging the event loop.  Pipelined
+        attempts re-stream from chunk 0 on retry (partial sums are never
+        persisted mid-flight).  Any other error raises out of the
+        simulator.
+        """
+        _Supervised(self, plans, stripe, done, ctx).throttled()
 
     def submit(
         self,
@@ -124,27 +122,58 @@ class RecoveryManager:
         stripe: Hashable,
         ctx: SpanContext | None = None,
     ) -> Generator:
-        """Generator for one recovery job (conversions + reconstruction).
+        """Generator adapter of :meth:`submit_cb`: raises its
+        :class:`RecoveryError`."""
+        outcome = Event(self.executor.sim)
+        self.submit_cb(plans, stripe, outcome.settle, ctx)
+        yield outcome
 
-        With chaos attached, :class:`~repro.chaos.PartitionError` from a
-        helper read retries the job with exponential backoff up to the
-        profile's ``max_retries``; :class:`DeadNodeError` (or exhausted
-        retries) raises :class:`RecoveryError` immediately — the job fails
-        *fast and loud* instead of hanging the event loop.  The same
-        supervision wraps pipelined attempts, which re-stream from chunk 0
-        on retry (partial sums are never persisted mid-flight).
-        """
-        worker = self._decode_node(plans, stripe)
-        if self.throttle is not None:
-            for plan in plans:
-                yield self.throttle.transfer_ev(plan.transfer_bytes)
-        if self.executor.fabric is not None:
+
+class _Supervised:
+    """One :meth:`RecoveryManager.submit_cb` in flight.
+
+    Like the plan executor's runs, a hold hands the job itself to the
+    resource with an unbound step function, and the runs it starts report
+    to bound methods of it that the job never stores, so a finished job
+    dies by refcount.
+    """
+
+    __slots__ = (
+        "manager", "plans", "stripe", "done", "ctx", "worker", "at", "attempt",
+        "attempt_started", "node",
+    )
+
+    def __init__(self, manager: RecoveryManager, plans, stripe, done, ctx):
+        self.manager = manager
+        self.plans = plans
+        self.stripe = stripe
+        self.done = done
+        self.ctx = ctx
+        self.worker = manager._decode_node(plans, stripe)
+        self.at = 0
+        self.attempt = 0
+
+    def throttled(self) -> None:
+        """Through the repair throttle, one plan after another."""
+        throttle = self.manager.throttle
+        if throttle is not None and self.at < len(self.plans):
+            plan = self.plans[self.at]
+            self.at += 1
+            throttle.transfer_cb(plan.transfer_bytes, _Supervised.throttled, self)
+            return
+        fabric = self.manager.executor.fabric
+        if fabric is not None:
             # cross-rack/cross-DC helper bytes queue on the shared
             # oversubscribed uplinks, coordinated at the decode worker
-            charged = self.executor.fabric.charge(plans, stripe, where=worker.node_id)
+            charged = fabric.charge(self.plans, self.stripe, where=self.worker.node_id)
             if charged is not None:
-                yield charged
+                charged.wait(self.charged)
+                return
+        self.charged()
+
+    def charged(self, _fabric: Event | None = None) -> None:
         if METRICS.enabled:
+            plans = self.plans
             METRICS.counter("cluster.recovery.jobs", unit="jobs").inc()
             METRICS.counter("cluster.recovery.bytes_read", unit="bytes").inc(
                 sum(plan.bytes_read for plan in plans)
@@ -153,53 +182,92 @@ class RecoveryManager:
             METRICS.histogram("cluster.recovery.fan_in", unit="nodes").observe(
                 max((len(plan.reads) for plan in plans), default=0)
             )
-        chaos = self.executor.chaos
-        attempt = 0
-        while True:
-            attempt_started = self.executor.sim.now
-            try:
-                yield from self._execute_attempt(plans, stripe, worker, ctx=ctx)
-                break
-            except DeadNodeError as exc:
-                raise RecoveryError(
-                    f"recovery of stripe {stripe!r} aborted: source {exc} — "
-                    f"the chunk needs a different repair plan or is unrecoverable"
-                ) from exc
-            except PartitionError as exc:
-                attempt += 1
-                if chaos is None or attempt > chaos.max_retries:
-                    raise RecoveryError(
-                        f"recovery of stripe {stripe!r} gave up after {attempt} "
-                        f"attempt(s): {exc}"
-                    ) from exc
+        self.try_once()
+
+    def try_once(self) -> None:
+        """One attempt at the job: conventional or pipelined per plan."""
+        manager = self.manager
+        self.attempt_started = manager.executor.sim.now
+        if manager.pipeline_chunk is None:
+            worker = self.worker
+            manager.executor.run_cb(
+                self.plans, self.stripe, worker.cpu, worker.nic, self.attempted, self.ctx
+            )
+        else:
+            self.at = 0
+            self.next_plan()
+
+    def next_plan(self, _value=None, exc: BaseException | None = None) -> None:
+        """The pipelined attempt's plans, in order."""
+        if exc is not None or self.at == len(self.plans):
+            self.attempted(None, exc)
+            return
+        manager, plan = self.manager, self.plans[self.at]
+        self.at += 1
+        if plan.kind is PlanKind.RECOVERY and plan.reads and plan.writes:
+            run_pipelined_cb(
+                manager.executor, plan, self.stripe, self.next_plan,
+                chunk_size=manager.pipeline_chunk, ctx=self.ctx,
+            )
+        else:
+            worker = self.worker
+            manager.executor.run_cb(
+                [plan], self.stripe, worker.cpu, worker.nic, self.next_plan, self.ctx
+            )
+
+    def attempted(self, _value=None, exc: BaseException | None = None) -> None:
+        manager, stripe = self.manager, self.stripe
+        if exc is None:
+            manager.jobs_completed += 1
+            self.done(None, None)
+            return
+        if isinstance(exc, DeadNodeError):
+            error = RecoveryError(
+                f"recovery of stripe {stripe!r} aborted: source {exc} — "
+                f"the chunk needs a different repair plan or is unrecoverable"
+            )
+        elif isinstance(exc, PartitionError):
+            self.attempt += 1
+            chaos = manager.executor.chaos
+            if chaos is not None and self.attempt <= chaos.max_retries:
                 chaos.note_retry()
+                sim = manager.executor.sim
+                self.node = exc.node
                 if TRACER.enabled:
                     TRACER.emit(
-                        "repair-retry",
-                        ts=self.executor.sim.now,
-                        stripe=stripe,
-                        attempt=attempt,
+                        "repair-retry", ts=sim.now, stripe=stripe, attempt=self.attempt,
                         node=exc.node,
                     )
                 # deterministic exponential backoff (no jitter: replayable)
-                yield self.executor.sim.timeout(
-                    chaos.retry_backoff * 2 ** (attempt - 1)
+                sim.call_later(
+                    chaos.retry_backoff * 2 ** (self.attempt - 1), _Supervised.retry, self
                 )
-                if ctx is not None and TRACER.enabled:
-                    # the failed attempt's stall + the backoff, minus
-                    # whatever phase spans the attempt managed to close
-                    # (the sweep clips overlapping siblings), is retry time
-                    TRACER.span(
-                        "phase",
-                        ctx,
-                        attempt_started,
-                        self.executor.sim.now,
-                        phase="retry",
-                        stripe=stripe,
-                        attempt=attempt,
-                        node=exc.node,
-                    )
-        self.jobs_completed += 1
+                return
+            error = RecoveryError(
+                f"recovery of stripe {stripe!r} gave up after {self.attempt} "
+                f"attempt(s): {exc}"
+            )
+        else:
+            raise exc
+        error.__cause__ = exc
+        self.done(None, error)
+
+    def retry(self) -> None:
+        if self.ctx is not None and TRACER.enabled:
+            # the failed attempt's stall + the backoff, minus whatever
+            # phase spans the attempt managed to close (the sweep clips
+            # overlapping siblings), is retry time
+            TRACER.span(
+                "phase",
+                self.ctx,
+                self.attempt_started,
+                self.manager.executor.sim.now,
+                phase="retry",
+                stripe=self.stripe,
+                attempt=self.attempt,
+                node=self.node,
+            )
+        self.try_once()
 
 
 class RepairJob:
@@ -209,7 +277,8 @@ class RepairJob:
         "stripe",
         "block",
         "plans",
-        "done",
+        "waiters",
+        "event",
         "seq",
         "queued_at",
         "dispatched_at",
@@ -227,8 +296,14 @@ class RepairJob:
         self.stripe = stripe
         self.block = block
         self.plans = plans
-        #: completion event — fails with :class:`RecoveryError` on give-up
-        self.done = done
+        #: completion callbacks, called ``fn(None, exc)`` in registration
+        #: order — ``exc`` is ``None``, or the :class:`RecoveryError` of a
+        #: job that gave up; ``None`` once the job has finished
+        self.waiters: list[Callable] | None = [done]
+        #: the :class:`Event` flavour of completion, made by the first
+        #: :meth:`RecoveryScheduler.submit` / :meth:`RecoveryScheduler.ride`
+        #: that asks for one (``None`` until then)
+        self.event: Event | None = None
         self.seq = seq
         self.queued_at = queued_at
         self.dispatched_at: float | None = None
@@ -241,6 +316,15 @@ class RepairJob:
         self.state = "queued"  # queued | running | done | failed
         #: causal root of this repair's trace (None = untraced job)
         self.ctx: SpanContext | None = ctx
+
+    def wait(self, fn: Callable) -> None:
+        """Call ``fn(None, exc)`` when this queued or running job finishes."""
+        self.waiters.append(fn)
+
+    def finish(self, exc: RecoveryError | None) -> None:
+        waiters, self.waiters = self.waiters, None
+        for fn in waiters:
+            fn(None, exc)
 
 
 class RecoveryScheduler:
@@ -344,7 +428,15 @@ class RecoveryScheduler:
         client is now blocked on it.
         """
         job = self.ride_job(stripe, block)
-        return None if job is None else job.done
+        return None if job is None else self._event(job)
+
+    def _event(self, job: RepairJob) -> Event:
+        """``job``'s completion as an :class:`Event` — one per job, a
+        waiter of its own from the moment it is first asked for."""
+        if job.event is None:
+            job.event = Event(self.manager.executor.sim)
+            job.wait(job.event.settle)
+        return job.event
 
     # -- admission -----------------------------------------------------------
     def _job_footprint(self, plans, stripe):
@@ -358,24 +450,26 @@ class RecoveryScheduler:
         dcs = frozenset(rack % getattr(self.namenode, "dcs", 1) for rack in racks)
         return nodes, racks, dcs
 
-    def submit(
-        self, plans: list[OpPlan], stripe, block, ctx: SpanContext | None = None
-    ) -> Event:
-        """Queue one reconstruction; returns its completion event.
+    def submit_cb(
+        self,
+        plans: list[OpPlan],
+        stripe,
+        block,
+        done: Callable,
+        ctx: SpanContext | None = None,
+    ) -> RepairJob:
+        """Queue one reconstruction; ``done(None, exc)`` once it finishes.
 
-        The event succeeds when the repair lands and *fails* with
-        :class:`RecoveryError` when the job gives up — the same contract
-        as waiting on :meth:`RecoveryManager.submit` directly.  With a
-        causal ``ctx`` the job's whole life becomes a span tree under it:
-        queue wait at dispatch, the execution phases, and a ``recovery``
-        root span at completion.
+        ``exc`` is ``None`` when the repair lands and the
+        :class:`RecoveryError` of :meth:`RecoveryManager.submit_cb` when
+        the job gives up.  With a causal ``ctx`` the job's whole life
+        becomes a span tree under it: queue wait at dispatch, the
+        execution phases, and a ``recovery`` root span at completion.
         """
         sim = self.manager.executor.sim
         self._seq += 1
         nodes, racks, dcs = self._job_footprint(plans, stripe)
-        job = RepairJob(
-            stripe, block, plans, Event(sim), self._seq, sim.now, nodes, racks, dcs, ctx=ctx
-        )
+        job = RepairJob(stripe, block, plans, done, self._seq, sim.now, nodes, racks, dcs, ctx=ctx)
         self.queue.append(job)
         if METRICS.enabled:
             METRICS.gauge("cluster.scheduler.queue_depth", unit="jobs").set(
@@ -390,7 +484,18 @@ class RecoveryScheduler:
                 queue_depth=len(self.queue),
             )
         self._dispatch()
-        return job.done
+        return job
+
+    def submit(
+        self, plans: list[OpPlan], stripe, block, ctx: SpanContext | None = None
+    ) -> Event:
+        """:meth:`submit_cb` with the completion as an :class:`Event`: it
+        succeeds when the repair lands and *fails* with
+        :class:`RecoveryError` when the job gives up — the same contract
+        as waiting on :meth:`RecoveryManager.submit` directly."""
+        event = Event(self.manager.executor.sim)
+        self.submit_cb(plans, stripe, block, event.settle, ctx).event = event
+        return event
 
     # -- dispatch ------------------------------------------------------------
     def _risk(self, stripe) -> int:
@@ -420,7 +525,7 @@ class RecoveryScheduler:
 
     def _pick(self) -> RepairJob | None:
         # gate on the running map, not the slot resource: a dispatched job
-        # only acquires its slot when its process first runs, so the
+        # only acquires its slot when its kick-off entry fires, so the
         # resource undercounts jobs dispatched in the same instant
         if self.max_total is not None and len(self.running) >= self.max_total:
             return None  # every global repair slot is committed
@@ -481,35 +586,37 @@ class RecoveryScheduler:
                         block=job.block,
                         boosted=job.boosted,
                     )
-            sim.process(self._run(job))
+            sim.call_later(0.0, self._run, job)
 
-    def _run(self, job: RepairJob) -> Generator:
+    def _run(self, job: RepairJob) -> None:
+        """A dispatched job's kick-off entry: take a global repair slot,
+        then run the job under :meth:`RecoveryManager.submit_cb`."""
         if self.slots is not None:
             # dispatch is gated on a free slot, so this grant is immediate;
             # the multi-server resource still serialises any race exactly
-            yield self.slots.acquire()
-        exc: RecoveryError | None = None
-        try:
-            yield from self.manager.submit(job.plans, job.stripe, ctx=job.ctx)
-        except RecoveryError as e:
-            exc = e
-        finally:
-            self.running.pop((job.stripe, job.block), None)
-            for n in job.nodes:
-                self._node_load[n] -= 1
-            for r in job.racks:
-                self._rack_load[r] -= 1
-            for d in job.dcs:
-                self._dc_load[d] -= 1
-            if self.slots is not None:
-                self.slots.release()
-            if METRICS.enabled:
-                METRICS.gauge("cluster.scheduler.running", unit="jobs").set(
-                    len(self.running)
-                )
-        job.state = "done" if exc is None else "failed"
-        if exc is None:
-            job.done.succeed()
+            self.slots.acquire().wait(lambda _granted: self._supervise(job))
         else:
-            job.done.fail(exc)
+            self._supervise(job)
+
+    def _supervise(self, job: RepairJob) -> None:
+        self.manager.submit_cb(
+            job.plans, job.stripe, lambda _value, exc: self._finish(job, exc), job.ctx
+        )
+
+    def _finish(self, job: RepairJob, exc: RecoveryError | None) -> None:
+        """The job landed or gave up: free its caps, tell its waiters
+        and dispatch whatever that made eligible."""
+        self.running.pop((job.stripe, job.block), None)
+        for n in job.nodes:
+            self._node_load[n] -= 1
+        for r in job.racks:
+            self._rack_load[r] -= 1
+        for d in job.dcs:
+            self._dc_load[d] -= 1
+        if self.slots is not None:
+            self.slots.release()
+        if METRICS.enabled:
+            METRICS.gauge("cluster.scheduler.running", unit="jobs").set(len(self.running))
+        job.state = "done" if exc is None else "failed"
+        job.finish(exc)
         self._dispatch()

@@ -203,7 +203,6 @@ class ObjectStore:
         self.objects: dict[str, ObjectMeta] = {}
         self._next_stripe = 0
         self._rng = np.random.default_rng(seed)
-        self._clock = lambda: self.sim.now
         self.chaos_engine: ChaosEngine | None = None
         # served/latency accounting (exact samples; histograms are coarse)
         self.stats = {
@@ -244,13 +243,13 @@ class ObjectStore:
         then ``done(None, exc)``.
 
         Through a frontend (the request's own conversion) or, for a
-        repair's, through the recovery manager as a process of its own.
+        repair's, through the recovery manager — either way from a
+        zero-delay kick-off entry of its own.
         """
         conversion = _Conversion(self, stripe, done)
         if via_recovery:
-            self.sim.process(self.cluster.recovery.submit(conversions, stripe, ctx=ctx)).wait(
-                conversion.landed
-            )
+            job = (self.cluster.recovery, conversions, stripe, conversion.finish, ctx)
+            self.sim.call_later(0.0, _submit_recovery, job)
         else:
             self._frontend().start_cb(conversions, stripe, conversion.finish, ctx)
 
@@ -340,48 +339,25 @@ class ObjectStore:
         return keys
 
     # -- background failure + repair ----------------------------------------
+    # A repair is a callback chain too (:class:`_Repair`), started from a
+    # zero-delay kick-off entry; so is the failure injector (daemon
+    # entries: a kick-off, then one per exponential gap).
+
+    def _repair_cb(self, stripe: int, block: int, done: Callable | None = None) -> None:
+        """One supervised reconstruction through the risk-ordered scheduler,
+        then ``done(None, None)``.  A repair that gives up is reported in
+        :attr:`unrecoverable`, not raised."""
+        _Repair(self, stripe, block, done).begin()
+
     def _repair(self, stripe: int, block: int):
-        """One supervised reconstruction through the risk-ordered scheduler."""
-        plans = self.scheme.plan_recovery(stripe, block)
-        conversions, main = _split_plans(plans)
-        started = self.sim.now
-        root = TRACER.start_trace()  # each repair is its own causal trace
-        try:
-            if conversions:
-                converted = Event(self.sim)
-                self._convert(stripe, conversions, True, root, converted.settle)
-                yield converted
-            with METRICS.timer("server.service.repair", clock=self._clock, buckets=SERVING_BUCKETS) as t:
-                yield self.cluster.scheduler.submit(main, stripe, block, ctx=root)
-        except RecoveryError as exc:
-            self.unrecoverable.append(
-                {"stripe": stripe, "block": block, "reason": str(exc), "time": self.sim.now}
-            )
-            if METRICS.enabled:
-                METRICS.counter("server.repair.failures", unit="jobs").inc()
-            if TRACER.enabled:
-                TRACER.emit(
-                    "repair-failed", ts=self.sim.now, stripe=stripe, block=block,
-                    reason=str(exc),
-                )
-                TRACER.emit(
-                    "recovery", ts=self.sim.now, ctx=root, stripe=stripe,
-                    block=block, latency=self.sim.now - started, failed=True,
-                )
-            return
-        self.failed_blocks.discard((stripe, block))
-        chaos_state = self.cluster.executor.chaos
-        if chaos_state is not None:
-            chaos_state.repair_chunk(stripe, block)
-        self.stats["repairs"] += 1
-        self.repair_latencies.append(t.elapsed)
-        if METRICS.enabled:
-            METRICS.counter("server.repairs", unit="jobs").inc()
-        if TRACER.enabled:
-            TRACER.emit(
-                "recovery", ts=self.sim.now, ctx=root, stripe=stripe, block=block,
-                latency=self.sim.now - started, failed=False,
-            )
+        """Generator adapter of :meth:`_repair_cb`."""
+        outcome = Event(self.sim)
+        self._repair_cb(stripe, block, outcome.settle)
+        yield outcome
+
+    def _start_repair(self, stripe: int, block: int) -> None:
+        """:meth:`_repair_cb` from a zero-delay entry of its own."""
+        self.sim.call_later(0.0, _begin_repair, (self, stripe, block))
 
     def _inject_one_failure(self) -> bool:
         """Lose one random data chunk (within erasure tolerance)."""
@@ -401,7 +377,7 @@ class ObjectStore:
             METRICS.counter("server.chunk_failures", unit="chunks").inc()
         if TRACER.enabled:
             TRACER.emit("chunk-failure", ts=self.sim.now, stripe=stripe, block=block)
-        self.sim.process(self._repair(stripe, block))
+        self._start_repair(stripe, block)
         return True
 
     def start_failure_injector(self) -> None:
@@ -410,17 +386,16 @@ class ObjectStore:
         Failures fire only while foreground work keeps the simulation
         alive, so the injector never extends a run on its own.
         """
-        rate = self.config.failure_rate
-        if rate <= 0:
-            return
+        if self.config.failure_rate > 0:
+            self.sim.call_later(0.0, ObjectStore._next_failure, self, daemon=True)
 
-        def injector():
-            while True:
-                gap = float(self._rng.exponential(1.0 / rate))
-                yield self.sim.timeout(gap, daemon=True)
-                self._inject_one_failure()
+    def _next_failure(self) -> None:
+        gap = float(self._rng.exponential(1.0 / self.config.failure_rate))
+        self.sim.call_later(gap, ObjectStore._failure_due, self, daemon=True)
 
-        self.sim.process(injector(), daemon=True)
+    def _failure_due(self) -> None:
+        self._inject_one_failure()
+        self._next_failure()
 
     # -- chaos ----------------------------------------------------------------
     def attach_chaos(
@@ -454,7 +429,7 @@ class ObjectStore:
 
         def on_detected(stripe, slot):
             self.failed_blocks.add((stripe, slot))
-            self.sim.process(self._repair(stripe, slot))
+            self._start_repair(stripe, slot)
 
         engine.on_corruption_detected = on_detected
         engine.attach()
@@ -498,9 +473,97 @@ class _Conversion:
                 METRICS.counter("server.conversions", unit="conversions").inc()
         self.done(None, exc)
 
-    def landed(self, process: Event) -> None:
-        """The repair path's conversion process finished."""
-        self.finish(None, process.exc)
+
+def _submit_recovery(job: tuple) -> None:
+    manager, plans, stripe, done, ctx = job
+    manager.submit_cb(plans, stripe, done, ctx)
+
+
+def _begin_repair(chunk: tuple) -> None:
+    store, stripe, block = chunk
+    store._repair_cb(stripe, block)
+
+
+class _Repair:
+    """One :meth:`ObjectStore._repair_cb` in flight: the repair's own
+    conversions, then the scheduler's job, then the bookkeeping."""
+
+    __slots__ = ("store", "stripe", "block", "done", "main", "started", "root", "t0", "hist")
+
+    def __init__(self, store: ObjectStore, stripe: int, block: int, done: Callable | None):
+        self.store = store
+        self.stripe = stripe
+        self.block = block
+        self.done = done
+
+    def begin(self) -> None:
+        store = self.store
+        conversions, self.main = _split_plans(store.scheme.plan_recovery(self.stripe, self.block))
+        self.started = store.sim.now
+        self.root = TRACER.start_trace()  # each repair is its own causal trace
+        if conversions:
+            store._convert(self.stripe, conversions, True, self.root, self.converted)
+        else:
+            self.submit()
+
+    def converted(self, _value=None, exc: BaseException | None = None) -> None:
+        if exc is not None:
+            self.gave_up(exc)
+        else:
+            self.submit()
+
+    def submit(self) -> None:
+        store = self.store
+        self.t0, self.hist = store.sim.now, _histogram("server.service.repair")
+        store.cluster.scheduler.submit_cb(
+            self.main, self.stripe, self.block, self.repaired, ctx=self.root
+        )
+
+    def repaired(self, _value=None, exc: BaseException | None = None) -> None:
+        if exc is not None:
+            self.gave_up(exc)
+            return
+        store, stripe, block = self.store, self.stripe, self.block
+        now = store.sim.now
+        elapsed = now - self.t0
+        if self.hist is not None:
+            self.hist.observe(elapsed)
+        store.failed_blocks.discard((stripe, block))
+        chaos_state = store.cluster.executor.chaos
+        if chaos_state is not None:
+            chaos_state.repair_chunk(stripe, block)
+        store.stats["repairs"] += 1
+        store.repair_latencies.append(elapsed)
+        if METRICS.enabled:
+            METRICS.counter("server.repairs", unit="jobs").inc()
+        if TRACER.enabled:
+            TRACER.emit(
+                "recovery", ts=now, ctx=self.root, stripe=stripe, block=block,
+                latency=now - self.started, failed=False,
+            )
+        if self.done is not None:
+            self.done(None, None)
+
+    def gave_up(self, exc: BaseException) -> None:
+        """A :class:`RecoveryError` is reported; anything else is a bug and
+        raises out of the simulator."""
+        if not isinstance(exc, RecoveryError):
+            raise exc
+        store, stripe, block = self.store, self.stripe, self.block
+        now = store.sim.now
+        store.unrecoverable.append(
+            {"stripe": stripe, "block": block, "reason": str(exc), "time": now}
+        )
+        if METRICS.enabled:
+            METRICS.counter("server.repair.failures", unit="jobs").inc()
+        if TRACER.enabled:
+            TRACER.emit("repair-failed", ts=now, stripe=stripe, block=block, reason=str(exc))
+            TRACER.emit(
+                "recovery", ts=now, ctx=self.root, stripe=stripe,
+                block=block, latency=now - self.started, failed=True,
+            )
+        if self.done is not None:
+            self.done(None, None)
 
 
 class _Request:
@@ -664,9 +727,9 @@ class _Request:
             self.reconstruct(None)
         else:
             self.job = job
-            job.done.wait(self.ridden)
+            job.wait(self.ridden)
 
-    def ridden(self, done: Event) -> None:
+    def ridden(self, _value=None, exc: BaseException | None = None) -> None:
         """The ridden repair landed or gave up.  Under causal tracing the
         wait splits into a ``queue`` span (until the job dispatched) and a
         ``repair-ride`` span (until it landed)."""
@@ -674,11 +737,11 @@ class _Request:
         store = self.store
         block = self.lost[self.lost_at]
         plans = None
-        if done.exc is None:
+        if exc is None:
             plans = store.scheme.plan_read(self.stripe, block)
             self.rode = True
-        elif not isinstance(done.exc, RecoveryError):
-            raise done.exc
+        elif not isinstance(exc, RecoveryError):
+            raise exc
         ctx = self.root
         if ctx is not None and TRACER.enabled:
             now = store.sim.now

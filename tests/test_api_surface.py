@@ -65,7 +65,10 @@ def test_des_kernel_callback_surface():
     """The callback-scheduled kernel's public names (and the ones it retired)."""
     import inspect
 
-    from repro.cluster import Cpu, Disk, Event, FIFOResource, Link, Process, Simulator
+    from repro.chaos.engine import ChaosEngine
+    from repro.cluster import (
+        Cpu, Disk, Event, FIFOResource, Link, PlanExecutor, Process, Simulator,
+    )
 
     for owner, names in (
         (Simulator, ("call_later", "schedule", "timeout", "process", "step", "run")),
@@ -85,5 +88,9 @@ def test_des_kernel_callback_surface():
         (Event, "succeed_cb"), (FIFOResource, "_busy"), (FIFOResource, "_release_cb"),
         # one hold spelling: the ``yield from`` wrappers are gone
         (Disk, "read"), (Disk, "write"), (Link, "transfer"), (Cpu, "compute"),
+        # the chaos path is a callback chain: no per-chunk generators, no
+        # generator reachability check, no scrubber process
+        (PlanExecutor, "_read_path"), (PlanExecutor, "_write_path"),
+        (PlanExecutor, "check_reachable"), (ChaosEngine, "_scrub_loop"),
     ):
         assert not hasattr(owner, gone), f"{owner.__name__}.{gone} is back"

@@ -417,40 +417,55 @@ class TestArrivalChain:
         assert booked and max(booked) == 0
 
 
-@pytest.mark.parametrize("failure_rate", [0.0, 200.0], ids=["healthy", "failure_rate=200"])
-def test_finished_requests_die_by_refcount_alone(failure_rate):
+@pytest.mark.parametrize(
+    "failure_rate, chaos",
+    [(0.0, None), (200.0, None), (0.5, "storm")],
+    ids=["healthy", "failure_rate=200", "storm"],
+)
+def test_finished_requests_die_by_refcount_alone(failure_rate, chaos):
     """``Simulator.run`` pauses the cyclic GC, so a per-request object
     that referenced itself (a cached bound method, a closure over its own
     cell) would live until the run ends and show up as peak RSS.
     Stronger than a weakref to one sample: with the collector off, *no*
-    finished process, fan-out barrier or request-chain state of a
-    2,000-request run is left alive — healthy, and with repairs, rides
-    and conversions in flight."""
+    process, fan-out barrier (nor the chaos path's chunk records, which
+    hold one), request-chain state, scrub cursor or repair chain of a
+    multi-thousand-request run is left alive — healthy, with repairs,
+    rides and conversions in flight, and under the storm chaos profile."""
     import gc
 
+    from repro.chaos import ChaosConfig
+    from repro.chaos.engine import _Scan
     from repro.cluster.client import _FanOut, _PlanRun
     from repro.cluster.events import Process
+    from repro.cluster.recovery import RepairJob, _Supervised
     from repro.server.loadgen import _Offered
-    from repro.server.store import _Conversion, _Request
+    from repro.server.store import _Conversion, _Repair, _Request
 
-    chain = (Process, _FanOut, _PlanRun, _Request, _Conversion, _Offered)
+    chain = (
+        Process, _FanOut, _PlanRun, _Request, _Conversion, _Offered,
+        _Scan, _Repair, _Supervised, RepairJob,
+    )
     gc.collect()
     gc.disable()
     try:
         res = run_serving(
             WorkloadSpec(target_ops=400.0, duration=5.0, seed=3),
             ServerConfig(failure_rate=failure_rate),
+            ChaosConfig(chaos, seed=4) if chaos else None,
         )
         alive = [o for o in gc.get_objects() if isinstance(o, chain)]
     finally:
         gc.enable()
-    # the failure injector is a daemon loop: it lives as long as its store
-    alive = [
-        o for o in alive if not (isinstance(o, Process) and o._gen.__name__ == "injector")
-    ]
-    assert res.completed == res.offered > 1900
-    if failure_rate:
+    assert res.completed + res.failed == res.offered > 1900
+    if failure_rate >= 200:
         assert res.stats["repairs"] > 500 and res.stats["degraded_reads"] > 50
+    if chaos:
+        summary = res.chaos
+        assert res.failed > 0 and summary["scrub"]["chunks"] > 0
+        assert summary["partition_timeouts"] > 0 and summary["repair_retries"] > 0
+        assert res.stats["repairs"] > 0 and summary["scrub"]["detected"] > 0
+    else:
+        assert res.failed == 0
     assert alive == []
 
 
@@ -493,11 +508,10 @@ def test_degraded_get_falls_back_when_the_ridden_repair_fails(monkeypatch):
     (key,) = store.preload(1)
     stripe = store.objects[key].stripes[0]
 
-    def give_up(plans, stripe, ctx=None):
-        yield store.sim.timeout(0.01)
-        raise RecoveryError("every helper is gone")
+    def give_up(plans, stripe, done, ctx=None):
+        store.sim.call_later(0.01, lambda _: done(None, RecoveryError("every helper is gone")))
 
-    monkeypatch.setattr(store.cluster.recovery, "submit", give_up)
+    monkeypatch.setattr(store.cluster.recovery, "submit_cb", give_up)
     rebuilt = []
     plan_degraded_read = store.scheme.plan_degraded_read
 
