@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -91,10 +92,15 @@ class ErasureCode(abc.ABC):
     #: field word size; symbols are elements of GF(2^w)
     w: int = 8
 
-    @property
+    @cached_property
     def symbol_dtype(self):
         """NumPy dtype of one code symbol."""
         return GF.get(self.w).dtype
+
+    @cached_property
+    def _symbol_size(self) -> int:
+        """Bytes per symbol: input of a wider dtype is refused, not wrapped."""
+        return np.dtype(self.symbol_dtype).itemsize
 
     # -- identity ----------------------------------------------------------
     @property
@@ -182,7 +188,7 @@ class ErasureCode(abc.ABC):
                 f"block length {data.shape[1]} not a multiple of "
                 f"sub-packetization {self.subpacketization}"
             )
-        if data.dtype.itemsize > np.dtype(self.symbol_dtype).itemsize:
+        if data.dtype.itemsize > self._symbol_size:
             raise ValueError(
                 f"data dtype {data.dtype} is wider than GF(2^{self.w}) symbols"
             )
@@ -199,7 +205,7 @@ class ErasureCode(abc.ABC):
             if not 0 <= i < self.n:
                 raise ValueError(f"shard index {i} out of range for n={self.n}")
             arr = np.asarray(b)
-            if arr.dtype.itemsize > np.dtype(self.symbol_dtype).itemsize:
+            if arr.dtype.itemsize > self._symbol_size:
                 raise ValueError(
                     f"shard dtype {arr.dtype} is wider than GF(2^{self.w}) symbols"
                 )
@@ -237,7 +243,7 @@ class LinearVectorCode(ErasureCode):
         self.w = w
         l = subpacketization
         generator = np.asarray(generator)
-        if generator.dtype.itemsize > np.dtype(self.symbol_dtype).itemsize:
+        if generator.dtype.itemsize > self._symbol_size:
             raise ParameterError(
                 f"generator dtype {generator.dtype} too wide for GF(2^{w})"
             )
@@ -304,7 +310,9 @@ class LinearVectorCode(ErasureCode):
         array of the symbol dtype, else :class:`ValueError`.
         """
         parities = self.n - self.k  # LRC's ``r`` counts its global parities only
-        parity_only = out is not None and np.ndim(out) == 2 and len(out) == parities
+        parity_only = (
+            isinstance(out, np.ndarray) and out.ndim == 2 and len(out) == parities
+        )
         data = self._check_data(data, shortened=parity_only)
         rows, L = data.shape
         if out is None:
@@ -323,8 +331,9 @@ class LinearVectorCode(ErasureCode):
         if not parity_only:
             out[: self.k] = data
             parity = out[self.k :]
+        l = self.subpacketization  # the symbol views of _to_symbols
         self._shortened_parity_plan(rows).apply_into(
-            self._to_symbols(data), self._to_symbols(parity)
+            data.reshape(rows * l, L // l), parity.reshape(parities * l, L // l)
         )
         if METRICS.enabled:
             key = self.telemetry_key
@@ -358,8 +367,7 @@ class LinearVectorCode(ErasureCode):
                 not isinstance(arr, np.ndarray)
                 or arr.ndim != 2
                 or arr.dtype != self.symbol_dtype
-                or not arr.flags.c_contiguous
-                or not arr.flags.writeable
+                or not ((flags := arr.flags).c_contiguous and flags.writeable)
             ):
                 raise ValueError(
                     "stripe rows must be writeable C-contiguous 2-D "
@@ -409,7 +417,7 @@ class LinearVectorCode(ErasureCode):
                 f"block length {L} not a multiple of "
                 f"sub-packetization {self.subpacketization}"
             )
-        if stripes.dtype.itemsize > np.dtype(self.symbol_dtype).itemsize:
+        if stripes.dtype.itemsize > self._symbol_size:
             raise ValueError(
                 f"data dtype {stripes.dtype} is wider than GF(2^{self.w}) symbols"
             )
@@ -514,7 +522,7 @@ class LinearVectorCode(ErasureCode):
                 raise ValueError(
                     f"batched shards must be (batch, L) stacks, got {arr.shape}"
                 )
-            if arr.dtype.itemsize > np.dtype(self.symbol_dtype).itemsize:
+            if arr.dtype.itemsize > self._symbol_size:
                 raise ValueError(
                     f"shard dtype {arr.dtype} is wider than GF(2^{self.w}) symbols"
                 )

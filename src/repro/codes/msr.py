@@ -279,6 +279,8 @@ class MSRCode(LinearVectorCode):
             self._repair_fused[f] = CodingPlan(repair_matrix, w=self._w)
         self._shortened_fused: dict[tuple[int, int], CodingPlan] = {}
         self._helper_plans: dict[tuple[int, int], CodingPlan] = {}
+        #: (lost node, stored data rows) -> the nodes an in-place repair reads
+        self._stored_helpers: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def repair_planes(self, failed: int) -> list[int]:
         """The ``l/s`` plane indices every helper must read to repair ``failed``."""
@@ -392,7 +394,9 @@ class MSRCode(LinearVectorCode):
         only the leading rows of a shortened stripe; its virtual all-zero
         data nodes are neither read nor counted.
         """
-        if isinstance(shards, Mapping):
+        # a tuple is the stored stripe: testing for it first skips the slow
+        # Mapping ABC check
+        if type(shards) is not tuple and isinstance(shards, Mapping):
             shards = self._check_shards(shards)
             if failed in shards:
                 raise ValueError(f"node {failed} is present in the supplied shards")
@@ -408,15 +412,24 @@ class MSRCode(LinearVectorCode):
         else:
             data, parity = self._check_stripe(shards, shortened=True)
             real = len(data)
-            if not (0 <= failed < real or self.k <= failed < self.n):
-                raise ValueError(f"failed node {failed} is not stored in this stripe")
-            helpers = [i for i in (*range(real), *self.parity_nodes) if i != failed]
+            helpers = self._stored_helpers.get((failed, real))
+            if helpers is None:
+                if not (0 <= failed < real or self.k <= failed < self.n):
+                    raise ValueError(
+                        f"failed node {failed} is not stored in this stripe"
+                    )
+                helpers = self._stored_helpers[failed, real] = tuple(
+                    i for i in (*range(real), *self.parity_nodes) if i != failed
+                )
 
         block = data[failed] if failed < self.k else parity[failed - self.k]
         l = self.subpacketization
         sub = block.shape[0] // l
+        # the (n·l, sub) symbol views of _to_symbols
         self._fused_plan(failed, len(data)).apply_into(
-            self._to_symbols(data), block.reshape(l, sub), tail=self._to_symbols(parity)
+            data.reshape(len(data) * l, sub),
+            block.reshape(l, sub),
+            tail=parity.reshape(len(parity) * l, sub),
         )
         planes = l // self.s
         if METRICS.enabled:
@@ -429,7 +442,9 @@ class MSRCode(LinearVectorCode):
             METRICS.counter("codes.msr.gf_mul_bytes", unit="bytes").inc(
                 planes * sub * per_plane
             )
-        return RepairResult(block=block, bytes_read={i: planes * sub for i in helpers})
+        return RepairResult(
+            block=block, bytes_read=dict.fromkeys(helpers, planes * sub)
+        )
 
     def repair_batch(
         self, failed: int, shards: Mapping[int, np.ndarray]

@@ -55,6 +55,10 @@ class ReedSolomonCode(LinearVectorCode):
         # one-row plan over the stripe, both built lazily on first repair
         self._repair_coeff_cache: dict[tuple, np.ndarray] = {}
         self._repair_plans: dict[tuple, CodingPlan] = {}
+        #: per lost node, the helpers an in-place repair of a stored stripe reads
+        self._planned_helpers = {
+            f: tuple(self.repair_read_fractions(f)) for f in range(self.n)
+        }
 
     #: counters land under ``codes.rs.*``
     telemetry_key = "rs"
@@ -82,7 +86,9 @@ class ReedSolomonCode(LinearVectorCode):
         ``failed`` is a survivor, the lost row is rebuilt in place without
         being read, and ``.block`` is a view of it.
         """
-        if isinstance(shards, Mapping):
+        # a tuple is the stored stripe: testing for it first skips the slow
+        # Mapping ABC check
+        if type(shards) is not tuple and isinstance(shards, Mapping):
             shards = self._check_shards(shards)
             if failed in shards:
                 raise ValueError(f"node {failed} is present in the supplied shards")
@@ -90,16 +96,18 @@ class ReedSolomonCode(LinearVectorCode):
             data, parity = self._stripe_from_shards(shards, helpers)
         else:
             data, parity = self._check_stripe(shards)
-            helpers = tuple(self.repair_read_fractions(failed))  # the planned reads
+            # the planned reads
+            helpers = self._planned_helpers.get(failed) or tuple(
+                self.repair_read_fractions(failed)
+            )
         plan = self._repair_plan(failed, helpers)
         block = data[failed] if failed < self.k else parity[failed - self.k]
         plan.apply_into(data, block[None, :], tail=parity)
+        L = block.shape[0]
         if METRICS.enabled:
             METRICS.counter("codes.rs.repair_calls", unit="calls").inc()
-            METRICS.counter("codes.rs.gf_mul_bytes", unit="bytes").inc(
-                self.k * block.shape[0]
-            )
-        return RepairResult(block=block, bytes_read={i: block.shape[0] for i in helpers})
+            METRICS.counter("codes.rs.gf_mul_bytes", unit="bytes").inc(self.k * L)
+        return RepairResult(block=block, bytes_read=dict.fromkeys(helpers, L))
 
     def _lowest_helpers(self, survivors) -> tuple[int, ...]:
         """The ``k`` lowest-indexed survivors a repair reads."""

@@ -188,9 +188,8 @@ class AdaptiveSelector:
         self._events += 1
         if self.idle_window is None:
             return []
-        return self._cool(
-            self.queue2.expire_idle(self._events - self.idle_window), "idle-expiry"
-        )
+        expired = self.queue2.expire_idle(self._events - self.idle_window)
+        return self._cool(expired, "idle-expiry") if expired else []
 
     def _cool(self, entries, trigger: str) -> list[Conversion]:
         """Trigger 3: a cooled non-default stripe returns to the default."""
@@ -220,9 +219,10 @@ class AdaptiveSelector:
         out = self._tick()
         self._writes[stripe] += 1
         self.queue1.record(stripe)
+        current = self._flags.get(stripe, self.default)  # code_of(stripe)
         if self.codes is not None:
             out.extend(self._retarget(stripe, "write-insert"))
-        elif self.code_of(stripe) is not CodeKind.RS and self.cost_model.prefers_rs(
+        elif current is not CodeKind.RS and self.cost_model.prefers_rs(
             self.delta(stripe), self.margin
         ):
             out.append(self._convert(stripe, CodeKind.RS, "write-insert"))
@@ -241,10 +241,12 @@ class AdaptiveSelector:
         out = self._tick()
         self._recoveries[stripe] += 1
         evicted = self.queue2.record(stripe, clock=self._events)
-        out.extend(self._cool(evicted, "queue2-evict"))
+        if evicted:
+            out.extend(self._cool(evicted, "queue2-evict"))
+        current = self._flags.get(stripe, self.default)  # code_of(stripe)
         if self.codes is not None:
             out.extend(self._retarget(stripe, "recovery-insert"))
-        elif self.code_of(stripe) is not CodeKind.MSR and self.cost_model.prefers_msr(
+        elif current is not CodeKind.MSR and self.cost_model.prefers_msr(
             self.delta(stripe), self.margin
         ):
             out.append(self._convert(stripe, CodeKind.MSR, "recovery-insert"))

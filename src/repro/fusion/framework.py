@@ -34,7 +34,7 @@ from ..telemetry import METRICS
 from .adaptation import AdaptiveSelector, CodeKind, Conversion
 from .costmodel import CostModel, SystemProfile
 from .queues import CachePolicy
-from .transform import FusionTransformer, StripeStore, TransformCost
+from .transform import FusionTransformer, StripeStore, TransformCost, _as_symbols
 
 __all__ = ["RecoveryReport", "ECFusion"]
 
@@ -81,6 +81,7 @@ class ECFusion:
         self.transformer = FusionTransformer(k, r)
         self.rs = self.transformer.rs
         self.msr = self.transformer.msr
+        self._unit = self.msr.subpacketization  # block lengths are multiples of it
         self.cost_model = CostModel(k, r, profile)
         self.selector = AdaptiveSelector(
             self.cost_model, queue_capacity=queue_capacity, policy=policy, margin=margin
@@ -129,19 +130,18 @@ class ECFusion:
         array is not kept.  Overwriting a stripe reuses that buffer and,
         when the code is unchanged, its parity buffer.
         """
-        data = np.ascontiguousarray(data, dtype=np.uint8)
-        if data.shape[0] != self.k:
-            raise ValueError(f"expected {self.k} data blocks, got {data.shape[0]}")
-        if data.shape[1] % self.msr.subpacketization:
-            raise ValueError(
-                f"block length must be a multiple of {self.msr.subpacketization}"
-            )
+        data = _as_symbols(data, "data")
+        if data.ndim != 2 or data.shape[0] != self.k:
+            raise ValueError(f"expected ({self.k}, L) data blocks, got {data.shape}")
+        if data.shape[1] % self._unit:
+            raise ValueError(f"block length must be a multiple of {self._unit}")
         if METRICS.enabled:
             METRICS.counter("fusion.store.writes", unit="stripes").inc()
         conversions = self.selector.on_write(stripe)
-        # idle-expiry may revert *other* stripes; the written stripe itself
-        # is re-encoded below, so its own flip needs no transformation
-        self._apply_conversions([c for c in conversions if c.stripe != stripe])
+        if conversions:
+            # idle-expiry may revert *other* stripes; the written stripe itself
+            # is re-encoded below, so its own flip needs no transformation
+            self._apply_conversions([c for c in conversions if c.stripe != stripe])
         kind = self.selector.code_of(stripe)
         r = self.r
         store = self._stripes.get(stripe)
@@ -149,16 +149,17 @@ class ECFusion:
             store = self._stripes[stripe] = StripeStore(kind, np.empty_like(data), [])
         sets = 1 if kind is CodeKind.RS else self.transformer.q
         store.kind = kind
-        store.parity = store.parity[:sets] + [
-            np.empty((r, data.shape[1]), dtype=np.uint8)
-            for _ in range(sets - len(store.parity))
-        ]
-        np.copyto(store.data, data)
+        parity = store.parity
+        if len(parity) != sets:
+            parity = store.parity = parity[:sets]
+            while len(parity) < sets:
+                parity.append(np.empty((r, data.shape[1]), dtype=np.uint8))
+        store.data[...] = data
         if kind is CodeKind.RS:
-            self.rs.encode(store.data, out=store.parity[0])
+            self.rs.encode(store.data, out=parity[0])
         else:
-            for g, parity in enumerate(store.parity):
-                self.msr.encode(store.data[g * r : (g + 1) * r], out=parity)
+            for g, group_parity in enumerate(parity):
+                self.msr.encode(store.data[g * r : (g + 1) * r], out=group_parity)
         return conversions
 
     def read(self, stripe: Hashable, block: int) -> np.ndarray:
@@ -172,7 +173,9 @@ class ECFusion:
         store = self._locate(stripe)
         if METRICS.enabled:
             METRICS.counter("fusion.store.reads", unit="blocks").inc()
-        self._apply_conversions(self.selector.on_read(stripe))
+        conversions = self.selector.on_read(stripe)
+        if conversions:
+            self._apply_conversions(conversions)
         return store.data[block]
 
     def read_stripe(self, stripe: Hashable) -> np.ndarray:
@@ -202,7 +205,8 @@ class ECFusion:
         ``chunk_size`` selects the streamed (partial-combination) codec.
         """
         conversions = self.selector.on_recovery(stripe)
-        self._apply_conversions(conversions)
+        if conversions:
+            self._apply_conversions(conversions)
         store = self._locate(stripe)
         if parity:
             if not 0 <= index < store.parity_blocks:
@@ -221,17 +225,18 @@ class ECFusion:
             del shards[node]
             res = code.repair_streamed(node, shards, chunk_size=chunk_size)
             data[node] = res.block
-        self.repair_bytes_read += res.total_bytes_read
+        bytes_read = res.total_bytes_read
+        self.repair_bytes_read += bytes_read
         if METRICS.enabled:
             METRICS.counter("fusion.store.recoveries", unit="blocks").inc()
             METRICS.counter("fusion.store.repair_bytes_read", unit="bytes").inc(
-                res.total_bytes_read
+                bytes_read
             )
         return RecoveryReport(
             stripe=stripe,
             block=index,
             code=store.kind,
-            bytes_read=res.total_bytes_read,
+            bytes_read=bytes_read,
             conversions=conversions,
         )
 

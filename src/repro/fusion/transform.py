@@ -56,6 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -80,6 +81,21 @@ __all__ = [
     "StripeStore",
     "FusionTransformer",
 ]
+
+
+_shape = attrgetter("shape")
+
+
+def _as_symbols(blocks, what: str) -> np.ndarray:
+    """``blocks`` as C-contiguous GF(2^8) symbols, refusing wider dtypes.
+
+    The codecs' check, made where caller bytes enter: ``np.uint8`` would
+    wrap an int64 300 to 44 and truncate a float 1.7 to 1.
+    """
+    blocks = np.asarray(blocks)
+    if blocks.dtype.itemsize > 1:
+        raise ValueError(f"{what} dtype {blocks.dtype} is wider than GF(2^8) symbols")
+    return np.ascontiguousarray(blocks, dtype=np.uint8)
 
 
 class ChunkUnavailable(RuntimeError):
@@ -112,6 +128,10 @@ class TransformCost:
     ``data_blocks_read``/``parity_blocks_read`` count whole-block reads;
     ``gf_ops`` estimates GF multiply-accumulate operations on block bytes;
     ``blocks_written`` counts new parity blocks that must be stored.
+
+    An RS ↔ MSR highway returns a read-only constant per (edge, block
+    length, reads), the same object for every conversion of that shape:
+    accumulate costs into one of your own (``total += cost``).
     """
 
     data_blocks_read: int = 0
@@ -129,6 +149,19 @@ class TransformCost:
         self.blocks_written += other.blocks_written
         self.gf_ops += other.gf_ops
         return self
+
+
+class _SharedCost(TransformCost):
+    """A highway cost constant, shared by every conversion of its shape:
+    setting a field — ``+=`` on it included — raises instead of changing
+    what the next conversion reports."""
+
+    def __init__(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a shared highway cost is read-only (setting {name})")
 
 
 @dataclass
@@ -238,7 +271,8 @@ class FusionTransformer:
         elif (msr.n, msr.k) != (2 * r, r):
             raise ValueError(f"msr must be MSR({2 * r},{r}), got {msr.name}")
         self.msr = msr
-        l = msr.subpacketization
+        #: block lengths must be a multiple of this (the MSR l = r²)
+        self.subpacketization = l = msr.subpacketization
 
         # Group blocks B_i from the width-qr extension of the Cauchy family;
         # its first k columns are exactly the RS(k, r) parity matrix.
@@ -269,16 +303,12 @@ class FusionTransformer:
         self._trans2_plans = [CodingPlan(t, w=w) for t in self.trans2]
         self._codecs = {"rs": self.rs, "msr": msr}
         self._routes: dict[tuple[str, str], tuple] = {}
+        self._highway_costs: dict[tuple, TransformCost] = {}
         #: the conversion journal: :meth:`convert` calls begun and not yet
         #: closed (0 at rest), committed, and aborted
         self.journal_open = self.journal_committed = self.journal_aborted = 0
 
     # ------------------------------------------------------------------ helpers
-    @property
-    def subpacketization(self) -> int:
-        """Block lengths must be a multiple of this (the MSR l = r²)."""
-        return self.msr.subpacketization
-
     def _check_block_len(self, L: int) -> None:
         if L % self.subpacketization:
             raise ValueError(
@@ -286,25 +316,42 @@ class FusionTransformer:
                 f"{self.subpacketization}"
             )
 
-    def _group_data(self, data: np.ndarray, i: int) -> np.ndarray:
-        """Group ``i``'s real data rows (fewer than r in a padded last group),
-        a view of the caller's ``(k, L)`` array."""
-        return data[i * self.r : (i + 1) * self.r]
-
-    def _syms(self, blocks: np.ndarray) -> np.ndarray:
-        l = self.subpacketization
-        rows, L = blocks.shape
-        return blocks.reshape(rows * l, L // l)
+    def _highway_cost(
+        self, edge: str, L: int, data_groups: int, parity_sets: int
+    ) -> TransformCost:
+        """What one highway conversion costs at block length ``L``: it reads
+        ``data_groups`` data groups and ``parity_sets`` parity sets, and
+        applies a Trans2 per group (RS → MSR) or a Trans1 per parity set
+        read (MSR → RS).  Priced once per key; every conversion of that
+        shape returns the same read-only object."""
+        key = (edge, L, data_groups, parity_sets)
+        cost = self._highway_costs.get(key)
+        if cost is None:
+            r = self.r
+            # every Trans1/Trans2 is a dense (r·l × r·l) map over L/l columns
+            if edge == "rs_to_msr":
+                maps, written = self.q, self.q * r
+            else:
+                maps, written = parity_sets, r
+            cost = self._highway_costs[key] = _SharedCost(
+                data_blocks_read=data_groups * r,
+                parity_blocks_read=parity_sets * r,
+                blocks_written=written,
+                gf_ops=data_groups * r * r * L
+                + maps * self.trans1[0].size * (L / self.subpacketization),
+            )
+        return cost
 
     # ---------------------------------------------------------------- eq. (3)
     def intermediary_parities(self, data: np.ndarray) -> np.ndarray:
         """All q intermediary parity sets p′_i, shape (q, r, L)."""
-        data = np.ascontiguousarray(data, dtype=np.uint8)
-        if data.shape[0] != self.k:
-            raise ValueError(f"expected {self.k} data blocks, got {data.shape[0]}")
-        out = np.empty((self.q, self.r, data.shape[1]), dtype=np.uint8)
+        data = _as_symbols(data, "data")
+        if data.ndim != 2 or data.shape[0] != self.k:
+            raise ValueError(f"expected ({self.k}, L) data blocks, got {data.shape}")
+        r = self.r
+        out = np.empty((self.q, r, data.shape[1]), dtype=np.uint8)
         for i, plan in enumerate(self._group_plans):
-            plan.apply_into(self._group_data(data, i), out[i])
+            plan.apply_into(data[i * r : (i + 1) * r], out[i])
         return out
 
     # ------------------------------------------------------------- conversions
@@ -332,8 +379,10 @@ class FusionTransformer:
           p′_i directly — byte-identical output;
         * anything worse → :class:`TransformAborted`, inputs untouched.
         """
-        with METRICS.timer("fusion.transform.wall.rs_to_msr", unit="s"):
-            return self._rs_to_msr(data, rs_parity, fault_hook)
+        if METRICS.enabled:
+            with METRICS.timer("fusion.transform.wall.rs_to_msr", unit="s"):
+                return self._rs_to_msr(data, rs_parity, fault_hook)
+        return self._rs_to_msr(data, rs_parity, fault_hook)
 
     def _read_source(self, fault_hook, phase: str, group: int) -> bool:
         """Probe one conversion source; False when the hook reports it lost."""
@@ -345,20 +394,10 @@ class FusionTransformer:
             return False
         return True
 
-    def _rs_to_msr(
-        self, data: np.ndarray, rs_parity: np.ndarray, fault_hook=None
-    ) -> RsToMsrResult:
-        data = np.ascontiguousarray(data, dtype=np.uint8)
-        rs_parity = np.ascontiguousarray(rs_parity, dtype=np.uint8)
-        L = data.shape[1]
-        self._check_block_len(L)
-        if rs_parity.shape != (self.r, L):
-            raise ValueError(f"rs_parity must be ({self.r}, {L}), got {rs_parity.shape}")
-        cost = TransformCost()
-
+    def _rs_sources(self, fault_hook) -> tuple[range | list[int], int | None]:
+        """Probe an RS stripe's sources → ``(data groups to read, the group
+        whose p′ eq. (3) derives from the parities, or None)``."""
         parity_ok = self._read_source(fault_hook, "parity", -1)
-        if parity_ok:
-            cost.parity_blocks_read = self.r
         # Which data groups must be read: normally all but the last (its p′
         # is derived from the parities); without the parities, all of them.
         needed = list(range(self.q - 1)) if parity_ok else list(range(self.q))
@@ -378,40 +417,57 @@ class FusionTransformer:
                 f"rs_to_msr: sources lost beyond failover "
                 f"(parity_ok={parity_ok}, missing groups {sorted(set(missing))})"
             )
+        return needed, derived
+
+    def _rs_to_msr(
+        self, data: np.ndarray, rs_parity: np.ndarray, fault_hook=None
+    ) -> RsToMsrResult:
+        data = _as_symbols(data, "data")
+        rs_parity = _as_symbols(rs_parity, "rs_parity")
+        L = data.shape[1]
+        self._check_block_len(L)
+        q, r = self.q, self.r
+        if rs_parity.shape != (r, L):
+            raise ValueError(f"rs_parity must be ({r}, {L}), got {rs_parity.shape}")
+        if fault_hook is None:
+            needed, derived = range(q - 1), q - 1
+        else:
+            needed, derived = self._rs_sources(fault_hook)
+        parity_sets = 0 if derived is None else 1
+        cost = self._highway_cost("rs_to_msr", L, len(needed), parity_sets)
 
         # Every probe passed: from here on only the new parity set (built
         # aside, handed over on return) and one r-block scratch are written.
         # All of them are (r, L) like the RS parity they replace, so the
         # allocator recycles one conversion's freed blocks in the next.
-        r = self.r
-        out = [np.empty((r, L), dtype=np.uint8) for _ in range(self.q)]
+        out = []
+        for _ in range(q):
+            out.append(np.empty((r, L), dtype=np.uint8))
         inter = np.empty((r, L), dtype=np.uint8)  # the current group's p′_i
-
-        def to_msr_parity(i: int) -> None:
-            # Trans2 (eq. (7)): p′_i -> group i's MSR parities, where they stay
-            self._trans2_plans[i].apply_into(self._syms(inter), self._syms(out[i]))
+        # Trans2 (eq. (7)) maps p′_i to group i's MSR parities, where they
+        # stay; both sides are viewed as (r·l, L/l) symbols
+        syms = (r * self.subpacketization, L // self.subpacketization)
+        inter_syms = inter.reshape(syms)
+        trans2 = self._trans2_plans
 
         # eq. (3): the one unread group's p′ = p ⊕ all other p′ sets.  The
         # running sum lives in that group's still-unused output block; the
         # last fold lands in the scratch, which Trans2 then consumes.
         acc = out[derived] if derived is not None else None
+        last = len(needed) - 1
         for pos, i in enumerate(needed):
-            self._group_plans[i].apply_into(self._group_data(data, i), inter)
-            cost.data_blocks_read += r
-            cost.gf_ops += r * r * L
-            to_msr_parity(i)
+            self._group_plans[i].apply_into(data[i * r : (i + 1) * r], inter)
+            trans2[i].apply_into(inter_syms, out[i].reshape(syms))
             if derived is not None:
-                last = pos == len(needed) - 1
                 np.bitwise_xor(
-                    rs_parity if pos == 0 else acc, inter, out=inter if last else acc
+                    rs_parity if pos == 0 else acc,
+                    inter,
+                    out=inter if pos == last else acc,
                 )
         if derived is not None:
             if not needed:  # q == 1: the lone group's p′ is the RS parity
                 inter[:] = rs_parity
-            to_msr_parity(derived)
-        for i in range(self.q):
-            cost.gf_ops += self.trans2[i].size * (L / self.subpacketization)
-            cost.blocks_written += r
+            trans2[derived].apply_into(inter_syms, out[derived].reshape(syms))
         if METRICS.enabled:
             # naive re-encode would read all k data blocks; the intermediary
             # highway derives the last group's p' from the RS parities instead
@@ -435,8 +491,8 @@ class FusionTransformer:
         byte-identical to calling :meth:`rs_to_msr` in a loop (the wall
         timer aside, which ticks once per batch here).
         """
-        data = np.ascontiguousarray(data, dtype=np.uint8)
-        rs_parity = np.ascontiguousarray(rs_parity, dtype=np.uint8)
+        data = _as_symbols(data, "data")
+        rs_parity = _as_symbols(rs_parity, "rs_parity")
         if data.ndim != 3 or data.shape[1] != self.k:
             raise ValueError(
                 f"data must be (batch, {self.k}, L) stacks, got {data.shape}"
@@ -458,12 +514,10 @@ class FusionTransformer:
         r = self.r
 
         inter: list[np.ndarray | None] = [None] * self.q
-        gf_ops = 0.0
         for i in range(self.q - 1):
             inter[i] = self._group_plans[i].apply_batch(
                 np.ascontiguousarray(data[:, i * r : (i + 1) * r])
             )
-            gf_ops += r * r * L
         acc = rs_parity.copy()
         for i in range(self.q - 1):
             np.bitwise_xor(acc, inter[i], out=acc)
@@ -474,25 +528,18 @@ class FusionTransformer:
             p_syms = inter[i].reshape(batch, r * l, L // l)
             msr_syms = self._trans2_plans[i].apply_batch(p_syms)
             parities.append(msr_syms.reshape(batch, r, L))
-            gf_ops += self.trans2[i].size * (L / l)
 
+        cost = self._highway_cost("rs_to_msr", L, self.q - 1, 1)
         results = [
-            RsToMsrResult(
-                data=data[b],
-                parity=[par[b] for par in parities],
-                cost=TransformCost(
-                    data_blocks_read=(self.q - 1) * r,
-                    parity_blocks_read=r,
-                    blocks_written=self.q * r,
-                    gf_ops=gf_ops,
-                ),
-            )
+            RsToMsrResult(data=data[b], parity=[par[b] for par in parities], cost=cost)
             for b in range(batch)
         ]
         if METRICS.enabled and batch:
             saved = (self.k - (self.q - 1) * self.r) * L
             METRICS.counter("fusion.transform.rs_to_msr", unit="conversions").inc(batch)
-            METRICS.counter("fusion.transform.gf_ops", unit="gf-ops").inc(batch * gf_ops)
+            METRICS.counter("fusion.transform.gf_ops", unit="gf-ops").inc(
+                batch * cost.gf_ops
+            )
             METRICS.counter("fusion.transform.bytes_saved", unit="bytes").inc(
                 batch * saved
             )
@@ -508,7 +555,7 @@ class FusionTransformer:
         """
         if len(msr_parities) != self.q:
             raise ValueError(f"expected {self.q} parity groups, got {len(msr_parities)}")
-        pars = [np.ascontiguousarray(p, dtype=np.uint8) for p in msr_parities]
+        pars = [_as_symbols(p, "msr parity") for p in msr_parities]
         shapes = {p.shape for p in pars}
         if len(shapes) != 1 or pars[0].ndim != 3 or pars[0].shape[1] != self.r:
             raise ValueError(
@@ -520,34 +567,23 @@ class FusionTransformer:
         with METRICS.timer("fusion.transform.wall.msr_to_rs", unit="s"):
             l = self.subpacketization
             acc = np.zeros((batch, self.r, L), dtype=np.uint8)
-            gf_ops = 0.0
             for i, par in enumerate(pars):
                 p_syms = self._trans1_plans[i].apply_batch(
                     par.reshape(batch, self.r * l, L // l)
                 )
                 np.bitwise_xor(acc, p_syms.reshape(batch, self.r, L), out=acc)
-                gf_ops += self.trans1[i].size * (L / l)
+            cost = self._highway_cost("msr_to_rs", L, 0, self.q)
             if METRICS.enabled and batch:
                 METRICS.counter(
                     "fusion.transform.msr_to_rs", unit="conversions"
                 ).inc(batch)
                 METRICS.counter("fusion.transform.gf_ops", unit="gf-ops").inc(
-                    batch * gf_ops
+                    batch * cost.gf_ops
                 )
                 METRICS.counter("fusion.transform.bytes_saved", unit="bytes").inc(
                     batch * self.k * L
                 )
-            return [
-                MsrToRsResult(
-                    parity=acc[b],
-                    cost=TransformCost(
-                        parity_blocks_read=self.q * self.r,
-                        blocks_written=self.r,
-                        gf_ops=gf_ops,
-                    ),
-                )
-                for b in range(batch)
-            ]
+            return [MsrToRsResult(parity=acc[b], cost=cost) for b in range(batch)]
 
     def msr_to_rs(
         self,
@@ -568,8 +604,10 @@ class FusionTransformer:
         computes p′_i = B_i·d_i directly, byte-identical.  Otherwise the
         conversion raises :class:`TransformAborted` with inputs untouched.
         """
-        with METRICS.timer("fusion.transform.wall.msr_to_rs", unit="s"):
-            return self._msr_to_rs(msr_parities, fault_hook, data)
+        if METRICS.enabled:
+            with METRICS.timer("fusion.transform.wall.msr_to_rs", unit="s"):
+                return self._msr_to_rs(msr_parities, fault_hook, data)
+        return self._msr_to_rs(msr_parities, fault_hook, data)
 
     def _msr_to_rs(
         self,
@@ -577,41 +615,38 @@ class FusionTransformer:
         fault_hook=None,
         data: np.ndarray | None = None,
     ) -> MsrToRsResult:
-        if len(msr_parities) != self.q:
-            raise ValueError(f"expected {self.q} parity groups, got {len(msr_parities)}")
+        q, r = self.q, self.r
+        if len(msr_parities) != q:
+            raise ValueError(f"expected {q} parity groups, got {len(msr_parities)}")
         L = np.asarray(msr_parities[0]).shape[1]
         self._check_block_len(L)
         if data is not None:
-            data = np.ascontiguousarray(data, dtype=np.uint8)
+            data = _as_symbols(data, "data")
             if data.shape != (self.k, L):
                 raise ValueError(f"data must be ({self.k}, {L}), got {data.shape}")
-        cost = TransformCost()
         # the new RS parity is built aside; eq. (3) XOR-merges each group's
-        # p′_i straight into it (accumulate from the second group on)
-        acc = np.empty((self.r, L), dtype=np.uint8)
+        # p′_i straight into it (accumulate from the second group on).
+        # Trans1 (eq. (6)) reads and writes (r·l, L/l) symbol views.
+        acc = np.empty((r, L), dtype=np.uint8)
+        syms = (r * self.subpacketization, L // self.subpacketization)
+        acc_syms = acc.reshape(syms)
+        from_data = 0
         for i, par in enumerate(msr_parities):
-            par = np.ascontiguousarray(par, dtype=np.uint8)
-            if par.shape != (self.r, L):
-                raise ValueError(f"group {i} parity must be ({self.r}, {L})")
-            if self._read_source(fault_hook, "parity", i):
-                self._trans1_plans[i].apply_into(
-                    self._syms(par), self._syms(acc), accumulate=i > 0
-                )
-                cost.parity_blocks_read += self.r
-                cost.gf_ops += self.trans1[i].size * (L / self.subpacketization)
+            par = _as_symbols(par, "msr parity")
+            if par.shape != (r, L):
+                raise ValueError(f"group {i} parity must be ({r}, {L})")
+            if fault_hook is None or self._read_source(fault_hook, "parity", i):
+                self._trans1_plans[i].apply_into(par.reshape(syms), acc_syms, i > 0)
             elif data is not None and self._read_source(fault_hook, "data", i):
                 # failover: recompute p′_i = B_i·d_i from the group's data
-                self._group_plans[i].apply_into(
-                    self._group_data(data, i), acc, accumulate=i > 0
-                )
-                cost.data_blocks_read += self.r
-                cost.gf_ops += self.r * self.r * L
+                self._group_plans[i].apply_into(data[i * r : (i + 1) * r], acc, i > 0)
+                from_data += 1
             else:
                 raise TransformAborted(
                     f"msr_to_rs: group {i} parities lost and no readable data "
                     f"failover"
                 )
-        cost.blocks_written = self.r
+        cost = self._highway_cost("msr_to_rs", L, from_data, q - from_data)
         if METRICS.enabled:
             # naive re-encode would read all k data blocks; Trans1 works from
             # the q·r MSR parity blocks alone (eq. (6))
@@ -653,7 +688,7 @@ class FusionTransformer:
         """A fresh stripe of ``(k, L)`` data in ``code``, each family's
         parity computed by that family's own codec."""
         code = CodeKind(code)
-        data = np.ascontiguousarray(data, dtype=np.uint8)
+        data = _as_symbols(data, "data")
         if data.ndim != 2 or data.shape[0] != self.k:
             raise ValueError(f"expected ({self.k}, L) data blocks, got {data.shape}")
         codec = self.codec(code)
@@ -691,7 +726,7 @@ class FusionTransformer:
         route = self._routes.get((source, target)) or self._route(source, target)
         edge, target, sets, rows, unit = route
         L = stripe.data.shape[-1]
-        shapes = [p.shape for p in stripe.parity]
+        shapes = list(map(_shape, stripe.parity))
         if stripe.data.shape != (self.k, L) or L % unit or shapes != [(rows, L)] * sets:
             raise ValueError(
                 f"a {CodeKind(source).value}->{target.value} stripe is "

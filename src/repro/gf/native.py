@@ -485,6 +485,8 @@ _BUILD_ERRORS = (OSError, subprocess.SubprocessError, ImportError)
 #: str on Windows), so an unset one costs a dict probe
 KILL_SWITCH = os.environ.encodekey("REPRO_GF_NATIVE")
 BACKEND_SWITCH = os.environ.encodekey("REPRO_GF_BACKEND")
+#: the mapping ``os.environ`` itself reads and writes, keyed as above
+SWITCHES = os.environ._data
 
 
 def switch(key) -> str | None:
@@ -495,7 +497,7 @@ def switch(key) -> str | None:
     ``os.environ.get`` raises and catches a ``KeyError`` for every unset
     name, which at a few µs per kernel application is most of the call.
     """
-    raw = os.environ._data.get(key)
+    raw = SWITCHES.get(key)
     return None if raw is None else os.environ.decodevalue(raw)
 
 

@@ -139,6 +139,8 @@ class CodingPlan:
         "_pair_prog",
         "_pair_units",
         "_native_prog",
+        "_native_eligible",
+        "_dtype",
     )
 
     #: Below this many product elements (``nnz * block_len``) the NumPy
@@ -192,6 +194,11 @@ class CodingPlan:
         self._pair_prog = None
         self._pair_units = None
         self._native_prog = None
+        # what resolve_backend serves natively when no switch is set
+        self._native_eligible = w == 8 and self.nnz > 0
+        # the field dtype as a dtype instance: what the per-application
+        # checks compare against without converting a type each time
+        self._dtype = np.dtype(gf.dtype)
 
     @property
     def distinct_coefficients(self) -> int:
@@ -326,10 +333,13 @@ class CodingPlan:
         accumulate: bool,
         tail: np.ndarray | None = None,
     ) -> None:
-        prog = self._native_program()
+        # the body of native.run, one frame fewer: fn is the entry itself
+        prog = self._native_prog
+        if prog is None:
+            prog = self._native_program()
         if not accumulate and len(prog.zero_rows):
             out[prog.zero_rows] = 0
-        _native.run(fn, prog, blocks, out, accumulate, tail)
+        fn(*prog.head, blocks, tail, out, accumulate)
 
     # -- application ---------------------------------------------------------
 
@@ -340,7 +350,7 @@ class CodingPlan:
         row slices, column windows — so callers can hand in views of the
         buffers they own.
         """
-        blocks = np.asarray(blocks, dtype=self._gf.dtype)
+        blocks = np.asarray(blocks, dtype=self._dtype)
         if blocks.ndim == 2 and not (
             blocks.flags.c_contiguous or blocks.strides[1] == blocks.itemsize
         ):
@@ -371,6 +381,24 @@ class CodingPlan:
         out: np.ndarray,
         accumulate: bool,
     ) -> np.ndarray:
+        # Both switches are read on every application, as dict probes.  With
+        # both unset and the kernel resolved (native._cached holds what
+        # native.kernel() returns), resolve_backend's answer for a
+        # native-eligible plan is the kernel, so it runs without the resolver;
+        # a set switch, the process's first application, a w != 8 or all-zero
+        # plan or a host without the kernel go through resolve_backend.
+        switches = _native.SWITCHES
+        resolved = _native._cached
+        if (
+            self._native_eligible
+            and resolved
+            and switches.get(_native.BACKEND_SWITCH) is None
+            and switches.get(_native.KILL_SWITCH) is None
+        ):
+            fn = resolved[0][0]
+            if fn is not None:
+                self._run_native(fn, blocks, out, accumulate, tail)
+                return out
         backend, fn = _backends.resolve_backend(self, blocks.shape[1])
         if backend == "native":
             self._run_native(fn, blocks, out, accumulate, tail)
@@ -430,9 +458,9 @@ class CodingPlan:
         if (
             not isinstance(out, np.ndarray)
             or out.shape != (self.shape[0], ncols)
-            or out.dtype != self._gf.dtype
-            or not (out.flags.c_contiguous or out.strides[1] == out.itemsize)
-            or not out.flags.writeable
+            or out.dtype != self._dtype
+            or not ((flags := out.flags).c_contiguous or out.strides[1] == out.itemsize)
+            or not flags.writeable
         ):
             raise ValueError(
                 f"out must be a writeable {self._gf.dtype} array of shape "

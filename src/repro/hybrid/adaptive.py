@@ -114,7 +114,11 @@ class AdaptivePlanner(SchemePlanner):
         # A full-stripe write re-encodes from fresh data, so a flip of the
         # *written* stripe is free; idle-expiry conversions of other
         # stripes still cost real work.
-        plans = self._execute([c for c in conversions if c.stripe != stripe])
+        plans = (
+            self._execute([c for c in conversions if c.stripe != stripe])
+            if conversions
+            else []
+        )
         kind = self.resident[stripe] = self.selector.code_of(stripe)
         plans.append(self._write_plan(self.families[kind]))
         return plans

@@ -51,6 +51,16 @@ class TestWriteRead:
         with pytest.raises(ValueError):
             fusion.write("s", np.zeros((4, 15), dtype=np.uint8))  # 15 % 4 != 0
 
+    @pytest.mark.parametrize(
+        "value", [np.int64(300), np.float64(1.7)], ids=["int64", "float64"]
+    )
+    def test_symbols_wider_than_a_byte_rejected(self, fusion, value):
+        """int64 300 used to be stored as 44 and float 1.7 as 1."""
+        data = np.full((4, 16), value)
+        with pytest.raises(ValueError, match="wider than GF"):
+            fusion.write("s", data)
+        assert "s" not in fusion
+
     def test_unknown_stripe_raises(self, fusion):
         with pytest.raises(KeyError):
             fusion.read("nope", 0)

@@ -83,6 +83,48 @@ class TestIntermediaryParities:
             tr63.intermediary_parities(np.zeros((5, 9), dtype=np.uint8))
 
 
+#: once silently stored as 44 and 1
+WIDE = [
+    pytest.param(np.int64(300), id="int64"),
+    pytest.param(np.float64(1.7), id="float64"),
+]
+
+
+class TestSymbolsWiderThanAByte:
+    """Every transformer entry taking caller bytes refuses a wider dtype
+    with the codecs' error instead of wrapping it to uint8."""
+
+    @pytest.mark.parametrize("value", WIDE)
+    def test_intermediary_parities(self, tr63, value):
+        with pytest.raises(ValueError, match="wider than GF"):
+            tr63.intermediary_parities(np.full((6, 9), value))
+
+    @pytest.mark.parametrize("value", WIDE)
+    def test_encode(self, tr63, value):
+        with pytest.raises(ValueError, match="wider than GF"):
+            tr63.encode(np.full((6, 9), value), "rs")
+
+    @pytest.mark.parametrize("value", WIDE)
+    def test_rs_to_msr(self, tr63, value):
+        data, parity = make_stripe(np.random.default_rng(11), tr63)
+        with pytest.raises(ValueError, match="wider than GF"):
+            tr63.rs_to_msr(np.full(data.shape, value), parity)
+        with pytest.raises(ValueError, match="wider than GF"):
+            tr63.rs_to_msr(data, parity.astype(type(value)))
+
+    @pytest.mark.parametrize("value", WIDE)
+    def test_msr_to_rs(self, tr63, value):
+        data, parity = make_stripe(np.random.default_rng(12), tr63)
+        msr_parities = tr63.rs_to_msr(data, parity).parity
+        with pytest.raises(ValueError, match="wider than GF"):
+            tr63.msr_to_rs([p.astype(type(value)) for p in msr_parities])
+
+    def test_a_byte_wide_dtype_is_still_taken_as_symbols(self, tr63):
+        data, _ = make_stripe(np.random.default_rng(13), tr63)
+        signed = tr63.intermediary_parities(data.view(np.int8))
+        assert np.array_equal(signed, tr63.intermediary_parities(data))
+
+
 class TestRsToMsr:
     def test_groups_are_valid_msr_codewords(self, tr63):
         rng = np.random.default_rng(3)
@@ -123,6 +165,17 @@ class TestRsToMsr:
         parity = np.zeros((3, 10), dtype=np.uint8)
         with pytest.raises(ValueError):
             tr63.rs_to_msr(data, parity)
+
+
+    def test_fault_free_cost_is_one_read_only_constant(self, tr63):
+        data, parity = make_stripe(np.random.default_rng(14), tr63)
+        cost = tr63.rs_to_msr(data, parity).cost
+        assert tr63.rs_to_msr(data, parity).cost is cost
+        with pytest.raises(AttributeError):
+            cost += cost
+        with pytest.raises(AttributeError):
+            cost.gf_ops = 0.0
+        assert cost.data_blocks_read == (tr63.q - 1) * tr63.r
 
 
 class TestMsrToRs:

@@ -9,6 +9,11 @@ helper.  Wall time on a shared host cannot gate that; the number of
 Python-level calls one warm application makes is a pure function of the
 code, so it gates in tier-1 the way ``scripts/profile_sim.py --check``
 gates the DES kernel.
+
+The same holds one layer up: a conversion or a repair is a few kernel
+calls, so each public entry on the real-bytes path — ``convert`` on either
+highway edge, ``ECFusion.recover`` and ``ECFusion.write`` — is gated on
+its frames too.
 """
 
 import sys
@@ -19,12 +24,17 @@ import pytest
 from repro.fusion import CodeKind, ECFusion
 from repro.gf import CodingPlan, native_info, systematic_rs_parity
 
-#: Python-level calls of one warm native ``apply_into`` (measured: 13;
-#: 27 before the fastcall entry)
-APPLY_CEILING = 16
-#: ... and of one ``ECFusion.recover`` on a stripe already in MSR form
-#: (measured: 49; 73 before)
-RECOVER_CEILING = 52
+#: Python-level calls of one warm native ``apply_into`` (measured: 5;
+#: 13 before the unforced-native short-cut, 27 before the fastcall entry)
+APPLY_CEILING = 6
+#: ... of one ``ECFusion.recover`` on a stripe already in MSR form
+#: (measured: 20; 49 before, 73 before that)
+RECOVER_CEILING = 24
+#: ... of one warm ``FusionTransformer.convert`` on each highway edge
+#: (measured: 24 and 20; 69 and 51 before)
+CONVERT_CEILINGS = {"msr": 28, "rs": 24}
+#: ... and of one ``ECFusion.write`` of a new stripe (measured: 17; 39 before)
+WRITE_CEILING = 20
 
 
 @pytest.fixture(autouse=True)
@@ -82,5 +92,32 @@ def test_one_recovery_on_a_converted_stripe_stays_under_its_ceiling():
     fusion.read_stripe("s")[4] = 0
     calls, raised = profiled(lambda: fusion.recover("s", 4))
     assert len(calls) - 1 <= RECOVER_CEILING, calls
+    assert raised == []
+    assert np.array_equal(fusion.read_stripe("s"), data)
+
+
+@pytest.mark.parametrize("target", ["msr", "rs"])
+def test_one_highway_conversion_is_its_kernel_calls_and_a_few_frames(target):
+    fusion = ECFusion(6, 3)
+    data = np.random.default_rng(3).integers(0, 256, (6, 4608), dtype=np.uint8)
+    tr = fusion.transformer
+    stripe = tr.encode(data, "rs" if target == "msr" else "msr")
+    source = stripe.kind
+    tr.convert(stripe, target)  # warm both edges
+    tr.convert(stripe, source)
+    calls, raised = profiled(lambda: tr.convert(stripe, target))
+    assert len(calls) - 1 <= CONVERT_CEILINGS[target], calls
+    assert raised == []
+    assert stripe.kind == target
+    want = tr.encode(data, target).parity
+    assert all(np.array_equal(p, q) for p, q in zip(stripe.parity, want))
+
+
+def test_one_write_of_a_new_stripe_stays_under_its_ceiling():
+    fusion = ECFusion(6, 3)
+    data = np.random.default_rng(4).integers(0, 256, (6, 4608), dtype=np.uint8)
+    fusion.write("warm", data)
+    calls, raised = profiled(lambda: fusion.write("s", data))
+    assert len(calls) - 1 <= WRITE_CEILING, calls
     assert raised == []
     assert np.array_equal(fusion.read_stripe("s"), data)
