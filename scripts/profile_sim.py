@@ -12,9 +12,10 @@ only.  Two passes over the same seed:
    (``--top`` rows by self time);
 2. a counting pass that tallies what the DES kernel was asked to do:
    heap entries pushed, peak heap depth, ``Event`` / ``Process`` objects
-   allocated and generator resumes, each per request, and how many
-   requests were priced in a quiet window (the windows opened, less the
-   ones an intruder closed) instead of replayed hop by hop.
+   allocated, generator resumes and ``OpPlan`` objects built, each per
+   request, and how many requests were priced in a quiet window (the
+   windows opened, less the ones an intruder closed) instead of replayed
+   hop by hop.
 
 The counts of pass 2 are a pure function of the seed — no wall clock in
 them — so ``--check`` (pass 2 only) compares them with the ceilings
@@ -37,6 +38,7 @@ from pathlib import Path
 from repro.chaos import ChaosConfig
 from repro.cluster import events
 from repro.experiments import ExperimentConfig, run_campaign
+from repro.hybrid import plans
 from repro.server import ServerConfig, WorkloadSpec, run_serving
 from repro.telemetry import METRICS
 
@@ -68,13 +70,26 @@ SHAPES = {
 #: 2.00 / 6.05 before).  Since the chaos fan-out, the scrubber and repair
 #: supervision are chains too, neither do degraded or storm requests
 #: (before: 2.23 / 1.42 / 3.65 and 12.14 / 4.41 / 15.42 at seed 21; storm
-#: keeps ~0.001 ``Event``s, its fault timers).  What is left is the
-#: campaign's ``run_request`` processes and the pipelined repair path.
+#: keeps ~0.001 ``Event``s, its fault timers).  Since ``run_workload``'s
+#: requests and repairs are chains too, neither does the campaign (before:
+#: 0.52 / 0.79 / 1.72 at seed 21).  What is left is the pipelined repair
+#: path's chunk flows, which no shape here runs.
+#: Planners hand out one shared ``OpPlan`` per shape, and the store one
+#: fan-out plan per lost-slot pattern, so plans are built at warm-up only
+#: (before: 1.00 / 2.07 / 1.40 / 1.22 per request at seed 21).
 CEILINGS = {
-    "steady": dict(entries=16.0, events=0.05, processes=0.05, resumes=0.05, peak_depth=200),
-    "degraded": dict(entries=34.5, events=0.05, processes=0.05, resumes=0.05, peak_depth=200),
-    "storm": dict(entries=22.5, events=0.05, processes=0.05, resumes=0.05, peak_depth=1000),
-    "fig17": dict(entries=7.0, events=0.55, processes=0.85, resumes=1.8, peak_depth=400),
+    "steady": dict(
+        entries=16.0, events=0.05, processes=0.05, resumes=0.05, plans=0.01, peak_depth=200
+    ),
+    "degraded": dict(
+        entries=34.5, events=0.05, processes=0.05, resumes=0.05, plans=0.01, peak_depth=200
+    ),
+    "storm": dict(
+        entries=22.5, events=0.05, processes=0.05, resumes=0.05, plans=0.01, peak_depth=1000
+    ),
+    "fig17": dict(
+        entries=7.0, events=0.05, processes=0.05, resumes=0.05, plans=0.01, peak_depth=400
+    ),
 }
 
 
@@ -103,6 +118,7 @@ def run_shape(shape: str, seed: int) -> int:
 def count_pass(shape: str, seed: int) -> dict:
     """Run ``shape`` with allocation/resume/push counters patched in."""
     made: Counter = Counter()
+    plans_made = [0]
     sims: list = []
     resumes = [0]
     priced = [0]
@@ -113,6 +129,10 @@ def count_pass(shape: str, seed: int) -> dict:
         if cls is events.Simulator:
             sims.append(obj)
         return obj
+
+    def counting_plan(cls, *_args, **_kwargs):
+        plans_made[0] += 1
+        return object.__new__(cls)
 
     step = events.Process._step
 
@@ -142,6 +162,7 @@ def count_pass(shape: str, seed: int) -> dict:
         return intrude(self)
 
     events.Event.__new__ = events.Simulator.__new__ = staticmethod(counting_new)
+    plans.OpPlan.__new__ = staticmethod(counting_plan)
     events.Process._step = counting_step
     if window is not None:
         events.Simulator._window = CountingWindow()
@@ -167,6 +188,7 @@ def count_pass(shape: str, seed: int) -> dict:
         "events": (sum(made.values()) - processes) / requests,
         "processes": processes / requests,
         "resumes": resumes[0] / requests,
+        "plans": plans_made[0] / requests,
     }
 
 
@@ -198,6 +220,7 @@ def main(argv=None) -> int:
     print(f"  Event allocations / request  {c['events']:8.2f}")
     print(f"  Process allocations / request{c['processes']:8.2f}")
     print(f"  generator resumes / request  {c['resumes']:8.2f}")
+    print(f"  OpPlan allocations / request {c['plans']:8.3f}")
     if not args.check:
         return 0
     over = [

@@ -22,7 +22,7 @@ from ..telemetry import METRICS, SNAPSHOTS, TRACER, nearest_rank
 from ..workloads.failures import FailureEvent, NodeFailureEvent
 from ..workloads.trace import OpType, Trace
 from .client import Client, DeadNodeError, PlanExecutor
-from .events import Event, Simulator
+from .events import Simulator
 from .namenode import NameNode
 from .network import Fabric
 from .node import DataNode
@@ -256,6 +256,11 @@ class Cluster:
 
 def _split_plans(plans):
     """Separate leading conversion plans from the operation proper."""
+    for plan in plans:
+        if plan.kind is PlanKind.CONVERSION:
+            break
+    else:  # nothing to convert (most requests): no new lists
+        return (), plans
     conversions = [p for p in plans if p.kind is PlanKind.CONVERSION]
     main = [p for p in plans if p.kind is not PlanKind.CONVERSION]
     return conversions, main
@@ -264,8 +269,8 @@ def _split_plans(plans):
 def _record_conversion(result, scheme, stripe, plans, latency, now):
     """Record one in-simulation code conversion (latency + telemetry).
 
-    The histogram observation rides on the :class:`~repro.telemetry.Timer`
-    at the call site; this helper keeps the result sample, the counter,
+    The histogram observation is the call site's; this helper keeps the
+    result sample, the counter,
     and the trace event — including the conversion's read traffic and the
     bytes the intermediary-parity highway saved versus re-encoding the
     whole stripe (k·γ reads).
@@ -395,24 +400,13 @@ def run_workload(
     result = SimulationResult(scheme=scheme.name, trace=trace.name)
 
     requests = list(trace)
-    # In closed mode, failure j fires once the app stream has completed
-    # floor(j+1) * len(requests) / (len(failures)+1) requests.
-    fail_triggers = [Event(sim) for _ in failures]
-    if mode == "closed" and failures:
-        spacing = len(requests) / (len(failures) + 1)
-        thresholds = [int((j + 1) * spacing) for j in range(len(failures))]
-    else:
-        thresholds = []
-    progress = {"done": 0}
     failed_blocks: set[tuple] = set()  # chunks lost but not yet rebuilt
     if cluster.scheduler is not None:
         cluster.scheduler.failed_blocks = failed_blocks  # risk = erasure count
-    sim_clock = lambda: sim.now  # noqa: E731 - Timer clock for sim-time spans
     if SNAPSHOTS.enabled:
         _attach_snapshots(cluster, scheme, trace, failed_blocks, result)
 
     engine = None
-    chaos_state = None
     checker = None
     if chaos is not None:
         engine = ChaosEngine(
@@ -422,374 +416,45 @@ def run_workload(
             failed_blocks=failed_blocks,
             num_stripes=len({req.stripe for req in requests}) or 1,
         )
-        chaos_state = engine.state
-        cluster.executor.chaos = chaos_state
+        cluster.executor.chaos = engine.state
         if chaos.verify_invariants:
             checker = InvariantChecker(
                 cluster,
                 scheme,
-                state=chaos_state,
+                state=engine.state,
                 failed_blocks=failed_blocks,
                 unrecoverable=result.unrecoverable,
                 interval=chaos.invariant_interval,
                 scheduler=cluster.scheduler,
             )
-
-    # Thresholds are non-decreasing, so a moving pointer replaces the full
-    # scan this function used to do after every completed request.
-    next_trigger = [0]
-
-    def fire_due_triggers():
-        j = next_trigger[0]
-        done = progress["done"]
-        while j < len(thresholds) and done >= thresholds[j]:
-            if not fail_triggers[j].triggered:
-                fail_triggers[j].succeed()
-            j += 1
-        next_trigger[0] = j
-
-    def report_unrecoverable(stripe, block, reason):
-        """The loud channel: giving up on a chunk is an event, never silence."""
-        result.unrecoverable.append(
-            {"stripe": stripe, "block": block, "reason": reason, "time": sim.now}
-        )
-        if METRICS.enabled:
-            METRICS.counter("chaos.repair.failures", unit="jobs").inc()
-        if TRACER.enabled:
-            TRACER.emit(
-                "repair-failed", ts=sim.now, stripe=stripe, block=block, reason=reason
-            )
-
-    def run_conversion(submit, stripe, plans):
-        """One conversion, journalled: commits on success, aborts on failure."""
-        if chaos_state is not None:
-            chaos_state.begin_conversion(stripe, cluster.namenode)
-        committed = False
-        try:
-            with METRICS.timer("cluster.latency.conversion", clock=sim_clock) as t:
-                yield sim.process(submit)
-            committed = True
-        finally:
-            if chaos_state is not None:
-                chaos_state.end_conversion(stripe, cluster.namenode, committed=committed)
-        _record_conversion(result, scheme, stripe, plans, t.elapsed, sim.now)
-
-    def ride_repair(req):
-        """Serve a degraded read by joining the repair already in flight.
-
-        Returns True when a queued/running repair job covered the chunk
-        (the read waits for the repair to land, then reads normally —
-        no duplicate reconstruction); False when no such job exists and
-        the caller should plan its own degraded read.  If the ridden job
-        *gives up*, the read falls back to reconstructing for itself.
-        """
-        ride = cluster.scheduler.ride(req.stripe, req.block)
-        if ride is None:
-            return False
-        rode = True
-        with METRICS.timer("cluster.latency.read", clock=sim_clock) as t:
-            try:
-                yield ride
-                plans = scheme.plan_read(req.stripe, req.block)
-            except RecoveryError:
-                rode = False  # the repair gave up; reconstruct after all
-                plans = scheme.plan_degraded_read(req.stripe, req.block)
-            yield sim.process(cluster.client.submit(plans, req.stripe))
-        result.read_latencies.append(t.elapsed)
-        if rode:
-            result.piggybacked_reads += 1
-        if METRICS.enabled:
-            METRICS.counter("cluster.requests.read", unit="requests").inc()
-            if rode:
-                METRICS.counter("cluster.requests.piggybacked", unit="requests").inc()
-        if TRACER.enabled:
-            TRACER.emit(
-                "request",
-                ts=sim.now,
-                scheme=scheme.name,
-                op="read",
-                stripe=req.stripe,
-                latency=t.elapsed,
-                degraded=True,
-                piggybacked=rode,
-            )
-        return True
-
-    def plan_healthy(req):
-        """Plans of a write or a healthy read; ``None`` for a degraded read."""
-        if req.op is OpType.WRITE:
-            plans = scheme.plan_write(req.stripe)
-            if failed_blocks:  # a full rewrite re-materialises every chunk
-                failed_blocks.difference_update(
-                    {fb for fb in failed_blocks if fb[0] == req.stripe}
-                )
-            if chaos_state is not None:
-                chaos_state.rewrite_stripe(req.stripe)
-            return plans
-        if (req.stripe, req.block) in failed_blocks:
-            return None
-        return scheme.plan_read(req.stripe, req.block)
-
-    def record_request(req, latency, degraded):
-        """One served application request (latency sample + telemetry)."""
-        if req.op is OpType.WRITE:
-            result.write_latencies.append(latency)
-        else:
-            result.read_latencies.append(latency)
-        if METRICS.enabled:
-            METRICS.counter(f"cluster.requests.{req.op.value}", unit="requests").inc()
-        if TRACER.enabled:
-            TRACER.emit(
-                "request",
-                ts=sim.now,
-                scheme=scheme.name,
-                op=req.op.value,
-                stripe=req.stripe,
-                latency=latency,
-                degraded=degraded,
-            )
-
-    def run_request(req, plans=None):
-        """One request on the event path (``plans``: already planned by
-        :func:`plan_healthy` when a quiet window fell back to here)."""
-        degraded = False
-        try:
-            if plans is None:
-                plans = plan_healthy(req)
-            if plans is None:
-                result.degraded_reads += 1
-                degraded = True
-                if METRICS.enabled:
-                    METRICS.counter("cluster.degraded_reads", unit="requests").inc()
-                if cluster.scheduler is not None:
-                    served = yield from ride_repair(req)
-                    if served:
-                        return
-                plans = scheme.plan_degraded_read(req.stripe, req.block)
-            conversions, main = _split_plans(plans)
-            if conversions:
-                yield from run_conversion(
-                    cluster.client.executor.run_plans(
-                        conversions, req.stripe, cluster.client.cpu, cluster.client.nic
-                    ),
-                    req.stripe,
-                    conversions,
-                )
-            with METRICS.timer(f"cluster.latency.{req.op.value}", clock=sim_clock) as t:
-                yield sim.process(cluster.client.submit(main, req.stripe))
-            record_request(req, t.elapsed, degraded)
-        except (PartitionError, DeadNodeError) as exc:
-            # chaos made the request fail outright; count it, don't hide it
-            result.failed_requests += 1
-            if METRICS.enabled:
-                METRICS.counter("chaos.requests.failed", unit="requests").inc()
-            if TRACER.enabled:
-                TRACER.emit(
-                    "request-failed",
-                    ts=sim.now,
-                    scheme=scheme.name,
-                    stripe=req.stripe,
-                    error=str(exc),
-                )
-        finally:
-            progress["done"] += 1
-            fire_due_triggers()
-
-    # The closed loop is a callback chain: request i+1 starts in the heap
-    # entry that finished request i.  When that entry leaves nothing else
-    # scheduled (no non-daemon entry, hence every resource idle, and no
-    # daemon due before the request would land) nothing can interleave
-    # with the request — a *quiet window*: it is planned as ``run_request``
-    # plans it, priced by ``PlanExecutor.price`` and booked as ONE entry at
-    # its landing time, whose callback applies the event path's accounting.
-    # Only the rest of the opening entry can still run inside the window;
-    # if it pushes anything, the kernel first withdraws the landing entry
-    # and calls ``fall_back``, so ``run_request`` starts as the ordinary
-    # process, numbered before the intruder, with nothing booked yet
-    # (docs/performance.md § Quiet-window fast-forward).
-    executor, client = cluster.executor, cluster.client
-    heap = sim._heap
-    pending = iter(requests)
-
-    def price_plans(plans, stripe, t, holds):
-        for plan in plans:
-            priced = executor.price(
-                plan, cluster.namenode.lookup(stripe), client.cpu, client.nic, t
-            )
-            if priced is None:
-                return None
-            t = priced[0]
-            holds += priced[1]
-        return t
-
-    def next_request(prev=None):
-        if prev is not None and prev.exc is not None:
-            raise prev.exc  # an event-path request died of an unexpected error
-        req = next(pending, None)
-        if req is None:
-            return
-        plans = None
-        if (
-            not sim._pending
-            and chaos_state is None
-            and executor.fabric is None
-            and (not heap or heap[0][0] > sim.now)
-        ):
-            plans = plan_healthy(req)
-            if plans is not None:
-                conversions, main = _split_plans(plans)
-                holds: list = []
-                converted = landing = price_plans(conversions, req.stripe, sim.now, holds)
-                if converted is not None:
-                    landing = price_plans(main, req.stripe, converted, holds)
-                if landing is not None and (not heap or heap[0][0] > landing):
-                    priced = (req, plans, conversions, sim.now, converted, holds)
-                    sim._window = (fall_back, sim.call_at(landing, land, priced))
-                    return
-        sim.process(run_request(req, plans)).wait(next_request)
-
-    def fall_back(priced):
-        sim.process(run_request(*priced[:2])).wait(next_request)
-
-    def land(priced):
-        sim._window = None
-        req, _, conversions, started, converted, holds = priced
-        executor.book(holds)
-        if conversions:
-            latency = converted - started
-            if METRICS.enabled:
-                METRICS.histogram("cluster.latency.conversion", unit="s").observe(latency)
-            _record_conversion(result, scheme, req.stripe, conversions, latency, converted)
-        latency = sim.now - converted
-        if METRICS.enabled:
-            METRICS.histogram(f"cluster.latency.{req.op.value}", unit="s").observe(latency)
-        record_request(req, latency, False)
-        progress["done"] += 1
-        fire_due_triggers()
-        next_request()
-
-    def open_app_request(req):
-        yield sim.timeout(req.time)
-        yield sim.process(run_request(req))
-
-    def execute_repair(stripe, block, conversions, main):
-        """Run one supervised repair; reports instead of raising on give-up."""
-        try:
-            if conversions:
-                yield from run_conversion(
-                    cluster.recovery.submit(conversions, stripe), stripe, conversions
-                )
-            with METRICS.timer("cluster.latency.recovery", clock=sim_clock) as t:
-                if cluster.scheduler is not None:
-                    yield cluster.scheduler.submit(main, stripe, block)
-                else:
-                    yield sim.process(cluster.recovery.submit(main, stripe))
-        except RecoveryError as exc:
-            report_unrecoverable(stripe, block, str(exc))
-            return False
-        _record_recovery(result, scheme.name, stripe, block, t.elapsed, sim.now)
-        failed_blocks.discard((stripe, block))
-        if chaos_state is not None:
-            chaos_state.repair_chunk(stripe, block)  # a rebuilt chunk is clean
-        return True
-
-    def recovery_job(event, trigger=None):
-        if trigger is not None:
-            yield trigger
-        else:
-            yield sim.timeout(event.time)
-        failed_blocks.add((event.stripe, event.block))
-        plans = scheme.plan_recovery(event.stripe, event.block)
-        conversions, main = _split_plans(plans)
-        yield from execute_repair(event.stripe, event.block, conversions, main)
-
-    def corruption_repair(stripe, block):
-        """Scrubber-triggered rebuild of a detected-corrupt chunk."""
-        failed_blocks.add((stripe, block))
-        plans = scheme.plan_recovery(stripe, block)
-        conversions, main = _split_plans(plans)
-        repaired = yield from execute_repair(stripe, block, conversions, main)
-        if repaired and METRICS.enabled:
-            METRICS.counter("chaos.scrub.repairs", unit="chunks").inc()
-
+    replay = _Replay(
+        scheme, cluster, result, failed_blocks, requests, failures, node_failures,
+        closed=mode == "closed",
+    )
     if engine is not None:
-        engine.on_corruption_detected = lambda stripe, slot: sim.process(
-            corruption_repair(stripe, slot)
-        )
+        engine.on_corruption_detected = replay.corruption_detected
 
-    def chunk_losses_on(node: int) -> list[FailureEvent]:
-        """Expand a node loss into per-stripe chunk failures (data slots)."""
-        losses = []
-        for info in cluster.namenode.stripes():
-            for slot in range(min(scheme.k, len(info.placement))):
-                if info.placement[slot] == node:
-                    losses.append(
-                        FailureEvent(time=0.0, stripe=info.stripe_id, block=slot)
-                    )
-        return losses
-
-    def node_storm(event, trigger=None):
-        if trigger is not None:
-            yield trigger
-        else:
-            yield sim.timeout(event.time)
-        jobs = []
-        for loss in chunk_losses_on(event.node):
-            failed_blocks.add((loss.stripe, loss.block))
-            plans = scheme.plan_recovery(loss.stripe, loss.block)
-            conversions, main = _split_plans(plans)
-
-            def storm_job(loss=loss, conversions=conversions, main=main):
-                yield from execute_repair(loss.stripe, loss.block, conversions, main)
-
-            jobs.append(sim.process(storm_job()))
-        if TRACER.enabled:
-            TRACER.emit(
-                "node-storm",
-                ts=sim.now,
-                scheme=scheme.name,
-                node=event.node,
-                jobs=len(jobs),
-            )
-        if jobs:
-            yield sim.all_of(jobs)
-
-    if mode == "closed":
-        sim.call_later(0.0, next_request)
-        for j, event in enumerate(failures):
-            sim.process(recovery_job(event, trigger=fail_triggers[j]))
-        # node storms fire once half the request stream has completed
-        storm_triggers = [Event(sim) for _ in node_failures]
-        storm_threshold = len(requests) // 2
-        if node_failures:
-            original_fire = fire_due_triggers
-
-            def fire_all():
-                original_fire()
-                if progress["done"] >= storm_threshold:
-                    for trig in storm_triggers:
-                        if not trig.triggered:
-                            trig.succeed()
-
-            fire_due_triggers = fire_all  # noqa: F811 - deliberate rebind
-        for j, event in enumerate(node_failures):
-            sim.process(node_storm(event, trigger=storm_triggers[j]))
-        fire_due_triggers()  # thresholds of 0 (e.g. empty trace) fire at once
+    # Every job below starts from a zero-delay kick-off entry booked here,
+    # in this order: the digests pin these entries and their numbering.
+    if replay.closed:
+        sim.call_later(0.0, _Replay.next_request, replay)
+        for j in range(len(failures)):
+            sim.call_later(0.0, replay.arm_failure, j)
+        for j in range(len(node_failures)):
+            sim.call_later(0.0, replay.arm_storm, j)
+        replay.fire_due_triggers()  # thresholds of 0 (e.g. empty trace) fire at once
     else:
         for req in requests:
-            sim.process(open_app_request(req))
+            sim.call_later(0.0, _after, (sim, req.time, replay.arrive, req))
         for event in failures:
-            sim.process(recovery_job(event))
+            sim.call_later(0.0, _after, (sim, event.time, replay.lose_chunk, event))
         for event in node_failures:
-            sim.process(node_storm(event))
+            sim.call_later(0.0, _after, (sim, event.time, replay.node_storm, event))
     if engine is not None:
         engine.attach()
         if checker is not None:
             checker.attach()
     sim.run()
-    # the chain's closures name each other through this cell: empty it, so
-    # the cluster dies by refcount, not whenever the cyclic GC next runs
-    next_request = None  # noqa: F841
 
     result.storage_overhead = scheme.storage_overhead()
     result.sim_time = sim.now
@@ -802,3 +467,482 @@ def run_workload(
             result.invariant_violations = report_dict["violations"]
             result.at_risk_stripes = report_dict["at_risk"]
     return result
+
+
+def _after(delayed: tuple) -> None:
+    """A kick-off entry that books ``fn(arg)`` ``delay`` seconds later."""
+    sim, delay, fn, arg = delayed
+    sim.call_later(delay, fn, arg)
+
+
+def _run_plans(job: tuple) -> None:
+    executor, plans, stripe, cpu, nic, done = job
+    executor.run_cb(plans, stripe, cpu, nic, done)
+
+
+def _submit_recovery(job: tuple) -> None:
+    manager, plans, stripe, done, ctx = job
+    manager.submit_cb(plans, stripe, done, ctx)
+
+
+def _histogram(name: str):
+    """The sim-time latency histogram ``name`` (``None`` while metrics are
+    off)."""
+    return METRICS.histogram(name, unit="s") if METRICS.enabled else None
+
+
+class _Replay:
+    """One :func:`run_workload` in flight: the state its callback chains
+    share, and the steps that are not any one request's or repair's.
+
+    The closed loop is a chain: request i+1 starts in the heap entry that
+    finished request i.  When that entry leaves nothing else scheduled (no
+    non-daemon entry, hence every resource idle, and no daemon due before
+    the request would land) nothing can interleave with the request — a
+    *quiet window*: it is planned as the event path plans it, priced by
+    ``PlanExecutor.price`` and booked as ONE entry at its landing time,
+    whose callback applies the event path's accounting.  Only the rest of
+    the opening entry can still run inside the window; if it pushes
+    anything, the kernel first withdraws the landing entry and calls the
+    window's fall-back, so the request starts on the event path
+    (:class:`_Request`), numbered before the intruder, with nothing booked
+    yet (docs/performance.md § Quiet-window fast-forward).
+
+    Failure ``j`` of a closed loop fires once the stream has completed
+    ``floor((j+1) · len(requests) / (len(failures)+1))`` requests, node
+    storms once half of it has: each is *armed* by its kick-off entry and
+    runs inline in whichever comes last, that entry or the request
+    completion that crosses its threshold.
+    """
+
+    __slots__ = (
+        "scheme", "cluster", "sim", "executor", "client", "result", "failed_blocks",
+        "chaos", "pending", "closed", "done", "failures", "thresholds", "fired", "armed",
+        "node_failures", "storm_threshold", "storms_fired", "storms_armed",
+    )
+
+    def __init__(
+        self, scheme, cluster, result, failed_blocks, requests, failures, node_failures, closed
+    ):
+        self.scheme = scheme
+        self.cluster = cluster
+        self.sim = cluster.sim
+        self.executor = cluster.executor
+        self.client = cluster.client
+        self.result = result
+        self.failed_blocks = failed_blocks
+        self.chaos = cluster.executor.chaos
+        self.pending = iter(requests)
+        self.closed = closed
+        self.done = 0  # requests completed (served or failed)
+        self.failures = failures
+        spacing = len(requests) / (len(failures) + 1)
+        self.thresholds = [int((j + 1) * spacing) for j in range(len(failures))]
+        self.fired = 0  # triggers fired: thresholds are non-decreasing
+        self.armed = [False] * len(failures)
+        self.node_failures = node_failures
+        self.storm_threshold = len(requests) // 2
+        self.storms_fired = False
+        self.storms_armed = [False] * len(node_failures)
+
+    # -- closed-loop triggers ----------------------------------------------
+    def arm_failure(self, j: int) -> None:
+        if j < self.fired:
+            self.lose_chunk(self.failures[j])
+        else:
+            self.armed[j] = True
+
+    def arm_storm(self, j: int) -> None:
+        if self.storms_fired:
+            self.node_storm(self.node_failures[j])
+        else:
+            self.storms_armed[j] = True
+
+    def fire_due_triggers(self) -> None:
+        done, thresholds = self.done, self.thresholds
+        while self.fired < len(thresholds) and done >= thresholds[self.fired]:
+            j = self.fired
+            self.fired = j + 1
+            if self.armed[j]:
+                self.lose_chunk(self.failures[j])
+        if self.node_failures and not self.storms_fired and done >= self.storm_threshold:
+            self.storms_fired = True
+            for event, armed in zip(self.node_failures, self.storms_armed):
+                if armed:
+                    self.node_storm(event)
+
+    # -- failures and repairs ------------------------------------------------
+    def lose_chunk(self, event: FailureEvent) -> None:
+        """One chunk loss: plan its repair and start it, inline."""
+        _Repair(self, event.stripe, event.block).start()
+
+    def node_storm(self, event: NodeFailureEvent) -> None:
+        """Every data chunk of the dead node, each repaired from a kick-off
+        entry of its own."""
+        scheme, call_later = self.scheme, self.sim.call_later
+        losses = [
+            (info.stripe_id, slot)
+            for info in self.cluster.namenode.stripes()
+            for slot in range(min(scheme.k, len(info.placement)))
+            if info.placement[slot] == event.node
+        ]
+        for stripe, slot in losses:
+            repair = _Repair(self, stripe, slot)
+            repair.plan()
+            call_later(0.0, _Repair.begin, repair)
+        if TRACER.enabled:
+            TRACER.emit(
+                "node-storm", ts=self.sim.now, scheme=scheme.name, node=event.node,
+                jobs=len(losses),
+            )
+
+    def corruption_detected(self, stripe, block) -> None:
+        """The scrubber's hook: rebuild the chunk from a kick-off entry."""
+        self.sim.call_later(0.0, _Repair.start, _Repair(self, stripe, block, scrubbed=True))
+
+    def report_unrecoverable(self, stripe, block, reason: str) -> None:
+        """The loud channel: giving up on a chunk is an event, never silence."""
+        now = self.sim.now
+        self.result.unrecoverable.append(
+            {"stripe": stripe, "block": block, "reason": reason, "time": now}
+        )
+        if METRICS.enabled:
+            METRICS.counter("chaos.repair.failures", unit="jobs").inc()
+        if TRACER.enabled:
+            TRACER.emit("repair-failed", ts=now, stripe=stripe, block=block, reason=reason)
+
+    # -- application requests -----------------------------------------------
+    def plan_healthy(self, req):
+        """Plans of a write or a healthy read; ``None`` for a degraded read."""
+        failed_blocks = self.failed_blocks
+        if req.op is OpType.WRITE:
+            plans = self.scheme.plan_write(req.stripe)
+            if failed_blocks:  # a full rewrite re-materialises every chunk
+                failed_blocks.difference_update(
+                    {fb for fb in failed_blocks if fb[0] == req.stripe}
+                )
+            if self.chaos is not None:
+                self.chaos.rewrite_stripe(req.stripe)
+            return plans
+        if failed_blocks and (req.stripe, req.block) in failed_blocks:
+            return None
+        return self.scheme.plan_read(req.stripe, req.block)
+
+    def record_request(self, req, latency: float, degraded: bool, rode=None) -> None:
+        """One served application request (latency sample + telemetry).
+
+        ``rode`` is ``None`` unless the read waited on a repair job: then
+        whether it rode the job (piggybacked) or reconstructed after the
+        job gave up.
+        """
+        result = self.result
+        if req.op is OpType.WRITE:
+            result.write_latencies.append(latency)
+        else:
+            result.read_latencies.append(latency)
+        if rode:
+            result.piggybacked_reads += 1
+        if METRICS.enabled:
+            METRICS.counter(f"cluster.requests.{req.op.value}", unit="requests").inc()
+            if rode:
+                METRICS.counter("cluster.requests.piggybacked", unit="requests").inc()
+        if TRACER.enabled:
+            ride = {} if rode is None else {"piggybacked": rode}
+            TRACER.emit(
+                "request",
+                ts=self.sim.now,
+                scheme=self.scheme.name,
+                op=req.op.value,
+                stripe=req.stripe,
+                latency=latency,
+                degraded=degraded,
+                **ride,
+            )
+
+    # -- conversions -----------------------------------------------------------
+    def open_conversion(self, stripe) -> tuple:
+        """A conversion starts: its journal entry opens (under chaos).
+        Returns ``(started, latency histogram or None)``."""
+        if self.chaos is not None:
+            self.chaos.begin_conversion(stripe, self.cluster.namenode)
+        return self.sim.now, _histogram("cluster.latency.conversion")
+
+    def close_conversion(self, stripe, conversions, started: float, hist, exc) -> None:
+        """The conversion ended: observe it and close its journal entry,
+        then (committed) record it."""
+        now = self.sim.now
+        latency = now - started
+        if exc is None and hist is not None:
+            hist.observe(latency)
+        if self.chaos is not None:
+            self.chaos.end_conversion(stripe, self.cluster.namenode, committed=exc is None)
+        if exc is None:
+            _record_conversion(self.result, self.scheme, stripe, conversions, latency, now)
+
+    def request_done(self) -> None:
+        self.done += 1
+        if self.closed:
+            self.fire_due_triggers()
+            self.next_request()
+
+    def arrive(self, req) -> None:
+        """An open-loop arrival: the request starts from a zero-delay entry."""
+        self.sim.call_later(0.0, _Request.begin, _Request(self, req, None))
+
+    def price_plans(self, plans, info, t: float, holds: list):
+        executor, client = self.executor, self.client
+        for plan in plans:
+            priced = executor.price(plan, info, client.cpu, client.nic, t)
+            if priced is None:
+                return None
+            t = priced[0]
+            holds += priced[1]
+        return t
+
+    def next_request(self) -> None:
+        req = next(self.pending, None)
+        if req is None:
+            return
+        sim = self.sim
+        heap = sim._heap
+        plans = None
+        if (
+            not sim._pending
+            and self.chaos is None
+            and self.executor.fabric is None
+            and (not heap or heap[0][0] > sim.now)
+        ):
+            plans = self.plan_healthy(req)
+            if plans is not None:
+                conversions, main = _split_plans(plans)
+                info = self.cluster.namenode.lookup(req.stripe)
+                holds: list = []
+                converted = landing = self.price_plans(conversions, info, sim.now, holds)
+                if converted is not None:
+                    landing = self.price_plans(main, info, converted, holds)
+                if landing is not None and (not heap or heap[0][0] > landing):
+                    priced = (self, req, plans, conversions, sim.now, converted, holds)
+                    sim._window = (_fall_back, sim.call_at(landing, _land, priced))
+                    return
+        sim.call_later(0.0, _Request.begin, _Request(self, req, plans))
+
+
+def _fall_back(priced: tuple) -> None:
+    """An intruder closed the window: start the request on the event path."""
+    replay = priced[0]
+    replay.sim.call_later(0.0, _Request.begin, _Request(replay, priced[1], priced[2]))
+
+
+def _land(priced: tuple) -> None:
+    """The one entry of a priced request: the event path's accounting."""
+    replay, req, _, conversions, started, converted, holds = priced
+    sim = replay.sim
+    sim._window = None
+    PlanExecutor.book(holds)
+    if conversions:
+        latency = converted - started
+        if METRICS.enabled:
+            METRICS.histogram("cluster.latency.conversion", unit="s").observe(latency)
+        _record_conversion(
+            replay.result, replay.scheme, req.stripe, conversions, latency, converted
+        )
+    latency = sim.now - converted
+    if METRICS.enabled:
+        METRICS.histogram(f"cluster.latency.{req.op.value}", unit="s").observe(latency)
+    replay.record_request(req, latency, False)
+    replay.request_done()
+
+
+class _Request:
+    """One application request on the event path: the state of its chain.
+
+    From its zero-delay start entry: plan (unless a fallen-back window
+    already did), ride the repair rebuilding a lost chunk or plan a
+    degraded read, run the conversions (journalled under chaos) from a
+    kick-off entry of their own, then the main plans through the client
+    from another (``Client.start_cb``).  A chunk access failing with
+    :class:`DeadNodeError` or :class:`~repro.chaos.PartitionError` ends
+    the request as failed; any other error raises out of the simulator.
+    The request holds no reference to itself, so it dies by refcount once
+    its last entry has fired.
+    """
+
+    __slots__ = (
+        "replay", "req", "plans", "degraded", "rode", "conversions", "main", "t0", "hist",
+    )
+
+    def __init__(self, replay: _Replay, req, plans):
+        self.replay = replay
+        self.req = req
+        self.plans = plans
+        self.degraded = False
+        self.rode = None  # waited on no repair job
+
+    def begin(self) -> None:
+        replay, req = self.replay, self.req
+        plans = self.plans
+        if plans is None:
+            plans = replay.plan_healthy(req)
+        if plans is None:
+            replay.result.degraded_reads += 1
+            self.degraded = True
+            if METRICS.enabled:
+                METRICS.counter("cluster.degraded_reads", unit="requests").inc()
+            scheduler = replay.cluster.scheduler
+            if scheduler is not None:
+                job = scheduler.ride_job(req.stripe, req.block)
+                if job is not None:
+                    self.t0, self.hist = replay.sim.now, _histogram("cluster.latency.read")
+                    job.wait(self.ridden)
+                    return
+            plans = replay.scheme.plan_degraded_read(req.stripe, req.block)
+        conversions, self.main = _split_plans(plans)
+        if not conversions:
+            self.submit()
+            return
+        self.conversions = conversions
+        self.t0, self.hist = replay.open_conversion(req.stripe)
+        client = replay.client
+        job = (replay.executor, conversions, req.stripe, client.cpu, client.nic, self.converted)
+        replay.sim.call_later(0.0, _run_plans, job)
+
+    def converted(self, _value=None, exc: BaseException | None = None) -> None:
+        self.replay.close_conversion(self.req.stripe, self.conversions, self.t0, self.hist, exc)
+        if exc is not None:
+            self.fail(exc)
+        else:
+            self.submit()
+
+    def submit(self) -> None:
+        replay, req = self.replay, self.req
+        self.t0 = replay.sim.now
+        self.hist = None
+        if METRICS.enabled:
+            self.hist = METRICS.histogram(f"cluster.latency.{req.op.value}", unit="s")
+        replay.client.start_cb(self.main, req.stripe, self.served)
+
+    def served(self, _value=None, exc: BaseException | None = None) -> None:
+        if exc is not None:
+            self.fail(exc)
+            return
+        replay = self.replay
+        latency = replay.sim.now - self.t0
+        if self.hist is not None:
+            self.hist.observe(latency)
+        replay.record_request(self.req, latency, self.degraded, self.rode)
+        self.finish()
+
+    # -- riding a repair ---------------------------------------------------
+    def ridden(self, _value=None, exc: BaseException | None = None) -> None:
+        """The ridden repair landed (read the chunk normally: no duplicate
+        reconstruction) or gave up (reconstruct for this read after all);
+        either way the read starts from a kick-off entry of its own."""
+        replay, req = self.replay, self.req
+        self.rode = exc is None
+        if self.rode:
+            plans = replay.scheme.plan_read(req.stripe, req.block)
+        elif isinstance(exc, RecoveryError):
+            plans = replay.scheme.plan_degraded_read(req.stripe, req.block)
+        else:
+            raise exc
+        replay.client.start_cb(plans, req.stripe, self.served)
+
+    # -- the end -------------------------------------------------------------
+    def fail(self, exc: BaseException) -> None:
+        """Chaos made the request fail outright: count it, don't hide it."""
+        if not isinstance(exc, (PartitionError, DeadNodeError)):
+            raise exc
+        replay = self.replay
+        replay.result.failed_requests += 1
+        if METRICS.enabled:
+            METRICS.counter("chaos.requests.failed", unit="requests").inc()
+        if TRACER.enabled:
+            TRACER.emit(
+                "request-failed",
+                ts=replay.sim.now,
+                scheme=replay.scheme.name,
+                stripe=self.req.stripe,
+                error=str(exc),
+            )
+        self.finish()
+
+    def finish(self) -> None:
+        """Served or failed: count it, fire due failures, and (closed loop)
+        start the next request."""
+        self.replay.request_done()
+
+
+class _Repair:
+    """One supervised reconstruction in flight: the repair's conversions
+    (journalled under chaos) from a kick-off entry, then the job — through
+    the :class:`RecoveryScheduler` when there is one, else from a kick-off
+    entry of its own — then the bookkeeping.  A repair that gives up is
+    reported as unrecoverable, not raised."""
+
+    __slots__ = ("replay", "stripe", "block", "scrubbed", "conversions", "main", "t0", "hist")
+
+    def __init__(self, replay: _Replay, stripe, block, scrubbed: bool = False):
+        self.replay = replay
+        self.stripe = stripe
+        self.block = block
+        #: a scrubber-detected corruption (counted as such once repaired)
+        self.scrubbed = scrubbed
+
+    def plan(self) -> None:
+        """The chunk is lost: plan its reconstruction."""
+        replay = self.replay
+        replay.failed_blocks.add((self.stripe, self.block))
+        self.conversions, self.main = _split_plans(
+            replay.scheme.plan_recovery(self.stripe, self.block)
+        )
+
+    def start(self) -> None:
+        self.plan()
+        self.begin()
+
+    def begin(self) -> None:
+        if not self.conversions:
+            self.submit()
+            return
+        replay = self.replay
+        self.t0, self.hist = replay.open_conversion(self.stripe)
+        job = (replay.cluster.recovery, self.conversions, self.stripe, self.converted, None)
+        replay.sim.call_later(0.0, _submit_recovery, job)
+
+    def converted(self, _value=None, exc: BaseException | None = None) -> None:
+        self.replay.close_conversion(self.stripe, self.conversions, self.t0, self.hist, exc)
+        if exc is not None:
+            self.gave_up(exc)
+        else:
+            self.submit()
+
+    def submit(self) -> None:
+        replay = self.replay
+        cluster = replay.cluster
+        self.t0, self.hist = replay.sim.now, _histogram("cluster.latency.recovery")
+        if cluster.scheduler is not None:
+            cluster.scheduler.submit_cb(self.main, self.stripe, self.block, self.repaired)
+        else:
+            job = (cluster.recovery, self.main, self.stripe, self.repaired, None)
+            replay.sim.call_later(0.0, _submit_recovery, job)
+
+    def repaired(self, _value=None, exc: BaseException | None = None) -> None:
+        if exc is not None:
+            self.gave_up(exc)
+            return
+        replay, stripe, block = self.replay, self.stripe, self.block
+        now = replay.sim.now
+        latency = now - self.t0
+        if self.hist is not None:
+            self.hist.observe(latency)
+        _record_recovery(replay.result, replay.scheme.name, stripe, block, latency, now)
+        replay.failed_blocks.discard((stripe, block))
+        if replay.chaos is not None:
+            replay.chaos.repair_chunk(stripe, block)  # a rebuilt chunk is clean
+        if self.scrubbed and METRICS.enabled:
+            METRICS.counter("chaos.scrub.repairs", unit="chunks").inc()
+
+    def gave_up(self, exc: BaseException) -> None:
+        if not isinstance(exc, RecoveryError):
+            raise exc
+        self.replay.report_unrecoverable(self.stripe, self.block, str(exc))

@@ -41,6 +41,7 @@ class AdaptivePlanner(SchemePlanner):
     def __init__(
         self, name: str, gamma: float, selector: AdaptiveSelector, codes: tuple[str, ...]
     ):
+        super().__init__()
         self.name, self.gamma, self.selector = name, gamma, selector
         self.cost_model = selector.cost_model
         self.k, self.r = self.cost_model.k, self.cost_model.r
@@ -94,19 +95,25 @@ class AdaptivePlanner(SchemePlanner):
                 continue  # no data yet, or already held in the target family
             self.conversion_count += 1
             self.resident[conv.stripe] = conv.target
-            reads, writes, compute = conversion(
-                self.families[source], self.families[conv.target], self.gamma
-            )
-            plans.append(
-                OpPlan(
-                    PlanKind.CONVERSION,
-                    compute_ops=compute,
-                    reads=reads,
-                    writes=writes,
-                    distributed=True,
-                )
-            )
+            plans.append(self._conversion_plan(source, conv.target))
         return plans
+
+    def _conversion_plan(self, source: CodeKind, target: CodeKind) -> OpPlan:
+        """The one plan of the ``source → target`` edge."""
+        key = (source, target)
+        plan = self._plans.get(key)
+        if plan is None:
+            reads, writes, compute = conversion(
+                self.families[source], self.families[target], self.gamma
+            )
+            plan = self._plans[key] = OpPlan(
+                PlanKind.CONVERSION,
+                compute_ops=compute,
+                reads=reads,
+                writes=writes,
+                distributed=True,
+            )
+        return plan
 
     # -- operations ---------------------------------------------------------------
     def plan_write(self, stripe: Hashable) -> list[OpPlan]:

@@ -56,6 +56,7 @@ class HACFSPlanner(SchemePlanner):
     ):
         if k % 2:
             raise ValueError("HACFS fast code LRC(k,2,k/2) needs even k")
+        super().__init__()
         self.k, self.gamma = k, gamma
         self.r = 2
         self.fast = LRCFamily(k, 2, k // 2)
@@ -107,27 +108,33 @@ class HACFSPlanner(SchemePlanner):
         """compact → fast: re-read data, write the k/2 fine local parities."""
         self._is_fast[stripe] = True
         self.conversion_count += 1
-        g = self.gamma
-        return OpPlan(
-            kind=PlanKind.CONVERSION,
-            compute_ops=g * (self.k - self.k // 2),  # k/2 pairwise XORs
-            reads={s: g for s in range(self.k)},
-            writes={self.k + i: g for i in range(self.k // 2)},
-            distributed=True,
-        )
+        plan = self._plans.get("upcode")
+        if plan is None:
+            g = self.gamma
+            plan = self._plans["upcode"] = OpPlan(
+                kind=PlanKind.CONVERSION,
+                compute_ops=g * (self.k - self.k // 2),  # k/2 pairwise XORs
+                reads={s: g for s in range(self.k)},
+                writes={self.k + i: g for i in range(self.k // 2)},
+                distributed=True,
+            )
+        return plan
 
     def _downcode(self, stripe: Hashable) -> OpPlan:
         """fast → compact: XOR the fine parities into the 2 coarse ones."""
         self._is_fast[stripe] = False
         self.conversion_count += 1
-        g = self.gamma
-        return OpPlan(
-            kind=PlanKind.CONVERSION,
-            compute_ops=g * (self.k // 2 - 2),
-            reads={self.k + i: g for i in range(self.k // 2)},
-            writes={self.k + i: g for i in range(2)},
-            distributed=True,
-        )
+        plan = self._plans.get("downcode")
+        if plan is None:
+            g = self.gamma
+            plan = self._plans["downcode"] = OpPlan(
+                kind=PlanKind.CONVERSION,
+                compute_ops=g * (self.k // 2 - 2),
+                reads={self.k + i: g for i in range(self.k // 2)},
+                writes={self.k + i: g for i in range(2)},
+                distributed=True,
+            )
+        return plan
 
     # -- operations --------------------------------------------------------------
     def plan_write(self, stripe: Hashable) -> list[OpPlan]:

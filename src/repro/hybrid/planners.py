@@ -41,7 +41,10 @@ class SchemePlanner(abc.ABC):
     """Interface every redundancy scheme exposes to the simulator.
 
     Planners are *stateful* for adaptive schemes (HACFS, EC-Fusion track
-    per-stripe heat); :class:`StaticPlanner` ignores the stripe ID.
+    per-stripe heat); :class:`StaticPlanner` ignores the stripe ID.  The
+    plans themselves are not: a planner builds each shape of plan once and
+    hands out that one read-only :class:`OpPlan` every time (the lists
+    that carry them are fresh per call).
     """
 
     #: human-readable scheme name for experiment tables
@@ -50,6 +53,15 @@ class SchemePlanner(abc.ABC):
     k: int
     #: chunk size in bytes
     gamma: float
+
+    def __init__(self):
+        #: interned plans by shape: ``("write", family)``, read slot,
+        #: ``(family, slot)`` of a recovery, … — whatever the builder keys on
+        self._plans: dict = {}
+        #: ``id(recovery plan) → its write-less twin`` (``None`` until a
+        #: degraded read asks) for the interned recovery plans, which
+        #: ``_plans`` keeps alive, so no other plan can share their ids
+        self._degraded: dict[int, OpPlan | None] = {}
 
     @property
     @abc.abstractmethod
@@ -80,40 +92,59 @@ class SchemePlanner(abc.ABC):
         owns writing the replacement).  Counts as a recovery event for
         adaptive schemes — a degraded read *is* a reconstruction.
         """
-        plans = self.plan_recovery(stripe, block)
-        out = []
-        for plan in plans:
-            if plan.kind is PlanKind.RECOVERY:
-                plan = OpPlan(
-                    kind=PlanKind.RECOVERY,
-                    compute_ops=plan.compute_ops,
-                    reads=dict(plan.reads),
-                    writes={},
-                    distributed=plan.distributed,
-                )
-            out.append(plan)
-        return out
+        return [
+            plan if plan.kind is not PlanKind.RECOVERY else self._degraded_twin(plan)
+            for plan in self.plan_recovery(stripe, block)
+        ]
+
+    def _degraded_twin(self, plan: OpPlan) -> OpPlan:
+        """``plan`` keeping the rebuilt chunk instead of writing it: built
+        once per interned recovery plan, afresh for any other."""
+        twins = self._degraded
+        twin = twins.get(id(plan))
+        if twin is None:
+            twin = OpPlan(
+                kind=PlanKind.RECOVERY,
+                compute_ops=plan.compute_ops,
+                reads=plan.reads,
+                distributed=plan.distributed,
+            )
+            if id(plan) in twins:
+                twins[id(plan)] = twin
+        return twin
 
     # -- shared helpers ----------------------------------------------------
     def _write_plan(self, family: CodeFamily) -> OpPlan:
-        g = self.gamma
-        return OpPlan(
-            kind=PlanKind.WRITE,
-            compute_ops=family.encode_ops(g),
-            writes={s: g for s in range(family.width)},
-        )
+        key = ("write", family)
+        plan = self._plans.get(key)
+        if plan is None:
+            g = self.gamma
+            plan = self._plans[key] = OpPlan(
+                kind=PlanKind.WRITE,
+                compute_ops=family.encode_ops(g),
+                writes={s: g for s in range(family.width)},
+            )
+        return plan
 
     def _read_one(self, block: int) -> OpPlan:
-        return OpPlan(kind=PlanKind.READ, reads={block: self.gamma})
+        plan = self._plans.get(block)
+        if plan is None:
+            plan = self._plans[block] = OpPlan(kind=PlanKind.READ, reads={block: self.gamma})
+        return plan
 
     def _recovery_plan(self, family: CodeFamily, slot: int) -> OpPlan:
-        g = self.gamma
-        return OpPlan(
-            kind=PlanKind.RECOVERY,
-            compute_ops=family.repair_ops(g),
-            reads=family.repair_reads(slot, g),
-            writes={slot: g},
-        )
+        key = (family, slot)
+        plan = self._plans.get(key)
+        if plan is None:
+            g = self.gamma
+            plan = self._plans[key] = OpPlan(
+                kind=PlanKind.RECOVERY,
+                compute_ops=family.repair_ops(g),
+                reads=family.repair_reads(slot, g),
+                writes={slot: g},
+            )
+            self._degraded[id(plan)] = None
+        return plan
 
     def _check_block(self, block: int) -> None:
         if not 0 <= block < self.k:
@@ -128,6 +159,7 @@ class StaticPlanner(SchemePlanner):
     """
 
     def __init__(self, family: CodeFamily, gamma: float):
+        super().__init__()
         self.family = family
         self.k, self.r, self.gamma = family.k, family.r, gamma
         self.name = family.label

@@ -40,7 +40,7 @@ import numpy as np
 from ..chaos.engine import ChaosEngine
 from ..chaos.faults import ChaosConfig, PartitionError
 from ..cluster.client import Client, DeadNodeError
-from ..cluster.cluster import Cluster, ClusterConfig, _split_plans
+from ..cluster.cluster import Cluster, ClusterConfig, _split_plans, _submit_recovery
 from ..cluster.events import Event
 from ..cluster.recovery import RecoveryError
 from ..fusion.costmodel import SystemProfile
@@ -195,6 +195,8 @@ class ObjectStore:
             kind=PlanKind.READ,
             reads={b: self.config.chunk_size for b in self._data_slots},
         )
+        #: ... and one per pattern of lost data slots (see ``_partial_read``)
+        self._partial_reads: dict[tuple, tuple[list, OpPlan]] = {}
         #: chunks currently lost ((stripe, block)); the scheduler reads it
         #: for risk ordering, gets consult it for the degraded path
         self.failed_blocks: set[tuple] = set()
@@ -224,6 +226,19 @@ class ObjectStore:
         client = self.frontends[self._rr]
         self._rr = (self._rr + 1) % len(self.frontends)
         return client
+
+    def _partial_read(self, lost: list[int]) -> tuple[list, OpPlan]:
+        """(readable data slots, their fan-out plan) around the sorted
+        ``lost`` slots — built once per pattern."""
+        key = tuple(lost)
+        entry = self._partial_reads.get(key)
+        if entry is None:
+            healthy = [b for b in self._data_slots if b not in lost]
+            fanout = OpPlan(
+                kind=PlanKind.READ, reads={b: self.config.chunk_size for b in healthy}
+            )
+            entry = self._partial_reads[key] = (healthy, fanout)
+        return entry
 
     def _alloc_stripe(self) -> int:
         stripe = self._next_stripe
@@ -472,11 +487,6 @@ class _Conversion:
             if METRICS.enabled:
                 METRICS.counter("server.conversions", unit="conversions").inc()
         self.done(None, exc)
-
-
-def _submit_recovery(job: tuple) -> None:
-    manager, plans, stripe, done, ctx = job
-    manager.submit_cb(plans, stripe, done, ctx)
 
 
 def _begin_repair(chunk: tuple) -> None:
@@ -789,11 +799,7 @@ class _Request:
         store = self.store
         healthy, fanout = store._data_slots, store._full_read
         if self.lost:
-            healthy = [b for b in range(store.config.k) if b not in self.lost]
-            fanout = OpPlan(
-                kind=PlanKind.READ,
-                reads={b: store.config.chunk_size for b in healthy},
-            )
+            healthy, fanout = store._partial_read(self.lost)
         if not healthy:
             self.get_stripe()
             return

@@ -1,0 +1,187 @@
+"""Golden regression: the ``run_workload`` branches the campaign never takes.
+
+``test_sim_golden.py`` pins the closed-loop campaign (five schemes, four
+traces, failure streams, no scheduler) and ``test_quiet_window.py`` checks
+the quiet window against the event path *within one tree*.  Neither sees
+the open-loop replay, node-failure storms, the repair scheduler's ride and
+piggyback path, the storm chaos profile with its scrubber repairs and
+invariant sweeps, or the HACFS and multi-code planners on those paths.
+Each case below runs one of them and hashes everything the run produces:
+the whole :class:`~repro.cluster.SimulationResult`, every resource
+counter (busy time, served holds, bytes — floats bit-exact, so the order
+in which holds were accumulated counts), and the number of heap entries
+the simulator pushed.  One case runs with metrics and tracing on and
+hashes their exported state as well.
+
+The digests were recorded at commit 829a561, while every one of these
+branches still ran as generator processes.  A change that moves one is
+dropped, never re-recorded, unless it declares a behaviour change.
+
+Shown to catch, on throw-away copies of the callback-chain driver: the
+ridden read submitted inline instead of from its kick-off entry (6
+cases fail), an open-loop request started at its arrival entry without
+its process-start hop (5), and a node-storm job's repair run without its
+kick-off entry (7).  In these cases each of them moves the heap-entry
+count only — those hops tie with nothing here — which is why the count
+is part of every digest.
+"""
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from repro import telemetry
+from repro.chaos import ChaosConfig
+from repro.cluster import cluster as cluster_module
+from repro.cluster import run_workload
+from repro.experiments.runner import ExperimentConfig, build_schemes
+from repro.hybrid import MultiCodePlanner
+from repro.telemetry import METRICS, TRACER
+from repro.workloads import NodeFailureEvent, failures_for_trace, make_trace
+
+CONFIG = ExperimentConfig(num_requests=160, num_stripes=32, seed=21)
+STORM = (NodeFailureEvent(time=0.4, node=3), NodeFailureEvent(time=1.1, node=11))
+
+
+@pytest.fixture(autouse=True)
+def clean_singletons():
+    telemetry.disable()
+    telemetry.reset()
+    yield
+    telemetry.disable()
+    telemetry.reset()
+
+
+def scheme_for(config, name):
+    if name == "Policy":
+        return MultiCodePlanner(
+            config.k, config.r, config.gamma, config.profile,
+            queue_capacity=config.queue_capacity,
+        )
+    return build_schemes(config)[name]
+
+
+#: the repair scheduler on a small, hot working set: degraded reads ride
+#: queued and running repairs (and a few find none to ride)
+SCHED = dataclasses.replace(
+    CONFIG, repair_scheduler=True, failure_rate=0.3, num_stripes=4, num_requests=400
+)
+
+#: case → (scheme, trace, config, run_workload keywords, telemetry on)
+CASES = {
+    "open/EC-Fusion": ("EC-Fusion", "web1", CONFIG, dict(mode="open"), False),
+    "open/HACFS": ("HACFS", "mds1", CONFIG, dict(mode="open"), False),
+    "storm-closed/RS": ("RS", "mds1", CONFIG, dict(node_failures=STORM), False),
+    "storm-closed/EC-Fusion": ("EC-Fusion", "web1", CONFIG, dict(node_failures=STORM), False),
+    "storm-open/MSR": ("MSR", "rsrch2", CONFIG, dict(mode="open", node_failures=STORM), False),
+    "scheduler/EC-Fusion": ("EC-Fusion", "mds1", SCHED, dict(node_failures=STORM), False),
+    "scheduler/HACFS": ("HACFS", "rsrch2", SCHED, dict(node_failures=STORM), False),
+    "scheduler-open/EC-Fusion": (
+        "EC-Fusion", "mds1", SCHED, dict(mode="open", node_failures=STORM), False,
+    ),
+    "scheduler-open/Policy": (
+        "Policy", "web1", dataclasses.replace(SCHED, seed=5), dict(mode="open"), False,
+    ),
+    "scheduler/EC-Fusion/metered": (
+        "EC-Fusion", "mds1", dataclasses.replace(SCHED, seed=5), dict(node_failures=STORM[:1]),
+        True,
+    ),
+    "chaos-storm/EC-Fusion": (
+        "EC-Fusion", "web1", CONFIG,
+        dict(chaos=ChaosConfig("storm", seed=3, verify_invariants=True)), False,
+    ),
+    "chaos-storm/Policy": (
+        "Policy", "mds1", SCHED,
+        dict(chaos=ChaosConfig("storm", seed=4, verify_invariants=True)), False,
+    ),
+}
+
+#: sha256 (first 16 hex digits) per case, recorded at 829a561
+GOLDEN = {
+    'chaos-storm/EC-Fusion': '6829f8b4348f6f46',
+    'chaos-storm/Policy': 'f5a63fab9c321eb3',
+    'open/EC-Fusion': 'c528955d689e1dd6',
+    'open/HACFS': '406671a6f2bd659d',
+    'scheduler-open/EC-Fusion': '9b11f1ad061ef8aa',
+    'scheduler-open/Policy': '23688110351a0643',
+    'scheduler/EC-Fusion': '5fc9a3ff9b9161e8',
+    'scheduler/EC-Fusion/metered': '3739938116d14f85',
+    'scheduler/HACFS': '15a601a4b7a14519',
+    'storm-closed/EC-Fusion': 'c7788270d1a0531d',
+    'storm-closed/RS': 'f927d966f13f17ae',
+    'storm-open/MSR': 'abb95267f88e3f41',
+}
+
+
+def resource_stats(cluster):
+    rows = []
+    resources = [r for n in cluster.nodes for r in (n.disk, n.nic, n.cpu)]
+    for res in resources + [cluster.client.cpu, cluster.client.nic]:
+        rows.append((
+            res.name, res.busy_time, res.served, res.queue_depth,
+            getattr(res, "bytes_read", None), getattr(res, "bytes_written", None),
+            getattr(res, "bytes_moved", None), getattr(res, "ops_done", None),
+        ))
+    return rows
+
+
+def run_case(monkeypatch, case):
+    """(digest, result) of one case."""
+    name, trace_name, config, kwargs, metered = CASES[case]
+    trace = make_trace(
+        trace_name, num_requests=config.num_requests, num_stripes=config.num_stripes,
+        blocks_per_stripe=config.k, write_once=True,
+    )
+    failures = failures_for_trace(
+        trace, blocks_per_stripe=config.k, rate=config.failure_rate, seed=config.seed,
+        num_stripes=config.num_stripes, spatial_decay=config.spatial_decay,
+    )
+    built = []
+
+    class Recording(cluster_module.Cluster):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            built.append(self)
+
+    if metered:
+        telemetry.enable(metrics=True, tracing=True)
+    with monkeypatch.context() as patch:
+        patch.setattr(cluster_module, "Cluster", Recording)
+        result = run_workload(
+            scheme_for(config, name), trace, failures, config.cluster, **kwargs
+        )
+    (cluster,) = built
+    h = hashlib.sha256()
+    h.update(repr(dataclasses.asdict(result)).encode())
+    h.update(repr(resource_stats(cluster)).encode())
+    h.update(str(cluster.sim.events_scheduled).encode())
+    if metered:
+        h.update(repr(METRICS.export_state()).encode())
+        h.update(repr(TRACER.export_state()).encode())
+    return h.hexdigest()[:16], result
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_branch_digest_matches_parent(monkeypatch, case):
+    digest, result = run_case(monkeypatch, case)
+    assert len(result.app_latencies) + result.failed_requests == CASES[case][2].num_requests
+    assert digest == GOLDEN[case]
+
+
+def test_cases_reach_their_branches(monkeypatch):
+    """The pinned cases are not vacuous."""
+    rode = run_case(monkeypatch, "scheduler/EC-Fusion")[1]
+    assert rode.piggybacked_reads > 0 and rode.degraded_reads > rode.piggybacked_reads
+    storm = run_case(monkeypatch, "storm-closed/EC-Fusion")[1]
+    assert len(storm.recovery_latencies) > 20 and storm.conversion_latencies
+    chaos = run_case(monkeypatch, "chaos-storm/EC-Fusion")[1]
+    assert chaos.chaos["scrub"]["detected"] > 0 and chaos.invariant_checks > 0
+
+
+if __name__ == "__main__":  # prints the GOLDEN block for (re-)recording
+    import _pytest.monkeypatch
+
+    patch = _pytest.monkeypatch.MonkeyPatch()
+    for case in sorted(CASES):
+        print(f"    {case!r}: {run_case(patch, case)[0]!r},")

@@ -5,8 +5,8 @@ closed form (``PlanExecutor.price``) and booked as one heap entry.  The
 claim is *exactness*, so the referee is the event path itself: every
 workload here runs twice — as is, and with ``price`` patched to answer
 ``None`` (test-only; production has no such switch), which sends every
-request down ``run_request`` — and the two runs must agree bit for bit on
-everything a run produces.
+request down the event path (the ``_Request`` chain) — and the two runs
+must agree bit for bit on everything a run produces.
 
 Shown to see by mutation on throw-away copies (``CHANGES.md``, PR 21):
 ``t + (d1 + d2)`` for ``(t + d1) + d2``, a dropped coordinator-ingest
@@ -207,16 +207,17 @@ INTRUDERS = ("call_later", "process", "use_cb")
 
 
 def intruded_run(monkeypatch, windows):
-    """Replay with a second waiter on the completion of each of the first
-    requests: it runs right after the stream resumed (and opened a window
-    for the next request) and pushes a same-instant entry.
+    """Replay with an intruder after each of the first event-path request
+    completions (``_Request.finish``, the chain's last step): it runs
+    right after the stream resumed (and opened a window for the next
+    request) and pushes a same-instant entry.
 
     Request 0 takes the event path in any run (the recovery jobs' start
     entries are pending), and an intruded window falls back to it, so
     "the first few completions" names the same requests on both sides.
     """
     config = dataclasses.replace(CONFIG, num_requests=60)
-    built, intrusions, waits = [], [], [0]
+    built, intrusions, finishes = [], [], [0]
 
     class Recording(cluster_module.Cluster):
         def __init__(self, *args, **kwargs):
@@ -230,44 +231,42 @@ def intruded_run(monkeypatch, windows):
         return
         yield
 
-    def intruder(kind):
-        def intrude(_done):
-            cluster = built[0]
-            sim = cluster.sim
-            opened = sim._window
-            before = resource_stats(cluster)
-            if kind == "call_later":
-                sim.call_later(0.0, noop)
-            elif kind == "process":
-                sim.process(idle())
-            else:  # a hold on every disk: whatever the request reads, it queues
-                for node in cluster.nodes:
-                    node.disk.use_cb(0.05, noop)
-            if opened is not None:
-                intrusions.append(kind)
-                assert sim._window is None
-                assert opened[1] not in sim._heap  # the landing entry is gone ...
-                if kind != "use_cb":
-                    assert resource_stats(cluster) == before  # ... and booked nothing
-        return intrude
+    def intrude(kind):
+        cluster = built[0]
+        sim = cluster.sim
+        opened = sim._window
+        before = resource_stats(cluster)
+        if kind == "call_later":
+            sim.call_later(0.0, noop)
+        elif kind == "process":
+            sim.process(idle())
+        else:  # a hold on every disk: whatever the request reads, it queues
+            for node in cluster.nodes:
+                node.disk.use_cb(0.05, noop)
+        if opened is not None:
+            intrusions.append(kind)
+            assert sim._window is None
+            assert opened[1] not in sim._heap  # the landing entry is gone ...
+            if kind != "use_cb":
+                assert resource_stats(cluster) == before  # ... and booked nothing
 
-    wait = events.Event.wait
+    finish = cluster_module._Request.finish
 
-    def wait_with_intruder(self, callback):
-        wait(self, callback)
-        if getattr(callback, "__name__", "") == "next_request" and waits[0] < 9:
-            wait(self, intruder(INTRUDERS[waits[0] % 3]))
-            waits[0] += 1
+    def finish_with_intruder(request):
+        finish(request)
+        if finishes[0] < 9:
+            intrude(INTRUDERS[finishes[0] % 3])
+            finishes[0] += 1
 
     trace, failures = workload(config, "web1")
     with monkeypatch.context() as patch:
         patch.setattr(cluster_module, "Cluster", Recording)
-        patch.setattr(events.Event, "wait", wait_with_intruder)
+        patch.setattr(cluster_module._Request, "finish", finish_with_intruder)
         if not windows:
             patch.setattr(PlanExecutor, "price", lambda *args, **kwargs: None)
         result = run_workload(build_schemes(config)["EC-Fusion"], trace, failures, config.cluster)
     (cluster,) = built
-    assert waits[0] == 9
+    assert finishes[0] == 9
     return repr(dataclasses.asdict(result)), resource_stats(cluster), intrusions
 
 
