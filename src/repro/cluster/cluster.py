@@ -17,7 +17,6 @@ from ..chaos.faults import ChaosConfig, PartitionError
 from ..chaos.invariants import InvariantChecker
 from ..fusion.costmodel import SystemProfile
 from ..hybrid.planners import SchemePlanner
-from ..hybrid.plans import PlanKind
 from ..telemetry import METRICS, SNAPSHOTS, TRACER, nearest_rank
 from ..workloads.failures import FailureEvent, NodeFailureEvent
 from ..workloads.trace import OpType, Trace
@@ -26,7 +25,7 @@ from .events import Simulator
 from .namenode import NameNode
 from .network import Fabric
 from .node import DataNode
-from .recovery import RecoveryError, RecoveryManager, RecoveryScheduler
+from .recovery import RecoveryManager, RecoveryScheduler, _Conversion, _Repair, _split_plans
 
 __all__ = ["ClusterConfig", "SimulationResult", "Cluster", "run_workload"]
 
@@ -254,61 +253,6 @@ class Cluster:
         return {"disk": disks, "nic": nics, "cpu": cpus}
 
 
-def _split_plans(plans):
-    """Separate leading conversion plans from the operation proper."""
-    for plan in plans:
-        if plan.kind is PlanKind.CONVERSION:
-            break
-    else:  # nothing to convert (most requests): no new lists
-        return (), plans
-    conversions = [p for p in plans if p.kind is PlanKind.CONVERSION]
-    main = [p for p in plans if p.kind is not PlanKind.CONVERSION]
-    return conversions, main
-
-
-def _record_conversion(result, scheme, stripe, plans, latency, now):
-    """Record one in-simulation code conversion (latency + telemetry).
-
-    The histogram observation is the call site's; this helper keeps the
-    result sample, the counter,
-    and the trace event — including the conversion's read traffic and the
-    bytes the intermediary-parity highway saved versus re-encoding the
-    whole stripe (k·γ reads).
-    """
-    result.conversion_latencies.append(latency)
-    if METRICS.enabled:
-        METRICS.counter("cluster.conversions", unit="conversions").inc()
-    if TRACER.enabled:
-        bytes_read = sum(plan.bytes_read for plan in plans)
-        gamma = getattr(scheme, "gamma", 0.0)
-        saved = max(0.0, scheme.k * gamma - bytes_read) if gamma else 0.0
-        TRACER.emit(
-            "conversion",
-            ts=now,
-            scheme=scheme.name,
-            stripe=stripe,
-            latency=latency,
-            bytes_read=bytes_read,
-            saved=saved,
-        )
-
-
-def _record_recovery(result, scheme_name, stripe, block, latency, now):
-    """Record one completed reconstruction (latency + telemetry)."""
-    result.recovery_latencies.append(latency)
-    if METRICS.enabled:
-        METRICS.counter("cluster.recoveries", unit="jobs").inc()
-    if TRACER.enabled:
-        TRACER.emit(
-            "recovery",
-            ts=now,
-            scheme=scheme_name,
-            stripe=stripe,
-            block=block,
-            latency=latency,
-        )
-
-
 def _attach_snapshots(cluster, scheme, trace, failed_blocks, result):
     """Register the sim-time snapshot sampler for one (scheme, trace) run.
 
@@ -480,11 +424,6 @@ def _run_plans(job: tuple) -> None:
     executor.run_cb(plans, stripe, cpu, nic, done)
 
 
-def _submit_recovery(job: tuple) -> None:
-    manager, plans, stripe, done, ctx = job
-    manager.submit_cb(plans, stripe, done, ctx)
-
-
 def _histogram(name: str):
     """The sim-time latency histogram ``name`` (``None`` while metrics are
     off)."""
@@ -507,6 +446,11 @@ class _Replay:
     window's fall-back, so the request starts on the event path
     (:class:`_Request`), numbered before the intruder, with nothing booked
     yet (docs/performance.md § Quiet-window fast-forward).
+
+    It is also the *sink* of the repair chain, conversion journal and ride
+    step it shares with the serving store (:mod:`repro.cluster.recovery`):
+    latency samples go to the :class:`SimulationResult` and the
+    ``cluster.*`` series, and its repairs carry no causal trace.
 
     Failure ``j`` of a closed loop fires once the stream has completed
     ``floor((j+1) · len(requests) / (len(failures)+1))`` requests, node
@@ -574,7 +518,12 @@ class _Replay:
     # -- failures and repairs ------------------------------------------------
     def lose_chunk(self, event: FailureEvent) -> None:
         """One chunk loss: plan its repair and start it, inline."""
-        _Repair(self, event.stripe, event.block).start()
+        self.lose(_Repair(self, event.stripe, event.block))
+
+    def lose(self, repair: _Repair) -> None:
+        """Mark ``repair``'s chunk lost, then plan and start the repair."""
+        self.failed_blocks.add((repair.stripe, repair.block))
+        repair.start()
 
     def node_storm(self, event: NodeFailureEvent) -> None:
         """Every data chunk of the dead node, each repaired from a kick-off
@@ -587,6 +536,7 @@ class _Replay:
             if info.placement[slot] == event.node
         ]
         for stripe, slot in losses:
+            self.failed_blocks.add((stripe, slot))
             repair = _Repair(self, stripe, slot)
             repair.plan()
             call_later(0.0, _Repair.begin, repair)
@@ -598,11 +548,62 @@ class _Replay:
 
     def corruption_detected(self, stripe, block) -> None:
         """The scrubber's hook: rebuild the chunk from a kick-off entry."""
-        self.sim.call_later(0.0, _Repair.start, _Repair(self, stripe, block, scrubbed=True))
+        self.sim.call_later(0.0, self.lose, _Repair(self, stripe, block, scrubbed=True))
 
-    def report_unrecoverable(self, stripe, block, reason: str) -> None:
+    # -- the sink of the shared chains (cluster/recovery.py) -----------------
+    #: the campaign's repairs carry no causal trace
+    traced = False
+    LATENCY = {"conversion": "cluster.latency.conversion", "repair": "cluster.latency.recovery"}
+
+    def histogram(self, kind: str):
+        return _histogram(self.LATENCY[kind])
+
+    def record_conversion(self, stripe, plans, latency: float, now: float) -> None:
+        """One in-simulation code conversion (latency + telemetry).
+
+        The histogram observation is the caller's; this keeps the result
+        sample, the counter, and the trace event — including the
+        conversion's read traffic and the bytes the intermediary-parity
+        highway saved versus re-encoding the whole stripe (k·γ reads).
+        """
+        self.result.conversion_latencies.append(latency)
+        if METRICS.enabled:
+            METRICS.counter("cluster.conversions", unit="conversions").inc()
+        if TRACER.enabled:
+            scheme = self.scheme
+            bytes_read = sum(plan.bytes_read for plan in plans)
+            gamma = getattr(scheme, "gamma", 0.0)
+            saved = max(0.0, scheme.k * gamma - bytes_read) if gamma else 0.0
+            TRACER.emit(
+                "conversion",
+                ts=now,
+                scheme=scheme.name,
+                stripe=stripe,
+                latency=latency,
+                bytes_read=bytes_read,
+                saved=saved,
+            )
+
+    def record_repair(self, repair: _Repair, latency: float) -> None:
+        """One completed reconstruction (latency + telemetry)."""
+        self.result.recovery_latencies.append(latency)
+        if METRICS.enabled:
+            METRICS.counter("cluster.recoveries", unit="jobs").inc()
+        if TRACER.enabled:
+            TRACER.emit(
+                "recovery",
+                ts=self.sim.now,
+                scheme=self.scheme.name,
+                stripe=repair.stripe,
+                block=repair.block,
+                latency=latency,
+            )
+        if repair.scrubbed and METRICS.enabled:
+            METRICS.counter("chaos.scrub.repairs", unit="chunks").inc()
+
+    def report_unrecoverable(self, repair: _Repair, reason: str) -> None:
         """The loud channel: giving up on a chunk is an event, never silence."""
-        now = self.sim.now
+        now, stripe, block = self.sim.now, repair.stripe, repair.block
         self.result.unrecoverable.append(
             {"stripe": stripe, "block": block, "reason": reason, "time": now}
         )
@@ -659,27 +660,9 @@ class _Replay:
                 **ride,
             )
 
-    # -- conversions -----------------------------------------------------------
-    def open_conversion(self, stripe) -> tuple:
-        """A conversion starts: its journal entry opens (under chaos).
-        Returns ``(started, latency histogram or None)``."""
-        if self.chaos is not None:
-            self.chaos.begin_conversion(stripe, self.cluster.namenode)
-        return self.sim.now, _histogram("cluster.latency.conversion")
-
-    def close_conversion(self, stripe, conversions, started: float, hist, exc) -> None:
-        """The conversion ended: observe it and close its journal entry,
-        then (committed) record it."""
-        now = self.sim.now
-        latency = now - started
-        if exc is None and hist is not None:
-            hist.observe(latency)
-        if self.chaos is not None:
-            self.chaos.end_conversion(stripe, self.cluster.namenode, committed=exc is None)
-        if exc is None:
-            _record_conversion(self.result, self.scheme, stripe, conversions, latency, now)
-
     def request_done(self) -> None:
+        """A request was served or failed: count it, fire due failures, and
+        (closed loop) start the next request."""
         self.done += 1
         if self.closed:
             self.fire_due_triggers()
@@ -742,10 +725,8 @@ def _land(priced: tuple) -> None:
     if conversions:
         latency = converted - started
         if METRICS.enabled:
-            METRICS.histogram("cluster.latency.conversion", unit="s").observe(latency)
-        _record_conversion(
-            replay.result, replay.scheme, req.stripe, conversions, latency, converted
-        )
+            replay.histogram("conversion").observe(latency)
+        replay.record_conversion(req.stripe, conversions, latency, converted)
     latency = sim.now - converted
     if METRICS.enabled:
         METRICS.histogram(f"cluster.latency.{req.op.value}", unit="s").observe(latency)
@@ -757,8 +738,10 @@ class _Request:
     """One application request on the event path: the state of its chain.
 
     From its zero-delay start entry: plan (unless a fallen-back window
-    already did), ride the repair rebuilding a lost chunk or plan a
-    degraded read, run the conversions (journalled under chaos) from a
+    already did), ride the repair rebuilding a lost chunk
+    (:meth:`RecoveryScheduler.ride_cb`; the ridden read's plans go to the
+    client whole) or plan a degraded read, run the conversions
+    (journalled, :class:`~repro.cluster.recovery._Conversion`) from a
     kick-off entry of their own, then the main plans through the client
     from another (``Client.start_cb``).  A chunk access failing with
     :class:`DeadNodeError` or :class:`~repro.chaos.PartitionError` ends
@@ -767,9 +750,7 @@ class _Request:
     its last entry has fired.
     """
 
-    __slots__ = (
-        "replay", "req", "plans", "degraded", "rode", "conversions", "main", "t0", "hist",
-    )
+    __slots__ = ("replay", "req", "plans", "degraded", "rode", "main", "t0", "hist")
 
     def __init__(self, replay: _Replay, req, plans):
         self.replay = replay
@@ -789,29 +770,20 @@ class _Request:
             if METRICS.enabled:
                 METRICS.counter("cluster.degraded_reads", unit="requests").inc()
             scheduler = replay.cluster.scheduler
-            if scheduler is not None:
-                job = scheduler.ride_job(req.stripe, req.block)
-                if job is not None:
-                    self.t0, self.hist = replay.sim.now, _histogram("cluster.latency.read")
-                    job.wait(self.ridden)
-                    return
+            if scheduler is not None and scheduler.ride_cb(
+                replay.scheme, req.stripe, req.block, self.ridden
+            ):
+                self.t0, self.hist = replay.sim.now, _histogram("cluster.latency.read")
+                return
             plans = replay.scheme.plan_degraded_read(req.stripe, req.block)
         conversions, self.main = _split_plans(plans)
         if not conversions:
             self.submit()
             return
-        self.conversions = conversions
-        self.t0, self.hist = replay.open_conversion(req.stripe)
+        journal = _Conversion(replay, req.stripe, conversions, self)
         client = replay.client
-        job = (replay.executor, conversions, req.stripe, client.cpu, client.nic, self.converted)
+        job = (replay.executor, conversions, req.stripe, client.cpu, client.nic, journal.finish)
         replay.sim.call_later(0.0, _run_plans, job)
-
-    def converted(self, _value=None, exc: BaseException | None = None) -> None:
-        self.replay.close_conversion(self.req.stripe, self.conversions, self.t0, self.hist, exc)
-        if exc is not None:
-            self.fail(exc)
-        else:
-            self.submit()
 
     def submit(self) -> None:
         replay, req = self.replay, self.req
@@ -830,22 +802,17 @@ class _Request:
         if self.hist is not None:
             self.hist.observe(latency)
         replay.record_request(self.req, latency, self.degraded, self.rode)
-        self.finish()
+        replay.request_done()
 
     # -- riding a repair ---------------------------------------------------
-    def ridden(self, _value=None, exc: BaseException | None = None) -> None:
+    def ridden(self, plans, rode: bool) -> None:
         """The ridden repair landed (read the chunk normally: no duplicate
         reconstruction) or gave up (reconstruct for this read after all);
-        either way the read starts from a kick-off entry of its own."""
-        replay, req = self.replay, self.req
-        self.rode = exc is None
-        if self.rode:
-            plans = replay.scheme.plan_read(req.stripe, req.block)
-        elif isinstance(exc, RecoveryError):
-            plans = replay.scheme.plan_degraded_read(req.stripe, req.block)
-        else:
-            raise exc
-        replay.client.start_cb(plans, req.stripe, self.served)
+        either way the read starts from a kick-off entry of its own with
+        its plans whole: conversions included, neither journalled nor
+        recorded (the store splits them off and journals them)."""
+        self.rode = rode
+        self.replay.client.start_cb(plans, self.req.stripe, self.served)
 
     # -- the end -------------------------------------------------------------
     def fail(self, exc: BaseException) -> None:
@@ -864,85 +831,4 @@ class _Request:
                 stripe=self.req.stripe,
                 error=str(exc),
             )
-        self.finish()
-
-    def finish(self) -> None:
-        """Served or failed: count it, fire due failures, and (closed loop)
-        start the next request."""
-        self.replay.request_done()
-
-
-class _Repair:
-    """One supervised reconstruction in flight: the repair's conversions
-    (journalled under chaos) from a kick-off entry, then the job — through
-    the :class:`RecoveryScheduler` when there is one, else from a kick-off
-    entry of its own — then the bookkeeping.  A repair that gives up is
-    reported as unrecoverable, not raised."""
-
-    __slots__ = ("replay", "stripe", "block", "scrubbed", "conversions", "main", "t0", "hist")
-
-    def __init__(self, replay: _Replay, stripe, block, scrubbed: bool = False):
-        self.replay = replay
-        self.stripe = stripe
-        self.block = block
-        #: a scrubber-detected corruption (counted as such once repaired)
-        self.scrubbed = scrubbed
-
-    def plan(self) -> None:
-        """The chunk is lost: plan its reconstruction."""
-        replay = self.replay
-        replay.failed_blocks.add((self.stripe, self.block))
-        self.conversions, self.main = _split_plans(
-            replay.scheme.plan_recovery(self.stripe, self.block)
-        )
-
-    def start(self) -> None:
-        self.plan()
-        self.begin()
-
-    def begin(self) -> None:
-        if not self.conversions:
-            self.submit()
-            return
-        replay = self.replay
-        self.t0, self.hist = replay.open_conversion(self.stripe)
-        job = (replay.cluster.recovery, self.conversions, self.stripe, self.converted, None)
-        replay.sim.call_later(0.0, _submit_recovery, job)
-
-    def converted(self, _value=None, exc: BaseException | None = None) -> None:
-        self.replay.close_conversion(self.stripe, self.conversions, self.t0, self.hist, exc)
-        if exc is not None:
-            self.gave_up(exc)
-        else:
-            self.submit()
-
-    def submit(self) -> None:
-        replay = self.replay
-        cluster = replay.cluster
-        self.t0, self.hist = replay.sim.now, _histogram("cluster.latency.recovery")
-        if cluster.scheduler is not None:
-            cluster.scheduler.submit_cb(self.main, self.stripe, self.block, self.repaired)
-        else:
-            job = (cluster.recovery, self.main, self.stripe, self.repaired, None)
-            replay.sim.call_later(0.0, _submit_recovery, job)
-
-    def repaired(self, _value=None, exc: BaseException | None = None) -> None:
-        if exc is not None:
-            self.gave_up(exc)
-            return
-        replay, stripe, block = self.replay, self.stripe, self.block
-        now = replay.sim.now
-        latency = now - self.t0
-        if self.hist is not None:
-            self.hist.observe(latency)
-        _record_recovery(replay.result, replay.scheme.name, stripe, block, latency, now)
-        replay.failed_blocks.discard((stripe, block))
-        if replay.chaos is not None:
-            replay.chaos.repair_chunk(stripe, block)  # a rebuilt chunk is clean
-        if self.scrubbed and METRICS.enabled:
-            METRICS.counter("chaos.scrub.repairs", unit="chunks").inc()
-
-    def gave_up(self, exc: BaseException) -> None:
-        if not isinstance(exc, RecoveryError):
-            raise exc
-        self.replay.report_unrecoverable(self.stripe, self.block, str(exc))
+        replay.request_done()

@@ -24,6 +24,13 @@ capped per node, per rack, and globally — so a storm cannot pile every
 repair onto the same survivors.  Degraded reads *ride* the job that is
 already rebuilding their chunk instead of starting a duplicate
 reconstruction.
+
+The steps a repair and a degraded read take are written once, here, for
+both of their users — ``run_workload``'s campaign and the serving
+``ObjectStore``: the repair chain (:class:`_Repair`), the conversion
+journal (:class:`_Conversion`) and the ride
+(:meth:`RecoveryScheduler.ride_cb`).  What differs between the two
+comes from the *sink* each hands in (see :class:`_Repair`).
 """
 
 from __future__ import annotations
@@ -620,3 +627,194 @@ class RecoveryScheduler:
         job.state = "done" if exc is None else "failed"
         job.finish(exc)
         self._dispatch()
+
+    # -- the ride --------------------------------------------------------------
+    def ride_cb(self, scheme, stripe, block, then: Callable, ctx=None) -> bool:
+        """The one ride step of a degraded read: wait on the job rebuilding
+        ``(stripe, block)`` (as :meth:`ride_job` finds it), then
+        ``then(plans, rode)``.
+
+        The plans are ``scheme.plan_read`` when the repair landed
+        (``rode`` true) and ``scheme.plan_degraded_read`` when it gave up
+        with :class:`RecoveryError`; any other error raises out of the
+        simulator.  ``False`` — nothing waited on, nothing planned — when
+        no such job is queued or running.  Under a causal ``ctx`` the wait
+        splits into a ``queue`` span (until the job dispatched) and a
+        ``repair-ride`` span.
+        """
+        job = self.ride_job(stripe, block)
+        if job is None:
+            return False
+        job.wait(_Ride(scheme, job, then, ctx, self.manager.executor.sim).landed)
+        return True
+
+
+class _Ride:
+    """One :meth:`RecoveryScheduler.ride_cb` waiting on its job."""
+
+    __slots__ = ("scheme", "job", "then", "ctx", "sim", "started")
+
+    def __init__(self, scheme, job: RepairJob, then: Callable, ctx, sim):
+        self.scheme, self.job, self.then, self.ctx = scheme, job, then, ctx
+        self.sim, self.started = sim, sim.now
+
+    def landed(self, _value=None, exc: BaseException | None = None) -> None:
+        job, plans = self.job, None
+        if exc is None:
+            plans = self.scheme.plan_read(job.stripe, job.block)
+        elif not isinstance(exc, RecoveryError):
+            raise exc
+        if self.ctx is not None and TRACER.enabled:
+            now, started = self.sim.now, self.started
+            dispatched = now if job.dispatched_at is None else job.dispatched_at
+            split = min(max(dispatched, started), now)
+            if split > started:
+                TRACER.span(
+                    "phase", self.ctx, started, split, phase="queue", stripe=job.stripe,
+                    block=job.block,
+                )
+            TRACER.span(
+                "phase", self.ctx, split, now, phase="repair-ride", stripe=job.stripe,
+                block=job.block, rode=exc is None,
+            )
+        if plans is None:
+            plans = self.scheme.plan_degraded_read(job.stripe, job.block)
+        self.then(plans, exc is None)
+
+
+def _split_plans(plans):
+    """Separate leading conversion plans from the operation proper."""
+    for plan in plans:
+        if plan.kind is PlanKind.CONVERSION:
+            break
+    else:  # nothing to convert (most requests): no new lists
+        return (), plans
+    conversions = [p for p in plans if p.kind is PlanKind.CONVERSION]
+    main = [p for p in plans if p.kind is not PlanKind.CONVERSION]
+    return conversions, main
+
+
+def _submit_recovery(job: tuple) -> None:
+    manager, plans, stripe, done, ctx = job
+    manager.submit_cb(plans, stripe, done, ctx)
+
+
+class _Conversion:
+    """One journalled code conversion in flight for its *owner* — a
+    repair or a request, anything with ``submit()`` (the step after the
+    conversion) and ``fail(exc)``.
+
+    Made as its plans start: the chaos journal entry opens.  Its
+    :meth:`finish` is the plans' ``done``: it closes the entry (committed
+    or aborted), records a committed conversion with the sink, then calls
+    ``owner.submit()`` or ``owner.fail(exc)``.  Who runs the plans is the
+    caller's: a repair's go through the recovery manager, a request's
+    through the client of the campaign or the store.
+    """
+
+    __slots__ = ("sink", "stripe", "plans", "owner", "chaos", "t0", "hist")
+
+    def __init__(self, sink, stripe, plans: list[OpPlan], owner):
+        self.sink, self.stripe, self.plans, self.owner = sink, stripe, plans, owner
+        self.chaos = sink.cluster.executor.chaos
+        if self.chaos is not None:
+            self.chaos.begin_conversion(stripe, sink.cluster.namenode)
+        self.t0, self.hist = sink.sim.now, sink.histogram("conversion")
+
+    def finish(self, _value=None, exc: BaseException | None = None) -> None:
+        sink = self.sink
+        if self.chaos is not None:
+            self.chaos.end_conversion(self.stripe, sink.cluster.namenode, committed=exc is None)
+        if exc is None:
+            now = sink.sim.now
+            latency = now - self.t0
+            if self.hist is not None:
+                self.hist.observe(latency)
+            sink.record_conversion(self.stripe, self.plans, latency, now)
+            self.owner.submit()
+        else:
+            self.owner.fail(exc)
+
+
+class _Repair:
+    """One supervised reconstruction of ``(stripe, block)`` in flight.
+
+    :meth:`plan` asks the planner for it; :meth:`begin` runs its
+    conversions (journalled) from a :func:`_submit_recovery` kick-off
+    entry, then the reconstruction — through the cluster's
+    :class:`RecoveryScheduler` when it has one, else from a kick-off entry
+    of its own — then the bookkeeping: the chunk leaves ``failed_blocks``
+    (marking it lost is the caller's), comes back clean under chaos and is
+    recorded.  A repair that gives up with :class:`RecoveryError` is
+    reported as unrecoverable, not raised; anything else raises out of the
+    simulator.  Either way ``done(None, None)`` follows, when given.
+
+    The *sink* is the campaign's or the store's side of the chain: its
+    ``sim``, ``scheme``, ``cluster`` and ``failed_blocks``; ``traced``
+    (each repair is a causal trace of its own); ``histogram(kind)``, the
+    ``"conversion"`` or ``"repair"`` latency histogram (``None`` while
+    metrics are off); and the reports ``record_conversion(stripe, plans,
+    latency, now)``, ``record_repair(repair, latency)`` and
+    ``report_unrecoverable(repair, reason)``.
+    """
+
+    __slots__ = (
+        "sink", "stripe", "block", "done", "scrubbed", "conversions", "main", "started",
+        "ctx", "t0", "hist",
+    )
+
+    def __init__(self, sink, stripe, block, done: Callable | None = None, scrubbed=False):
+        self.sink, self.stripe, self.block, self.done = sink, stripe, block, done
+        #: a scrubber-detected corruption (the sink may count it as such)
+        self.scrubbed = scrubbed
+
+    def plan(self) -> None:
+        plans = self.sink.scheme.plan_recovery(self.stripe, self.block)
+        self.conversions, self.main = _split_plans(plans)
+
+    def start(self) -> None:
+        self.plan()
+        self.begin()
+
+    def begin(self) -> None:
+        sink = self.sink
+        self.started = sink.sim.now
+        self.ctx = TRACER.start_trace() if sink.traced else None
+        if not self.conversions:
+            self.submit()
+            return
+        journal = _Conversion(sink, self.stripe, self.conversions, self)
+        job = (sink.cluster.recovery, self.conversions, self.stripe, journal.finish, self.ctx)
+        sink.sim.call_later(0.0, _submit_recovery, job)
+
+    def submit(self) -> None:
+        sink, cluster = self.sink, self.sink.cluster
+        self.t0, self.hist = sink.sim.now, sink.histogram("repair")
+        if cluster.scheduler is not None:
+            cluster.scheduler.submit_cb(self.main, self.stripe, self.block, self.repaired, self.ctx)
+        else:
+            job = (cluster.recovery, self.main, self.stripe, self.repaired, self.ctx)
+            sink.sim.call_later(0.0, _submit_recovery, job)
+
+    def repaired(self, _value=None, exc: BaseException | None = None) -> None:
+        if exc is not None:
+            self.fail(exc)
+            return
+        sink, stripe, block = self.sink, self.stripe, self.block
+        latency = sink.sim.now - self.t0
+        if self.hist is not None:
+            self.hist.observe(latency)
+        sink.failed_blocks.discard((stripe, block))
+        chaos = sink.cluster.executor.chaos
+        if chaos is not None:
+            chaos.repair_chunk(stripe, block)  # a rebuilt chunk is clean
+        sink.record_repair(self, latency)
+        if self.done is not None:
+            self.done(None, None)
+
+    def fail(self, exc: BaseException) -> None:
+        if not isinstance(exc, RecoveryError):
+            raise exc
+        self.sink.report_unrecoverable(self, str(exc))
+        if self.done is not None:
+            self.done(None, None)

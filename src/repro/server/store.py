@@ -40,9 +40,9 @@ import numpy as np
 from ..chaos.engine import ChaosEngine
 from ..chaos.faults import ChaosConfig, PartitionError
 from ..cluster.client import Client, DeadNodeError
-from ..cluster.cluster import Cluster, ClusterConfig, _split_plans, _submit_recovery
+from ..cluster.cluster import Cluster, ClusterConfig
 from ..cluster.events import Event
-from ..cluster.recovery import RecoveryError
+from ..cluster.recovery import _Conversion, _Repair, _split_plans
 from ..fusion.costmodel import SystemProfile
 from ..hybrid.planners import SchemePlanner
 from ..hybrid.plans import OpPlan, PlanKind
@@ -253,21 +253,6 @@ class ObjectStore:
             {fb for fb in self.failed_blocks if fb[0] in gone}
         )
 
-    def _convert(self, stripe: int, conversions: list[OpPlan], via_recovery: bool, ctx, done):
-        """Run an adaptive scheme's code conversion, journalled under chaos,
-        then ``done(None, exc)``.
-
-        Through a frontend (the request's own conversion) or, for a
-        repair's, through the recovery manager — either way from a
-        zero-delay kick-off entry of its own.
-        """
-        conversion = _Conversion(self, stripe, done)
-        if via_recovery:
-            job = (self.cluster.recovery, conversions, stripe, conversion.finish, ctx)
-            self.sim.call_later(0.0, _submit_recovery, job)
-        else:
-            self._frontend().start_cb(conversions, stripe, conversion.finish, ctx)
-
     # -- operations ----------------------------------------------------------
     # Each operation is a chain of callbacks over one ``_Request`` (the
     # ``*_cb`` methods); ``put_op`` / ``get_op`` / ``delete_op`` are the
@@ -354,25 +339,24 @@ class ObjectStore:
         return keys
 
     # -- background failure + repair ----------------------------------------
-    # A repair is a callback chain too (:class:`_Repair`), started from a
-    # zero-delay kick-off entry; so is the failure injector (daemon
-    # entries: a kick-off, then one per exponential gap).
-
-    def _repair_cb(self, stripe: int, block: int, done: Callable | None = None) -> None:
-        """One supervised reconstruction through the risk-ordered scheduler,
-        then ``done(None, None)``.  A repair that gives up is reported in
-        :attr:`unrecoverable`, not raised."""
-        _Repair(self, stripe, block, done).begin()
+    # A repair is the chain the campaign runs too
+    # (:class:`~repro.cluster.recovery._Repair`), started from a zero-delay
+    # kick-off entry; so is the failure injector (daemon entries: a
+    # kick-off, then one per exponential gap).
 
     def _repair(self, stripe: int, block: int):
-        """Generator adapter of :meth:`_repair_cb`."""
+        """One supervised reconstruction through the risk-ordered scheduler,
+        as a generator.  A repair that gives up is reported in
+        :attr:`unrecoverable`, not raised."""
         outcome = Event(self.sim)
-        self._repair_cb(stripe, block, outcome.settle)
+        _Repair(self, stripe, block, outcome.settle).start()
         yield outcome
 
-    def _start_repair(self, stripe: int, block: int) -> None:
-        """:meth:`_repair_cb` from a zero-delay entry of its own."""
-        self.sim.call_later(0.0, _begin_repair, (self, stripe, block))
+    def _lose(self, stripe: int, block: int) -> None:
+        """Mark the chunk lost and repair it from a zero-delay entry of its
+        own."""
+        self.failed_blocks.add((stripe, block))
+        self.sim.call_later(0.0, _Repair.start, _Repair(self, stripe, block))
 
     def _inject_one_failure(self) -> bool:
         """Lose one random data chunk (within erasure tolerance)."""
@@ -386,13 +370,12 @@ class ObjectStore:
         erasures = sum(1 for s, _b in self.failed_blocks if s == stripe)
         if erasures >= self.config.r:
             return False  # never exceed what the code tolerates
-        self.failed_blocks.add((stripe, block))
         self.stats["chunk_failures"] += 1
         if METRICS.enabled:
             METRICS.counter("server.chunk_failures", unit="chunks").inc()
         if TRACER.enabled:
             TRACER.emit("chunk-failure", ts=self.sim.now, stripe=stripe, block=block)
-        self._start_repair(stripe, block)
+        self._lose(stripe, block)
         return True
 
     def start_failure_injector(self) -> None:
@@ -411,6 +394,48 @@ class ObjectStore:
     def _failure_due(self) -> None:
         self._inject_one_failure()
         self._next_failure()
+
+    # -- the sink of the shared chains (cluster/recovery.py) -----------------
+    # Repairs, conversions and rides report here: ``server.*`` metrics, the
+    # store's own lists and stats, and a causal trace per repair.
+    traced = True
+    LATENCY = {"conversion": "server.service.conversion", "repair": "server.service.repair"}
+
+    def histogram(self, kind: str):
+        """Sink hook: the ``server.service.*`` histogram of a chain step."""
+        return _histogram(self.LATENCY[kind])
+
+    def record_conversion(self, stripe, plans, latency: float, now: float) -> None:
+        """Sink hook: one committed code conversion."""
+        self.conversion_latencies.append(latency)
+        if METRICS.enabled:
+            METRICS.counter("server.conversions", unit="conversions").inc()
+
+    def record_repair(self, repair, latency: float) -> None:
+        """Sink hook: one landed background repair."""
+        self.stats["repairs"] += 1
+        self.repair_latencies.append(latency)
+        if METRICS.enabled:
+            METRICS.counter("server.repairs", unit="jobs").inc()
+        if TRACER.enabled:
+            now = self.sim.now
+            TRACER.emit(
+                "recovery", ts=now, ctx=repair.ctx, stripe=repair.stripe, block=repair.block,
+                latency=now - repair.started, failed=False,
+            )
+
+    def report_unrecoverable(self, repair, reason: str) -> None:
+        """Sink hook: a repair gave up; the chunk is reported, not hidden."""
+        now, stripe, block = self.sim.now, repair.stripe, repair.block
+        self.unrecoverable.append({"stripe": stripe, "block": block, "reason": reason, "time": now})
+        if METRICS.enabled:
+            METRICS.counter("server.repair.failures", unit="jobs").inc()
+        if TRACER.enabled:
+            TRACER.emit("repair-failed", ts=now, stripe=stripe, block=block, reason=reason)
+            TRACER.emit(
+                "recovery", ts=now, ctx=repair.ctx, stripe=stripe, block=block,
+                latency=now - repair.started, failed=True,
+            )
 
     # -- chaos ----------------------------------------------------------------
     def attach_chaos(
@@ -441,12 +466,7 @@ class ObjectStore:
             num_stripes=max(1, self.cluster.namenode.stripe_count),
         )
         self.cluster.executor.chaos = engine.state
-
-        def on_detected(stripe, slot):
-            self.failed_blocks.add((stripe, slot))
-            self._start_repair(stripe, slot)
-
-        engine.on_corruption_detected = on_detected
+        engine.on_corruption_detected = self._lose
         engine.attach()
         self.chaos_engine = engine
         return engine
@@ -458,122 +478,6 @@ def _histogram(name: str):
     if METRICS.enabled:
         return METRICS.histogram(name, unit="s", buckets=SERVING_BUCKETS)
     return None
-
-
-class _Conversion:
-    """One :meth:`ObjectStore._convert` in flight (journal entry open)."""
-
-    __slots__ = ("store", "stripe", "done", "chaos", "t0", "hist")
-
-    def __init__(self, store: ObjectStore, stripe: int, done: Callable):
-        self.store = store
-        self.stripe = stripe
-        self.done = done
-        self.chaos = store.cluster.executor.chaos
-        if self.chaos is not None:
-            self.chaos.begin_conversion(stripe, store.cluster.namenode)
-        self.t0, self.hist = store.sim.now, _histogram("server.service.conversion")
-
-    def finish(self, _value=None, exc: BaseException | None = None) -> None:
-        """Close the journal entry (committed or aborted), record, report."""
-        store = self.store
-        if self.chaos is not None:
-            self.chaos.end_conversion(self.stripe, store.cluster.namenode, committed=exc is None)
-        if exc is None:
-            elapsed = store.sim.now - self.t0
-            if self.hist is not None:
-                self.hist.observe(elapsed)
-            store.conversion_latencies.append(elapsed)
-            if METRICS.enabled:
-                METRICS.counter("server.conversions", unit="conversions").inc()
-        self.done(None, exc)
-
-
-def _begin_repair(chunk: tuple) -> None:
-    store, stripe, block = chunk
-    store._repair_cb(stripe, block)
-
-
-class _Repair:
-    """One :meth:`ObjectStore._repair_cb` in flight: the repair's own
-    conversions, then the scheduler's job, then the bookkeeping."""
-
-    __slots__ = ("store", "stripe", "block", "done", "main", "started", "root", "t0", "hist")
-
-    def __init__(self, store: ObjectStore, stripe: int, block: int, done: Callable | None):
-        self.store = store
-        self.stripe = stripe
-        self.block = block
-        self.done = done
-
-    def begin(self) -> None:
-        store = self.store
-        conversions, self.main = _split_plans(store.scheme.plan_recovery(self.stripe, self.block))
-        self.started = store.sim.now
-        self.root = TRACER.start_trace()  # each repair is its own causal trace
-        if conversions:
-            store._convert(self.stripe, conversions, True, self.root, self.converted)
-        else:
-            self.submit()
-
-    def converted(self, _value=None, exc: BaseException | None = None) -> None:
-        if exc is not None:
-            self.gave_up(exc)
-        else:
-            self.submit()
-
-    def submit(self) -> None:
-        store = self.store
-        self.t0, self.hist = store.sim.now, _histogram("server.service.repair")
-        store.cluster.scheduler.submit_cb(
-            self.main, self.stripe, self.block, self.repaired, ctx=self.root
-        )
-
-    def repaired(self, _value=None, exc: BaseException | None = None) -> None:
-        if exc is not None:
-            self.gave_up(exc)
-            return
-        store, stripe, block = self.store, self.stripe, self.block
-        now = store.sim.now
-        elapsed = now - self.t0
-        if self.hist is not None:
-            self.hist.observe(elapsed)
-        store.failed_blocks.discard((stripe, block))
-        chaos_state = store.cluster.executor.chaos
-        if chaos_state is not None:
-            chaos_state.repair_chunk(stripe, block)
-        store.stats["repairs"] += 1
-        store.repair_latencies.append(elapsed)
-        if METRICS.enabled:
-            METRICS.counter("server.repairs", unit="jobs").inc()
-        if TRACER.enabled:
-            TRACER.emit(
-                "recovery", ts=now, ctx=self.root, stripe=stripe, block=block,
-                latency=now - self.started, failed=False,
-            )
-        if self.done is not None:
-            self.done(None, None)
-
-    def gave_up(self, exc: BaseException) -> None:
-        """A :class:`RecoveryError` is reported; anything else is a bug and
-        raises out of the simulator."""
-        if not isinstance(exc, RecoveryError):
-            raise exc
-        store, stripe, block = self.store, self.stripe, self.block
-        now = store.sim.now
-        store.unrecoverable.append(
-            {"stripe": stripe, "block": block, "reason": str(exc), "time": now}
-        )
-        if METRICS.enabled:
-            METRICS.counter("server.repair.failures", unit="jobs").inc()
-        if TRACER.enabled:
-            TRACER.emit("repair-failed", ts=now, stripe=stripe, block=block, reason=str(exc))
-            TRACER.emit(
-                "recovery", ts=now, ctx=self.root, stripe=stripe,
-                block=block, latency=now - self.started, failed=True,
-            )
-        if self.done is not None:
-            self.done(None, None)
 
 
 class _Request:
@@ -591,8 +495,7 @@ class _Request:
 
     __slots__ = (
         "store", "key", "done", "start", "root", "size", "stripes", "at", "stripe",
-        "t0", "hist", "degraded", "piggybacked", "lost", "lost_at", "rode",
-        "ride_started", "job", "main", "then",
+        "t0", "hist", "degraded", "piggybacked", "lost", "lost_at", "rode", "main", "then",
     )
 
     def __init__(self, store: ObjectStore, key: str, done: Callable):
@@ -609,13 +512,9 @@ class _Request:
         plans through a frontend, then ``then(self)``."""
         self.main, self.then = main, then
         if conversions:
-            self.store._convert(self.stripe, conversions, False, self.root, self.converted)
-        else:
-            self.submit()
-
-    def converted(self, _value=None, exc: BaseException | None = None) -> None:
-        if exc is not None:
-            self.fail(exc)
+            store = self.store
+            journal = _Conversion(store, self.stripe, conversions, self)
+            store._frontend().start_cb(conversions, self.stripe, journal.finish, self.root)
         else:
             self.submit()
 
@@ -719,69 +618,21 @@ class _Request:
         self.get_lost()
 
     def get_lost(self) -> None:
-        """Degraded read of the next lost data chunk.
-
-        Mirrors the cluster driver's ``ride_repair``: join the repair job
-        already rebuilding the chunk when one is queued or running (a
-        queued job gets boosted); reconstruct just for this read when
-        there is none, or when the ridden job gives up.
-        """
+        """Degraded read of the next lost data chunk: ride the repair job
+        already rebuilding it (:meth:`RecoveryScheduler.ride_cb`, the
+        campaign's ride step too; a queued job gets boosted), or
+        reconstruct just for this read when there is none."""
         if self.lost_at == len(self.lost):
             self.get_healthy()
             return
-        store = self.store
-        self.rode = False
-        self.ride_started = store.sim.now
-        job = store.cluster.scheduler.ride_job(self.stripe, self.lost[self.lost_at])
-        if job is None:
-            self.reconstruct(None)
-        else:
-            self.job = job
-            job.wait(self.ridden)
+        store, block = self.store, self.lost[self.lost_at]
+        if not store.cluster.scheduler.ride_cb(
+            store.scheme, self.stripe, block, self.reconstruct, self.root
+        ):
+            self.reconstruct(store.scheme.plan_degraded_read(self.stripe, block), False)
 
-    def ridden(self, _value=None, exc: BaseException | None = None) -> None:
-        """The ridden repair landed or gave up.  Under causal tracing the
-        wait splits into a ``queue`` span (until the job dispatched) and a
-        ``repair-ride`` span (until it landed)."""
-        job, self.job = self.job, None
-        store = self.store
-        block = self.lost[self.lost_at]
-        plans = None
-        if exc is None:
-            plans = store.scheme.plan_read(self.stripe, block)
-            self.rode = True
-        elif not isinstance(exc, RecoveryError):
-            raise exc
-        ctx = self.root
-        if ctx is not None and TRACER.enabled:
-            now = store.sim.now
-            dispatched = job.dispatched_at if job.dispatched_at is not None else now
-            split = min(max(dispatched, self.ride_started), now)
-            if split > self.ride_started:
-                TRACER.span(
-                    "phase",
-                    ctx,
-                    self.ride_started,
-                    split,
-                    phase="queue",
-                    stripe=self.stripe,
-                    block=block,
-                )
-            TRACER.span(
-                "phase",
-                ctx,
-                split,
-                now,
-                phase="repair-ride",
-                stripe=self.stripe,
-                block=block,
-                rode=self.rode,
-            )
-        self.reconstruct(plans)
-
-    def reconstruct(self, plans: list[OpPlan] | None) -> None:
-        if plans is None:  # nothing to ride, or the repair gave up
-            plans = self.store.scheme.plan_degraded_read(self.stripe, self.lost[self.lost_at])
+    def reconstruct(self, plans: list[OpPlan], rode: bool) -> None:
+        self.rode = rode
         conversions, main = _split_plans(plans)
         self.serve(conversions, main, _Request.lost_served)
 

@@ -207,8 +207,8 @@ INTRUDERS = ("call_later", "process", "use_cb")
 
 
 def intruded_run(monkeypatch, windows):
-    """Replay with an intruder after each of the first event-path request
-    completions (``_Request.finish``, the chain's last step): it runs
+    """Replay with an intruder after each of the first request completions
+    (``_Replay.request_done``, every request chain's last step): it runs
     right after the stream resumed (and opened a window for the next
     request) and pushes a same-instant entry.
 
@@ -250,10 +250,10 @@ def intruded_run(monkeypatch, windows):
             if kind != "use_cb":
                 assert resource_stats(cluster) == before  # ... and booked nothing
 
-    finish = cluster_module._Request.finish
+    finish = cluster_module._Replay.request_done
 
-    def finish_with_intruder(request):
-        finish(request)
+    def finish_with_intruder(replay):
+        finish(replay)
         if finishes[0] < 9:
             intrude(INTRUDERS[finishes[0] % 3])
             finishes[0] += 1
@@ -261,7 +261,7 @@ def intruded_run(monkeypatch, windows):
     trace, failures = workload(config, "web1")
     with monkeypatch.context() as patch:
         patch.setattr(cluster_module, "Cluster", Recording)
-        patch.setattr(cluster_module._Request, "finish", finish_with_intruder)
+        patch.setattr(cluster_module._Replay, "request_done", finish_with_intruder)
         if not windows:
             patch.setattr(PlanExecutor, "price", lambda *args, **kwargs: None)
         result = run_workload(build_schemes(config)["EC-Fusion"], trace, failures, config.cluster)

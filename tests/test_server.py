@@ -428,7 +428,7 @@ def test_finished_requests_die_by_refcount_alone(failure_rate, chaos):
     cell) would live until the run ends and show up as peak RSS.
     Stronger than a weakref to one sample: with the collector off, *no*
     process, fan-out barrier (nor the chaos path's chunk records, which
-    hold one), request-chain state, scrub cursor or repair chain of a
+    hold one), request-chain state, scrub cursor, ride or repair chain of a
     multi-thousand-request run is left alive — healthy, with repairs,
     rides and conversions in flight, and under the storm chaos profile."""
     import gc
@@ -437,13 +437,13 @@ def test_finished_requests_die_by_refcount_alone(failure_rate, chaos):
     from repro.chaos.engine import _Scan
     from repro.cluster.client import _FanOut, _PlanRun
     from repro.cluster.events import Process
-    from repro.cluster.recovery import RepairJob, _Supervised
+    from repro.cluster.recovery import RepairJob, _Conversion, _Repair, _Ride, _Supervised
     from repro.server.loadgen import _Offered
-    from repro.server.store import _Conversion, _Repair, _Request
+    from repro.server.store import _Request
 
     chain = (
         Process, _FanOut, _PlanRun, _Request, _Conversion, _Offered,
-        _Scan, _Repair, _Supervised, RepairJob,
+        _Scan, _Repair, _Ride, _Supervised, RepairJob,
     )
     gc.collect()
     gc.disable()

@@ -117,3 +117,30 @@ def test_serve_steady_rung_digest():
 @pytest.mark.parametrize("seed", sorted(CAMPAIGN))
 def test_campaign_digest(seed):
     assert campaign_digest(seed) == CAMPAIGN[seed]
+
+
+#: heap entries the ``serve_degraded`` shape books at 12 sim-s, recorded at
+#: 3e236e0.  A digest hashes the outcome, not the schedule: this shape runs
+#: the store's repair, conversion and ride steps the most, and the count is
+#: what pins where each of them books its entries.
+DEGRADED_ENTRIES = {5: 118848, 21: 117157}
+
+
+@pytest.mark.parametrize("seed", sorted(DEGRADED_ENTRIES))
+def test_serve_degraded_books_the_recorded_heap_entries(seed, monkeypatch):
+    from repro.cluster import events
+
+    sims = []
+    init = events.Simulator.__init__
+
+    def recording_init(sim, *args, **kwargs):
+        init(sim, *args, **kwargs)
+        sims.append(sim)
+
+    monkeypatch.setattr(events.Simulator, "__init__", recording_init)
+    spec = WorkloadSpec(
+        target_ops=300, duration=12.0, read_fraction=0.7, distribution="latest",
+        zipf_theta=0.99, num_objects=64, seed=seed,
+    )
+    run_serving(spec, ServerConfig(failure_rate=200.0))
+    assert [sim.events_scheduled for sim in sims] == [DEGRADED_ENTRIES[seed]]
