@@ -12,12 +12,9 @@ The most common entry points are re-exported here.
 """
 
 from .codes import (
-    EvenOddCode,
     HitchhikerCode,
     LocalReconstructionCode,
     MSRCode,
-    ProductCode,
-    RDPCode,
     ReedSolomonCode,
     RepairResult,
     UnrecoverableError,
@@ -37,10 +34,7 @@ __all__ = [
     "ReedSolomonCode",
     "MSRCode",
     "LocalReconstructionCode",
-    "EvenOddCode",
-    "RDPCode",
     "HitchhikerCode",
-    "ProductCode",
     "RepairResult",
     "UnrecoverableError",
     "ECFusion",

@@ -1,4 +1,4 @@
-"""Erasure codes: RS, MSR (coupled-layer), LRC, FR, EVENODD, RDP, Hitchhiker, Product.
+"""Erasure codes: RS, MSR (coupled-layer), LRC, FR and Hitchhiker.
 
 All codes share the :class:`repro.codes.base.ErasureCode` interface —
 ``encode`` / ``decode`` / ``repair`` on ``(nodes, block_len)`` uint8
@@ -6,7 +6,6 @@ arrays — plus planning hooks the cluster simulator uses to price repairs
 without moving real bytes.
 """
 
-from .batch import decode_batch, encode_batch, repair_batch
 from .base import (
     CodeError,
     ErasureCode,
@@ -15,13 +14,10 @@ from .base import (
     RepairResult,
     UnrecoverableError,
 )
-from .evenodd import EvenOddCode
 from .fr import FractionalRepetitionCode
 from .hitchhiker import HitchhikerCode
 from .lrc import LocalReconstructionCode
-from .rdp import RDPCode
 from .msr import MSRCode
-from .product import ProductCode
 from .rs import ReedSolomonCode
 
 __all__ = [
@@ -35,11 +31,5 @@ __all__ = [
     "MSRCode",
     "LocalReconstructionCode",
     "FractionalRepetitionCode",
-    "EvenOddCode",
-    "RDPCode",
     "HitchhikerCode",
-    "ProductCode",
-    "encode_batch",
-    "decode_batch",
-    "repair_batch",
 ]

@@ -1,8 +1,7 @@
 """Common abstractions for the erasure codes in this repository.
 
-Every code here — RS, LRC, EVENODD, RDP, Hitchhiker, Product, MSR — is a
-*linear* code over GF(2^w),
-so the shared machinery is a systematic generator matrix acting on
+Every code here — RS, LRC, FR, Hitchhiker, MSR — is a *linear* code over
+GF(2^w), so the shared machinery is a systematic generator matrix acting on
 "blocks": a node's contribution to one stripe is a block of ``L`` bytes,
 and vector codes (sub-packetization ``l`` > 1) view that block as ``l``
 sub-blocks of ``L / l`` bytes.
@@ -112,8 +111,8 @@ class ErasureCode(abc.ABC):
     def telemetry_key(self) -> str:
         """Metric namespace: counters land under ``codes.<key>.*``.
 
-        Defaults to the lowercased class name; RS/MSR override it with
-        their conventional short names.
+        Defaults to the lowercased class name; RS, MSR and FR override it
+        with their conventional short names.
         """
         return type(self).__name__.replace("Code", "").lower()
 
@@ -536,32 +535,6 @@ class LinearVectorCode(ErasureCode):
                 f"block length {L} not a multiple of l={self.subpacketization}"
             )
         return arrs, batch, L
-
-    def decode_data_batch(self, shards: Mapping[int, np.ndarray]) -> np.ndarray:
-        """Degraded-read storm: decode a batch sharing one erasure pattern.
-
-        ``shards`` maps each surviving node to a ``(batch, L)`` stack —
-        the same availability across every stripe, which is exactly what a
-        node failure produces.  One cached solve plan is batch-applied in
-        a single dispatch; byte-identical to looping :meth:`decode_data`
-        stripe by stripe (telemetry included).  Returns ``(batch, k, L)``.
-        """
-        arrs, batch, L = self._check_shard_stacks(shards)
-        avail = frozenset(arrs)
-        solve_plan, symbol_rows = self._decode_plan(avail)
-        l = self.subpacketization
-        stacked = np.stack([arrs[i] for i in sorted(avail)], axis=1)
-        syms = stacked.reshape(batch, len(avail) * l, L // l)
-        order = {node: pos for pos, node in enumerate(sorted(avail))}
-        local_rows = [order[row // l] * l + (row % l) for row in symbol_rows]
-        data_syms = solve_plan.apply_batch(np.ascontiguousarray(syms[:, local_rows]))
-        if METRICS.enabled and batch:
-            key = self.telemetry_key
-            METRICS.counter(f"codes.{key}.decode_calls", unit="calls").inc(batch)
-            METRICS.counter(f"codes.{key}.gf_mul_bytes", unit="bytes").inc(
-                batch * self.k * self.k * l * L
-            )
-        return data_syms.reshape(batch, self.k, L)
 
     def decode(self, shards: Mapping[int, np.ndarray]) -> np.ndarray:
         return self.encode(self.decode_data(shards))

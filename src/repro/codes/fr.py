@@ -240,51 +240,3 @@ class FractionalRepetitionCode(LinearVectorCode):
             bytes_read[node] = bytes_read.get(node, 0) + sub
         return RepairResult(block=block, bytes_read=bytes_read)
 
-    def repair_batch(
-        self, failed: int, shards: Mapping[int, np.ndarray]
-    ) -> list[RepairResult]:
-        """Repair one failed node across a batch of stripes in one pass.
-
-        ``shards`` maps each surviving node to a ``(batch, L)`` stack.  The
-        copy pattern is identical for every stripe, so the whole batch is a
-        handful of strided copies; byte-identical (results and telemetry)
-        to calling :meth:`repair` stripe by stripe.
-        """
-        if not 0 <= failed < self.n:
-            raise ValueError(f"failed node {failed} out of range for n={self.n}")
-        if failed in shards:
-            raise ValueError(f"node {failed} is present in the supplied shards")
-        l = self.subpacketization
-        sources = []
-        for chunk in self.node_chunks[failed]:
-            live = [
-                (node, plane)
-                for node, plane in self.chunk_locations[chunk]
-                if node != failed and node in shards
-            ]
-            if not live:  # degenerate availability: per-stripe fallback
-                batch = np.asarray(next(iter(shards.values()))).shape[0]
-                return [
-                    self.repair(failed, {i: np.asarray(s)[b] for i, s in shards.items()})
-                    for b in range(batch)
-                ]
-            sources.append(min(live))
-        arrs = {i: np.asarray(s) for i, s in shards.items()}
-        some = next(iter(arrs.values()))
-        batch, L = some.shape
-        if L % l:
-            raise ValueError(f"block length {L} not a multiple of l={l}")
-        sub = L // l
-        blocks = np.empty((batch, L), dtype=some.dtype)
-        bytes_read: dict[int, int] = {}
-        for plane, (node, src_plane) in enumerate(sources):
-            blocks[:, plane * sub : (plane + 1) * sub] = arrs[node][
-                :, src_plane * sub : (src_plane + 1) * sub
-            ]
-            bytes_read[node] = bytes_read.get(node, 0) + sub
-        if METRICS.enabled and batch:
-            METRICS.counter("codes.fr.repair_calls", unit="calls").inc(batch)
-        return [
-            RepairResult(block=blocks[b], bytes_read=dict(bytes_read))
-            for b in range(batch)
-        ]

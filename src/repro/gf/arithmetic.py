@@ -64,8 +64,9 @@ class GF:
     def get(cls, w: int = 8) -> "GF":
         """Return the singleton field object for GF(2^w).
 
-        Thread-safe: concurrent first calls (e.g. from ``encode_batch``'s
-        worker pool) observe exactly one instance per field.
+        Thread-safe: concurrent first calls (threads coding outside the
+        GIL, which the native kernel releases) observe exactly one
+        instance per field.
         """
         inst = cls._instances.get(w)
         if inst is None:
@@ -104,7 +105,7 @@ class GF:
         """The order×order multiplication table (built on first use, w ≤ 8).
 
         Thread-safe: the first build is serialized under a lock so
-        concurrent callers (``encode_batch``'s thread pool) neither
+        concurrent callers (threads coding outside the GIL) neither
         duplicate the 64 KiB construction nor observe a torn publication
         of ``self._mul_table``.  The hot path stays lock-free — a plain
         read of the already-published table.

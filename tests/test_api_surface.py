@@ -94,3 +94,49 @@ def test_des_kernel_callback_surface():
         (PlanExecutor, "check_reachable"), (ChaosEngine, "_scrub_loop"),
     ):
         assert not hasattr(owner, gone), f"{owner.__name__}.{gone} is back"
+
+
+def test_codes_keep_only_the_selectable_families():
+    """``repro.codes`` ships the families the policy engine selects, plus
+    Hitchhiker; the unselected array codes and the thread-pool batch layer
+    are gone, while the batch entry points the benchmark binds remain."""
+    import os
+    import subprocess
+    import sys
+
+    from repro import codes
+    from repro.codes import FractionalRepetitionCode, LinearVectorCode, MSRCode, ReedSolomonCode
+    from repro.fusion import FusionTransformer
+    from repro.gf import CodingPlan
+
+    assert set(codes.__all__) == {
+        "CodeError", "ParameterError", "UnrecoverableError", "RepairResult",
+        "ErasureCode", "LinearVectorCode",
+        "ReedSolomonCode", "MSRCode", "LocalReconstructionCode",
+        "FractionalRepetitionCode", "HitchhikerCode",
+    }
+    gone = ("evenodd", "rdp", "product", "batch")
+    for name in gone:
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"repro.codes.{name}")
+    assert not hasattr(LinearVectorCode, "decode_data_batch")
+    assert not hasattr(FractionalRepetitionCode, "repair_batch")
+    # bench/spec.py binds it; ROADMAP 8 removes it
+    for owner, name in (
+        (CodingPlan, "apply_batch"),
+        (ReedSolomonCode, "encode_batch"), (ReedSolomonCode, "repair_batch"),
+        (MSRCode, "encode_batch"), (MSRCode, "repair_batch"),
+        (FusionTransformer, "rs_to_msr_batch"), (FusionTransformer, "msr_to_rs_batch"),
+        (LinearVectorCode, "_check_shard_stacks"),
+    ):
+        assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name} is gone"
+
+    # a fresh process importing the package loads neither the deleted
+    # modules nor a thread pool
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, repro; print(*sorted(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert not [m for m in loaded if m.startswith("concurrent.futures")]
+    assert not {f"repro.codes.{name}" for name in gone} & set(loaded)

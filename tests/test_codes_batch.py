@@ -1,23 +1,15 @@
-"""Tests for the parallel batch-coding API.
+"""Tests for the codes' stripe-batched entry points.
 
-Uniform batches (one shape, and for repair one failure pattern) take the
-vectorized single-dispatch fast path through ``code.encode_batch`` /
-``decode_data_batch`` / ``repair_batch``; ragged batches keep the thread
-pool.  Both must be byte-identical to a sequential loop — results *and*
-telemetry totals.
+A uniform batch (one shape, and for repair one failure pattern) runs
+through ``code.encode_batch`` / ``repair_batch`` as a single fused
+dispatch per compiled plan.  Both must be byte-identical to a per-stripe
+loop — results *and* telemetry totals.
 """
 
 import numpy as np
 import pytest
 
-from repro.codes import (
-    MSRCode,
-    ReedSolomonCode,
-    UnrecoverableError,
-    decode_batch,
-    encode_batch,
-    repair_batch,
-)
+from repro.codes import MSRCode, ReedSolomonCode, UnrecoverableError
 from repro.telemetry import METRICS
 
 
@@ -28,82 +20,6 @@ def rs():
 
 def make_stripes(rng, code, count, L=256):
     return [rng.integers(0, 256, (code.k, L), dtype=np.uint8) for _ in range(count)]
-
-
-class TestEncodeBatch:
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_matches_sequential(self, rs, workers):
-        rng = np.random.default_rng(0)
-        stripes = make_stripes(rng, rs, 12)
-        out = encode_batch(rs, stripes, max_workers=workers)
-        for data, coded in zip(stripes, out):
-            assert np.array_equal(coded, rs.encode(data))
-
-    def test_order_preserved(self, rs):
-        rng = np.random.default_rng(1)
-        stripes = make_stripes(rng, rs, 8)
-        out = encode_batch(rs, stripes, max_workers=4)
-        for data, coded in zip(stripes, out):
-            assert np.array_equal(coded[: rs.k], data)
-
-    def test_empty_batch(self, rs):
-        assert encode_batch(rs, [], max_workers=4) == []
-
-    def test_invalid_workers(self, rs):
-        with pytest.raises(ValueError):
-            encode_batch(rs, [], max_workers=0)
-
-    def test_worker_exception_propagates(self, rs):
-        bad = [np.zeros((2, 8), dtype=np.uint8)]  # wrong k
-        with pytest.raises(ValueError):
-            encode_batch(rs, bad, max_workers=4)
-
-
-class TestDecodeBatch:
-    def test_parallel_decode(self, rs):
-        rng = np.random.default_rng(2)
-        stripes = make_stripes(rng, rs, 10)
-        coded = encode_batch(rs, stripes, max_workers=4)
-        maps = [
-            {i: cw[i] for i in range(rs.n) if i not in (j % rs.n, (j + 3) % rs.n)}
-            for j, cw in enumerate(coded)
-        ]
-        out = decode_batch(rs, maps, max_workers=4)
-        for cw, rec in zip(coded, out):
-            assert np.array_equal(rec, cw)
-
-    def test_unrecoverable_raises(self, rs):
-        rng = np.random.default_rng(3)
-        coded = rs.encode(make_stripes(rng, rs, 1)[0])
-        with pytest.raises(UnrecoverableError):
-            decode_batch(rs, [{0: coded[0]}], max_workers=2)
-
-
-class TestRepairBatch:
-    def test_storm_shape(self):
-        """A node-failure storm: many repairs of different stripes at once."""
-        msr = MSRCode(6, 3, verify="off")
-        rng = np.random.default_rng(4)
-        stripes = make_stripes(rng, msr, 9, L=9 * 16)
-        coded = encode_batch(msr, stripes, max_workers=4)
-        jobs = [
-            (j % msr.n, {i: cw[i] for i in range(msr.n) if i != j % msr.n})
-            for j, cw in enumerate(coded)
-        ]
-        results = repair_batch(msr, jobs, max_workers=4)
-        for (failed, _), cw, res in zip(jobs, coded, results):
-            assert np.array_equal(res.block, cw[failed])
-
-    def test_concurrent_decode_plan_cache_is_safe(self, rs):
-        """Many threads hitting the same erasure pattern simultaneously."""
-        rng = np.random.default_rng(5)
-        fresh = ReedSolomonCode(6, 3)  # cold cache
-        stripes = make_stripes(rng, fresh, 16)
-        coded = encode_batch(fresh, stripes, max_workers=8)
-        maps = [{i: cw[i] for i in range(3, 9)} for cw in coded]  # same pattern
-        out = decode_batch(fresh, maps, max_workers=8)
-        for cw, rec in zip(coded, out):
-            assert np.array_equal(rec, cw)
 
 
 class TestVectorizedFastPath:
@@ -130,19 +46,16 @@ class TestVectorizedFastPath:
         rng = np.random.default_rng(6)
         L = code.subpacketization * 16
         stripes = make_stripes(rng, code, 7, L=L)
-        coded = [code.encode(s) for s in stripes]
+        coded = np.stack([code.encode(s) for s in stripes])
         failed = 2
-        jobs = [
-            (failed, {i: cw[i] for i in range(code.n) if i != failed})
-            for cw in coded
-        ]
+        helpers = [i for i in range(code.n) if i != failed]
 
         METRICS.reset()
         METRICS.enable()
-        loop = [code.repair(f, m) for f, m in jobs]
+        loop = [code.repair(failed, {i: cw[i] for i in helpers}) for cw in coded]
         loop_counters = self._codes_counters()
         METRICS.reset()
-        fast = repair_batch(code, jobs, max_workers=1)
+        fast = code.repair_batch(failed, {i: coded[:, i] for i in helpers})
         fast_counters = self._codes_counters()
 
         assert fast_counters == loop_counters, "telemetry diverged under batching"
@@ -150,7 +63,7 @@ class TestVectorizedFastPath:
             assert np.array_equal(a.block, b.block)
             assert a.bytes_read == b.bytes_read
 
-    def test_uniform_encode_and_decode_match_loop(self, rs):
+    def test_uniform_encode_matches_loop(self, rs):
         rng = np.random.default_rng(7)
         stripes = make_stripes(rng, rs, 6)
         METRICS.reset()
@@ -158,30 +71,10 @@ class TestVectorizedFastPath:
         loop_coded = [rs.encode(s) for s in stripes]
         loop_counters = self._codes_counters()
         METRICS.reset()
-        fast_coded = encode_batch(rs, stripes, max_workers=1)
+        fast_coded = rs.encode_batch(np.stack(stripes))
         assert self._codes_counters() == loop_counters
         for a, b in zip(loop_coded, fast_coded):
             assert np.array_equal(a, b)
-
-        maps = [{i: cw[i] for i in range(2, 8)} for cw in loop_coded]
-        METRICS.reset()
-        loop_dec = [rs.decode(m) for m in maps]
-        loop_counters = self._codes_counters()
-        METRICS.reset()
-        fast_dec = decode_batch(rs, maps, max_workers=1)
-        assert self._codes_counters() == loop_counters
-        for a, b in zip(loop_dec, fast_dec):
-            assert np.array_equal(a, b)
-
-    def test_ragged_batch_falls_back(self, rs):
-        """Mixed block lengths cannot stack — thread path, same results."""
-        rng = np.random.default_rng(8)
-        stripes = [
-            rng.integers(0, 256, (rs.k, L), dtype=np.uint8) for L in (64, 128, 64)
-        ]
-        out = encode_batch(rs, stripes, max_workers=2)
-        for data, coded in zip(stripes, out):
-            assert np.array_equal(coded, rs.encode(data))
 
     def test_code_level_encode_batch_validates(self, rs):
         with pytest.raises(ValueError):
@@ -189,8 +82,8 @@ class TestVectorizedFastPath:
         with pytest.raises(ValueError):
             rs.encode_batch(np.zeros((rs.k, 8), dtype=np.uint8))  # not 3-D
 
-    def test_code_level_decode_data_batch_validates(self, rs):
+    def test_code_level_repair_batch_validates(self, rs):
         with pytest.raises(UnrecoverableError):
-            rs.decode_data_batch({})
+            rs.repair_batch(0, {})
         with pytest.raises(ValueError):
-            rs.decode_data_batch({0: np.zeros(8, dtype=np.uint8)})  # not 2-D
+            rs.repair_batch(0, {1: np.zeros(8, dtype=np.uint8)})  # not 2-D

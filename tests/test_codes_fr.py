@@ -66,23 +66,6 @@ class TestUncodedRepair:
             assert np.array_equal(res.block, coded[failed]), failed
             assert res.total_bytes_read == pytest.approx(L), failed
 
-    def test_repair_batch_matches_scalar(self, k, r, rho):
-        code = make_code(k, r, rho)
-        rng = np.random.default_rng(13)
-        batch = 3
-        stacks = [code.encode(make_data(code, rng)) for _ in range(batch)]
-        coded = np.stack(stacks)  # (batch, n, L)
-        for failed in (0, code.n - 1):
-            shards = {
-                i: coded[:, i] for i in range(code.n) if i != failed
-            }
-            results = code.repair_batch(failed, shards)
-            for b in range(batch):
-                scalar = code.repair(
-                    failed, {i: coded[b, i] for i in range(code.n) if i != failed}
-                )
-                assert np.array_equal(results[b].block, scalar.block), (failed, b)
-
     def test_repair_falls_back_when_replicas_gone(self, k, r, rho):
         """Losing a chunk's whole replica set still repairs via decode."""
         code = make_code(k, r, rho)

@@ -16,12 +16,9 @@ from hypothesis import strategies as st
 
 from repro.codes import (
     FractionalRepetitionCode,
-    EvenOddCode,
     HitchhikerCode,
-    ProductCode,
     LocalReconstructionCode,
     MSRCode,
-    RDPCode,
     ReedSolomonCode,
     UnrecoverableError,
 )
@@ -35,10 +32,7 @@ def all_codes():
         MSRCode(6, 3, verify="full"),
         LocalReconstructionCode(6, 2, 2),
         LocalReconstructionCode(8, 2, 2, layout="interleaved"),
-        EvenOddCode(5),
-        RDPCode(5),
         HitchhikerCode(6, 3),
-        ProductCode(2, 1, 2, 1),
         FractionalRepetitionCode(4, 5),
         FractionalRepetitionCode(2, 3, rho=2),
     ]

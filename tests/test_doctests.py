@@ -13,14 +13,11 @@ import pytest
 
 import repro.cluster.events
 import repro.cluster.pipeline
-import repro.codes.evenodd
 import repro.codes.families
 import repro.codes.fr
 import repro.codes.hitchhiker
 import repro.codes.lrc
 import repro.codes.msr
-import repro.codes.product
-import repro.codes.rdp
 import repro.codes.rs
 import repro.fusion.adaptation
 import repro.fusion.costmodel
@@ -33,12 +30,9 @@ MODULES = [
     repro.gf.arithmetic,
     repro.codes.rs,
     repro.codes.msr,
-    repro.codes.product,
     repro.codes.lrc,
-    repro.codes.evenodd,
     repro.codes.families,
     repro.codes.fr,
-    repro.codes.rdp,
     repro.codes.hitchhiker,
     repro.fusion.queues,
     repro.fusion.adaptation,
