@@ -45,6 +45,7 @@ from __future__ import annotations
 from typing import Callable, Generator, Hashable
 
 from ..chaos.faults import PartitionError
+from ..fusion.costmodel import SystemProfile
 from ..hybrid.plans import OpPlan
 from ..telemetry import TRACER
 from ..telemetry.tracing import SpanContext
@@ -424,18 +425,13 @@ class PlanExecutor:
 class Client:
     """An application client: owns the coding CPU and NIC foreground ops use."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        executor: PlanExecutor,
-        alpha: float = 5e9,
-        net_bandwidth: float = 125e6,
-        net_latency: float = 200e-6,
-    ):
+    def __init__(self, sim: Simulator, executor: PlanExecutor, profile: SystemProfile):
         self.sim = sim
         self.executor = executor
-        self.cpu = Cpu(sim, name="client-cpu", alpha=alpha)
-        self.nic = Link(sim, name="client-nic", bandwidth=net_bandwidth, latency=net_latency)
+        self.cpu = Cpu(sim, name="client-cpu", alpha=profile.alpha)
+        self.nic = Link(
+            sim, name="client-nic", bandwidth=profile.lam, latency=profile.net_latency
+        )
 
     def submit_cb(
         self,

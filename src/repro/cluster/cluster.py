@@ -39,20 +39,13 @@ class ClusterConfig:
     num_nodes:
         Data-node count; must cover the widest stripe a scheme places.
     profile:
-        The (α, λ, φ, γ) platform constants shared with the cost model.
-    disk_bandwidth:
-        Per-disk streaming bandwidth in bytes/s (3 TB SSD class).
-    io_latency:
-        Fixed seconds per disk I/O operation.
-    net_latency:
-        Fixed seconds per network transfer.
+        The platform the cost model prices on: every disk, NIC, CPU and
+        fabric link of the cluster is sized from it (α, λ, φ, disk
+        bandwidth, I/O and network latency), so none is stated here.
     """
 
     num_nodes: int = 18
     profile: SystemProfile = field(default_factory=SystemProfile)
-    disk_bandwidth: float = 500e6
-    io_latency: float = 100e-6
-    net_latency: float = 200e-6
     #: rack failure domains; > 1 enables rack-aware placement
     racks: int = 1
     #: data-center failure domains; > 1 spreads racks (and therefore
@@ -188,19 +181,7 @@ class Cluster:
         self.config = config
         self.sim = Simulator()
         p = config.profile
-        self.nodes = [
-            DataNode(
-                self.sim,
-                node_id=i,
-                disk_bandwidth=config.disk_bandwidth,
-                io_latency=config.io_latency,
-                phi=p.phi,
-                net_bandwidth=p.lam,
-                net_latency=config.net_latency,
-                alpha=p.alpha,
-            )
-            for i in range(config.num_nodes)
-        ]
+        self.nodes = [DataNode(self.sim, i, p) for i in range(config.num_nodes)]
         self.namenode = NameNode(
             config.num_nodes, width, racks=config.racks, dcs=config.dcs
         )
@@ -212,18 +193,11 @@ class Cluster:
             self.executor.fabric = Fabric(
                 self.sim,
                 self.namenode,
-                node_bandwidth=p.lam,
+                p,
                 rack_oversubscription=config.rack_oversubscription,
                 dc_oversubscription=config.dc_oversubscription,
-                latency=config.net_latency,
             )
-        self.client = Client(
-            self.sim,
-            self.executor,
-            alpha=p.alpha,
-            net_bandwidth=p.lam,
-            net_latency=config.net_latency,
-        )
+        self.client = Client(self.sim, self.executor, p)
         self.recovery = RecoveryManager(
             self.executor,
             bandwidth_cap=config.recovery_bandwidth_cap,

@@ -14,6 +14,7 @@ from ..telemetry import METRICS
 from .events import Event, FIFOResource, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..fusion.costmodel import SystemProfile
     from .namenode import NameNode
 
 __all__ = ["Link", "Uplink", "Fabric", "Cpu"]
@@ -30,13 +31,7 @@ class Link(FIFOResource):
         Fixed per-transfer cost in seconds (propagation + protocol).
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str = "nic",
-        bandwidth: float = 125e6,
-        latency: float = 200e-6,
-    ):
+    def __init__(self, sim: Simulator, name: str, bandwidth: float, latency: float):
         super().__init__(sim, name)
         if bandwidth <= 0 or latency < 0:
             raise ValueError("invalid link parameters")
@@ -127,7 +122,7 @@ class Uplink(Link):
         member_bandwidth: float,
         members: int,
         oversubscription: float,
-        latency: float = 200e-6,
+        latency: float,
     ):
         if oversubscription < 1.0:
             raise ValueError("oversubscription factor must be >= 1")
@@ -155,17 +150,17 @@ class Fabric:
     with all domain transfers of one plan batch running in parallel
     (barrier on the slowest), mirroring how the executor fans chunk
     traffic out.  External clients attach at DC 0 (where the frontends
-    live) and cross every rack boundary.
+    live) and cross every rack boundary.  Member NICs and link latency are
+    the ``profile``'s λ and network latency.
     """
 
     def __init__(
         self,
         sim: Simulator,
         namenode: "NameNode",
-        node_bandwidth: float = 125e6,
+        profile: "SystemProfile",
         rack_oversubscription: float | None = None,
         dc_oversubscription: float | None = None,
-        latency: float = 200e-6,
     ):
         self.sim = sim
         self.namenode = namenode
@@ -176,20 +171,20 @@ class Fabric:
                 self.rack_uplinks[rack] = Uplink(
                     sim,
                     name=f"rack{rack}-uplink",
-                    member_bandwidth=node_bandwidth,
+                    member_bandwidth=profile.lam,
                     members=len(namenode.nodes_in_rack(rack)),
                     oversubscription=rack_oversubscription,
-                    latency=latency,
+                    latency=profile.net_latency,
                 )
         if dc_oversubscription is not None and namenode.dcs > 1:
             for dc in range(namenode.dcs):
                 self.dc_links[dc] = Uplink(
                     sim,
                     name=f"dc{dc}-interconnect",
-                    member_bandwidth=node_bandwidth,
+                    member_bandwidth=profile.lam,
                     members=len(namenode.nodes_in_dc(dc)),
                     oversubscription=dc_oversubscription,
-                    latency=latency,
+                    latency=profile.net_latency,
                 )
 
     def charge(self, plans, stripe, where: int | None) -> Event | None:
@@ -233,7 +228,7 @@ class Fabric:
 class Cpu(FIFOResource):
     """A coding CPU: α GF multiply/XOR byte-operations per second."""
 
-    def __init__(self, sim: Simulator, name: str = "cpu", alpha: float = 5e9):
+    def __init__(self, sim: Simulator, name: str, alpha: float):
         super().__init__(sim, name)
         if alpha <= 0:
             raise ValueError("alpha must be positive")

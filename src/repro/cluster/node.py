@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from ..fusion.costmodel import SystemProfile
 from .events import Simulator
 from .network import Cpu, Link
 from .simdisk import Disk
@@ -17,7 +18,8 @@ class DataNode:
     node_id:
         Dense index within the cluster.
     disk, nic, cpu:
-        The three FIFO resources every operation contends on.
+        The three FIFO resources every operation contends on, sized from
+        the cluster's :class:`~repro.fusion.costmodel.SystemProfile`.
     alive:
         Liveness flag.  Nothing in a plain simulation ever clears it; the
         chaos engine (or a test) calls :meth:`fail` to model a permanently
@@ -25,29 +27,19 @@ class DataNode:
         node fails fast instead of hanging the event loop.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        node_id: int,
-        disk_bandwidth: float = 500e6,
-        io_latency: float = 100e-6,
-        phi: float = 64 * 1024,
-        net_bandwidth: float = 125e6,
-        net_latency: float = 200e-6,
-        alpha: float = 5e9,
-    ):
+    def __init__(self, sim: Simulator, node_id: int, profile: SystemProfile):
         self.node_id = node_id
         self.disk = Disk(
             sim,
             name=f"disk{node_id}",
-            bandwidth=disk_bandwidth,
-            io_latency=io_latency,
-            phi=phi,
+            bandwidth=profile.disk_bandwidth,
+            io_latency=profile.io_latency,
+            phi=profile.phi,
         )
         self.nic = Link(
-            sim, name=f"nic{node_id}", bandwidth=net_bandwidth, latency=net_latency
+            sim, name=f"nic{node_id}", bandwidth=profile.lam, latency=profile.net_latency
         )
-        self.cpu = Cpu(sim, name=f"cpu{node_id}", alpha=alpha)
+        self.cpu = Cpu(sim, name=f"cpu{node_id}", alpha=profile.alpha)
         self.alive = True
 
     def fail(self) -> None:

@@ -25,20 +25,18 @@ class Disk(FIFOResource):
     Parameters
     ----------
     bandwidth:
-        Sustained throughput in bytes/second (default ≈ SSD class).
+        Sustained throughput in bytes/second.
     io_latency:
         Seconds of fixed cost per I/O operation.
     phi:
         Bytes transferred by a single I/O operation (Table I's φ).
+
+    A :class:`~repro.cluster.DataNode` sizes it from its
+    :class:`~repro.fusion.costmodel.SystemProfile`.
     """
 
     def __init__(
-        self,
-        sim: Simulator,
-        name: str = "disk",
-        bandwidth: float = 500e6,
-        io_latency: float = 100e-6,
-        phi: float = 64 * 1024,
+        self, sim: Simulator, name: str, bandwidth: float, io_latency: float, phi: float
     ):
         super().__init__(sim, name)
         if bandwidth <= 0 or io_latency < 0 or phi <= 0:

@@ -75,7 +75,7 @@ class SystemProfile:
         Xeon) sustain on the order of 5e9 such operations per second, which
         keeps RS encoding of 27 MB chunks in the tens of milliseconds the
         paper's testbed exhibits.  The literal is not calibrated (ROADMAP
-        item 1): this repo's own kernel, one core of the reference sandbox,
+        item 4(b)): this repo's own kernel, one core of the reference machine,
         RS(6, 3) encode at 1.125 MiB blocks (``r`` = 3 multiply-accumulates
         per data byte), measures 4.7 GB/s of data ≈ 1.4e10 such operations
         per second on the 128-bit rung and 9–10 GB/s ≈ 3e10, memory-bound,
@@ -87,17 +87,33 @@ class SystemProfile:
     gamma:
         Block (chunk) size in bytes; the paper uses 27 MB HDFS chunks for
         its experiments and 64 KB stripes for the mathematical analysis.
+    disk_bandwidth:
+        Per-disk streaming bandwidth in bytes/s (3 TB SSD class).
+    io_latency:
+        Fixed seconds per disk I/O operation.
+    net_latency:
+        Fixed seconds per network transfer (and per namenode round trip).
+
+    This is the one place a platform constant has a value: the simulated
+    cluster's disks, NICs, CPUs and fabric, the reliability model and the
+    M/G/1 model all read it from here.
     """
 
     alpha: float = 5e9
     lam: float = 125e6
     phi: float = 64 * 1024
     gamma: float = 27 * 1024 * 1024
+    disk_bandwidth: float = 500e6
+    io_latency: float = 100e-6
+    net_latency: float = 200e-6
 
     def __post_init__(self):
-        for name in ("alpha", "lam", "phi", "gamma"):
+        for name in ("alpha", "lam", "phi", "gamma", "disk_bandwidth"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("io_latency", "net_latency"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
     def with_gamma(self, gamma: float) -> "SystemProfile":
         """Same platform, different block size."""

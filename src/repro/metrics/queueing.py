@@ -67,20 +67,17 @@ def mg1_response(arrival_rate: float, mix: ServiceMix) -> float:
 
 
 def client_nic_mix(
-    scheme: SchemePlanner,
-    read_fraction: float,
-    net_latency: float = 200e-6,
+    scheme: SchemePlanner, read_fraction: float, profile: SystemProfile
 ) -> ServiceMix:
     """Service-time mix at the client NIC for one scheme's read/write ops.
 
     Derived from the scheme's own plans: a write's NIC occupancy is the
-    plan's total written bytes, a read's its read bytes, each at λ
-    bytes/second plus the fixed per-transfer latency.
+    plan's total written bytes, a read's its read bytes, each at the
+    profile's λ bytes/second plus its fixed per-transfer latency.
     """
     if not 0 <= read_fraction <= 1:
         raise ValueError("read_fraction must be in [0, 1]")
-    profile = SystemProfile()  # bandwidth only; overridden below if needed
-    lam = profile.lam
+    lam, net_latency = profile.lam, profile.net_latency
     write_plans = scheme.plan_write("__mg1probe_w")
     write_bytes = sum(p.bytes_written for p in write_plans)
     read_plans = scheme.plan_read("__mg1probe_r", 0)

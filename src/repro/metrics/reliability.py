@@ -98,8 +98,6 @@ class ReliabilityModel:
     disk_mttf_hours:
         Per-disk mean time to failure (default ~1.4 M hours ≈ an AFR of
         0.6 %, a typical enterprise figure).
-    disk_bandwidth:
-        Streaming bandwidth used for the disk component of repair time.
     """
 
     def __init__(
@@ -108,7 +106,6 @@ class ReliabilityModel:
         r: int = 3,
         profile: SystemProfile | None = None,
         disk_mttf_hours: float = 1.4e6,
-        disk_bandwidth: float = 500e6,
     ):
         if disk_mttf_hours <= 0:
             raise ValueError("disk_mttf_hours must be positive")
@@ -116,7 +113,6 @@ class ReliabilityModel:
         self.profile = profile or SystemProfile()
         self.costs = AnalyticCosts(k=k, r=r, gamma=self.profile.gamma)
         self.failure_rate = 1.0 / disk_mttf_hours
-        self.disk_bandwidth = disk_bandwidth
 
     # -- repair times ------------------------------------------------------
     def repair_hours(self, scheme: str, h: float = 1.0) -> float:
@@ -124,7 +120,7 @@ class ReliabilityModel:
         p = self.profile
         transfer = self.costs.rec_transmission(scheme, h) * p.gamma / p.lam
         compute = self.costs.rec_compute(scheme, h) / p.alpha
-        disk = p.gamma / self.disk_bandwidth
+        disk = p.gamma / p.disk_bandwidth
         return (transfer + compute + disk) / 3600.0
 
     def _stripe_width(self, scheme: str) -> tuple[int, int]:

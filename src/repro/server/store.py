@@ -85,8 +85,6 @@ class ServerConfig:
         Expected chunk failures per simulated second injected by the
         seeded Poisson failure process (0 disables injection; a chaos
         profile can still supply faults).
-    metadata_latency:
-        Seconds per namenode round trip, charged to every operation.
     pipeline_chunk:
         Optional ECPipe-style repair chunking (bytes), as in
         :class:`~repro.cluster.ClusterConfig`.
@@ -100,7 +98,6 @@ class ServerConfig:
     racks: int = 3
     frontends: int = 6
     failure_rate: float = 0.0
-    metadata_latency: float = 200e-6
     pipeline_chunk: float | None = None
     max_repairs_per_node: int = 2
 
@@ -174,20 +171,15 @@ class ObjectStore:
         self.scheme = self.config.make_scheme()
         self.cluster = Cluster(self.config.cluster_config(), width=self.scheme.width)
         self.sim = self.cluster.sim
-        cfg = self.cluster.config
-        p = cfg.profile
+        p = self.cluster.config.profile
         #: client coordinators requests round-robin across; the cluster's
         #: own client is frontend 0 so single-frontend stores match it
         self.frontends: list[Client] = [self.cluster.client] + [
-            Client(
-                self.sim,
-                self.cluster.executor,
-                alpha=p.alpha,
-                net_bandwidth=p.lam,
-                net_latency=cfg.net_latency,
-            )
+            Client(self.sim, self.cluster.executor, p)
             for _ in range(self.config.frontends - 1)
         ]
+        #: seconds per namenode round trip, charged to every operation
+        self.metadata_latency = p.net_latency
         self._rr = 0
         #: a get with nothing lost reads every data slot: one shared plan
         self._data_slots = list(range(self.config.k))
@@ -273,7 +265,7 @@ class ObjectStore:
             raise ValueError("object size must be positive")
         request = _Request(self, key, done)
         request.size = size
-        self.sim.call_later(self.config.metadata_latency, _Request.put_begin, request)
+        self.sim.call_later(self.metadata_latency, _Request.put_begin, request)
 
     def get_cb(self, key: str, done: Callable) -> None:
         """Read the whole object behind ``key``, then ``done(facts, None)``.
@@ -288,7 +280,7 @@ class ObjectStore:
             raise KeyError(f"no object {key!r}")
         request = _Request(self, key, done)
         request.stripes = meta.stripes
-        self.sim.call_later(self.config.metadata_latency, _Request.get_begin, request)
+        self.sim.call_later(self.metadata_latency, _Request.get_begin, request)
 
     def delete_cb(self, key: str, done: Callable) -> None:
         """Unlink ``key`` — a pure namenode metadata operation (no data
@@ -296,7 +288,7 @@ class ObjectStore:
         if key not in self.objects:
             raise KeyError(f"no object {key!r}")
         request = _Request(self, key, done)
-        self.sim.call_later(self.config.metadata_latency, _Request.delete_end, request)
+        self.sim.call_later(self.metadata_latency, _Request.delete_end, request)
 
     def put_op(self, key: str, size: float | None = None):
         """Generator adapter of :meth:`put_cb`; returns its facts."""

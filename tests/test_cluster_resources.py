@@ -3,32 +3,35 @@
 import pytest
 
 from repro.cluster import Cpu, DataNode, Disk, Link, NameNode, Simulator
+from repro.fusion.costmodel import SystemProfile
+
+P = SystemProfile()
 
 
 class TestDisk:
     def test_access_time_formula(self):
         sim = Simulator()
-        disk = Disk(sim, bandwidth=100e6, io_latency=1e-3, phi=64 * 1024)
+        disk = Disk(sim, "disk", bandwidth=100e6, io_latency=1e-3, phi=64 * 1024)
         t = disk.access_time(128 * 1024)  # 2 I/O ops
         assert t == pytest.approx(2e-3 + 128 * 1024 / 100e6)
 
     def test_zero_bytes_is_free(self):
         sim = Simulator()
-        disk = Disk(sim)
+        disk = Disk(sim, "disk", P.disk_bandwidth, P.io_latency, P.phi)
         assert disk.access_time(0) == 0.0
 
     def test_negative_bytes_rejected(self):
-        disk = Disk(Simulator())
+        disk = Disk(Simulator(), "disk", P.disk_bandwidth, P.io_latency, P.phi)
         with pytest.raises(ValueError):
             disk.access_time(-1)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            Disk(Simulator(), bandwidth=0)
+            Disk(Simulator(), "disk", bandwidth=0, io_latency=P.io_latency, phi=P.phi)
 
     def test_read_write_counters(self):
         sim = Simulator()
-        disk = Disk(sim)
+        disk = Disk(sim, "disk", P.disk_bandwidth, P.io_latency, P.phi)
 
         def proc():
             yield disk.read_ev(1000)
@@ -42,35 +45,35 @@ class TestDisk:
 
 class TestLink:
     def test_transfer_time(self):
-        link = Link(Simulator(), bandwidth=125e6, latency=1e-3)
+        link = Link(Simulator(), "nic", bandwidth=125e6, latency=1e-3)
         assert link.transfer_time(125e6) == pytest.approx(1.001)
 
     def test_zero_transfer_free(self):
-        link = Link(Simulator())
+        link = Link(Simulator(), "nic", P.lam, P.net_latency)
         assert link.transfer_time(0) == 0.0
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            Link(Simulator(), bandwidth=-1)
+            Link(Simulator(), "nic", bandwidth=-1, latency=P.net_latency)
         with pytest.raises(ValueError):
-            Link(Simulator()).transfer_time(-5)
+            Link(Simulator(), "nic", P.lam, P.net_latency).transfer_time(-5)
 
 
 class TestCpu:
     def test_compute_time(self):
-        cpu = Cpu(Simulator(), alpha=1e9)
+        cpu = Cpu(Simulator(), "cpu", alpha=1e9)
         assert cpu.compute_time(5e8) == pytest.approx(0.5)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            Cpu(Simulator(), alpha=0)
+            Cpu(Simulator(), "cpu", alpha=0)
         with pytest.raises(ValueError):
-            Cpu(Simulator()).compute_time(-1)
+            Cpu(Simulator(), "cpu", P.alpha).compute_time(-1)
 
 
 class TestDataNode:
     def test_resources_exist(self):
-        node = DataNode(Simulator(), node_id=3)
+        node = DataNode(Simulator(), node_id=3, profile=P)
         assert node.disk.name == "disk3"
         assert node.nic.name == "nic3"
         assert node.cpu.name == "cpu3"

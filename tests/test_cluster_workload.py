@@ -37,7 +37,7 @@ class TestPlanExecution:
         p = config.profile
         compute = GAMMA * 4 * 2 / p.alpha
         client_nic = 6 * GAMMA / p.lam + 200e-6
-        node_path = GAMMA / p.lam + 200e-6 + GAMMA / config.disk_bandwidth
+        node_path = GAMMA / p.lam + 200e-6 + GAMMA / p.disk_bandwidth
         expected_min = compute + client_nic + node_path
         assert lat == pytest.approx(expected_min, rel=0.1)
 

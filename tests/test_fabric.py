@@ -39,23 +39,23 @@ class TestUplink:
     def test_bandwidth_is_aggregate_over_oversubscription(self):
         sim = Simulator()
         up = Uplink(sim, "rack0-uplink", member_bandwidth=125e6, members=8,
-                    oversubscription=5.0)
+                    oversubscription=5.0, latency=200e-6)
         assert up.bandwidth == pytest.approx(125e6 * 8 / 5.0)
         assert up.oversubscription == 5.0 and up.members == 8
 
     def test_validation(self):
         sim = Simulator()
         with pytest.raises(ValueError, match="oversubscription"):
-            Uplink(sim, "u", 125e6, members=4, oversubscription=0.5)
+            Uplink(sim, "u", 125e6, members=4, oversubscription=0.5, latency=200e-6)
         with pytest.raises(ValueError, match="member"):
-            Uplink(sim, "u", 125e6, members=0, oversubscription=2.0)
+            Uplink(sim, "u", 125e6, members=0, oversubscription=2.0, latency=200e-6)
 
 
 class TestFabric:
     def test_builds_one_link_per_domain(self):
         sim = Simulator()
         nn = NameNode(16, 6, racks=4, dcs=2)
-        fabric = Fabric(sim, nn, rack_oversubscription=5.0,
+        fabric = Fabric(sim, nn, SystemProfile(), rack_oversubscription=5.0,
                         dc_oversubscription=10.0)
         assert sorted(fabric.rack_uplinks) == [0, 1, 2, 3]
         assert sorted(fabric.dc_links) == [0, 1]
@@ -65,7 +65,7 @@ class TestFabric:
     def test_no_factors_means_no_links(self):
         sim = Simulator()
         nn = NameNode(16, 6, racks=4, dcs=2)
-        fabric = Fabric(sim, nn)
+        fabric = Fabric(sim, nn, SystemProfile())
         assert not fabric.rack_uplinks and not fabric.dc_links
 
     def test_default_cluster_has_no_fabric(self):

@@ -68,25 +68,33 @@ class TestSimulatorAgreement:
             )
         return Trace(name="poisson", requests=reqs)
 
-    @pytest.mark.parametrize("read_fraction,utilization", [(1.0, 0.5), (0.5, 0.55)])
-    def test_open_mode_matches_pk_prediction(self, read_fraction, utilization):
+    @pytest.mark.parametrize(
+        "read_fraction,utilization,lam",
+        [
+            pytest.param(1.0, 0.5, 125e6, id="1.0-0.5"),
+            pytest.param(0.5, 0.55, 125e6, id="0.5-0.55"),
+            # a non-default NIC: the mix must price the cluster's own λ
+            pytest.param(0.5, 0.55, 250e6, id="0.5-0.55-lam250e6"),
+        ],
+    )
+    def test_open_mode_matches_pk_prediction(self, read_fraction, utilization, lam):
         rng = np.random.default_rng(42)
         scheme = RSPlanner(4, 2, GAMMA)
-        mix = client_nic_mix(scheme, read_fraction)
+        config = ClusterConfig(num_nodes=18, profile=SystemProfile(gamma=GAMMA, lam=lam))
+        mix = client_nic_mix(scheme, read_fraction, config.profile)
         rate = utilization / mix.mean
         trace = self.make_poisson_trace(rng, 600, rate, read_fraction)
-        config = ClusterConfig(num_nodes=18, profile=SystemProfile(gamma=GAMMA))
         res = run_workload(scheme, trace, [], config, mode="open")
 
         # the pipeline outside the client NIC adds a near-constant offset:
         # source/sink disk + per-node NIC stage, uncontended at this load.
         p = config.profile
-        read_extra = GAMMA / config.disk_bandwidth + GAMMA / p.lam + 2 * config.net_latency
+        read_extra = GAMMA / p.disk_bandwidth + GAMMA / p.lam + 2 * p.net_latency
         write_extra = (
             GAMMA * 4 * 2 / p.alpha  # encode
             + GAMMA / p.lam  # slowest parallel node transfer
-            + GAMMA / config.disk_bandwidth
-            + 2 * config.net_latency
+            + GAMMA / p.disk_bandwidth
+            + 2 * p.net_latency
         )
         predicted_wait = mg1_wait(rate, mix)
         read_s = mix.items[0][1]
@@ -105,10 +113,10 @@ class TestSimulatorAgreement:
         """At utilization ~0, response == service path with no queueing."""
         rng = np.random.default_rng(7)
         scheme = RSPlanner(4, 2, GAMMA)
-        mix = client_nic_mix(scheme, 1.0)
+        config = ClusterConfig(num_nodes=18, profile=SystemProfile(gamma=GAMMA))
+        mix = client_nic_mix(scheme, 1.0, config.profile)
         rate = 0.01 / mix.mean  # utilization 1%
         trace = self.make_poisson_trace(rng, 100, rate, 1.0)
-        config = ClusterConfig(num_nodes=18, profile=SystemProfile(gamma=GAMMA))
         res = run_workload(scheme, trace, [], config, mode="open")
         lats = np.asarray(res.read_latencies)
         # the *typical* request sees an idle pipeline (rare arrival
