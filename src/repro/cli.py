@@ -56,11 +56,19 @@ import dataclasses
 import os
 import sys
 import tempfile
+from dataclasses import dataclass, field
+from typing import Callable
 
 from . import telemetry
-from .chaos import PROFILES
-from .durability import MC_SCHEMES, TOPOLOGIES
-from .server.loadgen import DISTRIBUTIONS
+from .chaos import PROFILES, ChaosConfig
+from .durability import (
+    MC_SCHEMES,
+    TOPOLOGIES,
+    DurabilityConfig,
+    format_durability_table,
+    run_durability,
+)
+from .server import DISTRIBUTIONS, ServerConfig, WorkloadSpec, run_serving
 from .server.store import SERVER_SCHEMES
 from .experiments import (
     ExperimentConfig,
@@ -82,115 +90,251 @@ from .experiments import (
     tournament,
 )
 
-__all__ = ["main", "EXPERIMENTS"]
+__all__ = ["main", "EXPERIMENTS", "Experiment"]
 
 
-def _run_fig13(config: ExperimentConfig, ks: tuple[int, ...]) -> str:
-    return fig13_storage.render([fig13_storage.compute(k) for k in ks])
+class CommandError(Exception):
+    """A command refused its input; ``main`` prints the message and exits 2."""
 
 
-def _run_fig14(config: ExperimentConfig, ks: tuple[int, ...]) -> str:
-    return fig14_computation.render([fig14_computation.compute(k) for k in ks])
+@dataclass(frozen=True)
+class Experiment:
+    """One command of ``python -m repro``: a row of :data:`EXPERIMENTS`.
+
+    description:
+        What ``list`` prints beside the command's name.
+    run:
+        ``run(args, config) -> (text, sections)``, ``config`` being
+        :func:`config_from_args` over ``defaults``.  ``text`` goes to stdout
+        and ``sections`` become extra top-level ``--report`` sections, but a
+        ``config`` section replaces the ``ExperimentConfig`` the report
+        records.  A :class:`CommandError` exits with status 2.
+    defaults:
+        ``ExperimentConfig`` fields the command runs with unless a flag
+        sets them.
+    alone:
+        The command shares an invocation with no other; commands that
+        share one are each followed by a blank line.
+    operand:
+        The one positional argument the command takes, as ``list`` shows
+        it (``PATH``; the value is ``args.experiments[1]``), or ``None``.
+    """
+
+    description: str
+    run: Callable[[argparse.Namespace, ExperimentConfig], tuple[str, dict]]
+    defaults: dict = field(default_factory=dict)
+    alone: bool = False
+    operand: str | None = None
 
 
-def _run_fig15(config: ExperimentConfig, ks: tuple[int, ...]) -> str:
-    return fig15_transmission.render([fig15_transmission.compute(k) for k in ks])
+def _per_k(module, joint: bool = True) -> Callable:
+    """An analytic row: ``module.compute(k)`` for every ``--k``, rendered as
+    one ``joint`` table or as one block per width, split by blank lines."""
+
+    def run(args: argparse.Namespace, config: ExperimentConfig):
+        results = [module.compute(k) for k in args.k]
+        if joint:
+            return module.render(results), {}
+        return "\n\n".join(module.render(result) for result in results), {}
+
+    return run
 
 
-def _run_fig16(config: ExperimentConfig, ks) -> str:
-    return fig16_application.render(fig16_application.compute(config))
+def _computed(module) -> Callable:
+    """A row that prints ``module.render(module.compute(config))``."""
+
+    def run(args: argparse.Namespace, config: ExperimentConfig):
+        return module.render(module.compute(config)), {}
+
+    return run
 
 
-def _run_fig17(config: ExperimentConfig, ks) -> str:
-    return fig17_recovery.render(fig17_recovery.compute(config))
+def _chaos(args: argparse.Namespace, config: ExperimentConfig):
+    return robustness.render_chaos(robustness.compute_chaos(config)), {}
 
 
-def _run_fig18(config: ExperimentConfig, ks) -> str:
-    return fig18_overall.render(fig18_overall.compute(config))
+def _table7(args: argparse.Namespace, config: ExperimentConfig):
+    return table7_summary.render(table7_summary.compute(config, ks=tuple(args.k))), {}
 
 
-def _run_pipeline(config: ExperimentConfig, ks) -> str:
-    return fig_pipeline_repair.render(fig_pipeline_repair.compute(config))
-
-
-def _run_fig19(config: ExperimentConfig, ks) -> str:
-    return fig19_cost_effective.render(fig19_cost_effective.compute(config))
-
-
-def _run_eta(config: ExperimentConfig, ks: tuple[int, ...]) -> str:
-    return "\n\n".join(eta_landscape.render(eta_landscape.compute(k)) for k in ks)
-
-
-def _run_lifetime(config: ExperimentConfig, ks) -> str:
-    return lifetime.render(lifetime.compute())
-
-
-def _run_robustness(config: ExperimentConfig, ks) -> str:
-    return robustness.render(robustness.compute())
-
-
-def _run_chaos(config: ExperimentConfig, ks) -> str:
-    import dataclasses as _dc
-
-    # size the chaos campaign like the robustness experiment unless the
-    # user overrode the workload scale explicitly
-    compact = _dc.replace(
-        config,
-        num_requests=min(config.num_requests, 300),
-        num_stripes=min(config.num_stripes, 48),
-    )
-    return robustness.render_chaos(robustness.compute_chaos(compact))
-
-
-def _run_sensitivity(config: ExperimentConfig, ks) -> str:
-    return sensitivity.render(sensitivity.compute())
-
-
-def _run_table4(config: ExperimentConfig, ks: tuple[int, ...]) -> str:
-    return "\n\n".join(
-        table4_allocation.render(table4_allocation.compute(k)) for k in ks
-    )
-
-
-def _run_table7(config: ExperimentConfig, ks: tuple[int, ...]) -> str:
-    return table7_summary.render(table7_summary.compute(config, ks=ks))
-
-
-#: extra top-level ``--report`` sections contributed by the runners of
-#: the current campaign (cleared per ``main`` invocation); the
-#: tournament stashes its win-region decomposition here so the generic
-#: campaign report carries a ``tournament`` section like ``serve`` /
-#: ``durability`` carry theirs
-_REPORT_EXTRAS: dict[str, object] = {}
-
-
-def _run_tournament(config: ExperimentConfig, ks) -> str:
+def _tournament(args: argparse.Namespace, config: ExperimentConfig):
     results = tournament.compute(config)
-    _REPORT_EXTRAS["tournament"] = results.to_section()
-    return tournament.render(results)
+    return tournament.render(results), {"tournament": results.to_section()}
 
 
-#: name -> (runner, description, simulation-backed?)
-EXPERIMENTS = {
-    "fig13": (_run_fig13, "storage cost vs hybrid ratio (analytic)", False),
-    "fig14": (_run_fig14, "computational cost (analytic)", False),
-    "fig15": (_run_fig15, "transmission cost (analytic)", False),
-    "fig16": (_run_fig16, "application performance (simulation)", True),
-    "fig17": (_run_fig17, "recovery performance (simulation)", True),
-    "fig18": (_run_fig18, "overall performance (simulation)", True),
-    "fig19": (_run_fig19, "cost-effective ratio (simulation)", True),
-    "pipeline": (_run_pipeline, "pipelined vs conventional repair (simulation)", True),
-    "eta": (_run_eta, "η threshold landscape over (λ, α) (analytic extension)", False),
-    "lifetime": (_run_lifetime, "bathtub-curve adaptation + idle-expiry extension", True),
-    "sensitivity": (_run_sensitivity, "EC-Fusion gain vs RS across failure weights", True),
-    "robustness": (_run_robustness, "headline gains across workload seeds", True),
-    "chaos": (_run_chaos, "seeded fault-injection campaign + invariant harness", True),
-    "table4": (_run_table4, "code allocation per workload category (analytic)", False),
-    "table7": (_run_table7, "improvement summary, k in {6,8} (simulation)", True),
-    "tournament": (
-        _run_tournament,
-        "cross-code tournament: RS/MSR/LRC/FR/policy win regions (simulation)",
-        True,
+def _stats(args: argparse.Namespace, config: ExperimentConfig):
+    """Standalone ``stats``: one compact fig16 campaign (fig16 exercises
+    every layer), so the metrics table ``main`` prints last is never empty."""
+    fig16_application.compute(config)
+    return "", {}
+
+
+def _serve(args: argparse.Namespace, config: ExperimentConfig):
+    """The ``serve`` experiment: one seeded serving workload + SLO report.
+
+    Shares the figure campaigns' telemetry plumbing (``--trace`` /
+    ``--report`` probing included); the report gains a top-level
+    ``serving`` section with exact p50/p99/p999 latency per operation.
+    """
+    try:
+        spec = WorkloadSpec(
+            target_ops=args.target_ops,
+            duration=args.duration,
+            read_fraction=args.read_fraction,
+            distribution=args.distribution,
+            num_objects=args.objects,
+            object_size=(
+                args.object_size * 1024 * 1024
+                if args.object_size is not None
+                else None
+            ),
+            seed=args.seed if args.seed is not None else 7,
+            connections=args.connections,
+            mode=args.mode,
+            workers=args.workers,
+        )
+        server = ServerConfig(scheme=args.scheme, failure_rate=args.chunk_failure_rate)
+    except ValueError as exc:
+        raise CommandError(f"invalid serve configuration: {exc}") from exc
+    chaos = None
+    if args.chaos_profile is not None:
+        chaos = ChaosConfig(
+            profile=args.chaos_profile,
+            seed=args.chaos_seed if args.chaos_seed is not None else 0,
+        )
+    result = run_serving(spec, server, chaos)
+    report_config = {
+        "server": dataclasses.asdict(server),
+        "workload": dataclasses.asdict(spec),
+        "chaos": dataclasses.asdict(chaos) if chaos is not None else None,
+    }
+    return result.render(), {"config": report_config, "serving": result.to_dict()}
+
+
+def _durability(args: argparse.Namespace, config: ExperimentConfig):
+    """The ``durability`` experiment: a Monte-Carlo MTTDL/PDL campaign.
+
+    Fast-forwards years of seeded failure/repair traces over the stripe
+    population (no per-event DES), per scheme, on the chosen topology.
+    ``--report`` adds a top-level ``durability`` section with the
+    per-scheme estimates and confidence intervals; ``--jobs N`` shards
+    the population across processes byte-identically to serial.
+    """
+    try:
+        durability = DurabilityConfig(
+            stripes=args.stripes if args.stripes is not None else 100_000,
+            years=args.years,
+            k=args.k[0] if len(args.k) == 1 else 8,
+            seed=args.seed if args.seed is not None else 7,
+            topology=TOPOLOGIES[args.topology],
+            repair_distribution=args.repair_dist,
+        )
+    except ValueError as exc:
+        raise CommandError(f"invalid durability configuration: {exc}") from exc
+    section = run_durability(durability, schemes=tuple(args.schemes), jobs=args.jobs)
+    sections = {"config": dataclasses.asdict(durability), "durability": section}
+    return format_durability_table(section), sections
+
+
+def _trace_report(args: argparse.Namespace, config: ExperimentConfig):
+    """The ``trace-report PATH`` pseudo-experiment (offline span analytics)."""
+    try:
+        analysis = telemetry.analyze_trace(args.experiments[1])
+    except (OSError, ValueError) as exc:
+        raise CommandError(f"cannot analyze trace: {exc}") from exc
+    return analysis.render(), {}
+
+
+def _explain(args: argparse.Namespace, config: ExperimentConfig):
+    """The ``explain PATH`` pseudo-experiment (causal tail attribution).
+
+    Loads a JSONL trace recorded by ``serve --trace``, reconstructs the
+    causal span trees, and prints where the chosen operation's latency
+    tail lives — an aggregate phase table plus exemplar critical paths
+    whose segments sum exactly to each request's duration.
+    """
+    try:
+        events = telemetry.load_events(args.experiments[1])
+        explanation = telemetry.explain_tail(
+            events, op=args.op, q=args.quantile, exemplars=args.exemplars
+        )
+    except (OSError, ValueError) as exc:
+        raise CommandError(f"cannot explain trace: {exc}") from exc
+    if args.perfetto is not None:
+        count = telemetry.write_chrome_trace(args.perfetto, events)
+        print(f"wrote {count} spans to {args.perfetto}", file=sys.stderr)
+    return explanation.render(), {}
+
+
+#: name -> row; ``list``, ``all`` and every name check read this table
+EXPERIMENTS: dict[str, Experiment] = {
+    "fig13": Experiment("storage cost vs hybrid ratio (analytic)", _per_k(fig13_storage)),
+    "fig14": Experiment("computational cost (analytic)", _per_k(fig14_computation)),
+    "fig15": Experiment("transmission cost (analytic)", _per_k(fig15_transmission)),
+    "fig16": Experiment(
+        "application performance (simulation)", _computed(fig16_application)
+    ),
+    "fig17": Experiment("recovery performance (simulation)", _computed(fig17_recovery)),
+    "fig18": Experiment("overall performance (simulation)", _computed(fig18_overall)),
+    "fig19": Experiment(
+        "cost-effective ratio (simulation)", _computed(fig19_cost_effective)
+    ),
+    "pipeline": Experiment(
+        "pipelined vs conventional repair (simulation)", _computed(fig_pipeline_repair)
+    ),
+    "eta": Experiment(
+        "η threshold landscape over (λ, α) (analytic extension)",
+        _per_k(eta_landscape, joint=False),
+    ),
+    "lifetime": Experiment(
+        "bathtub-curve adaptation + idle-expiry extension",
+        _computed(lifetime),
+        lifetime.SIZING,
+    ),
+    "sensitivity": Experiment(
+        "EC-Fusion gain vs RS across failure weights",
+        _computed(sensitivity),
+        sensitivity.SIZING,
+    ),
+    "robustness": Experiment(
+        "headline gains across workload seeds", _computed(robustness), robustness.SIZING
+    ),
+    # sized like the robustness experiment unless a flag sizes it
+    "chaos": Experiment(
+        "seeded fault-injection campaign + invariant harness", _chaos, robustness.SIZING
+    ),
+    "table4": Experiment(
+        "code allocation per workload category (analytic)",
+        _per_k(table4_allocation, joint=False),
+    ),
+    "table7": Experiment("improvement summary, k in {6,8} (simulation)", _table7),
+    "tournament": Experiment(
+        "cross-code tournament: RS/MSR/LRC/FR/policy win regions (simulation)", _tournament
+    ),
+    "stats": Experiment(
+        "telemetry metrics table for everything run this invocation",
+        _stats,
+        {"num_requests": 150, "num_stripes": 24},
+    ),
+    "serve": Experiment(
+        "object-store serving workload with SLO latency report", _serve, alone=True
+    ),
+    "durability": Experiment(
+        "Monte-Carlo MTTDL/PDL campaign over a hierarchical topology",
+        _durability,
+        alone=True,
+    ),
+    "trace-report": Experiment(
+        "span analytics for an existing JSONL trace",
+        _trace_report,
+        alone=True,
+        operand="PATH",
+    ),
+    "explain": Experiment(
+        "causal tail attribution for a serve --trace file",
+        _explain,
+        alone=True,
+        operand="PATH",
     ),
 }
 
@@ -424,292 +568,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    overrides = {}
-    if args.requests is not None:
-        overrides["num_requests"] = args.requests
-    if args.stripes is not None:
-        overrides["num_stripes"] = args.stripes
-    if args.failure_rate is not None:
-        overrides["failure_rate"] = args.failure_rate
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    overrides.update(_chaos_overrides(args))
-    overrides.update(_pipeline_overrides(args))
-    return ExperimentConfig(**overrides)
-
-
-def _pipeline_overrides(args: argparse.Namespace) -> dict:
-    overrides = {}
-    if args.pipeline_chunk is not None:
-        overrides["pipeline_chunk"] = args.pipeline_chunk * 1024 * 1024
-    if args.repair_scheduler:
-        overrides["repair_scheduler"] = True
-    return overrides
-
-
-def _chaos_overrides(args: argparse.Namespace) -> dict:
-    overrides = {}
-    if args.chaos_profile is not None:
-        overrides["chaos_profile"] = args.chaos_profile
-    if args.chaos_seed is not None:
-        overrides["chaos_seed"] = args.chaos_seed
-    if args.verify_invariants:
-        overrides["verify_invariants"] = True
-    return overrides
-
-
-def _stats_fallback_config(args: argparse.Namespace) -> ExperimentConfig:
-    """A compact simulation config for standalone ``stats`` invocations."""
-    overrides = {
-        "num_requests": args.requests if args.requests is not None else 150,
-        "num_stripes": args.stripes if args.stripes is not None else 24,
+def config_from_args(args: argparse.Namespace, **defaults) -> ExperimentConfig:
+    """The campaign configuration: the flags over ``defaults`` over
+    ``ExperimentConfig()`` — a flag always wins over a row default."""
+    chunk = args.pipeline_chunk
+    flags = {
+        "num_requests": args.requests,
+        "num_stripes": args.stripes,
+        "failure_rate": args.failure_rate,
+        "seed": args.seed,
+        "chaos_profile": args.chaos_profile,
+        "chaos_seed": args.chaos_seed,
+        "verify_invariants": args.verify_invariants or None,
+        "pipeline_chunk": None if chunk is None else chunk * 1024 * 1024,
+        "repair_scheduler": args.repair_scheduler or None,
     }
-    if args.failure_rate is not None:
-        overrides["failure_rate"] = args.failure_rate
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    overrides.update(_chaos_overrides(args))
-    overrides.update(_pipeline_overrides(args))
+    overrides = dict(defaults)
+    overrides.update((name, value) for name, value in flags.items() if value is not None)
     return ExperimentConfig(**overrides)
 
 
-def _run_trace_report(names: list[str]) -> int:
-    """The ``trace-report PATH`` pseudo-experiment (offline span analytics)."""
-    from .telemetry import spans
+def _probe_output(path: str) -> str | None:
+    """Fail fast on an unwritable output path: the error, or ``None``.
 
-    if len(names) != 2:
-        print("usage: python -m repro trace-report PATH", file=sys.stderr)
-        return 2
-    try:
-        analysis = spans.analyze_trace(names[1])
-    except (OSError, ValueError) as exc:
-        print(f"cannot analyze trace: {exc}", file=sys.stderr)
-        return 2
-    print(analysis.render())
-    return 0
-
-
-def _run_explain(names: list[str], args: argparse.Namespace) -> int:
-    """The ``explain PATH`` pseudo-experiment (causal tail attribution).
-
-    Loads a JSONL trace recorded by ``serve --trace``, reconstructs the
-    causal span trees, and prints where the chosen operation's latency
-    tail lives — an aggregate phase table plus exemplar critical paths
-    whose segments sum exactly to each request's duration.
+    Stages and removes a temp file beside ``path``, as the atomic writers
+    of :mod:`repro.telemetry` do, never touching a file already at ``path``.
     """
-    from .telemetry import causal, spans
-
-    if len(names) != 2:
-        print("usage: python -m repro explain PATH", file=sys.stderr)
-        return 2
     try:
-        events = spans.load_events(names[1])
-    except (OSError, ValueError) as exc:
-        print(f"cannot explain trace: {exc}", file=sys.stderr)
-        return 2
-    try:
-        explanation = causal.explain_tail(
-            events, op=args.op, q=args.quantile, exemplars=args.exemplars
-        )
-    except ValueError as exc:
-        print(f"cannot explain trace: {exc}", file=sys.stderr)
-        return 2
-    print(explanation.render())
-    if args.perfetto is not None:
-        _, error = _probe_output(args.perfetto, prefix=".perfetto-")
-        if error is not None:
-            print(f"cannot write perfetto file: {error}", file=sys.stderr)
-            return 2
-        count = causal.write_chrome_trace(args.perfetto, events)
-        print(f"wrote {count} spans to {args.perfetto}", file=sys.stderr)
-    return 0
-
-
-def _run_serve(args: argparse.Namespace) -> int:
-    """The ``serve`` experiment: one seeded serving workload + SLO report.
-
-    Shares the figure campaigns' telemetry plumbing (``--trace`` /
-    ``--report`` probing included); the report gains a top-level
-    ``serving`` section with exact p50/p99/p999 latency per operation.
-    """
-    from .chaos import ChaosConfig
-    from .server import ServerConfig, WorkloadSpec, run_serving
-
-    trace_tmp, code = _probe_cli_outputs(args)
-    if code:
-        return code
-    try:
-        tracing = args.trace is not None or args.report is not None
-        if tracing:
-            telemetry.enable(
-                metrics=True, tracing=True, snapshots=args.report is not None
-            )
-        try:
-            spec = WorkloadSpec(
-                target_ops=args.target_ops,
-                duration=args.duration,
-                read_fraction=args.read_fraction,
-                distribution=args.distribution,
-                num_objects=args.objects,
-                object_size=(
-                    args.object_size * 1024 * 1024
-                    if args.object_size is not None
-                    else None
-                ),
-                seed=args.seed if args.seed is not None else 7,
-                connections=args.connections,
-                mode=args.mode,
-                workers=args.workers,
-            )
-            server = ServerConfig(
-                scheme=args.scheme, failure_rate=args.chunk_failure_rate
-            )
-        except ValueError as exc:
-            print(f"invalid serve configuration: {exc}", file=sys.stderr)
-            return 2
-        chaos = None
-        if args.chaos_profile is not None:
-            chaos = ChaosConfig(
-                profile=args.chaos_profile,
-                seed=args.chaos_seed if args.chaos_seed is not None else 0,
-            )
-        result = run_serving(spec, server, chaos)
-        print(result.render())
-        if args.trace is not None:
-            count = telemetry.TRACER.dump_jsonl(trace_tmp)
-            os.replace(trace_tmp, args.trace)  # atomic publish of the dump
-            trace_tmp = None
-            print(f"wrote {count} trace events to {args.trace}", file=sys.stderr)
-        if args.report is not None:
-            report = telemetry.build_report(
-                experiments=["serve"],
-                config={
-                    "server": dataclasses.asdict(server),
-                    "workload": dataclasses.asdict(spec),
-                    "chaos": dataclasses.asdict(chaos) if chaos is not None else None,
-                },
-                extra={"serving": result.to_dict()},
-            )
-            telemetry.write_report(args.report, report)
-            print(f"wrote serving report to {args.report}", file=sys.stderr)
-        return 0
-    finally:
-        if trace_tmp is not None:
-            try:  # run failed before the dump: leave no stray temp behind
-                os.unlink(trace_tmp)
-            except OSError:
-                pass
-
-
-def _run_durability(args: argparse.Namespace) -> int:
-    """The ``durability`` experiment: a Monte-Carlo MTTDL/PDL campaign.
-
-    Fast-forwards years of seeded failure/repair traces over the stripe
-    population (no per-event DES), per scheme, on the chosen topology.
-    ``--report`` adds a top-level ``durability`` section with the
-    per-scheme estimates and confidence intervals; ``--jobs N`` shards
-    the population across processes byte-identically to serial.
-    """
-    from .durability import (
-        DurabilityConfig,
-        format_durability_table,
-        run_durability,
-    )
-
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2
-    trace_tmp, code = _probe_cli_outputs(args)
-    if code:
-        return code
-    try:
-        try:
-            config = DurabilityConfig(
-                stripes=args.stripes if args.stripes is not None else 100_000,
-                years=args.years,
-                k=args.k[0] if len(args.k) == 1 else 8,
-                seed=args.seed if args.seed is not None else 7,
-                topology=TOPOLOGIES[args.topology],
-                repair_distribution=args.repair_dist,
-            )
-        except ValueError as exc:
-            print(f"invalid durability configuration: {exc}", file=sys.stderr)
-            return 2
-        section = run_durability(config, schemes=tuple(args.schemes), jobs=args.jobs)
-        print(format_durability_table(section))
-        if args.trace is not None:
-            count = telemetry.TRACER.dump_jsonl(trace_tmp)
-            os.replace(trace_tmp, args.trace)  # atomic publish of the dump
-            trace_tmp = None
-            print(f"wrote {count} trace events to {args.trace}", file=sys.stderr)
-        if args.report is not None:
-            report = telemetry.build_report(
-                experiments=["durability"],
-                config=dataclasses.asdict(config),
-                extra={"durability": section},
-            )
-            telemetry.write_report(args.report, report)
-            print(f"wrote durability report to {args.report}", file=sys.stderr)
-        return 0
-    finally:
-        if trace_tmp is not None:
-            try:  # run failed before the dump: leave no stray temp behind
-                os.unlink(trace_tmp)
-            except OSError:
-                pass
-
-
-def _probe_output(
-    path: str, prefix: str, suffix: str = "", keep: bool = False
-) -> tuple[str | None, str | None]:
-    """Atomic temp-file probe for one output path: ``(tmp, error)``.
-
-    Creates a temp file in ``path``'s directory — proving new files can
-    land there without ever touching a pre-existing file at ``path``, so
-    a run that later fails never truncates an earlier artifact.  With
-    ``keep=True`` the temp file survives for the caller to fill and
-    ``os.replace`` over ``path`` (the atomic-publish pattern the trace
-    dump uses); otherwise it is unlinked at once and only the error
-    matters.  This is the one probe every entry point (figure campaigns
-    and ``serve`` alike) routes ``--trace``/``--report`` through.
-    """
-    directory = os.path.dirname(path) or "."
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=prefix, suffix=suffix)
-        os.close(fd)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".probe-")
     except OSError as exc:
-        return None, str(exc)
-    if not keep:
-        os.unlink(tmp)
-        return None, None
-    return tmp, None
+        return str(exc)
+    os.close(fd)
+    os.unlink(tmp)
+    return None
 
 
-def _probe_cli_outputs(args: argparse.Namespace) -> tuple[str | None, int]:
-    """Fail fast on unwritable ``--trace``/``--report`` paths.
-
-    Returns ``(trace_tmp, exit_code)``; a non-zero exit code means a
-    probe failed (the error has been printed) and the caller should
-    return it.  ``trace_tmp`` is the kept temp file the trace dump will
-    be published through, or ``None`` when no trace was requested.
-    """
-    trace_tmp = None
-    if args.trace is not None:
-        trace_tmp, error = _probe_output(
-            args.trace, prefix=".trace-", suffix=".jsonl.tmp", keep=True
-        )
-        if error is not None:
-            print(f"cannot write trace file: {error}", file=sys.stderr)
-            return None, 2
-    if args.report is not None:
-        _, error = _probe_output(args.report, prefix=".probe-")
-        if error is not None:
-            if trace_tmp is not None:
-                os.unlink(trace_tmp)
-            print(f"cannot write report file: {error}", file=sys.stderr)
-            return None, 2
-    return trace_tmp, 0
+def _refuse(message: str) -> int:
+    print(message, file=sys.stderr)
+    return 2
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -717,111 +613,75 @@ def main(argv: list[str] | None = None) -> int:
     names = list(args.experiments)
 
     if names == ["list"]:
-        for name, (_, desc, _sim) in EXPERIMENTS.items():
-            print(f"  {name:8s} {desc}")
-        print("  stats    telemetry metrics table for everything run this invocation")
-        print("  serve    object-store serving workload with SLO latency report")
-        print(
-            "  durability  Monte-Carlo MTTDL/PDL campaign over a hierarchical"
-            " topology"
-        )
-        print("  trace-report PATH   span analytics for an existing JSONL trace")
-        print("  explain PATH        causal tail attribution for a serve --trace file")
+        for name, row in EXPERIMENTS.items():
+            usage = f"{name} {row.operand}" if row.operand else name
+            print(f"  {usage:18s} {row.description}")
         return 0
 
-    if names and names[0] == "trace-report":
-        return _run_trace_report(names)
-
-    if names and names[0] == "explain":
-        return _run_explain(names, args)
-
-    if "serve" in names:
-        if names != ["serve"]:
-            print(
-                "'serve' runs alone (it drives a live store, not a figure "
-                "campaign)",
-                file=sys.stderr,
-            )
-            return 2
-        return _run_serve(args)
-
-    if "durability" in names:
-        if names != ["durability"]:
-            print(
-                "'durability' runs alone (it fast-forwards a stripe "
-                "population, not a figure campaign)",
-                file=sys.stderr,
-            )
-            return 2
-        return _run_durability(args)
-
+    head = EXPERIMENTS.get(names[0])
+    if head is not None and head.operand is not None:
+        if len(names) != 2:
+            return _refuse(f"usage: python -m repro {names[0]} {head.operand}")
+        names = names[:1]
+    # stats adds the metrics table; named alone, it runs its own campaign
     want_stats = "stats" in names
     names = [n for n in names if n != "stats"]
-    trace_tmp, code = _probe_cli_outputs(args)
-    if code:
-        return code
-    try:
-        tracing = args.trace is not None or args.report is not None
-        if want_stats or tracing or args.report is not None:
-            telemetry.enable(
-                metrics=True, tracing=tracing, snapshots=args.report is not None
-            )
+    unknown = [n for n in names if n not in EXPERIMENTS and n != "all"]
+    if unknown:
+        return _refuse(
+            f"unknown experiment(s): {', '.join(unknown)}\n"
+            f"choose from: {', '.join(EXPERIMENTS)} | all | list"
+        )
+    alone = [n for n in names if n in EXPERIMENTS and EXPERIMENTS[n].alone]
+    if alone and (len(names) > 1 or want_stats):
+        return _refuse(f"'{alone[0]}' runs alone: it shares an invocation with nothing")
+    if "all" in names:
+        names = [n for n, row in EXPERIMENTS.items() if not row.alone and n != "stats"]
+    if args.jobs < 1:
+        return _refuse("--jobs must be >= 1")
+    names = names or ["stats"]
 
-        if "all" in names:
-            names = list(EXPERIMENTS)
+    for kind, path in (("trace", args.trace), ("report", args.report),
+                       ("perfetto", args.perfetto)):
+        error = None if path is None else _probe_output(path)
+        if error is not None:
+            return _refuse(f"cannot write {kind} file: {error}")
 
-        unknown = [n for n in names if n not in EXPERIMENTS]
-        if unknown:
-            print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
-            print(
-                f"choose from: {', '.join(EXPERIMENTS)} | all | list | stats"
-                " | serve | durability | trace-report | explain",
-                file=sys.stderr,
-            )
-            return 2
+    tracing = args.trace is not None or args.report is not None
+    if want_stats or tracing:
+        telemetry.enable(metrics=True, tracing=tracing, snapshots=args.report is not None)
+    # one switch covers every simulation-backed experiment (and the
+    # chaos sweep): their compute() signatures stay parallelism-free
+    set_default_jobs(args.jobs)
 
-        if args.jobs < 1:
-            print("--jobs must be >= 1", file=sys.stderr)
-            return 2
-        # one switch covers every simulation-backed experiment (and the
-        # chaos sweep): their compute() signatures stay parallelism-free
-        set_default_jobs(args.jobs)
+    sections: dict = {}
+    for name in names:
+        row = EXPERIMENTS[name]
+        try:
+            text, extra = row.run(args, config_from_args(args, **row.defaults))
+        except CommandError as exc:
+            return _refuse(str(exc))
+        if text:
+            print(text if row.alone else text + "\n")
+        sections.update(extra)
+    # one experiment: the report records the config it ran; several: the flags
+    defaults = EXPERIMENTS[names[0]].defaults if len(names) == 1 else {}
+    report_config = sections.pop("config", None) or dataclasses.asdict(
+        config_from_args(args, **defaults)
+    )
 
-        config = config_from_args(args)
-        ks = tuple(args.k)
-        run_config = config
-        _REPORT_EXTRAS.clear()
-        if not names and (want_stats or tracing):
-            # standalone stats/trace/report: drive one compact campaign so
-            # there is something to report (fig16 exercises every layer)
-            run_config = _stats_fallback_config(args)
-            fig16_application.compute(run_config)
-        for name in names:
-            runner, _, _ = EXPERIMENTS[name]
-            print(runner(config, ks))
-            print()
-        if args.trace is not None:
-            count = telemetry.TRACER.dump_jsonl(trace_tmp)
-            os.replace(trace_tmp, args.trace)  # atomic publish of the dump
-            trace_tmp = None
-            print(f"wrote {count} trace events to {args.trace}", file=sys.stderr)
-        if args.report is not None:
-            report = telemetry.build_report(
-                experiments=names or ["stats"],
-                config=dataclasses.asdict(run_config),
-                extra=dict(_REPORT_EXTRAS) or None,
-            )
-            telemetry.write_report(args.report, report)
-            print(f"wrote campaign report to {args.report}", file=sys.stderr)
-        if want_stats:
-            print(telemetry.render_metrics_table())
-        return 0
-    finally:
-        if trace_tmp is not None:
-            try:  # campaign failed (or was skipped): leave no stray temp
-                os.unlink(trace_tmp)
-            except OSError:
-                pass
+    if args.trace is not None:
+        count = telemetry.TRACER.dump_jsonl(args.trace)
+        print(f"wrote {count} trace events to {args.trace}", file=sys.stderr)
+    if args.report is not None:
+        report = telemetry.build_report(
+            experiments=names, config=report_config, extra=sections or None
+        )
+        telemetry.write_report(args.report, report)
+        print(f"wrote report to {args.report}", file=sys.stderr)
+    if want_stats:
+        print(telemetry.render_metrics_table())
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

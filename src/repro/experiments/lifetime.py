@@ -35,6 +35,8 @@ DEFAULT_PHASES = BathtubPhases(
     useful_rate=0.0,  # a clean lull shows the pinning starkly
     wearout_rate=0.5,
 )
+#: the workload size the replay runs at when called without a config
+SIZING = {"num_requests": 120, "num_stripes": 32}
 
 
 @dataclass
@@ -112,7 +114,7 @@ def compute(
     idle_window: int = 60,
 ) -> LifetimeResult:
     """Drive both planner variants through the three bathtub phases."""
-    config = config or ExperimentConfig(num_requests=120, num_stripes=32)
+    config = config or ExperimentConfig(**SIZING)
     failures = generate_bathtub_failures(
         phases,
         num_stripes=config.num_stripes,

@@ -35,6 +35,8 @@ __all__ = [
 
 BASELINES = ("RS", "MSR", "LRC", "HACFS")
 DEFAULT_SEEDS = (7, 11, 23)
+#: the workload size both campaigns run at when called without a config
+SIZING = {"num_requests": 300, "num_stripes": 48}
 
 
 @dataclass
@@ -62,7 +64,7 @@ def compute(
     trace: str = "mds1",
     seeds: tuple[int, ...] = DEFAULT_SEEDS,
 ) -> RobustnessResult:
-    config = config or ExperimentConfig(num_requests=300, num_stripes=48)
+    config = config or ExperimentConfig(**SIZING)
     samples: dict[str, list[float]] = {b: [] for b in BASELINES}
     for seed in seeds:
         campaign = run_campaign(replace(config, seed=seed), traces=[trace])
@@ -118,7 +120,7 @@ def compute_chaos(
     ``storm`` preset with invariant checking on — this experiment exists
     to demonstrate faults, so running it fault-free would be pointless.
     """
-    config = config or ExperimentConfig(num_requests=300, num_stripes=48)
+    config = config or ExperimentConfig(**SIZING)
     if config.chaos_profile is None:
         config = replace(config, chaos_profile="storm", verify_invariants=True)
     campaign = run_campaign(config, traces=[trace])

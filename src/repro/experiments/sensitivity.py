@@ -19,6 +19,8 @@ from .simulation import run_campaign
 __all__ = ["SensitivityResult", "compute", "render"]
 
 DEFAULT_RATES = (0.01, 0.03, 0.06, 0.12, 0.2)
+#: the workload size the sweep runs at when called without a config
+SIZING = {"num_requests": 300, "num_stripes": 48}
 
 
 @dataclass
@@ -47,7 +49,7 @@ def compute(
     trace: str = "web1",
     rates: tuple[float, ...] = DEFAULT_RATES,
 ) -> SensitivityResult:
-    config = config or ExperimentConfig(num_requests=300, num_stripes=48)
+    config = config or ExperimentConfig(**SIZING)
     gains: dict[float, float] = {}
     shares: dict[float, float] = {}
     for rate in rates:

@@ -46,6 +46,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .atomic import write_atomic
 from .spans import _ID_KEYS, Span, nearest_rank
 
 __all__ = [
@@ -402,9 +403,7 @@ def to_chrome_trace(events) -> dict:
 
 
 def write_chrome_trace(path, events) -> int:
-    """Write the Perfetto JSON for ``events`` to ``path``; returns span count."""
+    """Atomically write the Perfetto JSON of ``events`` to ``path``; span count."""
     doc = to_chrome_trace(events)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_atomic(path, json.dumps(doc, indent=2) + "\n", prefix=".perfetto-")
     return len(doc["traceEvents"])

@@ -19,10 +19,9 @@ never leaves a half-written report behind.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 
 from ..gf import available_backends, native_info
+from .atomic import write_atomic
 from .causal import attribution_summary
 from .registry import Counter, Gauge, Histogram, MetricsRegistry, METRICS
 from .snapshots import SnapshotCollector, SNAPSHOTS
@@ -162,16 +161,5 @@ def build_report(
 
 def write_report(path, report: dict) -> None:
     """Atomically write ``report`` as pretty-printed JSON to ``path``."""
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-", suffix=".json.tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=False)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    text = json.dumps(report, indent=2, sort_keys=False) + "\n"
+    write_atomic(path, text, prefix=".report-")

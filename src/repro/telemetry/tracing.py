@@ -28,6 +28,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from .atomic import write_atomic
+
 __all__ = ["SpanContext", "TraceEvent", "TraceRecorder", "TRACER"]
 
 #: JSON-scalar types a trace field may carry; anything else is stringified.
@@ -237,11 +239,9 @@ class TraceRecorder:
         return "\n".join(json.dumps(ev.to_dict()) for ev in self.events)
 
     def dump_jsonl(self, path) -> int:
-        """Write the buffer to ``path`` as JSONL; returns the event count."""
+        """Atomically write the buffer to ``path`` as JSONL; returns the count."""
         text = self.to_jsonl()
-        with open(path, "w", encoding="utf-8") as fh:
-            if text:
-                fh.write(text + "\n")
+        write_atomic(path, text + "\n" if text else "", prefix=".trace-")
         return len(self.events)
 
 

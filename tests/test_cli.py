@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro import telemetry
-from repro.cli import EXPERIMENTS, build_parser, config_from_args, main
+from repro.cli import EXPERIMENTS, Experiment, build_parser, config_from_args, main
 
 
 @pytest.fixture(autouse=True)
@@ -97,10 +97,10 @@ class TestTraceFile:
         trace = tmp_path / "t.jsonl"
         trace.write_text("precious\n")
 
-        def boom(config, ks):
+        def boom(args, config):
             raise RuntimeError("campaign exploded")
 
-        monkeypatch.setitem(EXPERIMENTS, "fig13", (boom, "x", False))
+        monkeypatch.setitem(EXPERIMENTS, "fig13", Experiment("x", boom))
         with pytest.raises(RuntimeError):
             main(["fig13", "--trace", str(trace)])
         assert trace.read_text() == "precious\n"
@@ -279,3 +279,53 @@ class TestDurabilityCommand:
         bad = tmp_path / "no" / "r.json"
         assert main(self.ARGS + ["--report", str(bad)]) == 2
         assert "cannot write report file" in capsys.readouterr().err
+
+
+class _Spied(Exception):
+    """Raised by a spy once it has seen the campaign's configuration."""
+
+
+class TestWorkloadFlags:
+    """A flag always wins over an experiment's own sizing."""
+
+    @pytest.mark.parametrize(
+        "name, target, sizing",
+        [
+            ("lifetime", "repro.experiments.lifetime.build_schemes", (120, 32)),
+            ("sensitivity", "repro.experiments.simulation.campaign_tasks", (300, 48)),
+            ("robustness", "repro.experiments.simulation.campaign_tasks", (300, 48)),
+            ("chaos", "repro.experiments.simulation.campaign_tasks", (300, 48)),
+        ],
+    )
+    def test_flags_reach_the_campaign(self, monkeypatch, name, target, sizing):
+        seen = []
+
+        def spy(config, *rest):
+            seen.append((config.num_requests, config.num_stripes))
+            raise _Spied
+
+        monkeypatch.setattr(target, spy)
+        monkeypatch.setattr("repro.experiments.simulation._CACHE", {})
+        with pytest.raises(_Spied):
+            main([name, "--requests", "400", "--stripes", "60", "--seed", "3"])
+        with pytest.raises(_Spied):
+            main([name])
+        assert seen == [(400, 60), sizing]
+
+    def test_report_config_is_what_ran(self, tmp_path, monkeypatch):
+        ran = []
+
+        def record(args, config):
+            ran.append(config)
+            return "", {}
+
+        monkeypatch.setitem(
+            EXPERIMENTS, "fig13", Experiment("x", record, {"num_requests": 11})
+        )
+        monkeypatch.setitem(EXPERIMENTS, "fig14", Experiment("y", record))
+        report = tmp_path / "r.json"
+        assert main(["fig13", "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["config"]["num_requests"] == 11
+        assert main(["fig13", "fig14", "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["config"]["num_requests"] == 600
+        assert [c.num_requests for c in ran] == [11, 11, 600]

@@ -13,6 +13,7 @@ from repro.telemetry import (
     TraceRecorder,
     build_report,
     render_prometheus,
+    write_chrome_trace,
     write_report,
 )
 
@@ -173,3 +174,33 @@ class TestReport:
         telemetry.TRACER.emit("request", ts=1.0, latency=0.5, op="read")
         report = build_report(experiments=["stats"])
         json.dumps(report)  # must not raise
+
+
+def _fail_report(path, monkeypatch):
+    write_report(path, {"bad": object()})
+
+
+def _fail_jsonl(path, monkeypatch):
+    # a lone surrogate survives JSON encoding and fails only in the UTF-8
+    # encoder, i.e. once the output file is already open
+    monkeypatch.setattr(TraceRecorder, "to_jsonl", lambda self: "\ud800")
+    TraceRecorder(enabled=True).dump_jsonl(path)
+
+
+def _fail_perfetto(path, monkeypatch):
+    span = {"ts": 2.0, "kind": "request", "trace_id": 1, "span_id": 1,
+            "op": "get", "latency": 1.0, "bad": object()}
+    write_chrome_trace(path, [span])
+
+
+@pytest.mark.parametrize(
+    "write", [_fail_report, _fail_jsonl, _fail_perfetto],
+    ids=["write_report", "dump_jsonl", "write_chrome_trace"],
+)
+def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "out"
+    path.write_bytes(b"precious\n")
+    with pytest.raises((TypeError, UnicodeEncodeError)):
+        write(path, monkeypatch)
+    assert path.read_bytes() == b"precious\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]  # no temp left
