@@ -331,7 +331,8 @@ class LinearVectorCode(ErasureCode):
             out[: self.k] = data
             parity = out[self.k :]
         l = self.subpacketization  # the symbol views of _to_symbols
-        self._shortened_parity_plan(rows).apply_into(
+        plan = self._parity_plan if rows == self.k else self._shortened_parity_plan(rows)
+        plan.apply_into(
             data.reshape(rows * l, L // l), parity.reshape(parities * l, L // l)
         )
         if METRICS.enabled:
@@ -372,11 +373,18 @@ class LinearVectorCode(ErasureCode):
                     "stripe rows must be writeable C-contiguous 2-D "
                     f"{np.dtype(self.symbol_dtype)} arrays"
                 )
-        data = self._check_data(data, shortened=shortened)
-        if parity.shape != (self.n - self.k, data.shape[1]):
+        # what _check_data checks beyond the above, with its messages
+        rows, L = data.shape
+        if rows != self.k and not (shortened and 0 < rows < self.k):
+            raise ValueError(f"data must have shape (k={self.k}, L), got {data.shape}")
+        if L % self.subpacketization:
             raise ValueError(
-                f"parity must have shape ({self.n - self.k}, {data.shape[1]}), "
-                f"got {parity.shape}"
+                f"block length {L} not a multiple of "
+                f"sub-packetization {self.subpacketization}"
+            )
+        if parity.shape != (self.n - self.k, L):
+            raise ValueError(
+                f"parity must have shape ({self.n - self.k}, {L}), got {parity.shape}"
             )
         return data, parity
 

@@ -409,6 +409,7 @@ class MSRCode(LinearVectorCode):
                     f"block length {L} not a multiple of l={self.subpacketization}"
                 )
             data, parity = self._stripe_from_shards(shards, helpers)
+            real = self.k
         else:
             data, parity = self._check_stripe(shards, shortened=True)
             real = len(data)
@@ -425,11 +426,10 @@ class MSRCode(LinearVectorCode):
         block = data[failed] if failed < self.k else parity[failed - self.k]
         l = self.subpacketization
         sub = block.shape[0] // l
+        plan = self._repair_fused[failed] if real == self.k else self._fused_plan(failed, real)
         # the (n·l, sub) symbol views of _to_symbols
-        self._fused_plan(failed, len(data)).apply_into(
-            data.reshape(len(data) * l, sub),
-            block.reshape(l, sub),
-            tail=parity.reshape(len(parity) * l, sub),
+        plan.apply_into(
+            data.reshape(real * l, sub), block.reshape(l, sub), False, parity.reshape(-1, sub)
         )
         planes = l // self.s
         if METRICS.enabled:

@@ -177,27 +177,25 @@ class AdaptiveSelector:
         return self.cost_model.eta
 
     # -- Algorithm 1 triggers -----------------------------------------------
-    def _tick(self) -> list[Conversion]:
-        """Advance the event clock; expire idle Queue2 entries if enabled.
+    def _expire_idle(self) -> list[Conversion]:
+        """Expire Queue2 entries idle for the last ``idle_window`` events.
 
         Queue2 entries are stamped with this selector-wide clock, so "idle"
         means "no recovery touch within the last ``idle_window`` of *any*
         application/recovery events" — a failure lull ages entries out even
         though no new recoveries arrive to evict them.
         """
-        self._events += 1
-        if self.idle_window is None:
-            return []
         expired = self.queue2.expire_idle(self._events - self.idle_window)
         return self._cool(expired, "idle-expiry") if expired else []
 
     def _cool(self, entries, trigger: str) -> list[Conversion]:
         """Trigger 3: a cooled non-default stripe returns to the default."""
-        return [
-            self._convert(entry.key, self.default, trigger)
-            for entry in entries
-            if self.code_of(entry.key) is not self.default
-        ]
+        out = []
+        default = self.default
+        for entry in entries:
+            if self._flags.get(entry.key, default) is not default:  # code_of(entry.key)
+                out.append(self._convert(entry.key, default, trigger))
+        return out
 
     def _retarget(self, stripe: Hashable, trigger: str) -> list[Conversion]:
         """Multi-code re-score of one stripe; converts if a family wins
@@ -216,7 +214,8 @@ class AdaptiveSelector:
     def on_write(self, stripe: Hashable) -> list[Conversion]:
         """Application write: Queue1 insert; may convert the stripe to RS
         (two-code mode) or to whichever family now scores cheapest."""
-        out = self._tick()
+        self._events += 1
+        out = [] if self.idle_window is None else self._expire_idle()
         self._writes[stripe] += 1
         self.queue1.record(stripe)
         current = self._flags.get(stripe, self.default)  # code_of(stripe)
@@ -230,7 +229,8 @@ class AdaptiveSelector:
 
     def on_read(self, stripe: Hashable) -> list[Conversion]:
         """Application read: tracked for locality; only idle expiry converts."""
-        out = self._tick()
+        self._events += 1
+        out = [] if self.idle_window is None else self._expire_idle()
         self.queue1.record(stripe)
         return out
 
@@ -238,7 +238,8 @@ class AdaptiveSelector:
         """Recovery request: Queue2 insert; may convert to MSR (two-code
         mode) or to the cheapest family, and Queue2 tail evictions convert
         cooled non-default stripes back to the default."""
-        out = self._tick()
+        self._events += 1
+        out = [] if self.idle_window is None else self._expire_idle()
         self._recoveries[stripe] += 1
         evicted = self.queue2.record(stripe, clock=self._events)
         if evicted:
@@ -247,7 +248,7 @@ class AdaptiveSelector:
         if self.codes is not None:
             out.extend(self._retarget(stripe, "recovery-insert"))
         elif current is not CodeKind.MSR and self.cost_model.prefers_msr(
-            self.delta(stripe), self.margin
+            self._writes[stripe] / self._recoveries[stripe], self.margin  # δ, recovered
         ):
             out.append(self._convert(stripe, CodeKind.MSR, "recovery-insert"))
         return out

@@ -102,22 +102,6 @@ class ECFusion:
             raise KeyError(f"unknown stripe {stripe!r}")
         return store
 
-    def _codeword(self, store: StripeStore, node: int):
-        """``(codec, codeword node, data rows, parity rows)`` for stripe node
-        ``node`` — a data block below ``k``, parity ``x`` of the stripe's
-        current layout at ``k + x``.  The rows are views of the stripe's
-        buffers: the whole RS stripe, or the node's MSR group (whose data
-        rows run short when the group is padded)."""
-        if store.kind is CodeKind.RS:
-            return self.rs, node, store.data, store.parity[0]
-        r = self.r
-        if node < self.k:
-            g, j = divmod(node, r)
-        else:
-            g, x = divmod(node - self.k, r)
-            j = r + x
-        return self.msr, j, store.data[g * r : (g + 1) * r], store.parity[g]
-
     # -- application path -------------------------------------------------------
     def write(self, stripe: Hashable, data: np.ndarray) -> list[Conversion]:
         """Full-stripe write (HDFS semantics: files are write-once).
@@ -146,7 +130,7 @@ class ECFusion:
         r = self.r
         store = self._stripes.get(stripe)
         if store is None or store.data.shape != data.shape:
-            store = self._stripes[stripe] = StripeStore(kind, np.empty_like(data), [])
+            store = self._stripes[stripe] = StripeStore(kind, np.empty(data.shape, np.uint8), [])
         sets = 1 if kind is CodeKind.RS else self.transformer.q
         store.kind = kind
         parity = store.parity
@@ -207,14 +191,28 @@ class ECFusion:
         conversions = self.selector.on_recovery(stripe)
         if conversions:
             self._apply_conversions(conversions)
-        store = self._locate(stripe)
+        store = self._stripes.get(stripe)
+        if store is None:
+            raise KeyError(f"unknown stripe {stripe!r}")
         if parity:
             if not 0 <= index < store.parity_blocks:
                 raise ValueError(
                     f"{store.kind.name}-mode parity index {index} out of range"
                 )
             index += self.k
-        code, node, data, par = self._codeword(store, index)
+        # the codec, the lost node in its codeword, and that codeword's rows
+        # as views of the stripe's buffers: the whole RS stripe, or the
+        # node's MSR group (whose data rows run short when it is padded)
+        if store.kind is CodeKind.RS:
+            code, node, data, par = self.rs, index, store.data, store.parity[0]
+        else:
+            r = self.r
+            if index < self.k:
+                g, node = divmod(index, r)
+            else:
+                g, x = divmod(index - self.k, r)
+                node = r + x
+            code, data, par = self.msr, store.data[g * r : (g + 1) * r], store.parity[g]
         if chunk_size is None:
             res = code.repair(node, (data, par))
         else:
@@ -225,7 +223,7 @@ class ECFusion:
             del shards[node]
             res = code.repair_streamed(node, shards, chunk_size=chunk_size)
             data[node] = res.block
-        bytes_read = res.total_bytes_read
+        bytes_read = sum(res.bytes_read.values())
         self.repair_bytes_read += bytes_read
         if METRICS.enabled:
             METRICS.counter("fusion.store.recoveries", unit="blocks").inc()

@@ -35,11 +35,19 @@ same parity family, whose first k columns coincide with RS(k, r)'s.  The
 virtual nodes are never materialised: a zero block contributes nothing,
 so the last group's matrices simply drop its columns.
 
+Each conversion is the fewest kernel calls its algebra needs.  Because
+``Trans2_i · (B_i ⊗ I_l) = Enc_MSR``, a group RS → MSR reads from its data
+gets its MSR parities from the MSR encoder directly; only the derived group
+goes through Trans2, after one application of ``[B_1 … | I]`` over the
+groups read and the RS parity has formed its p′ (eq. (3)).  MSR → RS
+applies two groups' Trans1 maps per call, side by side, so eq. (3)'s merge
+happens inside the kernel.
+
 Both conversions are destination-passing: they read the caller's data and
 parity arrays in place, write only freshly allocated ``(r, L)`` parity
-sets (Trans1/Trans2 apply straight into them, eq. (3) merges by XOR
-accumulation), and hand those back — no data block is copied, and nothing
-the caller owns is touched, so the caller swaps parities in on success.
+sets (the kernel applies straight into them), and hand those back — no
+data block is copied, and nothing the caller owns is touched, so the
+caller swaps parities in on success.
 
 A full re-encode reads around a data group the fault hook reports lost by
 decoding it with the *source* family's codec from the rest of its code
@@ -85,6 +93,11 @@ __all__ = [
 
 _shape = attrgetter("shape")
 
+#: the symbol dtype; an array that is an ``ndarray`` of it and C-contiguous
+#: is what :func:`_as_symbols` returns unchanged, so callers test for it
+#: inline and skip the call (a stored stripe's own arrays always are)
+_SYMBOL = np.dtype(np.uint8)
+
 
 def _as_symbols(blocks, what: str) -> np.ndarray:
     """``blocks`` as C-contiguous GF(2^8) symbols, refusing wider dtypes.
@@ -96,6 +109,23 @@ def _as_symbols(blocks, what: str) -> np.ndarray:
     if blocks.dtype.itemsize > 1:
         raise ValueError(f"{what} dtype {blocks.dtype} is wider than GF(2^8) symbols")
     return np.ascontiguousarray(blocks, dtype=np.uint8)
+
+
+def _block_len_error(L: int, l: int) -> ValueError:
+    return ValueError(f"block length {L} not a multiple of MSR sub-packetization {l}")
+
+
+class _Interned(dict):
+    """A dict that builds a missing value once, as ``build(key)``: a hit is a
+    plain lookup."""
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key):
+        value = self[key] = self._build(key)
+        return value
 
 
 class ChunkUnavailable(RuntimeError):
@@ -301,46 +331,74 @@ class FusionTransformer:
         ]
         self._trans1_plans = [CodingPlan(t, w=w) for t in self.trans1]
         self._trans2_plans = [CodingPlan(t, w=w) for t in self.trans2]
+        # Trans2_i·(B_i ⊗ I_l) = Enc_MSR: a group read from its data gets its
+        # MSR parities from the MSR encoder (of a padded group's real rows)
+        self._encode_plans = [
+            msr._shortened_parity_plan(len(rows)) for rows in self._instances("msr")
+        ]
         self._codecs = {"rs": self.rs, "msr": msr}
-        self._routes: dict[tuple[str, str], tuple] = {}
-        self._highway_costs: dict[tuple, TransformCost] = {}
+        self._routes = _Interned(self._route)
+        self._highway_costs = _Interned(self._price)
+        self._derive_plans = _Interned(self._derive_plan)
+        self._merges = _Interned(self._merge)
+        self._read_groups = range(self.q - 1)  # what a fault-free RS → MSR reads
         #: the conversion journal: :meth:`convert` calls begun and not yet
         #: closed (0 at rest), committed, and aborted
         self.journal_open = self.journal_committed = self.journal_aborted = 0
 
     # ------------------------------------------------------------------ helpers
-    def _check_block_len(self, L: int) -> None:
-        if L % self.subpacketization:
-            raise ValueError(
-                f"block length {L} not a multiple of MSR sub-packetization "
-                f"{self.subpacketization}"
-            )
+    def _price(self, key: tuple) -> TransformCost:
+        """What one highway conversion costs, keyed ``(edge, L, data groups
+        read, parity sets read)``: it applies a Trans2 per group (RS → MSR)
+        or a Trans1 per parity set read (MSR → RS).  Priced once per key in
+        :attr:`_highway_costs`; every conversion of that shape returns the
+        same read-only object."""
+        edge, L, data_groups, parity_sets = key
+        r = self.r
+        # every Trans1/Trans2 is a dense (r·l × r·l) map over L/l columns
+        if edge == "rs_to_msr":
+            maps, written = self.q, self.q * r
+        else:
+            maps, written = parity_sets, r
+        return _SharedCost(
+            data_blocks_read=data_groups * r,
+            parity_blocks_read=parity_sets * r,
+            blocks_written=written,
+            gf_ops=data_groups * r * r * L
+            + maps * self.trans1[0].size * (L / self.subpacketization),
+        )
 
-    def _highway_cost(
-        self, edge: str, L: int, data_groups: int, parity_sets: int
-    ) -> TransformCost:
-        """What one highway conversion costs at block length ``L``: it reads
-        ``data_groups`` data groups and ``parity_sets`` parity sets, and
-        applies a Trans2 per group (RS → MSR) or a Trans1 per parity set
-        read (MSR → RS).  Priced once per key; every conversion of that
-        shape returns the same read-only object."""
-        key = (edge, L, data_groups, parity_sets)
-        cost = self._highway_costs.get(key)
-        if cost is None:
-            r = self.r
-            # every Trans1/Trans2 is a dense (r·l × r·l) map over L/l columns
-            if edge == "rs_to_msr":
-                maps, written = self.q, self.q * r
-            else:
-                maps, written = parity_sets, r
-            cost = self._highway_costs[key] = _SharedCost(
-                data_blocks_read=data_groups * r,
-                parity_blocks_read=parity_sets * r,
-                blocks_written=written,
-                gf_ops=data_groups * r * r * L
-                + maps * self.trans1[0].size * (L / self.subpacketization),
-            )
-        return cost
+    def _derive_plan(self, derived: int) -> tuple[CodingPlan, int]:
+        """``(plan, rows)``: eq. (3)'s ``p′_derived = p ⊕ Σ_{i≠derived} B_i·d_i``
+        as one application over the first ``rows`` data rows (every group
+        but ``derived`` up to the last one read) with the RS parity as its
+        tail.  Interned per derived group in :attr:`_derive_plans`."""
+        r = self.r
+        rows = self.k if derived < self.q - 1 else derived * r
+        m = np.concatenate(
+            [self.rs.parity_matrix[:, :rows], np.eye(r, dtype=np.uint8)], axis=1
+        )
+        m[:, derived * r : min((derived + 1) * r, rows)] = 0  # group derived is unread
+        return CodingPlan(m, w=self._w), rows
+
+    def _merge(self, from_data: tuple[int, ...]) -> list[tuple[CodingPlan, int, int | None]]:
+        """The MSR → RS merge (eqs. (3), (6)) when the groups ``from_data``
+        are read from their data (B_i ⊗ I_l, the failover) and the others
+        from their MSR parities (Trans1_i), as applications of two groups
+        each: ``(plan, group, next group or None)``, both groups' inputs in
+        one call through ``tail``.  Interned per ``from_data`` in
+        :attr:`_merges`."""
+        eye_l = np.eye(self.subpacketization, dtype=np.uint8)
+        maps = [
+            np.kron(self.group_blocks[i][:, : len(rows)], eye_l) if i in from_data
+            else self.trans1[i]
+            for i, rows in enumerate(self._instances("msr"))
+        ]  # fmt: skip
+        return [
+            (CodingPlan(np.concatenate(maps[i : i + 2], axis=1), w=self._w), i,
+             i + 1 if i + 1 < self.q else None)
+            for i in range(0, self.q, 2)
+        ]  # fmt: skip
 
     # ---------------------------------------------------------------- eq. (3)
     def intermediary_parities(self, data: np.ndarray) -> np.ndarray:
@@ -360,12 +418,13 @@ class FusionTransformer:
     ) -> RsToMsrResult:
         """Convert one RS stripe into q MSR(2r, r) stripes (Fig. 12(b)).
 
-        Reads the first q−1 data groups and the r RS parities; the last
-        group's intermediary parity comes from eq. (3) without reading its
-        data, and every group's MSR parities from Trans2 (eq. (7)).  The
-        result carries the q new ``(r, L)`` parity sets and ``data``
-        itself — whole ``(2r, L)`` group codewords only on request
-        (:attr:`RsToMsrResult.groups`).
+        Reads the first q−1 data groups and the r RS parities.  A group
+        read from its data gets its MSR parities from the MSR encoder
+        (``Trans2_i·(B_i ⊗ I_l) = Enc_MSR``); the last group's intermediary
+        parity comes from eq. (3) without reading its data, and its MSR
+        parities from Trans2 (eq. (7)).  The result carries the q new
+        ``(r, L)`` parity sets and ``data`` itself — whole ``(2r, L)``
+        group codewords only on request (:attr:`RsToMsrResult.groups`).
 
         ``fault_hook(phase, group)`` is called before each source read
         (``("parity", -1)`` for the RS parity set, ``("data", i)`` for
@@ -422,52 +481,46 @@ class FusionTransformer:
     def _rs_to_msr(
         self, data: np.ndarray, rs_parity: np.ndarray, fault_hook=None
     ) -> RsToMsrResult:
-        data = _as_symbols(data, "data")
-        rs_parity = _as_symbols(rs_parity, "rs_parity")
+        if not (
+            data.__class__ is np.ndarray and data.dtype is _SYMBOL and data.flags.c_contiguous
+        ):
+            data = _as_symbols(data, "data")
+        if not (
+            rs_parity.__class__ is np.ndarray
+            and rs_parity.dtype is _SYMBOL
+            and rs_parity.flags.c_contiguous
+        ):
+            rs_parity = _as_symbols(rs_parity, "rs_parity")
+        q, r, l = self.q, self.r, self.subpacketization
         L = data.shape[1]
-        self._check_block_len(L)
-        q, r = self.q, self.r
+        if L % l:
+            raise _block_len_error(L, l)
         if rs_parity.shape != (r, L):
             raise ValueError(f"rs_parity must be ({r}, {L}), got {rs_parity.shape}")
         if fault_hook is None:
-            needed, derived = range(q - 1), q - 1
+            needed, derived = self._read_groups, q - 1
         else:
             needed, derived = self._rs_sources(fault_hook)
-        parity_sets = 0 if derived is None else 1
-        cost = self._highway_cost("rs_to_msr", L, len(needed), parity_sets)
+        cost = self._highway_costs["rs_to_msr", L, len(needed), 0 if derived is None else 1]
 
-        # Every probe passed: from here on only the new parity set (built
+        # Every probe passed: from here on only the new parity sets (built
         # aside, handed over on return) and one r-block scratch are written.
         # All of them are (r, L) like the RS parity they replace, so the
-        # allocator recycles one conversion's freed blocks in the next.
+        # allocator recycles one conversion's freed blocks in the next.  The
+        # encoder and Trans2 read and write (r·l, L/l) symbol views.
         out = []
         for _ in range(q):
             out.append(np.empty((r, L), dtype=np.uint8))
-        inter = np.empty((r, L), dtype=np.uint8)  # the current group's p′_i
-        # Trans2 (eq. (7)) maps p′_i to group i's MSR parities, where they
-        # stay; both sides are viewed as (r·l, L/l) symbols
-        syms = (r * self.subpacketization, L // self.subpacketization)
-        inter_syms = inter.reshape(syms)
-        trans2 = self._trans2_plans
-
-        # eq. (3): the one unread group's p′ = p ⊕ all other p′ sets.  The
-        # running sum lives in that group's still-unused output block; the
-        # last fold lands in the scratch, which Trans2 then consumes.
-        acc = out[derived] if derived is not None else None
-        last = len(needed) - 1
-        for pos, i in enumerate(needed):
-            self._group_plans[i].apply_into(data[i * r : (i + 1) * r], inter)
-            trans2[i].apply_into(inter_syms, out[i].reshape(syms))
-            if derived is not None:
-                np.bitwise_xor(
-                    rs_parity if pos == 0 else acc,
-                    inter,
-                    out=inter if pos == last else acc,
-                )
+        syms = (r * l, L // l)
+        for i in needed:
+            group = data[i * r : (i + 1) * r]
+            self._encode_plans[i].apply_into(group.reshape(-1, syms[1]), out[i].reshape(syms))
         if derived is not None:
-            if not needed:  # q == 1: the lone group's p′ is the RS parity
-                inter[:] = rs_parity
-            trans2[derived].apply_into(inter_syms, out[derived].reshape(syms))
+            # eq. (3): the unread group's p′ = p ⊕ every other group's B_i·d_i
+            plan, rows = self._derive_plans[derived]
+            inter = np.empty((r, L), dtype=np.uint8)
+            plan.apply_into(data[:rows], inter, False, rs_parity)
+            self._trans2_plans[derived].apply_into(inter.reshape(syms), out[derived].reshape(syms))
         if METRICS.enabled:
             # naive re-encode would read all k data blocks; the intermediary
             # highway derives the last group's p' from the RS parities instead
@@ -498,7 +551,8 @@ class FusionTransformer:
                 f"data must be (batch, {self.k}, L) stacks, got {data.shape}"
             )
         batch, _, L = data.shape
-        self._check_block_len(L)
+        if L % self.subpacketization:
+            raise _block_len_error(L, self.subpacketization)
         if rs_parity.shape != (batch, self.r, L):
             raise ValueError(
                 f"rs_parity must be ({batch}, {self.r}, {L}), got {rs_parity.shape}"
@@ -529,7 +583,7 @@ class FusionTransformer:
             msr_syms = self._trans2_plans[i].apply_batch(p_syms)
             parities.append(msr_syms.reshape(batch, r, L))
 
-        cost = self._highway_cost("rs_to_msr", L, self.q - 1, 1)
+        cost = self._highway_costs["rs_to_msr", L, self.q - 1, 1]
         results = [
             RsToMsrResult(data=data[b], parity=[par[b] for par in parities], cost=cost)
             for b in range(batch)
@@ -563,7 +617,8 @@ class FusionTransformer:
                 f"got {sorted(shapes)}"
             )
         batch, _, L = pars[0].shape
-        self._check_block_len(L)
+        if L % self.subpacketization:
+            raise _block_len_error(L, self.subpacketization)
         with METRICS.timer("fusion.transform.wall.msr_to_rs", unit="s"):
             l = self.subpacketization
             acc = np.zeros((batch, self.r, L), dtype=np.uint8)
@@ -572,7 +627,7 @@ class FusionTransformer:
                     par.reshape(batch, self.r * l, L // l)
                 )
                 np.bitwise_xor(acc, p_syms.reshape(batch, self.r, L), out=acc)
-            cost = self._highway_cost("msr_to_rs", L, 0, self.q)
+            cost = self._highway_costs["msr_to_rs", L, 0, self.q]
             if METRICS.enabled and batch:
                 METRICS.counter(
                     "fusion.transform.msr_to_rs", unit="conversions"
@@ -615,38 +670,50 @@ class FusionTransformer:
         fault_hook=None,
         data: np.ndarray | None = None,
     ) -> MsrToRsResult:
-        q, r = self.q, self.r
+        q, r, l = self.q, self.r, self.subpacketization
         if len(msr_parities) != q:
             raise ValueError(f"expected {q} parity groups, got {len(msr_parities)}")
-        L = np.asarray(msr_parities[0]).shape[1]
-        self._check_block_len(L)
+        first = msr_parities[0]
+        L = (first if first.__class__ is np.ndarray else np.asarray(first)).shape[1]
+        if L % l:
+            raise _block_len_error(L, l)
         if data is not None:
-            data = _as_symbols(data, "data")
+            if not (
+                data.__class__ is np.ndarray and data.dtype is _SYMBOL and data.flags.c_contiguous
+            ):
+                data = _as_symbols(data, "data")
             if data.shape != (self.k, L):
                 raise ValueError(f"data must be ({self.k}, {L}), got {data.shape}")
-        # the new RS parity is built aside; eq. (3) XOR-merges each group's
-        # p′_i straight into it (accumulate from the second group on).
-        # Trans1 (eq. (6)) reads and writes (r·l, L/l) symbol views.
-        acc = np.empty((r, L), dtype=np.uint8)
-        syms = (r * self.subpacketization, L // self.subpacketization)
-        acc_syms = acc.reshape(syms)
-        from_data = 0
+        # Each group's source is probed in turn: its MSR parities, or its
+        # data when those are lost (eq. (3) then computes p′_i = B_i·d_i,
+        # byte-identical).  The new RS parity is built aside, XOR-merging
+        # the groups' p′_i two groups per application; every input is read
+        # as (rows·l, L/l) symbols.
+        sub = L // l
+        inputs = []
+        from_data = ()
         for i, par in enumerate(msr_parities):
-            par = _as_symbols(par, "msr parity")
+            if not (
+                par.__class__ is np.ndarray and par.dtype is _SYMBOL and par.flags.c_contiguous
+            ):
+                par = _as_symbols(par, "msr parity")
             if par.shape != (r, L):
                 raise ValueError(f"group {i} parity must be ({r}, {L})")
             if fault_hook is None or self._read_source(fault_hook, "parity", i):
-                self._trans1_plans[i].apply_into(par.reshape(syms), acc_syms, i > 0)
+                inputs.append(par.reshape(r * l, sub))
             elif data is not None and self._read_source(fault_hook, "data", i):
-                # failover: recompute p′_i = B_i·d_i from the group's data
-                self._group_plans[i].apply_into(data[i * r : (i + 1) * r], acc, i > 0)
-                from_data += 1
+                inputs.append(data[i * r : (i + 1) * r].reshape(-1, sub))
+                from_data += (i,)
             else:
                 raise TransformAborted(
                     f"msr_to_rs: group {i} parities lost and no readable data "
                     f"failover"
                 )
-        cost = self._highway_cost("msr_to_rs", L, from_data, q - from_data)
+        acc = np.empty((r * l, sub), dtype=np.uint8)
+        for plan, i, j in self._merges[from_data]:
+            plan.apply_into(inputs[i], acc, i > 0, None if j is None else inputs[j])
+        acc = acc.reshape(r, L)
+        cost = self._highway_costs["msr_to_rs", L, len(from_data), q - len(from_data)]
         if METRICS.enabled:
             # naive re-encode would read all k data blocks; Trans1 works from
             # the q·r MSR parity blocks alone (eq. (6))
@@ -723,8 +790,7 @@ class FusionTransformer:
         source = stripe.kind
         if source == target:
             return TransformCost()
-        route = self._routes.get((source, target)) or self._route(source, target)
-        edge, target, sets, rows, unit = route
+        edge, target, sets, rows, unit = self._routes[source, target]
         L = stripe.data.shape[-1]
         shapes = list(map(_shape, stripe.parity))
         if stripe.data.shape != (self.k, L) or L % unit or shapes != [(rows, L)] * sets:
@@ -735,7 +801,14 @@ class FusionTransformer:
             )
         self.journal_open += 1
         try:
-            parity, cost = edge(self, stripe, source, target, fault_hook)
+            if edge == "rs_to_msr":
+                res = self.rs_to_msr(stripe.data, stripe.parity[0], fault_hook=fault_hook)
+                parity, cost = res.parity, res.cost
+            elif edge == "msr_to_rs":
+                res = self.msr_to_rs(stripe.parity, fault_hook=fault_hook, data=stripe.data)
+                parity, cost = [res.parity], res.cost
+            else:
+                parity, cost = self._reencode(stripe, source, target, fault_hook)
         except BaseException:
             self.journal_aborted += 1
             if METRICS.enabled:
@@ -747,26 +820,19 @@ class FusionTransformer:
         stripe.kind, stripe.parity = target, parity
         return cost
 
-    def _route(self, source, target) -> tuple:
-        """``(edge, target member, source parity arrays, their rows, block
-        length unit)`` of one ordered pair, worked out on its first use."""
+    def _route(self, pair: tuple) -> tuple:
+        """``(highway edge or None, target member, source parity arrays,
+        their rows, block length unit)`` of one ordered ``(source, target)``
+        pair, worked out on its first use (interned in :attr:`_routes`)."""
+        source, target = pair
         codec = self.codec(source)  # an unknown family raises ValueError
-        route = self._routes[source, target] = (
-            self._EDGES.get((source, target), FusionTransformer._reencode),
+        return (
+            self._HIGHWAYS.get(pair),
             CodeKind(target),
             self.q if source == "msr" else 1,
             codec.n - codec.k,
             math.lcm(codec.subpacketization, self.codec(target).subpacketization),
         )
-        return route
-
-    def _highway_to_msr(self, stripe, source, target, fault_hook):
-        res = self.rs_to_msr(stripe.data, stripe.parity[0], fault_hook=fault_hook)
-        return res.parity, res.cost
-
-    def _highway_to_rs(self, stripe, source, target, fault_hook):
-        res = self.msr_to_rs(stripe.parity, fault_hook=fault_hook, data=stripe.data)
-        return [res.parity], res.cost
 
     def _reencode(self, stripe, source, target, fault_hook):
         """Full re-encode: read the k data chunks, encode ``target``'s
@@ -784,8 +850,9 @@ class FusionTransformer:
         return parity, cost
 
     #: the registered cheap edges, keyed like
-    #: :data:`repro.codes.families.CONVERSION_EDGES`
-    _EDGES = {("rs", "msr"): _highway_to_msr, ("msr", "rs"): _highway_to_rs}
+    #: :data:`repro.codes.families.CONVERSION_EDGES`; :meth:`convert` runs
+    #: each through its public method
+    _HIGHWAYS = {("rs", "msr"): "rs_to_msr", ("msr", "rs"): "msr_to_rs"}
 
     def _read_data(self, stripe: StripeStore, source, fault_hook, cost: TransformCost):
         """The k data chunks, each data group the fault hook reports lost

@@ -136,10 +136,10 @@ def resolve_backend(plan, ncols: int) -> tuple:
     A validated ``REPRO_GF_BACKEND`` wins whenever it supports the
     (plan, shape); unsupported combinations fall back down the ladder.
     Both switches are read here, and the kernel is returned with the name
-    so the caller does not look it up again.  ``CodingPlan`` reads the
-    same two switches before calling this: with both unset and the kernel
-    resolved it already knows the answer for a native-eligible plan and
-    runs the kernel without this call.
+    so the caller does not look it up again.  ``CodingPlan.apply_into``
+    reads the same two switches first: with both unset, the kernel
+    resolved and the plan's unit program built it already knows the
+    answer and calls the kernel entry without this call.
     """
     forced = forced_backend()
     if forced not in (None, "native") and _supports(forced, plan, ncols, forced=True):

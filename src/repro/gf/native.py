@@ -19,10 +19,15 @@ first use** with whatever C compiler the host has (``cc``/``gcc``/
 
 * ``fastcall`` — where ``Python.h`` for the running interpreter exists,
   the shared object is also an extension module whose ``apply`` takes the
-  block arrays through the buffer protocol, re-checks in C what the
-  kernel relies on (2-D, one-byte items, unit column stride, equal
-  widths, writable output) and releases the GIL around the kernel: one
-  application is one C call, ≈ 1 µs over the kernel;
+  block arrays through the buffer protocol and releases the GIL around
+  the kernel.  It is the application's one check: it knows the unit
+  program's input and output row counts and refuses, before writing a
+  byte, every array ``CodingPlan.apply_into`` would refuse or convert —
+  wrong row counts or widths, anything but 2-D ``uint8`` with contiguous
+  rows, an ``out`` that is not a writeable ndarray — so a warm
+  application is one Python frame and one C call, ≈ 0.6–0.9 µs over the
+  kernel (2.7 µs while the checks ran in Python first), and only a
+  refused array walks the Python checks;
 * ``ctypes`` — without headers, or when that build fails, the plain
   symbol is bound through :mod:`ctypes` and wrapped to the same
   signature and the same checks (≈ 8 µs of marshalling per application,
@@ -277,7 +282,8 @@ static inline int64_t gf_pass(const uint8_t *const *ip, const uint8_t *tp,
  * into an output row.  Units must be sorted by output row so each
  * output tile is accumulated in registers and stored once (once per
  * PASS units, for rows with more).  Tiled over the block length for
- * cache residency.
+ * cache residency.  Of the n_out output rows, those no unit names (an
+ * all-zero matrix row) are cleared unless accumulating.
  *
  * The input rows may live in two arrays: rows [0, split) in `in`, rows
  * [split, ...) in `tail` (a stripe's data and parity buffers), each with
@@ -287,7 +293,7 @@ void gf_apply_units(const uint8_t *tables,   /* nunits * 32 */
                     const uint64_t *affine,  /* nunits */
                     const int32_t *unit_in,  /* input row per unit */
                     const int32_t *unit_out, /* output row per unit */
-                    int32_t nunits,
+                    int32_t nunits, int32_t n_out,
                     const uint8_t *in, int64_t in_stride,
                     const uint8_t *tail, int64_t tail_stride, int32_t split,
                     uint8_t *out, int64_t out_stride,
@@ -295,6 +301,16 @@ void gf_apply_units(const uint8_t *tables,   /* nunits * 32 */
 {
     enum { PASS = 32 };
     const int64_t TILE = 32768;
+    if (!accumulate) {
+        int32_t u = 0;
+        for (int32_t row = 0; row < n_out; row++) {
+            if (u < nunits && unit_out[u] == row)
+                while (u < nunits && unit_out[u] == row)
+                    u++;
+            else
+                memset(out + (int64_t)row * out_stride, 0, (size_t)L);
+        }
+    }
     for (int64_t t0 = 0; t0 < L; t0 += TILE) {
         int64_t len = t0 + TILE < L ? TILE : L - t0;
         int32_t u = 0;
@@ -331,19 +347,25 @@ void gf_apply_units(const uint8_t *tables,   /* nunits * 32 */
 #ifdef GF_PY_ENTRY
 /* The second entry to the same kernel: a CPython function taking the
  * arrays through the buffer protocol, so one application is one C call
- * with no per-argument marshalling objects.  It re-checks what the
- * kernel relies on and releases the GIL around it, as ctypes does. */
+ * with no per-argument marshalling objects.  It is the application's
+ * check: before writing a byte it refuses what the kernel cannot walk
+ * and everything CodingPlan.apply_into refuses (row counts, widths, a
+ * non-uint8 array, rows that are not contiguous, an `out` that is not a
+ * writeable ndarray), then releases the GIL around the kernel. */
 
-static int gf_rows(PyObject *obj, Py_buffer *view, int flags, const char *what)
+static PyObject *gf_ndarray;  /* numpy.ndarray, looked up at module load */
+
+static int gf_rows(PyObject *obj, Py_buffer *view, const char *what)
 {
-    if (PyObject_GetBuffer(obj, view, flags) < 0)
+    if (PyObject_GetBuffer(obj, view, PyBUF_STRIDES | PyBUF_FORMAT) < 0)
         return -1;
     if (view->ndim == 2 && view->itemsize == 1
+        && (view->format == NULL || strcmp(view->format, "B") == 0)
         && (view->shape[1] <= 1 || view->strides[1] == 1))
         return 0;
     PyBuffer_Release(view);
     PyErr_Format(PyExc_ValueError,
-                 "%s must be a 2-D array of bytes with contiguous rows", what);
+                 "%s must be a 2-D uint8 array with contiguous rows", what);
     return -1;
 }
 
@@ -351,55 +373,77 @@ static PyObject *gf_py_apply(PyObject *self, PyObject *const *args,
                              Py_ssize_t nargs)
 {
     (void)self;
-    if (nargs != 9) {
+    if (nargs != 5) {
         PyErr_Format(PyExc_TypeError,
-                     "apply() takes 9 positional arguments (%zd given)", nargs);
+                     "apply() takes 5 positional arguments (%zd given)", nargs);
         return NULL;
     }
-    /* the unit program's four arrays, as the addresses UnitProgram.head
-     * took once: the program owns them and they never change */
+    /* UnitProgram.head, taken once: the addresses of the program's four
+     * arrays (it owns them and they never change), the unit count, and
+     * the matrix's input and output row counts */
+    PyObject *head = args[0];
+    if (!PyTuple_Check(head) || PyTuple_GET_SIZE(head) != 7) {
+        PyErr_SetString(PyExc_TypeError, "head must be a UnitProgram.head tuple");
+        return NULL;
+    }
     const void *prog[4];
     for (int i = 0; i < 4; i++) {
-        prog[i] = PyLong_AsVoidPtr(args[i]);
+        prog[i] = PyLong_AsVoidPtr(PyTuple_GET_ITEM(head, i));
         if (prog[i] == NULL && PyErr_Occurred())
             return NULL;
     }
-    long nunits = PyLong_AsLong(args[4]);
-    if (nunits == -1 && PyErr_Occurred())
-        return NULL;
-    if (nunits < 0 || nunits > INT32_MAX) {
-        PyErr_SetString(PyExc_ValueError, "nunits out of range");
-        return NULL;
+    long dims[3];
+    for (int i = 0; i < 3; i++) {
+        dims[i] = PyLong_AsLong(PyTuple_GET_ITEM(head, 4 + i));
+        if (dims[i] == -1 && PyErr_Occurred())
+            return NULL;
+        if (dims[i] < 0 || dims[i] > INT32_MAX) {
+            PyErr_SetString(PyExc_ValueError, "unit program size out of range");
+            return NULL;
+        }
     }
-    int accumulate = PyObject_IsTrue(args[8]);
+    int accumulate = PyObject_IsTrue(args[4]);
     if (accumulate < 0)
         return NULL;
+    int typed = PyObject_IsInstance(args[3], gf_ndarray);
+    if (typed <= 0) {
+        if (typed == 0)
+            PyErr_SetString(PyExc_ValueError, "out must be a numpy array");
+        return NULL;
+    }
 
     Py_buffer in, tl, out;
     PyObject *result = NULL;
-    int split_input = args[6] != Py_None;
-    if (gf_rows(args[5], &in, PyBUF_STRIDES, "blocks") < 0)
+    int split_input = args[2] != Py_None;
+    if (gf_rows(args[1], &in, "blocks") < 0)
         return NULL;
-    if (split_input && gf_rows(args[6], &tl, PyBUF_STRIDES, "tail") < 0)
+    if (split_input && gf_rows(args[2], &tl, "tail") < 0)
         goto release_in;
-    if (gf_rows(args[7], &out, PyBUF_STRIDES | PyBUF_WRITABLE, "out") < 0)
+    if (gf_rows(args[3], &out, "out") < 0)
         goto release_tail;
+    if (out.readonly) {
+        PyErr_SetString(PyExc_ValueError, "out is read-only");
+        goto release_out;
+    }
     if (in.shape[1] != out.shape[1]
         || (split_input && tl.shape[1] != out.shape[1])) {
         PyErr_SetString(PyExc_ValueError,
                         "blocks, tail and out must have the same width");
         goto release_out;
     }
-    if (in.shape[0] > INT32_MAX) {
-        PyErr_SetString(PyExc_ValueError, "blocks has too many rows");
+    if (in.shape[0] + (split_input ? tl.shape[0] : 0) != dims[1]
+        || out.shape[0] != dims[2]) {
+        PyErr_Format(PyExc_ValueError,
+                     "the program maps %ld input rows to %ld output rows",
+                     dims[1], dims[2]);
         goto release_out;
     }
     {
         const uint8_t *tail = split_input ? tl.buf : in.buf;
         int64_t tail_stride = split_input ? tl.strides[0] : in.strides[0];
         Py_BEGIN_ALLOW_THREADS
-        gf_apply_units(prog[0], prog[1], prog[2], prog[3], (int32_t)nunits,
-                       in.buf, in.strides[0], tail, tail_stride,
+        gf_apply_units(prog[0], prog[1], prog[2], prog[3], (int32_t)dims[0],
+                       (int32_t)dims[2], in.buf, in.strides[0], tail, tail_stride,
                        (int32_t)in.shape[0],
                        out.buf, out.strides[0], out.shape[1], accumulate);
         Py_END_ALLOW_THREADS
@@ -424,12 +468,23 @@ static PyObject *gf_py_isa(PyObject *self, PyObject *ignored)
 
 static PyMethodDef gf_methods[] = {
     {"apply", (PyCFunction)(void (*)(void))gf_py_apply, METH_FASTCALL,
-     "apply(tables, affine, unit_in, unit_out, nunits, blocks, tail, out, accumulate)"},
+     "apply(head, blocks, tail, out, accumulate)"},
     {"isa", gf_py_isa, METH_NOARGS, "The vector rung this build runs."},
     {NULL, NULL, 0, NULL}
 };
 
-static PyModuleDef_Slot gf_slots[] = {{0, NULL}};
+static int gf_exec(PyObject *module)
+{
+    (void)module;
+    PyObject *numpy = PyImport_ImportModule("numpy");
+    if (numpy == NULL)
+        return -1;
+    gf_ndarray = PyObject_GetAttrString(numpy, "ndarray");
+    Py_DECREF(numpy);
+    return gf_ndarray == NULL ? -1 : 0;
+}
+
+static PyModuleDef_Slot gf_slots[] = {{Py_mod_exec, gf_exec}, {0, NULL}};
 
 static struct PyModuleDef gf_module = {
     PyModuleDef_HEAD_INIT, "gfkern", NULL, 0, gf_methods, gf_slots,
@@ -461,6 +516,7 @@ _ARGTYPES = [
     ctypes.c_void_p,  # unit_in
     ctypes.c_void_p,  # unit_out
     ctypes.c_int32,   # nunits
+    ctypes.c_int32,   # n_out
     ctypes.c_void_p,  # in
     ctypes.c_int64,   # in_stride
     ctypes.c_void_p,  # tail
@@ -523,21 +579,22 @@ class UnitProgram:
     high-nibble products per unit) and ``affine`` the unit's
     :func:`affine_matrices` entry — a rung reads whichever it multiplies
     with; ``unit_in``/``unit_out`` are int32 row indices sorted by output
-    row; ``zero_rows`` lists output rows with no unit at all (all-zero
-    matrix rows), which the kernel never touches and the caller must
-    clear when not accumulating.  ``head`` is the kernel's leading
-    arguments — the four arrays' addresses and the unit count — taken
-    once: the arrays are immutable and live as long as the program.
+    row.  ``shape`` is the matrix's ``(output rows, input rows)``: the
+    entry refuses arrays with other row counts, and clears the output
+    rows no unit names (all-zero matrix rows) unless accumulating.
+    ``head`` is the entry's first argument — the four arrays' addresses,
+    the unit count and the input and output row counts — taken once: the
+    arrays are immutable and live as long as the program.
     """
 
-    __slots__ = ("tables", "affine", "unit_in", "unit_out", "zero_rows", "nunits", "head")
+    __slots__ = ("tables", "affine", "unit_in", "unit_out", "shape", "nunits", "head")
 
-    def __init__(self, tables, affine, unit_in, unit_out, zero_rows):
+    def __init__(self, tables, affine, unit_in, unit_out, shape):
         self.tables = tables
         self.affine = affine
         self.unit_in = unit_in
         self.unit_out = unit_out
-        self.zero_rows = zero_rows
+        self.shape = shape
         self.nunits = len(unit_in)
         self.head = (
             tables.ctypes.data,
@@ -545,6 +602,8 @@ class UnitProgram:
             unit_in.ctypes.data,
             unit_out.ctypes.data,
             self.nunits,
+            shape[1],
+            shape[0],
         )
 
 
@@ -554,18 +613,20 @@ def build_unit_program(
     coeffs: np.ndarray,
     mul_table: np.ndarray,
     n_out: int,
+    n_in: int,
 ) -> UnitProgram:
-    """Lower a sparse coefficient list to a sorted unit program."""
+    """Lower a sparse coefficient list of an ``(n_out, n_in)`` matrix to a
+    sorted unit program; every row index must lie inside that shape (the
+    entry holds the arrays to it, and the kernel to the indices)."""
     order = np.argsort(out_rows, kind="stable")
     outs = np.ascontiguousarray(out_rows[order], np.int32)
     ins = np.ascontiguousarray(in_rows[order], np.int32)
+    if len(outs) and not (0 <= outs[0] <= outs[-1] < n_out and 0 <= ins.min() <= ins.max() < n_in):
+        raise ValueError(f"unit row indices fall outside a ({n_out}, {n_in}) matrix")
     cs = np.asarray(coeffs, np.intp)[order]
     nib = np.arange(16)
     tables = np.ascontiguousarray(mul_table[cs[:, None], np.concatenate([nib, nib << 4])])
-    covered = np.zeros(n_out, bool)
-    covered[outs] = True
-    zero_rows = np.nonzero(~covered)[0]
-    return UnitProgram(tables, affine_matrices(mul_table, cs), ins, outs, zero_rows)
+    return UnitProgram(tables, affine_matrices(mul_table, cs), ins, outs, (n_out, n_in))
 
 
 def _cpu_features() -> frozenset[str] | None:
@@ -616,21 +677,27 @@ def _cache_path(flags: tuple[str, ...], cc: str) -> str:
 def _ctypes_entry(cfn):
     """``gf_apply_units`` behind the fastcall entry's signature and checks."""
 
-    def apply(tables, affine, unit_in, unit_out, nunits, blocks, tail, out, accumulate):
+    def apply(head, blocks, tail, out, accumulate):
+        tables, affine, unit_in, unit_out, nunits, n_in, n_out = head
         for name, a in (("blocks", blocks), ("tail", tail), ("out", out)):
-            if a is not None and not (
-                a.ndim == 2 and a.itemsize == 1 and (a.flags.c_contiguous or a.strides[1] == 1)
+            if (a is not None or name == "out") and not (
+                isinstance(a, np.ndarray)
+                and a.ndim == 2
+                and a.dtype == np.uint8
+                and (a.flags.c_contiguous or a.strides[1] == 1)
             ):
-                raise ValueError(f"{name} must be a 2-D array of bytes with contiguous rows")
+                raise ValueError(f"{name} must be a 2-D uint8 array with contiguous rows")
         if not out.flags.writeable:
             raise ValueError("out is read-only")
         width = out.shape[1]
         if blocks.shape[1] != width or (tail is not None and tail.shape[1] != width):
             raise ValueError("blocks, tail and out must have the same width")
+        if len(blocks) + (0 if tail is None else len(tail)) != n_in or len(out) != n_out:
+            raise ValueError(f"the program maps {n_in} input rows to {n_out} output rows")
         rows, stride = blocks.ctypes.data, blocks.strides[0]
         more, more_stride = (rows, stride) if tail is None else (tail.ctypes.data, tail.strides[0])
         cfn(
-            tables, affine, unit_in, unit_out, nunits,
+            tables, affine, unit_in, unit_out, nunits, n_out,
             rows, stride, more, more_stride, blocks.shape[0],
             out.ctypes.data, out.strides[0], width, 1 if accumulate else 0,
         )  # fmt: skip
@@ -641,8 +708,8 @@ def _ctypes_entry(cfn):
 def _compile(flags: tuple[str, ...], cc: str, py_cflags: tuple[str, ...] = ()):
     """Compile (or reuse) the kernel for one flag set → ``(fn, isa)``; raises on failure.
 
-    ``fn`` is ``apply(tables, affine, unit_in, unit_out, nunits, blocks,
-    tail | None, out, accumulate)`` whichever entry serves: with
+    ``fn`` is ``apply(head, blocks, tail | None, out, accumulate)``, ``head``
+    a :attr:`UnitProgram.head`, whichever entry serves: with
     ``py_cflags`` (:func:`_python_cflags`) the build is also an extension
     module and ``fn`` its fastcall function; without, the plain shared
     object's ``gf_apply_units`` bound through :mod:`ctypes` and wrapped to
@@ -689,8 +756,9 @@ def _self_test(fn) -> bool:
     its full-width body, its narrower steps, its tail and the tile seam.
     Each length is checked plain, with the input split over two arrays,
     and accumulating; output lands in an unaligned strided window whose
-    all-zero matrix row, and whose surroundings, must stay untouched.
-    A miscompiled or mis-targeted build is dropped rather than trusted.
+    all-zero matrix row must read zero and whose surroundings must stay
+    untouched.  A miscompiled or mis-targeted build is dropped rather
+    than trusted.
     """
     from .arithmetic import GF
 
@@ -705,7 +773,7 @@ def _self_test(fn) -> bool:
     for i, j in zip(*np.nonzero(m)):
         expect[i] ^= mt[m[i, j]][blocks[j]]
     outs, ins = np.nonzero(m)
-    prog = build_unit_program(outs, ins, m[outs, ins], mt, 3)
+    prog = build_unit_program(outs, ins, m[outs, ins], mt, 3, 4)
     poison = 0xA5
     frame = np.empty((3, L + 16), np.uint8)
     for n in (L, 2 * 128 + 45, 45):
@@ -714,7 +782,7 @@ def _self_test(fn) -> bool:
         def only_wrote(rows01):
             return (
                 (got[:2] == rows01).all()
-                and (got[2] == poison).all()
+                and not got[2].any()
                 and (frame[:, :7] == poison).all()
                 and (frame[:, 7 + n :] == poison).all()
             )
@@ -740,12 +808,14 @@ def run(
 ) -> None:
     """Invoke the kernel on uint8 ``blocks`` (+ ``tail``) → ``out``.
 
-    Every array is 2-D with contiguous rows (any row stride) — the entry
-    refuses anything else, and a read-only ``out``, before writing a
-    byte.  ``tail`` holds the input rows from ``len(blocks)`` on when the
-    input is split over two arrays.
+    Every array is a 2-D uint8 array with contiguous rows (any row
+    stride), together holding the program's input rows, and ``out`` a
+    writeable ndarray of its output rows, all of one width — the entry
+    raises :class:`ValueError` for anything else before writing a byte.
+    ``tail`` holds the input rows from ``len(blocks)`` on when the input
+    is split over two arrays.
     """
-    fn(*program.head, blocks, tail, out, accumulate)
+    fn(program.head, blocks, tail, out, accumulate)
 
 
 def _resolve() -> tuple:

@@ -50,6 +50,11 @@ from .arithmetic import GF
 
 __all__ = ["CodingPlan", "apply_to_blocks_naive"]
 
+#: the backend switches, keyed and stored as :mod:`repro.gf.native` reads them
+_SWITCHES = _native.SWITCHES
+_KILL_SWITCH = _native.KILL_SWITCH
+_BACKEND_SWITCH = _native.BACKEND_SWITCH
+
 
 def apply_to_blocks_naive(m: np.ndarray, blocks: np.ndarray, w: int = 8) -> np.ndarray:
     """Reference kernel: one scale-and-XOR per nonzero coefficient.
@@ -139,7 +144,6 @@ class CodingPlan:
         "_pair_prog",
         "_pair_units",
         "_native_prog",
-        "_native_eligible",
         "_dtype",
     )
 
@@ -177,7 +181,8 @@ class CodingPlan:
         self._groups: list[_CoeffGroup] = []
         # Ascending coefficient order keeps plans deterministic; coefficient
         # 1 (plain XOR, no gather) is by construction the first group.
-        for c in np.unique(coeffs):
+        # (np.unique without return_index would import numpy.ma.)
+        for c in sorted(set(coeffs.tolist())):
             sel = coeffs == c
             self._groups.append(_CoeffGroup(int(c), out_rows[sel], in_rows[sel]))
         # Flat layout for the small-block gather path: every entry sorted by
@@ -194,8 +199,6 @@ class CodingPlan:
         self._pair_prog = None
         self._pair_units = None
         self._native_prog = None
-        # what resolve_backend serves natively when no switch is set
-        self._native_eligible = w == 8 and self.nnz > 0
         # the field dtype as a dtype instance: what the per-application
         # checks compare against without converting a type each time
         self._dtype = np.dtype(gf.dtype)
@@ -321,7 +324,7 @@ class CodingPlan:
                 self._entry_in,
                 self._entry_coeff,
                 self._gf.mul_table(),
-                self.shape[0],
+                *self.shape,
             )
         return prog
 
@@ -337,9 +340,7 @@ class CodingPlan:
         prog = self._native_prog
         if prog is None:
             prog = self._native_program()
-        if not accumulate and len(prog.zero_rows):
-            out[prog.zero_rows] = 0
-        fn(*prog.head, blocks, tail, out, accumulate)
+        fn(prog.head, blocks, tail, out, accumulate)
 
     # -- application ---------------------------------------------------------
 
@@ -381,24 +382,6 @@ class CodingPlan:
         out: np.ndarray,
         accumulate: bool,
     ) -> np.ndarray:
-        # Both switches are read on every application, as dict probes.  With
-        # both unset and the kernel resolved (native._cached holds what
-        # native.kernel() returns), resolve_backend's answer for a
-        # native-eligible plan is the kernel, so it runs without the resolver;
-        # a set switch, the process's first application, a w != 8 or all-zero
-        # plan or a host without the kernel go through resolve_backend.
-        switches = _native.SWITCHES
-        resolved = _native._cached
-        if (
-            self._native_eligible
-            and resolved
-            and switches.get(_native.BACKEND_SWITCH) is None
-            and switches.get(_native.KILL_SWITCH) is None
-        ):
-            fn = resolved[0][0]
-            if fn is not None:
-                self._run_native(fn, blocks, out, accumulate, tail)
-                return out
         backend, fn = _backends.resolve_backend(self, blocks.shape[1])
         if backend == "native":
             self._run_native(fn, blocks, out, accumulate, tail)
@@ -422,8 +405,7 @@ class CodingPlan:
         the same execution.
         """
         blocks, _ = self._check_input(blocks, None)
-        out = np.empty((self.shape[0], blocks.shape[1]), dtype=self._gf.dtype)
-        return self._execute(blocks, None, out, False)
+        return self.apply_into(blocks, np.empty((self.shape[0], blocks.shape[1]), self._dtype))
 
     def apply_into(
         self,
@@ -452,7 +434,28 @@ class CodingPlan:
         reads both.  Input rows whose matrix column is all-zero are never
         read, so ``out`` may be such rows of ``blocks``/``tail`` — a lost
         block is rebuilt where it is stored.  Returns ``out``.
+
+        Both switches are read on every application, as dict probes.  With
+        both unset, the kernel resolved and this plan's unit program built
+        (its first application ran natively), the application is the
+        kernel entry alone: the entry is the check, and whatever it
+        refuses comes back here to be converted or refused as below.
         """
+        prog = self._native_prog
+        resolved = _native._cached
+        if (
+            prog is not None
+            and resolved
+            and _KILL_SWITCH not in _SWITCHES
+            and _BACKEND_SWITCH not in _SWITCHES
+        ):
+            fn = resolved[0][0]
+            if fn is not None:
+                try:
+                    fn(prog.head, blocks, tail, out, accumulate)
+                    return out
+                except (ValueError, TypeError, BufferError):
+                    pass  # the entry wrote nothing: the checks below decide
         blocks, tail = self._check_input(blocks, tail)
         ncols = blocks.shape[1]
         if (

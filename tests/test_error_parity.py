@@ -1,0 +1,494 @@
+"""Error parity of the real-bytes entry points: one table of malformed inputs.
+
+The bytes path validates its arrays once, in the native kernel entry, and
+falls back to the Python checks only for what the entry refuses.  This
+referee pins that no check was lost on the way.  Every public entry —
+``CodingPlan.apply_into``, a codec's ``encode(out=…)``, the ``(data,
+parity)`` form of ``repair``, ``FusionTransformer.convert``,
+``rs_to_msr`` and ``msr_to_rs``, and ``ECFusion.write`` — is fed the same
+kinds of malformed input: wrong rows, wrong width, an ``int16`` input, an
+``int8`` out, a read-only out, a column-strided input, a row-strided
+stripe, a list and a short parity set.  :data:`EXPECTED` records what each
+entry did while every layer still checked its arrays in Python: the
+exception type and message, or a digest of the bytes it converted the
+input to.  Each case must do the same, and a refusal must write nothing:
+every output is poisoned first, and everything the case touches must come
+back byte for byte.  Every entry is warmed with valid input first, so the
+malformed call meets the warm path (a plan's first application lowers it
+through the Python checks anyway).
+
+The table holds whichever backend serves: CI runs it under every forced
+NumPy backend (Python checks only) and through the ctypes entry as well.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.codes import MSRCode, ReedSolomonCode
+from repro.fusion import CodeKind, ECFusion
+from repro.fusion.transform import FusionTransformer, StripeStore
+from repro.gf import CodingPlan, systematic_rs_parity
+
+K, R = 6, 3  # RS(6, 3) ↔ MSR(6, 3, 3, 9): two groups, blocks a multiple of 9
+L = 72
+POISON = 0xA5
+
+
+def _bytes(rows, width=L, seed=0, dtype=np.uint8, high=256):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, high, (rows, width)).astype(dtype)
+
+
+def _poisoned(rows, width=L, dtype=np.uint8):
+    return np.full((rows, width), POISON, np.uint8).astype(dtype)
+
+
+def _column_strided(a):
+    wide = np.repeat(a, 2, axis=1)
+    return wide[:, ::2]
+
+
+def _row_strided(a):
+    tall = np.repeat(a, 2, axis=0)
+    return tall[::2]
+
+
+def _read_only(a):
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(repr((part.dtype.str, part.shape)).encode())
+            h.update(np.ascontiguousarray(part).tobytes())
+        else:
+            h.update(repr(part).encode())
+    return h.hexdigest()[:16]
+
+
+#: case name → a builder returning ``(run, state)``: ``run()`` calls the
+#: entry and returns what it produced, ``state()`` digests everything the
+#: case touches
+CASES: dict = {}
+
+
+# -- CodingPlan.apply_into ------------------------------------------------------
+
+
+def _apply_case(blocks=None, out=None, tail=None, accumulate=False):
+    plan = CodingPlan(systematic_rs_parity(K, R))
+    plan.apply_into(_bytes(K), np.empty((R, L), np.uint8))  # warm
+    blocks = _bytes(K) if blocks is None else blocks
+    out = _poisoned(R) if out is None else out
+
+    def run():
+        return [plan.apply_into(blocks, out, accumulate, tail)]
+
+    return run, lambda: _digest(out, blocks, tail)
+
+
+APPLY = {
+    "ok": lambda: _apply_case(),
+    "ok-tail-accumulate": lambda: _apply_case(_bytes(4), tail=_bytes(2, seed=1), accumulate=True),
+    "wrong-rows": lambda: _apply_case(_bytes(K - 1)),
+    "short-tail": lambda: _apply_case(_bytes(3), tail=_bytes(2, seed=1)),
+    "wrong-out-rows": lambda: _apply_case(out=_poisoned(R - 1)),
+    "wrong-width": lambda: _apply_case(out=_poisoned(R, L - 8)),
+    "tail-wrong-width": lambda: _apply_case(_bytes(3), tail=_bytes(3, L - 8, seed=1)),
+    "int16-input": lambda: _apply_case(_bytes(K, dtype=np.int16, high=512)),
+    "int8-out": lambda: _apply_case(out=_poisoned(R, dtype=np.int8)),
+    "read-only-out": lambda: _apply_case(out=_read_only(_poisoned(R))),
+    "column-strided-input": lambda: _apply_case(_column_strided(_bytes(K))),
+    "row-strided-input": lambda: _apply_case(_row_strided(_bytes(K))),
+    "column-strided-out": lambda: _apply_case(out=_column_strided(_poisoned(R))),
+    "list-input": lambda: _apply_case(_bytes(K).tolist()),
+    "list-out": lambda: _apply_case(out=_poisoned(R).tolist()),
+}
+for _name, _build in APPLY.items():
+    CASES[f"apply_into/{_name}"] = _build
+
+
+# -- encode(out=…) and repair((data, parity)) on both codecs -------------------
+
+CODECS = {"rs": lambda: ReedSolomonCode(K, R), "msr": lambda: MSRCode(2 * R, R)}
+
+
+def _encode_case(code, data=None, out=None):
+    codec = CODECS[code]()
+    codec.encode(_bytes(codec.k), out=np.empty((codec.n - codec.k, L), np.uint8))  # warm
+    data = _bytes(codec.k) if data is None else data
+    out = _poisoned(codec.n - codec.k) if out is None else out
+
+    def run():
+        return [codec.encode(data, out=out)]
+
+    return run, lambda: _digest(out, data)
+
+
+def _repair_case(code, data=None, parity=None, stripe=None, failed=1):
+    codec = CODECS[code]()
+    good = codec.encode(_bytes(codec.k))
+    codec.repair(failed, (good[: codec.k].copy(), good[codec.k :].copy()))  # warm
+    data = good[: codec.k].copy() if data is None else data
+    parity = good[codec.k :].copy() if parity is None else parity
+    if isinstance(data, np.ndarray) and data.flags.writeable and len(data) > failed:
+        data[failed] = _poisoned(1, data.shape[1], data.dtype)[0]  # the lost row: never read
+    stripe = (data, parity) if stripe is None else stripe
+
+    def run():
+        res = codec.repair(failed, stripe)
+        return [res.block, data, parity, sorted(res.bytes_read.items())]
+
+    return run, lambda: _digest(data, parity)
+
+
+for _code in CODECS:
+    _k = {"rs": K, "msr": R}[_code]
+    ENCODE = {
+        "ok": lambda c=_code: _encode_case(c),
+        "wrong-rows": lambda c=_code, k=_k: _encode_case(c, _bytes(k + 1)),
+        "shortened-rows": lambda c=_code, k=_k: _encode_case(c, _bytes(k - 1)),
+        "wrong-width": lambda c=_code: _encode_case(c, out=_poisoned(R, L - 9)),
+        "short-parity-out": lambda c=_code: _encode_case(c, out=_poisoned(R - 1)),
+        "ragged-width": lambda c=_code, k=_k: _encode_case(c, _bytes(k, L - 2), _poisoned(R, L - 2)),
+        "int16-input": lambda c=_code, k=_k: _encode_case(c, _bytes(k, dtype=np.int16)),
+        "int8-out": lambda c=_code: _encode_case(c, out=_poisoned(R, dtype=np.int8)),
+        "read-only-out": lambda c=_code: _encode_case(c, out=_read_only(_poisoned(R))),
+        "column-strided-input": lambda c=_code, k=_k: _encode_case(c, _column_strided(_bytes(k))),
+        "row-strided-out": lambda c=_code: _encode_case(c, out=_row_strided(_poisoned(R))),
+        "list-input": lambda c=_code, k=_k: _encode_case(c, _bytes(k).tolist()),
+    }
+    for _name, _build in ENCODE.items():
+        CASES[f"encode/{_code}/{_name}"] = _build
+    REPAIR = {
+        "ok": lambda c=_code: _repair_case(c),
+        "ok-parity-node": lambda c=_code, k=_k: _repair_case(c, failed=k + 1),
+        "wrong-rows": lambda c=_code, k=_k: _repair_case(c, data=_bytes(k + 1)),
+        "short-rows": lambda c=_code, k=_k: _repair_case(c, data=_bytes(k - 1)),
+        "wrong-parity-rows": lambda c=_code: _repair_case(c, parity=_bytes(R - 1)),
+        "wrong-width": lambda c=_code: _repair_case(c, parity=_bytes(R, L - 9)),
+        "int16-stripe": lambda c=_code, k=_k: _repair_case(c, data=_bytes(k, dtype=np.int16)),
+        "int8-stripe": lambda c=_code, k=_k: _repair_case(c, data=_bytes(k, dtype=np.int8)),
+        "read-only-stripe": lambda c=_code, k=_k: _repair_case(c, data=_read_only(_bytes(k))),
+        "column-strided-stripe": lambda c=_code, k=_k: _repair_case(c, data=_column_strided(_bytes(k))),
+        "row-strided-stripe": lambda c=_code, k=_k: _repair_case(c, data=_row_strided(_bytes(k))),
+        "list-stripe": lambda c=_code, k=_k: _repair_case(c, stripe=(_bytes(k).tolist(), _bytes(R))),
+        "not-a-pair": lambda c=_code, k=_k: _repair_case(c, stripe=(_bytes(k),)),
+    }
+    for _name, _build in REPAIR.items():
+        CASES[f"repair/{_code}/{_name}"] = _build
+
+
+# -- the converter --------------------------------------------------------------
+
+
+def _stripe(kind, data=None, parity=None):
+    tr = FusionTransformer(K, R)
+    good = tr.encode(_bytes(K), kind)
+    tr.convert(tr.encode(_bytes(K, seed=9), kind), "msr" if kind == "rs" else "rs")  # warm
+    data = good.data if data is None else data
+    parity = good.parity if parity is None else parity
+    return tr, StripeStore(CodeKind(kind), data, parity)
+
+
+def _convert_case(kind, data=None, parity=None):
+    tr, stripe = _stripe(kind, data, parity)
+    target = "msr" if kind == "rs" else "rs"
+    arrays = [a for a in (stripe.data, *stripe.parity) if isinstance(a, np.ndarray)]
+    identity = [id(p) for p in stripe.parity]
+
+    def run():
+        cost = tr.convert(stripe, target)
+        return [stripe.kind.value, *stripe.parity, cost.blocks_read, cost.blocks_written]
+
+    def state():
+        return _digest(stripe.kind.value, *arrays, [id(p) for p in stripe.parity] == identity,
+                       tr.journal_open)  # fmt: skip
+
+    return run, state
+
+
+def _parities(rows=R, width=L, dtype=np.uint8, seed=2):
+    return [_bytes(rows, width, seed + g, dtype) for g in range(2)]
+
+
+CONVERT = {
+    "rs-msr/ok": lambda: _convert_case("rs"),
+    "msr-rs/ok": lambda: _convert_case("msr"),
+    "rs-msr/wrong-rows": lambda: _convert_case("rs", _bytes(K - 1)),
+    "rs-msr/wrong-width": lambda: _convert_case("rs", parity=[_bytes(R, L - 9)]),
+    "rs-msr/ragged-width": lambda: _convert_case("rs", _bytes(K, L - 2), [_bytes(R, L - 2)]),
+    "msr-rs/short-parity-set": lambda: _convert_case("msr", parity=_parities()[:1]),
+    "msr-rs/wrong-parity-rows": lambda: _convert_case("msr", parity=[_bytes(R), _bytes(R - 1)]),
+    "rs-msr/int16-data": lambda: _convert_case("rs", _bytes(K, dtype=np.int16)),
+    "rs-msr/int8-data": lambda: _convert_case("rs", _bytes(K, dtype=np.int8)),
+    "rs-msr/int16-parity": lambda: _convert_case("rs", parity=[_bytes(R, dtype=np.int16)]),
+    "rs-msr/column-strided-data": lambda: _convert_case("rs", _column_strided(_bytes(K))),
+    "rs-msr/row-strided-data": lambda: _convert_case("rs", _row_strided(_bytes(K))),
+    "rs-msr/read-only-data": lambda: _convert_case("rs", _read_only(_bytes(K))),
+    "rs-msr/list-data": lambda: _convert_case("rs", _bytes(K).tolist()),
+    "msr-rs/int16-parity": lambda: _convert_case("msr", parity=_parities(dtype=np.int16)),
+    "msr-rs/int8-parity": lambda: _convert_case("msr", parity=_parities(dtype=np.int8)),
+    "msr-rs/column-strided-parity": lambda: _convert_case(
+        "msr", parity=[_column_strided(p) for p in _parities()]
+    ),
+    "msr-rs/row-strided-parity": lambda: _convert_case(
+        "msr", parity=[_row_strided(p) for p in _parities()]
+    ),
+    "msr-rs/list-parity": lambda: _convert_case("msr", parity=[p.tolist() for p in _parities()]),
+}
+for _name, _build in CONVERT.items():
+    CASES[f"convert/{_name}"] = _build
+
+
+def _rs_to_msr_case(data=None, parity=None):
+    tr = FusionTransformer(K, R)
+    good = tr.rs.encode(_bytes(K))
+    tr.rs_to_msr(good[:K], good[K:])  # warm
+    data = good[:K].copy() if data is None else data
+    parity = good[K:].copy() if parity is None else parity
+
+    def run():
+        res = tr.rs_to_msr(data, parity)
+        return [*res.parity, res.cost.blocks_read]
+
+    return run, lambda: _digest(*(a for a in (data, parity) if isinstance(a, np.ndarray)))
+
+
+RS_TO_MSR = {
+    "ok": lambda: _rs_to_msr_case(),
+    "wrong-parity-rows": lambda: _rs_to_msr_case(parity=_bytes(R - 1)),
+    "extra-data-row": lambda: _rs_to_msr_case(data=_bytes(K + 1)),
+    "wrong-width": lambda: _rs_to_msr_case(data=_bytes(K, L - 9)),
+    "ragged-width": lambda: _rs_to_msr_case(_bytes(K, L - 2), _bytes(R, L - 2)),
+    "parity-narrower": lambda: _rs_to_msr_case(parity=_bytes(R, L - 9)),
+    "int16-data": lambda: _rs_to_msr_case(data=_bytes(K, dtype=np.int16)),
+    "int8-parity": lambda: _rs_to_msr_case(parity=_bytes(R, dtype=np.int8)),
+    "column-strided-data": lambda: _rs_to_msr_case(data=_column_strided(_bytes(K))),
+    "row-strided-parity": lambda: _rs_to_msr_case(parity=_row_strided(_bytes(R))),
+    "list-data": lambda: _rs_to_msr_case(data=_bytes(K).tolist()),
+}
+for _name, _build in RS_TO_MSR.items():
+    CASES[f"rs_to_msr/{_name}"] = _build
+
+
+def _msr_to_rs_case(parities=None, data=None):
+    tr = FusionTransformer(K, R)
+    good = tr.encode(_bytes(K), "msr")
+    tr.msr_to_rs(good.parity, data=good.data)  # warm
+    parities = [p.copy() for p in good.parity] if parities is None else parities
+    arrays = [a for a in (data, *parities) if isinstance(a, np.ndarray)]
+
+    def run():
+        res = tr.msr_to_rs(parities, data=data)
+        return [res.parity, res.cost.blocks_read]
+
+    return run, lambda: _digest(*arrays)
+
+
+MSR_TO_RS = {
+    "ok": lambda: _msr_to_rs_case(),
+    "ok-with-data": lambda: _msr_to_rs_case(data=_bytes(K)),
+    "short-parity-set": lambda: _msr_to_rs_case(_parities()[:1]),
+    "wrong-rows": lambda: _msr_to_rs_case([_bytes(R), _bytes(R - 1)]),
+    "wrong-width": lambda: _msr_to_rs_case([_bytes(R), _bytes(R, L - 9)]),
+    "ragged-width": lambda: _msr_to_rs_case(_parities(width=L - 2)),
+    "int16-parity": lambda: _msr_to_rs_case(_parities(dtype=np.int16)),
+    "int8-parity": lambda: _msr_to_rs_case(_parities(dtype=np.int8)),
+    "column-strided-parity": lambda: _msr_to_rs_case([_column_strided(p) for p in _parities()]),
+    "list-parity": lambda: _msr_to_rs_case([p.tolist() for p in _parities()]),
+    "wrong-data-rows": lambda: _msr_to_rs_case(data=_bytes(K - 1)),
+    "int16-data": lambda: _msr_to_rs_case(data=_bytes(K, dtype=np.int16)),
+}
+for _name, _build in MSR_TO_RS.items():
+    CASES[f"msr_to_rs/{_name}"] = _build
+
+
+# -- ECFusion.write -------------------------------------------------------------
+
+
+def _write_case(data, to_msr=False):
+    store = ECFusion(K, R)
+    store.write("s", _bytes(K, seed=7))
+    if to_msr:
+        store.recover("s", 0)  # the first recovery converts it to MSR
+
+    def state():
+        s = store._stripes["s"]
+        return _digest(s.kind.value, s.data, *s.parity, store.selector.stats())
+
+    def run():
+        store.write("s", data)
+        return [state()]
+
+    return run, state
+
+
+WRITE = {
+    "ok": lambda: _write_case(_bytes(K)),
+    "ok-msr": lambda: _write_case(_bytes(K), to_msr=True),
+    "wrong-rows": lambda: _write_case(_bytes(K - 1)),
+    "wrong-width": lambda: _write_case(_bytes(K, L - 2)),
+    "int16": lambda: _write_case(_bytes(K, dtype=np.int16)),
+    "int8": lambda: _write_case(_bytes(K, dtype=np.int8)),
+    "read-only": lambda: _write_case(_read_only(_bytes(K))),
+    "column-strided": lambda: _write_case(_column_strided(_bytes(K)), to_msr=True),
+    "row-strided": lambda: _write_case(_row_strided(_bytes(K))),
+    "list": lambda: _write_case(_bytes(K).tolist()),
+}
+for _name, _build in WRITE.items():
+    CASES[f"write/{_name}"] = _build
+
+
+def outcome(name):
+    """``(exception type, message)`` or ``("ok", digest of the result)``; a
+    refusal must leave everything the case touches as it was."""
+    run, state = CASES[name]()
+    before = state()
+    try:
+        result = run()
+    except Exception as exc:  # the table records what was raised
+        assert state() == before, f"{name}: a refusal wrote"
+        return type(exc).__name__, str(exc)
+    return "ok", _digest(*result)
+
+
+#: recorded while every layer checked its arrays in Python
+EXPECTED = {  # fmt: skip
+    'apply_into/column-strided-input': ('ok', 'b56494b20efb8a37'),
+    'apply_into/column-strided-out': ('ValueError', "out must be a writeable <class 'numpy.uint8'> array of shape (3, 72) with contiguous rows"),
+    'apply_into/int16-input': ('ok', '67ab840790787cc1'),
+    'apply_into/int8-out': ('ValueError', "out must be a writeable <class 'numpy.uint8'> array of shape (3, 72) with contiguous rows"),
+    'apply_into/list-input': ('ok', 'b56494b20efb8a37'),
+    'apply_into/list-out': ('ValueError', "out must be a writeable <class 'numpy.uint8'> array of shape (3, 72) with contiguous rows"),
+    'apply_into/ok': ('ok', 'b56494b20efb8a37'),
+    'apply_into/ok-tail-accumulate': ('ok', '43bd35a413097f3f'),
+    'apply_into/read-only-out': ('ValueError', "out must be a writeable <class 'numpy.uint8'> array of shape (3, 72) with contiguous rows"),
+    'apply_into/row-strided-input': ('ok', 'b56494b20efb8a37'),
+    'apply_into/short-tail': ('ValueError', 'incompatible shapes: (3, 6) applied to (5, 72)'),
+    'apply_into/tail-wrong-width': ('ValueError', 'tail rows (3, 64) do not continue blocks (3, 72)'),
+    'apply_into/wrong-out-rows': ('ValueError', "out must be a writeable <class 'numpy.uint8'> array of shape (3, 72) with contiguous rows"),
+    'apply_into/wrong-rows': ('ValueError', 'incompatible shapes: (3, 6) applied to (5, 72)'),
+    'apply_into/wrong-width': ('ValueError', "out must be a writeable <class 'numpy.uint8'> array of shape (3, 72) with contiguous rows"),
+    'convert/msr-rs/column-strided-parity': ('ok', '46af8b1e19b00b09'),
+    'convert/msr-rs/int16-parity': ('ValueError', 'msr parity dtype int16 is wider than GF(2^8) symbols'),
+    'convert/msr-rs/int8-parity': ('ok', '46af8b1e19b00b09'),
+    'convert/msr-rs/list-parity': ('AttributeError', "'list' object has no attribute 'shape'"),
+    'convert/msr-rs/ok': ('ok', '2ddc1e1e7704272a'),
+    'convert/msr-rs/row-strided-parity': ('ok', '46af8b1e19b00b09'),
+    'convert/msr-rs/short-parity-set': ('ValueError', 'a msr->rs stripe is (6, L) data and 2 (3, L) parity arrays, L a multiple of 9; got (6, 72) and [(3, 72)]'),
+    'convert/msr-rs/wrong-parity-rows': ('ValueError', 'a msr->rs stripe is (6, L) data and 2 (3, L) parity arrays, L a multiple of 9; got (6, 72) and [(3, 72), (2, 72)]'),
+    'convert/rs-msr/column-strided-data': ('ok', '9fe1cb8518257921'),
+    'convert/rs-msr/int16-data': ('ValueError', 'data dtype int16 is wider than GF(2^8) symbols'),
+    'convert/rs-msr/int16-parity': ('ValueError', 'rs_parity dtype int16 is wider than GF(2^8) symbols'),
+    'convert/rs-msr/int8-data': ('ok', '9fe1cb8518257921'),
+    'convert/rs-msr/list-data': ('AttributeError', "'list' object has no attribute 'shape'"),
+    'convert/rs-msr/ok': ('ok', '9fe1cb8518257921'),
+    'convert/rs-msr/ragged-width': ('ValueError', 'a rs->msr stripe is (6, L) data and 1 (3, L) parity arrays, L a multiple of 9; got (6, 70) and [(3, 70)]'),
+    'convert/rs-msr/read-only-data': ('ok', '9fe1cb8518257921'),
+    'convert/rs-msr/row-strided-data': ('ok', '9fe1cb8518257921'),
+    'convert/rs-msr/wrong-rows': ('ValueError', 'a rs->msr stripe is (6, L) data and 1 (3, L) parity arrays, L a multiple of 9; got (5, 72) and [(3, 72)]'),
+    'convert/rs-msr/wrong-width': ('ValueError', 'a rs->msr stripe is (6, L) data and 1 (3, L) parity arrays, L a multiple of 9; got (6, 72) and [(3, 63)]'),
+    'encode/msr/column-strided-input': ('ok', '2d55c580c23cd4fd'),
+    'encode/msr/int16-input': ('ValueError', 'data dtype int16 is wider than GF(2^8) symbols'),
+    'encode/msr/int8-out': ('ValueError', 'out must be a C-contiguous uint8 array of shape (6, 72) or (3, 72)'),
+    'encode/msr/list-input': ('ValueError', 'data dtype int64 is wider than GF(2^8) symbols'),
+    'encode/msr/ok': ('ok', '2d55c580c23cd4fd'),
+    'encode/msr/ragged-width': ('ValueError', 'block length 70 not a multiple of sub-packetization 9'),
+    'encode/msr/read-only-out': ('ValueError', "out must be a writeable <class 'numpy.uint8'> array of shape (27, 8) with contiguous rows"),
+    'encode/msr/row-strided-out': ('ValueError', 'out must be a C-contiguous uint8 array of shape (6, 72) or (3, 72)'),
+    'encode/msr/short-parity-out': ('ValueError', 'out must be a C-contiguous uint8 array of shape (6, 72) or (3, 72)'),
+    'encode/msr/shortened-rows': ('ok', '376e2c256baa6202'),
+    'encode/msr/wrong-rows': ('ValueError', 'data must have shape (k=3, L), got (4, 72)'),
+    'encode/msr/wrong-width': ('ValueError', 'out must be a C-contiguous uint8 array of shape (6, 72) or (3, 72)'),
+    'encode/rs/column-strided-input': ('ok', 'b56494b20efb8a37'),
+    'encode/rs/int16-input': ('ValueError', 'data dtype int16 is wider than GF(2^8) symbols'),
+    'encode/rs/int8-out': ('ValueError', 'out must be a C-contiguous uint8 array of shape (9, 72) or (3, 72)'),
+    'encode/rs/list-input': ('ValueError', 'data dtype int64 is wider than GF(2^8) symbols'),
+    'encode/rs/ok': ('ok', 'b56494b20efb8a37'),
+    'encode/rs/ragged-width': ('ok', '84ff063088f8fbea'),
+    'encode/rs/read-only-out': ('ValueError', "out must be a writeable <class 'numpy.uint8'> array of shape (3, 72) with contiguous rows"),
+    'encode/rs/row-strided-out': ('ValueError', 'out must be a C-contiguous uint8 array of shape (9, 72) or (3, 72)'),
+    'encode/rs/short-parity-out': ('ValueError', 'out must be a C-contiguous uint8 array of shape (9, 72) or (3, 72)'),
+    'encode/rs/shortened-rows': ('ok', '32e9281b5dc2f5c5'),
+    'encode/rs/wrong-rows': ('ValueError', 'data must have shape (k=6, L), got (7, 72)'),
+    'encode/rs/wrong-width': ('ValueError', 'out must be a C-contiguous uint8 array of shape (9, 72) or (3, 72)'),
+    'msr_to_rs/column-strided-parity': ('ok', '4143a94ed84de46f'),
+    'msr_to_rs/int16-data': ('ValueError', 'data dtype int16 is wider than GF(2^8) symbols'),
+    'msr_to_rs/int16-parity': ('ValueError', 'msr parity dtype int16 is wider than GF(2^8) symbols'),
+    'msr_to_rs/int8-parity': ('ok', '4143a94ed84de46f'),
+    'msr_to_rs/list-parity': ('ValueError', 'msr parity dtype int64 is wider than GF(2^8) symbols'),
+    'msr_to_rs/ok': ('ok', '38c063765f643500'),
+    'msr_to_rs/ok-with-data': ('ok', '38c063765f643500'),
+    'msr_to_rs/ragged-width': ('ValueError', 'block length 70 not a multiple of MSR sub-packetization 9'),
+    'msr_to_rs/short-parity-set': ('ValueError', 'expected 2 parity groups, got 1'),
+    'msr_to_rs/wrong-data-rows': ('ValueError', 'data must be (6, 72), got (5, 72)'),
+    'msr_to_rs/wrong-rows': ('ValueError', 'group 1 parity must be (3, 72)'),
+    'msr_to_rs/wrong-width': ('ValueError', 'group 1 parity must be (3, 72)'),
+    'repair/msr/column-strided-stripe': ('ValueError', 'stripe rows must be writeable C-contiguous 2-D uint8 arrays'),
+    'repair/msr/int16-stripe': ('ValueError', 'stripe rows must be writeable C-contiguous 2-D uint8 arrays'),
+    'repair/msr/int8-stripe': ('ValueError', 'stripe rows must be writeable C-contiguous 2-D uint8 arrays'),
+    'repair/msr/list-stripe': ('ValueError', 'stripe rows must be writeable C-contiguous 2-D uint8 arrays'),
+    'repair/msr/not-a-pair': ('ValueError', 'shards must map node -> block or be a (data, parity) pair'),
+    'repair/msr/ok': ('ok', 'a2d05c0b8861ba97'),
+    'repair/msr/ok-parity-node': ('ok', '2f67b10f396811b4'),
+    'repair/msr/read-only-stripe': ('ValueError', 'stripe rows must be writeable C-contiguous 2-D uint8 arrays'),
+    'repair/msr/row-strided-stripe': ('ValueError', 'stripe rows must be writeable C-contiguous 2-D uint8 arrays'),
+    'repair/msr/short-rows': ('ok', '4c4a569cd78d38ce'),
+    'repair/msr/wrong-parity-rows': ('ValueError', 'parity must have shape (3, 72), got (2, 72)'),
+    'repair/msr/wrong-rows': ('ValueError', 'data must have shape (k=3, L), got (4, 72)'),
+    'repair/msr/wrong-width': ('ValueError', 'parity must have shape (3, 72), got (3, 63)'),
+    'repair/rs/column-strided-stripe': ('ValueError', 'stripe rows must be writeable C-contiguous 2-D uint8 arrays'),
+    'repair/rs/int16-stripe': ('ValueError', 'stripe rows must be writeable C-contiguous 2-D uint8 arrays'),
+    'repair/rs/int8-stripe': ('ValueError', 'stripe rows must be writeable C-contiguous 2-D uint8 arrays'),
+    'repair/rs/list-stripe': ('ValueError', 'stripe rows must be writeable C-contiguous 2-D uint8 arrays'),
+    'repair/rs/not-a-pair': ('ValueError', 'shards must map node -> block or be a (data, parity) pair'),
+    'repair/rs/ok': ('ok', 'e8310b682ee64f9f'),
+    'repair/rs/ok-parity-node': ('ok', 'e42d8bb2e88324b0'),
+    'repair/rs/read-only-stripe': ('ValueError', 'stripe rows must be writeable C-contiguous 2-D uint8 arrays'),
+    'repair/rs/row-strided-stripe': ('ValueError', 'stripe rows must be writeable C-contiguous 2-D uint8 arrays'),
+    'repair/rs/short-rows': ('ValueError', 'data must have shape (k=6, L), got (5, 72)'),
+    'repair/rs/wrong-parity-rows': ('ValueError', 'parity must have shape (3, 72), got (2, 72)'),
+    'repair/rs/wrong-rows': ('ValueError', 'data must have shape (k=6, L), got (7, 72)'),
+    'repair/rs/wrong-width': ('ValueError', 'parity must have shape (3, 72), got (3, 63)'),
+    'rs_to_msr/column-strided-data': ('ok', '774fcc864d1cc207'),
+    'rs_to_msr/extra-data-row': ('ok', '774fcc864d1cc207'),
+    'rs_to_msr/int16-data': ('ValueError', 'data dtype int16 is wider than GF(2^8) symbols'),
+    'rs_to_msr/int8-parity': ('ok', '77dc38b66d6b4e97'),
+    'rs_to_msr/list-data': ('ValueError', 'data dtype int64 is wider than GF(2^8) symbols'),
+    'rs_to_msr/ok': ('ok', '774fcc864d1cc207'),
+    'rs_to_msr/parity-narrower': ('ValueError', 'rs_parity must be (3, 72), got (3, 63)'),
+    'rs_to_msr/ragged-width': ('ValueError', 'block length 70 not a multiple of MSR sub-packetization 9'),
+    'rs_to_msr/row-strided-parity': ('ok', '77dc38b66d6b4e97'),
+    'rs_to_msr/wrong-parity-rows': ('ValueError', 'rs_parity must be (3, 72), got (2, 72)'),
+    'rs_to_msr/wrong-width': ('ValueError', 'rs_parity must be (3, 63), got (3, 72)'),
+    'write/column-strided': ('ok', '8cdb16839b1bc53c'),
+    'write/int16': ('ValueError', 'data dtype int16 is wider than GF(2^8) symbols'),
+    'write/int8': ('ok', 'd0e6e8cf1ab4df57'),
+    'write/list': ('ValueError', 'data dtype int64 is wider than GF(2^8) symbols'),
+    'write/ok': ('ok', 'd0e6e8cf1ab4df57'),
+    'write/ok-msr': ('ok', '8cdb16839b1bc53c'),
+    'write/read-only': ('ok', 'd0e6e8cf1ab4df57'),
+    'write/row-strided': ('ok', 'd0e6e8cf1ab4df57'),
+    'write/wrong-rows': ('ValueError', 'expected (6, L) data blocks, got (5, 72)'),
+    'write/wrong-width': ('ValueError', 'block length must be a multiple of 9'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_an_entry_refuses_or_converts_as_recorded(name):
+    assert outcome(name) == EXPECTED[name]
+
+
+def test_the_table_covers_every_entry():
+    entries = {name.split("/")[0] for name in CASES}
+    assert entries == {"apply_into", "encode", "repair", "convert", "rs_to_msr", "msr_to_rs", "write"}
+    assert set(EXPECTED) == set(CASES)

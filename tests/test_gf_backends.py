@@ -21,6 +21,8 @@ forced-backend fallback ladder, and the ``_scaled_rows`` scratch reuse
 
 import contextlib
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -28,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.gf import GF, CodingPlan, apply_to_blocks_naive
 from repro.gf import native as native_mod
 from repro.gf.backends import (
@@ -275,9 +278,14 @@ def test_field_width_gates_the_gf256_lowerings():
 
 
 def test_each_switch_is_read_per_application(monkeypatch):
-    """Flip a switch between two applications of one plan: the next one follows."""
+    """Flip a switch between two applications of one plan: the next one follows.
+
+    The NumPy backends are spied on at their runners; the native backend at
+    the kernel entry itself, which a warm application calls straight from
+    ``apply_into``.
+    """
     ran = []
-    for name in ("native", "gather", "pair", "translate"):
+    for name in ("gather", "pair", "translate"):
         real = getattr(CodingPlan, f"_run_{name}")
 
         def spy(self, *args, _real=real, _name=name):
@@ -295,6 +303,14 @@ def test_each_switch_is_read_per_application(monkeypatch):
     for key in switches:
         monkeypatch.delenv(key, raising=False)
     first = "native" if native_mod.native_available() else "gather"
+    if first == "native":
+        real_entry, info = native_mod._cached[0]
+
+        def entry(*args):
+            ran.append("native")
+            return real_entry(*args)
+
+        monkeypatch.setattr(native_mod, "_cached", [(entry, info)])
     for setting, expect in (
         ({}, first),
         ({"REPRO_GF_NATIVE": "0"}, "gather"),
@@ -398,3 +414,24 @@ def test_scaled_rows_identity_coefficient_is_passthrough():
     rows = np.arange(64, dtype=np.uint8).reshape(2, 32)
     assert plan._scaled_rows(1, rows) is rows
     assert plan._scratch is None  # coeff 1 must not touch the scratch
+
+
+def test_compiling_plans_does_not_import_numpy_ma():
+    """A plan's coefficient groups are listed without ``np.unique``, whose
+    masked-array check imports ``numpy.ma`` (15–23 ms the first time in a
+    process): a fresh store writes and repairs without it."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from repro.fusion import ECFusion\n"
+        "store = ECFusion(6, 3)\n"
+        "store.write('s', np.arange(6 * 4608, dtype=np.uint8).reshape(6, 4608))\n"
+        "store.recover('s', 1)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=120,
+    )  # fmt: skip
+    assert out.stdout.strip() == "False"

@@ -115,7 +115,7 @@ def test_unit_program_carries_both_constant_forms_sorted_by_output_row():
     m = np.array([[0, 3, 0], [7, 0, 1], [0, 0, 0]], np.uint8)
     outs, ins = np.nonzero(m)
     # hand the entries in reverse: the lowering sorts by output row
-    prog = native.build_unit_program(outs[::-1], ins[::-1], m[outs, ins][::-1], MT, 3)
+    prog = native.build_unit_program(outs[::-1], ins[::-1], m[outs, ins][::-1], MT, 3, 3)
     assert prog.unit_out.tolist() == [0, 1, 1] and prog.nunits == 3
     coeffs = [int(m[o, i]) for o, i in zip(prog.unit_out, prog.unit_in)]
     assert sorted(coeffs[1:]) == [1, 7] and coeffs[0] == 3
@@ -123,11 +123,22 @@ def test_unit_program_carries_both_constant_forms_sorted_by_output_row():
         assert prog.tables[k, :16].tolist() == MT[c, :16].tolist()
         assert prog.tables[k, 16:].tolist() == MT[c, np.arange(16) << 4].tolist()
     assert prog.affine.tolist() == native.affine_matrices(MT, coeffs).tolist()
-    assert prog.zero_rows.tolist() == [2]
+    assert prog.shape == (3, 3)
     assert prog.head == (
         prog.tables.ctypes.data, prog.affine.ctypes.data,
-        prog.unit_in.ctypes.data, prog.unit_out.ctypes.data, 3,
+        prog.unit_in.ctypes.data, prog.unit_out.ctypes.data, 3, 3, 3,
     )
+
+
+def test_a_unit_program_stays_inside_its_matrix():
+    """The entry holds the arrays to the program's row counts; the lowering
+    holds the program's row indices to them."""
+    outs, ins, coeffs = np.array([0, 2]), np.array([1, 0]), np.array([3, 5])
+    with pytest.raises(ValueError, match="outside"):
+        native.build_unit_program(outs, ins, coeffs, MT, 2, 2)  # output row 2 of 2
+    with pytest.raises(ValueError, match="outside"):
+        native.build_unit_program(outs, ins, coeffs, MT, 3, 1)  # input row 1 of 1
+    assert native.build_unit_program(outs, ins, coeffs, MT, 3, 2).shape == (3, 2)
 
 
 # -- each rung against the executable specification -----------------------------
@@ -165,9 +176,8 @@ def test_rung_matches_naive(rung_fn, seed, rows, cols, n, sparsity, accumulate, 
     head, tail = (blocks[:cut], blocks[cut:].copy()) if cut < cols else (blocks, None)
 
     outs, ins = np.nonzero(m)
-    prog = native.build_unit_program(outs, ins, m[outs, ins], MT, rows)
-    if not accumulate:
-        out[prog.zero_rows] = 0
+    prog = native.build_unit_program(outs, ins, m[outs, ins], MT, rows, cols)
+    # an all-zero matrix row is cleared by the kernel itself
     native.run(rung_fn, prog, head, out, accumulate, tail)
 
     product = apply_to_blocks_naive(m, before)
@@ -184,7 +194,7 @@ def test_rows_wider_than_one_pass_of_units(rung_fn):
     m = rng.integers(1, 256, (2, 75), dtype=np.uint8)
     blocks = rng.integers(0, 256, (75, 389), dtype=np.uint8)
     outs, ins = np.nonzero(m)
-    prog = native.build_unit_program(outs, ins, m[outs, ins], MT, 2)
+    prog = native.build_unit_program(outs, ins, m[outs, ins], MT, 2, 75)
     for accumulate in (False, True):
         out = np.full((2, 389), 0x5A, np.uint8)
         native.run(rung_fn, prog, blocks, out, accumulate)
@@ -217,7 +227,7 @@ def test_report_which_rungs_ran():
 
 def _program(m):
     outs, ins = np.nonzero(m)
-    return native.build_unit_program(outs, ins, m[outs, ins], MT, m.shape[0])
+    return native.build_unit_program(outs, ins, m[outs, ins], MT, *m.shape)
 
 
 REFUSED = {
@@ -257,6 +267,30 @@ def test_an_entry_refuses_what_the_kernel_cannot_walk_and_writes_nothing(entry_f
         native.run(entry_fn, _program(m), head, dest, accumulate, more)
     assert (out == 0xA5).all()
     assert np.array_equal(blocks, before[0]) and np.array_equal(tail, before[1])
+
+
+@pytest.mark.parametrize("short", ["out", "blocks", "tail"])
+def test_an_entry_refuses_views_shorter_than_its_program(entry_fn, short):
+    """A short view of a larger buffer: the entry knows the program's row
+    counts and refuses before the kernel writes, or reads, past the view.
+
+    A 3-output program into ``frame[:2]`` would write row 2 of the frame; a
+    2-input program over one row would read the next row of its buffer.
+    """
+    rng = np.random.default_rng(13)
+    source = rng.integers(0, 256, (3, 64), dtype=np.uint8)
+    frame = np.full((4, 64), 0xA5, np.uint8)
+    m = rng.integers(1, 256, (3, 2), dtype=np.uint8)  # 2 inputs -> 3 outputs
+    head, tail, out = {
+        "out": (source[:2], None, frame[:2]),
+        "blocks": (source[:1], None, frame[:3]),
+        "tail": (source[:1], source[1:1], frame[:3]),
+    }[short]
+    before = source.copy()
+    with pytest.raises(ValueError):
+        native.run(entry_fn, _program(m), head, out, False, tail)
+    assert (frame == 0xA5).all()
+    assert np.array_equal(source, before)
 
 
 def test_an_entry_takes_read_only_input(entry_fn):
@@ -332,10 +366,10 @@ def test_the_fastcall_entry_counts_its_arguments():
     got = _load(native._RUNGS[-1], "fastcall")
     if isinstance(got, str):
         pytest.skip(got)
-    with pytest.raises(TypeError, match="9 positional"):
+    with pytest.raises(TypeError, match="5 positional"):
         got[0](1, 2, 3)
     with pytest.raises((TypeError, OverflowError)):
-        got[0]("tables", 0, 0, 0, 0, None, None, None, False)
+        got[0](("tables", 0, 0, 0, 0, 0, 0), None, None, None, False)
 
 
 # -- the load-time gate ---------------------------------------------------------
@@ -346,7 +380,7 @@ def _corrupting(fn, row, col):
 
     def broken(*args):
         fn(*args)
-        out = args[7]
+        out = args[3]
         if col < out.shape[1]:
             out[row, col] ^= 1
 
