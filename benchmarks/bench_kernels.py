@@ -138,7 +138,7 @@ def test_rs_encode_plan_vs_naive(save_result):
     ]
     for label, block in sizes:
         data = rng.integers(0, 256, (rs.k, block), dtype=np.uint8)
-        plan = CodingPlan(gen, w=8)
+        plan = CodingPlan(gen)
         assert np.array_equal(plan.apply(data), apply_to_blocks_naive(gen, data))
         t_naive = _best_of(lambda: apply_to_blocks_naive(gen, data))
         t_plan = _best_of(lambda: plan.apply(data))
@@ -254,7 +254,7 @@ def test_plan_dispatch_paths(save_result):
     rs = ReedSolomonCode(8, 3)
     gen = rs.parity_matrix
     rng = np.random.default_rng(3)
-    plan = CodingPlan(gen, w=8)
+    plan = CodingPlan(gen)
     rows, entries = [], []
     for label, block in [("small-gather", 64), ("large-group", 65536)]:
         data = rng.integers(0, 256, (rs.k, block), dtype=np.uint8)

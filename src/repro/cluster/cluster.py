@@ -66,8 +66,6 @@ class ClusterConfig:
     repair_scheduler: bool = False
     #: concurrent running repairs allowed to touch any one data node
     max_repairs_per_node: int = 2
-    #: concurrent running repairs per rack (None = uncapped)
-    max_repairs_per_rack: int | None = None
     #: concurrent running repairs per data center (None = uncapped)
     max_repairs_per_dc: int | None = None
     #: global ceiling on simultaneously running repairs (None = uncapped)
@@ -212,7 +210,6 @@ class Cluster:
                 self.recovery,
                 self.namenode,
                 max_per_node=config.max_repairs_per_node,
-                max_per_rack=config.max_repairs_per_rack,
                 max_total=config.max_concurrent_repairs,
                 max_per_dc=config.max_repairs_per_dc,
             )

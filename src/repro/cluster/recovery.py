@@ -20,7 +20,7 @@ after backoff, a mid-pipeline kill aborts it loudly.
 :class:`RecoveryScheduler` adds admission control on top: multi-stripe
 failure storms queue as :class:`RepairJob`\\ s, dispatch most-at-risk
 stripe first (more outstanding erasures = closer to data loss), and are
-capped per node, per rack, and globally — so a storm cannot pile every
+capped per node, per data center, and globally — so a storm cannot pile every
 repair onto the same survivors.  Degraded reads *ride* the job that is
 already rebuilding their chunk instead of starting a duplicate
 reconstruction.
@@ -290,7 +290,6 @@ class RepairJob:
         "queued_at",
         "dispatched_at",
         "nodes",
-        "racks",
         "dcs",
         "boosted",
         "state",
@@ -298,7 +297,7 @@ class RepairJob:
     )
 
     def __init__(
-        self, stripe, block, plans, done, seq, queued_at, nodes, racks, dcs=frozenset(), ctx=None
+        self, stripe, block, plans, done, seq, queued_at, nodes, dcs=frozenset(), ctx=None
     ):
         self.stripe = stripe
         self.block = block
@@ -316,7 +315,6 @@ class RepairJob:
         self.dispatched_at: float | None = None
         #: data nodes the job reads from or writes to (concurrency caps)
         self.nodes = nodes
-        self.racks = racks
         self.dcs = dcs
         #: a degraded read is waiting on this job — dispatch it first
         self.boosted = False
@@ -347,8 +345,7 @@ class RecoveryScheduler:
     * **per-node cap** — at most ``max_per_node`` running jobs may touch
       any one data node (helpers included), keeping a storm from
       serialising every pipeline through the same survivor;
-    * **per-rack cap** — optional analogue across rack failure domains;
-    * **per-DC cap** — optional analogue one level up: at most
+    * **per-DC cap** — optional analogue across data centers: at most
       ``max_per_dc`` running jobs may touch any one data center, so a
       geo-storm cannot saturate a DC's oversubscribed interconnect;
     * **global cap** — ``max_total`` running jobs overall, enforced by a
@@ -366,14 +363,11 @@ class RecoveryScheduler:
         manager: RecoveryManager,
         namenode,
         max_per_node: int = 2,
-        max_per_rack: int | None = None,
         max_total: int | None = None,
         max_per_dc: int | None = None,
     ):
         if max_per_node < 1:
             raise ValueError("max_per_node must be at least 1")
-        if max_per_rack is not None and max_per_rack < 1:
-            raise ValueError("max_per_rack must be at least 1")
         if max_per_dc is not None and max_per_dc < 1:
             raise ValueError("max_per_dc must be at least 1")
         if max_total is not None and max_total < 1:
@@ -381,7 +375,6 @@ class RecoveryScheduler:
         self.manager = manager
         self.namenode = namenode
         self.max_per_node = max_per_node
-        self.max_per_rack = max_per_rack
         self.max_per_dc = max_per_dc
         self.max_total = max_total
         #: bound by the workload driver: the live lost-chunk set that
@@ -390,7 +383,6 @@ class RecoveryScheduler:
         self.queue: list[RepairJob] = []
         self.running: dict[tuple, RepairJob] = {}
         self._node_load: dict[int, int] = {}
-        self._rack_load: dict[int, int] = {}
         self._dc_load: dict[int, int] = {}
         self._seq = 0
         self.jobs_dispatched = 0
@@ -453,9 +445,9 @@ class RecoveryScheduler:
             slots.update(plan.reads)
             slots.update(plan.writes)
         nodes = frozenset(info.placement[slot] for slot in slots)
-        racks = frozenset(self.namenode.rack_of(node) for node in nodes)
+        racks = {self.namenode.rack_of(node) for node in nodes}
         dcs = frozenset(rack % getattr(self.namenode, "dcs", 1) for rack in racks)
-        return nodes, racks, dcs
+        return nodes, dcs
 
     def submit_cb(
         self,
@@ -475,8 +467,8 @@ class RecoveryScheduler:
         """
         sim = self.manager.executor.sim
         self._seq += 1
-        nodes, racks, dcs = self._job_footprint(plans, stripe)
-        job = RepairJob(stripe, block, plans, done, self._seq, sim.now, nodes, racks, dcs, ctx=ctx)
+        nodes, dcs = self._job_footprint(plans, stripe)
+        job = RepairJob(stripe, block, plans, done, self._seq, sim.now, nodes, dcs, ctx=ctx)
         self.queue.append(job)
         if METRICS.enabled:
             METRICS.gauge("cluster.scheduler.queue_depth", unit="jobs").set(
@@ -518,11 +510,6 @@ class RecoveryScheduler:
         for n in job.nodes:
             if load.get(n, 0) >= cap:
                 return False
-        if self.max_per_rack is not None:
-            load, cap = self._rack_load, self.max_per_rack
-            for r in job.racks:
-                if load.get(r, 0) >= cap:
-                    return False
         if self.max_per_dc is not None:
             load, cap = self._dc_load, self.max_per_dc
             for d in job.dcs:
@@ -558,8 +545,6 @@ class RecoveryScheduler:
             self.running[(job.stripe, job.block)] = job
             for n in job.nodes:
                 self._node_load[n] = self._node_load.get(n, 0) + 1
-            for r in job.racks:
-                self._rack_load[r] = self._rack_load.get(r, 0) + 1
             for d in job.dcs:
                 self._dc_load[d] = self._dc_load.get(d, 0) + 1
             self.jobs_dispatched += 1
@@ -616,8 +601,6 @@ class RecoveryScheduler:
         self.running.pop((job.stripe, job.block), None)
         for n in job.nodes:
             self._node_load[n] -= 1
-        for r in job.racks:
-            self._rack_load[r] -= 1
         for d in job.dcs:
             self._dc_load[d] -= 1
         if self.slots is not None:

@@ -1,7 +1,7 @@
 """Common abstractions for the erasure codes in this repository.
 
 Every code here — RS, LRC, FR, Hitchhiker, MSR — is a *linear* code over
-GF(2^w), so the shared machinery is a systematic generator matrix acting on
+GF(2^8), so the shared machinery is a systematic generator matrix acting on
 "blocks": a node's contribution to one stripe is a block of ``L`` bytes,
 and vector codes (sub-packetization ``l`` > 1) view that block as ``l``
 sub-blocks of ``L / l`` bytes.
@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..gf import GF, CodingPlan, inverse
+from ..gf import CodingPlan, as_symbols, inverse
 from ..gf.matrix import independent_rows
 from ..telemetry import METRICS
 
@@ -88,18 +87,6 @@ class ErasureCode(abc.ABC):
     r: int
     #: number of sub-blocks each node's block divides into (1 for scalar codes)
     subpacketization: int
-    #: field word size; symbols are elements of GF(2^w)
-    w: int = 8
-
-    @cached_property
-    def symbol_dtype(self):
-        """NumPy dtype of one code symbol."""
-        return GF.get(self.w).dtype
-
-    @cached_property
-    def _symbol_size(self) -> int:
-        """Bytes per symbol: input of a wider dtype is refused, not wrapped."""
-        return np.dtype(self.symbol_dtype).itemsize
 
     # -- identity ----------------------------------------------------------
     @property
@@ -187,11 +174,7 @@ class ErasureCode(abc.ABC):
                 f"block length {data.shape[1]} not a multiple of "
                 f"sub-packetization {self.subpacketization}"
             )
-        if data.dtype.itemsize > self._symbol_size:
-            raise ValueError(
-                f"data dtype {data.dtype} is wider than GF(2^{self.w}) symbols"
-            )
-        return np.ascontiguousarray(data, dtype=self.symbol_dtype)
+        return as_symbols(data, "data")
 
     def _check_shards(self, shards: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
         if not shards:
@@ -203,12 +186,7 @@ class ErasureCode(abc.ABC):
         for i, b in shards.items():
             if not 0 <= i < self.n:
                 raise ValueError(f"shard index {i} out of range for n={self.n}")
-            arr = np.asarray(b)
-            if arr.dtype.itemsize > self._symbol_size:
-                raise ValueError(
-                    f"shard dtype {arr.dtype} is wider than GF(2^{self.w}) symbols"
-                )
-            out[i] = np.ascontiguousarray(arr, dtype=self.symbol_dtype)
+            out[i] = as_symbols(b, "shard")
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -235,23 +213,21 @@ class LinearVectorCode(ErasureCode):
         k: int,
         generator: np.ndarray,
         subpacketization: int = 1,
-        w: int = 8,
     ):
         if n <= k or k <= 0:
             raise ParameterError(f"need n > k > 0, got n={n}, k={k}")
-        self.w = w
         l = subpacketization
         generator = np.asarray(generator)
-        if generator.dtype.itemsize > self._symbol_size:
+        if generator.dtype.itemsize > 1:
             raise ParameterError(
-                f"generator dtype {generator.dtype} too wide for GF(2^{w})"
+                f"generator dtype {generator.dtype} too wide for GF(2^8)"
             )
-        generator = generator.astype(self.symbol_dtype, copy=False)
+        generator = generator.astype(np.uint8, copy=False)
         if generator.shape != (n * l, k * l):
             raise ParameterError(
                 f"generator shape {generator.shape} != ({n * l}, {k * l})"
             )
-        if not np.array_equal(generator[: k * l], np.eye(k * l, dtype=self.symbol_dtype)):
+        if not np.array_equal(generator[: k * l], np.eye(k * l, dtype=np.uint8)):
             raise ParameterError("generator is not systematic (top block must be identity)")
         self.n = n
         self.k = k
@@ -260,7 +236,7 @@ class LinearVectorCode(ErasureCode):
         self.generator = generator
         # Encode applies the same parity rows for the lifetime of the code:
         # compile them once (eagerly, so thread pools never race a lazy build).
-        self._parity_plan = CodingPlan(generator[k * l :], w=w)
+        self._parity_plan = CodingPlan(generator[k * l :])
         self._shortened_plans: dict[int, CodingPlan] = {}
         self._decode_cache: dict[frozenset[int], tuple[CodingPlan, list[int]]] = {}
 
@@ -292,7 +268,7 @@ class LinearVectorCode(ErasureCode):
         if plan is None:
             l = self.subpacketization
             plan = self._shortened_plans[data_nodes] = CodingPlan(
-                self.generator[self.k * l :, : data_nodes * l], w=self.w
+                self.generator[self.k * l :, : data_nodes * l]
             )
         return plan
 
@@ -315,15 +291,15 @@ class LinearVectorCode(ErasureCode):
         data = self._check_data(data, shortened=parity_only)
         rows, L = data.shape
         if out is None:
-            out = np.empty((self.n, L), dtype=self.symbol_dtype)
+            out = np.empty((self.n, L), dtype=np.uint8)
         elif (
             not isinstance(out, np.ndarray)
             or out.shape not in ((self.n, L), (parities, L))
-            or out.dtype != self.symbol_dtype
+            or out.dtype != np.uint8
             or not out.flags.c_contiguous
         ):
             raise ValueError(
-                f"out must be a C-contiguous {np.dtype(self.symbol_dtype)} array of "
+                "out must be a C-contiguous uint8 array of "
                 f"shape ({self.n}, {L}) or ({parities}, {L})"
             )
         parity = out
@@ -366,12 +342,11 @@ class LinearVectorCode(ErasureCode):
             if (
                 not isinstance(arr, np.ndarray)
                 or arr.ndim != 2
-                or arr.dtype != self.symbol_dtype
+                or arr.dtype != np.uint8
                 or not ((flags := arr.flags).c_contiguous and flags.writeable)
             ):
                 raise ValueError(
-                    "stripe rows must be writeable C-contiguous 2-D "
-                    f"{np.dtype(self.symbol_dtype)} arrays"
+                    "stripe rows must be writeable C-contiguous 2-D uint8 arrays"
                 )
         # what _check_data checks beyond the above, with its messages
         rows, L = data.shape
@@ -397,7 +372,7 @@ class LinearVectorCode(ErasureCode):
         other nodes stay uninitialised — their plan columns are zero.
         """
         L = shards[helpers[0]].shape[0]
-        codeword = np.empty((self.n, L), dtype=self.symbol_dtype)
+        codeword = np.empty((self.n, L), dtype=np.uint8)
         for i in helpers:
             codeword[i] = shards[i]
         return codeword[: self.k], codeword[self.k :]
@@ -424,15 +399,11 @@ class LinearVectorCode(ErasureCode):
                 f"block length {L} not a multiple of "
                 f"sub-packetization {self.subpacketization}"
             )
-        if stripes.dtype.itemsize > self._symbol_size:
-            raise ValueError(
-                f"data dtype {stripes.dtype} is wider than GF(2^{self.w}) symbols"
-            )
-        stripes = np.ascontiguousarray(stripes, dtype=self.symbol_dtype)
+        stripes = as_symbols(stripes, "data")
         l = self.subpacketization
         syms = stripes.reshape(batch, self.k * l, L // l)
         parity_syms = self._parity_plan.apply_batch(syms)
-        out = np.empty((batch, self.n, L), dtype=self.symbol_dtype)
+        out = np.empty((batch, self.n, L), dtype=np.uint8)
         out[:, : self.k] = stripes
         out[:, self.k :] = parity_syms.reshape(batch, self.n - self.k, L)
         if METRICS.enabled and batch:
@@ -459,15 +430,15 @@ class LinearVectorCode(ErasureCode):
         kl = self.k * l
         rows = [s for node in sorted(avail) for s in self.node_symbols(node)]
         sub = self.generator[rows]
-        chosen = independent_rows(sub, w=self.w)
+        chosen = independent_rows(sub)
         if len(chosen) < kl:
             raise UnrecoverableError(
                 f"{self.name}: erasure pattern with survivors {sorted(avail)} "
                 f"is undecodable (rank {len(chosen)} < {kl})"
             )
         chosen = chosen[:kl]
-        solve_matrix = inverse(sub[chosen], w=self.w)
-        plan = (CodingPlan(solve_matrix, w=self.w), [rows[c] for c in chosen])
+        solve_matrix = inverse(sub[chosen])
+        plan = (CodingPlan(solve_matrix), [rows[c] for c in chosen])
         self._decode_cache[avail] = plan
         return plan
 
@@ -529,12 +500,8 @@ class LinearVectorCode(ErasureCode):
                 raise ValueError(
                     f"batched shards must be (batch, L) stacks, got {arr.shape}"
                 )
-            if arr.dtype.itemsize > self._symbol_size:
-                raise ValueError(
-                    f"shard dtype {arr.dtype} is wider than GF(2^{self.w}) symbols"
-                )
+            arrs[i] = as_symbols(arr, "shard")
             shapes.add(arr.shape)
-            arrs[i] = np.ascontiguousarray(arr, dtype=self.symbol_dtype)
         if len(shapes) != 1:
             raise ValueError(f"inconsistent shard shapes: {shapes}")
         batch, L = shapes.pop()

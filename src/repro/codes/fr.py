@@ -75,7 +75,7 @@ class FractionalRepetitionCode(LinearVectorCode):
     #: counters land under ``codes.fr.*``
     telemetry_key = "fr"
 
-    def __init__(self, k: int, r: int, rho: int = 2, w: int = 8):
+    def __init__(self, k: int, r: int, rho: int = 2):
         if k <= 0 or r <= 0:
             raise ParameterError(f"FR needs k > 0 and r > 0, got k={k}, r={r}")
         if rho < 2:
@@ -89,13 +89,13 @@ class FractionalRepetitionCode(LinearVectorCode):
         l = rho
         num_chunks = n * l // rho  # == n for l == rho
         num_data_chunks = k * l
-        if num_chunks > (1 << w):
-            raise ParameterError(f"FR({k},{r},x{rho}) precode does not fit GF(2^{w})")
+        if num_chunks > 256:
+            raise ParameterError(f"FR({k},{r},x{rho}) precode does not fit GF(2^8)")
         self.rho = rho
         self.num_chunks = num_chunks
         self.num_data_chunks = num_data_chunks
         precode_parity = (
-            systematic_rs_parity(num_data_chunks, num_chunks - num_data_chunks, w=w)
+            systematic_rs_parity(num_data_chunks, num_chunks - num_data_chunks)
             if num_chunks > num_data_chunks
             else np.zeros((0, num_data_chunks), dtype=np.uint8)
         )
@@ -107,7 +107,7 @@ class FractionalRepetitionCode(LinearVectorCode):
                     rows[node * l + plane, chunk] = 1
                 else:
                     rows[node * l + plane] = precode_parity[chunk - num_data_chunks]
-        super().__init__(n=n, k=k, generator=rows, subpacketization=l, w=w)
+        super().__init__(n=n, k=k, generator=rows, subpacketization=l)
         #: chunk id -> [(node, plane), ...] sorted by node; ρ entries each
         self.chunk_locations: dict[int, list[tuple[int, int]]] = {
             c: [] for c in range(num_chunks)
@@ -178,7 +178,7 @@ class FractionalRepetitionCode(LinearVectorCode):
             for erased in itertools.combinations(range(self.n), t):
                 alive = [i for i in range(self.n) if i not in erased]
                 rows = [s for node in alive for s in self.node_symbols(node)]
-                if len(independent_rows(self.generator[rows], w=self.w)) < kl:
+                if len(independent_rows(self.generator[rows])) < kl:
                     return t - 1
         return self.n - self.k
 

@@ -56,15 +56,15 @@ class HitchhikerCode(LinearVectorCode):
     True
     """
 
-    def __init__(self, k: int, r: int, w: int = 8, verify: bool = True):
+    def __init__(self, k: int, r: int, verify: bool = True):
         if r < 2:
             raise ParameterError("Hitchhiker needs r >= 2 (one parity to piggyback on)")
         if k < r - 1:
             raise ParameterError(f"need k >= r-1 data nodes to form groups, got k={k}")
-        if k + r > (1 << w):
-            raise ParameterError(f"({k},{r}) does not fit in GF(2^{w})")
+        if k + r > 256:
+            raise ParameterError(f"({k},{r}) does not fit in GF(2^8)")
         n = k + r
-        parity = systematic_rs_parity(k, r, w=w)  # f_j = parity[j-1]
+        parity = systematic_rs_parity(k, r)  # f_j = parity[j-1]
 
         # near-even partition of data nodes into r-1 groups
         groups: list[list[int]] = [[] for _ in range(r - 1)]
@@ -91,8 +91,8 @@ class HitchhikerCode(LinearVectorCode):
                 for i in groups[j - 1]:
                     gen[row(k + j, 1), col(i, 0)] ^= 1
 
-        super().__init__(n=n, k=k, generator=gen, subpacketization=l, w=w)
-        self._base_rs = ReedSolomonCode(k, r, w=w)
+        super().__init__(n=n, k=k, generator=gen, subpacketization=l)
+        self._base_rs = ReedSolomonCode(k, r)
 
         if verify:
             for erased in itertools.combinations(range(n), r):
@@ -104,7 +104,7 @@ class HitchhikerCode(LinearVectorCode):
                 ]
                 sub = self.generator[alive_rows]
                 # MDS <=> any n-r surviving nodes span the data space
-                if not is_invertible(sub[self._independent_square(sub)], w=w):
+                if not is_invertible(sub[self._independent_square(sub)]):
                     raise ParameterError(
                         f"piggybacking broke MDS for erasure pattern {erased}"
                     )
@@ -112,7 +112,7 @@ class HitchhikerCode(LinearVectorCode):
     def _independent_square(self, sub: np.ndarray) -> list[int]:
         from ..gf.matrix import independent_rows
 
-        rows = independent_rows(sub, w=self.w)
+        rows = independent_rows(sub)
         if len(rows) < self.k * 2:
             raise ParameterError("rank deficiency while verifying MDS")
         return rows[: self.k * 2]

@@ -47,7 +47,7 @@ class LocalReconstructionCode(LinearVectorCode):
     [0, 4]
     """
 
-    def __init__(self, k: int, r: int, z: int, w: int = 8, layout: str = "contiguous"):
+    def __init__(self, k: int, r: int, z: int, layout: str = "contiguous"):
         if k <= 0 or r <= 0 or z <= 0:
             raise ParameterError(f"LRC needs positive k, r, z; got ({k},{r},{z})")
         if k % z != 0:
@@ -69,11 +69,11 @@ class LocalReconstructionCode(LinearVectorCode):
         local = np.zeros((z, k), dtype=np.uint8)
         for i in range(k):
             local[self._group_index(i), i] = 1
-        global_parity = systematic_rs_parity(k, r, w=w)
+        global_parity = systematic_rs_parity(k, r)
         generator = np.concatenate(
             [np.eye(k, dtype=global_parity.dtype), local, global_parity], axis=0
         )
-        super().__init__(n=n, k=k, generator=generator, subpacketization=1, w=w)
+        super().__init__(n=n, k=k, generator=generator, subpacketization=1)
         self.r = r  # LinearVectorCode sets r = n - k = r + z; keep the paper's r
         self.num_local = z
         self.num_global = r

@@ -84,7 +84,6 @@ class MSRCode(LinearVectorCode):
         n: int,
         k: int,
         gamma: int | None = None,
-        w: int = 8,
         verify: str = "auto",
         rng_seed: int = 0x5EED,
     ):
@@ -98,13 +97,12 @@ class MSRCode(LinearVectorCode):
             raise ParameterError(f"need at least two node groups (n/r >= 2), got {m}")
         if verify not in ("auto", "full", "sample", "off"):
             raise ParameterError(f"unknown verify policy {verify!r}")
-        self._gf = GF.get(w)
+        self._gf = GF.get()
         self.s = r
         self.m = m
         l = r**m
-        self._w = w
 
-        h_scalar = np.concatenate([cauchy(r, k, w=w), np.eye(r, dtype=np.uint8)], axis=1)
+        h_scalar = np.concatenate([cauchy(r, k), np.eye(r, dtype=np.uint8)], axis=1)
 
         candidates = [gamma] if gamma is not None else [g for g in range(2, self._gf.order)]
         rng = np.random.default_rng(rng_seed)
@@ -117,7 +115,7 @@ class MSRCode(LinearVectorCode):
             except np.linalg.LinAlgError as exc:
                 last_err = exc
                 continue
-            super().__init__(n=n, k=k, generator=generator, subpacketization=l, w=w)
+            super().__init__(n=n, k=k, generator=generator, subpacketization=l)
             self.gamma = g
             self.h_scalar = h_scalar
             self._prepare_repair_plans()
@@ -168,9 +166,9 @@ class MSRCode(LinearVectorCode):
     # --------------------------------------------------------------- construction
     def _coupling_coeffs(self, gamma: int) -> tuple[np.ndarray, np.ndarray]:
         """The pair mixing matrix M = [[1, γ], [γ, 1]] and its inverse."""
-        gf = GF.get(self._w)
+        gf = GF.get()
         M = np.array([[1, gamma], [gamma, 1]], dtype=gf.dtype)
-        return M, inverse(M, w=self._w)
+        return M, inverse(M)
 
     def _build_generator(
         self,
@@ -183,7 +181,7 @@ class MSRCode(LinearVectorCode):
         h_scalar: np.ndarray,
     ) -> np.ndarray:
         """Assemble the systematic (n·l × k·l) generator for coupling γ."""
-        gf = GF.get(self._w)
+        gf = GF.get()
         self.s = r  # needed by helpers before super().__init__
         self.m = m
         _, Minv = self._coupling_coeffs(gamma)
@@ -213,7 +211,7 @@ class MSRCode(LinearVectorCode):
 
         kl = k * l
         A_data, A_parity = A[:, :kl], A[:, kl:]
-        enc = solve(A_parity, A_data, w=self._w)  # raises LinAlgError if singular
+        enc = solve(A_parity, A_data)  # raises LinAlgError if singular
         self._constraints = A
         return np.concatenate([np.eye(kl, dtype=np.uint8), enc], axis=0)
 
@@ -240,7 +238,7 @@ class MSRCode(LinearVectorCode):
         l = self.subpacketization
         for erased in patterns:
             cols = [i * l + z for i in erased for z in range(l)]
-            if not is_invertible(self._constraints[:, cols], w=self._w):
+            if not is_invertible(self._constraints[:, cols]):
                 return False
         return True
 
@@ -268,7 +266,7 @@ class MSRCode(LinearVectorCode):
             same_col = [self._node(x, y0) for x in range(self.s) if x != x0]
             unknown_nodes = [f] + same_col
             known_nodes = [i for i in range(self.n) if i not in unknown_nodes]
-            hu_inv = inverse(self.h_scalar[:, unknown_nodes], w=self._w)
+            hu_inv = inverse(self.h_scalar[:, unknown_nodes])
             self._repair_solvers[f] = (unknown_nodes, known_nodes, hu_inv)
 
             basis_view = {
@@ -276,7 +274,7 @@ class MSRCode(LinearVectorCode):
             }
             repair_matrix = self._repair_coupled_naive(f, basis_view)
             self._repair_matrices[f] = repair_matrix
-            self._repair_fused[f] = CodingPlan(repair_matrix, w=self._w)
+            self._repair_fused[f] = CodingPlan(repair_matrix)
         self._shortened_fused: dict[tuple[int, int], CodingPlan] = {}
         self._helper_plans: dict[tuple[int, int], CodingPlan] = {}
         #: (lost node, stored data rows) -> the nodes an in-place repair reads
@@ -300,7 +298,7 @@ class MSRCode(LinearVectorCode):
         to its ``(l, sub)`` plane view; returns the rebuilt ``(l, sub)``
         block.
         """
-        gf = GF.get(self._w)
+        gf = GF.get()
         l = self.subpacketization
         sub = next(iter(view.values())).shape[1]
         x0, y0 = self._coords(failed)
@@ -335,8 +333,8 @@ class MSRCode(LinearVectorCode):
         failed_block = np.empty((l, sub), dtype=gf.dtype)
         for z in planes:
             known_u = np.stack([uncoupled(i, z) for i in known_nodes])
-            rhs = apply_to_blocks_naive(self.h_scalar[:, known_nodes], known_u, w=self._w)
-            solved = apply_to_blocks_naive(hu_inv, rhs, w=self._w)
+            rhs = apply_to_blocks_naive(self.h_scalar[:, known_nodes], known_u)
+            solved = apply_to_blocks_naive(hu_inv, rhs)
             failed_block[z] = solved[0]  # U == C on repair planes for the failed node
             # Recover the failed node's other planes through the coupling pairs
             # with the same-column helpers.
@@ -371,7 +369,7 @@ class MSRCode(LinearVectorCode):
             l = self.subpacketization
             cols = np.r_[0 : data_nodes * l, self.k * l : self.n * l]
             plan = self._shortened_fused[key] = CodingPlan(
-                self._repair_matrices[failed][:, cols], w=self._w
+                self._repair_matrices[failed][:, cols]
             )
         return plan
 
@@ -475,7 +473,7 @@ class MSRCode(LinearVectorCode):
         known_nodes = self._repair_solvers[failed][1]
 
         # the failed node's rows stay uninitialised: their columns are zero
-        S = np.empty((batch, self.n * l, sub), dtype=self.symbol_dtype)
+        S = np.empty((batch, self.n * l, sub), dtype=np.uint8)
         for i in helpers:
             S[:, i * l : (i + 1) * l] = arrs[i].reshape(batch, l, sub)
         blocks = self._repair_fused[failed].apply_batch(S)
@@ -519,7 +517,7 @@ class MSRCode(LinearVectorCode):
             l = self.subpacketization
             planes = np.asarray(self.repair_planes(failed), dtype=np.intp)
             cols = helper * l + planes
-            plan = CodingPlan(self._repair_matrices[failed][:, cols], w=self._w)
+            plan = CodingPlan(self._repair_matrices[failed][:, cols])
             self._helper_plans[key] = plan
         return plan
 

@@ -41,14 +41,14 @@ class ReedSolomonCode(LinearVectorCode):
     True
     """
 
-    def __init__(self, k: int, r: int, w: int = 8):
+    def __init__(self, k: int, r: int):
         if k <= 0 or r <= 0:
             raise ParameterError(f"RS needs k > 0 and r > 0, got k={k}, r={r}")
-        if k + r > (1 << w):
-            raise ParameterError(f"RS({k},{r}) does not fit in GF(2^{w})")
-        parity = systematic_rs_parity(k, r, w=w)
+        if k + r > 256:
+            raise ParameterError(f"RS({k},{r}) does not fit in GF(2^8)")
+        parity = systematic_rs_parity(k, r)
         generator = np.concatenate([np.eye(k, dtype=parity.dtype), parity], axis=0)
-        super().__init__(n=k + r, k=k, generator=generator, subpacketization=1, w=w)
+        super().__init__(n=k + r, k=k, generator=generator, subpacketization=1)
         #: the r×k parity-coefficient matrix P (p = P @ d)
         self.parity_matrix = parity
         # per-(failed, helpers) repair-coefficient row and its compiled
@@ -131,7 +131,7 @@ class ReedSolomonCode(LinearVectorCode):
         if plan is None:
             row = np.zeros((1, self.n), dtype=self.generator.dtype)
             row[0, list(helpers)] = self.repair_coefficients(failed, helpers)
-            plan = self._repair_plans[key] = CodingPlan(row, w=self.w)
+            plan = self._repair_plans[key] = CodingPlan(row)
         return plan
 
     def repair_batch(
@@ -152,7 +152,7 @@ class ReedSolomonCode(LinearVectorCode):
         arrs, batch, L = self._check_shard_stacks(shards)
         helpers = self._lowest_helpers(arrs)
         # non-helper rows stay uninitialised: their plan columns are zero
-        stacked = np.empty((batch, self.n, L), dtype=self.symbol_dtype)
+        stacked = np.empty((batch, self.n, L), dtype=np.uint8)
         for i in helpers:
             stacked[:, i] = arrs[i]
         blocks = self._repair_plan(failed, helpers).apply_batch(stacked)[:, 0]
@@ -187,9 +187,7 @@ class ReedSolomonCode(LinearVectorCode):
         cached = self._repair_coeff_cache.get(key)
         if cached is None:
             sub = self.generator[np.asarray(helpers)]
-            coeffs = matmul(
-                self.generator[failed : failed + 1], inverse(sub, w=self.w), w=self.w
-            )[0]
+            coeffs = matmul(self.generator[failed : failed + 1], inverse(sub))[0]
             cached = self._repair_coeff_cache[key] = coeffs
         return cached
 
@@ -218,11 +216,9 @@ class ReedSolomonCode(LinearVectorCode):
         L = shards[helpers[0]].shape[0]
         if METRICS.enabled:
             METRICS.counter("codes.rs.repair_streamed_calls", unit="calls").inc()
-        gf = GF.get(self.w)
+        gf = GF.get()
         acc = np.zeros(L, dtype=shards[helpers[0]].dtype)
-        scratch = (
-            np.empty(min(chunk_size, L), dtype=acc.dtype) if self.w <= 8 else None
-        )
+        scratch = np.empty(min(chunk_size, L), dtype=acc.dtype)
         for start in range(0, L, chunk_size):
             stop = min(start + chunk_size, L)
             for coeff, helper in zip(coeffs, helpers):

@@ -30,11 +30,12 @@ from typing import Hashable
 
 import numpy as np
 
+from ..gf import as_symbols
 from ..telemetry import METRICS
 from .adaptation import AdaptiveSelector, CodeKind, Conversion
 from .costmodel import CostModel, SystemProfile
 from .queues import CachePolicy
-from .transform import FusionTransformer, StripeStore, TransformCost, _as_symbols
+from .transform import FusionTransformer, StripeStore, TransformCost
 
 __all__ = ["RecoveryReport", "ECFusion"]
 
@@ -114,7 +115,7 @@ class ECFusion:
         array is not kept.  Overwriting a stripe reuses that buffer and,
         when the code is unchanged, its parity buffer.
         """
-        data = _as_symbols(data, "data")
+        data = as_symbols(data, "data")
         if data.ndim != 2 or data.shape[0] != self.k:
             raise ValueError(f"expected ({self.k}, L) data blocks, got {data.shape}")
         if data.shape[1] % self._unit:

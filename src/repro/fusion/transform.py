@@ -75,7 +75,7 @@ from ..codes import (
     ReedSolomonCode,
     UnrecoverableError,
 )
-from ..gf import CodingPlan, cauchy, inverse, matmul
+from ..gf import CodingPlan, as_symbols, cauchy, inverse, matmul
 from ..telemetry import METRICS
 from .adaptation import CodeKind
 from .costmodel import CostModel, SystemProfile
@@ -94,21 +94,9 @@ __all__ = [
 _shape = attrgetter("shape")
 
 #: the symbol dtype; an array that is an ``ndarray`` of it and C-contiguous
-#: is what :func:`_as_symbols` returns unchanged, so callers test for it
-#: inline and skip the call (a stored stripe's own arrays always are)
+#: is what :func:`~repro.gf.as_symbols` returns unchanged, so callers test
+#: for it inline and skip the call (a stored stripe's own arrays always are)
 _SYMBOL = np.dtype(np.uint8)
-
-
-def _as_symbols(blocks, what: str) -> np.ndarray:
-    """``blocks`` as C-contiguous GF(2^8) symbols, refusing wider dtypes.
-
-    The codecs' check, made where caller bytes enter: ``np.uint8`` would
-    wrap an int64 300 to 44 and truncate a float 1.7 to 1.
-    """
-    blocks = np.asarray(blocks)
-    if blocks.dtype.itemsize > 1:
-        raise ValueError(f"{what} dtype {blocks.dtype} is wider than GF(2^8) symbols")
-    return np.ascontiguousarray(blocks, dtype=np.uint8)
 
 
 def _block_len_error(L: int, l: int) -> ValueError:
@@ -289,15 +277,14 @@ class FusionTransformer:
     (True, 2)
     """
 
-    def __init__(self, k: int, r: int, msr: MSRCode | None = None, w: int = 8):
+    def __init__(self, k: int, r: int, msr: MSRCode | None = None):
         self.k = k
         self.r = r
         self.q = -(-k // r)  # ceil
         self.padding = self.q * r - k
-        self._w = w
-        self.rs = ReedSolomonCode(k, r, w=w)
+        self.rs = ReedSolomonCode(k, r)
         if msr is None:
-            msr = MSRCode(2 * r, r, w=w)
+            msr = MSRCode(2 * r, r)
         elif (msr.n, msr.k) != (2 * r, r):
             raise ValueError(f"msr must be MSR({2 * r},{r}), got {msr.name}")
         self.msr = msr
@@ -306,31 +293,29 @@ class FusionTransformer:
 
         # Group blocks B_i from the width-qr extension of the Cauchy family;
         # its first k columns are exactly the RS(k, r) parity matrix.
-        p_full = cauchy(r, self.q * r, w=w)
+        p_full = cauchy(r, self.q * r)
         assert np.array_equal(p_full[:, :k], self.rs.parity_matrix)
         self.group_blocks = [p_full[:, i * r : (i + 1) * r] for i in range(self.q)]
-        self._group_blocks_inv = [inverse(b, w=w) for b in self.group_blocks]
+        self._group_blocks_inv = [inverse(b) for b in self.group_blocks]
 
         enc = msr.generator[msr.k * l :]  # (r·l × r·l), square since k = r
-        enc_inv = inverse(enc, w=w)
+        enc_inv = inverse(enc)
         eye_l = np.eye(l, dtype=np.uint8)
         #: Trans1_i: group-i MSR parity symbols -> intermediary parity symbols
-        self.trans1 = [
-            matmul(np.kron(b, eye_l), enc_inv, w=w) for b in self.group_blocks
-        ]
+        self.trans1 = [matmul(np.kron(b, eye_l), enc_inv) for b in self.group_blocks]
         #: Trans2_i: intermediary parity symbols -> group-i MSR parity symbols
         self.trans2 = [
-            matmul(enc, np.kron(binv, eye_l), w=w) for binv in self._group_blocks_inv
+            matmul(enc, np.kron(binv, eye_l)) for binv in self._group_blocks_inv
         ]
         # Conversions re-apply the same matrices stripe after stripe —
         # compile each once so the hot path is pure fused-kernel execution.
         # A padded last group multiplies its real data rows only: the
         # virtual zero blocks' columns of B_q drop out, nothing is padded.
         self._group_plans = [
-            CodingPlan(b[:, : k - i * r], w=w) for i, b in enumerate(self.group_blocks)
+            CodingPlan(b[:, : k - i * r]) for i, b in enumerate(self.group_blocks)
         ]
-        self._trans1_plans = [CodingPlan(t, w=w) for t in self.trans1]
-        self._trans2_plans = [CodingPlan(t, w=w) for t in self.trans2]
+        self._trans1_plans = [CodingPlan(t) for t in self.trans1]
+        self._trans2_plans = [CodingPlan(t) for t in self.trans2]
         # Trans2_i·(B_i ⊗ I_l) = Enc_MSR: a group read from its data gets its
         # MSR parities from the MSR encoder (of a padded group's real rows)
         self._encode_plans = [
@@ -379,7 +364,7 @@ class FusionTransformer:
             [self.rs.parity_matrix[:, :rows], np.eye(r, dtype=np.uint8)], axis=1
         )
         m[:, derived * r : min((derived + 1) * r, rows)] = 0  # group derived is unread
-        return CodingPlan(m, w=self._w), rows
+        return CodingPlan(m), rows
 
     def _merge(self, from_data: tuple[int, ...]) -> list[tuple[CodingPlan, int, int | None]]:
         """The MSR → RS merge (eqs. (3), (6)) when the groups ``from_data``
@@ -395,7 +380,7 @@ class FusionTransformer:
             for i, rows in enumerate(self._instances("msr"))
         ]  # fmt: skip
         return [
-            (CodingPlan(np.concatenate(maps[i : i + 2], axis=1), w=self._w), i,
+            (CodingPlan(np.concatenate(maps[i : i + 2], axis=1)), i,
              i + 1 if i + 1 < self.q else None)
             for i in range(0, self.q, 2)
         ]  # fmt: skip
@@ -403,7 +388,7 @@ class FusionTransformer:
     # ---------------------------------------------------------------- eq. (3)
     def intermediary_parities(self, data: np.ndarray) -> np.ndarray:
         """All q intermediary parity sets p′_i, shape (q, r, L)."""
-        data = _as_symbols(data, "data")
+        data = as_symbols(data, "data")
         if data.ndim != 2 or data.shape[0] != self.k:
             raise ValueError(f"expected ({self.k}, L) data blocks, got {data.shape}")
         r = self.r
@@ -484,13 +469,13 @@ class FusionTransformer:
         if not (
             data.__class__ is np.ndarray and data.dtype is _SYMBOL and data.flags.c_contiguous
         ):
-            data = _as_symbols(data, "data")
+            data = as_symbols(data, "data")
         if not (
             rs_parity.__class__ is np.ndarray
             and rs_parity.dtype is _SYMBOL
             and rs_parity.flags.c_contiguous
         ):
-            rs_parity = _as_symbols(rs_parity, "rs_parity")
+            rs_parity = as_symbols(rs_parity, "rs_parity")
         q, r, l = self.q, self.r, self.subpacketization
         L = data.shape[1]
         if L % l:
@@ -544,8 +529,8 @@ class FusionTransformer:
         byte-identical to calling :meth:`rs_to_msr` in a loop (the wall
         timer aside, which ticks once per batch here).
         """
-        data = _as_symbols(data, "data")
-        rs_parity = _as_symbols(rs_parity, "rs_parity")
+        data = as_symbols(data, "data")
+        rs_parity = as_symbols(rs_parity, "rs_parity")
         if data.ndim != 3 or data.shape[1] != self.k:
             raise ValueError(
                 f"data must be (batch, {self.k}, L) stacks, got {data.shape}"
@@ -609,7 +594,7 @@ class FusionTransformer:
         """
         if len(msr_parities) != self.q:
             raise ValueError(f"expected {self.q} parity groups, got {len(msr_parities)}")
-        pars = [_as_symbols(p, "msr parity") for p in msr_parities]
+        pars = [as_symbols(p, "msr parity") for p in msr_parities]
         shapes = {p.shape for p in pars}
         if len(shapes) != 1 or pars[0].ndim != 3 or pars[0].shape[1] != self.r:
             raise ValueError(
@@ -681,7 +666,7 @@ class FusionTransformer:
             if not (
                 data.__class__ is np.ndarray and data.dtype is _SYMBOL and data.flags.c_contiguous
             ):
-                data = _as_symbols(data, "data")
+                data = as_symbols(data, "data")
             if data.shape != (self.k, L):
                 raise ValueError(f"data must be ({self.k}, {L}), got {data.shape}")
         # Each group's source is probed in turn: its MSR parities, or its
@@ -696,7 +681,7 @@ class FusionTransformer:
             if not (
                 par.__class__ is np.ndarray and par.dtype is _SYMBOL and par.flags.c_contiguous
             ):
-                par = _as_symbols(par, "msr parity")
+                par = as_symbols(par, "msr parity")
             if par.shape != (r, L):
                 raise ValueError(f"group {i} parity must be ({r}, {L})")
             if fault_hook is None or self._read_source(fault_hook, "parity", i):
@@ -738,9 +723,9 @@ class FusionTransformer:
         if codec is None:
             fam = self.cost_model.family(code)
             if code == "lrc":
-                codec = LocalReconstructionCode(self.k, fam.r, fam.z, w=self._w)
+                codec = LocalReconstructionCode(self.k, fam.r, fam.z)
             else:
-                codec = FractionalRepetitionCode(self.k, fam.r, rho=fam.rho, w=self._w)
+                codec = FractionalRepetitionCode(self.k, fam.r, rho=fam.rho)
             self._codecs[code] = codec
         return codec
 
@@ -755,7 +740,7 @@ class FusionTransformer:
         """A fresh stripe of ``(k, L)`` data in ``code``, each family's
         parity computed by that family's own codec."""
         code = CodeKind(code)
-        data = _as_symbols(data, "data")
+        data = as_symbols(data, "data")
         if data.ndim != 2 or data.shape[0] != self.k:
             raise ValueError(f"expected ({self.k}, L) data blocks, got {data.shape}")
         codec = self.codec(code)

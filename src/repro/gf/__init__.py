@@ -1,9 +1,13 @@
-"""Galois-field arithmetic substrate for all erasure codes in this repo.
+"""GF(2^8) arithmetic: the substrate of every erasure code in this repo.
+
+GF(2^8) is the field, not a parameter: every code symbol is one byte.
 
 Public surface:
 
-* :class:`repro.gf.GF` — field object with vectorized element arithmetic;
-* :mod:`repro.gf.matrix` — linear algebra over GF(2^w) plus the
+* :class:`repro.gf.GF` — the field object with vectorized element
+  arithmetic; :func:`as_symbols` turns caller arrays into byte symbols,
+  refusing wider dtypes;
+* :mod:`repro.gf.matrix` — linear algebra over GF(2^8) plus the
   block-encode kernel :func:`repro.gf.matrix.apply_to_blocks`;
 * :mod:`repro.gf.plan` — :class:`repro.gf.plan.CodingPlan`, the fused
   precompiled form of ``apply_to_blocks`` (plus the kept naive reference
@@ -12,10 +16,11 @@ Public surface:
   executes through (``translate``/``gather``/``pair``/``native``,
   selectable via ``REPRO_GF_BACKEND``); :func:`native_info` names the
   SIMD rung behind ``native`` on this host, or why there is none;
-* :mod:`repro.gf.polynomial` — polynomial eval/interpolation (RS oracle).
+* :mod:`repro.gf.polynomial` — polynomial eval/interpolation (a test
+  oracle for RS).
 """
 
-from .arithmetic import GF, gf_add, gf_div, gf_inv, gf_mul, gf_pow
+from .arithmetic import GF, as_symbols, gf_add, gf_div, gf_inv, gf_mul, gf_pow
 from .backends import BACKEND_NAMES, available_backends
 from .matrix import (
     CodingPlan,
@@ -33,13 +38,14 @@ from .matrix import (
     vandermonde,
 )
 from .native import native_info
-from .tables import PRIMITIVE_POLYS, GFTables, get_tables
+from .tables import PRIMITIVE_POLY, GFTables, get_tables
 
 __all__ = [
     "GF",
     "GFTables",
-    "PRIMITIVE_POLYS",
+    "PRIMITIVE_POLY",
     "get_tables",
+    "as_symbols",
     "gf_add",
     "gf_mul",
     "gf_div",

@@ -1,9 +1,10 @@
-"""Vectorized element-wise arithmetic over GF(2^w).
+"""Vectorized element-wise arithmetic over GF(2^8).
 
 Every function accepts scalars or ndarrays (broadcasting like NumPy ufuncs)
-and returns arrays of the field's natural dtype.  Addition is XOR; multiply,
-divide and power go through the discrete-log tables, with zero operands
-masked so the ``log[0]`` sentinel is never consumed.
+and returns ``uint8`` arrays.  Addition is XOR; multiply goes through the
+full 256×256 multiplication table, divide and power through the
+discrete-log tables, with zero operands masked so the ``log[0]`` sentinel
+is never consumed.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .tables import GFTables, get_tables
 
 __all__ = [
     "GF",
+    "as_symbols",
     "gf_add",
     "gf_mul",
     "gf_div",
@@ -24,68 +26,55 @@ __all__ = [
 ]
 
 
-class GF:
-    """A Galois field GF(2^w) exposing vectorized arithmetic.
+def as_symbols(arr, what: str) -> np.ndarray:
+    """``arr`` as C-contiguous GF(2^8) symbols, refusing wider dtypes.
 
-    Instances are cheap wrappers around the cached tables; use :func:`GF.get`
-    (or module-level helpers defaulting to GF(256)) rather than holding global
-    state.
+    The check made where caller bytes enter a codec, converter or block
+    kernel: ``np.uint8`` would wrap an int64 300 to 44 and truncate a
+    float 1.7 to 1.  ``what`` names the argument in the error.
+    """
+    arr = np.asarray(arr)
+    if arr.dtype.itemsize > 1:
+        raise ValueError(f"{what} dtype {arr.dtype} is wider than GF(2^8) symbols")
+    return np.ascontiguousarray(arr, dtype=np.uint8)
+
+
+class GF:
+    """The Galois field GF(2^8), exposing vectorized arithmetic.
+
+    One instance exists, built at import; :func:`GF.get` returns it (the
+    module-level helpers use it too).
 
     Examples
     --------
-    >>> gf = GF.get(8)
+    >>> gf = GF.get()
     >>> int(gf.mul(7, 9))
     63
     >>> int(gf.div(gf.mul(5, 11), 11))
     5
     """
 
-    __slots__ = ("tables", "dtype", "_mul_table", "_translate_tables", "_mul_table_lock")
-
-    _instances: dict[int, "GF"] = {}
-    _instances_lock = threading.Lock()
+    __slots__ = ("tables", "dtype", "_mul_table", "_mul_table_lock")
 
     def __init__(self, tables: GFTables):
         self.tables = tables
         #: NumPy dtype used for field elements (a slot, not a property
         #: chain: every block application reads it several times)
-        self.dtype = tables.dtype
-        # Full multiplication table for small fields: one gather replaces
-        # two log lookups + exp lookup + zero masking.  Built lazily; only
-        # affordable for w <= 8 (GF(2^16) would need 8 GiB).
+        self.dtype = np.uint8
+        # Full multiplication table: one gather replaces two log lookups
+        # + exp lookup + zero masking.  Built lazily.
         self._mul_table: np.ndarray | None = None
-        # 256-byte ``bytes.translate`` tables, one per coefficient: the
-        # fastest scaling primitive NumPy-land offers for uint8 data
-        # (~4x a fancy-index table gather).  Built lazily with mul_table.
-        self._translate_tables: list[bytes] | None = None
         self._mul_table_lock = threading.Lock()
 
     @classmethod
-    def get(cls, w: int = 8) -> "GF":
-        """Return the singleton field object for GF(2^w).
-
-        Thread-safe: concurrent first calls (threads coding outside the
-        GIL, which the native kernel releases) observe exactly one
-        instance per field.
-        """
-        inst = cls._instances.get(w)
-        if inst is None:
-            with cls._instances_lock:
-                inst = cls._instances.get(w)
-                if inst is None:
-                    inst = cls(get_tables(w))
-                    cls._instances[w] = inst
-        return inst
+    def get(cls) -> "GF":
+        """Return the field object (the one built at import)."""
+        return _FIELD
 
     # -- basic properties -------------------------------------------------
     @property
-    def w(self) -> int:
-        """Word size in bits."""
-        return self.tables.w
-
-    @property
     def order(self) -> int:
-        """Field size 2^w."""
+        """Field size 256."""
         return self.tables.order
 
     def _as_elems(self, a) -> np.ndarray:
@@ -102,7 +91,7 @@ class GF:
     sub = add  # characteristic 2
 
     def mul_table(self) -> np.ndarray:
-        """The order×order multiplication table (built on first use, w ≤ 8).
+        """The 256×256 multiplication table (built on first use).
 
         Thread-safe: the first build is serialized under a lock so
         concurrent callers (threads coding outside the GIL) neither
@@ -110,8 +99,6 @@ class GF:
         of ``self._mul_table``.  The hot path stays lock-free — a plain
         read of the already-published table.
         """
-        if self.tables.w > 8:
-            raise ValueError(f"mul table too large for GF(2^{self.tables.w})")
         table = self._mul_table
         if table is None:
             with self._mul_table_lock:
@@ -128,29 +115,6 @@ class GF:
                     self._mul_table = table
         return table
 
-    def scale_translation(self, coeff: int) -> bytes:
-        """256-byte ``bytes.translate`` table scaling by ``coeff`` (w ≤ 8).
-
-        ``raw.translate(table)`` maps every byte ``x`` to ``coeff * x`` —
-        the fastest bulk GF scaling primitive available from pure Python
-        (C-speed, no index-array materialisation).  For w < 8 the table is
-        zero-padded past ``order``; those bytes are not field elements and
-        never occur in valid data.  Built lazily under the same lock as
-        :meth:`mul_table`.
-        """
-        if self.tables.w > 8:
-            raise ValueError(f"translate tables need w <= 8, got w={self.tables.w}")
-        tabs = self._translate_tables
-        if tabs is None:
-            mt = self.mul_table()  # outside the lock: mul_table locks itself
-            with self._mul_table_lock:
-                tabs = self._translate_tables
-                if tabs is None:
-                    pad = bytes(256 - self.order)
-                    tabs = [mt[c].tobytes() + pad for c in range(self.order)]
-                    self._translate_tables = tabs
-        return tabs[coeff]
-
     def _mul_logexp(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         t = self.tables
         out = t.exp[t.log[a] + t.log[b]]
@@ -158,19 +122,17 @@ class GF:
         return np.where(nz, out, 0).astype(self.dtype, copy=False)
 
     def mul(self, a, b) -> np.ndarray:
-        """Element-wise field multiplication (table gather for w ≤ 8)."""
+        """Element-wise field multiplication (one multiplication-table gather)."""
         a = self._as_elems(a)
         b = self._as_elems(b)
-        if self.tables.w <= 8:
-            return self.mul_table()[a, b]
-        return self._mul_logexp(a, b)
+        return self.mul_table()[a, b]
 
     def div(self, a, b) -> np.ndarray:
         """Element-wise division ``a / b``; raises on any zero divisor."""
         a = self._as_elems(a)
         b = self._as_elems(b)
         if np.any(b == 0):
-            raise ZeroDivisionError("division by zero in GF(2^w)")
+            raise ZeroDivisionError("division by zero in GF(2^8)")
         t = self.tables
         la = t.log[a]
         lb = t.log[b]
@@ -217,7 +179,7 @@ class GF:
         for coeff == 1, matching how storage-grade codecs special-case the
         identity coefficient.
 
-        ``scratch`` (w ≤ 8 only) is an optional caller-owned buffer with at
+        ``scratch`` is an optional caller-owned buffer with at
         least ``vec.size`` elements of the field dtype: the scaled product
         is gathered straight into it instead of a fresh temporary, making
         repeated streamed-repair folds allocation-free.
@@ -227,45 +189,39 @@ class GF:
         if coeff == 1:
             np.bitwise_xor(acc, vec, out=acc)
             return
-        if self.tables.w <= 8:
-            if scratch is not None:
-                prod = scratch[: vec.size].reshape(vec.shape)
-                np.take(self.mul_table()[coeff], vec, out=prod, mode="clip")
-                np.bitwise_xor(acc, prod, out=acc)
-                return
-            np.bitwise_xor(acc, self.mul_table()[coeff][vec], out=acc)
+        if scratch is not None:
+            prod = scratch[: vec.size].reshape(vec.shape)
+            np.take(self.mul_table()[coeff], vec, out=prod, mode="clip")
+            np.bitwise_xor(acc, prod, out=acc)
             return
-        t = self.tables
-        lc = int(t.log[coeff])
-        prod = t.exp[t.log[vec] + lc].astype(self.dtype, copy=False)
-        np.bitwise_xor(acc, np.where(vec != 0, prod, 0).astype(self.dtype, copy=False), out=acc)
+        np.bitwise_xor(acc, self.mul_table()[coeff][vec], out=acc)
 
 
-# -- module-level conveniences on the default GF(256) --------------------
+# -- the field, and module-level conveniences on it ----------------------
 
-_GF8 = GF.get(8)
-
-
-def gf_add(a, b, w: int = 8) -> np.ndarray:
-    """XOR addition in GF(2^w)."""
-    return GF.get(w).add(a, b)
+_FIELD = GF(get_tables())
 
 
-def gf_mul(a, b, w: int = 8) -> np.ndarray:
-    """Multiplication in GF(2^w)."""
-    return GF.get(w).mul(a, b)
+def gf_add(a, b) -> np.ndarray:
+    """XOR addition in GF(2^8)."""
+    return _FIELD.add(a, b)
 
 
-def gf_div(a, b, w: int = 8) -> np.ndarray:
-    """Division in GF(2^w)."""
-    return GF.get(w).div(a, b)
+def gf_mul(a, b) -> np.ndarray:
+    """Multiplication in GF(2^8)."""
+    return _FIELD.mul(a, b)
 
 
-def gf_inv(a, w: int = 8) -> np.ndarray:
-    """Multiplicative inverse in GF(2^w)."""
-    return GF.get(w).inv(a)
+def gf_div(a, b) -> np.ndarray:
+    """Division in GF(2^8)."""
+    return _FIELD.div(a, b)
 
 
-def gf_pow(a, e: int, w: int = 8) -> np.ndarray:
-    """Exponentiation in GF(2^w)."""
-    return GF.get(w).pow(a, e)
+def gf_inv(a) -> np.ndarray:
+    """Multiplicative inverse in GF(2^8)."""
+    return _FIELD.inv(a)
+
+
+def gf_pow(a, e: int) -> np.ndarray:
+    """Exponentiation in GF(2^8)."""
+    return _FIELD.pow(a, e)

@@ -3,7 +3,7 @@
 A compiled plan is *what* to compute (grouped/flattened nonzero
 coefficients); a **backend** is *how* one application executes.  All
 backends produce byte-identical output — they are pure reassociations
-of the same GF(2^w) sums — and every one is property-tested against
+of the same GF(2^8) sums — and every one is property-tested against
 :func:`~repro.gf.plan.apply_to_blocks_naive` (``tests/test_gf_backends.py``).
 Four are registered:
 
@@ -11,8 +11,7 @@ Four are registered:
     The historical path: one pass per distinct coefficient, scaling via
     a 256-entry table map into a reusable per-plan scratch buffer, then
     ``bitwise_xor.reduceat`` + fancy-indexed XOR scatter.  Works for any
-    ``w`` (w > 8 falls back to log/exp) and any shape; the universal
-    fallback.
+    shape; the universal fallback.
 ``gather``
     One double fancy-index into the multiplication table computes
     *every* product at once (~4 NumPy dispatches total).  Materialises an
@@ -33,15 +32,13 @@ Four are registered:
     passes the load-time self-test — :func:`repro.gf.native.native_info`
     says which.
 
-``native`` and ``pair`` are lowered from the 256-wide GF(2^8) tables and
-serve ``w == 8`` only; ``gather`` serves any ``w ≤ 8``.  Selection is
-``native`` wherever the kernel exists and by measured crossover on
-``(nnz, block_bytes)`` where it does not — see :func:`resolve_backend`
-and ``docs/performance.md`` — and can be forced with
-``REPRO_GF_BACKEND=<name>`` for testing.  A forced backend that cannot
-run a given plan/shape (another field width, native unavailable, odd
-constraints) falls back down the same ladder rather than erroring, so
-the override is always safe to set globally.
+Selection is ``native`` wherever the kernel exists and by measured
+crossover on ``(nnz, block_bytes)`` where it does not — see
+:func:`resolve_backend` and ``docs/performance.md`` — and can be forced
+with ``REPRO_GF_BACKEND=<name>`` for testing.  A forced backend that
+cannot run a given plan/shape (native unavailable, odd constraints)
+falls back down the same ladder rather than erroring, so the override is
+always safe to set globally.
 """
 
 from __future__ import annotations
@@ -78,12 +75,8 @@ PAIR_MIN_COLS = 1 << 14
 GATHER_FORCE_LIMIT = 1 << 26
 
 
-def available_backends(w: int = 8) -> tuple[str, ...]:
-    """Backends usable for field width ``w`` on this host."""
-    if w > 8:
-        return ("translate",)
-    if w < 8:
-        return ("gather", "translate")
+def available_backends() -> tuple[str, ...]:
+    """Backends usable on this host."""
     if _native.native_available():
         return BACKEND_NAMES
     return BACKEND_NAMES[1:]
@@ -106,14 +99,14 @@ def _supports(name: str, plan, ncols: int, forced: bool) -> bool:
     """Whether NumPy backend ``name`` can execute ``plan`` on ``ncols``-byte blocks."""
     if name == "translate":
         return True
-    if plan.w > 8 or plan.nnz == 0:
+    if plan.nnz == 0:
         return False
     if name == "gather":
         return plan.nnz * ncols <= (
             GATHER_FORCE_LIMIT if forced else plan._GATHER_LIMIT
         )
     if name == "pair":
-        return plan.w == 8 and ncols >= 2 and plan._pair_unit_count() <= PAIR_MAX_UNITS
+        return ncols >= 2 and plan._pair_unit_count() <= PAIR_MAX_UNITS
     return False
 
 
@@ -130,8 +123,7 @@ def resolve_backend(plan, ncols: int) -> tuple:
       dispatch overhead dominates, ``gather`` wins;
     * ``pair`` takes GF(2^8) blocks past :data:`PAIR_MIN_COLS` where its
       u64 packed gathers beat byte streaming;
-    * ``translate`` otherwise — and always for w > 8 or an all-zero
-      matrix.
+    * ``translate`` otherwise — and always for an all-zero matrix.
 
     A validated ``REPRO_GF_BACKEND`` wins whenever it supports the
     (plan, shape); unsupported combinations fall back down the ladder.
@@ -144,9 +136,9 @@ def resolve_backend(plan, ncols: int) -> tuple:
     forced = forced_backend()
     if forced not in (None, "native") and _supports(forced, plan, ncols, forced=True):
         return forced, None
-    if plan.w > 8 or plan.nnz == 0:
+    if plan.nnz == 0:
         return "translate", None
-    if plan.w == 8 and (fn := _native.kernel()) is not None:
+    if (fn := _native.kernel()) is not None:
         return "native", fn
     if plan.nnz * ncols <= plan._GATHER_LIMIT:
         return "gather", None

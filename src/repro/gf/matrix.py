@@ -1,4 +1,4 @@
-"""Matrix algebra over GF(2^w).
+"""Matrix algebra over GF(2^8).
 
 Matrices are plain 2-D ``numpy`` arrays of field elements.  The two workhorse
 operations for erasure coding are
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arithmetic import GF
+from .arithmetic import GF, as_symbols
 from .plan import CodingPlan, apply_to_blocks_naive
 
 __all__ = [
@@ -42,13 +42,13 @@ __all__ = [
 _MATMUL_BROADCAST_LIMIT = 1 << 16
 
 
-def identity(n: int, w: int = 8) -> np.ndarray:
-    """The n×n identity matrix over GF(2^w)."""
-    return np.eye(n, dtype=GF.get(w).dtype)
+def identity(n: int) -> np.ndarray:
+    """The n×n identity matrix over GF(2^8)."""
+    return np.eye(n, dtype=GF.get().dtype)
 
 
-def matmul(a: np.ndarray, b: np.ndarray, w: int = 8) -> np.ndarray:
-    """Matrix product over GF(2^w).
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product over GF(2^8).
 
     Shapes are validated *before* any arithmetic, so a 1-D operand (or a
     shared-axis mismatch) always raises :class:`ValueError` — never a
@@ -60,7 +60,7 @@ def matmul(a: np.ndarray, b: np.ndarray, w: int = 8) -> np.ndarray:
     assemblies) run through the fused :class:`CodingPlan` kernel instead,
     which peaks at O(k·n) memory and is byte-identical.
     """
-    gf = GF.get(w)
+    gf = GF.get()
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 2 or b.ndim != 2:
@@ -71,18 +71,18 @@ def matmul(a: np.ndarray, b: np.ndarray, w: int = 8) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"incompatible shapes for GF matmul: {a.shape} @ {b.shape}")
     if a.shape[0] * a.shape[1] * b.shape[1] > _MATMUL_BROADCAST_LIMIT:
-        return CodingPlan(a, w=w).apply(np.ascontiguousarray(b, dtype=gf.dtype))
+        return CodingPlan(a).apply(np.ascontiguousarray(b, dtype=gf.dtype))
     # (m, k, 1) * (1, k, n) -> elementwise mul then XOR-reduce over k
     prod = gf.mul(a[:, :, None], b[None, :, :])
     return np.bitwise_xor.reduce(prod, axis=1).astype(gf.dtype, copy=False)
 
 
-def mat_vec(m: np.ndarray, v: np.ndarray, w: int = 8) -> np.ndarray:
-    """Matrix–vector product over GF(2^w)."""
+def mat_vec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrix–vector product over GF(2^8)."""
     v = np.asarray(v)
     if v.ndim != 1:
         raise ValueError("mat_vec expects a 1-D vector")
-    return matmul(m, v[:, None], w=w)[:, 0]
+    return matmul(m, v[:, None])[:, 0]
 
 
 def _eliminate(
@@ -121,42 +121,42 @@ def _eliminate(
     return aug, r, piv_cols
 
 
-def rank(m: np.ndarray, w: int = 8) -> int:
-    """Rank of a matrix over GF(2^w)."""
-    gf = GF.get(w)
+def rank(m: np.ndarray) -> int:
+    """Rank of a matrix over GF(2^8)."""
+    gf = GF.get()
     work = np.array(m, dtype=gf.dtype, copy=True)
     _, rk, _ = _eliminate(work, gf)
     return rk
 
 
-def is_invertible(m: np.ndarray, w: int = 8) -> bool:
-    """True iff the square matrix is nonsingular over GF(2^w)."""
+def is_invertible(m: np.ndarray) -> bool:
+    """True iff the square matrix is nonsingular over GF(2^8)."""
     m = np.asarray(m)
-    return m.shape[0] == m.shape[1] and rank(m, w=w) == m.shape[0]
+    return m.shape[0] == m.shape[1] and rank(m) == m.shape[0]
 
 
-def inverse(m: np.ndarray, w: int = 8) -> np.ndarray:
-    """Matrix inverse over GF(2^w) via Gauss–Jordan on [M | I]."""
-    gf = GF.get(w)
+def inverse(m: np.ndarray) -> np.ndarray:
+    """Matrix inverse over GF(2^8) via Gauss–Jordan on [M | I]."""
+    gf = GF.get()
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("inverse requires a square matrix")
     n = m.shape[0]
     aug = np.concatenate(
-        [np.array(m, dtype=gf.dtype, copy=True), identity(n, w=gf.w)], axis=1
+        [np.array(m, dtype=gf.dtype, copy=True), identity(n)], axis=1
     )
     aug, rk, _ = _eliminate(aug, gf, pivot_cols=n)
     if rk < n:
-        raise np.linalg.LinAlgError("matrix is singular over GF(2^w)")
+        raise np.linalg.LinAlgError("matrix is singular over GF(2^8)")
     return aug[:, n:].copy()
 
 
-def solve(a: np.ndarray, b: np.ndarray, w: int = 8) -> np.ndarray:
-    """Solve ``A x = b`` for square nonsingular ``A`` over GF(2^w).
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``A x = b`` for square nonsingular ``A`` over GF(2^8).
 
     ``b`` may be a vector or a matrix of stacked right-hand sides.
     """
-    gf = GF.get(w)
+    gf = GF.get()
     a = np.asarray(a)
     b = np.asarray(b)
     vec = b.ndim == 1
@@ -170,47 +170,47 @@ def solve(a: np.ndarray, b: np.ndarray, w: int = 8) -> np.ndarray:
     )
     aug, rk, _ = _eliminate(aug, gf, pivot_cols=n)
     if rk < n:
-        raise np.linalg.LinAlgError("singular system over GF(2^w)")
+        raise np.linalg.LinAlgError("singular system over GF(2^8)")
     x = aug[:, n:]
     return x[:, 0].copy() if vec else x.copy()
 
 
-def independent_rows(m: np.ndarray, w: int = 8) -> list[int]:
+def independent_rows(m: np.ndarray) -> list[int]:
     """Indices of a maximal linearly independent set of rows of ``m``.
 
     One elimination pass over ``m.T`` — the pivot columns of the transpose
     are exactly an independent row set of ``m``, chosen greedily from the
     top, which lets decoders prefer low-indexed (data) rows.
     """
-    gf = GF.get(w)
+    gf = GF.get()
     work = np.array(np.asarray(m).T, dtype=gf.dtype, copy=True)
     _, _, piv = _eliminate(work, gf)
     return piv
 
 
-def vandermonde(rows: int, cols: int, w: int = 8) -> np.ndarray:
-    """Vandermonde matrix ``V[i, j] = g^(i*j)`` over GF(2^w) (g = 2)."""
-    gf = GF.get(w)
+def vandermonde(rows: int, cols: int) -> np.ndarray:
+    """Vandermonde matrix ``V[i, j] = g^(i*j)`` over GF(2^8) (g = 2)."""
+    gf = GF.get()
     i = np.arange(rows)[:, None]
     j = np.arange(cols)[None, :]
     return gf.exp((i * j) % (gf.order - 1))
 
 
-def cauchy(rows: int, cols: int, w: int = 8) -> np.ndarray:
-    """Cauchy matrix ``C[i, j] = 1 / (x_i + y_j)`` over GF(2^w).
+def cauchy(rows: int, cols: int) -> np.ndarray:
+    """Cauchy matrix ``C[i, j] = 1 / (x_i + y_j)`` over GF(2^8).
 
     Uses ``x_i = i`` and ``y_j = rows + j``; every square submatrix of a
     Cauchy matrix is invertible, which makes the derived RS code MDS.
     """
-    gf = GF.get(w)
+    gf = GF.get()
     if rows + cols > gf.order:
-        raise ValueError(f"cauchy({rows}, {cols}) does not fit in GF(2^{w})")
+        raise ValueError(f"cauchy({rows}, {cols}) does not fit in GF(2^8)")
     x = np.arange(rows, dtype=gf.dtype)[:, None]
     y = np.arange(rows, rows + cols, dtype=gf.dtype)[None, :]
     return gf.inv(gf.add(x, y))
 
 
-def systematic_rs_parity(k: int, r: int, w: int = 8) -> np.ndarray:
+def systematic_rs_parity(k: int, r: int) -> np.ndarray:
     """The r×k parity-coefficient matrix ``P`` of a systematic MDS code.
 
     The full generator is ``G = [I_k ; P]``; parities are ``p = P @ d``.
@@ -218,10 +218,10 @@ def systematic_rs_parity(k: int, r: int, w: int = 8) -> np.ndarray:
     invertible — the property the EC-Fusion transformation (eq. (4) of the
     paper) relies on when inverting the r×r group blocks ``B_i``.
     """
-    return cauchy(r, k, w=w)
+    return cauchy(r, k)
 
 
-def apply_to_blocks(m: np.ndarray, blocks: np.ndarray, w: int = 8) -> np.ndarray:
+def apply_to_blocks(m: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Compute ``m @ blocks`` where each row of ``blocks`` is a storage block.
 
     Parameters
@@ -244,9 +244,8 @@ def apply_to_blocks(m: np.ndarray, blocks: np.ndarray, w: int = 8) -> np.ndarray
     reference implementation).  Callers that apply the same matrix
     repeatedly should compile a :class:`CodingPlan` once and reuse it.
     """
-    gf = GF.get(w)
     m = np.asarray(m)
-    blocks = np.ascontiguousarray(blocks, dtype=gf.dtype)
+    blocks = as_symbols(blocks, "blocks")
     if m.ndim != 2 or blocks.ndim != 2 or m.shape[1] != blocks.shape[0]:
         raise ValueError(f"incompatible shapes: {m.shape} applied to {blocks.shape}")
-    return CodingPlan(m, w=w).apply(blocks)
+    return CodingPlan(m).apply(blocks)

@@ -762,7 +762,7 @@ def _self_test(fn) -> bool:
     """
     from .arithmetic import GF
 
-    mt = GF.get(8).mul_table()
+    mt = GF.get().mul_table()
     rng = np.random.default_rng(20260808)
     m = rng.integers(1, 256, (3, 4), dtype=np.uint8)
     m[0, 2] = 0

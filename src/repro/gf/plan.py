@@ -12,7 +12,7 @@ through one of several registered **backends** (:mod:`repro.gf.backends`):
     scratch buffer (no per-call allocations), then
     ``np.bitwise_xor.reduceat`` folds contiguous output runs and one
     duplicate-free fancy-indexed XOR scatters them.  ``O(distinct
-    coefficients)`` dispatches, any field width.
+    coefficients)`` dispatches, any matrix and block shape.
 ``gather``
     One double fancy-index into the multiplication table computes every
     product at once (~4 NumPy calls total) — the tiny-block path of a
@@ -31,7 +31,7 @@ Backends are selected per application by
 :func:`repro.gf.backends.resolve_backend` — ``native`` first, the
 measured crossovers between the NumPy paths where there is no kernel —
 (forceable via ``REPRO_GF_BACKEND``), and every one produces
-byte-identical output: they are pure reassociations of the same GF(2^w)
+byte-identical output: they are pure reassociations of the same GF(2^8)
 sums.
 
 :func:`apply_to_blocks_naive` keeps the original row-by-row kernel as
@@ -56,14 +56,14 @@ _KILL_SWITCH = _native.KILL_SWITCH
 _BACKEND_SWITCH = _native.BACKEND_SWITCH
 
 
-def apply_to_blocks_naive(m: np.ndarray, blocks: np.ndarray, w: int = 8) -> np.ndarray:
+def apply_to_blocks_naive(m: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Reference kernel: one scale-and-XOR per nonzero coefficient.
 
     This is the original (pre-fusion) implementation of
     :func:`repro.gf.matrix.apply_to_blocks`, kept as the executable
     specification the fused paths are property-tested against.
     """
-    gf = GF.get(w)
+    gf = GF.get()
     m = np.asarray(m)
     blocks = np.ascontiguousarray(blocks, dtype=gf.dtype)
     if m.ndim != 2 or blocks.ndim != 2 or m.shape[1] != blocks.shape[0]:
@@ -105,10 +105,8 @@ class CodingPlan:
     ----------
     m:
         Coefficient matrix of shape ``(out_blocks, in_blocks)`` over
-        GF(2^w).  The plan snapshots the matrix at compile time; later
+        GF(2^8).  The plan snapshots the matrix at compile time; later
         mutation of ``m`` does not affect the plan.
-    w:
-        Field word size.
 
     Per-backend lowerings (pair tables, native unit program) and the
     translate scratch buffer are built lazily on first use and cached on
@@ -129,7 +127,6 @@ class CodingPlan:
 
     __slots__ = (
         "shape",
-        "w",
         "_groups",
         "_gf",
         "nnz",
@@ -167,13 +164,12 @@ class CodingPlan:
     #: in-place map streams instead of thrashing at MB sizes.
     _SCALE_TILE = 1 << 16
 
-    def __init__(self, m: np.ndarray, w: int = 8):
-        gf = GF.get(w)
+    def __init__(self, m: np.ndarray):
+        gf = GF.get()
         m = gf._as_elems(m)
         if m.ndim != 2:
             raise ValueError(f"CodingPlan needs a 2-D matrix, got shape {m.shape}")
         self.shape = m.shape
-        self.w = w
         self._gf = gf
         out_rows, in_rows = np.nonzero(m)
         coeffs = np.asarray(m)[out_rows, in_rows]
@@ -217,7 +213,7 @@ class CodingPlan:
     def _scaled_rows(self, coeff: int, rows: np.ndarray) -> np.ndarray:
         """``coeff * rows`` for one group in one bulk pass, output-allocation-free.
 
-        For w ≤ 8 the scaling is a 256-entry table map executed tile by
+        The scaling is a 256-entry table map executed tile by
         tile into a reusable per-plan scratch buffer — the historical
         ``rows.tobytes().translate(...)`` + ``np.frombuffer`` round trip
         copied every group twice per application; the scratch version
@@ -229,25 +225,20 @@ class CodingPlan:
         if coeff == 1:
             return rows
         gf = self._gf
-        if gf.tables.w <= 8:
-            need = rows.size
-            scratch = self._scratch
-            if scratch is None or scratch.size < need:
-                scratch = self._scratch = np.empty(need, gf.dtype)
-            mt_row = gf.mul_table()[coeff]
-            src = rows.reshape(-1)
-            dst = scratch[:need]
-            for a in range(0, need, self._SCALE_TILE):
-                b = min(a + self._SCALE_TILE, need)
-                # mode="clip" never triggers (uint8 indices into a
-                # 256-entry row) but selects NumPy's fast bounds-free
-                # take loop, and out= writes straight into the scratch.
-                np.take(mt_row, src[a:b], out=dst[a:b], mode="clip")
-            return dst.reshape(rows.shape)
-        t = gf.tables
-        lc = int(t.log[coeff])
-        prod = t.exp[t.log[rows] + lc].astype(gf.dtype, copy=False)
-        return np.where(rows != 0, prod, 0).astype(gf.dtype, copy=False)
+        need = rows.size
+        scratch = self._scratch
+        if scratch is None or scratch.size < need:
+            scratch = self._scratch = np.empty(need, gf.dtype)
+        mt_row = gf.mul_table()[coeff]
+        src = rows.reshape(-1)
+        dst = scratch[:need]
+        for a in range(0, need, self._SCALE_TILE):
+            b = min(a + self._SCALE_TILE, need)
+            # mode="clip" never triggers (uint8 indices into a
+            # 256-entry row) but selects NumPy's fast bounds-free
+            # take loop, and out= writes straight into the scratch.
+            np.take(mt_row, src[a:b], out=dst[a:b], mode="clip")
+        return dst.reshape(rows.shape)
 
     # -- backend runners -----------------------------------------------------
     #

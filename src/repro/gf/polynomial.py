@@ -1,8 +1,9 @@
-"""Polynomial utilities over GF(2^w).
+"""Polynomial utilities over GF(2^8).
 
-Used by the Reed–Solomon code for an interpolation-based decode path and by
-tests as an independent oracle against the matrix-based implementation.
-Coefficients are stored lowest-degree first.
+A test oracle: no codec calls it.  Tests check the matrix-based
+Reed–Solomon code against evaluation and Lagrange interpolation here, an
+independent formulation of the same code.  Coefficients are stored
+lowest-degree first.
 """
 
 from __future__ import annotations
@@ -14,18 +15,18 @@ from .arithmetic import GF
 __all__ = ["poly_eval", "poly_eval_many", "lagrange_interpolate", "poly_mul", "poly_add"]
 
 
-def poly_eval(coeffs: np.ndarray, x: int, w: int = 8) -> int:
+def poly_eval(coeffs: np.ndarray, x: int) -> int:
     """Evaluate a polynomial at a single point using Horner's rule."""
-    gf = GF.get(w)
+    gf = GF.get()
     acc = 0
     for c in np.asarray(coeffs)[::-1]:
         acc = int(gf.add(gf.mul(acc, x), int(c)))
     return acc
 
 
-def poly_eval_many(coeffs: np.ndarray, xs: np.ndarray, w: int = 8) -> np.ndarray:
+def poly_eval_many(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Evaluate a polynomial at many points (vectorized Horner)."""
-    gf = GF.get(w)
+    gf = GF.get()
     xs = np.asarray(xs, dtype=gf.dtype)
     acc = np.zeros_like(xs)
     for c in np.asarray(coeffs)[::-1]:
@@ -33,9 +34,9 @@ def poly_eval_many(coeffs: np.ndarray, xs: np.ndarray, w: int = 8) -> np.ndarray
     return acc
 
 
-def poly_add(a: np.ndarray, b: np.ndarray, w: int = 8) -> np.ndarray:
+def poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Polynomial addition (XOR of aligned coefficients)."""
-    gf = GF.get(w)
+    gf = GF.get()
     n = max(len(a), len(b))
     out = np.zeros(n, dtype=gf.dtype)
     out[: len(a)] = a
@@ -43,9 +44,9 @@ def poly_add(a: np.ndarray, b: np.ndarray, w: int = 8) -> np.ndarray:
     return out
 
 
-def poly_mul(a: np.ndarray, b: np.ndarray, w: int = 8) -> np.ndarray:
-    """Polynomial multiplication over GF(2^w) (schoolbook; small degrees)."""
-    gf = GF.get(w)
+def poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Polynomial multiplication over GF(2^8) (schoolbook; small degrees)."""
+    gf = GF.get()
     a = np.asarray(a, dtype=gf.dtype)
     b = np.asarray(b, dtype=gf.dtype)
     out = np.zeros(len(a) + len(b) - 1, dtype=gf.dtype)
@@ -55,13 +56,13 @@ def poly_mul(a: np.ndarray, b: np.ndarray, w: int = 8) -> np.ndarray:
     return out
 
 
-def lagrange_interpolate(xs: np.ndarray, ys: np.ndarray, w: int = 8) -> np.ndarray:
+def lagrange_interpolate(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Coefficients of the unique degree-(n-1) polynomial through the points.
 
     ``xs`` must be pairwise distinct.  Runs in O(n^2); the RS decoder only
     interpolates over k points, so this is never a bottleneck.
     """
-    gf = GF.get(w)
+    gf = GF.get()
     xs = np.asarray(xs, dtype=gf.dtype)
     ys = np.asarray(ys, dtype=gf.dtype)
     if len(set(int(x) for x in xs)) != len(xs):
@@ -77,8 +78,8 @@ def lagrange_interpolate(xs: np.ndarray, ys: np.ndarray, w: int = 8) -> np.ndarr
         for j in range(n):
             if j == i:
                 continue
-            basis = poly_mul(basis, np.array([xs[j], 1], dtype=gf.dtype), w=w)
+            basis = poly_mul(basis, np.array([xs[j], 1], dtype=gf.dtype))
             denom = int(gf.mul(denom, int(gf.add(int(xs[i]), int(xs[j])))))
         scale = int(gf.div(int(ys[i]), denom))
-        result = poly_add(result, gf.mul(scale, basis), w=w)
+        result = poly_add(result, gf.mul(scale, basis))
     return result

@@ -1,14 +1,12 @@
-"""Discrete-log tables for binary-extension Galois fields GF(2^w).
+"""Discrete-log tables for GF(2^8), the field every code here computes over.
 
-Erasure codes in this repository compute over GF(2^w) with ``w`` in
-{4, 8, 16}.  Multiplication/division are implemented through log/antilog
-tables generated once per field order and cached process-wide.  All table
-generation happens in pure Python at import-cost time; the hot arithmetic
-paths (:mod:`repro.gf.arithmetic`) are vectorized NumPy table lookups.
-
-The default field everywhere is GF(2^8) with the AES/Rijndael-compatible
-primitive polynomial ``x^8 + x^4 + x^3 + x^2 + 1`` (0x11D), matching common
-storage-system practice (ISA-L, jerasure).
+The paper's RS(k, r) and the Clay-style MSR that stands in for HDFS-EC's
+are byte-symbol codes, so the field is fixed: GF(2^8) with the primitive
+polynomial ``x^8 + x^4 + x^3 + x^2 + 1`` (0x11D), matching common
+storage-system practice (ISA-L, jerasure).  Multiplication/division go
+through log/antilog tables generated once, in pure Python, on first use;
+the hot arithmetic paths (:mod:`repro.gf.arithmetic`) are vectorized NumPy
+table lookups.
 """
 
 from __future__ import annotations
@@ -18,27 +16,19 @@ from functools import lru_cache
 
 import numpy as np
 
-#: Primitive (irreducible, with primitive root x=2) polynomials per word size.
-#: Values include the leading bit, e.g. 0x11D = x^8+x^4+x^3+x^2+1.
-PRIMITIVE_POLYS: dict[int, int] = {
-    4: 0x13,      # x^4 + x + 1
-    8: 0x11D,     # x^8 + x^4 + x^3 + x^2 + 1
-    16: 0x1100B,  # x^16 + x^12 + x^3 + x + 1
-}
-
-_DTYPES: dict[int, type] = {4: np.uint8, 8: np.uint8, 16: np.uint16}
+#: The primitive polynomial (irreducible, with primitive root x = 2),
+#: leading bit included: 0x11D = x^8+x^4+x^3+x^2+1.
+PRIMITIVE_POLY = 0x11D
 
 
 @dataclass(frozen=True)
 class GFTables:
-    """Log/antilog tables for one field order.
+    """Log/antilog tables of GF(2^8).
 
     Attributes
     ----------
-    w:
-        Word size in bits; the field is GF(2^w).
     order:
-        Number of field elements, ``2**w``.
+        Number of field elements, 256.
     exp:
         ``exp[i] == g**i`` for the generator ``g = 2``; doubled in length so
         products of logs never need an explicit modulo reduction.
@@ -47,25 +37,13 @@ class GFTables:
         must never be consumed (callers mask zeros explicitly).
     """
 
-    w: int
     order: int
     exp: np.ndarray = field(repr=False)
     log: np.ndarray = field(repr=False)
 
-    @property
-    def dtype(self) -> type:
-        """Smallest unsigned NumPy dtype that holds one field element."""
-        return _DTYPES[self.w]
 
-    @property
-    def max_value(self) -> int:
-        """Largest element value, ``2**w - 1``."""
-        return self.order - 1
-
-
-def _generate(w: int) -> GFTables:
-    poly = PRIMITIVE_POLYS[w]
-    order = 1 << w
+def _generate() -> GFTables:
+    order = 256
     exp = np.zeros(2 * order, dtype=np.int64)
     log = np.zeros(order, dtype=np.int64)
     x = 1
@@ -74,23 +52,15 @@ def _generate(w: int) -> GFTables:
         log[x] = i
         x <<= 1
         if x & order:
-            x ^= poly
+            x ^= PRIMITIVE_POLY
     # Duplicate the cycle so exp[log a + log b] works without "% (order-1)".
     exp[order - 1 : 2 * (order - 1)] = exp[: order - 1]
     exp[2 * (order - 1) :] = exp[: 2 * order - 2 * (order - 1)]
     log[0] = 0  # sentinel; arithmetic layer masks zero operands
-    return GFTables(w=w, order=order, exp=exp, log=log)
+    return GFTables(order=order, exp=exp, log=log)
 
 
 @lru_cache(maxsize=None)
-def get_tables(w: int = 8) -> GFTables:
-    """Return (building on first use) the tables for GF(2^w).
-
-    Parameters
-    ----------
-    w:
-        Field word size; one of 4, 8, 16.
-    """
-    if w not in PRIMITIVE_POLYS:
-        raise ValueError(f"unsupported field GF(2^{w}); choose w in {sorted(PRIMITIVE_POLYS)}")
-    return _generate(w)
+def get_tables() -> GFTables:
+    """Return (building on first use) the GF(2^8) tables."""
+    return _generate()

@@ -140,3 +140,30 @@ def test_codes_keep_only_the_selectable_families():
     ).stdout.split()
     assert not [m for m in loaded if m.startswith("concurrent.futures")]
     assert not {f"repro.codes.{name}" for name in gone} & set(loaded)
+
+
+def test_gf256_is_the_field_not_a_parameter():
+    """No function under ``repro`` takes a field width ``w``: GF(2^8) is the
+    field, with one primitive polynomial and one wider-than-byte refusal.
+    The repair scheduler's per-rack cap, which nothing set, stays gone."""
+    import ast
+    import dataclasses
+    import pathlib
+
+    from repro import gf
+    from repro.cluster import ClusterConfig
+
+    root = pathlib.Path(repro.__file__).parent
+    takes_w, refusals = [], 0
+    for path in sorted(root.rglob("*.py")):
+        text = path.read_text()
+        refusals += text.count("is wider than GF(2^8) symbols")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                if "w" in {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}:
+                    takes_w.append(f"{path.relative_to(root)}:{node.lineno} {node.name}")
+    assert not takes_w, takes_w
+    assert refusals == 1
+    assert gf.PRIMITIVE_POLY == 0x11D and not hasattr(gf, "PRIMITIVE_POLYS")
+    assert "max_repairs_per_rack" not in {f.name for f in dataclasses.fields(ClusterConfig)}

@@ -260,7 +260,7 @@ class TestConstraintInvariants:
         from repro.gf import GF, inverse, mat_vec
 
         msr = make_code(6, 3)
-        gf = GF.get(8)
+        gf = GF.get()
         rng = np.random.default_rng(10)
         data = rng.integers(0, 256, (3, msr.subpacketization), dtype=np.uint8)
         coded = msr.encode(data)

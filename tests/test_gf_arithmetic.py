@@ -1,4 +1,4 @@
-"""Unit + property tests for GF(2^w) element arithmetic."""
+"""Unit + property tests for GF(2^8) element arithmetic."""
 
 import numpy as np
 import pytest
@@ -6,35 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gf import GF, gf_add, gf_div, gf_inv, gf_mul, gf_pow
-from repro.gf.tables import PRIMITIVE_POLYS, get_tables
-
-FIELDS = sorted(PRIMITIVE_POLYS)
+from repro.gf.tables import get_tables
 
 elem8 = st.integers(min_value=0, max_value=255)
 nonzero8 = st.integers(min_value=1, max_value=255)
 
 
 class TestTables:
-    @pytest.mark.parametrize("w", FIELDS)
-    def test_exp_log_roundtrip(self, w):
-        t = get_tables(w)
+    def test_exp_log_roundtrip(self):
+        t = get_tables()
         xs = np.arange(1, t.order)
         assert np.array_equal(t.exp[t.log[xs]], xs)
 
-    @pytest.mark.parametrize("w", FIELDS)
-    def test_exp_cycle_duplicated(self, w):
-        t = get_tables(w)
+    def test_exp_cycle_duplicated(self):
+        t = get_tables()
         assert np.array_equal(t.exp[: t.order - 1], t.exp[t.order - 1 : 2 * (t.order - 1)])
 
-    @pytest.mark.parametrize("w", FIELDS)
-    def test_generator_order(self, w):
+    def test_generator_order(self):
         # g = 2 is primitive: powers hit every nonzero element exactly once
-        t = get_tables(w)
+        t = get_tables()
         assert len(set(int(x) for x in t.exp[: t.order - 1])) == t.order - 1
-
-    def test_unsupported_field_raises(self):
-        with pytest.raises(ValueError):
-            get_tables(7)
 
 
 class TestScalarOps:
@@ -115,7 +106,7 @@ class TestVectorized:
             assert int(vec[i]) == int(gf_mul(int(a[i]), int(b[i])))
 
     def test_scale_xor_into(self):
-        gf = GF.get(8)
+        gf = GF.get()
         rng = np.random.default_rng(2)
         vec = rng.integers(0, 256, 64, dtype=np.uint8)
         acc = np.zeros(64, dtype=np.uint8)
@@ -125,7 +116,7 @@ class TestVectorized:
         assert not acc.any()
 
     def test_scale_xor_into_coeff_zero_one(self):
-        gf = GF.get(8)
+        gf = GF.get()
         vec = np.arange(16, dtype=np.uint8)
         acc = np.zeros(16, dtype=np.uint8)
         gf.scale_xor_into(acc, 0, vec)
@@ -182,31 +173,9 @@ def test_prop_pow_addition_law(a, e1, e2):
     assert int(gf_mul(gf_pow(a, e1), gf_pow(a, e2))) == int(gf_pow(a, e1 + e2))
 
 
-@pytest.mark.parametrize("w", [4, 16])
-def test_other_fields_inverse_law(w):
-    gf = GF.get(w)
-    xs = np.arange(1, min(gf.order, 4096), dtype=gf.dtype)
-    assert np.all(gf.mul(xs, gf.inv(xs)) == 1)
-
-
 class TestMulTable:
     def test_table_matches_logexp_for_all_pairs(self):
-        gf = GF.get(8)
+        gf = GF.get()
         a = np.repeat(np.arange(256, dtype=np.uint8), 256)
         b = np.tile(np.arange(256, dtype=np.uint8), 256)
         assert np.array_equal(gf.mul_table()[a, b], gf._mul_logexp(a, b))
-
-    def test_table_unavailable_for_wide_fields(self):
-        with pytest.raises(ValueError):
-            GF.get(16).mul_table()
-
-    def test_wide_field_mul_still_works(self):
-        gf = GF.get(16)
-        a = np.array([1000, 2000], dtype=np.uint16)
-        assert int(gf.mul(a, gf.inv(a))[0]) == 1
-
-    def test_gf4_table(self):
-        gf = GF.get(4)
-        t = gf.mul_table()
-        assert t.shape == (16, 16)
-        assert np.array_equal(t[1], np.arange(16, dtype=np.uint8))

@@ -4,7 +4,7 @@
 (``translate`` / ``gather`` / ``pair`` / ``native``) selected per
 application by a measured-crossover heuristic and forceable via
 ``REPRO_GF_BACKEND``.  The backends are pure reassociations of the same
-GF(2^w) sums, so the contract is absolute: for any coefficient matrix,
+GF(2^8) sums, so the contract is absolute: for any coefficient matrix,
 any block shape (including empty and ragged-odd), any forced backend,
 and both ``apply_into`` accumulate modes, the output must equal
 :func:`repro.gf.apply_to_blocks_naive` bit for bit.
@@ -12,10 +12,8 @@ and both ``apply_into`` accumulate modes, the output must equal
 Hypothesis drives the shape/sparsity/backend space; targeted tests pin
 native-first dispatch and, under ``REPRO_GF_NATIVE=0``, the NumPy
 ladder's `_GATHER_LIMIT` / `PAIR_MIN_COLS` boundaries, both sides of
-every crossover for w = 4 and w = 8 (``native`` and ``pair`` are
-GF(2^8)-only lowerings), the switches' read-per-application meaning,
-the w > 8 translate-only fallback, batch fold-vs-loop duality, the
-forced-backend fallback ladder, and the ``_scaled_rows`` scratch reuse
+every crossover, the switches' read-per-application meaning, batch
+fold-vs-loop duality, the forced-backend fallback ladder, and the ``_scaled_rows`` scratch reuse
 (the zero-allocation fix this suite guards).
 """
 
@@ -107,7 +105,7 @@ def test_every_backend_matches_naive(rows, cols, seed, ncols, backend, sparsity)
     blocks = rng.integers(0, 256, (cols, ncols), dtype=np.uint8)
     expect = apply_to_blocks_naive(m, blocks)
     with forced(backend):
-        plan = CodingPlan(m, w=8)
+        plan = CodingPlan(m)
         got = plan.apply(blocks)
     assert got.dtype == expect.dtype and got.shape == expect.shape
     assert np.array_equal(got, expect)
@@ -128,7 +126,7 @@ def test_apply_into_accumulate_modes(seed, ncols, backend, accumulate):
     expect = apply_to_blocks_naive(m, blocks)
     base = rng.integers(0, 256, (5, ncols), dtype=np.uint8)
     with forced(backend):
-        plan = CodingPlan(m, w=8)
+        plan = CodingPlan(m)
         out = base.copy()
         ret = plan.apply_into(blocks, out, accumulate=accumulate)
     assert ret is out
@@ -165,7 +163,7 @@ def test_wide_blocks_past_tile_boundaries(backend):
     blocks = rng.integers(0, 256, (6, (1 << 16) + 1), dtype=np.uint8)
     expect = apply_to_blocks_naive(m, blocks)
     with forced(backend):
-        assert np.array_equal(CodingPlan(m, w=8).apply(blocks), expect)
+        assert np.array_equal(CodingPlan(m).apply(blocks), expect)
 
 
 # -- dispatch boundaries -----------------------------------------------------
@@ -176,7 +174,7 @@ def test_gather_limit_boundary():
     with it there is no gather side at all."""
     rng = np.random.default_rng(5)
     m = rng.integers(1, 256, (4, 4), dtype=np.uint8)  # dense: nnz = 16
-    plan = CodingPlan(m, w=8)
+    plan = CodingPlan(m)
     edge = plan._GATHER_LIMIT // plan.nnz
     with forced(None):
         with native_killed():
@@ -192,27 +190,13 @@ def test_gather_limit_boundary():
             assert np.array_equal(plan.apply(blocks), want)
 
 
-def test_w16_always_translates_under_any_forcing():
-    """w > 8 has exactly one backend; every forcing falls back to it."""
-    assert available_backends(16) == ("translate",)
-    rng = np.random.default_rng(8)
-    m = rng.integers(0, 1 << 16, (3, 4), dtype=np.uint16)
-    blocks = rng.integers(0, 1 << 16, (4, 33), dtype=np.uint16)
-    expect = apply_to_blocks_naive(m, blocks, w=16)
-    for backend in BACKEND_NAMES:
-        with forced(backend):
-            plan = CodingPlan(m, w=16)
-            assert plan.backend_for(33) == "translate"
-            assert np.array_equal(plan.apply(blocks), expect)
-
-
 def test_zero_matrix_under_every_forcing():
     """nnz == 0 short-circuits to translate (pure zero-fill) everywhere."""
     m = np.zeros((4, 6), dtype=np.uint8)
     blocks = np.arange(6 * 65, dtype=np.uint8).reshape(6, 65)
     for backend in FORCINGS:
         with forced(backend):
-            plan = CodingPlan(m, w=8)
+            plan = CodingPlan(m)
             assert plan.backend_for(65) == "translate"
             assert not plan.apply(blocks).any()
 
@@ -221,7 +205,7 @@ def test_unknown_forced_backend_is_rejected():
     with forced("simd9000"):
         with pytest.raises(ValueError, match="simd9000"):
             forced_backend()
-        plan = CodingPlan(np.array([[3]], dtype=np.uint8), w=8)
+        plan = CodingPlan(np.array([[3]], dtype=np.uint8))
         with pytest.raises(ValueError, match="simd9000"):
             plan.apply(np.arange(7, dtype=np.uint8).reshape(1, 7))
 
@@ -229,7 +213,7 @@ def test_unknown_forced_backend_is_rejected():
 def test_choose_backend_heuristic_shape():
     """Native first where the kernel exists; the crossover ladder where not."""
     rng = np.random.default_rng(12)
-    plan = CodingPlan(rng.integers(1, 256, (4, 4), dtype=np.uint8), w=8)
+    plan = CodingPlan(rng.integers(1, 256, (4, 4), dtype=np.uint8))
     widths = (8, 1 << 12, PAIR_MIN_COLS - 1, PAIR_MIN_COLS, 1 << 20)
     with forced(None):
         with native_killed():
@@ -237,6 +221,7 @@ def test_choose_backend_heuristic_shape():
         unforced = [choose_backend(plan, n) for n in widths]
     assert ladder == ["gather", "translate", "translate", "pair", "pair"]
     assert unforced == (["native"] * 5 if native_mod.native_available() else ladder)
+    assert available_backends()[-3:] == ("pair", "gather", "translate")
 
 
 #: one column count on each side of every crossover: _GATHER_LIMIT / nnz
@@ -244,37 +229,27 @@ def test_choose_backend_heuristic_shape():
 CROSSOVER_WIDTHS = [1, 1024, 1025, 5000, PAIR_MIN_COLS - 1, PAIR_MIN_COLS, PAIR_MIN_COLS + 1]
 
 
-@pytest.mark.parametrize("w", [4, 8])
 @pytest.mark.parametrize("killed", [False, True], ids=["native-present", "REPRO_GF_NATIVE=0"])
 @pytest.mark.parametrize("backend", FORCINGS, ids=FORCING_IDS)
-def test_both_sides_of_every_crossover_for_w4_and_w8(w, killed, backend):
-    """``native`` and ``pair`` are lowered from 256-wide tables: GF(2^4) plans
-    must never reach them, whichever side of a threshold the width falls."""
+def test_both_sides_of_every_crossover(killed, backend):
+    """Whichever side of a threshold the width falls, the chosen backend is
+    one this host has and its output, plain and accumulated through a
+    ``tail``, is the naive kernel's."""
     m = np.array([[9, 14, 13, 11], [14, 9, 11, 13]], np.uint8)
-    assert CodingPlan(m, w=w).nnz * CROSSOVER_WIDTHS[1] == CodingPlan._GATHER_LIMIT
-    rng = np.random.default_rng(40 + w)
+    assert CodingPlan(m).nnz * CROSSOVER_WIDTHS[1] == CodingPlan._GATHER_LIMIT
+    rng = np.random.default_rng(48)
     with forced(backend), (native_killed() if killed else contextlib.nullcontext()):
-        plan = CodingPlan(m, w=w)
+        plan = CodingPlan(m)
         for ncols in CROSSOVER_WIDTHS:
-            blocks = rng.integers(0, 1 << w, (4, ncols), dtype=np.uint8)
-            want = apply_to_blocks_naive(m, blocks, w=w)
+            blocks = rng.integers(0, 256, (4, ncols), dtype=np.uint8)
+            want = apply_to_blocks_naive(m, blocks)
             chosen = plan.backend_for(ncols)
-            assert chosen in available_backends(w), (ncols, chosen)
+            assert chosen in available_backends(), (ncols, chosen)
             assert np.array_equal(plan.apply(blocks), want), (ncols, chosen)
-            base = rng.integers(0, 1 << w, (2, ncols), dtype=np.uint8)
+            base = rng.integers(0, 256, (2, ncols), dtype=np.uint8)
             out = base.copy()
             plan.apply_into(blocks[:1], out, accumulate=True, tail=blocks[1:])
             assert np.array_equal(out, base ^ want), (ncols, chosen)
-
-
-def test_field_width_gates_the_gf256_lowerings():
-    assert available_backends(4) == ("gather", "translate")
-    assert available_backends(8)[-3:] == ("pair", "gather", "translate")
-    plan = CodingPlan(np.array([[9, 14], [14, 9]], np.uint8), w=4)
-    for backend in ("native", "pair"):
-        with forced(backend):
-            assert plan.backend_for(2) == "gather"
-            assert plan.backend_for(1 << 17) == "translate"
 
 
 def test_each_switch_is_read_per_application(monkeypatch):
@@ -343,7 +318,7 @@ def test_apply_batch_matches_per_stripe_loop(fold_limit, monkeypatch):
     rng = np.random.default_rng(21)
     m = rng.integers(0, 256, (4, 6), dtype=np.uint8)
     m[rng.random(m.shape) < 0.3] = 0
-    plan = CodingPlan(m, w=8)
+    plan = CodingPlan(m)
     stacked = rng.integers(0, 256, (3, 6, 129), dtype=np.uint8)
     got = plan.apply_batch(stacked)
     assert got.shape == (3, 4, 129)
@@ -365,7 +340,7 @@ def test_apply_batch_under_forced_backends(backend):
     m = rng.integers(0, 256, (5, 8), dtype=np.uint8)
     stacked = rng.integers(0, 256, (4, 8, 515), dtype=np.uint8)
     with forced(backend):
-        got = CodingPlan(m, w=8).apply_batch(stacked)
+        got = CodingPlan(m).apply_batch(stacked)
     for b in range(4):
         assert np.array_equal(got[b], apply_to_blocks_naive(m, stacked[b]))
 
@@ -385,7 +360,7 @@ def test_scaled_rows_scratch_reuse_bounded_alloc():
     must NOT scale with the input size.
     """
     rng = np.random.default_rng(23)
-    plan = CodingPlan(rng.integers(2, 256, (4, 8), dtype=np.uint8), w=8)
+    plan = CodingPlan(rng.integers(2, 256, (4, 8), dtype=np.uint8))
     # one tile of intp index conversion plus slack — the O(1) bound
     bound = CodingPlan._SCALE_TILE * np.dtype(np.intp).itemsize * 2
 
@@ -400,7 +375,7 @@ def test_scaled_rows_scratch_reuse_bounded_alloc():
         tracemalloc.stop()
         assert plan._scratch is scratch  # no regrow on same-size input
         assert np.shares_memory(again, scratch)
-        assert np.array_equal(again, GF.get(8).mul(7, rows))
+        assert np.array_equal(again, GF.get().mul(7, rows))
         return peak
 
     small = warm_peak(1 << 17)
@@ -410,7 +385,7 @@ def test_scaled_rows_scratch_reuse_bounded_alloc():
 
 
 def test_scaled_rows_identity_coefficient_is_passthrough():
-    plan = CodingPlan(np.array([[1, 2]], dtype=np.uint8), w=8)
+    plan = CodingPlan(np.array([[1, 2]], dtype=np.uint8))
     rows = np.arange(64, dtype=np.uint8).reshape(2, 32)
     assert plan._scaled_rows(1, rows) is rows
     assert plan._scratch is None  # coeff 1 must not touch the scratch

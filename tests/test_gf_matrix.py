@@ -1,4 +1,4 @@
-"""Unit + property tests for GF(2^w) matrix algebra."""
+"""Unit + property tests for GF(2^8) matrix algebra."""
 
 import numpy as np
 import pytest
@@ -151,13 +151,23 @@ class TestApplyToBlocks:
         with pytest.raises(ValueError):
             apply_to_blocks(identity(3), np.zeros((4, 8), dtype=np.uint8))
 
+    @pytest.mark.parametrize(
+        "blocks",
+        [np.array([[300, 2]], dtype=np.int16), np.array([[1.7, 2.0]])],
+        ids=["int16", "float"],
+    )
+    def test_wider_than_byte_input_is_refused(self, blocks):
+        """A uint8 cast would turn 300 into 44 and 1.7 into 1."""
+        with pytest.raises(ValueError, match=f"blocks dtype {blocks.dtype} is wider"):
+            apply_to_blocks(np.array([[1]], dtype=np.uint8), blocks)
+
     def test_large_blocks(self):
         rng = np.random.default_rng(7)
         m = random_matrix(rng, 2, 3)
         blocks = rng.integers(0, 256, (3, 1 << 16), dtype=np.uint8)
         out = apply_to_blocks(m, blocks)
         # spot-check one byte column against scalar math
-        gf = GF.get(8)
+        gf = GF.get()
         col = 12345
         for i in range(2):
             expect = 0

@@ -36,7 +36,7 @@ from hypothesis import strategies as st
 from repro.gf import GF, CodingPlan, apply_to_blocks_naive, native_info
 from repro.gf import native
 
-MT = GF.get(8).mul_table()
+MT = GF.get().mul_table()
 CC = next((c for c in ("cc", "gcc", "clang") if shutil.which(c)), None)
 RUNG_IDS = [" ".join(flags) for flags, _ in native._RUNGS]
 ENTRIES = ("fastcall", "ctypes")

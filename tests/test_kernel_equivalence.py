@@ -66,7 +66,7 @@ def test_plan_matches_naive_on_random_matrices(seed, ncols):
     m = rng.integers(0, 256, (rows, cols), dtype=np.uint8)
     m[rng.random(m.shape) < 0.3] = 0  # sparse rows exercise group pruning
     blocks = rng.integers(0, 256, (cols, ncols), dtype=np.uint8)
-    plan = CodingPlan(m, w=8)
+    plan = CodingPlan(m)
     expect = apply_to_blocks_naive(m, blocks)
     assert np.array_equal(plan.apply(blocks), expect)
     assert np.array_equal(apply_to_blocks(m, blocks), expect)
@@ -76,7 +76,7 @@ def test_plan_gather_and_group_paths_agree():
     """The same plan must answer identically on both sides of the dispatch."""
     rng = np.random.default_rng(7)
     m = rng.integers(0, 256, (5, 9), dtype=np.uint8)
-    plan = CodingPlan(m, w=8)
+    plan = CodingPlan(m)
     for ncols in (1, SMALL_COLS, LARGE_COLS):  # gather, gather, grouped
         blocks = rng.integers(0, 256, (9, ncols), dtype=np.uint8)
         assert np.array_equal(plan.apply(blocks), apply_to_blocks_naive(m, blocks))
@@ -85,10 +85,10 @@ def test_plan_gather_and_group_paths_agree():
 def test_plan_zero_matrix_and_zero_rows():
     m = np.zeros((4, 6), dtype=np.uint8)
     blocks = np.arange(6 * SMALL_COLS, dtype=np.uint8).reshape(6, SMALL_COLS)
-    assert np.array_equal(CodingPlan(m, w=8).apply(blocks), np.zeros((4, SMALL_COLS), np.uint8))
+    assert np.array_equal(CodingPlan(m).apply(blocks), np.zeros((4, SMALL_COLS), np.uint8))
     m[1, 3] = 5  # one live row among dead ones: scatter path, not passthrough
     assert np.array_equal(
-        CodingPlan(m, w=8).apply(blocks), apply_to_blocks_naive(m, blocks)
+        CodingPlan(m).apply(blocks), apply_to_blocks_naive(m, blocks)
     )
 
 
@@ -151,7 +151,7 @@ def test_plan_apply_batch_vs_apply_loop(ncols):
     rng = np.random.default_rng(29)
     m = rng.integers(0, 256, (5, 9), dtype=np.uint8)
     m[rng.random(m.shape) < 0.3] = 0
-    plan = CodingPlan(m, w=8)
+    plan = CodingPlan(m)
     for batch in (0, 1, 2, 6):
         stacked = rng.integers(0, 256, (batch, 9, ncols), dtype=np.uint8)
         got = plan.apply_batch(stacked)
@@ -163,34 +163,32 @@ def test_plan_apply_batch_vs_apply_loop(ncols):
 
 def test_matmul_rejects_1d_inputs():
     """Regression: 1-D operands used to broadcast into garbage shapes."""
-    gf = GF.get(8)
+    gf = GF.get()
     a = np.array([1, 2, 3], dtype=np.uint8)
     b = np.eye(3, dtype=np.uint8)
     with pytest.raises(ValueError):
-        matmul(a, b, w=8)
+        matmul(a, b)
     with pytest.raises(ValueError):
-        matmul(b, a, w=8)
+        matmul(b, a)
     del gf
 
 
 def test_mul_table_concurrent_first_build():
-    """Regression: the lazy mul/translate tables race under threads.
+    """Regression: the lazy mul table races under threads.
 
-    A fresh (non-singleton) field instance starts with no tables; many
-    threads building them concurrently must all observe the same arrays
+    A fresh (non-singleton) field instance starts with no table; many
+    threads building it concurrently must all observe the same array
     and identical scaling results.
     """
     results = []
     errors = []
-    gf = GFClass(get_tables(8))
+    gf = GFClass(get_tables())
     barrier = threading.Barrier(8)
 
     def _worker(coeff):
         try:
             barrier.wait()
-            table = gf.mul_table()
-            trans = gf.scale_translation(coeff)
-            results.append((coeff, table, trans))
+            results.append((coeff, gf.mul_table()))
         except Exception as exc:  # pragma: no cover - the failure we guard
             errors.append(exc)
 
@@ -202,10 +200,10 @@ def test_mul_table_concurrent_first_build():
     assert not errors
     assert len(results) == 8
     first_table = results[0][1]
-    for coeff, table, trans in results:
+    elems = np.arange(256, dtype=np.uint8)
+    for coeff, table in results:
         assert table is first_table  # one shared publication, no duplicates
-        expect = bytes(int(gf.mul(coeff, x)) for x in range(256))
-        assert trans == expect
+        assert np.array_equal(table[coeff], gf._mul_logexp(np.full_like(elems, coeff), elems))
     assert not first_table.flags.writeable
 
 
