@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..gf import CodingPlan, as_symbols, inverse
-from ..gf.matrix import independent_rows
+from ..gf.matrix import block_diag, independent_rows
 from ..telemetry import METRICS
 
 __all__ = [
@@ -236,8 +236,9 @@ class LinearVectorCode(ErasureCode):
         self.generator = generator
         # Encode applies the same parity rows for the lifetime of the code:
         # compile them once (eagerly, so thread pools never race a lazy build).
-        self._parity_plan = CodingPlan(generator[k * l :])
+        self._parity_plan = CodingPlan(generator[k * l :], self._parity_factors(k))
         self._shortened_plans: dict[int, CodingPlan] = {}
+        self._write_plans: dict[int, CodingPlan] = {}
         self._decode_cache: dict[frozenset[int], tuple[CodingPlan, list[int]]] = {}
 
     # -- layout helpers ------------------------------------------------------
@@ -258,6 +259,13 @@ class LinearVectorCode(ErasureCode):
         return range(node * l, (node + 1) * l)
 
     # -- encode ----------------------------------------------------------------
+    def _parity_factors(self, data_nodes: int) -> list[np.ndarray] | None:
+        """The parity rows of the code shortened to its first ``data_nodes``
+        data nodes as a product of sparse factors (``[F_1, …, F_s]``, see
+        :class:`~repro.gf.CodingPlan`), or ``None``: the dense rows are
+        the program.  Codes with a cheaper structure override it."""
+        return None
+
     def _shortened_parity_plan(self, data_nodes: int) -> CodingPlan:
         """Parity plan of the code shortened to its first ``data_nodes``
         data nodes (the others are virtual all-zero blocks, so their
@@ -268,49 +276,83 @@ class LinearVectorCode(ErasureCode):
         if plan is None:
             l = self.subpacketization
             plan = self._shortened_plans[data_nodes] = CodingPlan(
-                self.generator[self.k * l :, : data_nodes * l]
+                self.generator[self.k * l :, : data_nodes * l],
+                self._parity_factors(data_nodes),
             )
         return plan
 
-    def encode(self, data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def _write_plan(self, data_nodes: int) -> CodingPlan:
+        """``[I; parity rows]`` of the code shortened to ``data_nodes``: one
+        application copies the data symbols into the stripe and computes
+        its parity from the same reads.  Compiled on first use, kept in
+        ``_write_plans``."""
+        l = self.subpacketization
+        eye = np.eye(data_nodes * l, dtype=np.uint8)
+        factors = self._parity_factors(data_nodes)
+        if factors is not None:
+            # the data symbols ride through every factor unchanged
+            factors = [np.concatenate([eye, factors[0]])] + [block_diag(eye, f) for f in factors[1:]]
+        plan = self._write_plans[data_nodes] = CodingPlan(
+            np.concatenate([eye, self.generator[self.k * l :, : data_nodes * l]]), factors
+        )
+        return plan
+
+    def encode(
+        self, data: np.ndarray, out: np.ndarray | tuple | None = None
+    ) -> np.ndarray | tuple:
         """Encode ``(k, L)`` data; parity is computed where it is stored.
 
         Without ``out`` a fresh ``(n, L)`` codeword is returned.  ``out``
-        donates the destination and is returned: either an ``(n, L)``
-        codeword buffer (data is copied into its first ``k`` rows) or a
-        bare ``(n − k, L)`` parity buffer for callers that keep the data
-        rows elsewhere.  Only in the parity-buffer form may ``data`` hold just
+        donates the destination and is returned: an ``(n, L)`` codeword
+        buffer (data is copied into its first ``k`` rows), a bare
+        ``(n − k, L)`` parity buffer for callers that keep the data rows
+        elsewhere, or the stored stripe as the ``(data, parity)`` pair of
+        arrays :meth:`repair` takes — then one kernel application copies
+        ``data`` into the stripe's data rows and computes the parity from
+        the same reads.  Only in the last two forms may ``data`` hold just
         the leading rows of a *shortened* stripe, whose remaining data
-        nodes are virtual all-zero blocks.  ``out`` must be a C-contiguous
-        array of the symbol dtype, else :class:`ValueError`.
+        nodes are virtual all-zero blocks.  ``out``'s arrays must be
+        C-contiguous arrays of the symbol dtype, else :class:`ValueError`.
         """
         parities = self.n - self.k  # LRC's ``r`` counts its global parities only
-        parity_only = (
-            isinstance(out, np.ndarray) and out.ndim == 2 and len(out) == parities
-        )
-        data = self._check_data(data, shortened=parity_only)
+        if type(out) is tuple:
+            dest, parity = self._check_stripe(out, shortened=True)
+            # the store's own write hands over data it has checked
+            if not (
+                data.__class__ is np.ndarray and data.dtype == np.uint8 and data.shape == dest.shape
+            ):
+                data = self._check_data(data, shortened=True)
+                if data.shape != dest.shape:
+                    raise ValueError(
+                        f"the stripe's data rows {dest.shape} do not match data {data.shape}"
+                    )
+        else:
+            parity_only = isinstance(out, np.ndarray) and out.ndim == 2 and len(out) == parities
+            data = self._check_data(data, shortened=parity_only)
+            L = data.shape[1]
+            if out is None:
+                out = np.empty((self.n, L), dtype=np.uint8)
+            elif (
+                not isinstance(out, np.ndarray)
+                or out.shape not in ((self.n, L), (parities, L))
+                or out.dtype != np.uint8
+                or not out.flags.c_contiguous
+            ):
+                raise ValueError(
+                    "out must be a C-contiguous uint8 array of "
+                    f"shape ({self.n}, {L}) or ({parities}, {L})"
+                )
+            dest, parity = (None, out) if parity_only else (out[: self.k], out[self.k :])
         rows, L = data.shape
-        if out is None:
-            out = np.empty((self.n, L), dtype=np.uint8)
-        elif (
-            not isinstance(out, np.ndarray)
-            or out.shape not in ((self.n, L), (parities, L))
-            or out.dtype != np.uint8
-            or not out.flags.c_contiguous
-        ):
-            raise ValueError(
-                "out must be a C-contiguous uint8 array of "
-                f"shape ({self.n}, {L}) or ({parities}, {L})"
-            )
-        parity = out
-        if not parity_only:
-            out[: self.k] = data
-            parity = out[self.k :]
-        l = self.subpacketization  # the symbol views of _to_symbols
-        plan = self._parity_plan if rows == self.k else self._shortened_parity_plan(rows)
-        plan.apply_into(
-            data.reshape(rows * l, L // l), parity.reshape(parities * l, L // l)
-        )
+        l = self.subpacketization
+        if l > 1:  # the symbol views of _to_symbols
+            data, parity = data.reshape(-1, L // l), parity.reshape(-1, L // l)
+        if dest is None:
+            plan = self._parity_plan if rows == self.k else self._shortened_parity_plan(rows)
+            plan.apply_into(data, parity)
+        else:
+            plan = self._write_plans.get(rows) or self._write_plan(rows)
+            plan.apply_into(data, dest.reshape(data.shape), False, None, parity)
         if METRICS.enabled:
             key = self.telemetry_key
             METRICS.counter(f"codes.{key}.encode_calls", unit="calls").inc()

@@ -14,7 +14,9 @@ correctness-bearing reference used by the examples and tests.
 Buffer ownership
 ----------------
 The store owns every stripe's bytes: :meth:`ECFusion.write` copies the
-caller's data into the stripe's own ``(k, L)`` buffer, and from then on
+caller's data into the stripe's own ``(k, L)`` buffer (in the kernel call
+that computes the parity from the same reads; buffers of 1 MiB or more
+start on a cache line, so the kernel can stream them), and from then on
 data blocks never move — parity is computed where it is stored, a lost
 block is rebuilt in its own row, and a conversion computes the new parity
 set *aside* and swaps it in only once it is complete (an aborted
@@ -31,6 +33,7 @@ from typing import Hashable
 import numpy as np
 
 from ..gf import as_symbols
+from ..gf.native import STREAM_BYTES, aligned_empty
 from ..telemetry import METRICS
 from .adaptation import AdaptiveSelector, CodeKind, Conversion
 from .costmodel import CostModel, SystemProfile
@@ -129,22 +132,29 @@ class ECFusion:
             self._apply_conversions([c for c in conversions if c.stripe != stripe])
         kind = self.selector.code_of(stripe)
         r = self.r
+        # the kernel streams its output into buffers this large: start them on
+        # a cache line (a smaller one is a plain np.empty, one frame fewer)
+        big = data.nbytes >= STREAM_BYTES
         store = self._stripes.get(stripe)
         if store is None or store.data.shape != data.shape:
-            store = self._stripes[stripe] = StripeStore(kind, np.empty(data.shape, np.uint8), [])
+            buf = aligned_empty(data.shape) if big else np.empty(data.shape, np.uint8)
+            store = self._stripes[stripe] = StripeStore(kind, buf, [])
         sets = 1 if kind is CodeKind.RS else self.transformer.q
         store.kind = kind
         parity = store.parity
         if len(parity) != sets:
             parity = store.parity = parity[:sets]
             while len(parity) < sets:
-                parity.append(np.empty((r, data.shape[1]), dtype=np.uint8))
-        store.data[...] = data
+                shape = (r, data.shape[1])
+                parity.append(aligned_empty(shape) if big else np.empty(shape, np.uint8))
+        # one kernel call per code instance copies its data rows into the
+        # stripe and computes their parity from the same reads
         if kind is CodeKind.RS:
-            self.rs.encode(store.data, out=parity[0])
+            self.rs.encode(data, out=(store.data, parity[0]))
         else:
             for g, group_parity in enumerate(parity):
-                self.msr.encode(store.data[g * r : (g + 1) * r], out=group_parity)
+                rows = slice(g * r, (g + 1) * r)
+                self.msr.encode(data[rows], out=(store.data[rows], group_parity))
         return conversions
 
     def read(self, stripe: Hashable, block: int) -> np.ndarray:

@@ -35,19 +35,22 @@ same parity family, whose first k columns coincide with RS(k, r)'s.  The
 virtual nodes are never materialised: a zero block contributes nothing,
 so the last group's matrices simply drop its columns.
 
-Each conversion is the fewest kernel calls its algebra needs.  Because
-``Trans2_i · (B_i ⊗ I_l) = Enc_MSR``, a group RS → MSR reads from its data
-gets its MSR parities from the MSR encoder directly; only the derived group
-goes through Trans2, after one application of ``[B_1 … | I]`` over the
-groups read and the RS parity has formed its p′ (eq. (3)).  MSR → RS
-applies two groups' Trans1 maps per call, side by side, so eq. (3)'s merge
-happens inside the kernel.
+Each conversion is one kernel call per two groups, each a chained
+program of the MSR code's coupled-layer factors (uncouple, one scalar MDS
+map per plane, recouple; :class:`~repro.gf.CodingPlan` ``factors``).
+Because ``Trans2_i · (B_i ⊗ I_l) = Enc_MSR``, RS → MSR encodes a group it
+reads from its data, and rebuilds the derived group's data inside the
+same call as ``B_q⁻¹·(p ⊕ Σ_{i<q} B_i·d_i)`` (eqs. (3), (4)) before
+encoding it — the chain's product is ``Trans2_q`` over eq. (3), which the
+plan checks, and the blocks read are the same.  MSR → RS runs two groups'
+Trans1 maps per call, side by side, so eq. (3)'s merge happens inside the
+kernel.
 
 Both conversions are destination-passing: they read the caller's data and
 parity arrays in place, write only freshly allocated ``(r, L)`` parity
-sets (the kernel applies straight into them), and hand those back — no
-data block is copied, and nothing the caller owns is touched, so the
-caller swaps parities in on success.
+sets (the kernel applies straight into them, both of a call's groups at
+once), and hand those back — no data block is copied, and nothing the
+caller owns is touched, so the caller swaps parities in on success.
 
 A full re-encode reads around a data group the fault hook reports lost by
 decoding it with the *source* family's codec from the rest of its code
@@ -76,6 +79,8 @@ from ..codes import (
     UnrecoverableError,
 )
 from ..gf import CodingPlan, as_symbols, cauchy, inverse, matmul
+from ..gf.matrix import block_diag
+from ..gf.native import STREAM_BYTES, aligned_empty
 from ..telemetry import METRICS
 from .adaptation import CodeKind
 from .costmodel import CostModel, SystemProfile
@@ -316,15 +321,10 @@ class FusionTransformer:
         ]
         self._trans1_plans = [CodingPlan(t) for t in self.trans1]
         self._trans2_plans = [CodingPlan(t) for t in self.trans2]
-        # Trans2_i·(B_i ⊗ I_l) = Enc_MSR: a group read from its data gets its
-        # MSR parities from the MSR encoder (of a padded group's real rows)
-        self._encode_plans = [
-            msr._shortened_parity_plan(len(rows)) for rows in self._instances("msr")
-        ]
         self._codecs = {"rs": self.rs, "msr": msr}
         self._routes = _Interned(self._route)
         self._highway_costs = _Interned(self._price)
-        self._derive_plans = _Interned(self._derive_plan)
+        self._derivations = _Interned(self._derivation)
         self._merges = _Interned(self._merge)
         self._read_groups = range(self.q - 1)  # what a fault-free RS → MSR reads
         #: the conversion journal: :meth:`convert` calls begun and not yet
@@ -353,37 +353,78 @@ class FusionTransformer:
             + maps * self.trans1[0].size * (L / self.subpacketization),
         )
 
-    def _derive_plan(self, derived: int) -> tuple[CodingPlan, int]:
-        """``(plan, rows)``: eq. (3)'s ``p′_derived = p ⊕ Σ_{i≠derived} B_i·d_i``
-        as one application over the first ``rows`` data rows (every group
-        but ``derived`` up to the last one read) with the RS parity as its
-        tail.  Interned per derived group in :attr:`_derive_plans`."""
-        r = self.r
-        rows = self.k if derived < self.q - 1 else derived * r
-        m = np.concatenate(
-            [self.rs.parity_matrix[:, :rows], np.eye(r, dtype=np.uint8)], axis=1
-        )
-        m[:, derived * r : min((derived + 1) * r, rows)] = 0  # group derived is unread
-        return CodingPlan(m), rows
+    def _derivation(self, derived: int | None) -> list[tuple[CodingPlan, int, int | None]]:
+        """The RS → MSR conversion when group ``derived`` is not read (None:
+        every group is), as applications of two groups each over the data
+        symbols with the RS parity's as their tail: ``(plan, group, next
+        group or None)``, the first group's MSR parity its ``out``, the
+        next's its ``out_tail``.
+
+        A group read from its data is MSR-encoded (``Enc_MSR`` over its
+        real rows).  The derived group's data is rebuilt first, as
+        ``B_d⁻¹·(p ⊕ Σ_{i≠d} B_i·d_i)`` (eqs. (3), (4)), and then encoded:
+        its rows of the matrix are ``Trans2_d`` over eq. (3)'s map (eq.
+        (7)), which the plan checks the chain against.  Both groups' steps
+        run as one chain — the rebuild (or the pick of the group's rows),
+        then the MSR code's coupled-layer factors side by side.  Interned
+        per derived group in :attr:`_derivations`."""
+        k, r, l = self.k, self.r, self.subpacketization
+        eye_l = np.eye(l, dtype=np.uint8)
+        enc = self.msr.generator[r * l :]
+        firsts, dense = [], []
+        for g, rows in enumerate(self._instances("msr")):
+            if g == derived:
+                m = np.concatenate([self.rs.parity_matrix, np.eye(r, dtype=np.uint8)], axis=1)
+                m[:, rows.start : rows.stop] = 0  # group g is unread
+                firsts.append(np.kron(matmul(self._group_blocks_inv[g], m), eye_l))
+                dense.append(matmul(self.trans2[g], np.kron(m, eye_l)))
+                continue
+            cols = slice(rows.start * l, rows.stop * l)
+            first = np.zeros((r * l, (k + r) * l), dtype=np.uint8)
+            first[: len(rows) * l, cols] = np.eye(len(rows) * l, dtype=np.uint8)
+            firsts.append(first)
+            dense.append(np.zeros_like(first))
+            dense[-1][:, cols] = enc[:, : len(rows) * l]
+        chain = self.msr._parity_factors(r)
+        calls = []
+        for g in range(0, self.q, 2):
+            pair = slice(g, g + 2)
+            factors = [np.concatenate(firsts[pair])]
+            factors += [block_diag(*[f] * len(firsts[pair])) for f in chain]
+            plan = CodingPlan(np.concatenate(dense[pair]), factors)
+            calls.append((plan, g, g + 1 if g + 1 < self.q else None))
+        return calls
 
     def _merge(self, from_data: tuple[int, ...]) -> list[tuple[CodingPlan, int, int | None]]:
         """The MSR → RS merge (eqs. (3), (6)) when the groups ``from_data``
         are read from their data (B_i ⊗ I_l, the failover) and the others
         from their MSR parities (Trans1_i), as applications of two groups
         each: ``(plan, group, next group or None)``, both groups' inputs in
-        one call through ``tail``.  Interned per ``from_data`` in
-        :attr:`_merges`."""
-        eye_l = np.eye(self.subpacketization, dtype=np.uint8)
-        maps = [
-            np.kron(self.group_blocks[i][:, : len(rows)], eye_l) if i in from_data
-            else self.trans1[i]
-            for i, rows in enumerate(self._instances("msr"))
-        ]  # fmt: skip
-        return [
-            (CodingPlan(np.concatenate(maps[i : i + 2], axis=1)), i,
-             i + 1 if i + 1 < self.q else None)
-            for i in range(0, self.q, 2)
-        ]  # fmt: skip
+        one call through ``tail``.  Trans1_i runs as the chain of the MSR
+        code's inverse encoder (uncouple the parity, invert the scalar MDS
+        map per plane, recouple the data) and then B_i ⊗ I_l; the last
+        step of both groups sums into the one output.  Interned per
+        ``from_data`` in :attr:`_merges`."""
+        l = self.subpacketization
+        eye_l = np.eye(l, dtype=np.uint8)
+        decode = self.msr.data_from_parity_factors()
+        chains, maps = [], []
+        for i, rows in enumerate(self._instances("msr")):
+            if i in from_data:
+                b = np.kron(self.group_blocks[i][:, : len(rows)], eye_l)
+                chains.append([np.eye(len(rows) * l, dtype=np.uint8)] * len(decode) + [b])
+                maps.append(b)
+            else:
+                chains.append(decode + [np.kron(self.group_blocks[i], eye_l)])
+                maps.append(self.trans1[i])
+        calls = []
+        for i in range(0, self.q, 2):
+            pair = chains[i : i + 2]
+            factors = [block_diag(*stage) for stage in zip(*pair)]
+            factors[-1] = np.concatenate([c[-1] for c in pair], axis=1)
+            plan = CodingPlan(np.concatenate(maps[i : i + 2], axis=1), factors)
+            calls.append((plan, i, i + 1 if i + 1 < self.q else None))
+        return calls
 
     # ---------------------------------------------------------------- eq. (3)
     def intermediary_parities(self, data: np.ndarray) -> np.ndarray:
@@ -405,11 +446,12 @@ class FusionTransformer:
 
         Reads the first q−1 data groups and the r RS parities.  A group
         read from its data gets its MSR parities from the MSR encoder
-        (``Trans2_i·(B_i ⊗ I_l) = Enc_MSR``); the last group's intermediary
-        parity comes from eq. (3) without reading its data, and its MSR
-        parities from Trans2 (eq. (7)).  The result carries the q new
-        ``(r, L)`` parity sets and ``data`` itself — whole ``(2r, L)``
-        group codewords only on request (:attr:`RsToMsrResult.groups`).
+        (``Trans2_i·(B_i ⊗ I_l) = Enc_MSR``); the last group's data is
+        rebuilt from eq. (3)'s intermediary parity without reading it, and
+        encoded in the same kernel call (Trans2, eq. (7)).  ``data`` must
+        be the ``(k, L)`` stripe.  The result carries the q new ``(r, L)``
+        parity sets and ``data`` itself — whole ``(2r, L)`` group
+        codewords only on request (:attr:`RsToMsrResult.groups`).
 
         ``fault_hook(phase, group)`` is called before each source read
         (``("parity", -1)`` for the RS parity set, ``("data", i)`` for
@@ -476,6 +518,8 @@ class FusionTransformer:
             and rs_parity.flags.c_contiguous
         ):
             rs_parity = as_symbols(rs_parity, "rs_parity")
+        if data.ndim != 2 or len(data) != self.k:
+            raise ValueError(f"expected ({self.k}, L) data blocks, got {data.shape}")
         q, r, l = self.q, self.r, self.subpacketization
         L = data.shape[1]
         if L % l:
@@ -489,23 +533,21 @@ class FusionTransformer:
         cost = self._highway_costs["rs_to_msr", L, len(needed), 0 if derived is None else 1]
 
         # Every probe passed: from here on only the new parity sets (built
-        # aside, handed over on return) and one r-block scratch are written.
-        # All of them are (r, L) like the RS parity they replace, so the
-        # allocator recycles one conversion's freed blocks in the next.  The
-        # encoder and Trans2 read and write (r·l, L/l) symbol views.
+        # aside, handed over on return) are written.  All of them are
+        # (r, L) like the RS parity they replace, so the allocator recycles
+        # one conversion's freed blocks in the next.  Each call reads the
+        # data and the RS parity as symbols and writes two groups' parity
+        # sets as (r·l, L/l) symbol views.
+        big = r * L >= STREAM_BYTES  # start them on a cache line: the kernel streams
         out = []
         for _ in range(q):
-            out.append(np.empty((r, L), dtype=np.uint8))
+            out.append(aligned_empty((r, L)) if big else np.empty((r, L), np.uint8))
         syms = (r * l, L // l)
-        for i in needed:
-            group = data[i * r : (i + 1) * r]
-            self._encode_plans[i].apply_into(group.reshape(-1, syms[1]), out[i].reshape(syms))
-        if derived is not None:
-            # eq. (3): the unread group's p′ = p ⊕ every other group's B_i·d_i
-            plan, rows = self._derive_plans[derived]
-            inter = np.empty((r, L), dtype=np.uint8)
-            plan.apply_into(data[:rows], inter, False, rs_parity)
-            self._trans2_plans[derived].apply_into(inter.reshape(syms), out[derived].reshape(syms))
+        blocks, tail = data.reshape(-1, syms[1]), rs_parity.reshape(syms)
+        for plan, g, h in self._derivations[derived]:
+            plan.apply_into(
+                blocks, out[g].reshape(syms), False, tail, None if h is None else out[h].reshape(syms)
+            )
         if METRICS.enabled:
             # naive re-encode would read all k data blocks; the intermediary
             # highway derives the last group's p' from the RS parities instead
@@ -694,7 +736,10 @@ class FusionTransformer:
                     f"msr_to_rs: group {i} parities lost and no readable data "
                     f"failover"
                 )
-        acc = np.empty((r * l, sub), dtype=np.uint8)
+        if r * L >= STREAM_BYTES:  # start it on a cache line: the kernel streams
+            acc = aligned_empty((r * l, sub))
+        else:
+            acc = np.empty((r * l, sub), np.uint8)
         for plan, i, j in self._merges[from_data]:
             plan.apply_into(inputs[i], acc, i > 0, None if j is None else inputs[j])
         acc = acc.reshape(r, L)

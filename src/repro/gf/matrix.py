@@ -22,6 +22,7 @@ __all__ = [
     "matmul",
     "mat_vec",
     "identity",
+    "block_diag",
     "inverse",
     "rank",
     "solve",
@@ -45,6 +46,17 @@ _MATMUL_BROADCAST_LIMIT = 1 << 16
 def identity(n: int) -> np.ndarray:
     """The n×n identity matrix over GF(2^8)."""
     return np.eye(n, dtype=GF.get().dtype)
+
+
+def block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix of ``blocks`` over GF(2^8): each maps its own
+    slice of the input to its own slice of the output."""
+    out = np.zeros(tuple(map(sum, zip(*(b.shape for b in blocks)))), GF.get().dtype)
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ first use** with whatever C compiler the host has (``cc``/``gcc``/
   program's input and output row counts and refuses, before writing a
   byte, every array ``CodingPlan.apply_into`` would refuse or convert —
   wrong row counts or widths, anything but 2-D ``uint8`` with contiguous
-  rows, an ``out`` that is not a writeable ndarray — so a warm
+  rows, an ``out`` or ``out_tail`` that is not a writeable ndarray — so a warm
   application is one Python frame and one C call, ≈ 0.6–0.9 µs over the
   kernel (2.7 µs while the checks ran in Python first), and only a
   refused array walks the Python checks;
@@ -66,9 +66,36 @@ Four properties make the scheme safe to ship:
 * **One generic entry point.**  The C side executes a *unit program*:
   one unit per nonzero matrix coefficient, carrying a 32-byte low/high
   nibble product table, the 8-byte affine matrix and input/output row
-  indices, sorted by output row.  Any ``CodingPlan`` — encode generator,
-  cached decode solve, fused MSR repair — lowers to the same program
-  shape, so the compiled artifact is shared by every code in the repo.
+  indices, the units of one output row consecutive.  Any ``CodingPlan``
+  — encode generator, cached decode solve, fused MSR repair — lowers to
+  the same program shape, so the compiled artifact is shared by every
+  code in the repo.
+
+The one entry does three more things, each checked by the load-time
+self-test:
+
+* **Chained programs.**  A product of sparse factors (a coupled-layer
+  MSR encode: uncouple, one scalar MDS map per plane, recouple) lowers to
+  one program whose intermediate rows are *scratch rows*
+  (:func:`build_chain_program`).  The kernel allocates them per call,
+  one column tile each, and runs the units in program order tile by
+  tile, so the intermediate products never leave the per-core cache and
+  the call still reads each input and writes each output once.  A chain
+  also writes more destination rows than its dense product, and on
+  narrow rows a row costs about as much as 2–3 units: unless the chain
+  needs at most half the product's units, the product's dense units
+  follow the chain's, and a call narrower than :data:`CHAIN_MIN_WIDTH`
+  runs those (``docs/performance.md``, the measured crossovers).
+* **A split output.**  ``out_tail`` continues the output rows the way
+  ``tail`` continues the input rows: a stripe's data rows and parity
+  rows, or two MSR groups' parity sets, are written by one call.
+* **Streaming stores.**  A call that overwrites at least
+  :data:`STREAM_BYTES` of output stores its 64-byte aligned output rows
+  non-temporally (``sfence`` before returning): such an output is larger
+  than what the caches could keep for the next operation, and a cached
+  store would first read every line it overwrites.  Smaller outputs are
+  re-read while still cached, so they are stored as usual;
+  :func:`aligned_empty` allocates the large buffers a store keeps.
 
 The kernel mutates nothing global and releases no resources at exit;
 the cached ``.so`` under the system temp dir is reused across runs.
@@ -80,6 +107,7 @@ import ctypes
 import hashlib
 import importlib.machinery
 import importlib.util
+import math
 import os
 import platform
 import shutil
@@ -97,6 +125,8 @@ __all__ = [
     "affine_matrices",
     "UnitProgram",
     "build_unit_program",
+    "build_chain_program",
+    "aligned_empty",
     "run",
 ]
 
@@ -106,6 +136,7 @@ _C_SOURCE = r"""
 #include <Python.h>
 #endif
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #if defined(__GFNI__) && defined(__AVX512F__) && defined(__AVX512BW__)
@@ -129,14 +160,15 @@ const char *gf_isa(void) { return GF_ISA; }
 
 /* One pass: op[0..len) (^)= sum_k mul(c_k, ip[k][0..len)) over the n
  * units of one output row.  tp holds the units' 32-byte nibble tables,
- * ap their affine matrices.  Returns how many leading bytes were done;
- * the caller finishes the rest byte by byte. */
+ * ap their affine matrices.  With `stream` (op 64-byte aligned) the
+ * full-width steps store non-temporally.  Returns how many leading bytes
+ * were done; the caller finishes the rest byte by byte. */
 
 #if defined(GF_AFFINE512)
 
 static inline int64_t gf_pass(const uint8_t *const *ip, const uint8_t *tp,
                               const uint64_t *ap, int n,
-                              uint8_t *op, int64_t len, int acc)
+                              uint8_t *op, int64_t len, int acc, int stream)
 {
     (void)tp;
     int64_t t = 0;
@@ -153,8 +185,13 @@ static inline int64_t gf_pass(const uint8_t *const *ip, const uint8_t *tp,
             a1 = _mm512_xor_si512(a1, _mm512_gf2p8affine_epi64_epi8(
                 _mm512_loadu_si512(ip[k] + t + 64), m, 0));
         }
-        _mm512_storeu_si512(op + t, a0);
-        _mm512_storeu_si512(op + t + 64, a1);
+        if (stream) {
+            _mm512_stream_si512((void *)(op + t), a0);
+            _mm512_stream_si512((void *)(op + t + 64), a1);
+        } else {
+            _mm512_storeu_si512(op + t, a0);
+            _mm512_storeu_si512(op + t + 64, a1);
+        }
     }
     /* the ragged end, at most two steps: masked lanes are neither read
      * nor written */
@@ -176,7 +213,7 @@ static inline int64_t gf_pass(const uint8_t *const *ip, const uint8_t *tp,
 
 static inline int64_t gf_pass(const uint8_t *const *ip, const uint8_t *tp,
                               const uint64_t *ap, int n,
-                              uint8_t *op, int64_t len, int acc)
+                              uint8_t *op, int64_t len, int acc, int stream)
 {
     (void)tp;
     int64_t t = 0;
@@ -193,8 +230,13 @@ static inline int64_t gf_pass(const uint8_t *const *ip, const uint8_t *tp,
             a1 = _mm256_xor_si256(a1, _mm256_gf2p8affine_epi64_epi8(
                 _mm256_loadu_si256((const __m256i *)(ip[k] + t + 32)), m, 0));
         }
-        _mm256_storeu_si256((__m256i *)(op + t), a0);
-        _mm256_storeu_si256((__m256i *)(op + t + 32), a1);
+        if (stream) {
+            _mm256_stream_si256((__m256i *)(op + t), a0);
+            _mm256_stream_si256((__m256i *)(op + t + 32), a1);
+        } else {
+            _mm256_storeu_si256((__m256i *)(op + t), a0);
+            _mm256_storeu_si256((__m256i *)(op + t + 32), a1);
+        }
     }
     return t;
 }
@@ -203,7 +245,7 @@ static inline int64_t gf_pass(const uint8_t *const *ip, const uint8_t *tp,
 
 static inline int64_t gf_pass(const uint8_t *const *ip, const uint8_t *tp,
                               const uint64_t *ap, int n,
-                              uint8_t *op, int64_t len, int acc)
+                              uint8_t *op, int64_t len, int acc, int stream)
 {
     (void)ap;
     const __m256i mask = _mm256_set1_epi8(15);
@@ -230,8 +272,13 @@ static inline int64_t gf_pass(const uint8_t *const *ip, const uint8_t *tp,
                 _mm256_shuffle_epi8(lo, _mm256_and_si256(x1, mask)),
                 _mm256_shuffle_epi8(hi, _mm256_and_si256(_mm256_srli_epi64(x1, 4), mask))));
         }
-        _mm256_storeu_si256((__m256i *)(op + t), a0);
-        _mm256_storeu_si256((__m256i *)(op + t + 32), a1);
+        if (stream) {
+            _mm256_stream_si256((__m256i *)(op + t), a0);
+            _mm256_stream_si256((__m256i *)(op + t + 32), a1);
+        } else {
+            _mm256_storeu_si256((__m256i *)(op + t), a0);
+            _mm256_storeu_si256((__m256i *)(op + t + 32), a1);
+        }
     }
     return t;
 }
@@ -242,9 +289,9 @@ typedef uint8_t v16 __attribute__((vector_size(16)));
 
 static inline int64_t gf_pass(const uint8_t *const *ip, const uint8_t *tp,
                               const uint64_t *ap, int n,
-                              uint8_t *op, int64_t len, int acc)
+                              uint8_t *op, int64_t len, int acc, int stream)
 {
-    (void)ap;
+    (void)ap; (void)stream;  /* plain stores: no portable streaming store */
     const v16 mask = {15,15,15,15,15,15,15,15,15,15,15,15,15,15,15,15};
     int64_t t = 0;
     for (; t + 64 <= len; t += 64) {
@@ -278,57 +325,120 @@ static inline int64_t gf_pass(const uint8_t *const *ip, const uint8_t *tp,
 
 #endif
 
+/* Output bytes a call must overwrite before its output rows are stored
+ * non-temporally (past the caches: the call's output is larger than what
+ * the next call could still find there, and a cached store would first
+ * read every line it overwrites).  Smaller outputs are re-read while hot. */
+#define GF_STREAM_MIN (1 << 20)
+/* Column tiles: a plain program walks 32 KiB of each row per tile.  A
+ * chained one keeps a tile of every scratch row live as well, so its tile
+ * is cut until they all fit in GF_SCRATCH bytes: they stay in the per-core
+ * cache, and the per-call allocation stays under the C library's mmap
+ * threshold (128 KiB by default; freeing a larger mapping would raise it
+ * for the whole process). */
+#define GF_TILE 32768
+#define GF_SCRATCH (96 * 1024)
+
+static inline uint8_t *gf_out_row(uint8_t *out, int64_t out_stride,
+                                  uint8_t *out_tail, int64_t out_tail_stride,
+                                  int32_t out_split, int32_t row)
+{
+    return row < out_split ? out + (int64_t)row * out_stride
+                           : out_tail + (int64_t)(row - out_split) * out_tail_stride;
+}
+
 /* Execute a unit program: each unit XOR-accumulates mul(coeff, in_row)
- * into an output row.  Units must be sorted by output row so each
- * output tile is accumulated in registers and stored once (once per
- * PASS units, for rows with more).  Tiled over the block length for
- * cache residency.  Of the n_out output rows, those no unit names (an
+ * into a destination row.  The units of one destination are consecutive,
+ * so each destination tile is accumulated in registers and stored once
+ * (once per PASS units, for rows with more).  Tiled over the block length
+ * for cache residency.  Of the n_out output rows, those no unit names (an
  * all-zero matrix row) are cleared unless accumulating.
  *
  * The input rows may live in two arrays: rows [0, split) in `in`, rows
- * [split, ...) in `tail` (a stripe's data and parity buffers), each with
- * its own row stride.  Input rows no unit names are never read, so `out`
- * may be such a row of `in`/`tail` (in-place repair). */
-void gf_apply_units(const uint8_t *tables,   /* nunits * 32 */
-                    const uint64_t *affine,  /* nunits */
-                    const int32_t *unit_in,  /* input row per unit */
-                    const int32_t *unit_out, /* output row per unit */
-                    int32_t nunits, int32_t n_out,
-                    const uint8_t *in, int64_t in_stride,
-                    const uint8_t *tail, int64_t tail_stride, int32_t split,
-                    uint8_t *out, int64_t out_stride,
-                    int64_t L, int accumulate)
+ * [split, n_in) in `tail` (a stripe's data and parity buffers), each with
+ * its own row stride; the output rows likewise: [0, out_split) in `out`,
+ * the rest in `out_tail`.  Input rows no unit names are never read, so an
+ * output row may be such an input row (in-place repair).
+ *
+ * A chained program (a product of sparse factors) has n_scratch scratch
+ * rows: unit inputs from n_in on and unit destinations from n_out on name
+ * them.  They hold one tile each, are allocated per call, and are written
+ * before they are read: the units run in program order, tile by tile.
+ * Returns 0, or -1 when the scratch rows cannot be allocated (nothing was
+ * written then). */
+int gf_apply_units(const uint8_t *tables,   /* nunits * 32 */
+                   const uint64_t *affine,  /* nunits */
+                   const int32_t *unit_in,  /* source row per unit */
+                   const int32_t *unit_out, /* destination row per unit */
+                   int32_t nunits, int32_t n_in, int32_t n_out, int32_t n_scratch,
+                   const uint8_t *in, int64_t in_stride,
+                   const uint8_t *tail, int64_t tail_stride, int32_t split,
+                   uint8_t *out, int64_t out_stride,
+                   uint8_t *out_tail, int64_t out_tail_stride, int32_t out_split,
+                   int64_t L, int accumulate)
 {
-    enum { PASS = 32 };
-    const int64_t TILE = 32768;
-    if (!accumulate) {
-        int32_t u = 0;
-        for (int32_t row = 0; row < n_out; row++) {
-            if (u < nunits && unit_out[u] == row)
-                while (u < nunits && unit_out[u] == row)
-                    u++;
-            else
-                memset(out + (int64_t)row * out_stride, 0, (size_t)L);
-        }
+    enum { PASS = 32, MARKS = 1024 };
+    if (L <= 0)
+        return 0;
+    int64_t tile = GF_TILE;
+    if (n_scratch) {
+        tile = (GF_SCRATCH / n_scratch) & ~(int64_t)127;
+        tile = tile < 256 ? 256 : tile > GF_TILE ? GF_TILE : tile;
     }
-    for (int64_t t0 = 0; t0 < L; t0 += TILE) {
-        int64_t len = t0 + TILE < L ? TILE : L - t0;
+    const int64_t pitch = L < tile ? (L + 63) & ~(int64_t)63 : tile;
+    uint8_t *block = NULL, *scratch = NULL;  /* scratch: block, cache-line aligned */
+    if (n_scratch) {
+        block = malloc((size_t)n_scratch * (size_t)pitch + 63);
+        if (block == NULL)
+            return -1;
+        scratch = (uint8_t *)(((uintptr_t)block + 63) & ~(uintptr_t)63);
+    }
+    if (!accumulate) {
+        unsigned char marks[MARKS];
+        unsigned char *named = n_out <= MARKS ? marks : malloc((size_t)n_out);
+        if (named == NULL) {
+            free(block);
+            return -1;
+        }
+        memset(named, 0, (size_t)n_out);
+        for (int32_t u = 0; u < nunits; u++)
+            if (unit_out[u] < n_out)
+                named[unit_out[u]] = 1;
+        for (int32_t row = 0; row < n_out; row++)
+            if (!named[row])
+                memset(gf_out_row(out, out_stride, out_tail, out_tail_stride,
+                                  out_split, row), 0, (size_t)L);
+        if (named != marks)
+            free(named);
+    }
+    const int stream = !accumulate && (int64_t)n_out * L >= GF_STREAM_MIN;
+    for (int64_t t0 = 0; t0 < L; t0 += tile) {
+        int64_t len = t0 + tile < L ? tile : L - t0;
         int32_t u = 0;
         while (u < nunits) {
             int32_t row = unit_out[u];
-            uint8_t *op = out + (int64_t)row * out_stride + t0;
-            int acc = accumulate;
+            int is_out = row < n_out;
+            uint8_t *op = is_out
+                ? gf_out_row(out, out_stride, out_tail, out_tail_stride,
+                             out_split, row) + t0
+                : scratch + (int64_t)(row - n_out) * pitch;
+            /* scratch rows start from zero; only output rows stream */
+            int acc = is_out ? accumulate : 0;
+            int st = stream && is_out && ((uintptr_t)op & 63) == 0;
             do {
                 const uint8_t *ip[PASS];
                 int n = 0;
                 while (n < PASS && u + n < nunits && unit_out[u + n] == row) {
                     int32_t r = unit_in[u + n];
-                    ip[n++] = (r < split
-                        ? in + (int64_t)r * in_stride
-                        : tail + (int64_t)(r - split) * tail_stride) + t0;
+                    ip[n++] = r < split ? in + (int64_t)r * in_stride + t0
+                        : r < n_in ? tail + (int64_t)(r - split) * tail_stride + t0
+                        : scratch + (int64_t)(r - n_in) * pitch;
                 }
+                /* a row wider than one pass re-reads what it stored: only
+                 * its last pass streams */
+                int last = !(u + n < nunits && unit_out[u + n] == row);
                 const uint8_t *tp = tables + (int64_t)u * 32;
-                int64_t t = gf_pass(ip, tp, affine + u, n, op, len, acc);
+                int64_t t = gf_pass(ip, tp, affine + u, n, op, len, acc, st && last);
                 for (; t < len; t++) {
                     uint8_t a = acc ? op[t] : 0;
                     for (int k = 0; k < n; k++) {
@@ -342,6 +452,12 @@ void gf_apply_units(const uint8_t *tables,   /* nunits * 32 */
             } while (u < nunits && unit_out[u] == row);
         }
     }
+#ifdef __AVX2__
+    if (stream)
+        _mm_sfence();  /* streamed stores are visible before the call returns */
+#endif
+    free(block);
+    return 0;
 }
 
 #ifdef GF_PY_ENTRY
@@ -350,8 +466,9 @@ void gf_apply_units(const uint8_t *tables,   /* nunits * 32 */
  * with no per-argument marshalling objects.  It is the application's
  * check: before writing a byte it refuses what the kernel cannot walk
  * and everything CodingPlan.apply_into refuses (row counts, widths, a
- * non-uint8 array, rows that are not contiguous, an `out` that is not a
- * writeable ndarray), then releases the GIL around the kernel. */
+ * non-uint8 array, rows that are not contiguous, an `out` or `out_tail`
+ * that is not a writeable ndarray), then releases the GIL around the
+ * kernel, which allocates a chained program's scratch rows itself. */
 
 static PyObject *gf_ndarray;  /* numpy.ndarray, looked up at module load */
 
@@ -373,16 +490,19 @@ static PyObject *gf_py_apply(PyObject *self, PyObject *const *args,
                              Py_ssize_t nargs)
 {
     (void)self;
-    if (nargs != 5) {
+    if (nargs != 5 && nargs != 6) {
         PyErr_Format(PyExc_TypeError,
-                     "apply() takes 5 positional arguments (%zd given)", nargs);
+                     "apply() takes 5 or 6 positional arguments (%zd given)", nargs);
         return NULL;
     }
     /* UnitProgram.head, taken once: the addresses of the program's four
-     * arrays (it owns them and they never change), the unit count, and
-     * the matrix's input and output row counts */
+     * arrays (it owns them and they never change), the unit count, the
+     * matrix's input and output row counts and, for a chained program,
+     * its scratch row count, the count of the dense units after its own
+     * and the width from which the chain runs instead of them */
     PyObject *head = args[0];
-    if (!PyTuple_Check(head) || PyTuple_GET_SIZE(head) != 7) {
+    Py_ssize_t nhead = PyTuple_Check(head) ? PyTuple_GET_SIZE(head) : 0;
+    if (nhead != 7 && nhead != 10) {
         PyErr_SetString(PyExc_TypeError, "head must be a UnitProgram.head tuple");
         return NULL;
     }
@@ -392,12 +512,12 @@ static PyObject *gf_py_apply(PyObject *self, PyObject *const *args,
         if (prog[i] == NULL && PyErr_Occurred())
             return NULL;
     }
-    long dims[3];
-    for (int i = 0; i < 3; i++) {
+    long dims[6] = {0, 0, 0, 0, 0, 0};
+    for (int i = 0; i < nhead - 4; i++) {
         dims[i] = PyLong_AsLong(PyTuple_GET_ITEM(head, 4 + i));
         if (dims[i] == -1 && PyErr_Occurred())
             return NULL;
-        if (dims[i] < 0 || dims[i] > INT32_MAX) {
+        if (dims[i] < 0 || dims[i] > INT32_MAX / 2) {
             PyErr_SetString(PyExc_ValueError, "unit program size out of range");
             return NULL;
         }
@@ -405,14 +525,18 @@ static PyObject *gf_py_apply(PyObject *self, PyObject *const *args,
     int accumulate = PyObject_IsTrue(args[4]);
     if (accumulate < 0)
         return NULL;
-    int typed = PyObject_IsInstance(args[3], gf_ndarray);
-    if (typed <= 0) {
-        if (typed == 0)
-            PyErr_SetString(PyExc_ValueError, "out must be a numpy array");
-        return NULL;
+    int split_output = nargs == 6 && args[5] != Py_None;
+    for (int i = 3; i <= (split_output ? 5 : 3); i += 2) {
+        int typed = PyObject_IsInstance(args[i], gf_ndarray);
+        if (typed <= 0) {
+            if (typed == 0)
+                PyErr_Format(PyExc_ValueError, "%s must be a numpy array",
+                             i == 3 ? "out" : "out_tail");
+            return NULL;
+        }
     }
 
-    Py_buffer in, tl, out;
+    Py_buffer in, tl, out, otl;
     PyObject *result = NULL;
     int split_input = args[2] != Py_None;
     if (gf_rows(args[1], &in, "blocks") < 0)
@@ -421,35 +545,59 @@ static PyObject *gf_py_apply(PyObject *self, PyObject *const *args,
         goto release_in;
     if (gf_rows(args[3], &out, "out") < 0)
         goto release_tail;
-    if (out.readonly) {
-        PyErr_SetString(PyExc_ValueError, "out is read-only");
+    if (split_output && gf_rows(args[5], &otl, "out_tail") < 0)
         goto release_out;
+    if (out.readonly || (split_output && otl.readonly)) {
+        PyErr_Format(PyExc_ValueError, "%s is read-only",
+                     out.readonly ? "out" : "out_tail");
+        goto release_out_tail;
     }
     if (in.shape[1] != out.shape[1]
-        || (split_input && tl.shape[1] != out.shape[1])) {
+        || (split_input && tl.shape[1] != out.shape[1])
+        || (split_output && otl.shape[1] != out.shape[1])) {
         PyErr_SetString(PyExc_ValueError,
-                        "blocks, tail and out must have the same width");
-        goto release_out;
+                        "blocks, tail, out and out_tail must have the same width");
+        goto release_out_tail;
     }
     if (in.shape[0] + (split_input ? tl.shape[0] : 0) != dims[1]
-        || out.shape[0] != dims[2]) {
+        || out.shape[0] + (split_output ? otl.shape[0] : 0) != dims[2]) {
         PyErr_Format(PyExc_ValueError,
                      "the program maps %ld input rows to %ld output rows",
                      dims[1], dims[2]);
-        goto release_out;
+        goto release_out_tail;
     }
     {
         const uint8_t *tail = split_input ? tl.buf : in.buf;
         int64_t tail_stride = split_input ? tl.strides[0] : in.strides[0];
+        uint8_t *out_tail = split_output ? otl.buf : out.buf;
+        int64_t out_tail_stride = split_output ? otl.strides[0] : out.strides[0];
+        /* a narrow call runs the dense units: [first, first + count) */
+        int narrow = dims[4] && out.shape[1] < dims[5];
+        int64_t first = narrow ? dims[0] : 0;
+        int32_t count = (int32_t)(narrow ? dims[4] : dims[0]);
+        int32_t scratch = narrow ? 0 : (int32_t)dims[3];
+        int failed;
         Py_BEGIN_ALLOW_THREADS
-        gf_apply_units(prog[0], prog[1], prog[2], prog[3], (int32_t)dims[0],
-                       (int32_t)dims[2], in.buf, in.strides[0], tail, tail_stride,
-                       (int32_t)in.shape[0],
-                       out.buf, out.strides[0], out.shape[1], accumulate);
+        failed = gf_apply_units((const uint8_t *)prog[0] + 32 * first,
+                                (const uint64_t *)prog[1] + first,
+                                (const int32_t *)prog[2] + first,
+                                (const int32_t *)prog[3] + first, count,
+                                (int32_t)dims[1], (int32_t)dims[2], scratch,
+                                in.buf, in.strides[0], tail, tail_stride,
+                                (int32_t)in.shape[0], out.buf, out.strides[0],
+                                out_tail, out_tail_stride, (int32_t)out.shape[0],
+                                out.shape[1], accumulate);
         Py_END_ALLOW_THREADS
+        if (failed) {
+            PyErr_NoMemory();
+            goto release_out_tail;
+        }
     }
     result = Py_None;
     Py_INCREF(result);
+release_out_tail:
+    if (split_output)
+        PyBuffer_Release(&otl);
 release_out:
     PyBuffer_Release(&out);
 release_tail:
@@ -468,7 +616,7 @@ static PyObject *gf_py_isa(PyObject *self, PyObject *ignored)
 
 static PyMethodDef gf_methods[] = {
     {"apply", (PyCFunction)(void (*)(void))gf_py_apply, METH_FASTCALL,
-     "apply(head, blocks, tail, out, accumulate)"},
+     "apply(head, blocks, tail, out, accumulate[, out_tail])"},
     {"isa", gf_py_isa, METH_NOARGS, "The vector rung this build runs."},
     {NULL, NULL, 0, NULL}
 };
@@ -516,7 +664,9 @@ _ARGTYPES = [
     ctypes.c_void_p,  # unit_in
     ctypes.c_void_p,  # unit_out
     ctypes.c_int32,   # nunits
+    ctypes.c_int32,   # n_in
     ctypes.c_int32,   # n_out
+    ctypes.c_int32,   # n_scratch
     ctypes.c_void_p,  # in
     ctypes.c_int64,   # in_stride
     ctypes.c_void_p,  # tail
@@ -524,12 +674,26 @@ _ARGTYPES = [
     ctypes.c_int32,   # split
     ctypes.c_void_p,  # out
     ctypes.c_int64,   # out_stride
+    ctypes.c_void_p,  # out_tail
+    ctypes.c_int64,   # out_tail_stride
+    ctypes.c_int32,   # out_split
     ctypes.c_int64,   # L
     ctypes.c_int,     # accumulate
 ]
 
-#: the kernel's cache tile; the self-test straddles it
+#: the kernel's cache tile (a chained program's is at most this); the
+#: self-test straddles it
 _TILE = 32768
+#: a call that overwrites at least this many output bytes stores its
+#: 64-byte aligned output rows non-temporally (``GF_STREAM_MIN``)
+STREAM_BYTES = 1 << 20
+#: calls whose rows are narrower than this run a chained program's dense
+#: units, unless the chain needs at most half of them.  Measured on the
+#: ``gfni-avx512`` rung: chains that save a third of the units (the MSR
+#: encode and write, the MSR → RS merges) break even between 768-byte and
+#: 4 KiB rows and lose up to 1.3× at 512 bytes, and a chain that saves more
+#: than half (the RS → MSR call that rebuilds a group) wins at every width
+CHAIN_MIN_WIDTH = 4096
 
 _lock = threading.Lock()
 _cached: list = []  # [(fn_or_None, info)] once resolved
@@ -575,27 +739,38 @@ def affine_matrices(mul_table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 class UnitProgram:
     """A matrix lowered for :func:`run`: per-unit constants + row indices.
 
-    ``tables`` is ``(nunits, 32)`` uint8 (16 low-nibble then 16
+    ``tables`` is ``(units, 32)`` uint8 (16 low-nibble then 16
     high-nibble products per unit) and ``affine`` the unit's
     :func:`affine_matrices` entry — a rung reads whichever it multiplies
-    with; ``unit_in``/``unit_out`` are int32 row indices sorted by output
-    row.  ``shape`` is the matrix's ``(output rows, input rows)``: the
-    entry refuses arrays with other row counts, and clears the output
-    rows no unit names (all-zero matrix rows) unless accumulating.
-    ``head`` is the entry's first argument — the four arrays' addresses,
-    the unit count and the input and output row counts — taken once: the
-    arrays are immutable and live as long as the program.
+    with; ``unit_in``/``unit_out`` are int32 row indices, the units of one
+    destination row consecutive.  ``shape`` is the matrix's ``(output
+    rows, input rows)``: the entry refuses arrays with other row counts,
+    and clears the output rows no unit names (all-zero matrix rows) unless
+    accumulating.  A chained program (:func:`build_chain_program`) has
+    ``scratch`` rows, named by input indices from ``shape[1]`` on and
+    destination indices from ``shape[0]`` on, and after its ``nunits``
+    units the ``narrow`` units of its dense matrix (none when the chain runs
+    at every width), which calls narrower than :data:`CHAIN_MIN_WIDTH`
+    run instead.  ``head`` is the entry's
+    first argument — the four arrays' addresses, the unit count, the input
+    and output row counts and, for a chained program, the scratch row
+    count, the dense unit count and :data:`CHAIN_MIN_WIDTH` — taken once:
+    the arrays are immutable and live as long as the program.
     """
 
-    __slots__ = ("tables", "affine", "unit_in", "unit_out", "shape", "nunits", "head")
+    __slots__ = (
+        "tables", "affine", "unit_in", "unit_out", "shape", "scratch", "narrow", "nunits", "head",
+    )  # fmt: skip
 
-    def __init__(self, tables, affine, unit_in, unit_out, shape):
+    def __init__(self, tables, affine, unit_in, unit_out, shape, scratch=0, narrow=0):
         self.tables = tables
         self.affine = affine
         self.unit_in = unit_in
         self.unit_out = unit_out
         self.shape = shape
-        self.nunits = len(unit_in)
+        self.scratch = scratch
+        self.narrow = narrow
+        self.nunits = len(unit_in) - narrow
         self.head = (
             tables.ctypes.data,
             affine.ctypes.data,
@@ -604,7 +779,25 @@ class UnitProgram:
             self.nunits,
             shape[1],
             shape[0],
-        )
+        ) + ((scratch, narrow, CHAIN_MIN_WIDTH) if scratch else ())
+
+
+def _lower(outs, ins, coeffs, mul_table, shape, scratch=0, narrow=0) -> UnitProgram:
+    """Units in program order → a :class:`UnitProgram`; every row index must
+    name a row of the ``shape`` matrix or a scratch row (the entry holds the
+    arrays to the shape, and the kernel to the indices)."""
+    outs = np.ascontiguousarray(outs, np.int32)
+    ins = np.ascontiguousarray(ins, np.int32)
+    n_out, n_in = shape
+    if len(outs) and not (
+        0 <= outs.min() <= outs.max() < n_out + scratch
+        and 0 <= ins.min() <= ins.max() < n_in + scratch
+    ):
+        raise ValueError(f"unit row indices fall outside a ({n_out}, {n_in}) matrix")
+    cs = np.asarray(coeffs, np.intp)
+    nib = np.arange(16)
+    tables = np.ascontiguousarray(mul_table[cs[:, None], np.concatenate([nib, nib << 4])])
+    return UnitProgram(tables, affine_matrices(mul_table, cs), ins, outs, shape, scratch, narrow)
 
 
 def build_unit_program(
@@ -616,17 +809,102 @@ def build_unit_program(
     n_in: int,
 ) -> UnitProgram:
     """Lower a sparse coefficient list of an ``(n_out, n_in)`` matrix to a
-    sorted unit program; every row index must lie inside that shape (the
-    entry holds the arrays to it, and the kernel to the indices)."""
+    unit program sorted by output row; every row index must lie inside
+    that shape."""
     order = np.argsort(out_rows, kind="stable")
-    outs = np.ascontiguousarray(out_rows[order], np.int32)
-    ins = np.ascontiguousarray(in_rows[order], np.int32)
-    if len(outs) and not (0 <= outs[0] <= outs[-1] < n_out and 0 <= ins.min() <= ins.max() < n_in):
-        raise ValueError(f"unit row indices fall outside a ({n_out}, {n_in}) matrix")
-    cs = np.asarray(coeffs, np.intp)[order]
-    nib = np.arange(16)
-    tables = np.ascontiguousarray(mul_table[cs[:, None], np.concatenate([nib, nib << 4])])
-    return UnitProgram(tables, affine_matrices(mul_table, cs), ins, outs, (n_out, n_in))
+    return _lower(
+        np.asarray(out_rows)[order], np.asarray(in_rows)[order],
+        np.asarray(coeffs)[order], mul_table, (n_out, n_in),
+    )  # fmt: skip
+
+
+def build_chain_program(factors, mul_table: np.ndarray) -> UnitProgram:
+    """Lower the product ``F_s ⋯ F_1`` of sparse ``factors`` (``[F_1, …,
+    F_s]``) to one chained unit program, run tile by tile.
+
+    Each factor row becomes a scratch row (an output row, for the last
+    factor) with one unit per nonzero coefficient, except where nothing
+    need be computed: an all-zero row (or one reading only such rows)
+    costs nothing and later factors skip it, and a row that is one of its
+    inputs unchanged (a lone coefficient 1) is that input, renamed.  A last
+    row that is a scratch row unchanged takes that row's units when
+    nothing else reads it, and a copy unit otherwise — or when it is an
+    input row.  The scratch rows left are numbered in program order.
+
+    A chain's extra rows cost the kernel more than its saved units on
+    narrow rows unless it saves more than half of them, so a chain that
+    needs more than half the product's own (dense) units carries those
+    after its own, and calls narrower than :data:`CHAIN_MIN_WIDTH` run
+    them instead.
+    """
+    n_in, n_out = factors[0].shape[1], factors[-1].shape[0]
+    # where each entry of the running vector lives: a source index (input
+    # rows, then scratch rows from n_in) or -1, known zero
+    where = np.arange(n_in)
+    outs, ins, coeffs = [], [], []
+    scratch = 0
+    last = len(factors) - 1
+    for stage, f in enumerate(factors):
+        f = np.where(where >= 0, np.asarray(f, np.uint8), 0)
+        rows, cols = np.nonzero(f)
+        counts = np.bincount(rows, minlength=len(f))
+        single = counts[rows] == 1
+        alias = np.zeros(len(f), bool)
+        alias[rows[single]] = f[rows[single], cols[single]] == 1
+        if stage == last:
+            # a renamed output row needs a copy unit; the kept ones move below
+            computed = counts > 0
+            dest = np.arange(len(f))
+        else:
+            computed = (counts > 0) & ~alias
+            dest = np.full(len(f), -1)
+            dest[computed] = n_out + scratch + np.arange(computed.sum())
+            scratch += int(computed.sum())
+        keep = computed[rows]
+        outs.append(dest[rows[keep]])
+        ins.append(where[cols[keep]])
+        coeffs.append(f[rows[keep], cols[keep]])
+        if stage < last:
+            renamed = np.full(len(f), -1)
+            renamed[alias] = where[cols[alias[rows]]]
+            where = np.where(computed, dest - n_out + n_in, renamed)
+    outs, ins, coeffs = np.concatenate(outs), np.concatenate(ins), np.concatenate(coeffs)
+    # an output row copying a scratch row nothing else reads takes its units
+    refs = np.bincount(ins[ins >= n_in] - n_in, minlength=scratch)
+    copies = np.nonzero((ins >= n_in) & (coeffs == 1) & (outs < n_out))[0]
+    tally = np.bincount(outs[outs < n_out], minlength=n_out)
+    drop = []
+    for u in copies:
+        s = ins[u] - n_in
+        if refs[s] == 1 and tally[outs[u]] == 1:
+            outs[outs == n_out + s] = outs[u]
+            drop.append(u)
+    keep = np.ones(len(outs), bool)
+    keep[drop] = False
+    outs, ins, coeffs = outs[keep], ins[keep], coeffs[keep]
+    # number the scratch rows left in program order (np.unique would import
+    # numpy.ma)
+    used = np.flatnonzero(np.bincount(outs[outs >= n_out] - n_out, minlength=scratch))
+    number = np.zeros(scratch + 1, np.intp)
+    number[used] = np.arange(len(used))
+    outs = np.where(outs >= n_out, n_out + number[np.maximum(outs - n_out, 0)], outs)
+    ins = np.where(ins >= n_in, n_in + number[np.maximum(ins - n_in, 0)], ins)
+    if not len(used):
+        return _lower(outs, ins, coeffs, mul_table, (n_out, n_in))
+    from .matrix import matmul
+
+    product = factors[0]
+    for f in factors[1:]:
+        product = matmul(f, product)
+    rows, cols = np.nonzero(product)
+    if 2 * len(outs) <= len(rows):  # the chain wins at every width
+        return _lower(outs, ins, coeffs, mul_table, (n_out, n_in), len(used))
+    # the product's own units follow, for calls narrower than CHAIN_MIN_WIDTH
+    return _lower(
+        np.concatenate([outs, rows]), np.concatenate([ins, cols]),
+        np.concatenate([coeffs, product[rows, cols]]), mul_table, (n_out, n_in),
+        len(used), len(rows),
+    )  # fmt: skip
 
 
 def _cpu_features() -> frozenset[str] | None:
@@ -677,30 +955,44 @@ def _cache_path(flags: tuple[str, ...], cc: str) -> str:
 def _ctypes_entry(cfn):
     """``gf_apply_units`` behind the fastcall entry's signature and checks."""
 
-    def apply(head, blocks, tail, out, accumulate):
-        tables, affine, unit_in, unit_out, nunits, n_in, n_out = head
-        for name, a in (("blocks", blocks), ("tail", tail), ("out", out)):
-            if (a is not None or name == "out") and not (
+    def apply(head, blocks, tail, out, accumulate, out_tail=None):
+        tables, affine, unit_in, unit_out, nunits, n_in, n_out = head[:7]
+        scratch, narrow, wide = head[7:] if len(head) > 7 else (0, 0, 0)
+        for name, a in (("blocks", blocks), ("tail", tail), ("out", out), ("out_tail", out_tail)):
+            if (a is not None or name in ("blocks", "out")) and not (
                 isinstance(a, np.ndarray)
                 and a.ndim == 2
                 and a.dtype == np.uint8
                 and (a.flags.c_contiguous or a.strides[1] == 1)
             ):
                 raise ValueError(f"{name} must be a 2-D uint8 array with contiguous rows")
-        if not out.flags.writeable:
-            raise ValueError("out is read-only")
+        for name, a in (("out", out), ("out_tail", out_tail)):
+            if a is not None and not a.flags.writeable:
+                raise ValueError(f"{name} is read-only")
         width = out.shape[1]
-        if blocks.shape[1] != width or (tail is not None and tail.shape[1] != width):
-            raise ValueError("blocks, tail and out must have the same width")
-        if len(blocks) + (0 if tail is None else len(tail)) != n_in or len(out) != n_out:
+        if any(a is not None and a.shape[1] != width for a in (blocks, tail, out_tail)):
+            raise ValueError("blocks, tail, out and out_tail must have the same width")
+        if len(blocks) + (0 if tail is None else len(tail)) != n_in or len(out) + (
+            0 if out_tail is None else len(out_tail)
+        ) != n_out:
             raise ValueError(f"the program maps {n_in} input rows to {n_out} output rows")
+        if narrow and width < wide:  # a narrow call runs the dense units
+            tables, affine = tables + 32 * nunits, affine + 8 * nunits
+            unit_in, unit_out = unit_in + 4 * nunits, unit_out + 4 * nunits
+            nunits, scratch = narrow, 0
         rows, stride = blocks.ctypes.data, blocks.strides[0]
         more, more_stride = (rows, stride) if tail is None else (tail.ctypes.data, tail.strides[0])
-        cfn(
-            tables, affine, unit_in, unit_out, nunits, n_out,
+        dest, dest_stride = out.ctypes.data, out.strides[0]
+        rest, rest_stride = (
+            (dest, dest_stride) if out_tail is None else (out_tail.ctypes.data, out_tail.strides[0])
+        )
+        if cfn(
+            tables, affine, unit_in, unit_out, nunits, n_in, n_out, scratch,
             rows, stride, more, more_stride, blocks.shape[0],
-            out.ctypes.data, out.strides[0], width, 1 if accumulate else 0,
-        )  # fmt: skip
+            dest, dest_stride, rest, rest_stride, out.shape[0],
+            width, 1 if accumulate else 0,
+        ):  # fmt: skip
+            raise MemoryError("no memory for the program's scratch rows")
 
     return apply
 
@@ -708,7 +1000,8 @@ def _ctypes_entry(cfn):
 def _compile(flags: tuple[str, ...], cc: str, py_cflags: tuple[str, ...] = ()):
     """Compile (or reuse) the kernel for one flag set → ``(fn, isa)``; raises on failure.
 
-    ``fn`` is ``apply(head, blocks, tail | None, out, accumulate)``, ``head``
+    ``fn`` is ``apply(head, blocks, tail | None, out, accumulate[,
+    out_tail])``, ``head``
     a :attr:`UnitProgram.head`, whichever entry serves: with
     ``py_cflags`` (:func:`_python_cflags`) the build is also an extension
     module and ``fn`` its fastcall function; without, the plain shared
@@ -741,7 +1034,7 @@ def _compile(flags: tuple[str, ...], cc: str, py_cflags: tuple[str, ...] = ()):
     lib = ctypes.CDLL(so)
     fn = lib.gf_apply_units
     fn.argtypes = _ARGTYPES
-    fn.restype = None
+    fn.restype = ctypes.c_int
     lib.gf_isa.argtypes = []
     lib.gf_isa.restype = ctypes.c_char_p
     return _ctypes_entry(fn), lib.gf_isa().decode()
@@ -755,25 +1048,51 @@ def _self_test(fn) -> bool:
     row-strided views — down to shorter than one vector: every rung runs
     its full-width body, its narrower steps, its tail and the tile seam.
     Each length is checked plain, with the input split over two arrays,
-    and accumulating; output lands in an unaligned strided window whose
-    all-zero matrix row must read zero and whose surroundings must stay
-    untouched.  A miscompiled or mis-targeted build is dropped rather
-    than trusted.
+    with the output split over two arrays, through a two-stage chained
+    program (scratch rows, a renamed input, a row taking a scratch row's
+    units, a skipped zero row; its dense units at the narrow lengths, and
+    without them the chain at every length), and accumulating; output
+    lands in an
+    unaligned strided window whose all-zero matrix row must read zero and
+    whose surroundings must stay untouched.  Last, one output past the
+    streaming threshold, 64-byte aligned and misaligned by 16.  A
+    miscompiled or mis-targeted build is dropped rather than trusted.
     """
     from .arithmetic import GF
 
     mt = GF.get().mul_table()
+
+    def product(m, x):
+        out = np.zeros((len(m), x.shape[1]), np.uint8)
+        for i, j in zip(*np.nonzero(m)):
+            out[i] ^= mt[m[i, j]][x[j]]
+        return out
+
     rng = np.random.default_rng(20260808)
     m = rng.integers(1, 256, (3, 4), dtype=np.uint8)
     m[0, 2] = 0
     m[2, :] = 0  # an all-zero output row the kernel must skip
+    # two sparse factors: F1 row 1 renames input 2, row 3 is zero; F2 row 1
+    # takes F1 row 4's units, row 2 is zero
+    f1 = np.zeros((5, 4), np.uint8)
+    for row, cols in ((0, [0, 1]), (2, [1, 2]), (4, [0, 3])):
+        f1[row, cols] = rng.integers(1, 256, 2)
+    f1[1, 2] = 1
+    f2 = np.zeros((3, 5), np.uint8)
+    f2[0, :4] = rng.integers(1, 256, 4)
+    f2[1, 4] = 1
     L = _TILE + 2 * 128 + 45
     blocks = rng.integers(0, 256, (4, L), dtype=np.uint8)
-    expect = np.zeros((3, L), np.uint8)
-    for i, j in zip(*np.nonzero(m)):
-        expect[i] ^= mt[m[i, j]][blocks[j]]
+    expect, chained = product(m, blocks), product(f2, product(f1, blocks))
     outs, ins = np.nonzero(m)
     prog = build_unit_program(outs, ins, m[outs, ins], mt, 3, 4)
+    chain = build_chain_program([f1, f2], mt)
+    # the same chain without its dense units runs the chain at every width
+    n = chain.nunits
+    chain_only = UnitProgram(
+        chain.tables[:n], chain.affine[:n], chain.unit_in[:n], chain.unit_out[:n],
+        chain.shape, chain.scratch,
+    )  # fmt: skip
     poison = 0xA5
     frame = np.empty((3, L + 16), np.uint8)
     for n in (L, 2 * 128 + 45, 45):
@@ -787,15 +1106,54 @@ def _self_test(fn) -> bool:
                 and (frame[:, 7 + n :] == poison).all()
             )
 
-        for split in (4, 1):
+        for program, want, split, cut in (
+            (prog, expect, 4, 3), (prog, expect, 1, 3), (prog, expect, 4, 1),
+            (chain, chained, 4, 3), (chain_only, chained, 4, 3),
+        ):  # fmt: skip
             frame[:] = poison
-            run(fn, prog, view[:split], got, False, view[split:] if split < 4 else None)
-            if not only_wrote(expect[:2, :n]):
+            tail, out_tail = view[split:] if split < 4 else None, got[cut:] if cut < 3 else None
+            run(fn, program, view[:split], got[:cut], False, tail, out_tail)
+            if not only_wrote(want[:2, :n]):
                 return False
-        run(fn, prog, view, got, True)  # x ^ x == 0
-        if not only_wrote(0):
+            run(fn, program, view, got, True)  # x ^ x == 0
+            if not only_wrote(0):
+                return False
+    # past the streaming threshold, the output rows 64-byte aligned and not:
+    # x0 and x0 ^ x1 (the products are checked above; this checks the stores)
+    width = STREAM_BYTES // 3 + 45
+    wide = np.tile(blocks[:2], -(-width // L))[:, :width]
+    want = wide[0] ^ wide[1]
+    xor = build_unit_program(np.array([0, 1, 1]), np.array([0, 0, 1]), np.ones(3, np.intp), mt, 3, 2)
+    frame = aligned_empty((3, width + 128 - width % 64))
+    for lo in (0, 16):
+        frame[:] = poison
+        got = frame[:, lo : lo + width]
+        run(fn, xor, wide, got, False)
+        if not (
+            (got[0] == wide[0]).all()
+            and (got[1] == want).all()
+            and not got[2].any()
+            and (frame[:, :lo] == poison).all()
+            and (frame[:, lo + width :] == poison).all()
+        ):
             return False
     return True
+
+
+def aligned_empty(shape) -> np.ndarray:
+    """An uninitialised C-contiguous uint8 array of ``shape``, starting on a
+    64-byte boundary when it holds at least :data:`STREAM_BYTES`.
+
+    The kernel streams the output rows of such a call only where a row
+    starts on a cache line; NumPy aligns large arrays to 16 bytes.  A
+    smaller array is a plain ``np.empty`` — its rows are never streamed.
+    """
+    nbytes = math.prod(shape)
+    if nbytes < STREAM_BYTES:
+        return np.empty(shape, np.uint8)
+    raw = np.empty(nbytes + 63, np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start : start + nbytes].reshape(shape)
 
 
 def run(
@@ -805,17 +1163,19 @@ def run(
     out: np.ndarray,
     accumulate: bool,
     tail: np.ndarray | None = None,
+    out_tail: np.ndarray | None = None,
 ) -> None:
-    """Invoke the kernel on uint8 ``blocks`` (+ ``tail``) → ``out``.
+    """Invoke the kernel on uint8 ``blocks`` (+ ``tail``) → ``out`` (+ ``out_tail``).
 
     Every array is a 2-D uint8 array with contiguous rows (any row
     stride), together holding the program's input rows, and ``out`` a
     writeable ndarray of its output rows, all of one width — the entry
     raises :class:`ValueError` for anything else before writing a byte.
     ``tail`` holds the input rows from ``len(blocks)`` on when the input
-    is split over two arrays.
+    is split over two arrays, ``out_tail`` the output rows from
+    ``len(out)`` on when the output is.
     """
-    fn(program.head, blocks, tail, out, accumulate)
+    fn(program.head, blocks, tail, out, accumulate, out_tail)
 
 
 def _resolve() -> tuple:

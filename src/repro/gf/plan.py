@@ -34,6 +34,20 @@ measured crossovers between the NumPy paths where there is no kernel —
 byte-identical output: they are pure reassociations of the same GF(2^8)
 sums.
 
+A plan may also be given as a product of sparse **factors** (``factors=``
+``[F_1, …, F_s]``, checked at construction to multiply to its matrix): the
+``native`` kernel then runs the whole product as one *chained* program,
+tile by tile through scratch rows it allocates per call, so a coupled-layer
+MSR encode costs its three sparse steps (153 multiply-accumulates per
+group at (6, 3)) instead of its dense product (225), and a conversion
+that needs a derived group's data rebuilds it inside the same call.  Calls
+with rows narrower than a few KiB, where a chain's extra rows cost more
+than its saved units unless it saves more than half of them, and the
+NumPy backends apply the dense matrix, so every path produces the same
+bytes.  The output, like the input, may be split over two
+arrays (``out_tail``): a stripe's data rows and parity rows are written by
+one call.
+
 :func:`apply_to_blocks_naive` keeps the original row-by-row kernel as
 the executable specification; ``tests/test_kernel_equivalence.py`` and
 ``tests/test_gf_backends.py`` byte-compare every backend against it on
@@ -107,12 +121,20 @@ class CodingPlan:
         Coefficient matrix of shape ``(out_blocks, in_blocks)`` over
         GF(2^8).  The plan snapshots the matrix at compile time; later
         mutation of ``m`` does not affect the plan.
+    factors:
+        Optionally ``[F_1, …, F_s]`` with ``F_s ⋯ F_1 == m`` (else
+        :class:`ValueError`): the ``native`` kernel runs that chain
+        (:func:`repro.gf.native.build_chain_program`) when it has fewer
+        units than ``m`` has nonzeros and either at most half as many or
+        the call's rows are at least
+        :data:`repro.gf.native.CHAIN_MIN_WIDTH` wide, ``m`` otherwise;
+        the NumPy backends always run ``m``.
 
-    Per-backend lowerings (pair tables, native unit program) and the
-    translate scratch buffer are built lazily on first use and cached on
-    the plan; concurrent first-builds may race but only ever replace one
-    immutable lowering with an identical one, so plans stay safe to
-    share across threads.
+    Per-backend lowerings (translate groups, gather layout, pair tables,
+    native unit program) and the translate scratch buffer are built
+    lazily on first use and cached on the plan; concurrent first-builds
+    may race but only ever replace one immutable lowering with an
+    identical one, so plans stay safe to share across threads.
 
     Examples
     --------
@@ -130,10 +152,7 @@ class CodingPlan:
         "_groups",
         "_gf",
         "nnz",
-        "_flat_coeffs",
-        "_flat_in",
-        "_flat_out",
-        "_flat_starts",
+        "_flat",
         "_entry_out",
         "_entry_in",
         "_entry_coeff",
@@ -141,6 +160,7 @@ class CodingPlan:
         "_pair_prog",
         "_pair_units",
         "_native_prog",
+        "_factors",
         "_dtype",
     )
 
@@ -164,30 +184,29 @@ class CodingPlan:
     #: in-place map streams instead of thrashing at MB sizes.
     _SCALE_TILE = 1 << 16
 
-    def __init__(self, m: np.ndarray):
+    def __init__(self, m: np.ndarray, factors=None):
         gf = GF.get()
         m = gf._as_elems(m)
         if m.ndim != 2:
             raise ValueError(f"CodingPlan needs a 2-D matrix, got shape {m.shape}")
+        if factors is not None:
+            from .matrix import matmul
+
+            factors = [np.array(f, np.uint8) for f in factors]
+            product = factors[0]
+            for f in factors[1:]:
+                product = matmul(f, product)
+            if not np.array_equal(product, m):
+                raise ValueError(f"the factors do not multiply to the {m.shape} matrix")
+        self._factors = factors
         self.shape = m.shape
         self._gf = gf
         out_rows, in_rows = np.nonzero(m)
         coeffs = np.asarray(m)[out_rows, in_rows]
         self.nnz = len(coeffs)
-        self._groups: list[_CoeffGroup] = []
-        # Ascending coefficient order keeps plans deterministic; coefficient
-        # 1 (plain XOR, no gather) is by construction the first group.
-        # (np.unique without return_index would import numpy.ma.)
-        for c in sorted(set(coeffs.tolist())):
-            sel = coeffs == c
-            self._groups.append(_CoeffGroup(int(c), out_rows[sel], in_rows[sel]))
-        # Flat layout for the small-block gather path: every entry sorted by
-        # output row so one XOR-reduceat folds each output segment.
-        order = np.argsort(out_rows, kind="stable")
-        self._flat_coeffs = coeffs[order][:, None]
-        self._flat_in = in_rows[order]
-        self._flat_out, self._flat_starts = np.unique(out_rows[order], return_index=True)
-        # Raw entry triples for the lazy pair/native lowerings.
+        self._groups = self._flat = None
+        # Raw entry triples for the lazy per-backend lowerings: a plan the
+        # compiled kernel serves never builds the NumPy paths' layouts.
         self._entry_out = out_rows
         self._entry_in = in_rows
         self._entry_coeff = coeffs
@@ -202,7 +221,36 @@ class CodingPlan:
     @property
     def distinct_coefficients(self) -> int:
         """Number of fused passes one ``translate`` application performs."""
-        return len(self._groups)
+        return len(self._coeff_groups())
+
+    def _coeff_groups(self) -> list[_CoeffGroup]:
+        """The ``translate`` layout: one group per distinct coefficient."""
+        groups = self._groups
+        if groups is None:
+            # Ascending coefficient order keeps plans deterministic;
+            # coefficient 1 (plain XOR, no gather) is by construction the
+            # first group.  (np.unique without return_index would import
+            # numpy.ma.)
+            coeffs = self._entry_coeff
+            groups = self._groups = [
+                _CoeffGroup(c, self._entry_out[coeffs == c], self._entry_in[coeffs == c])
+                for c in sorted(set(coeffs.tolist()))
+            ]
+        return groups
+
+    def _flat_layout(self) -> tuple:
+        """The ``gather`` layout: every entry sorted by output row so one
+        XOR-reduceat folds each output segment → ``(coefficients column,
+        input rows, distinct output rows, their segment starts)``."""
+        flat = self._flat
+        if flat is None:
+            order = np.argsort(self._entry_out, kind="stable")
+            flat = self._flat = (
+                self._entry_coeff[order][:, None],
+                self._entry_in[order],
+                *np.unique(self._entry_out[order], return_index=True),
+            )
+        return flat
 
     def backend_for(self, ncols: int) -> str:
         """The backend :meth:`apply` would execute for ``ncols`` columns."""
@@ -252,7 +300,7 @@ class CodingPlan:
     def _run_translate(self, blocks: np.ndarray, out: np.ndarray, accumulate: bool) -> None:
         if not accumulate:
             out[:] = 0
-        for g in self._groups:
+        for g in self._coeff_groups():
             prod = self._scaled_rows(g.coeff, blocks[g.in_rows])
             if g.reduce_offsets is not None:
                 prod = np.bitwise_xor.reduceat(prod, g.reduce_offsets, axis=0)
@@ -268,15 +316,16 @@ class CodingPlan:
         the streaming backends but a constant ~4 NumPy dispatches, so it
         wins when blocks are small enough that call overhead dominates.
         """
-        prods = self._gf.mul_table()[self._flat_coeffs, blocks[self._flat_in]]
-        if self.nnz > len(self._flat_out):
-            prods = np.bitwise_xor.reduceat(prods, self._flat_starts, axis=0)
+        coeffs, ins, outs, starts = self._flat or self._flat_layout()
+        prods = self._gf.mul_table()[coeffs, blocks[ins]]
+        if self.nnz > len(outs):
+            prods = np.bitwise_xor.reduceat(prods, starts, axis=0)
         if accumulate:
-            out[self._flat_out] ^= prods
+            out[outs] ^= prods
         else:
-            if len(self._flat_out) != self.shape[0]:
+            if len(outs) != self.shape[0]:
                 out[:] = 0
-            out[self._flat_out] = prods
+            out[outs] = prods
 
     def _pair_unit_count(self) -> int:
         count = self._pair_units
@@ -310,13 +359,15 @@ class CodingPlan:
     def _native_program(self):
         prog = self._native_prog
         if prog is None:
-            prog = self._native_prog = _native.build_unit_program(
-                self._entry_out,
-                self._entry_in,
-                self._entry_coeff,
-                self._gf.mul_table(),
-                *self.shape,
-            )
+            mt = self._gf.mul_table()
+            if self._factors is not None:
+                prog = _native.build_chain_program(self._factors, mt)
+            if prog is None or prog.nunits >= self.nnz:
+                # a chain that saves no unit is not worth its scratch rows
+                prog = _native.build_unit_program(
+                    self._entry_out, self._entry_in, self._entry_coeff, mt, *self.shape
+                )
+            self._native_prog = prog
         return prog
 
     def _run_native(
@@ -326,12 +377,13 @@ class CodingPlan:
         out: np.ndarray,
         accumulate: bool,
         tail: np.ndarray | None = None,
+        out_tail: np.ndarray | None = None,
     ) -> None:
         # the body of native.run, one frame fewer: fn is the entry itself
         prog = self._native_prog
         if prog is None:
             prog = self._native_program()
-        fn(prog.head, blocks, tail, out, accumulate)
+        fn(prog.head, blocks, tail, out, accumulate, out_tail)
 
     # -- application ---------------------------------------------------------
 
@@ -372,21 +424,29 @@ class CodingPlan:
         tail: np.ndarray | None,
         out: np.ndarray,
         accumulate: bool,
+        out_tail: np.ndarray | None = None,
     ) -> np.ndarray:
         backend, fn = _backends.resolve_backend(self, blocks.shape[1])
         if backend == "native":
-            self._run_native(fn, blocks, out, accumulate, tail)
+            self._run_native(fn, blocks, out, accumulate, tail, out_tail)
             return out
+        # only the compiled kernel walks two arrays; the NumPy fallbacks
+        # gather from one and write one
         if tail is not None:
-            # only the compiled kernel walks two arrays; the NumPy
-            # fallbacks gather from one
             blocks = np.concatenate([blocks, tail])
+        dest = out
+        if out_tail is not None:
+            dest = np.concatenate([out, out_tail]) if accumulate else np.empty(
+                (self.shape[0], blocks.shape[1]), self._dtype
+            )
         if backend == "gather":
-            self._run_gather(blocks, out, accumulate)
+            self._run_gather(blocks, dest, accumulate)
         elif backend == "pair":
-            self._run_pair(blocks, out, accumulate)
+            self._run_pair(blocks, dest, accumulate)
         else:
-            self._run_translate(blocks, out, accumulate)
+            self._run_translate(blocks, dest, accumulate)
+        if out_tail is not None:
+            out[...], out_tail[...] = dest[: len(out)], dest[len(out) :]
         return out
 
     def apply(self, blocks: np.ndarray) -> np.ndarray:
@@ -404,6 +464,7 @@ class CodingPlan:
         out: np.ndarray,
         accumulate: bool = False,
         tail: np.ndarray | None = None,
+        out_tail: np.ndarray | None = None,
     ) -> np.ndarray:
         """Compute ``m @ blocks`` into a caller-donated buffer.
 
@@ -422,9 +483,12 @@ class CodingPlan:
         ``tail`` continues the input rows in a second array (row
         ``len(blocks) + i`` of the matrix input is ``tail[i]``): a stored
         stripe keeps data and parity in separate buffers, and a repair
-        reads both.  Input rows whose matrix column is all-zero are never
-        read, so ``out`` may be such rows of ``blocks``/``tail`` — a lost
-        block is rebuilt where it is stored.  Returns ``out``.
+        reads both.  ``out_tail`` continues the output rows the same way
+        (row ``len(out) + i`` of the product lands in ``out_tail[i]``): a
+        write stores a stripe's data rows and its parity rows in one call.
+        Input rows whose matrix column is all-zero are never read, so
+        ``out`` may be such rows of ``blocks``/``tail`` — a lost block is
+        rebuilt where it is stored.  Returns ``out``.
 
         Both switches are read on every application, as dict probes.  With
         both unset, the kernel resolved and this plan's unit program built
@@ -443,24 +507,38 @@ class CodingPlan:
             fn = resolved[0][0]
             if fn is not None:
                 try:
-                    fn(prog.head, blocks, tail, out, accumulate)
+                    fn(prog.head, blocks, tail, out, accumulate, out_tail)
                     return out
                 except (ValueError, TypeError, BufferError):
                     pass  # the entry wrote nothing: the checks below decide
         blocks, tail = self._check_input(blocks, tail)
         ncols = blocks.shape[1]
-        if (
-            not isinstance(out, np.ndarray)
-            or out.shape != (self.shape[0], ncols)
-            or out.dtype != self._dtype
-            or not ((flags := out.flags).c_contiguous or out.strides[1] == out.itemsize)
-            or not flags.writeable
-        ):
+        rows = self.shape[0]
+        if out_tail is not None:
+            if not self._writeable(out_tail, ncols) or len(out_tail) > rows:
+                raise ValueError(
+                    f"out_tail must be a writeable {self._gf.dtype} array of at most "
+                    f"{rows} rows of {ncols} columns with contiguous rows"
+                )
+            rows -= len(out_tail)
+        if not self._writeable(out, ncols) or len(out) != rows:
             raise ValueError(
                 f"out must be a writeable {self._gf.dtype} array of shape "
-                f"{(self.shape[0], ncols)} with contiguous rows"
+                f"{(rows, ncols)} with contiguous rows"
             )
-        return self._execute(blocks, tail, out, accumulate)
+        return self._execute(blocks, tail, out, accumulate, out_tail)
+
+    def _writeable(self, out, ncols: int) -> bool:
+        """Whether ``out`` is a writeable field-dtype 2-D array of ``ncols``
+        columns with contiguous rows (what an output array must be)."""
+        return (
+            isinstance(out, np.ndarray)
+            and out.ndim == 2
+            and out.shape[1] == ncols
+            and out.dtype == self._dtype
+            and ((flags := out.flags).c_contiguous or out.strides[1] == out.itemsize)
+            and flags.writeable
+        )
 
     def apply_batch(self, stacked: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Apply one compiled plan across a batch of stripes at once.

@@ -83,16 +83,17 @@ CASES: dict = {}
 # -- CodingPlan.apply_into ------------------------------------------------------
 
 
-def _apply_case(blocks=None, out=None, tail=None, accumulate=False):
+def _apply_case(blocks=None, out=None, tail=None, accumulate=False, out_tail=None):
     plan = CodingPlan(systematic_rs_parity(K, R))
     plan.apply_into(_bytes(K), np.empty((R, L), np.uint8))  # warm
     blocks = _bytes(K) if blocks is None else blocks
     out = _poisoned(R) if out is None else out
 
     def run():
-        return [plan.apply_into(blocks, out, accumulate, tail)]
+        got = [plan.apply_into(blocks, out, accumulate, tail, out_tail)]
+        return got if out_tail is None else got + [out_tail]
 
-    return run, lambda: _digest(out, blocks, tail)
+    return run, lambda: _digest(out, blocks, tail, out_tail)
 
 
 APPLY = {
@@ -111,6 +112,9 @@ APPLY = {
     "column-strided-out": lambda: _apply_case(out=_column_strided(_poisoned(R))),
     "list-input": lambda: _apply_case(_bytes(K).tolist()),
     "list-out": lambda: _apply_case(out=_poisoned(R).tolist()),
+    "ok-out-tail": lambda: _apply_case(out=_poisoned(1), out_tail=_poisoned(R - 1)),
+    "out-tail-wrong-rows": lambda: _apply_case(out=_poisoned(1), out_tail=_poisoned(R)),
+    "out-tail-read-only": lambda: _apply_case(out=_poisoned(1), out_tail=_read_only(_poisoned(R - 1))),
 }
 for _name, _build in APPLY.items():
     CASES[f"apply_into/{_name}"] = _build
@@ -128,9 +132,10 @@ def _encode_case(code, data=None, out=None):
     out = _poisoned(codec.n - codec.k) if out is None else out
 
     def run():
-        return [codec.encode(data, out=out)]
+        res = codec.encode(data, out=out)
+        return list(res) if type(res) is tuple else [res]
 
-    return run, lambda: _digest(out, data)
+    return run, lambda: _digest(*(out if type(out) is tuple else (out,)), data)
 
 
 def _repair_case(code, data=None, parity=None, stripe=None, failed=1):
@@ -165,6 +170,13 @@ for _code in CODECS:
         "column-strided-input": lambda c=_code, k=_k: _encode_case(c, _column_strided(_bytes(k))),
         "row-strided-out": lambda c=_code: _encode_case(c, out=_row_strided(_poisoned(R))),
         "list-input": lambda c=_code, k=_k: _encode_case(c, _bytes(k).tolist()),
+        "ok-stripe": lambda c=_code, k=_k: _encode_case(c, out=(_poisoned(k), _poisoned(R))),
+        "stripe-short-data-rows": lambda c=_code, k=_k: _encode_case(
+            c, out=(_poisoned(k - 1), _poisoned(R))
+        ),
+        "stripe-read-only-data-rows": lambda c=_code, k=_k: _encode_case(
+            c, out=(_read_only(_poisoned(k)), _poisoned(R))
+        ),
     }
     for _name, _build in ENCODE.items():
         CASES[f"encode/{_code}/{_name}"] = _build
@@ -267,6 +279,10 @@ RS_TO_MSR = {
     "ok": lambda: _rs_to_msr_case(),
     "wrong-parity-rows": lambda: _rs_to_msr_case(parity=_bytes(R - 1)),
     "extra-data-row": lambda: _rs_to_msr_case(data=_bytes(K + 1)),
+    **{
+        f"{rows}-data-rows": lambda rows=rows: _rs_to_msr_case(data=_bytes(rows))
+        for rows in (R, R + 1, R + 2, 3 * R)
+    },
     "wrong-width": lambda: _rs_to_msr_case(data=_bytes(K, L - 9)),
     "ragged-width": lambda: _rs_to_msr_case(_bytes(K, L - 2), _bytes(R, L - 2)),
     "parity-narrower": lambda: _rs_to_msr_case(parity=_bytes(R, L - 9)),
@@ -370,7 +386,10 @@ EXPECTED = {  # fmt: skip
     'apply_into/list-input': ('ok', 'b56494b20efb8a37'),
     'apply_into/list-out': ('ValueError', "out must be a writeable <class 'numpy.uint8'> array of shape (3, 72) with contiguous rows"),
     'apply_into/ok': ('ok', 'b56494b20efb8a37'),
+    'apply_into/ok-out-tail': ('ok', '2a4b39bfa2381c80'),
     'apply_into/ok-tail-accumulate': ('ok', '43bd35a413097f3f'),
+    'apply_into/out-tail-read-only': ('ValueError', "out_tail must be a writeable <class 'numpy.uint8'> array of at most 3 rows of 72 columns with contiguous rows"),
+    'apply_into/out-tail-wrong-rows': ('ValueError', "out must be a writeable <class 'numpy.uint8'> array of shape (0, 72) with contiguous rows"),
     'apply_into/read-only-out': ('ValueError', "out must be a writeable <class 'numpy.uint8'> array of shape (3, 72) with contiguous rows"),
     'apply_into/row-strided-input': ('ok', 'b56494b20efb8a37'),
     'apply_into/short-tail': ('ValueError', 'incompatible shapes: (3, 6) applied to (5, 72)'),
@@ -402,11 +421,14 @@ EXPECTED = {  # fmt: skip
     'encode/msr/int8-out': ('ValueError', 'out must be a C-contiguous uint8 array of shape (6, 72) or (3, 72)'),
     'encode/msr/list-input': ('ValueError', 'data dtype int64 is wider than GF(2^8) symbols'),
     'encode/msr/ok': ('ok', '2d55c580c23cd4fd'),
+    'encode/msr/ok-stripe': ('ok', 'd4211b32284cbce8'),
     'encode/msr/ragged-width': ('ValueError', 'block length 70 not a multiple of sub-packetization 9'),
     'encode/msr/read-only-out': ('ValueError', "out must be a writeable <class 'numpy.uint8'> array of shape (27, 8) with contiguous rows"),
     'encode/msr/row-strided-out': ('ValueError', 'out must be a C-contiguous uint8 array of shape (6, 72) or (3, 72)'),
     'encode/msr/short-parity-out': ('ValueError', 'out must be a C-contiguous uint8 array of shape (6, 72) or (3, 72)'),
     'encode/msr/shortened-rows': ('ok', '376e2c256baa6202'),
+    'encode/msr/stripe-read-only-data-rows': ('ValueError', 'stripe rows must be writeable C-contiguous 2-D uint8 arrays'),
+    'encode/msr/stripe-short-data-rows': ('ValueError', "the stripe's data rows (2, 72) do not match data (3, 72)"),
     'encode/msr/wrong-rows': ('ValueError', 'data must have shape (k=3, L), got (4, 72)'),
     'encode/msr/wrong-width': ('ValueError', 'out must be a C-contiguous uint8 array of shape (6, 72) or (3, 72)'),
     'encode/rs/column-strided-input': ('ok', 'b56494b20efb8a37'),
@@ -414,11 +436,14 @@ EXPECTED = {  # fmt: skip
     'encode/rs/int8-out': ('ValueError', 'out must be a C-contiguous uint8 array of shape (9, 72) or (3, 72)'),
     'encode/rs/list-input': ('ValueError', 'data dtype int64 is wider than GF(2^8) symbols'),
     'encode/rs/ok': ('ok', 'b56494b20efb8a37'),
+    'encode/rs/ok-stripe': ('ok', 'feab59214415be90'),
     'encode/rs/ragged-width': ('ok', '84ff063088f8fbea'),
     'encode/rs/read-only-out': ('ValueError', "out must be a writeable <class 'numpy.uint8'> array of shape (3, 72) with contiguous rows"),
     'encode/rs/row-strided-out': ('ValueError', 'out must be a C-contiguous uint8 array of shape (9, 72) or (3, 72)'),
     'encode/rs/short-parity-out': ('ValueError', 'out must be a C-contiguous uint8 array of shape (9, 72) or (3, 72)'),
     'encode/rs/shortened-rows': ('ok', '32e9281b5dc2f5c5'),
+    'encode/rs/stripe-read-only-data-rows': ('ValueError', 'stripe rows must be writeable C-contiguous 2-D uint8 arrays'),
+    'encode/rs/stripe-short-data-rows': ('ValueError', "the stripe's data rows (5, 72) do not match data (6, 72)"),
     'encode/rs/wrong-rows': ('ValueError', 'data must have shape (k=6, L), got (7, 72)'),
     'encode/rs/wrong-width': ('ValueError', 'out must be a C-contiguous uint8 array of shape (9, 72) or (3, 72)'),
     'msr_to_rs/column-strided-parity': ('ok', '4143a94ed84de46f'),
@@ -459,8 +484,12 @@ EXPECTED = {  # fmt: skip
     'repair/rs/wrong-parity-rows': ('ValueError', 'parity must have shape (3, 72), got (2, 72)'),
     'repair/rs/wrong-rows': ('ValueError', 'data must have shape (k=6, L), got (7, 72)'),
     'repair/rs/wrong-width': ('ValueError', 'parity must have shape (3, 72), got (3, 63)'),
+    'rs_to_msr/3-data-rows': ('ValueError', 'expected (6, L) data blocks, got (3, 72)'),
+    'rs_to_msr/4-data-rows': ('ValueError', 'expected (6, L) data blocks, got (4, 72)'),
+    'rs_to_msr/5-data-rows': ('ValueError', 'expected (6, L) data blocks, got (5, 72)'),
+    'rs_to_msr/9-data-rows': ('ValueError', 'expected (6, L) data blocks, got (9, 72)'),
     'rs_to_msr/column-strided-data': ('ok', '774fcc864d1cc207'),
-    'rs_to_msr/extra-data-row': ('ok', '774fcc864d1cc207'),
+    'rs_to_msr/extra-data-row': ('ValueError', 'expected (6, L) data blocks, got (7, 72)'),
     'rs_to_msr/int16-data': ('ValueError', 'data dtype int16 is wider than GF(2^8) symbols'),
     'rs_to_msr/int8-parity': ('ok', '77dc38b66d6b4e97'),
     'rs_to_msr/list-data': ('ValueError', 'data dtype int64 is wider than GF(2^8) symbols'),

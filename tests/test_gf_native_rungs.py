@@ -188,6 +188,45 @@ def test_rung_matches_naive(rung_fn, seed, rows, cols, n, sparsity, accumulate, 
     assert np.array_equal(out_store, stores_before[1])
 
 
+def _sparse_factor(rng, rows, cols, sparsity):
+    """A random factor with the rows a chain lowers specially: renamed inputs
+    (a lone coefficient 1) and zero rows."""
+    f = rng.integers(0, 256, (rows, cols), dtype=np.uint8)
+    f[rng.random(f.shape) < sparsity] = 0
+    for i in range(rows):
+        if rng.random() < 0.3:
+            f[i] = 0
+            f[i, rng.integers(cols)] = 1
+    return f
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    sizes=st.lists(st.integers(1, 7), min_size=2, max_size=5),
+    n=st.sampled_from([1, 65, 4097, 9000, 40000]),
+    sparsity=st.sampled_from([0.2, 0.6, 0.9]),
+    accumulate=st.booleans(),
+)
+def test_rung_runs_chained_programs(rung_fn, seed, sizes, n, sparsity, accumulate):
+    """A product of random sparse factors, lowered to one chained program,
+    is the product applied factor by factor — across the tile seams (a
+    chain's tile shrinks with its scratch rows), and below
+    ``CHAIN_MIN_WIDTH``, where the program's dense units run."""
+    rng = np.random.default_rng(seed)
+    factors = [_sparse_factor(rng, b, a, sparsity) for a, b in zip(sizes, sizes[1:])]
+    blocks = rng.integers(0, 256, (sizes[0], n), dtype=np.uint8)
+    want = blocks
+    for f in factors:
+        want = apply_to_blocks_naive(f, want)
+    prog = native.build_chain_program(factors, MT)
+    assert prog.shape == (sizes[-1], sizes[0])
+    base = rng.integers(0, 256, (sizes[-1], n), dtype=np.uint8)
+    out = base.copy()
+    native.run(rung_fn, prog, blocks, out, accumulate)
+    assert np.array_equal(out, base ^ want if accumulate else want)
+
+
 def test_rows_wider_than_one_pass_of_units(rung_fn):
     """An output row with more units than the kernel folds per pass (32)."""
     rng = np.random.default_rng(4)
@@ -267,6 +306,46 @@ def test_an_entry_refuses_what_the_kernel_cannot_walk_and_writes_nothing(entry_f
         native.run(entry_fn, _program(m), head, dest, accumulate, more)
     assert (out == 0xA5).all()
     assert np.array_equal(blocks, before[0]) and np.array_equal(tail, before[1])
+
+
+OUT_TAIL_REFUSED = {
+    "out-tail-wrong-rows": lambda o, x: (o[:1], x),
+    "out-tail-wrong-width": lambda o, x: (o[:1], x[1:, :63]),
+    "out-tail-read-only": lambda o, x: (o[:1], _frozen(o[1:])),
+    "out-tail-rows-not-contiguous": lambda o, x: (o[:1, :32], o[1:, ::2]),
+    "out-tail-uint16": lambda o, x: (o[:1, :32], o[1:].view(np.uint16)),
+}
+
+
+@pytest.mark.parametrize("case", OUT_TAIL_REFUSED)
+@pytest.mark.parametrize("accumulate", [False, True])
+def test_an_entry_refuses_an_out_tail_the_kernel_cannot_walk(entry_fn, case, accumulate):
+    """The output split over two arrays is held to what the output is: the
+    program's row count, one width, writeable uint8 rows."""
+    rng = np.random.default_rng(14)
+    m = rng.integers(1, 256, (2, 4), dtype=np.uint8)
+    blocks = rng.integers(0, 256, (4, 64), dtype=np.uint8)
+    out = np.full((2, 64), 0xA5, np.uint8)
+    extra = np.full((2, 64), 0xA5, np.uint8)  # one row too many with out[:1]
+    dest, dest_tail = OUT_TAIL_REFUSED[case](out, extra)
+    width = dest.shape[1]
+    with pytest.raises((ValueError, BufferError)):
+        native.run(entry_fn, _program(m), blocks[:, :width], dest, accumulate, None, dest_tail)
+    assert (out == 0xA5).all() and (extra == 0xA5).all()
+
+
+def test_an_entry_splits_its_output_over_two_arrays(entry_fn):
+    """``out_tail`` continues the output rows, with its own row stride."""
+    rng = np.random.default_rng(15)
+    m = rng.integers(0, 256, (4, 5), dtype=np.uint8)
+    blocks = rng.integers(0, 256, (5, 777), dtype=np.uint8)
+    want = apply_to_blocks_naive(m, blocks)
+    out = np.empty((1, 777), np.uint8)
+    frame = np.full((6, 800), 0xA5, np.uint8)
+    native.run(entry_fn, _program(m), blocks, out, False, None, frame[::2, 3:780])
+    assert np.array_equal(out[0], want[0]) and np.array_equal(frame[::2, 3:780], want[1:])
+    frame[::2, 3:780] = 0xA5
+    assert (frame == 0xA5).all()
 
 
 @pytest.mark.parametrize("short", ["out", "blocks", "tail"])
@@ -366,8 +445,9 @@ def test_the_fastcall_entry_counts_its_arguments():
     got = _load(native._RUNGS[-1], "fastcall")
     if isinstance(got, str):
         pytest.skip(got)
-    with pytest.raises(TypeError, match="5 positional"):
-        got[0](1, 2, 3)
+    for args in ((1, 2, 3), (1, 2, 3, 4, 5, 6, 7)):
+        with pytest.raises(TypeError, match="5 or 6 positional"):
+            got[0](*args)
     with pytest.raises((TypeError, OverflowError)):
         got[0](("tables", 0, 0, 0, 0, 0, 0), None, None, None, False)
 
@@ -399,6 +479,43 @@ def test_self_test_reaches_every_region_of_the_kernel(col):
     assert native._self_test(fn)
     for row in (0, 1):
         assert not native._self_test(_corrupting(fn, row, col)), (row, col)
+
+
+#: the calls of the load-time gate that run the kernel's newer paths
+SELF_TEST_CALLS = {
+    "two-stage": lambda args: len(args[0]) > 7 and args[3].shape[1] >= args[0][9],
+    "two-stage-narrow": lambda args: len(args[0]) > 7 and args[0][8] and args[3].shape[1] < args[0][9],
+    "two-stage-narrow-chain": lambda args: (
+        len(args[0]) > 7 and not args[0][8] and args[3].shape[1] < args[0][9]
+    ),
+    "split-output": lambda args: args[5] is not None,
+    "streamed-aligned": lambda args: _streams(args) and args[3].ctypes.data % 64 == 0,
+    "streamed-misaligned": lambda args: _streams(args) and args[3].ctypes.data % 64 == 16,
+}
+
+
+def _streams(args):
+    out = args[3]
+    return not args[4] and out.shape[0] * out.shape[1] >= native.STREAM_BYTES
+
+
+@pytest.mark.parametrize("calls", SELF_TEST_CALLS)
+def test_self_test_reaches_the_chained_split_and_streamed_calls(calls):
+    """One wrong byte in the output of only those calls fails the gate."""
+    fn = native.kernel()
+    if fn is None:
+        pytest.skip("no native kernel on this host")
+    hit, seen = SELF_TEST_CALLS[calls], []
+
+    def broken(*args):
+        fn(*args)
+        if hit(args):
+            out = args[3] if args[5] is None else args[5]
+            out[0, out.shape[1] // 2] ^= 1
+            seen.append(out.shape)
+
+    assert not native._self_test(broken)
+    assert seen, f"the self-test makes no {calls} call"
 
 
 def test_self_test_notices_a_touched_zero_row():
