@@ -11,9 +11,6 @@ specifications they replaced:
 * RS parity encode: :class:`CodingPlan` vs ``apply_to_blocks_naive`` on
   the same generator rows, up through MB-scale blocks where the wide
   backends (``pair``/``native``) take over from ``translate``.
-* Stripe-batched entry points (``encode_batch`` / ``repair_batch``)
-  against the equivalent per-stripe loop — the fold amortises dispatch
-  overhead across the batch.
 * The plan's execution paths (single-gather vs per-coefficient-group
   translate) on either side of the dispatch threshold.
 
@@ -165,88 +162,6 @@ def test_rs_encode_plan_vs_naive(save_result):
     )
     save_result("kernels_rs_encode", text, data={"entries": entries})
     assert all(e["speedup"] > 1.0 for e in entries)
-
-
-def test_batched_stripes_vs_loop(save_result):
-    """Stripe-batched entry points vs the per-stripe loop they replace.
-
-    ``encode_batch``/``repair_batch`` fold a uniform batch into one wide
-    kernel dispatch; at small per-stripe blocks the win is amortised
-    plan/validation overhead, so the batch shapes here use 4–16 KB
-    stripes — the object-store serving layer's chunk regime.
-    """
-    rng = np.random.default_rng(5)
-    rows, entries = [], []
-
-    rs = ReedSolomonCode(8, 3)
-    batch, block = 64, 4096
-    stacked = rng.integers(0, 256, (batch, rs.k, block), dtype=np.uint8)
-    loop_out = [rs.encode(s) for s in stacked]
-    batch_out = rs.encode_batch(stacked)
-    for a, b in zip(loop_out, batch_out):
-        assert np.array_equal(a, b), "encode_batch diverged from the loop"
-    t_loop = _best_of(lambda: [rs.encode(s) for s in stacked])
-    t_batch = _best_of(lambda: rs.encode_batch(stacked))
-    speedup = t_loop / t_batch
-    mbps = stacked.nbytes / t_batch / 1e6
-    rows.append([f"rs_encode {batch}x4KB", t_loop * 1e3, t_batch * 1e3, speedup, mbps])
-    entries.append(
-        {
-            "name": f"batch.rs_encode.{batch}x4KB",
-            "batch": batch,
-            "block_bytes": block,
-            "loop_us": t_loop * 1e6,
-            "batch_us": t_batch * 1e6,
-            "speedup": speedup,
-            "throughput_mb_s": mbps,
-            "compare": {"speedup": speedup},
-        }
-    )
-
-    msr = MSRCode(8, 4, verify="off")
-    batch, block = 32, 16384
-    failed = 0
-    data = rng.integers(0, 256, (batch, msr.k, block), dtype=np.uint8)
-    coded = msr.encode_batch(data)
-    shards = {
-        i: np.ascontiguousarray(coded[:, i]) for i in range(msr.n) if i != failed
-    }
-    loop_res = [
-        msr.repair(failed, {i: s[b] for i, s in shards.items()}) for b in range(batch)
-    ]
-    batch_res = msr.repair_batch(failed, shards)
-    for a, b in zip(loop_res, batch_res):
-        assert np.array_equal(a.block, b.block), "repair_batch diverged from the loop"
-    t_loop = _best_of(
-        lambda: [
-            msr.repair(failed, {i: s[b] for i, s in shards.items()})
-            for b in range(batch)
-        ]
-    )
-    t_batch = _best_of(lambda: msr.repair_batch(failed, shards))
-    speedup = t_loop / t_batch
-    mbps = batch * block / t_batch / 1e6
-    rows.append([f"msr_repair {batch}x16KB", t_loop * 1e3, t_batch * 1e3, speedup, mbps])
-    entries.append(
-        {
-            "name": f"batch.msr_repair.{batch}x16KB",
-            "batch": batch,
-            "block_bytes": block,
-            "loop_us": t_loop * 1e6,
-            "batch_us": t_batch * 1e6,
-            "speedup": speedup,
-            "throughput_mb_s": mbps,
-            "compare": {"speedup": speedup},
-        }
-    )
-
-    text = format_table(
-        ["shape", "loop ms", "batch ms", "speedup", "batch MB/s"],
-        rows,
-        title="Stripe-batched dispatch vs per-stripe loop",
-    )
-    save_result("kernels_batch", text, data={"entries": entries})
-    assert all(e["speedup"] > 1.0 for e in entries), entries
 
 
 def test_plan_dispatch_paths(save_result):

@@ -24,11 +24,11 @@ makespan drops from ``k·γ/λ`` through one NIC to roughly
 coordinator-bound.  The functional twin of this schedule — real bytes,
 same chunking, same partial sums — is ``repair_streamed`` on both codecs
 and :meth:`repro.fusion.ECFusion.recover_streamed`, property-tested
-byte-identical to the one-shot repair.  Those streamed kernels fold each
-helper's contribution zero-copy into a donated accumulator
-(``GF.scale_xor_into`` / ``CodingPlan.apply_into(..., accumulate=True)``
-over preallocated per-chunk scratch), so chunking costs scheduling, not
-allocations.
+byte-identical to the one-shot repair.  Both codecs run one fold: each
+helper's partial plan (its column block of the code's repair matrix) is
+applied to the chunk with ``CodingPlan.apply_into(..., accumulate=True)``
+straight into the lost block's row, so chunking costs scheduling, not
+copies or allocations.
 
 Chaos composes: every hop runs the executor's reachability protocol
 (:meth:`~repro.cluster.PlanExecutor.reach_cb`), so a mid-pipeline kill

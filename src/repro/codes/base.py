@@ -420,16 +420,8 @@ class LinearVectorCode(ErasureCode):
         return codeword[: self.k], codeword[self.k :]
 
     def encode_batch(self, stripes: np.ndarray) -> np.ndarray:
-        """Encode a ``(batch, k, L)`` stack of stripes in one fused dispatch.
-
-        Every stripe multiplies the same compiled parity plan, so the whole
-        batch folds into a single
-        :meth:`~repro.gf.CodingPlan.apply_batch` application instead of
-        ``batch`` separate kernel launches — the per-stripe NumPy dispatch
-        overhead that dominates campaign encodes of small blocks
-        disappears.  Byte-identical to looping :meth:`encode`, including
-        the telemetry counters it leaves behind.
-        """
+        """:meth:`encode` of each stripe of a ``(batch, k, L)`` stack, into a
+        fresh ``(batch, n, L)`` array."""
         stripes = np.asarray(stripes)
         if stripes.ndim != 3 or stripes.shape[1] != self.k:
             raise ValueError(
@@ -442,19 +434,43 @@ class LinearVectorCode(ErasureCode):
                 f"sub-packetization {self.subpacketization}"
             )
         stripes = as_symbols(stripes, "data")
-        l = self.subpacketization
-        syms = stripes.reshape(batch, self.k * l, L // l)
-        parity_syms = self._parity_plan.apply_batch(syms)
         out = np.empty((batch, self.n, L), dtype=np.uint8)
-        out[:, : self.k] = stripes
-        out[:, self.k :] = parity_syms.reshape(batch, self.n - self.k, L)
-        if METRICS.enabled and batch:
-            key = self.telemetry_key
-            METRICS.counter(f"codes.{key}.encode_calls", unit="calls").inc(batch)
-            METRICS.counter(f"codes.{key}.gf_mul_bytes", unit="bytes").inc(
-                batch * self.r * self.k * l * L
-            )
+        for data, codeword in zip(stripes, out):
+            self.encode(data, out=codeword)
         return out
+
+    def _repair_each(
+        self, failed: int, shards: Mapping[int, np.ndarray]
+    ) -> list[RepairResult]:
+        """``repair_batch``: the ``(batch, L)`` stacks checked, then
+        :meth:`repair` once per stripe."""
+        if not 0 <= failed < self.n:
+            raise ValueError(f"failed node {failed} out of range for n={self.n}")
+        if failed in shards:
+            raise ValueError(f"node {failed} is present in the supplied shards")
+        if not shards:
+            raise UnrecoverableError("no shards supplied")
+        stacks = {}
+        for i, b in shards.items():
+            if not 0 <= i < self.n:
+                raise ValueError(f"shard index {i} out of range for n={self.n}")
+            arr = np.asarray(b)
+            if arr.ndim != 2:
+                raise ValueError(
+                    f"batched shards must be (batch, L) stacks, got {arr.shape}"
+                )
+            stacks[i] = as_symbols(arr, "shard")
+        shapes = {a.shape for a in stacks.values()}
+        if len(shapes) != 1:
+            raise ValueError(f"inconsistent shard shapes: {shapes}")
+        ((batch, L),) = shapes
+        if L % self.subpacketization:
+            raise ValueError(
+                f"block length {L} not a multiple of l={self.subpacketization}"
+            )
+        return [
+            self.repair(failed, {i: a[b] for i, a in stacks.items()}) for b in range(batch)
+        ]
 
     # -- decode ----------------------------------------------------------------
     def _decode_plan(self, avail: frozenset[int]) -> tuple[CodingPlan, list[int]]:
@@ -523,40 +539,37 @@ class LinearVectorCode(ErasureCode):
             )
         return self._to_blocks(data_syms, self.k)
 
-    def _check_shard_stacks(
-        self, shards: Mapping[int, np.ndarray]
-    ) -> tuple[dict[int, np.ndarray], int, int]:
-        """Validate batched shards (node → ``(batch, L)`` stack).
-
-        Returns the contiguous symbol-dtype stacks plus ``(batch, L)``.
-        """
-        if not shards:
-            raise UnrecoverableError("no shards supplied")
-        arrs = {}
-        shapes = set()
-        for i, b in shards.items():
-            if not 0 <= i < self.n:
-                raise ValueError(f"shard index {i} out of range for n={self.n}")
-            arr = np.asarray(b)
-            if arr.ndim != 2:
-                raise ValueError(
-                    f"batched shards must be (batch, L) stacks, got {arr.shape}"
-                )
-            arrs[i] = as_symbols(arr, "shard")
-            shapes.add(arr.shape)
-        if len(shapes) != 1:
-            raise ValueError(f"inconsistent shard shapes: {shapes}")
-        batch, L = shapes.pop()
-        if L % self.subpacketization:
-            raise ValueError(
-                f"block length {L} not a multiple of l={self.subpacketization}"
-            )
-        return arrs, batch, L
-
     def decode(self, shards: Mapping[int, np.ndarray]) -> np.ndarray:
         return self.encode(self.decode_data(shards))
 
     # -- repair ------------------------------------------------------------------
+    def _fold_repair(self, failed: int, shards, helpers, plans, chunk_size: int) -> np.ndarray:
+        """Rebuild node ``failed`` one output chunk at a time, the partial
+        sums a hop-by-hop repair pipeline forwards: ``plans[i]`` is helper
+        ``helpers[i]``'s ``(l × l)`` column block of the code's repair
+        matrix (zero off the planes it reads), compiled, and each is folded
+        onto the same ``≈ chunk_size / l`` columns of every plane with
+        ``apply_into(…, accumulate=True)``.  ``shards`` is a checked
+        mapping (the block comes back fresh) or ``(data, parity)`` stripe
+        (the block is rebuilt in its row)."""
+        if type(shards) is tuple:
+            data, parity = shards
+            rows = [data[i] if i < self.k else parity[i - self.k] for i in helpers]
+            block = data[failed] if failed < self.k else parity[failed - self.k]
+        else:
+            rows = [shards[i] for i in helpers]
+            block = np.empty_like(rows[0])
+        l = self.subpacketization
+        sub = block.shape[0] // l
+        out = block.reshape(l, sub)
+        rows = [row.reshape(l, sub) for row in rows]
+        step = max(1, min(sub, chunk_size // l))
+        for start in range(0, sub, step):
+            cols = slice(start, start + step)
+            for pos, (plan, row) in enumerate(zip(plans, rows)):
+                plan.apply_into(row[:, cols], out[:, cols], pos > 0)
+        return block
+
     def repair(self, failed: int, shards: Mapping[int, np.ndarray]) -> RepairResult:
         """Generic repair: full decode from ``k``-equivalent survivors.
 

@@ -465,15 +465,9 @@ class MSRCode(LinearVectorCode):
         else:
             data, parity = self._check_stripe(shards, shortened=True)
             real = len(data)
-            helpers = self._stored_helpers.get((failed, real))
-            if helpers is None:
-                if not (0 <= failed < real or self.k <= failed < self.n):
-                    raise ValueError(
-                        f"failed node {failed} is not stored in this stripe"
-                    )
-                helpers = self._stored_helpers[failed, real] = tuple(
-                    i for i in (*range(real), *self.parity_nodes) if i != failed
-                )
+            helpers = self._stored_helpers.get((failed, real)) or self._stripe_helpers(
+                failed, real
+            )
 
         block = data[failed] if failed < self.k else parity[failed - self.k]
         l = self.subpacketization
@@ -498,68 +492,31 @@ class MSRCode(LinearVectorCode):
             block=block, bytes_read=dict.fromkeys(helpers, planes * sub)
         )
 
-    def repair_batch(
-        self, failed: int, shards: Mapping[int, np.ndarray]
-    ) -> list[RepairResult]:
-        """Repair the same failed node across a batch of stripes at once.
+    def _stripe_helpers(self, failed: int, real: int) -> tuple[int, ...]:
+        """The stored nodes but ``failed`` of a stripe holding ``real`` data
+        rows: what its in-place repair reads.  Kept in ``_stored_helpers``."""
+        if not (0 <= failed < real or self.k <= failed < self.n):
+            raise ValueError(f"failed node {failed} is not stored in this stripe")
+        helpers = self._stored_helpers[failed, real] = tuple(
+            i for i in (*range(real), *self.parity_nodes) if i != failed
+        )
+        return helpers
 
-        ``shards`` maps each surviving node to a ``(batch, L)`` stack.
-        With all ``n − 1`` helpers present the fused ``(l × n·l)`` repair
-        plan is batch-applied in one dispatch; with fewer survivors each
-        stripe falls back to :meth:`repair` (full decode), exactly like
-        the scalar path.  Byte-identical (results and telemetry) to
-        calling :meth:`repair` stripe by stripe.
-        """
-        if not 0 <= failed < self.n:
-            raise ValueError(f"failed node {failed} out of range for n={self.n}")
-        if failed in shards:
-            raise ValueError(f"node {failed} is present in the supplied shards")
-        arrs, batch, L = self._check_shard_stacks(shards)
-        helpers = set(range(self.n)) - {failed}
-        if not helpers <= set(arrs):
-            return [
-                self.repair(failed, {i: a[b] for i, a in arrs.items()})
-                for b in range(batch)
-            ]
-        l = self.subpacketization
-        sub = L // l
-        planes = self.repair_planes(failed)
-        known_nodes = self._repair_solvers[failed][1]
-
-        # the failed node's rows stay uninitialised: their columns are zero
-        S = np.empty((batch, self.n * l, sub), dtype=np.uint8)
-        for i in helpers:
-            S[:, i * l : (i + 1) * l] = arrs[i].reshape(batch, l, sub)
-        blocks = self._repair_fused[failed].apply_batch(S)
-
-        if METRICS.enabled and batch:
-            METRICS.counter("codes.msr.repair_calls", unit="calls").inc(batch)
-            per_plane = (
-                2 * len(known_nodes)
-                + self.r * len(known_nodes)
-                + self.r * self.r
-                + 3 * (self.s - 1)
-            )
-            METRICS.counter("codes.msr.gf_mul_bytes", unit="bytes").inc(
-                batch * len(planes) * sub * per_plane
-            )
-        return [
-            RepairResult(
-                block=blocks[b].reshape(L),
-                bytes_read={i: len(planes) * sub for i in helpers},
-            )
-            for b in range(batch)
-        ]
+    def repair_batch(self, failed: int, shards: Mapping[int, np.ndarray]) -> list[RepairResult]:
+        """:meth:`repair` of the same node in each stripe of a batch, given
+        each survivor's ``(batch, L)`` stack."""
+        return self._repair_each(failed, shards)
 
     # ------------------------------------------------------- streamed repair
     def repair_helper_plan(self, failed: int, helper: int) -> CodingPlan:
-        """The compiled ``(l × l/s)`` partial-combination kernel for one helper.
+        """The compiled ``(l × l)`` partial-combination kernel of one helper.
 
         The fused repair matrix is GF-linear over the stacked helper
-        symbols, so its column block for ``helper``'s repair planes maps
-        that helper's ``l/s`` read planes to an ``l``-row partial sum; the
-        rebuilt block is the XOR of all ``n − 1`` partials.  This is the
-        per-hop kernel of the cluster's repair pipeline for MSR stripes.
+        symbols, so its column block for ``helper`` maps that helper's
+        ``l`` planes to an ``l``-row partial sum; the block is zero off the
+        helper's ``l/s`` repair planes, so an application reads only those.
+        The rebuilt block is the XOR of all ``n − 1`` partials: the per-hop
+        kernel of the cluster's repair pipeline for MSR stripes.
         """
         if not 0 <= failed < self.n:
             raise ValueError(f"failed node {failed} out of range")
@@ -569,72 +526,46 @@ class MSRCode(LinearVectorCode):
         plan = self._helper_plans.get(key)
         if plan is None:
             l = self.subpacketization
-            planes = np.asarray(self.repair_planes(failed), dtype=np.intp)
-            cols = helper * l + planes
-            plan = CodingPlan(self._repair_matrices[failed][:, cols])
-            self._helper_plans[key] = plan
+            plan = self._helper_plans[key] = CodingPlan(
+                self._repair_matrices[failed][:, helper * l : (helper + 1) * l]
+            )
         return plan
 
-    def repair_streamed(
-        self, failed: int, shards: Mapping[int, np.ndarray], chunk_size: int = 1 << 16
-    ) -> RepairResult:
-        """Chunked helper-by-helper repair — the pipelined path's codec.
+    def repair_streamed(self, failed: int, shards, chunk_size: int = 1 << 16) -> RepairResult:
+        """Chunked helper-by-helper repair: the pipelined path's codec.
 
-        Requires all ``n − 1`` helpers (like the fused path; with fewer
-        survivors repair degenerates to a full decode and there is nothing
-        to pipeline).  Splits the within-plane axis into output chunks of
-        about ``chunk_size`` bytes and folds one helper's partial at a
-        time via :meth:`repair_helper_plan` — the same partial sums each
-        hop of a repair pipeline would stream.  The fold is zero-copy in
-        steady state: each helper's strided chunk is copied into one
-        reused contiguous staging buffer and the plan accumulates into a
-        reused partial buffer (``apply_into``), so no per-chunk arrays are
-        allocated.  The column split and the helper split both commute
-        with the GF sums of the fused matrix application, so the result
-        is byte-identical to :meth:`repair`.
+        Reads what :meth:`repair` reads, the ``l/s`` repair planes of every
+        stored survivor, from either form of ``shards`` it takes (a mapping
+        must hold all ``n − 1`` helpers: with fewer, repair is a full
+        decode with nothing to pipeline), and folds one helper's partial
+        (:meth:`repair_helper_plan`) at a time into the lost block, in
+        output chunks of about ``chunk_size`` bytes.  Both splits commute
+        with the fused matrix's GF sums: the block is :meth:`repair`'s.
         """
-        shards = self._check_shards(shards)
-        if failed in shards:
-            raise ValueError(f"node {failed} is present in the supplied shards")
-        if chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
-        helpers = sorted(set(range(self.n)) - {failed})
-        if not set(helpers) <= set(shards):
-            raise ValueError(
-                f"streamed repair needs all n-1 helpers, got {sorted(shards)}"
+        if type(shards) is not tuple and isinstance(shards, Mapping):
+            shards = self._check_shards(shards)
+            if failed in shards:
+                raise ValueError(f"node {failed} is present in the supplied shards")
+            if chunk_size <= 0:
+                raise ValueError("chunk_size must be positive")
+            helpers = [i for i in range(self.n) if i != failed]
+            if not set(helpers) <= set(shards):
+                raise ValueError(
+                    f"streamed repair needs all n-1 helpers, got {sorted(shards)}"
+                )
+            l, L = self.subpacketization, shards[helpers[0]].shape[0]
+            if L % l:
+                raise ValueError(f"block length {L} not a multiple of l={l}")
+        else:
+            shards = self._check_stripe(shards, shortened=True)
+            if chunk_size <= 0:
+                raise ValueError("chunk_size must be positive")
+            real = len(shards[0])
+            helpers = self._stored_helpers.get((failed, real)) or self._stripe_helpers(
+                failed, real
             )
-        l = self.subpacketization
-        L = next(iter(shards.values())).shape[0]
-        if L % l:
-            raise ValueError(f"block length {L} not a multiple of l={l}")
-        sub = L // l
-        planes = np.asarray(self.repair_planes(failed), dtype=np.intp)
         if METRICS.enabled:
             METRICS.counter("codes.msr.repair_streamed_calls", unit="calls").inc()
-        # chunk the within-plane axis so one output chunk is ~chunk_size bytes
-        cols = max(1, min(sub, chunk_size // l))
-        dtype = next(iter(shards.values())).dtype
-        acc = np.zeros((l, sub), dtype=dtype)
-        views = {i: shards[i].reshape(l, sub)[planes] for i in helpers}
-        P = len(planes)
-        # reused staging/partial buffers, one pair per distinct chunk width
-        # (the full width plus at most one ragged tail) — the steady-state
-        # loop allocates nothing
-        bufs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for start in range(0, sub, cols):
-            stop = min(start + cols, sub)
-            pair = bufs.get(stop - start)
-            if pair is None:
-                pair = bufs[stop - start] = (
-                    np.empty((P, stop - start), dtype=dtype),
-                    np.empty((l, stop - start), dtype=dtype),
-                )
-            staging, partial = pair
-            for pos, helper in enumerate(helpers):
-                np.copyto(staging, views[helper][:, start:stop])
-                self.repair_helper_plan(failed, helper).apply_into(
-                    staging, partial, accumulate=pos > 0
-                )
-            acc[:, start:stop] = partial
-        bytes_read = {i: len(planes) * sub for i in helpers}
-        return RepairResult(block=acc.reshape(L), bytes_read=bytes_read)
+        plans = [self.repair_helper_plan(failed, i) for i in helpers]
+        block = self._fold_repair(failed, shards, helpers, plans, chunk_size)
+        return RepairResult(block=block, bytes_read=dict.fromkeys(helpers, len(block) // self.s))

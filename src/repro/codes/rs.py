@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..gf import GF, CodingPlan, inverse, matmul, systematic_rs_parity
+from ..gf import CodingPlan, inverse, matmul, systematic_rs_parity
 from ..telemetry import METRICS
 from .base import LinearVectorCode, ParameterError, RepairResult, UnrecoverableError
 
@@ -55,6 +55,8 @@ class ReedSolomonCode(LinearVectorCode):
         # one-row plan over the stripe, both built lazily on first repair
         self._repair_coeff_cache: dict[tuple, np.ndarray] = {}
         self._repair_plans: dict[tuple, CodingPlan] = {}
+        #: per (failed, helpers), each helper's 1 × 1 plan of a streamed repair
+        self._streamed_plans: dict[tuple, list[CodingPlan]] = {}
         #: per lost node, the helpers an in-place repair of a stored stripe reads
         self._planned_helpers = {
             f: tuple(self.repair_read_fractions(f)) for f in range(self.n)
@@ -134,37 +136,10 @@ class ReedSolomonCode(LinearVectorCode):
             plan = self._repair_plans[key] = CodingPlan(row)
         return plan
 
-    def repair_batch(
-        self, failed: int, shards: Mapping[int, np.ndarray]
-    ) -> list[RepairResult]:
-        """Repair the same failed node across a batch of stripes at once.
-
-        ``shards`` maps each surviving node to a ``(batch, L)`` stack — the
-        access pattern a node failure produces (every stripe loses the same
-        index).  The one-row repair plan is batch-applied in one dispatch;
-        byte-identical (results and telemetry) to calling :meth:`repair`
-        stripe by stripe.
-        """
-        if not 0 <= failed < self.n:
-            raise ValueError(f"failed node {failed} out of range for n={self.n}")
-        if failed in shards:
-            raise ValueError(f"node {failed} is present in the supplied shards")
-        arrs, batch, L = self._check_shard_stacks(shards)
-        helpers = self._lowest_helpers(arrs)
-        # non-helper rows stay uninitialised: their plan columns are zero
-        stacked = np.empty((batch, self.n, L), dtype=np.uint8)
-        for i in helpers:
-            stacked[:, i] = arrs[i]
-        blocks = self._repair_plan(failed, helpers).apply_batch(stacked)[:, 0]
-        if METRICS.enabled and batch:
-            METRICS.counter("codes.rs.repair_calls", unit="calls").inc(batch)
-            METRICS.counter("codes.rs.gf_mul_bytes", unit="bytes").inc(
-                batch * self.k * L
-            )
-        return [
-            RepairResult(block=blocks[b], bytes_read={i: L for i in helpers})
-            for b in range(batch)
-        ]
+    def repair_batch(self, failed: int, shards: Mapping[int, np.ndarray]) -> list[RepairResult]:
+        """:meth:`repair` of the same node in each stripe of a batch, given
+        each survivor's ``(batch, L)`` stack."""
+        return self._repair_each(failed, shards)
 
     # ------------------------------------------------------- streamed repair
     def repair_coefficients(self, failed: int, helpers: Sequence[int]) -> np.ndarray:
@@ -191,44 +166,35 @@ class ReedSolomonCode(LinearVectorCode):
             cached = self._repair_coeff_cache[key] = coeffs
         return cached
 
-    def repair_streamed(
-        self, failed: int, shards: Mapping[int, np.ndarray], chunk_size: int = 1 << 16
-    ) -> RepairResult:
-        """Chunked partial-combination repair — the pipelined path's codec.
+    def repair_streamed(self, failed: int, shards, chunk_size: int = 1 << 16) -> RepairResult:
+        """Chunked partial-combination repair: the pipelined path's codec.
 
-        Walks the block in ``chunk_size``-byte output chunks and folds one
-        helper's scaled chunk at a time into the accumulator, exactly as
-        each hop of the cluster's repair pipeline would: helper ``i``
-        computes ``cᵢ · own-chunk`` and XORs it into the partial sum
-        received from the previous hop.  The fold is zero-copy — each
-        helper chunk is scaled straight out of its shard view into one
-        reused scratch buffer (:meth:`repro.gf.GF.scale_xor_into`), so the
-        steady state allocates nothing.  GF arithmetic is exact, so the
-        result is byte-identical to :meth:`repair` for every chunk size.
+        Reads what :meth:`repair` reads, from either form of ``shards`` it
+        takes, and folds one helper's partial (its
+        :meth:`repair_coefficients` entry times its chunk) at a time into
+        the lost block, ``chunk_size`` bytes at a time, as each hop of the
+        cluster's repair pipeline does.  The block is :meth:`repair`'s for
+        every chunk size.
         """
-        shards = self._check_shards(shards)
-        if failed in shards:
-            raise ValueError(f"node {failed} is present in the supplied shards")
+        if type(shards) is not tuple and isinstance(shards, Mapping):
+            shards = self._check_shards(shards)
+            if failed in shards:
+                raise ValueError(f"node {failed} is present in the supplied shards")
+            helpers = tuple(sorted(shards)[: self.k])
+        else:
+            shards = self._check_stripe(shards)
+            helpers = self._planned_helpers.get(failed) or tuple(
+                self.repair_read_fractions(failed)
+            )
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
-        helpers = sorted(shards)[: self.k]
-        coeffs = self.repair_coefficients(failed, helpers)
-        L = shards[helpers[0]].shape[0]
+        plans = self._streamed_plans.get((failed, helpers))
+        if plans is None:
+            coeffs = self.repair_coefficients(failed, helpers)
+            plans = self._streamed_plans[failed, helpers] = [
+                CodingPlan(c.reshape(1, 1)) for c in coeffs
+            ]
         if METRICS.enabled:
             METRICS.counter("codes.rs.repair_streamed_calls", unit="calls").inc()
-        gf = GF.get()
-        acc = np.zeros(L, dtype=shards[helpers[0]].dtype)
-        scratch = np.empty(min(chunk_size, L), dtype=acc.dtype)
-        for start in range(0, L, chunk_size):
-            stop = min(start + chunk_size, L)
-            for coeff, helper in zip(coeffs, helpers):
-                if not coeff:
-                    continue  # helper contributes nothing to this block
-                gf.scale_xor_into(
-                    acc[start:stop],
-                    int(coeff),
-                    shards[helper][start:stop],
-                    scratch=scratch,
-                )
-        bytes_read = {i: L for i in helpers}
-        return RepairResult(block=acc, bytes_read=bytes_read)
+        block = self._fold_repair(failed, shards, helpers, plans, chunk_size)
+        return RepairResult(block=block, bytes_read=dict.fromkeys(helpers, block.shape[0]))

@@ -227,13 +227,7 @@ class ECFusion:
         if chunk_size is None:
             res = code.repair(node, (data, par))
         else:
-            shards = dict(enumerate(data))
-            # a padded group's virtual data nodes are all-zero helpers
-            shards.update((i, np.zeros_like(par[0])) for i in range(len(data), code.k))
-            shards.update((code.k + x, row) for x, row in enumerate(par))
-            del shards[node]
-            res = code.repair_streamed(node, shards, chunk_size=chunk_size)
-            data[node] = res.block
+            res = code.repair_streamed(node, (data, par), chunk_size=chunk_size)
         bytes_read = sum(res.bytes_read.values())
         self.repair_bytes_read += bytes_read
         if METRICS.enabled:
@@ -269,10 +263,9 @@ class ECFusion:
         :meth:`recover`, but the codec work runs through
         ``repair_streamed`` — helper-by-helper partial sums folded one
         ``chunk_size``-byte output chunk at a time, exactly the partials a
-        hop-by-hop repair pipeline would stream.  The folds are zero-copy
-        (scaled in preallocated scratch, XORed into a donated
-        accumulator), and byte-identical to :meth:`recover` for every
-        chunk size (GF sums commute).
+        hop-by-hop repair pipeline would stream.  The partials are folded
+        into the lost row where it is stored; the block, and the bytes
+        read, are :meth:`recover`'s for every chunk size (GF sums commute).
         """
         if not 0 <= block < self.k:
             raise ValueError(f"data block index {block} out of range")

@@ -319,8 +319,6 @@ class FusionTransformer:
         self._group_plans = [
             CodingPlan(b[:, : k - i * r]) for i, b in enumerate(self.group_blocks)
         ]
-        self._trans1_plans = [CodingPlan(t) for t in self.trans1]
-        self._trans2_plans = [CodingPlan(t) for t in self.trans2]
         self._codecs = {"rs": self.rs, "msr": msr}
         self._routes = _Interned(self._route)
         self._highway_costs = _Interned(self._price)
@@ -560,17 +558,8 @@ class FusionTransformer:
     def rs_to_msr_batch(
         self, data: np.ndarray, rs_parity: np.ndarray
     ) -> list[RsToMsrResult]:
-        """Fault-free RS→MSR conversion for a ``(batch, k, L)`` stripe stack.
-
-        A conversion sweep applies the same group and Trans2 plans to every
-        stripe, so the whole batch goes through each plan's
-        :meth:`~repro.gf.CodingPlan.apply_batch` fast path in one dispatch
-        per plan.  No fault hook — injected faults make control flow
-        diverge per stripe, which is exactly the scalar :meth:`rs_to_msr`
-        path.  Per-stripe results, costs, and telemetry totals are
-        byte-identical to calling :meth:`rs_to_msr` in a loop (the wall
-        timer aside, which ticks once per batch here).
-        """
+        """Fault-free :meth:`rs_to_msr` of each stripe of a ``(batch, k, L)``
+        stack, given its ``(batch, r, L)`` RS parities."""
         data = as_symbols(data, "data")
         rs_parity = as_symbols(rs_parity, "rs_parity")
         if data.ndim != 3 or data.shape[1] != self.k:
@@ -584,56 +573,11 @@ class FusionTransformer:
             raise ValueError(
                 f"rs_parity must be ({batch}, {self.r}, {L}), got {rs_parity.shape}"
             )
-        with METRICS.timer("fusion.transform.wall.rs_to_msr", unit="s"):
-            return self._rs_to_msr_batch(data, rs_parity)
-
-    def _rs_to_msr_batch(
-        self, data: np.ndarray, rs_parity: np.ndarray
-    ) -> list[RsToMsrResult]:
-        batch, _, L = data.shape
-        l = self.subpacketization
-        r = self.r
-
-        inter: list[np.ndarray | None] = [None] * self.q
-        for i in range(self.q - 1):
-            inter[i] = self._group_plans[i].apply_batch(
-                np.ascontiguousarray(data[:, i * r : (i + 1) * r])
-            )
-        acc = rs_parity.copy()
-        for i in range(self.q - 1):
-            np.bitwise_xor(acc, inter[i], out=acc)
-        inter[self.q - 1] = acc
-
-        parities = []
-        for i in range(self.q):
-            p_syms = inter[i].reshape(batch, r * l, L // l)
-            msr_syms = self._trans2_plans[i].apply_batch(p_syms)
-            parities.append(msr_syms.reshape(batch, r, L))
-
-        cost = self._highway_costs["rs_to_msr", L, self.q - 1, 1]
-        results = [
-            RsToMsrResult(data=data[b], parity=[par[b] for par in parities], cost=cost)
-            for b in range(batch)
-        ]
-        if METRICS.enabled and batch:
-            saved = (self.k - (self.q - 1) * self.r) * L
-            METRICS.counter("fusion.transform.rs_to_msr", unit="conversions").inc(batch)
-            METRICS.counter("fusion.transform.gf_ops", unit="gf-ops").inc(
-                batch * cost.gf_ops
-            )
-            METRICS.counter("fusion.transform.bytes_saved", unit="bytes").inc(
-                batch * saved
-            )
-        return results
+        return [self.rs_to_msr(d, p) for d, p in zip(data, rs_parity)]
 
     def msr_to_rs_batch(self, msr_parities: list[np.ndarray]) -> list[MsrToRsResult]:
-        """Fault-free MSR→RS merge for batched parity groups.
-
-        ``msr_parities`` holds ``q`` stacks of shape ``(batch, r, L)`` —
-        group ``i``'s MSR parities for every stripe in the sweep.  Each
-        Trans1 plan batch-applies once; results, costs, and telemetry
-        totals match a loop over :meth:`msr_to_rs` byte for byte.
-        """
+        """Fault-free :meth:`msr_to_rs` of each stripe of a batch, given ``q``
+        ``(batch, r, L)`` stacks (group ``i``'s MSR parities of each)."""
         if len(msr_parities) != self.q:
             raise ValueError(f"expected {self.q} parity groups, got {len(msr_parities)}")
         pars = [as_symbols(p, "msr parity") for p in msr_parities]
@@ -646,26 +590,7 @@ class FusionTransformer:
         batch, _, L = pars[0].shape
         if L % self.subpacketization:
             raise _block_len_error(L, self.subpacketization)
-        with METRICS.timer("fusion.transform.wall.msr_to_rs", unit="s"):
-            l = self.subpacketization
-            acc = np.zeros((batch, self.r, L), dtype=np.uint8)
-            for i, par in enumerate(pars):
-                p_syms = self._trans1_plans[i].apply_batch(
-                    par.reshape(batch, self.r * l, L // l)
-                )
-                np.bitwise_xor(acc, p_syms.reshape(batch, self.r, L), out=acc)
-            cost = self._highway_costs["msr_to_rs", L, 0, self.q]
-            if METRICS.enabled and batch:
-                METRICS.counter(
-                    "fusion.transform.msr_to_rs", unit="conversions"
-                ).inc(batch)
-                METRICS.counter("fusion.transform.gf_ops", unit="gf-ops").inc(
-                    batch * cost.gf_ops
-                )
-                METRICS.counter("fusion.transform.bytes_saved", unit="bytes").inc(
-                    batch * self.k * L
-                )
-            return [MsrToRsResult(parity=acc[b], cost=cost) for b in range(batch)]
+        return [self.msr_to_rs([p[b] for p in pars]) for b in range(batch)]
 
     def msr_to_rs(
         self,

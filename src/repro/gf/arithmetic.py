@@ -165,34 +165,19 @@ class GF:
         return self.tables.exp[i].astype(self.dtype, copy=False)
 
     # -- dot products ------------------------------------------------------
-    def scale_xor_into(
-        self,
-        acc: np.ndarray,
-        coeff: int,
-        vec: np.ndarray,
-        scratch: np.ndarray | None = None,
-    ) -> None:
-        """In-place ``acc ^= coeff * vec`` — the erasure-coding kernel.
+    def scale_xor_into(self, acc: np.ndarray, coeff: int, vec: np.ndarray) -> None:
+        """In-place ``acc ^= coeff * vec`` — the erasure-coding kernel of the
+        reference implementations (:func:`~repro.gf.apply_to_blocks_naive`).
 
         ``acc`` and ``vec`` must share shape; ``coeff`` is a scalar element.
         Skips work entirely for coeff == 0 and avoids the table round-trip
         for coeff == 1, matching how storage-grade codecs special-case the
         identity coefficient.
-
-        ``scratch`` is an optional caller-owned buffer with at
-        least ``vec.size`` elements of the field dtype: the scaled product
-        is gathered straight into it instead of a fresh temporary, making
-        repeated streamed-repair folds allocation-free.
         """
         if coeff == 0:
             return
         if coeff == 1:
             np.bitwise_xor(acc, vec, out=acc)
-            return
-        if scratch is not None:
-            prod = scratch[: vec.size].reshape(vec.shape)
-            np.take(self.mul_table()[coeff], vec, out=prod, mode="clip")
-            np.bitwise_xor(acc, prod, out=acc)
             return
         np.bitwise_xor(acc, self.mul_table()[coeff][vec], out=acc)
 

@@ -172,13 +172,6 @@ class CodingPlan:
     #: compiled kernel, where it exists, beats it from one column up.)
     _GATHER_LIMIT = 1 << 13
 
-    #: At or above this many columns per stripe, :meth:`apply_batch`
-    #: stops folding the batch into one wide application (the fold costs
-    #: two extra full copies) and loops stripes through
-    #: :meth:`apply_into` instead — per-stripe dispatch overhead is
-    #: amortised by then.
-    _BATCH_FOLD_LIMIT = 1 << 16
-
     #: tile (elements) for the scratch-buffer table map in
     #: :meth:`_scaled_rows` — keeps the destination cache-resident so the
     #: in-place map streams instead of thrashing at MB sizes.
@@ -541,18 +534,9 @@ class CodingPlan:
         )
 
     def apply_batch(self, stacked: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Apply one compiled plan across a batch of stripes at once.
-
-        ``stacked`` is ``(batch, in_rows, ncols)``; the result is
-        ``(batch, out_rows, ncols)``.  Because every stripe multiplies
-        by the *same* matrix, the batch folds into a single wide
-        application — ``m @ [X₀ | X₁ | …]`` — executed in one backend
-        dispatch, which is where per-stripe NumPy call overhead goes to
-        die for small blocks.  Past :data:`_BATCH_FOLD_LIMIT` columns
-        the fold's two transposition copies cost more than they save and
-        stripes are looped through :meth:`apply_into` instead.  Both
-        routes are byte-identical to applying stripes one by one.
-        """
+        """:meth:`apply_into` of each stripe of a ``(batch, in_rows, ncols)``
+        stack, into ``out`` (a ``(batch, out_rows, ncols)`` array, allocated
+        when not given)."""
         gf = self._gf
         stacked = np.ascontiguousarray(stacked, dtype=gf.dtype)
         if stacked.ndim != 3 or stacked.shape[1] != self.shape[1]:
@@ -571,17 +555,8 @@ class CodingPlan:
                 f"out must be C-contiguous {gf.dtype} of shape "
                 f"{(batch, self.shape[0], ncols)}"
             )
-        if batch == 0:
-            return out
-        if batch == 1 or ncols >= self._BATCH_FOLD_LIMIT:
-            for b in range(batch):
-                self.apply_into(stacked[b], out[b])
-            return out
-        folded = np.ascontiguousarray(stacked.transpose(1, 0, 2)).reshape(
-            self.shape[1], batch * ncols
-        )
-        res = self.apply(folded).reshape(self.shape[0], batch, ncols)
-        np.copyto(out, res.transpose(1, 0, 2))
+        for blocks, dest in zip(stacked, out):
+            self.apply_into(blocks, dest)
         return out
 
     __call__ = apply

@@ -99,13 +99,17 @@ def test_des_kernel_callback_surface():
 def test_codes_keep_only_the_selectable_families():
     """``repro.codes`` ships the families the policy engine selects, plus
     Hitchhiker; the unselected array codes and the thread-pool batch layer
-    are gone, while the batch entry points the benchmark binds remain."""
+    are gone, while the batch entry points the benchmark binds remain, as
+    loops over their per-stripe twins."""
     import os
     import subprocess
     import sys
 
     from repro import codes
-    from repro.codes import FractionalRepetitionCode, LinearVectorCode, MSRCode, ReedSolomonCode
+    from repro.codes import (
+        FractionalRepetitionCode, HitchhikerCode, LinearVectorCode, LocalReconstructionCode,
+        MSRCode, ReedSolomonCode,
+    )  # fmt: skip
     from repro.fusion import FusionTransformer
     from repro.gf import CodingPlan
 
@@ -120,16 +124,27 @@ def test_codes_keep_only_the_selectable_families():
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(f"repro.codes.{name}")
     assert not hasattr(LinearVectorCode, "decode_data_batch")
-    assert not hasattr(FractionalRepetitionCode, "repair_batch")
-    # bench/spec.py binds it; ROADMAP 8 removes it
+    for code in (FractionalRepetitionCode, LocalReconstructionCode, HitchhikerCode):
+        for name in ("repair_batch", "repair_streamed"):
+            assert not hasattr(code, name), f"{code.__name__}.{name} is back"
+    # bench/spec.py binds them; ROADMAP 8 removes them.  Each is a loop
+    # over its per-stripe twin: the batch-only algorithms stay gone.
     for owner, name in (
         (CodingPlan, "apply_batch"),
         (ReedSolomonCode, "encode_batch"), (ReedSolomonCode, "repair_batch"),
         (MSRCode, "encode_batch"), (MSRCode, "repair_batch"),
         (FusionTransformer, "rs_to_msr_batch"), (FusionTransformer, "msr_to_rs_batch"),
-        (LinearVectorCode, "_check_shard_stacks"),
     ):
         assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name} is gone"
+    for owner, gone in (
+        (CodingPlan, "_BATCH_FOLD_LIMIT"),
+        (LinearVectorCode, "_check_shard_stacks"),
+        (FusionTransformer, "_rs_to_msr_batch"),
+    ):
+        assert not hasattr(owner, gone), f"{owner.__name__}.{gone} is back"
+    transformer = FusionTransformer(4, 2)
+    for gone in ("_trans1_plans", "_trans2_plans"):
+        assert not hasattr(transformer, gone), f"FusionTransformer.{gone} is back"
 
     # a fresh process importing the package loads neither the deleted
     # modules nor a thread pool

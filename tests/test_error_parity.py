@@ -8,7 +8,10 @@ parity)`` form of ``repair``, ``FusionTransformer.convert``,
 ``rs_to_msr`` and ``msr_to_rs``, and ``ECFusion.write`` — is fed the same
 kinds of malformed input: wrong rows, wrong width, an ``int16`` input, an
 ``int8`` out, a read-only out, a column-strided input, a row-strided
-stripe, a list and a short parity set.  :data:`EXPECTED` records what each
+stripe, a list and a short parity set.  The stripe-batched entries
+(``apply_batch``, ``encode_batch``, ``repair_batch``, ``rs_to_msr_batch``,
+``msr_to_rs_batch``) and the mapping form of ``repair_streamed`` are fed
+the malformed stacks and mappings their own checks refuse.  :data:`EXPECTED` records what each
 entry did while every layer still checked its arrays in Python: the
 exception type and message, or a digest of the bytes it converted the
 input to.  Each case must do the same, and a refusal must write nothing:
@@ -328,6 +331,206 @@ for _name, _build in MSR_TO_RS.items():
     CASES[f"msr_to_rs/{_name}"] = _build
 
 
+# -- the stripe-batched entries -------------------------------------------------
+
+B = 3  # stripes per batch
+
+
+def _stack(rows, width=L, seed=0, dtype=np.uint8, batch=B):
+    stack = np.empty((batch, rows, width), dtype)
+    for b in range(batch):
+        stack[b] = _bytes(rows, width, seed + b, dtype)
+    return stack
+
+
+def _results(results):
+    """A list of repair or conversion results as digestible parts."""
+    parts = []
+    for res in results:
+        if hasattr(res, "bytes_read"):
+            parts += [res.block, sorted(res.bytes_read.items())]
+        else:
+            cost = res.cost
+            parts += [*(res.parity if type(res.parity) is list else [res.parity])]
+            parts += [(cost.blocks_read, cost.blocks_written, cost.gf_ops)]
+    return parts
+
+
+def _apply_batch_case(stacked=None, out=None):
+    plan = CodingPlan(systematic_rs_parity(K, R))
+    plan.apply_batch(_stack(K))  # warm
+    stacked = _stack(K) if stacked is None else stacked
+
+    def run():
+        return [plan.apply_batch(stacked, out=out)]
+
+    return run, lambda: _digest(*(a for a in (stacked, out) if isinstance(a, np.ndarray)))
+
+
+APPLY_BATCH = {
+    "ok": lambda: _apply_batch_case(),
+    "ok-out": lambda: _apply_batch_case(out=_poisoned(B * R).reshape(B, R, L)),
+    "ok-empty": lambda: _apply_batch_case(_stack(K, batch=0)),
+    "not-3d": lambda: _apply_batch_case(_bytes(K)),
+    "wrong-rows": lambda: _apply_batch_case(_stack(K - 1)),
+    "wrong-out-shape": lambda: _apply_batch_case(out=_poisoned(B * (R - 1)).reshape(B, R - 1, L)),
+    "int8-out": lambda: _apply_batch_case(out=_poisoned(B * R, dtype=np.int8).reshape(B, R, L)),
+    "int16-input": lambda: _apply_batch_case(_stack(K, dtype=np.int16)),
+}
+for _name, _build in APPLY_BATCH.items():
+    CASES[f"apply_batch/{_name}"] = _build
+
+
+def _encode_batch_case(code, stripes=None):
+    codec = CODECS[code]()
+    codec.encode_batch(_stack(codec.k))  # warm
+    stripes = _stack(codec.k) if stripes is None else stripes
+
+    def run():
+        return [codec.encode_batch(stripes)]
+
+    return run, lambda: _digest(stripes)
+
+
+def _repair_batch_case(code, shards=None, failed=1, drop=()):
+    codec = CODECS[code]()
+    coded = codec.encode_batch(_stack(codec.k))
+    codec.repair_batch(1, {i: coded[:, i] for i in range(codec.n) if i != 1})  # warm
+    helpers = [i for i in range(codec.n) if i != failed and i not in drop]
+    shards = {i: coded[:, i].copy() for i in helpers} if shards is None else shards
+
+    def run():
+        return _results(codec.repair_batch(failed, shards))
+
+    return run, lambda: _digest(*(shards[i] for i in sorted(shards)))
+
+
+def _streamed_case(code, shards=None, failed=1, drop=(), chunk_size=16, strided=False):
+    codec = CODECS[code]()
+    coded = codec.encode(_bytes(codec.k))
+    if strided:
+        coded = _row_strided(coded)
+    codec.repair_streamed(1, {i: coded[i] for i in range(codec.n) if i != 1})  # warm
+    helpers = [i for i in range(codec.n) if i != failed and i not in drop]
+    shards = {i: coded[i] for i in helpers} if shards is None else shards
+
+    def run():
+        return _results([codec.repair_streamed(failed, shards, chunk_size=chunk_size)])
+
+    return run, lambda: _digest(*(shards[i] for i in sorted(shards)))
+
+
+for _code in CODECS:
+    _k = {"rs": K, "msr": R}[_code]
+    _n = _k + R
+    ENCODE_BATCH = {
+        "ok": lambda c=_code, k=_k: _encode_batch_case(c),
+        "ok-empty": lambda c=_code, k=_k: _encode_batch_case(c, _stack(k, batch=0)),
+        "not-3d": lambda c=_code, k=_k: _encode_batch_case(c, _bytes(k)),
+        "wrong-rows": lambda c=_code, k=_k: _encode_batch_case(c, _stack(k + 1)),
+        "ragged-width": lambda c=_code, k=_k: _encode_batch_case(c, _stack(k, L - 2)),
+        "int16-input": lambda c=_code, k=_k: _encode_batch_case(c, _stack(k, dtype=np.int16)),
+    }
+    for _name, _build in ENCODE_BATCH.items():
+        CASES[f"encode_batch/{_code}/{_name}"] = _build
+    REPAIR_BATCH = {
+        "ok": lambda c=_code: _repair_batch_case(c),
+        "ok-parity-node": lambda c=_code, k=_k: _repair_batch_case(c, failed=k + 1),
+        "missing-helper": lambda c=_code, n=_n: _repair_batch_case(c, drop=(n - 1,)),
+        "too-few-helpers": lambda c=_code, n=_n: _repair_batch_case(c, drop=range(n - R, n)),
+        "empty-mapping": lambda c=_code: _repair_batch_case(c, {}),
+        "failed-among-shards": lambda c=_code, n=_n: _repair_batch_case(
+            c, {i: _stack(1)[:, 0] for i in range(n)}
+        ),
+        "failed-out-of-range": lambda c=_code, n=_n: _repair_batch_case(c, failed=n),
+        "shard-out-of-range": lambda c=_code, n=_n: _repair_batch_case(
+            c, {0: _stack(1)[:, 0], n: _stack(1)[:, 0]}
+        ),
+        "not-2d-stacks": lambda c=_code, n=_n: _repair_batch_case(
+            c, {i: _bytes(1)[0] for i in range(n) if i != 1}
+        ),
+        "inconsistent-stacks": lambda c=_code, n=_n: _repair_batch_case(
+            c, {i: _stack(1, batch=B - (i == 2))[:, 0] for i in range(n) if i != 1}
+        ),
+        "ragged-width": lambda c=_code, n=_n: _repair_batch_case(
+            c, {i: _stack(1, L - 2)[:, 0] for i in range(n) if i != 1}
+        ),
+        "int16-stacks": lambda c=_code, n=_n: _repair_batch_case(
+            c, {i: _stack(1, dtype=np.int16)[:, 0] for i in range(n) if i != 1}
+        ),
+    }
+    for _name, _build in REPAIR_BATCH.items():
+        CASES[f"repair_batch/{_code}/{_name}"] = _build
+    STREAMED = {
+        "ok": lambda c=_code: _streamed_case(c),
+        "ok-parity-node": lambda c=_code, k=_k: _streamed_case(c, failed=k + 1),
+        "ok-one-chunk": lambda c=_code: _streamed_case(c, chunk_size=1 << 20),
+        "row-strided-stripe": lambda c=_code: _streamed_case(c, strided=True),
+        "chunk-size-0": lambda c=_code: _streamed_case(c, chunk_size=0),
+        "missing-helper": lambda c=_code, n=_n: _streamed_case(c, drop=(n - 1,)),
+        "too-few-helpers": lambda c=_code, n=_n: _streamed_case(c, drop=range(n - R, n)),
+        "failed-among-shards": lambda c=_code, n=_n: _streamed_case(
+            c, {i: _bytes(1)[0] for i in range(n)}
+        ),
+        "empty-mapping": lambda c=_code: _streamed_case(c, {}),
+    }
+    for _name, _build in STREAMED.items():
+        CASES[f"repair_streamed/{_code}/{_name}"] = _build
+
+
+def _rs_to_msr_batch_case(data=None, parity=None):
+    tr = FusionTransformer(K, R)
+    good = tr.rs.encode_batch(_stack(K))
+    tr.rs_to_msr_batch(good[:, :K], good[:, K:])  # warm
+    data = good[:, :K].copy() if data is None else data
+    parity = good[:, K:].copy() if parity is None else parity
+
+    def run():
+        return _results(tr.rs_to_msr_batch(data, parity))
+
+    return run, lambda: _digest(data, parity)
+
+
+RS_TO_MSR_BATCH = {
+    "ok": lambda: _rs_to_msr_batch_case(),
+    "ok-empty": lambda: _rs_to_msr_batch_case(_stack(K, batch=0), _stack(R, batch=0)),
+    "not-3d": lambda: _rs_to_msr_batch_case(_bytes(K)),
+    "wrong-k": lambda: _rs_to_msr_batch_case(_stack(K - 1)),
+    "wrong-r": lambda: _rs_to_msr_batch_case(parity=_stack(R - 1)),
+    "wrong-batch": lambda: _rs_to_msr_batch_case(parity=_stack(R, batch=B - 1)),
+    "ragged-width": lambda: _rs_to_msr_batch_case(_stack(K, L - 2), _stack(R, L - 2)),
+    "int16-data": lambda: _rs_to_msr_batch_case(_stack(K, dtype=np.int16)),
+}
+for _name, _build in RS_TO_MSR_BATCH.items():
+    CASES[f"rs_to_msr_batch/{_name}"] = _build
+
+
+def _msr_to_rs_batch_case(parities=None):
+    tr = FusionTransformer(K, R)
+    good = [_stack(R, seed=10 * g) for g in range(tr.q)]
+    tr.msr_to_rs_batch(good)  # warm
+    parities = good if parities is None else parities
+
+    def run():
+        return _results(tr.msr_to_rs_batch(parities))
+
+    return run, lambda: _digest(*(p for p in parities if isinstance(p, np.ndarray)))
+
+
+MSR_TO_RS_BATCH = {
+    "ok": lambda: _msr_to_rs_batch_case(),
+    "ok-empty": lambda: _msr_to_rs_batch_case([_stack(R, batch=0)] * 2),
+    "short-parity-set": lambda: _msr_to_rs_batch_case([_stack(R)]),
+    "not-3d": lambda: _msr_to_rs_batch_case([_bytes(R)] * 2),
+    "wrong-r": lambda: _msr_to_rs_batch_case([_stack(R - 1)] * 2),
+    "inconsistent-shapes": lambda: _msr_to_rs_batch_case([_stack(R), _stack(R, batch=B - 1)]),
+    "ragged-width": lambda: _msr_to_rs_batch_case([_stack(R, L - 2)] * 2),
+    "int16-parity": lambda: _msr_to_rs_batch_case([_stack(R, dtype=np.int16)] * 2),
+}
+for _name, _build in MSR_TO_RS_BATCH.items():
+    CASES[f"msr_to_rs_batch/{_name}"] = _build
+
+
 # -- ECFusion.write -------------------------------------------------------------
 
 
@@ -379,6 +582,14 @@ def outcome(name):
 
 #: recorded while every layer checked its arrays in Python
 EXPECTED = {  # fmt: skip
+    'apply_batch/int16-input': ('ok', 'd7dd2d94a1af8f5f'),
+    'apply_batch/int8-out': ('ValueError', "out must be C-contiguous <class 'numpy.uint8'> of shape (3, 3, 72)"),
+    'apply_batch/not-3d': ('ValueError', 'incompatible shapes: (3, 6) batch-applied to (6, 72)'),
+    'apply_batch/ok': ('ok', 'd7dd2d94a1af8f5f'),
+    'apply_batch/ok-empty': ('ok', '824bc8c35a35f2ba'),
+    'apply_batch/ok-out': ('ok', 'd7dd2d94a1af8f5f'),
+    'apply_batch/wrong-out-shape': ('ValueError', "out must be C-contiguous <class 'numpy.uint8'> of shape (3, 3, 72)"),
+    'apply_batch/wrong-rows': ('ValueError', 'incompatible shapes: (3, 6) batch-applied to (3, 5, 72)'),
     'apply_into/column-strided-input': ('ok', 'b56494b20efb8a37'),
     'apply_into/column-strided-out': ('ValueError', "out must be a writeable <class 'numpy.uint8'> array of shape (3, 72) with contiguous rows"),
     'apply_into/int16-input': ('ok', '67ab840790787cc1'),
@@ -446,6 +657,18 @@ EXPECTED = {  # fmt: skip
     'encode/rs/stripe-short-data-rows': ('ValueError', "the stripe's data rows (5, 72) do not match data (6, 72)"),
     'encode/rs/wrong-rows': ('ValueError', 'data must have shape (k=6, L), got (7, 72)'),
     'encode/rs/wrong-width': ('ValueError', 'out must be a C-contiguous uint8 array of shape (9, 72) or (3, 72)'),
+    'encode_batch/msr/int16-input': ('ValueError', 'data dtype int16 is wider than GF(2^8) symbols'),
+    'encode_batch/msr/not-3d': ('ValueError', 'stripes must have shape (batch, k=3, L), got (3, 72)'),
+    'encode_batch/msr/ok': ('ok', '7d46ff1ca27cc276'),
+    'encode_batch/msr/ok-empty': ('ok', '0206acfe6756a28e'),
+    'encode_batch/msr/ragged-width': ('ValueError', 'block length 70 not a multiple of sub-packetization 9'),
+    'encode_batch/msr/wrong-rows': ('ValueError', 'stripes must have shape (batch, k=3, L), got (3, 4, 72)'),
+    'encode_batch/rs/int16-input': ('ValueError', 'data dtype int16 is wider than GF(2^8) symbols'),
+    'encode_batch/rs/not-3d': ('ValueError', 'stripes must have shape (batch, k=6, L), got (6, 72)'),
+    'encode_batch/rs/ok': ('ok', 'f7154771e2e4b727'),
+    'encode_batch/rs/ok-empty': ('ok', '0fca86793ae86d75'),
+    'encode_batch/rs/ragged-width': ('ok', 'd0afd93d636d2d31'),
+    'encode_batch/rs/wrong-rows': ('ValueError', 'stripes must have shape (batch, k=6, L), got (3, 7, 72)'),
     'msr_to_rs/column-strided-parity': ('ok', '4143a94ed84de46f'),
     'msr_to_rs/int16-data': ('ValueError', 'data dtype int16 is wider than GF(2^8) symbols'),
     'msr_to_rs/int16-parity': ('ValueError', 'msr parity dtype int16 is wider than GF(2^8) symbols'),
@@ -458,6 +681,14 @@ EXPECTED = {  # fmt: skip
     'msr_to_rs/wrong-data-rows': ('ValueError', 'data must be (6, 72), got (5, 72)'),
     'msr_to_rs/wrong-rows': ('ValueError', 'group 1 parity must be (3, 72)'),
     'msr_to_rs/wrong-width': ('ValueError', 'group 1 parity must be (3, 72)'),
+    'msr_to_rs_batch/inconsistent-shapes': ('ValueError', 'parity groups must share one (batch, 3, L) shape, got [(2, 3, 72), (3, 3, 72)]'),
+    'msr_to_rs_batch/int16-parity': ('ValueError', 'msr parity dtype int16 is wider than GF(2^8) symbols'),
+    'msr_to_rs_batch/not-3d': ('ValueError', 'parity groups must share one (batch, 3, L) shape, got [(3, 72)]'),
+    'msr_to_rs_batch/ok': ('ok', '776d09ead79a7013'),
+    'msr_to_rs_batch/ok-empty': ('ok', 'e3b0c44298fc1c14'),
+    'msr_to_rs_batch/ragged-width': ('ValueError', 'block length 70 not a multiple of MSR sub-packetization 9'),
+    'msr_to_rs_batch/short-parity-set': ('ValueError', 'expected 2 parity groups, got 1'),
+    'msr_to_rs_batch/wrong-r': ('ValueError', 'parity groups must share one (batch, 3, L) shape, got [(3, 2, 72)]'),
     'repair/msr/column-strided-stripe': ('ValueError', 'stripe rows must be writeable C-contiguous 2-D uint8 arrays'),
     'repair/msr/int16-stripe': ('ValueError', 'stripe rows must be writeable C-contiguous 2-D uint8 arrays'),
     'repair/msr/int8-stripe': ('ValueError', 'stripe rows must be writeable C-contiguous 2-D uint8 arrays'),
@@ -484,6 +715,48 @@ EXPECTED = {  # fmt: skip
     'repair/rs/wrong-parity-rows': ('ValueError', 'parity must have shape (3, 72), got (2, 72)'),
     'repair/rs/wrong-rows': ('ValueError', 'data must have shape (k=6, L), got (7, 72)'),
     'repair/rs/wrong-width': ('ValueError', 'parity must have shape (3, 72), got (3, 63)'),
+    'repair_batch/msr/empty-mapping': ('UnrecoverableError', 'no shards supplied'),
+    'repair_batch/msr/failed-among-shards': ('ValueError', 'node 1 is present in the supplied shards'),
+    'repair_batch/msr/failed-out-of-range': ('ValueError', 'failed node 6 out of range for n=6'),
+    'repair_batch/msr/inconsistent-stacks': ('ValueError', 'inconsistent shard shapes: {(2, 72), (3, 72)}'),
+    'repair_batch/msr/int16-stacks': ('ValueError', 'shard dtype int16 is wider than GF(2^8) symbols'),
+    'repair_batch/msr/missing-helper': ('ok', '77389247a68db6e2'),
+    'repair_batch/msr/not-2d-stacks': ('ValueError', 'batched shards must be (batch, L) stacks, got (72,)'),
+    'repair_batch/msr/ok': ('ok', 'b17774cccb60f7db'),
+    'repair_batch/msr/ok-parity-node': ('ok', '5d1aa8c54106cee0'),
+    'repair_batch/msr/ragged-width': ('ValueError', 'block length 70 not a multiple of l=9'),
+    'repair_batch/msr/shard-out-of-range': ('ValueError', 'shard index 6 out of range for n=6'),
+    'repair_batch/msr/too-few-helpers': ('UnrecoverableError', 'MSR(6,3,3,9): erasure pattern with survivors [0, 2] is undecodable (rank 18 < 27)'),
+    'repair_batch/rs/empty-mapping': ('UnrecoverableError', 'no shards supplied'),
+    'repair_batch/rs/failed-among-shards': ('ValueError', 'node 1 is present in the supplied shards'),
+    'repair_batch/rs/failed-out-of-range': ('ValueError', 'failed node 9 out of range for n=9'),
+    'repair_batch/rs/inconsistent-stacks': ('ValueError', 'inconsistent shard shapes: {(2, 72), (3, 72)}'),
+    'repair_batch/rs/int16-stacks': ('ValueError', 'shard dtype int16 is wider than GF(2^8) symbols'),
+    'repair_batch/rs/missing-helper': ('ok', '0e7e28973da89e7c'),
+    'repair_batch/rs/not-2d-stacks': ('ValueError', 'batched shards must be (batch, L) stacks, got (72,)'),
+    'repair_batch/rs/ok': ('ok', '0e7e28973da89e7c'),
+    'repair_batch/rs/ok-parity-node': ('ok', '84e0a9b43511536f'),
+    'repair_batch/rs/ragged-width': ('ok', 'eb4e80ae7d91e1cd'),
+    'repair_batch/rs/shard-out-of-range': ('ValueError', 'shard index 9 out of range for n=9'),
+    'repair_batch/rs/too-few-helpers': ('UnrecoverableError', 'RS(6,3): 5 survivors cannot rebuild a block, need k=6'),
+    'repair_streamed/msr/chunk-size-0': ('ValueError', 'chunk_size must be positive'),
+    'repair_streamed/msr/empty-mapping': ('UnrecoverableError', 'no shards supplied'),
+    'repair_streamed/msr/failed-among-shards': ('ValueError', 'node 1 is present in the supplied shards'),
+    'repair_streamed/msr/missing-helper': ('ValueError', 'streamed repair needs all n-1 helpers, got [0, 2, 3, 4]'),
+    'repair_streamed/msr/ok': ('ok', '9ca8f33a27103928'),
+    'repair_streamed/msr/ok-one-chunk': ('ok', '9ca8f33a27103928'),
+    'repair_streamed/msr/ok-parity-node': ('ok', '9af2a5fc62c9d475'),
+    'repair_streamed/msr/row-strided-stripe': ('ok', '9ca8f33a27103928'),
+    'repair_streamed/msr/too-few-helpers': ('ValueError', 'streamed repair needs all n-1 helpers, got [0, 2]'),
+    'repair_streamed/rs/chunk-size-0': ('ValueError', 'chunk_size must be positive'),
+    'repair_streamed/rs/empty-mapping': ('UnrecoverableError', 'no shards supplied'),
+    'repair_streamed/rs/failed-among-shards': ('ValueError', 'node 1 is present in the supplied shards'),
+    'repair_streamed/rs/missing-helper': ('ok', 'ed3172da5d366fef'),
+    'repair_streamed/rs/ok': ('ok', 'ed3172da5d366fef'),
+    'repair_streamed/rs/ok-one-chunk': ('ok', 'ed3172da5d366fef'),
+    'repair_streamed/rs/ok-parity-node': ('ok', 'a209e1006e1e8945'),
+    'repair_streamed/rs/row-strided-stripe': ('ok', 'ed3172da5d366fef'),
+    'repair_streamed/rs/too-few-helpers': ('ValueError', 'need exactly k=6 distinct helpers'),
     'rs_to_msr/3-data-rows': ('ValueError', 'expected (6, L) data blocks, got (3, 72)'),
     'rs_to_msr/4-data-rows': ('ValueError', 'expected (6, L) data blocks, got (4, 72)'),
     'rs_to_msr/5-data-rows': ('ValueError', 'expected (6, L) data blocks, got (5, 72)'),
@@ -499,6 +772,14 @@ EXPECTED = {  # fmt: skip
     'rs_to_msr/row-strided-parity': ('ok', '77dc38b66d6b4e97'),
     'rs_to_msr/wrong-parity-rows': ('ValueError', 'rs_parity must be (3, 72), got (2, 72)'),
     'rs_to_msr/wrong-width': ('ValueError', 'rs_parity must be (3, 63), got (3, 72)'),
+    'rs_to_msr_batch/int16-data': ('ValueError', 'data dtype int16 is wider than GF(2^8) symbols'),
+    'rs_to_msr_batch/not-3d': ('ValueError', 'data must be (batch, 6, L) stacks, got (6, 72)'),
+    'rs_to_msr_batch/ok': ('ok', 'e2499cf6910654c5'),
+    'rs_to_msr_batch/ok-empty': ('ok', 'e3b0c44298fc1c14'),
+    'rs_to_msr_batch/ragged-width': ('ValueError', 'block length 70 not a multiple of MSR sub-packetization 9'),
+    'rs_to_msr_batch/wrong-batch': ('ValueError', 'rs_parity must be (3, 3, 72), got (2, 3, 72)'),
+    'rs_to_msr_batch/wrong-k': ('ValueError', 'data must be (batch, 6, L) stacks, got (3, 5, 72)'),
+    'rs_to_msr_batch/wrong-r': ('ValueError', 'rs_parity must be (3, 3, 72), got (3, 2, 72)'),
     'write/column-strided': ('ok', '8cdb16839b1bc53c'),
     'write/int16': ('ValueError', 'data dtype int16 is wider than GF(2^8) symbols'),
     'write/int8': ('ok', 'd0e6e8cf1ab4df57'),
@@ -519,5 +800,23 @@ def test_an_entry_refuses_or_converts_as_recorded(name):
 
 def test_the_table_covers_every_entry():
     entries = {name.split("/")[0] for name in CASES}
-    assert entries == {"apply_into", "encode", "repair", "convert", "rs_to_msr", "msr_to_rs", "write"}
+    assert entries == {
+        "apply_into", "encode", "repair", "convert", "rs_to_msr", "msr_to_rs", "write",
+        "apply_batch", "encode_batch", "repair_batch", "rs_to_msr_batch", "msr_to_rs_batch",
+        "repair_streamed",
+    }  # fmt: skip
     assert set(EXPECTED) == set(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("repair/")))
+def test_streamed_stripe_form_ends_as_repair_does(name, monkeypatch):
+    """``repair_streamed`` takes the stored ``(data, parity)`` stripe that
+    ``repair`` takes: fed every ``repair/`` case instead of ``repair``, it
+    refuses with the same exception and message, writes nothing when it
+    does, and rebuilds the same bytes, reading the same helpers, when it
+    does not."""
+    for cls in (ReedSolomonCode, MSRCode):
+        monkeypatch.setattr(
+            cls, "repair", lambda self, failed, stripe: self.repair_streamed(failed, stripe, 16)
+        )
+    assert outcome(name) == EXPECTED[name]

@@ -311,10 +311,24 @@ def test_each_switch_is_read_per_application(monkeypatch):
 # -- batch duality -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("fold_limit", [1, 1 << 30], ids=["loop", "fold"])
-def test_apply_batch_matches_per_stripe_loop(fold_limit, monkeypatch):
-    """Both apply_batch routes (fold / apply_into loop) equal the loop."""
-    monkeypatch.setattr(CodingPlan, "_BATCH_FOLD_LIMIT", fold_limit)
+def _per_stripe_reference(m, stacked):
+    return np.stack([apply_to_blocks_naive(m, blocks) for blocks in stacked])
+
+
+def _folded_reference(m, stacked):
+    # the batch laid side by side on the column axis is one wide application
+    batch, rows, ncols = stacked.shape
+    wide = np.ascontiguousarray(stacked.transpose(1, 0, 2)).reshape(rows, batch * ncols)
+    res = apply_to_blocks_naive(m, wide).reshape(m.shape[0], batch, ncols)
+    return np.ascontiguousarray(res.transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize(
+    "reference", [_per_stripe_reference, _folded_reference], ids=["loop", "fold"]
+)
+def test_apply_batch_matches_per_stripe_loop(reference):
+    """apply_batch equals the reference kernel stripe by stripe, and so
+    equals one wide application of the batch folded into the column axis."""
     rng = np.random.default_rng(21)
     m = rng.integers(0, 256, (4, 6), dtype=np.uint8)
     m[rng.random(m.shape) < 0.3] = 0
@@ -322,8 +336,7 @@ def test_apply_batch_matches_per_stripe_loop(fold_limit, monkeypatch):
     stacked = rng.integers(0, 256, (3, 6, 129), dtype=np.uint8)
     got = plan.apply_batch(stacked)
     assert got.shape == (3, 4, 129)
-    for b in range(3):
-        assert np.array_equal(got[b], apply_to_blocks_naive(m, stacked[b]))
+    assert np.array_equal(got, reference(m, stacked))
     # donated output buffer is written and returned
     out = np.empty((3, 4, 129), dtype=np.uint8)
     assert plan.apply_batch(stacked, out=out) is out

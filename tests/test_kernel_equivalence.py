@@ -147,7 +147,7 @@ def test_encode_batch_matches_per_stripe_loop(code):
 
 @pytest.mark.parametrize("ncols", [SMALL_COLS, 1025])
 def test_plan_apply_batch_vs_apply_loop(ncols):
-    """apply_batch (fold and loop routes) against stripe-by-stripe apply."""
+    """apply_batch against stripe-by-stripe apply."""
     rng = np.random.default_rng(29)
     m = rng.integers(0, 256, (5, 9), dtype=np.uint8)
     m[rng.random(m.shape) < 0.3] = 0

@@ -153,6 +153,35 @@ class TestFrameworkStreamed:
             assert np.array_equal(a.read("s", 1), b.read("s", 1))
             assert np.array_equal(b.read_stripe("s"), data)
 
+    @pytest.mark.parametrize("k, r", [(4, 2), (5, 2), (6, 3), (7, 3), (8, 3)])
+    @pytest.mark.parametrize("mode", ["rs", "msr"])
+    def test_streamed_recovery_reads_and_writes_what_recovery_does(self, k, r, mode):
+        """Every data block, both modes, padded MSR groups (r ∤ k) included:
+        a padded group's virtual all-zero data nodes are neither read nor
+        counted by either recovery."""
+        rng = np.random.default_rng(k * 10 + r)
+        data = make_data(rng, k, L=8 * r * r)
+        for block in range(k):
+            seen = []
+            for streamed in (False, True):
+                fusion = ECFusion(k=k, r=r)
+                fusion.write("s", data)
+                if mode == "rs":
+                    for _ in range(9):  # a write-heavy stripe stays RS
+                        fusion.write("s", data)
+                else:
+                    fusion.recover("s", 0)  # the first recovery flips it to MSR
+                fusion._stripes["s"].data[block] = 0xA5  # the lost row: never read
+                before = fusion.stats()["repair_bytes_read"]
+                if streamed:
+                    rep = fusion.recover_streamed("s", block, chunk_size=8)
+                else:
+                    rep = fusion.recover("s", block)
+                assert rep.code.value == mode
+                assert np.array_equal(fusion.read_stripe("s"), data)
+                seen.append((rep.bytes_read, fusion.stats()["repair_bytes_read"] - before))
+            assert seen[0] == seen[1], (block, seen)
+
     def test_recover_streamed_after_msr_conversion(self):
         profile = SystemProfile(alpha=1e9)
         rng = np.random.default_rng(5)
