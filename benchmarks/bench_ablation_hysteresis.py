@@ -25,9 +25,9 @@ def churn_for_margin(margin_fraction: float) -> int:
     return len(sel.conversions)
 
 
-def test_ablation_hysteresis(benchmark, save_result):
+def test_ablation_hysteresis(save_result):
     fractions = (0.0, 0.1, 0.25, 0.5, 0.9)
-    churn = benchmark(lambda: [churn_for_margin(f) for f in fractions])
+    churn = [churn_for_margin(f) for f in fractions]
     rows = [[f"{f:.0%}", c] for f, c in zip(fractions, churn)]
     save_result(
         "ablation_hysteresis",

@@ -42,14 +42,10 @@ def run_point(config, capacity, policy):
     return scheme.conversion_count, result.epsilon2, scheme.storage_overhead()
 
 
-def test_ablation_queue_capacity(benchmark, bench_config, save_result):
+def test_ablation_queue_capacity(bench_config, save_result):
     config = replace(bench_config, num_requests=200)
     capacities = (2, 4, 16, config.num_stripes)
-
-    def sweep():
-        return [run_point(config, c, CachePolicy.LRU) for c in capacities]
-
-    points = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    points = [run_point(config, c, CachePolicy.LRU) for c in capacities]
     rows = [
         [c, conv, round(eps2, 3), round(rho, 3)]
         for c, (conv, eps2, rho) in zip(capacities, points)
@@ -66,16 +62,12 @@ def test_ablation_queue_capacity(benchmark, bench_config, save_result):
     assert points[-1][0] <= points[0][0] + 2
 
 
-def test_ablation_queue_policy(benchmark, bench_config, save_result):
+def test_ablation_queue_policy(bench_config, save_result):
     config = replace(bench_config, num_requests=200)
-
-    def sweep():
-        return {
-            policy.value: run_point(config, 8, policy)
-            for policy in (CachePolicy.LRU, CachePolicy.LFU)
-        }
-
-    points = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    points = {
+        policy.value: run_point(config, 8, policy)
+        for policy in (CachePolicy.LRU, CachePolicy.LFU)
+    }
     rows = [
         [name, conv, round(eps2, 3), round(rho, 3)]
         for name, (conv, eps2, rho) in points.items()

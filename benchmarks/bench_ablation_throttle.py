@@ -40,8 +40,8 @@ def run_sweep():
     return out
 
 
-def test_ablation_recovery_throttle(benchmark, save_result):
-    points = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_ablation_recovery_throttle(save_result):
+    points = run_sweep()
     rows = [
         [
             "unlimited" if cap is None else f"{cap / 1e6:.0f} MB/s",

@@ -10,14 +10,9 @@ the simulation alone (no wall-clock); the committed
 * the geo-topology per-scheme probability of data loss, pinning the
   structural result that EC-Fusion's MSR groups survive DC bursts that
   kill whole RS stripes.
-
-Wall-clock throughput (stripe-hours simulated per second) is reported
-as context but deliberately kept *out* of ``compare``.
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.durability import TOPOLOGIES, DurabilityConfig, run_durability, simulate_population
 from repro.experiments import format_table
@@ -29,13 +24,10 @@ SEED = 17
 def test_durability_cross_validation(save_result):
     n, tol, lam, rep = 4, 1, 2e-3, 50.0
     analytic = mttdl_markov(n, tol, lam, 1.0 / rep)
-    start = time.perf_counter()
     mc = simulate_population(
         n, tol, lam, rep, stripes=800, years=1.0, seed=SEED
     )
-    wall = time.perf_counter() - start
     ratio = mc["mttdl_hours"] / analytic
-    stripe_hours_per_s = mc["exposure_hours"] / wall
     rows = [
         ["analytic (Markov)", f"{analytic:.1f}", "—", "—"],
         [
@@ -50,8 +42,7 @@ def test_durability_cross_validation(save_result):
         rows,
         title=(
             f"Durability cross-validation — n={n} tol={tol} λ={lam:g}/h "
-            f"repair={rep:g}h, {mc['stripes']} stripes, "
-            f"{stripe_hours_per_s / 8766:.0f} stripe-years/s"
+            f"repair={rep:g}h, {mc['stripes']} stripes"
         ),
     )
     assert 0.9 < ratio < 1.1, "MC drifted away from the analytic Markov MTTDL"
@@ -62,7 +53,6 @@ def test_durability_cross_validation(save_result):
                        "repair_hours": rep, "stripes": 800, "years": 1.0,
                        "seed": SEED},
             "losses": mc["losses"],
-            "wall_s": wall,
             "compare": {
                 "mc_over_analytic_mttdl": ratio,
                 "pdl": mc["pdl"],
@@ -76,9 +66,7 @@ def test_durability_geo_sweep(save_result):
     config = DurabilityConfig(
         stripes=2000, years=5.0, seed=SEED, topology=TOPOLOGIES["geo"]
     )
-    start = time.perf_counter()
     section = run_durability(config)
-    wall = time.perf_counter() - start
     by_scheme = {entry["scheme"]: entry for entry in section["schemes"]}
     rows = [
         [
@@ -96,7 +84,7 @@ def test_durability_geo_sweep(save_result):
         title=(
             f"Geo durability sweep — {config.stripes} stripes × "
             f"{config.years:g}y, k={config.k} r={config.r}, "
-            f"rack+DC bursts, {wall:.2f}s wall"
+            "rack+DC bursts"
         ),
     )
     assert by_scheme["ecfusion"]["stripes_lost"] < by_scheme["rs"]["stripes_lost"], (
@@ -107,7 +95,6 @@ def test_durability_geo_sweep(save_result):
             "name": "durability.geo_sweep",
             "config": {"stripes": config.stripes, "years": config.years,
                        "seed": SEED, "topology": "geo"},
-            "wall_s": wall,
             "compare": {
                 f"{scheme}_pdl": entry["pdl"]
                 for scheme, entry in by_scheme.items()

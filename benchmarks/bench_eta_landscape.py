@@ -10,8 +10,8 @@ import math
 from repro.experiments import eta_landscape
 
 
-def test_eta_landscape(benchmark, save_result):
-    results = benchmark(lambda: [eta_landscape.compute(k) for k in (6, 8)])
+def test_eta_landscape(save_result):
+    results = [eta_landscape.compute(k) for k in (6, 8)]
     save_result(
         "eta_landscape",
         "\n\n".join(eta_landscape.render(r) for r in results),

@@ -8,8 +8,8 @@ LRC/HACFS across the swept range.
 from repro.experiments import fig13_storage
 
 
-def test_fig13_storage_cost(benchmark, save_result):
-    results = benchmark(lambda: [fig13_storage.compute(k) for k in (6, 8)])
+def test_fig13_storage_cost(save_result):
+    results = [fig13_storage.compute(k) for k in (6, 8)]
     save_result("fig13_storage_cost", fig13_storage.render(results))
     for res in results:
         assert res.max_increase_over_rs() <= 0.091 + 1e-6

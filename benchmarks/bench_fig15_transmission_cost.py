@@ -8,8 +8,8 @@ vs HACFS on recovery.
 from repro.experiments import fig15_transmission
 
 
-def test_fig15_transmission_cost(benchmark, save_result):
-    results = benchmark(lambda: [fig15_transmission.compute(k) for k in (6, 8)])
+def test_fig15_transmission_cost(save_result):
+    results = [fig15_transmission.compute(k) for k in (6, 8)]
     save_result("fig15_transmission_cost", fig15_transmission.render(results))
     for res in results:
         assert res.fusion_app_saving_vs_lrc() >= 0.0833 - 1e-4

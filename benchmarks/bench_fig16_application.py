@@ -8,10 +8,8 @@ write-intensity-correlated margin (paper: up to 78.03 %).
 from repro.experiments import fig16_application
 
 
-def test_fig16_application(benchmark, bench_config, save_result):
-    fig = benchmark.pedantic(
-        lambda: fig16_application.compute(bench_config), rounds=1, iterations=1
-    )
+def test_fig16_application(bench_config, save_result):
+    fig = fig16_application.compute(bench_config)
     traces = fig.campaign.traces()
     save_result(
         "fig16_application",

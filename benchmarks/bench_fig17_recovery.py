@@ -7,10 +7,8 @@ Shape checks: EC-Fusion cuts reconstruction latency deeply vs RS and MSR
 from repro.experiments import fig17_recovery
 
 
-def test_fig17_recovery(benchmark, bench_config, save_result):
-    fig = benchmark.pedantic(
-        lambda: fig17_recovery.compute(bench_config), rounds=1, iterations=1
-    )
+def test_fig17_recovery(bench_config, save_result):
+    fig = fig17_recovery.compute(bench_config)
     save_result("fig17_recovery", fig17_recovery.render(fig))
     traces = fig.campaign.traces()
     assert max(fig.fusion_saving_vs("RS", t) for t in traces) > 0.45

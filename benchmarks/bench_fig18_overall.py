@@ -8,10 +8,8 @@ and its conversion overhead stays a small share of the total.
 from repro.experiments import fig18_overall
 
 
-def test_fig18_overall(benchmark, bench_config, save_result):
-    fig = benchmark.pedantic(
-        lambda: fig18_overall.compute(bench_config), rounds=1, iterations=1
-    )
+def test_fig18_overall(bench_config, save_result):
+    fig = fig18_overall.compute(bench_config)
     save_result("fig18_overall", fig18_overall.render(fig))
     traces = fig.campaign.traces()
     for other in ("RS", "MSR", "LRC", "HACFS"):

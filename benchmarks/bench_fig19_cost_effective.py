@@ -7,10 +7,8 @@ Shape checks: EC-Fusion's ζ tops every baseline (paper: +16.71 % vs RS,
 from repro.experiments import fig19_cost_effective
 
 
-def test_fig19_cost_effective(benchmark, bench_config, save_result):
-    fig = benchmark.pedantic(
-        lambda: fig19_cost_effective.compute(bench_config), rounds=1, iterations=1
-    )
+def test_fig19_cost_effective(bench_config, save_result):
+    fig = fig19_cost_effective.compute(bench_config)
     save_result("fig19_cost_effective", fig19_cost_effective.render(fig))
     traces = fig.campaign.traces()
     for other in ("RS", "MSR", "LRC", "HACFS"):

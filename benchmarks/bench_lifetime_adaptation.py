@@ -8,8 +8,8 @@ lull, while the idle-expiry extension drains it and re-adapts at wearout.
 from repro.experiments import lifetime
 
 
-def test_lifetime_adaptation(benchmark, save_result):
-    result = benchmark.pedantic(lifetime.compute, rounds=1, iterations=1)
+def test_lifetime_adaptation(save_result):
+    result = lifetime.compute()
     save_result("lifetime_adaptation", lifetime.render(result))
     assert result.paper_set_pinned_through_lull()
     assert result.extension_drains_in_lull()

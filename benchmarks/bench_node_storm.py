@@ -34,8 +34,8 @@ def run_storm():
     return out
 
 
-def test_node_storm(benchmark, save_result):
-    results = benchmark.pedantic(run_storm, rounds=1, iterations=1)
+def test_node_storm(save_result):
+    results = run_storm()
     rows = [
         [
             name,

@@ -25,8 +25,8 @@ def compute():
     return model, ranking, text
 
 
-def test_reliability_mttdl(benchmark, save_result):
-    model, ranking, text = benchmark(compute)
+def test_reliability_mttdl(save_result):
+    model, ranking, text = compute()
     save_result("reliability_mttdl", text)
     by_scheme = {sr.scheme: sr.mttdl_hours for sr in ranking}
     # faster repair must buy reliability, and EC-Fusion must beat plain RS

@@ -7,8 +7,8 @@ gain over every baseline must stay positive with a small spread.
 from repro.experiments import robustness
 
 
-def test_robustness_across_seeds(benchmark, save_result):
-    result = benchmark.pedantic(robustness.compute, rounds=1, iterations=1)
+def test_robustness_across_seeds(save_result):
+    result = robustness.compute()
     save_result("robustness_seeds", robustness.render(result))
     for baseline in robustness.BASELINES:
         assert result.always_dominates(baseline), baseline

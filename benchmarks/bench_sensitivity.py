@@ -8,8 +8,8 @@ small throughout.
 from repro.experiments import sensitivity
 
 
-def test_sensitivity_failure_weight(benchmark, save_result):
-    result = benchmark.pedantic(sensitivity.compute, rounds=1, iterations=1)
+def test_sensitivity_failure_weight(save_result):
+    result = sensitivity.compute()
     save_result("sensitivity_failure_weight", sensitivity.render(result))
     assert result.gain_is_monotone_in_failure_weight()
     assert result.break_even_rate() is not None

@@ -17,13 +17,9 @@ behaviour changes.
 
 from __future__ import annotations
 
-import time
-
-from repro import telemetry
 from repro.chaos import ChaosConfig
 from repro.experiments import format_table
 from repro.server import ServerConfig, WorkloadSpec, run_serving
-from repro.telemetry import TRACER
 
 #: the headline service-level objective: get p99 under this many seconds
 SLO_S = 0.050
@@ -132,72 +128,3 @@ def test_serving_degraded_under_storm(save_result):
     ]
     save_result("serving_storm", text, data={"entries": entries})
 
-
-def test_serving_tracing_overhead(save_result):
-    """Causal tracing must be cheap when on and free when off.
-
-    Runs the same seeded workload with the tracer off and on and
-    compares wall-clock time.  The ``compare`` metric is the on/off
-    *ratio* measured in the same process on the same machine, so it
-    survives the absolute-speed swings of shared CI runners.  The
-    simulated results must be bit-identical either way — tracing
-    observes the simulation, it never perturbs it.
-    """
-    spec = WorkloadSpec(
-        target_ops=400.0,
-        duration=DURATION,
-        read_fraction=0.9,
-        distribution="zipfian",
-        seed=SEED,
-    )
-    config = ServerConfig(failure_rate=0.5)
-
-    def timed_run(tracing: bool):
-        telemetry.disable()
-        telemetry.reset()
-        if tracing:
-            telemetry.enable(metrics=False, tracing=True)
-        best = float("inf")
-        res = None
-        for _ in range(2):  # best-of-2 damps one-off scheduler hiccups
-            telemetry.reset()
-            start = time.perf_counter()
-            res = run_serving(spec, config)
-            best = min(best, time.perf_counter() - start)
-        events = len(TRACER.events)
-        telemetry.disable()
-        telemetry.reset()
-        return res, best, events
-
-    base_res, base_wall, base_events = timed_run(tracing=False)
-    traced_res, traced_wall, traced_events = timed_run(tracing=True)
-
-    assert base_events == 0, "tracer recorded events while disabled"
-    assert traced_events > 0, "traced run produced no events"
-    assert traced_res.get_latencies == base_res.get_latencies, (
-        "tracing perturbed the simulation"
-    )
-    assert traced_res.put_latencies == base_res.put_latencies
-    ratio = traced_wall / base_wall
-    rows = [
-        ["off", f"{base_wall * 1e3:.1f}", "0", "1.00"],
-        ["on", f"{traced_wall * 1e3:.1f}", f"{traced_events}", f"{ratio:.2f}"],
-    ]
-    text = format_table(
-        ["tracing", "wall ms", "events", "ratio vs off"],
-        rows,
-        title=(
-            f"Causal-tracing overhead — {spec.target_ops:.0f} ops/s for "
-            f"{DURATION:.0f}s, {base_res.completed} ops, identical results"
-        ),
-    )
-    entries = [
-        {
-            "name": "serving.tracing_overhead",
-            "completed_ops": base_res.completed,
-            "trace_events": traced_events,
-            "wall_ms": {"off": base_wall * 1e3, "on": traced_wall * 1e3},
-            "compare": {"tracing_overhead_ratio": ratio},
-        }
-    ]
-    save_result("serving_tracing", text, data={"entries": entries})

@@ -35,8 +35,8 @@ def compute():
     return models, text
 
 
-def test_table3_costmodel(benchmark, save_result):
-    models, text = benchmark(compute)
+def test_table3_costmodel(save_result):
+    models, text = compute()
     save_result("table3_costmodel", text)
     for m in models.values():
         assert m.write_cost_rs < m.write_cost_msr

@@ -7,7 +7,7 @@ with one synthetic event mix per category and reading back the flags.
 from repro.experiments import table4_allocation
 
 
-def test_table4_allocation(benchmark, save_result):
-    result = benchmark(table4_allocation.compute)
+def test_table4_allocation(save_result):
+    result = table4_allocation.compute()
     save_result("table4_allocation", table4_allocation.render(result))
     assert result.matches_paper()

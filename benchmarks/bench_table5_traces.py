@@ -26,8 +26,8 @@ def compute():
     return stats, text
 
 
-def test_table5_traces(benchmark, save_result):
-    stats, text = benchmark.pedantic(compute, rounds=1, iterations=1)
+def test_table5_traces(save_result):
+    stats, text = compute()
     save_result("table5_traces", text)
     for name, s in stats.items():
         spec = TABLE_V[name]

@@ -7,10 +7,8 @@ same dominance on overall performance for all (baseline, k, trace) cells.
 from repro.experiments import table7_summary
 
 
-def test_table7_summary(benchmark, bench_config, save_result):
-    table = benchmark.pedantic(
-        lambda: table7_summary.compute(bench_config, ks=(8, 6)), rounds=1, iterations=1
-    )
+def test_table7_summary(bench_config, save_result):
+    table = table7_summary.compute(bench_config, ks=(8, 6))
     save_result("table7_summary", table7_summary.render(table))
     for baseline in table7_summary.BASELINES:
         for k in table.ks:

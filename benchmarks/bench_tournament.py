@@ -14,14 +14,9 @@ simulation — no wall-clock anywhere; the committed
 * the number of distinct winning codes across all metrics — the
   multi-code premise itself (≥ 2, else there is nothing to adapt
   between).
-
-Wall-clock is reported as context but deliberately kept out of
-``compare``.
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.experiments import ExperimentConfig, tournament
 
@@ -30,9 +25,7 @@ TRACES = ["rsrch0", "web1"]
 
 def test_tournament_win_regions(save_result):
     config = ExperimentConfig(num_requests=200, num_stripes=32)
-    start = time.perf_counter()
     results = tournament.compute(config, traces=TRACES)
-    wall = time.perf_counter() - start
     text = tournament.render(results)
 
     def mean_metric(scheme: str, metric: str) -> float:
@@ -65,7 +58,6 @@ def test_tournament_win_regions(save_result):
                 "profiles": list(tournament.TOURNAMENT_PROFILES),
                 "seed": config.seed,
             },
-            "wall_s": wall,
             "winners": sorted(winners),
             "compare": {
                 "fr_recovery_bytes_vs_rs": mean_metric("FR", "recovery_bytes")

@@ -1,12 +1,15 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the figure and table regenerators.
 
-Simulation-backed benches share one memoised campaign configuration so the
-full suite (`pytest benchmarks/ --benchmark-only`) finishes in about a
-minute.  Every bench writes its rendered figure/table to
-``benchmarks/results/`` as both ``{name}.txt`` (human-readable) and
-``{name}.json`` (machine-readable, schema ``repro.bench-result/v1``) and
-echoes it, so the regenerated rows/series the paper reports are
-inspectable — and diffable by tooling — after a run.
+Every script here is a plain pytest module that recomputes one of the
+paper's tables or figures in simulated time (no wall clock; ``bench/`` is
+the wall-clock benchmark) and checks its shape.  Simulation-backed scripts
+share one memoised campaign configuration so the whole directory
+(`pytest benchmarks/`) finishes in well under a minute.  Every script
+writes its rendered figure/table to ``benchmarks/results/`` as both
+``{name}.txt`` (human-readable) and ``{name}.json`` (machine-readable,
+schema ``repro.bench-result/v1``) and echoes it.  The outputs are pure
+functions of the seeds, so a run reproduces the committed files byte for
+byte and a change that moves a figure shows in ``git diff``.
 """
 
 from __future__ import annotations

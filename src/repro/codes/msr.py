@@ -564,8 +564,9 @@ class MSRCode(LinearVectorCode):
             helpers = self._stored_helpers.get((failed, real)) or self._stripe_helpers(
                 failed, real
             )
+        # the helper plans refuse an out-of-range node before anything counts
+        plans = [self.repair_helper_plan(failed, i) for i in helpers]
         if METRICS.enabled:
             METRICS.counter("codes.msr.repair_streamed_calls", unit="calls").inc()
-        plans = [self.repair_helper_plan(failed, i) for i in helpers]
         block = self._fold_repair(failed, shards, helpers, plans, chunk_size)
         return RepairResult(block=block, bytes_read=dict.fromkeys(helpers, len(block) // self.s))

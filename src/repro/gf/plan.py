@@ -211,11 +211,6 @@ class CodingPlan:
         # checks compare against without converting a type each time
         self._dtype = np.dtype(gf.dtype)
 
-    @property
-    def distinct_coefficients(self) -> int:
-        """Number of fused passes one ``translate`` application performs."""
-        return len(self._coeff_groups())
-
     def _coeff_groups(self) -> list[_CoeffGroup]:
         """The ``translate`` layout: one group per distinct coefficient."""
         groups = self._groups
@@ -547,7 +542,8 @@ class CodingPlan:
         if out is None:
             out = np.empty((batch, self.shape[0], ncols), dtype=gf.dtype)
         elif (
-            out.shape != (batch, self.shape[0], ncols)
+            not isinstance(out, np.ndarray)
+            or out.shape != (batch, self.shape[0], ncols)
             or out.dtype != gf.dtype
             or not out.flags.c_contiguous
         ):

@@ -375,6 +375,7 @@ APPLY_BATCH = {
     "wrong-rows": lambda: _apply_batch_case(_stack(K - 1)),
     "wrong-out-shape": lambda: _apply_batch_case(out=_poisoned(B * (R - 1)).reshape(B, R - 1, L)),
     "int8-out": lambda: _apply_batch_case(out=_poisoned(B * R, dtype=np.int8).reshape(B, R, L)),
+    "list-out": lambda: _apply_batch_case(out=_poisoned(B * R).reshape(B, R, L).tolist()),
     "int16-input": lambda: _apply_batch_case(_stack(K, dtype=np.int16)),
 }
 for _name, _build in APPLY_BATCH.items():
@@ -584,6 +585,7 @@ def outcome(name):
 EXPECTED = {  # fmt: skip
     'apply_batch/int16-input': ('ok', 'd7dd2d94a1af8f5f'),
     'apply_batch/int8-out': ('ValueError', "out must be C-contiguous <class 'numpy.uint8'> of shape (3, 3, 72)"),
+    'apply_batch/list-out': ('ValueError', "out must be C-contiguous <class 'numpy.uint8'> of shape (3, 3, 72)"),
     'apply_batch/not-3d': ('ValueError', 'incompatible shapes: (3, 6) batch-applied to (6, 72)'),
     'apply_batch/ok': ('ok', 'd7dd2d94a1af8f5f'),
     'apply_batch/ok-empty': ('ok', '824bc8c35a35f2ba'),

@@ -32,6 +32,7 @@ from repro.codes import (
 )
 from repro.gf import GF, CodingPlan, apply_to_blocks, apply_to_blocks_naive, matmul
 from repro.gf.arithmetic import GF as GFClass
+from repro.gf.native import STREAM_BYTES
 from repro.gf.tables import get_tables
 
 
@@ -109,14 +110,18 @@ def test_encode_decode_equivalence_odd_lengths(code):
         assert np.array_equal(rebuilt, coded[lost]), f"{code.name}: erasure {lost}"
 
 
-@pytest.mark.parametrize("nr", [(4, 2), (6, 3), (8, 4)])
+@pytest.mark.parametrize(
+    "nr",
+    # (n, r, odd per-plane width); the last rebuilds a block of just over
+    # STREAM_BYTES, so the fused plan's output rows stream
+    [(4, 2, 5), (6, 3, 5), (8, 4, 5), (8, 4, STREAM_BYTES // 16 + 1)],
+)
 def test_msr_repair_kernel_ladder(nr):
     """spec == fused ``repair()`` for every failed node, odd block length."""
-    n, r = nr
+    n, r, sub = nr
     code = MSRCode(n, r, verify="off")
     l = code.subpacketization
     rng = np.random.default_rng(13)
-    sub = 5  # odd per-plane width
     data = rng.integers(0, 256, (code.k, l * sub), dtype=np.uint8)
     coded = code.encode(data)
     for failed in range(code.n):

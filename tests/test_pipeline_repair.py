@@ -15,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.cluster import ClusterConfig, pipeline_slices, run_workload
 from repro.codes import MSRCode, ReedSolomonCode
 from repro.fusion import ECFusion, SystemProfile
 from repro.hybrid import MSRPlanner, RSPlanner
+from repro.telemetry import METRICS
 from repro.workloads import FailureEvent, OpType, Request, Trace
 
 GAMMA = 1024.0 * 1024
@@ -134,6 +136,21 @@ class TestStreamedMSR:
         shards = {i: coded[i] for i in (1, 2)}  # node 3 also missing
         with pytest.raises(ValueError, match="all n-1 helpers"):
             msr.repair_streamed(0, shards)
+
+    def test_out_of_range_node_refused_before_it_counts(self):
+        """A node past ``n`` is refused before the call is counted."""
+        msr = MSRCode(6, 3, verify="off")
+        block = np.zeros(msr.subpacketization, np.uint8)
+        telemetry.disable()
+        telemetry.reset()
+        telemetry.enable(metrics=True, tracing=False, snapshots=False)
+        try:
+            with pytest.raises(ValueError, match="failed node 6 out of range"):
+                msr.repair_streamed(6, dict.fromkeys(range(6), block))
+            assert METRICS.counter("codes.msr.repair_streamed_calls").value == 0
+        finally:
+            telemetry.disable()
+            telemetry.reset()
 
 
 class TestFrameworkStreamed:
