@@ -5,11 +5,12 @@ paper's tables or figures in simulated time (no wall clock; ``bench/`` is
 the wall-clock benchmark) and checks its shape.  Simulation-backed scripts
 share one memoised campaign configuration so the whole directory
 (`pytest benchmarks/`) finishes in well under a minute.  Every script
-writes its rendered figure/table to ``benchmarks/results/`` as both
-``{name}.txt`` (human-readable) and ``{name}.json`` (machine-readable,
-schema ``repro.bench-result/v1``) and echoes it.  The outputs are pure
-functions of the seeds, so a run reproduces the committed files byte for
-byte and a change that moves a figure shows in ``git diff``.
+writes its rendered figure/table to ``benchmarks/results/{name}.txt``
+and echoes it; a script with structured series also writes
+``{name}.json`` (machine-readable, schema ``repro.bench-result/v1``).
+Every file written is tracked: the outputs are pure functions of the
+seeds, so a run reproduces the committed files byte for byte and a
+change that moves a figure shows in ``git diff``.
 """
 
 from __future__ import annotations
@@ -37,22 +38,20 @@ def bench_config() -> ExperimentConfig:
 def save_result():
     """Writer that persists rendered figure text next to the benches.
 
-    ``_save(name, text)`` keeps writing the legacy ``{name}.txt`` and now
-    also leaves ``{name}.json`` with the same content wrapped in a
-    versioned envelope.  Benches with structured series pass them via the
-    optional ``data`` keyword and they land under the envelope's ``data``
-    key; plain-text callers need no change.
+    ``_save(name, text)`` writes ``{name}.txt``.  Benches with structured
+    series pass them via the optional ``data`` keyword, and ``_save``
+    also writes ``{name}.json``: the text and the series in a versioned
+    envelope, the series under its ``data`` key.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
 
     def _save(name: str, text: str, data: object = None) -> None:
         (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-        envelope = {"schema": BENCH_RESULT_SCHEMA, "name": name, "text": text}
         if data is not None:
-            envelope["data"] = data
-        (RESULTS_DIR / f"{name}.json").write_text(
-            json.dumps(envelope, indent=2, sort_keys=True) + "\n"
-        )
+            envelope = {"schema": BENCH_RESULT_SCHEMA, "name": name, "text": text, "data": data}
+            (RESULTS_DIR / f"{name}.json").write_text(
+                json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+            )
         print(f"\n{text}\n")
 
     return _save

@@ -13,11 +13,9 @@ Public surface:
   precompiled form of ``apply_to_blocks`` (plus the kept naive reference
   kernel :func:`repro.gf.plan.apply_to_blocks_naive`);
 * :mod:`repro.gf.backends` — the kernel backend registry CodingPlan
-  executes through (``translate``/``gather``/``pair``/``native``,
-  selectable via ``REPRO_GF_BACKEND``); :func:`native_info` names the
-  SIMD rung behind ``native`` on this host, or why there is none;
-* :mod:`repro.gf.polynomial` — polynomial eval/interpolation (a test
-  oracle for RS).
+  executes through (``translate``/``pair``/``native``, selectable via
+  ``REPRO_GF_BACKEND``); :func:`native_info` names the SIMD rung behind
+  ``native`` on this host, or why there is none.
 """
 
 from .arithmetic import GF, as_symbols, gf_add, gf_div, gf_inv, gf_mul, gf_pow

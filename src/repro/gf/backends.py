@@ -1,23 +1,17 @@
 """Kernel backend registry for :class:`~repro.gf.plan.CodingPlan`.
 
-A compiled plan is *what* to compute (grouped/flattened nonzero
-coefficients); a **backend** is *how* one application executes.  All
-backends produce byte-identical output — they are pure reassociations
-of the same GF(2^8) sums — and every one is property-tested against
+A compiled plan is *what* to compute (its nonzero coefficients); a
+**backend** is *how* one application executes.  All backends produce
+byte-identical output — they are pure reassociations of the same
+GF(2^8) sums — and every one is property-tested against
 :func:`~repro.gf.plan.apply_to_blocks_naive` (``tests/test_gf_backends.py``).
-Four are registered:
+Three are registered:
 
 ``translate``
     The historical path: one pass per distinct coefficient, scaling via
     a 256-entry table map into a reusable per-plan scratch buffer, then
     ``bitwise_xor.reduceat`` + fancy-indexed XOR scatter.  Works for any
     shape; the universal fallback.
-``gather``
-    One double fancy-index into the multiplication table computes
-    *every* product at once (~4 NumPy dispatches total).  Materialises an
-    ``(nnz, ncols)`` buffer, so it only wins — and is only heuristically
-    chosen, on a host without the compiled kernel — when ``nnz * ncols``
-    is tiny.
 ``pair``
     Wide-block NumPy path: views input rows as uint16 *byte pairs* and
     gathers from per-(input-row, output-chunk) 64 K-entry uint64 tables
@@ -32,8 +26,8 @@ Four are registered:
     passes the load-time self-test — :func:`repro.gf.native.native_info`
     says which.
 
-Selection is ``native`` wherever the kernel exists and by measured
-crossover on ``(nnz, block_bytes)`` where it does not — see
+Selection is ``native`` wherever the kernel exists and, where it does
+not, ``pair`` from a measured block width up and ``translate`` below — see
 :func:`resolve_backend` and ``docs/performance.md`` — and can be forced
 with ``REPRO_GF_BACKEND=<name>`` for testing.  A forced backend that
 cannot run a given plan/shape (native unavailable, odd constraints)
@@ -52,12 +46,11 @@ __all__ = [
     "available_backends",
     "forced_backend",
     "resolve_backend",
-    "choose_backend",
     "PAIR_MAX_UNITS",
 ]
 
 #: registered backend names, fallback-ladder order (fastest wide-block first)
-BACKEND_NAMES = ("native", "pair", "gather", "translate")
+BACKEND_NAMES = ("native", "pair", "translate")
 
 #: hard cap on pair-table units per plan — each unit is a 512 KB uint64
 #: table, so this bounds per-plan table memory at 8 MB.
@@ -67,12 +60,6 @@ PAIR_MAX_UNITS = 16
 #: cost or beat the translate path's streaming passes (measured crossover;
 #: see docs/performance.md).
 PAIR_MIN_COLS = 1 << 14
-
-#: forced-``gather`` guard: the gather path materialises an
-#: ``(nnz, ncols)`` product buffer, so even under REPRO_GF_BACKEND it is
-#: refused past 64 Mi elements rather than risk an accidental huge
-#: allocation.
-GATHER_FORCE_LIMIT = 1 << 26
 
 
 def available_backends() -> tuple[str, ...]:
@@ -95,18 +82,12 @@ def forced_backend() -> str | None:
     return name
 
 
-def _supports(name: str, plan, ncols: int, forced: bool) -> bool:
+def _supports(name: str, plan, ncols: int) -> bool:
     """Whether NumPy backend ``name`` can execute ``plan`` on ``ncols``-byte blocks."""
     if name == "translate":
         return True
-    if plan.nnz == 0:
-        return False
-    if name == "gather":
-        return plan.nnz * ncols <= (
-            GATHER_FORCE_LIMIT if forced else plan._GATHER_LIMIT
-        )
     if name == "pair":
-        return ncols >= 2 and plan._pair_unit_count() <= PAIR_MAX_UNITS
+        return plan.nnz > 0 and ncols >= 2 and plan._pair_unit_count() <= PAIR_MAX_UNITS
     return False
 
 
@@ -114,15 +95,12 @@ def resolve_backend(plan, ncols: int) -> tuple:
     """``(backend name, compiled kernel or None)`` for one application of ``plan``.
 
     ``native`` serves every GF(2^8) plan at every width wherever the
-    compiled kernel exists: one application is one C call, and it beats
-    the ~4-dispatch ``gather`` path from a single column up
-    (``docs/performance.md``).  The measured crossovers are the ladder of
-    a host without it (single core):
+    compiled kernel exists: one application is one C call
+    (``docs/performance.md``).  A host without it runs the NumPy ladder:
 
-    * ``nnz * ncols`` at or under the plan's ``_GATHER_LIMIT`` —
-      dispatch overhead dominates, ``gather`` wins;
-    * ``pair`` takes GF(2^8) blocks past :data:`PAIR_MIN_COLS` where its
-      u64 packed gathers beat byte streaming;
+    * ``pair`` takes blocks of at least :data:`PAIR_MIN_COLS` columns
+      whose tables fit :data:`PAIR_MAX_UNITS`, where its u64 packed
+      gathers beat byte streaming;
     * ``translate`` otherwise — and always for an all-zero matrix.
 
     A validated ``REPRO_GF_BACKEND`` wins whenever it supports the
@@ -134,22 +112,15 @@ def resolve_backend(plan, ncols: int) -> tuple:
     answer and calls the kernel entry without this call.
     """
     forced = forced_backend()
-    if forced not in (None, "native") and _supports(forced, plan, ncols, forced=True):
+    if forced not in (None, "native") and _supports(forced, plan, ncols):
         return forced, None
     if plan.nnz == 0:
         return "translate", None
     if (fn := _native.kernel()) is not None:
         return "native", fn
-    if plan.nnz * ncols <= plan._GATHER_LIMIT:
-        return "gather", None
-    if ncols >= PAIR_MIN_COLS and _supports("pair", plan, ncols, forced=False):
+    if ncols >= PAIR_MIN_COLS and _supports("pair", plan, ncols):
         return "pair", None
     return "translate", None
-
-
-def choose_backend(plan, ncols: int) -> str:
-    """The backend :func:`resolve_backend` picks for ``ncols`` columns."""
-    return resolve_backend(plan, ncols)[0]
 
 
 # -- pair-backend lowering ---------------------------------------------------
@@ -220,7 +191,7 @@ def run_pair(
     """Execute the even-length prefix of ``blocks`` through ``program``.
 
     Covers columns ``[0, 2*(ncols//2))``; the caller finishes an odd
-    trailing column through the gather path.  Touches only output rows
+    trailing column.  Touches only output rows
     owned by some unit — the caller zeroes the rest when not
     accumulating.  Returns ``True`` (a convenience for callers chaining
     the tail).

@@ -13,14 +13,11 @@ through one of several registered **backends** (:mod:`repro.gf.backends`):
     ``np.bitwise_xor.reduceat`` folds contiguous output runs and one
     duplicate-free fancy-indexed XOR scatters them.  ``O(distinct
     coefficients)`` dispatches, any matrix and block shape.
-``gather``
-    One double fancy-index into the multiplication table computes every
-    product at once (~4 NumPy calls total) — the tiny-block path of a
-    host without the compiled kernel, where dispatch overhead, not
-    bandwidth, dominates.
 ``pair``
     Wide-block NumPy path gathering packed uint64 products for byte
-    *pairs*; ~2–3× ``translate`` at MB-scale blocks, no compiler needed.
+    *pairs*; ~2–3× ``translate`` at MB-scale blocks, no compiler needed,
+    and the NumPy path of a host without the compiled kernel from
+    :data:`repro.gf.backends.PAIR_MIN_COLS` columns up.
 ``native``
     A runtime-compiled SIMD kernel (:mod:`repro.gf.native`: GFNI affine
     multiply or nibble-split shuffle, at the widest vector the CPU has)
@@ -29,7 +26,7 @@ through one of several registered **backends** (:mod:`repro.gf.backends`):
 
 Backends are selected per application by
 :func:`repro.gf.backends.resolve_backend` — ``native`` first, the
-measured crossovers between the NumPy paths where there is no kernel —
+measured ``pair``/``translate`` crossover where there is no kernel —
 (forceable via ``REPRO_GF_BACKEND``), and every one produces
 byte-identical output: they are pure reassociations of the same GF(2^8)
 sums.
@@ -130,8 +127,8 @@ class CodingPlan:
         :data:`repro.gf.native.CHAIN_MIN_WIDTH` wide, ``m`` otherwise;
         the NumPy backends always run ``m``.
 
-    Per-backend lowerings (translate groups, gather layout, pair tables,
-    native unit program) and the translate scratch buffer are built
+    Per-backend lowerings (translate groups, pair tables, native unit
+    program) and the translate scratch buffer are built
     lazily on first use and cached on the plan; concurrent first-builds
     may race but only ever replace one immutable lowering with an
     identical one, so plans stay safe to share across threads.
@@ -152,7 +149,6 @@ class CodingPlan:
         "_groups",
         "_gf",
         "nnz",
-        "_flat",
         "_entry_out",
         "_entry_in",
         "_entry_coeff",
@@ -163,14 +159,6 @@ class CodingPlan:
         "_factors",
         "_dtype",
     )
-
-    #: Below this many product elements (``nnz * block_len``) the NumPy
-    #: ladder switches to the single-gather path: one double fancy-index
-    #: into the multiplication table computes every product at once (~4
-    #: NumPy calls total), which beats every streaming NumPy backend when
-    #: dispatch overhead — not memory bandwidth — dominates.  (The
-    #: compiled kernel, where it exists, beats it from one column up.)
-    _GATHER_LIMIT = 1 << 13
 
     #: tile (elements) for the scratch-buffer table map in
     #: :meth:`_scaled_rows` — keeps the destination cache-resident so the
@@ -197,7 +185,7 @@ class CodingPlan:
         out_rows, in_rows = np.nonzero(m)
         coeffs = np.asarray(m)[out_rows, in_rows]
         self.nnz = len(coeffs)
-        self._groups = self._flat = None
+        self._groups = None
         # Raw entry triples for the lazy per-backend lowerings: a plan the
         # compiled kernel serves never builds the NumPy paths' layouts.
         self._entry_out = out_rows
@@ -226,23 +214,9 @@ class CodingPlan:
             ]
         return groups
 
-    def _flat_layout(self) -> tuple:
-        """The ``gather`` layout: every entry sorted by output row so one
-        XOR-reduceat folds each output segment → ``(coefficients column,
-        input rows, distinct output rows, their segment starts)``."""
-        flat = self._flat
-        if flat is None:
-            order = np.argsort(self._entry_out, kind="stable")
-            flat = self._flat = (
-                self._entry_coeff[order][:, None],
-                self._entry_in[order],
-                *np.unique(self._entry_out[order], return_index=True),
-            )
-        return flat
-
     def backend_for(self, ncols: int) -> str:
         """The backend :meth:`apply` would execute for ``ncols`` columns."""
-        return _backends.choose_backend(self, ncols)
+        return _backends.resolve_backend(self, ncols)[0]
 
     # -- coefficient scaling (translate backend) ----------------------------
 
@@ -295,26 +269,6 @@ class CodingPlan:
             # g.out_rows is duplicate-free, so in-place fancy XOR is safe.
             out[g.out_rows] ^= prod
 
-    def _run_gather(self, blocks: np.ndarray, out: np.ndarray, accumulate: bool) -> None:
-        """Small-block execution: one fancy-index computes all products.
-
-        ``mul_table[coeff, value]`` over the flat (output-row-sorted) entry
-        layout yields an ``(nnz, ncols)`` product buffer in a single gather;
-        one XOR-reduceat folds each output segment.  Slower per byte than
-        the streaming backends but a constant ~4 NumPy dispatches, so it
-        wins when blocks are small enough that call overhead dominates.
-        """
-        coeffs, ins, outs, starts = self._flat or self._flat_layout()
-        prods = self._gf.mul_table()[coeffs, blocks[ins]]
-        if self.nnz > len(outs):
-            prods = np.bitwise_xor.reduceat(prods, starts, axis=0)
-        if accumulate:
-            out[outs] ^= prods
-        else:
-            if len(outs) != self.shape[0]:
-                out[:] = 0
-            out[outs] = prods
-
     def _pair_unit_count(self) -> int:
         count = self._pair_units
         if count is None:
@@ -341,8 +295,12 @@ class CodingPlan:
         _backends.run_pair(self._pair_program(), blocks, out, accumulate)
         ncols = blocks.shape[1]
         if ncols % 2:
-            # odd trailing column: one tiny gather finishes it exactly.
-            self._run_gather(blocks[:, ncols - 1 :], out[:, ncols - 1 :], True)
+            # odd trailing column: one product per entry, XOR-folded into its
+            # output row.  Not through translate: its per-plan scratch would
+            # make concurrent applications of one plan race.
+            last = ncols - 1
+            prods = self._gf.mul_table()[self._entry_coeff, blocks[self._entry_in, last]]
+            np.bitwise_xor.at(out[:, last], self._entry_out, prods)
 
     def _native_program(self):
         prog = self._native_prog
@@ -427,9 +385,7 @@ class CodingPlan:
             dest = np.concatenate([out, out_tail]) if accumulate else np.empty(
                 (self.shape[0], blocks.shape[1]), self._dtype
             )
-        if backend == "gather":
-            self._run_gather(blocks, dest, accumulate)
-        elif backend == "pair":
+        if backend == "pair":
             self._run_pair(blocks, dest, accumulate)
         else:
             self._run_translate(blocks, dest, accumulate)

@@ -1,7 +1,7 @@
 """Every kernel backend must be byte-identical to the naive spec.
 
 :class:`repro.gf.CodingPlan` executes through a registry of backends
-(``translate`` / ``gather`` / ``pair`` / ``native``) selected per
+(``translate`` / ``pair`` / ``native``) selected per
 application by a measured-crossover heuristic and forceable via
 ``REPRO_GF_BACKEND``.  The backends are pure reassociations of the same
 GF(2^8) sums, so the contract is absolute: for any coefficient matrix,
@@ -11,7 +11,7 @@ and both ``apply_into`` accumulate modes, the output must equal
 
 Hypothesis drives the shape/sparsity/backend space; targeted tests pin
 native-first dispatch and, under ``REPRO_GF_NATIVE=0``, the NumPy
-ladder's `_GATHER_LIMIT` / `PAIR_MIN_COLS` boundaries, both sides of
+ladder's `PAIR_MIN_COLS` boundary, both sides of
 every crossover, the switches' read-per-application meaning, batch
 fold-vs-loop duality, the forced-backend fallback ladder, and the ``_scaled_rows`` scratch reuse
 (the zero-allocation fix this suite guards).
@@ -21,6 +21,7 @@ import contextlib
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -35,7 +36,6 @@ from repro.gf.backends import (
     BACKEND_NAMES,
     PAIR_MIN_COLS,
     available_backends,
-    choose_backend,
     forced_backend,
 )
 
@@ -169,27 +169,6 @@ def test_wide_blocks_past_tile_boundaries(backend):
 # -- dispatch boundaries -----------------------------------------------------
 
 
-def test_gather_limit_boundary():
-    """Without the kernel the ladder flips exactly at nnz·ncols == _GATHER_LIMIT;
-    with it there is no gather side at all."""
-    rng = np.random.default_rng(5)
-    m = rng.integers(1, 256, (4, 4), dtype=np.uint8)  # dense: nnz = 16
-    plan = CodingPlan(m)
-    edge = plan._GATHER_LIMIT // plan.nnz
-    with forced(None):
-        with native_killed():
-            assert plan.backend_for(edge) == "gather"
-            assert plan.backend_for(edge + 1) == "translate"
-        if native_mod.native_available():
-            assert {plan.backend_for(n) for n in (1, edge, edge + 1)} == {"native"}
-    for ncols in (edge - 1, edge, edge + 1):
-        blocks = rng.integers(0, 256, (4, ncols), dtype=np.uint8)
-        want = apply_to_blocks_naive(m, blocks)
-        assert np.array_equal(plan.apply(blocks), want)
-        with native_killed():
-            assert np.array_equal(plan.apply(blocks), want)
-
-
 def test_zero_matrix_under_every_forcing():
     """nnz == 0 short-circuits to translate (pure zero-fill) everywhere."""
     m = np.zeros((4, 6), dtype=np.uint8)
@@ -202,12 +181,15 @@ def test_zero_matrix_under_every_forcing():
 
 
 def test_unknown_forced_backend_is_rejected():
-    with forced("simd9000"):
-        with pytest.raises(ValueError, match="simd9000"):
-            forced_backend()
-        plan = CodingPlan(np.array([[3]], dtype=np.uint8))
-        with pytest.raises(ValueError, match="simd9000"):
-            plan.apply(np.arange(7, dtype=np.uint8).reshape(1, 7))
+    """A name outside the registry is refused, ``gather`` (a deleted
+    backend) included: forcing it must not silently run another one."""
+    for name in ("simd9000", "gather"):
+        with forced(name):
+            with pytest.raises(ValueError, match=name):
+                forced_backend()
+            plan = CodingPlan(np.array([[3]], dtype=np.uint8))
+            with pytest.raises(ValueError, match=name):
+                plan.apply(np.arange(7, dtype=np.uint8).reshape(1, 7))
 
 
 def test_choose_backend_heuristic_shape():
@@ -217,15 +199,17 @@ def test_choose_backend_heuristic_shape():
     widths = (8, 1 << 12, PAIR_MIN_COLS - 1, PAIR_MIN_COLS, 1 << 20)
     with forced(None):
         with native_killed():
-            ladder = [choose_backend(plan, n) for n in widths]
-        unforced = [choose_backend(plan, n) for n in widths]
-    assert ladder == ["gather", "translate", "translate", "pair", "pair"]
+            ladder = [plan.backend_for(n) for n in widths]
+        unforced = [plan.backend_for(n) for n in widths]
+    assert ladder == ["translate", "translate", "translate", "pair", "pair"]
     assert unforced == (["native"] * 5 if native_mod.native_available() else ladder)
-    assert available_backends()[-3:] == ("pair", "gather", "translate")
+    assert available_backends()[-2:] == ("pair", "translate")
 
 
-#: one column count on each side of every crossover: _GATHER_LIMIT / nnz
-#: (1024 for the 2×4 matrix below), PAIR_MIN_COLS, pair's odd trailing column
+#: one column count on each side of every crossover: a single column, the
+#: old tiny-block threshold (1024 columns of the 2×4 matrix below),
+#: PAIR_MIN_COLS, and pair's odd trailing column, which goes through
+#: translate
 CROSSOVER_WIDTHS = [1, 1024, 1025, 5000, PAIR_MIN_COLS - 1, PAIR_MIN_COLS, PAIR_MIN_COLS + 1]
 
 
@@ -234,9 +218,10 @@ CROSSOVER_WIDTHS = [1, 1024, 1025, 5000, PAIR_MIN_COLS - 1, PAIR_MIN_COLS, PAIR_
 def test_both_sides_of_every_crossover(killed, backend):
     """Whichever side of a threshold the width falls, the chosen backend is
     one this host has and its output, plain and accumulated through a
-    ``tail``, is the naive kernel's."""
+    ``tail``, is the naive kernel's.  Without the kernel a single column
+    runs ``translate``; a forced ``pair`` finishes an odd width's last
+    column itself."""
     m = np.array([[9, 14, 13, 11], [14, 9, 11, 13]], np.uint8)
-    assert CodingPlan(m).nnz * CROSSOVER_WIDTHS[1] == CodingPlan._GATHER_LIMIT
     rng = np.random.default_rng(48)
     with forced(backend), (native_killed() if killed else contextlib.nullcontext()):
         plan = CodingPlan(m)
@@ -245,11 +230,42 @@ def test_both_sides_of_every_crossover(killed, backend):
             want = apply_to_blocks_naive(m, blocks)
             chosen = plan.backend_for(ncols)
             assert chosen in available_backends(), (ncols, chosen)
+            if ncols == 1 and (killed or backend == "translate"):
+                assert chosen == "translate"
+            if backend == "pair" and ncols == PAIR_MIN_COLS + 1:
+                assert chosen == "pair"
             assert np.array_equal(plan.apply(blocks), want), (ncols, chosen)
             base = rng.integers(0, 256, (2, ncols), dtype=np.uint8)
             out = base.copy()
             plan.apply_into(blocks[:1], out, accumulate=True, tail=blocks[1:])
             assert np.array_equal(out, base ^ want), (ncols, chosen)
+
+
+def test_pair_odd_column_is_safe_across_threads():
+    """Threads applying one plan through ``pair`` at an odd width all get
+    the naive kernel's bytes: the last column is finished without the
+    per-plan scratch that ``translate`` reuses across applications."""
+    rng = np.random.default_rng(33)
+    m = rng.integers(1, 256, (4, 6), dtype=np.uint8)
+    blocks = [rng.integers(0, 256, (6, 33), dtype=np.uint8) for _ in range(4)]
+    want = [apply_to_blocks_naive(m, b) for b in blocks]
+    mismatches = []
+
+    def work(i):
+        for _ in range(1500):
+            if not np.array_equal(plan.apply(blocks[i]), want[i]):
+                mismatches.append(i)
+
+    with forced("pair"):
+        plan = CodingPlan(m)
+        assert plan.backend_for(33) == "pair"
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert not mismatches, f"{len(mismatches)} of 6000 applications diverged"
 
 
 def test_each_switch_is_read_per_application(monkeypatch):
@@ -260,7 +276,7 @@ def test_each_switch_is_read_per_application(monkeypatch):
     ``apply_into``.
     """
     ran = []
-    for name in ("gather", "pair", "translate"):
+    for name in ("pair", "translate"):
         real = getattr(CodingPlan, f"_run_{name}")
 
         def spy(self, *args, _real=real, _name=name):
@@ -277,7 +293,7 @@ def test_each_switch_is_read_per_application(monkeypatch):
     switches = ("REPRO_GF_NATIVE", "REPRO_GF_BACKEND")
     for key in switches:
         monkeypatch.delenv(key, raising=False)
-    first = "native" if native_mod.native_available() else "gather"
+    first = "native" if native_mod.native_available() else "translate"
     if first == "native":
         real_entry, info = native_mod._cached[0]
 
@@ -288,12 +304,12 @@ def test_each_switch_is_read_per_application(monkeypatch):
         monkeypatch.setattr(native_mod, "_cached", [(entry, info)])
     for setting, expect in (
         ({}, first),
-        ({"REPRO_GF_NATIVE": "0"}, "gather"),
+        ({"REPRO_GF_NATIVE": "0"}, "translate"),
         ({}, first),
         ({"REPRO_GF_BACKEND": "translate"}, "translate"),
         ({}, first),
-        ({"REPRO_GF_BACKEND": "gather"}, "gather"),
-        ({"REPRO_GF_BACKEND": "native", "REPRO_GF_NATIVE": "0"}, "gather"),
+        ({"REPRO_GF_BACKEND": "pair"}, "pair"),
+        ({"REPRO_GF_BACKEND": "native", "REPRO_GF_NATIVE": "0"}, "translate"),
         ({"REPRO_GF_BACKEND": "native"}, first),
     ):
         for key in switches:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gf import GF
-from repro.gf.polynomial import (
+from tests.gf_polynomial import (
     lagrange_interpolate,
     poly_add,
     poly_eval,

@@ -5,8 +5,9 @@ deliberately kept each original as an executable specification:
 
 * :func:`repro.gf.apply_to_blocks` / :class:`CodingPlan` vs
   :func:`apply_to_blocks_naive` (the triple loop);
-* the plan's two dispatch paths (single-gather for tiny blocks,
-  per-coefficient-group translate for large ones) vs each other;
+* the plan's dispatch paths (the compiled kernel; without it,
+  per-coefficient-group translate below ``PAIR_MIN_COLS`` columns and
+  byte-pair tables from there up) vs each other;
 * MSR repair's two rungs, ``_repair_coupled_naive`` (plane-looped
   spec) and ``repair`` (one precompiled fused plan) — they must agree
   bit-for-bit for every single-erasure pattern.
@@ -14,8 +15,8 @@ deliberately kept each original as an executable specification:
 This file is the property net under the perf work: any future "faster"
 kernel must keep these green.  Block lengths are chosen odd (and odd
 multiples of the subpacketization) so shape edge cases stay covered, and
-column counts straddle the gather-dispatch threshold so both plan paths
-run.
+column counts straddle the pair-dispatch threshold so every plan path
+runs.
 """
 
 import threading
@@ -32,6 +33,7 @@ from repro.codes import (
 )
 from repro.gf import GF, CodingPlan, apply_to_blocks, apply_to_blocks_naive, matmul
 from repro.gf.arithmetic import GF as GFClass
+from repro.gf.backends import PAIR_MIN_COLS
 from repro.gf.native import STREAM_BYTES
 from repro.gf.tables import get_tables
 
@@ -52,9 +54,8 @@ def all_codes():
 CODES = all_codes()
 CODE_IDS = [c.name for c in CODES]
 
-#: column counts on both sides of the plan's gather-dispatch threshold
-#: (nnz * ncols <= 1 << 13 gathers; larger runs the grouped translate
-#: path) — all odd, so no kernel can lean on even/aligned lengths
+#: small and large column counts — all odd, so no kernel can lean on
+#: even/aligned lengths
 SMALL_COLS = 7
 LARGE_COLS = 4097
 
@@ -73,14 +74,19 @@ def test_plan_matches_naive_on_random_matrices(seed, ncols):
     assert np.array_equal(apply_to_blocks(m, blocks), expect)
 
 
-def test_plan_gather_and_group_paths_agree():
-    """The same plan must answer identically on both sides of the dispatch."""
+def test_plan_translate_and_pair_paths_agree(monkeypatch):
+    """The same plan must answer identically on both sides of the dispatch,
+    with the compiled kernel and, under ``REPRO_GF_NATIVE=0``, without it."""
     rng = np.random.default_rng(7)
     m = rng.integers(0, 256, (5, 9), dtype=np.uint8)
     plan = CodingPlan(m)
-    for ncols in (1, SMALL_COLS, LARGE_COLS):  # gather, gather, grouped
-        blocks = rng.integers(0, 256, (9, ncols), dtype=np.uint8)
-        assert np.array_equal(plan.apply(blocks), apply_to_blocks_naive(m, blocks))
+    for killed in (False, True):
+        if killed:
+            monkeypatch.setenv("REPRO_GF_NATIVE", "0")
+        # translate, translate, translate, pair with a translated odd column
+        for ncols in (1, SMALL_COLS, LARGE_COLS, PAIR_MIN_COLS + 1):
+            blocks = rng.integers(0, 256, (9, ncols), dtype=np.uint8)
+            assert np.array_equal(plan.apply(blocks), apply_to_blocks_naive(m, blocks))
 
 
 def test_plan_zero_matrix_and_zero_rows():
