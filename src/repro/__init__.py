@@ -11,22 +11,7 @@ observability (:mod:`repro.telemetry`) and the paper's full evaluation
 The most common entry points are re-exported here.
 """
 
-from .codes import (
-    HitchhikerCode,
-    LocalReconstructionCode,
-    MSRCode,
-    ReedSolomonCode,
-    RepairResult,
-    UnrecoverableError,
-)
-from .fusion import (
-    AdaptiveSelector,
-    CodeKind,
-    CostModel,
-    ECFusion,
-    FusionTransformer,
-    SystemProfile,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -45,3 +30,10 @@ __all__ = [
     "SystemProfile",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".codes": ("HitchhikerCode", "LocalReconstructionCode", "MSRCode", "ReedSolomonCode",
+               "RepairResult", "UnrecoverableError"),
+    ".fusion": ("AdaptiveSelector", "CodeKind", "CostModel", "ECFusion", "FusionTransformer",
+                "SystemProfile"),
+})  # fmt: skip

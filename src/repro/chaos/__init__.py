@@ -18,27 +18,7 @@ same ``--chaos-seed`` replays the same storm event-for-event.
   durability/metadata/conversion invariants as a kernel daemon.
 """
 
-from .engine import ChaosEngine, ChaosState
-from .faults import (
-    PROFILES,
-    ChaosConfig,
-    ChaosError,
-    ChaosProfile,
-    CorruptionFault,
-    FaultSchedule,
-    NodeKillFault,
-    PartitionError,
-    PartitionFault,
-    SlowdownFault,
-    generate_schedule,
-    resolve_profile,
-)
-from .invariants import (
-    InvariantChecker,
-    InvariantReport,
-    InvariantViolation,
-    verify_conversion_safety,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "ChaosError",
@@ -60,3 +40,12 @@ __all__ = [
     "InvariantViolation",
     "verify_conversion_safety",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".engine": ("ChaosEngine", "ChaosState"),
+    ".faults": ("PROFILES", "ChaosConfig", "ChaosError", "ChaosProfile", "CorruptionFault",
+                "FaultSchedule", "NodeKillFault", "PartitionError", "PartitionFault",
+                "SlowdownFault", "generate_schedule", "resolve_profile"),
+    ".invariants": ("InvariantChecker", "InvariantReport", "InvariantViolation",
+                    "verify_conversion_safety"),
+})  # fmt: skip

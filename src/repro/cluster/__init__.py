@@ -9,15 +9,7 @@ node) or as chunked hop-by-hop pipelines (:mod:`repro.cluster.pipeline`)
 admitted by a risk-ordered :class:`RecoveryScheduler`.
 """
 
-from .client import Client, DeadNodeError, PlanExecutor
-from .cluster import Cluster, ClusterConfig, SimulationResult, run_workload
-from .events import AllOf, Event, FIFOResource, Process, Simulator
-from .namenode import NameNode, StripeInfo
-from .network import Cpu, Fabric, Link, Uplink
-from .node import DataNode
-from .pipeline import DEFAULT_CHUNK, execute_pipelined, pipeline_slices
-from .recovery import RecoveryError, RecoveryManager, RecoveryScheduler, RepairJob
-from .simdisk import Disk
+from .._lazy import lazy_exports
 
 __all__ = [
     "DeadNodeError",
@@ -48,3 +40,15 @@ __all__ = [
     "SimulationResult",
     "run_workload",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".client": ("Client", "DeadNodeError", "PlanExecutor"),
+    ".cluster": ("Cluster", "ClusterConfig", "SimulationResult", "run_workload"),
+    ".events": ("AllOf", "Event", "FIFOResource", "Process", "Simulator"),
+    ".namenode": ("NameNode", "StripeInfo"),
+    ".network": ("Cpu", "Fabric", "Link", "Uplink"),
+    ".node": ("DataNode",),
+    ".pipeline": ("DEFAULT_CHUNK", "execute_pipelined", "pipeline_slices"),
+    ".recovery": ("RecoveryError", "RecoveryManager", "RecoveryScheduler", "RepairJob"),
+    ".simdisk": ("Disk",),
+})  # fmt: skip

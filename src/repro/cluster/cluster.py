@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..chaos.engine import ChaosEngine
 from ..chaos.faults import ChaosConfig, PartitionError
-from ..chaos.invariants import InvariantChecker
 from ..fusion.costmodel import SystemProfile
 from ..hybrid.planners import SchemePlanner
 from ..telemetry import METRICS, SNAPSHOTS, TRACER, nearest_rank
@@ -324,6 +322,9 @@ def run_workload(
     engine = None
     checker = None
     if chaos is not None:
+        from ..chaos.engine import ChaosEngine
+        from ..chaos.invariants import InvariantChecker
+
         engine = ChaosEngine(
             chaos,
             cluster,

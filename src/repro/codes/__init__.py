@@ -6,19 +6,7 @@ arrays — plus planning hooks the cluster simulator uses to price repairs
 without moving real bytes.
 """
 
-from .base import (
-    CodeError,
-    ErasureCode,
-    LinearVectorCode,
-    ParameterError,
-    RepairResult,
-    UnrecoverableError,
-)
-from .fr import FractionalRepetitionCode
-from .hitchhiker import HitchhikerCode
-from .lrc import LocalReconstructionCode
-from .msr import MSRCode
-from .rs import ReedSolomonCode
+from .._lazy import lazy_exports
 
 __all__ = [
     "CodeError",
@@ -33,3 +21,13 @@ __all__ = [
     "FractionalRepetitionCode",
     "HitchhikerCode",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": ("CodeError", "ErasureCode", "LinearVectorCode", "ParameterError", "RepairResult",
+              "UnrecoverableError"),
+    ".fr": ("FractionalRepetitionCode",),
+    ".hitchhiker": ("HitchhikerCode",),
+    ".lrc": ("LocalReconstructionCode",),
+    ".msr": ("MSRCode",),
+    ".rs": ("ReedSolomonCode",),
+})  # fmt: skip

@@ -16,15 +16,7 @@ Markov chain exactly, so the two are cross-validated against each other
 in ``tests/test_durability.py``.
 """
 
-from .engine import (
-    MC_SCHEMES,
-    DurabilityConfig,
-    format_durability_table,
-    run_durability,
-    simulate_population,
-)
-from .stats import bootstrap_rate_interval, rule_of_three_mttdl, wilson_interval
-from .topology import TOPOLOGIES, TopologySpec, resolve_topology
+from .._lazy import lazy_exports
 
 __all__ = [
     "MC_SCHEMES",
@@ -39,3 +31,10 @@ __all__ = [
     "bootstrap_rate_interval",
     "rule_of_three_mttdl",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".engine": ("MC_SCHEMES", "DurabilityConfig", "format_durability_table", "run_durability",
+                "simulate_population"),
+    ".stats": ("bootstrap_rate_interval", "rule_of_three_mttdl", "wilson_interval"),
+    ".topology": ("TOPOLOGIES", "TopologySpec", "resolve_topology"),
+})  # fmt: skip

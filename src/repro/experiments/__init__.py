@@ -5,27 +5,7 @@
   (:mod:`repro.experiments.simulation`).
 """
 
-from . import (
-    eta_landscape,
-    lifetime,
-    parallel,
-    robustness,
-    sensitivity,
-    fig13_storage,
-    fig14_computation,
-    fig15_transmission,
-    fig16_application,
-    fig17_recovery,
-    fig18_overall,
-    fig19_cost_effective,
-    fig_pipeline_repair,
-    table4_allocation,
-    table7_summary,
-    tournament,
-)
-from .parallel import CampaignTask, campaign_tasks, map_tasks, run_campaign_tasks
-from .runner import SCHEME_ORDER, ExperimentConfig, build_schemes, format_table
-from .simulation import CampaignResults, run_campaign, set_default_jobs
+from .._lazy import lazy_exports
 
 __all__ = [
     "ExperimentConfig",
@@ -56,3 +36,15 @@ __all__ = [
     "table7_summary",
     "tournament",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".parallel": ("parallel", "CampaignTask", "campaign_tasks", "map_tasks", "run_campaign_tasks"),
+    ".runner": ("SCHEME_ORDER", "ExperimentConfig", "build_schemes", "format_table"),
+    ".simulation": ("CampaignResults", "run_campaign", "set_default_jobs"),
+    **{f".{name}": (name,) for name in (
+        "eta_landscape", "lifetime", "robustness", "sensitivity", "fig13_storage",
+        "fig14_computation", "fig15_transmission", "fig16_application", "fig17_recovery",
+        "fig18_overall", "fig19_cost_effective", "fig_pipeline_repair", "table4_allocation",
+        "table7_summary", "tournament",
+    )},
+})  # fmt: skip

@@ -9,20 +9,7 @@ The paper's three modules map one-to-one onto submodules here:
 :class:`repro.fusion.ECFusion` ties them together over real data.
 """
 
-from .adaptation import AdaptiveSelector, CodeKind, Conversion
-from .costmodel import ALWAYS_MSR, ALWAYS_RS, CostModel, SystemProfile
-from .framework import ECFusion, RecoveryReport
-from .queues import CachePolicy, QueueEntry, TrackingQueue
-from .costmodel import CODE_FAMILIES, CodeCosts
-from .transform import (
-    ChunkUnavailable,
-    FusionTransformer,
-    MsrToRsResult,
-    RsToMsrResult,
-    StripeStore,
-    TransformAborted,
-    TransformCost,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "ChunkUnavailable",
@@ -47,3 +34,13 @@ __all__ = [
     "RecoveryReport",
     "StripeStore",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".adaptation": ("AdaptiveSelector", "CodeKind", "Conversion"),
+    ".costmodel": ("ALWAYS_MSR", "ALWAYS_RS", "CODE_FAMILIES", "CodeCosts", "CostModel",
+                   "SystemProfile"),
+    ".framework": ("ECFusion", "RecoveryReport"),
+    ".queues": ("CachePolicy", "QueueEntry", "TrackingQueue"),
+    ".transform": ("ChunkUnavailable", "FusionTransformer", "MsrToRsResult", "RsToMsrResult",
+                   "StripeStore", "TransformAborted", "TransformCost"),
+})  # fmt: skip

@@ -18,25 +18,7 @@ Public surface:
   ``native`` on this host, or why there is none.
 """
 
-from .arithmetic import GF, as_symbols, gf_add, gf_div, gf_inv, gf_mul, gf_pow
-from .backends import BACKEND_NAMES, available_backends
-from .matrix import (
-    CodingPlan,
-    apply_to_blocks,
-    apply_to_blocks_naive,
-    cauchy,
-    identity,
-    inverse,
-    is_invertible,
-    mat_vec,
-    matmul,
-    rank,
-    solve,
-    systematic_rs_parity,
-    vandermonde,
-)
-from .native import native_info
-from .tables import PRIMITIVE_POLY, GFTables, get_tables
+from .._lazy import lazy_exports
 
 __all__ = [
     "GF",
@@ -66,3 +48,13 @@ __all__ = [
     "available_backends",
     "native_info",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".arithmetic": ("GF", "as_symbols", "gf_add", "gf_div", "gf_inv", "gf_mul", "gf_pow"),
+    ".backends": ("BACKEND_NAMES", "available_backends"),
+    ".matrix": ("CodingPlan", "apply_to_blocks", "apply_to_blocks_naive", "cauchy", "identity",
+                "inverse", "is_invertible", "mat_vec", "matmul", "rank", "solve",
+                "systematic_rs_parity", "vandermonde"),
+    ".native": ("native_info",),
+    ".tables": ("PRIMITIVE_POLY", "GFTables", "get_tables"),
+})  # fmt: skip

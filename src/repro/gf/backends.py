@@ -9,8 +9,8 @@ Three are registered:
 
 ``translate``
     The historical path: one pass per distinct coefficient, scaling via
-    a 256-entry table map into a reusable per-plan scratch buffer, then
-    ``bitwise_xor.reduceat`` + fancy-indexed XOR scatter.  Works for any
+    a 256-entry table map in place in the gathered rows, then
+    ``bitwise_xor.reduceat`` + one XOR per output row.  Works for any
     shape; the universal fallback.
 ``pair``
     Wide-block NumPy path: views input rows as uint16 *byte pairs* and

@@ -8,11 +8,11 @@ through one of several registered **backends** (:mod:`repro.gf.backends`):
 
 ``translate``
     One fused pass per distinct coefficient value: a 256-entry table map
-    scales every row sharing that coefficient into a reusable per-plan
-    scratch buffer (no per-call allocations), then
-    ``np.bitwise_xor.reduceat`` folds contiguous output runs and one
-    duplicate-free fancy-indexed XOR scatters them.  ``O(distinct
-    coefficients)`` dispatches, any matrix and block shape.
+    scales every row sharing that coefficient, in place in the gathered
+    copy of those rows the application already owns, then
+    ``np.bitwise_xor.reduceat`` folds contiguous output runs, each XORed
+    into its output row in place.  ``O(distinct coefficients + output
+    rows)`` dispatches, any matrix and block shape.
 ``pair``
     Wide-block NumPy path gathering packed uint64 products for byte
     *pairs*; ~2–3× ``translate`` at MB-scale blocks, no compiler needed,
@@ -103,7 +103,7 @@ class _CoeffGroup:
         self.in_rows = in_rows[order]
         # Segment boundaries: first occurrence of each distinct output row.
         uniq, starts = np.unique(out_sorted, return_index=True)
-        self.out_rows = uniq
+        self.out_rows = tuple(uniq.tolist())
         # reduceat needs the start offset of every segment; a group where
         # every entry hits a distinct output row needs no reduction at all.
         self.reduce_offsets = starts if len(uniq) < len(out_sorted) else None
@@ -128,10 +128,10 @@ class CodingPlan:
         the NumPy backends always run ``m``.
 
     Per-backend lowerings (translate groups, pair tables, native unit
-    program) and the translate scratch buffer are built
-    lazily on first use and cached on the plan; concurrent first-builds
-    may race but only ever replace one immutable lowering with an
-    identical one, so plans stay safe to share across threads.
+    program) are built lazily on first use and cached on the plan;
+    concurrent first-builds may race but only ever replace one immutable
+    lowering with an identical one, and every application works in
+    buffers of its own, so plans stay safe to share across threads.
 
     Examples
     --------
@@ -152,7 +152,6 @@ class CodingPlan:
         "_entry_out",
         "_entry_in",
         "_entry_coeff",
-        "_scratch",
         "_pair_prog",
         "_pair_units",
         "_native_prog",
@@ -160,9 +159,9 @@ class CodingPlan:
         "_dtype",
     )
 
-    #: tile (elements) for the scratch-buffer table map in
-    #: :meth:`_scaled_rows` — keeps the destination cache-resident so the
-    #: in-place map streams instead of thrashing at MB sizes.
+    #: tile (elements) for the in-place table map in :meth:`_scaled_rows` —
+    #: keeps the tile cache-resident so the map streams instead of
+    #: thrashing at MB sizes.
     _SCALE_TILE = 1 << 16
 
     def __init__(self, m: np.ndarray, factors=None):
@@ -191,7 +190,6 @@ class CodingPlan:
         self._entry_out = out_rows
         self._entry_in = in_rows
         self._entry_coeff = coeffs
-        self._scratch = None
         self._pair_prog = None
         self._pair_units = None
         self._native_prog = None
@@ -221,34 +219,26 @@ class CodingPlan:
     # -- coefficient scaling (translate backend) ----------------------------
 
     def _scaled_rows(self, coeff: int, rows: np.ndarray) -> np.ndarray:
-        """``coeff * rows`` for one group in one bulk pass, output-allocation-free.
+        """``coeff * rows`` for one group, scaled in place in ``rows``.
 
-        The scaling is a 256-entry table map executed tile by
-        tile into a reusable per-plan scratch buffer — the historical
-        ``rows.tobytes().translate(...)`` + ``np.frombuffer`` round trip
-        copied every group twice per application; the scratch version
-        copies zero times and returns a view into the plan's scratch
-        (valid until the next ``_scaled_rows`` call on this plan).
-        Temporaries are bounded by one ``_SCALE_TILE`` of NumPy's internal
-        index conversion, independent of ``rows.size``.
+        ``rows`` must be an array the caller owns — ``_run_translate``
+        passes ``blocks[g.in_rows]``, a fresh copy — so concurrent
+        applications of one plan share no buffer.  The 256-entry table map
+        runs tile by tile; temporaries are bounded by one ``_SCALE_TILE`` of
+        NumPy's internal index conversion (which also makes the in-place
+        map safe: ``take`` reads its indices from that converted copy),
+        independent of ``rows.size``.
         """
         if coeff == 1:
             return rows
-        gf = self._gf
-        need = rows.size
-        scratch = self._scratch
-        if scratch is None or scratch.size < need:
-            scratch = self._scratch = np.empty(need, gf.dtype)
-        mt_row = gf.mul_table()[coeff]
-        src = rows.reshape(-1)
-        dst = scratch[:need]
-        for a in range(0, need, self._SCALE_TILE):
-            b = min(a + self._SCALE_TILE, need)
-            # mode="clip" never triggers (uint8 indices into a
-            # 256-entry row) but selects NumPy's fast bounds-free
-            # take loop, and out= writes straight into the scratch.
-            np.take(mt_row, src[a:b], out=dst[a:b], mode="clip")
-        return dst.reshape(rows.shape)
+        mt_row = self._gf.mul_table()[coeff]
+        flat = rows.reshape(-1)
+        for a in range(0, flat.size, self._SCALE_TILE):
+            tile = flat[a : a + self._SCALE_TILE]
+            # mode="clip" never triggers (uint8 indices into a 256-entry
+            # row) but selects NumPy's fast bounds-free take loop
+            np.take(mt_row, tile, out=tile, mode="clip")
+        return rows
 
     # -- backend runners -----------------------------------------------------
     #
@@ -266,8 +256,10 @@ class CodingPlan:
             prod = self._scaled_rows(g.coeff, blocks[g.in_rows])
             if g.reduce_offsets is not None:
                 prod = np.bitwise_xor.reduceat(prod, g.reduce_offsets, axis=0)
-            # g.out_rows is duplicate-free, so in-place fancy XOR is safe.
-            out[g.out_rows] ^= prod
+            # one in-place XOR per output row, through views: a fancy-indexed
+            # XOR would allocate a second group-sized temporary per group
+            for row, scaled in zip(g.out_rows, prod):
+                out[row] ^= scaled
 
     def _pair_unit_count(self) -> int:
         count = self._pair_units
@@ -296,8 +288,7 @@ class CodingPlan:
         ncols = blocks.shape[1]
         if ncols % 2:
             # odd trailing column: one product per entry, XOR-folded into its
-            # output row.  Not through translate: its per-plan scratch would
-            # make concurrent applications of one plan race.
+            # output row
             last = ncols - 1
             prods = self._gf.mul_table()[self._entry_coeff, blocks[self._entry_in, last]]
             np.bitwise_xor.at(out[:, last], self._entry_out, prods)

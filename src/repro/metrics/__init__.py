@@ -1,15 +1,6 @@
 """Evaluation metrics: analytic cost models and performance ratios."""
 
-from .costs import SCHEMES, AnalyticCosts, CostBreakdown
-from .queueing import ServiceMix, client_nic_mix, mg1_response, mg1_wait
-from .reliability import ReliabilityModel, SchemeReliability, mttdl_markov
-from .performance import (
-    application_performance,
-    cost_effective_ratio,
-    improvement,
-    overall_performance,
-    recovery_performance,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "SCHEMES",
@@ -28,3 +19,11 @@ __all__ = [
     "mg1_response",
     "client_nic_mix",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".costs": ("SCHEMES", "AnalyticCosts", "CostBreakdown"),
+    ".queueing": ("ServiceMix", "client_nic_mix", "mg1_response", "mg1_wait"),
+    ".reliability": ("ReliabilityModel", "SchemeReliability", "mttdl_markov"),
+    ".performance": ("application_performance", "cost_effective_ratio", "improvement",
+                     "overall_performance", "recovery_performance"),
+})  # fmt: skip

@@ -18,15 +18,7 @@ Entry points
 See ``docs/serving.md`` for the object model and a worked report.
 """
 
-from .loadgen import (
-    DISTRIBUTIONS,
-    Arrival,
-    ServingResult,
-    WorkloadSpec,
-    generate_arrivals,
-    run_serving,
-)
-from .store import AsyncObjectStore, ObjectMeta, ObjectStore, ServerConfig
+from .._lazy import lazy_exports
 
 __all__ = [
     "AsyncObjectStore",
@@ -40,3 +32,9 @@ __all__ = [
     "generate_arrivals",
     "run_serving",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".loadgen": ("DISTRIBUTIONS", "Arrival", "ServingResult", "WorkloadSpec", "generate_arrivals",
+                 "run_serving"),
+    ".store": ("AsyncObjectStore", "ObjectMeta", "ObjectStore", "ServerConfig"),
+})  # fmt: skip

@@ -37,8 +37,7 @@ import numpy as np
 
 from ..chaos.faults import ChaosConfig
 from ..cluster.events import FIFOResource
-from ..telemetry import METRICS, SNAPSHOTS, serving_buckets
-from ..telemetry.spans import nearest_rank
+from ..telemetry import METRICS, SNAPSHOTS, nearest_rank, serving_buckets
 from .store import ObjectStore, ServerConfig
 
 #: ms-scale 1-2-5 bucket ladder every ``server.latency.*`` histogram uses

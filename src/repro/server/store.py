@@ -30,14 +30,12 @@ code while staying deterministic for a fixed seed and call order.
 
 from __future__ import annotations
 
-import asyncio
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ..chaos.engine import ChaosEngine
 from ..chaos.faults import ChaosConfig, PartitionError
 from ..cluster.client import Client, DeadNodeError
 from ..cluster.cluster import Cluster, ClusterConfig
@@ -47,6 +45,9 @@ from ..fusion.costmodel import SystemProfile
 from ..hybrid.planners import SchemePlanner
 from ..hybrid.plans import OpPlan, PlanKind
 from ..telemetry import METRICS, TRACER, serving_buckets
+
+if TYPE_CHECKING:
+    from ..chaos.engine import ChaosEngine
 
 __all__ = ["ServerConfig", "ObjectMeta", "ObjectStore", "AsyncObjectStore"]
 
@@ -444,6 +445,8 @@ class ObjectStore:
         serving run: profiles default to a 120 s horizon, so a 10 s run
         would otherwise dodge most of the storm it asked for.
         """
+        from ..chaos.engine import ChaosEngine
+
         if horizon is not None:
             from dataclasses import replace
 
@@ -707,8 +710,11 @@ class AsyncObjectStore:
     """
 
     def __init__(self, store: ObjectStore | None = None, **store_kwargs):
+        import asyncio  # only the async façade needs an event loop
+
         self.store = store if store is not None else ObjectStore(**store_kwargs)
         self.sim = self.store.sim
+        self._tick = asyncio.sleep
 
     async def _drive(self, gen):
         proc = self.sim.process(gen)
@@ -717,7 +723,7 @@ class AsyncObjectStore:
                 raise RuntimeError(
                     "simulation stalled before the operation completed"
                 )
-            await asyncio.sleep(0)  # cooperate with other awaited operations
+            await self._tick(0)  # cooperate with other awaited operations
         if proc.exc is not None:
             raise proc.exc
         return proc.value

@@ -29,6 +29,7 @@ documented in ``docs/telemetry.md``.
 
 from __future__ import annotations
 
+from .._lazy import lazy_exports
 from .registry import (
     METRICS,
     Counter,
@@ -37,30 +38,10 @@ from .registry import (
     MetricsRegistry,
     Timer,
     default_buckets,
+    nearest_rank,
     serving_buckets,
 )
-from .report import render_metrics_table
 from .snapshots import SNAPSHOTS, SnapshotCollector, SnapshotSampler, SnapshotSeries
-from .spans import (
-    Span,
-    TraceAnalysis,
-    analyze_events,
-    analyze_trace,
-    load_events,
-    nearest_rank,
-)
-from .causal import (
-    PHASES,
-    TailExplanation,
-    attribute_phases,
-    attribution_summary,
-    build_traces,
-    critical_path,
-    explain_tail,
-    to_chrome_trace,
-    write_chrome_trace,
-)
-from .export import REPORT_SCHEMA, build_report, render_prometheus, write_report
 from .tracing import TRACER, SpanContext, TraceEvent, TraceRecorder
 
 __all__ = [
@@ -104,6 +85,18 @@ __all__ = [
     "disable",
     "reset",
 ]
+
+
+# the offline analytics and exporters load on first use; the recorders
+# above stay eager, since enable/disable/reset read them as globals
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".causal": ("PHASES", "TailExplanation", "attribute_phases", "attribution_summary",
+                "build_traces", "critical_path", "explain_tail", "to_chrome_trace",
+                "write_chrome_trace"),
+    ".export": ("REPORT_SCHEMA", "build_report", "render_prometheus", "write_report"),
+    ".report": ("render_metrics_table",),
+    ".spans": ("Span", "TraceAnalysis", "analyze_events", "analyze_trace", "load_events"),
+})  # fmt: skip
 
 
 def enable(metrics: bool = True, tracing: bool = False, snapshots: bool = False) -> None:

@@ -26,6 +26,7 @@ Examples
 from __future__ import annotations
 
 import bisect
+import math
 import time
 
 __all__ = [
@@ -122,6 +123,22 @@ def serving_buckets() -> list[float]:
     (True, True, True, True)
     """
     return [m * 10.0**e for e in range(-4, 3) for m in (1.0, 2.0, 5.0)]
+
+
+def nearest_rank(ordered: list[float], q: float) -> float:
+    """Exact nearest-rank percentile of a pre-sorted sample list.
+
+    The nearest-rank definition: the q-quantile of n samples is the
+    ``ceil(q*n)``-th smallest (1-based), i.e. the smallest sample with at
+    least a fraction ``q`` of the data at or below it.  Unlike the
+    ``round(q*(n-1))`` index this never interpolates past the rank — for
+    100 samples p50 is the 50th value, not the 51st — and for ``n == 1``
+    every quantile is the lone sample.  Empty input returns 0.0.
+    """
+    if not ordered:
+        return 0.0
+    idx = max(0, math.ceil(q * len(ordered)) - 1)
+    return ordered[min(len(ordered) - 1, idx)]
 
 
 class Histogram:

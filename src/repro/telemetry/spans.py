@@ -31,9 +31,10 @@ Examples
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Iterable
+
+from .registry import nearest_rank
 
 __all__ = [
     "Span",
@@ -125,22 +126,6 @@ class Span:
         for key, value in self.fields.items():
             out.setdefault(key, value)
         return out
-
-
-def nearest_rank(ordered: list[float], q: float) -> float:
-    """Exact nearest-rank percentile of a pre-sorted sample list.
-
-    The nearest-rank definition: the q-quantile of n samples is the
-    ``ceil(q*n)``-th smallest (1-based), i.e. the smallest sample with at
-    least a fraction ``q`` of the data at or below it.  Unlike the
-    ``round(q*(n-1))`` index this never interpolates past the rank — for
-    100 samples p50 is the 50th value, not the 51st — and for ``n == 1``
-    every quantile is the lone sample.  Empty input returns 0.0.
-    """
-    if not ordered:
-        return 0.0
-    idx = max(0, math.ceil(q * len(ordered)) - 1)
-    return ordered[min(len(ordered) - 1, idx)]
 
 
 def _latency_summary(durations: list[float]) -> dict:

@@ -6,20 +6,7 @@
 * :mod:`repro.workloads.failures` — temporally/spatially local failure streams.
 """
 
-from .failures import (
-    BathtubPhases,
-    FailureConfig,
-    FailureEvent,
-    NodeFailureEvent,
-    correlated_fault_times,
-    failures_for_trace,
-    generate_bathtub_failures,
-    generate_failures,
-)
-from .io import load_failures, load_msr_csv, load_trace, save_failures, save_trace
-from .msr_traces import TABLE_V, TRACE_NAMES, TraceSpec, make_trace
-from .synthetic import SyntheticTraceConfig, generate_trace, zipf_weights
-from .trace import OpType, Request, Trace, TraceStats
+from .._lazy import lazy_exports
 
 __all__ = [
     "OpType",
@@ -47,3 +34,13 @@ __all__ = [
     "load_failures",
     "load_msr_csv",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".failures": ("BathtubPhases", "FailureConfig", "FailureEvent", "NodeFailureEvent",
+                  "correlated_fault_times", "failures_for_trace", "generate_bathtub_failures",
+                  "generate_failures"),
+    ".io": ("load_failures", "load_msr_csv", "load_trace", "save_failures", "save_trace"),
+    ".msr_traces": ("TABLE_V", "TRACE_NAMES", "TraceSpec", "make_trace"),
+    ".synthetic": ("SyntheticTraceConfig", "generate_trace", "zipf_weights"),
+    ".trace": ("OpType", "Request", "Trace", "TraceStats"),
+})  # fmt: skip

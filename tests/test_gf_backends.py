@@ -13,8 +13,8 @@ Hypothesis drives the shape/sparsity/backend space; targeted tests pin
 native-first dispatch and, under ``REPRO_GF_NATIVE=0``, the NumPy
 ladder's `PAIR_MIN_COLS` boundary, both sides of
 every crossover, the switches' read-per-application meaning, batch
-fold-vs-loop duality, the forced-backend fallback ladder, and the ``_scaled_rows`` scratch reuse
-(the zero-allocation fix this suite guards).
+fold-vs-loop duality, the forced-backend fallback ladder, and ``_scaled_rows``'
+in-place scaling (bounded allocation, safe across threads).
 """
 
 import contextlib
@@ -75,9 +75,10 @@ def native_killed():
 
 @pytest.fixture(autouse=True)
 def _clean_env():
-    """Tests must not leak a forced backend into the rest of the suite."""
-    yield
-    os.environ.pop("REPRO_GF_BACKEND", None)
+    """Tests must not leak a forced backend into the rest of the suite, nor
+    drop the one a CI leg forces for every suite it runs after this one."""
+    with _scoped_env("REPRO_GF_BACKEND", os.environ.get("REPRO_GF_BACKEND")):
+        yield
 
 
 def _skip_unavailable(backend):
@@ -268,6 +269,39 @@ def test_pair_odd_column_is_safe_across_threads():
     assert not mismatches, f"{len(mismatches)} of 6000 applications diverged"
 
 
+@pytest.mark.parametrize("ncols", [4097, 200_001])
+def test_translate_is_safe_across_threads(ncols):
+    """Threads applying one plan through ``translate`` all get the naive
+    kernel's bytes: each application scales its rows in an array it owns,
+    not in a buffer kept on the shared plan."""
+    rng = np.random.default_rng(34)
+    m = rng.integers(1, 256, (4, 6), dtype=np.uint8)
+    blocks = [rng.integers(0, 256, (6, ncols), dtype=np.uint8) for _ in range(4)]
+    want = [apply_to_blocks_naive(m, b) for b in blocks]
+    mismatches = []
+
+    def work(i):
+        for _ in range(300):
+            if not np.array_equal(plan.apply(blocks[i]), want[i]):
+                mismatches.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # switch threads often: more interleavings
+    try:
+        with forced("translate"):
+            plan = CodingPlan(m)
+            assert plan.backend_for(ncols) == "translate"
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not mismatches, f"{len(mismatches)} of 1200 applications diverged"
+
+
 def test_each_switch_is_read_per_application(monkeypatch):
     """Flip a switch between two applications of one plan: the next one follows.
 
@@ -378,46 +412,46 @@ def test_apply_batch_under_forced_backends(backend):
 
 
 def test_scaled_rows_scratch_reuse_bounded_alloc():
-    """Warm ``_scaled_rows`` reuses the plan scratch; temporaries stay O(tile).
+    """``_scaled_rows`` scales the caller's rows in place; temporaries stay O(tile).
 
     The historical implementation round-tripped every group through
     ``tobytes() → bytes.translate → np.frombuffer`` — two full output
-    copies per group per application.  The fix gathers straight into a
-    grow-on-demand per-plan buffer.  NumPy's ``take`` still buffers one
-    tile of index conversion internally, so the invariant is that peak
-    temporary memory is bounded by the (constant) ``_SCALE_TILE`` — it
-    must NOT scale with the input size.
+    copies per group per application — and a later one scaled into a
+    per-plan buffer that threads sharing the plan overwrote.  The rows
+    ``_run_translate`` hands in are already a fresh gather, so they are the
+    scratch: scaled where they lie, nothing kept on the plan.  NumPy's
+    ``take`` still buffers one tile of index conversion internally, so the
+    invariant is that peak temporary memory is bounded by the (constant)
+    ``_SCALE_TILE`` — it must NOT scale with the input size.
     """
     rng = np.random.default_rng(23)
     plan = CodingPlan(rng.integers(2, 256, (4, 8), dtype=np.uint8))
     # one tile of intp index conversion plus slack — the O(1) bound
     bound = CodingPlan._SCALE_TILE * np.dtype(np.intp).itemsize * 2
 
-    def warm_peak(nbytes):
+    def peak(nbytes):
         rows = rng.integers(0, 256, (4, nbytes // 4), dtype=np.uint8)
-        first = plan._scaled_rows(7, rows)  # warm: grows the scratch once
-        assert np.shares_memory(first, plan._scratch)
-        scratch = plan._scratch
+        want = GF.get().mul(7, rows)
         tracemalloc.start()
-        again = plan._scaled_rows(7, rows)
+        scaled = plan._scaled_rows(7, rows)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        assert plan._scratch is scratch  # no regrow on same-size input
-        assert np.shares_memory(again, scratch)
-        assert np.array_equal(again, GF.get().mul(7, rows))
+        assert scaled is rows
+        assert np.array_equal(scaled, want)
         return peak
 
-    small = warm_peak(1 << 17)
-    large = warm_peak(1 << 21)  # 16x the input ...
+    small = peak(1 << 17)
+    large = peak(1 << 21)  # 16x the input ...
     assert small < bound, f"scaled rows allocated {small} bytes"
     assert large < bound, f"... must not move the peak: {large} bytes"
+    assert not hasattr(plan, "_scratch")
 
 
 def test_scaled_rows_identity_coefficient_is_passthrough():
     plan = CodingPlan(np.array([[1, 2]], dtype=np.uint8))
     rows = np.arange(64, dtype=np.uint8).reshape(2, 32)
     assert plan._scaled_rows(1, rows) is rows
-    assert plan._scratch is None  # coeff 1 must not touch the scratch
+    assert np.array_equal(rows, np.arange(64, dtype=np.uint8).reshape(2, 32))
 
 
 def test_compiling_plans_does_not_import_numpy_ma():
