@@ -15,15 +15,13 @@ from typing import Hashable
 __all__ = ["StripeInfo", "NameNode"]
 
 
-@dataclass
+@dataclass(slots=True)
 class StripeInfo:
-    """Metadata for one stripe: its placement and write history."""
+    """Metadata for one stripe: its placement, plus ``extra`` for what
+    other layers attach to it."""
 
     stripe_id: Hashable
     placement: list[int]  # slot -> node_id
-    writes: int = 0
-    reads: int = 0
-    recoveries: int = 0
     extra: dict = field(default_factory=dict)
 
 

@@ -38,7 +38,7 @@ from ..telemetry import METRICS
 from .adaptation import AdaptiveSelector, CodeKind, Conversion
 from .costmodel import CostModel, SystemProfile
 from .queues import CachePolicy
-from .transform import FusionTransformer, StripeStore, TransformCost
+from .transform import ChunkUnavailable, FusionTransformer, StripeStore, TransformCost
 
 __all__ = ["RecoveryReport", "ECFusion"]
 
@@ -52,6 +52,21 @@ class RecoveryReport:
     code: CodeKind
     bytes_read: int
     conversions: list[Conversion] = field(default_factory=list)
+
+
+class _LostGroup:
+    """The fault hook a stripe's own conversion runs under when it recovers
+    a data block: the block's group reads as lost, so RS → MSR takes its
+    eq. (3) failover and never reads the row being rebuilt."""
+
+    __slots__ = ("group",)
+
+    def __init__(self, group: int):
+        self.group = group
+
+    def __call__(self, phase: str, group: int) -> None:
+        if phase == "data" and group == self.group:
+            raise ChunkUnavailable(phase, group)
 
 
 class ECFusion:
@@ -93,6 +108,8 @@ class ECFusion:
         self._stripes: dict[Hashable, StripeStore] = {}
         self.transform_cost = TransformCost()
         self.repair_bytes_read = 0
+        # a fault-free RS → MSR never reads the last group: no hook for it
+        self._lost_groups = {g: _LostGroup(g) for g in range(self.transformer.q - 1)}
 
     # -- helpers ------------------------------------------------------------
     def code_of(self, stripe: Hashable) -> CodeKind:
@@ -194,14 +211,17 @@ class ECFusion:
         The Queue2 insertion happens first (Algorithm 1), so a stripe may
         convert to MSR *before* the repair proper — mirroring the paper's
         rule that recovery-prone blocks should already sit in the
-        repair-friendly code for subsequent failures.  A ``parity`` index
-        addresses the layout current after that conversion, so it is
-        checked here.  The codec rebuilds the node in its stored row;
-        ``chunk_size`` selects the streamed (partial-combination) codec.
+        repair-friendly code for subsequent failures; that conversion
+        derives a lost data block's group (the eq. (3) failover), so it
+        never reads the row being rebuilt.  A ``parity`` index addresses
+        the layout current after it, so it is checked here.  The codec
+        rebuilds the node in its stored row; ``chunk_size`` selects the
+        streamed (partial-combination) codec.
         """
         conversions = self.selector.on_recovery(stripe)
         if conversions:
-            self._apply_conversions(conversions)
+            lost = None if parity else self._lost_groups.get(index // self.r)
+            self._apply_conversions(conversions, {stripe: lost})
         store = self._stripes.get(stripe)
         if store is None:
             raise KeyError(f"unknown stripe {stripe!r}")
@@ -282,11 +302,14 @@ class ECFusion:
         return self._recover(stripe, index, parity=True)
 
     # -- conversions ----------------------------------------------------------------
-    def _apply_conversions(self, conversions: list[Conversion]) -> None:
+    def _apply_conversions(self, conversions: list[Conversion], hooks: dict | None = None) -> None:
+        """Run the selector's conversions, a stripe in ``hooks`` under its
+        fault hook."""
         for conv in conversions:
             store = self._stripes.get(conv.stripe)
             if store is not None:
-                self.transform_cost += self.transformer.convert(store, conv.target)
+                hook = hooks.get(conv.stripe) if hooks else None
+                self.transform_cost += self.transformer.convert(store, conv.target, hook)
 
     # -- lifecycle ---------------------------------------------------------------------
     def delete(self, stripe: Hashable) -> None:

@@ -71,13 +71,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from ..codes import (
-    FractionalRepetitionCode,
-    LocalReconstructionCode,
-    MSRCode,
-    ReedSolomonCode,
-    UnrecoverableError,
-)
+from ..codes import MSRCode, ReedSolomonCode, UnrecoverableError
 from ..gf import CodingPlan, as_symbols, cauchy, inverse, matmul
 from ..gf.matrix import block_diag
 from ..gf.native import STREAM_BYTES, aligned_empty
@@ -691,6 +685,8 @@ class FusionTransformer:
         take raises :class:`~repro.codes.ParameterError`."""
         codec = self._codecs.get(code)
         if codec is None:
+            from ..codes import FractionalRepetitionCode, LocalReconstructionCode
+
             fam = self.cost_model.family(code)
             if code == "lrc":
                 codec = LocalReconstructionCode(self.k, fam.r, fam.z)

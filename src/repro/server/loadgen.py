@@ -1,8 +1,8 @@
 """Open-loop workload generation against the object store (YCSB-style).
 
 The generator is **open-loop by default**: request arrival times are a
-Poisson process at the target rate, drawn *up front* from the workload
-seed, and every request's latency is measured from its **intended
+Poisson process at the target rate, drawn *one arrival ahead* from the
+workload seed, and every request's latency is measured from its **intended
 arrival time** — not from when a worker got around to dispatching it.
 That distinction is the classic *coordinated omission* trap: a
 closed-loop driver (fixed worker pool, next request only after the last
@@ -19,11 +19,10 @@ not user-visible response time; ``docs/serving.md`` walks through the
 difference.
 
 Everything is deterministic: one ``numpy`` Generator seeded from the
-spec draws the whole schedule (times, op mix, key ranks) before the
-clock starts, and the simulator breaks ties by scheduling order — the
-same seed replays byte-identically.  The schedule is *drawn* up front
-but not *booked* up front: each open-loop arrival starts at its absolute
-time and, on firing, books the next one, so the event heap holds
+spec draws the schedule (times, op mix, key ranks) in a fixed order, and
+the simulator breaks ties by scheduling order — the same seed replays
+byte-identically.  Each open-loop arrival starts at its absolute time
+and, on firing, draws and books the next one, so the run holds
 in-flight work plus one arrival rather than every offered request.
 """
 
@@ -31,7 +30,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
@@ -147,8 +148,8 @@ def _zipf_cdf(n: int, theta: float) -> np.ndarray:
     return cdf / cdf[-1]
 
 
-def generate_arrivals(spec: WorkloadSpec) -> list[Arrival]:
-    """The full deterministic request schedule for one workload.
+def _schedule(spec: WorkloadSpec) -> Iterator[tuple[float, str, int]]:
+    """The request schedule as ``(time, op, rank)``, drawn one at a time.
 
     Inter-arrival gaps are exponential(1/target_ops) — a Poisson process
     — and every random draw (gap, op type, key rank) comes from one
@@ -156,23 +157,28 @@ def generate_arrivals(spec: WorkloadSpec) -> list[Arrival]:
     of the spec.
     """
     rng = np.random.default_rng(spec.seed)
+    exponential, random, integers = rng.exponential, rng.random, rng.integers
     cdf = None
     if spec.distribution in ("zipfian", "latest"):
         cdf = _zipf_cdf(spec.num_objects, spec.zipf_theta).tolist()
-    arrivals: list[Arrival] = []
-    mean_gap = 1.0 / spec.target_ops
-    t = 0.0
+    mean_gap, duration, read_fraction = 1.0 / spec.target_ops, spec.duration, spec.read_fraction
+    n, t = spec.num_objects, 0.0
     while True:
-        t += float(rng.exponential(mean_gap))
-        if t >= spec.duration:
-            break
-        op = "get" if float(rng.random()) < spec.read_fraction else "put"
+        t += float(exponential(mean_gap))
+        if t >= duration:
+            return
+        op = "get" if float(random()) < read_fraction else "put"
         if cdf is not None:
-            rank = min(bisect_right(cdf, float(rng.random())), spec.num_objects - 1)
+            rank = min(bisect_right(cdf, float(random())), n - 1)
         else:
-            rank = int(rng.integers(spec.num_objects))
-        arrivals.append(Arrival(time=t, op=op, rank=rank))
-    return arrivals
+            rank = int(integers(n))
+        yield t, op, rank
+
+
+def generate_arrivals(spec: WorkloadSpec) -> list[Arrival]:
+    """The full deterministic request schedule for one workload: the
+    arrivals :func:`run_serving` draws one at a time, as a list."""
+    return [Arrival(*a) for a in _schedule(spec)]
 
 
 def _exact_percentile(samples: list[float], q: float) -> float:
@@ -308,22 +314,23 @@ class _Offered:
     """One offered request, from its arrival (or dispatch) to its
     completion callback."""
 
-    __slots__ = ("drive", "arrival", "started_at", "key")
+    __slots__ = ("drive", "op", "rank", "started_at", "key")
 
-    def __init__(self, drive: "_Drive", arrival: Arrival, started_at: float):
+    def __init__(self, drive: "_Drive", op: str, rank: int, started_at: float):
         self.drive = drive
-        self.arrival = arrival
+        self.op = op
+        self.rank = rank
         self.started_at = started_at
 
     def start(self, _grant=None) -> None:
         """Resolve the key and start the operation (also the connection
         pool's grant callback)."""
-        drive, arrival = self.drive, self.arrival
+        drive = self.drive
         if drive.spec.distribution == "latest":
-            self.key = drive.recency[len(drive.recency) - 1 - arrival.rank]
+            self.key = drive.recency[len(drive.recency) - 1 - self.rank]
         else:
-            self.key = drive.keys[arrival.rank]
-        if arrival.op == "get":
+            self.key = drive.keys[self.rank]
+        if self.op == "get":
             drive.store.get_cb(self.key, self.served)
         else:
             drive.store.put_cb(self.key, drive.spec.object_size, self.served)
@@ -333,7 +340,7 @@ class _Offered:
         loop) or start the worker's next request (closed loop)."""
         drive = self.drive
         result = drive.result
-        op = self.arrival.op
+        op = self.op
         if exc is not None:  # the store hands over typed failures only
             result.failed += 1
             if METRICS.enabled:
@@ -370,10 +377,11 @@ class _Drive:
     """The request chain of one :func:`run_serving` call.
 
     Open loop: each arrival is one absolute-time entry that, on firing,
-    books the next arrival *first*, then takes a connection (one grant
-    entry when a pool is configured) and starts its operation.  Closed
-    loop: each worker starts with one zero-delay entry and starts its next
-    operation from the previous one's completion callback.
+    draws and books the next arrival *first*, then takes a connection (one
+    grant entry when a pool is configured) and starts its operation.
+    Closed loop: each worker starts with one zero-delay entry and takes
+    its next arrival from the previous one's completion callback.  Either
+    way an arrival is counted offered when it is taken from the schedule.
     """
 
     def __init__(
@@ -383,7 +391,7 @@ class _Drive:
         result: ServingResult,
         keys: list[str],
         pool: FIFOResource | None,
-        arrivals: list[Arrival],
+        schedule: Iterator[tuple[float, str, int]],
     ):
         self.store = store
         self.sim = store.sim
@@ -393,31 +401,31 @@ class _Drive:
         #: most-recently-written last; ``latest`` reads it back to front
         self.recency: list[str] = list(keys)
         self.pool = pool
-        self.arrivals = arrivals
-        self.cursor = 0  # the closed loop's next arrival
+        self.schedule = schedule
 
-    def arrive(self, index: int) -> None:
-        # The arrival chain: the heap holds in-flight work plus one
+    def arrive(self, drawn: tuple[float, str, int]) -> None:
+        # The arrival chain: the heap holds in-flight work plus one drawn
         # arrival, not the whole offered schedule.
-        arrivals = self.arrivals
-        if index + 1 < len(arrivals):
-            self.sim.call_at(arrivals[index + 1].time, self.arrive, index + 1)
+        following = next(self.schedule, None)
+        if following is not None:
+            self.sim.call_at(following[0], self.arrive, following)
+        self.result.offered += 1
         # Latency clock starts at the INTENDED arrival, before any queueing
         # for a connection — the coordinated-omission-free measurement.
-        arrival = arrivals[index]
-        request = _Offered(self, arrival, arrival.time)
+        t, op, rank = drawn
+        request = _Offered(self, op, rank, t)
         if self.pool is not None:
             self.pool.acquire().wait(request.start)
         else:
             request.start()
 
     def next_closed(self, _arg=None) -> None:
-        if self.cursor < len(self.arrivals):
-            arrival = self.arrivals[self.cursor]
-            self.cursor += 1
+        drawn = next(self.schedule, None)
+        if drawn is not None:
+            self.result.offered += 1
             # Closed loop: the clock starts at dispatch — by construction
             # this hides queueing the worker itself caused by not sending.
-            _Offered(self, arrival, self.sim.now).start()
+            _Offered(self, drawn[1], drawn[2], self.sim.now).start()
 
 
 def run_serving(
@@ -428,8 +436,8 @@ def run_serving(
     """Drive one seeded workload against a fresh store; returns the result.
 
     Builds the store, preloads the working set, optionally overlays a
-    chaos campaign, arms the failure injector, replays the precomputed
-    arrival schedule, and collects SLO-grade latency.  Two independent
+    chaos campaign, arms the failure injector, replays the arrival
+    schedule as it draws it, and collects SLO-grade latency.  Two independent
     seeds keep concerns separate: ``spec.seed`` owns the workload and
     injector draws, ``chaos.seed`` (when given) owns the fault schedule.
     """
@@ -449,15 +457,19 @@ def run_serving(
         if spec.connections is not None
         else None
     )
-    arrivals = generate_arrivals(spec)
-    result.offered = len(arrivals)
-
-    drive = _Drive(store, spec, result, keys, pool, arrivals)
+    schedule = _schedule(spec)
+    if spec.mode != "open":
+        # peek at most one arrival per worker: a worker starts only if
+        # there is an arrival for it
+        ahead = list(islice(schedule, spec.workers))
+        schedule = chain(ahead, schedule)
+    drive = _Drive(store, spec, result, keys, pool, schedule)
     if spec.mode == "open":
-        if arrivals:
-            sim.call_at(arrivals[0].time, drive.arrive, 0)
+        first = next(schedule, None)
+        if first is not None:
+            sim.call_at(first[0], drive.arrive, first)
     else:
-        for _ in range(min(spec.workers, len(arrivals))):
+        for _ in ahead:
             sim.call_later(0.0, drive.next_closed)
     sim.run()
 

@@ -296,8 +296,12 @@ FOOTPRINTS = {
         ("repro.experiments.fig", "repro.server", "repro.codes.msr"),
     ),
     "fusion": (
-        "from repro.fusion import ECFusion\n",
-        ("repro.cluster", "repro.chaos"),
+        "import numpy as np\n"
+        "from repro.fusion import ECFusion\n"
+        "fusion = ECFusion(6, 3)\n"
+        "fusion.write('s', np.zeros((6, 9), np.uint8))\n"
+        "assert fusion.recover('s', 0).conversions\n",
+        ("repro.cluster", "repro.chaos", "repro.codes.lrc", "repro.codes.fr"),
     ),
 }  # fmt: skip
 

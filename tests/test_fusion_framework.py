@@ -120,6 +120,33 @@ class TestRecovery:
         assert fusion.code_of("s") is CodeKind.RS
         assert np.array_equal(fusion.read_stripe("s"), data)
 
+    @pytest.mark.parametrize("streamed", [False, True], ids=["recover", "recover_streamed"])
+    @pytest.mark.parametrize("k, r", [(6, 3), (4, 2), (5, 3)])
+    def test_converting_recovery_never_reads_the_lost_row(self, k, r, streamed):
+        """A fresh RS stripe's first recovery converts it to MSR before the
+        repair.  That conversion reads around the lost block's group (eq.
+        (3) derives it from the RS parity), so a poisoned lost row leaves
+        no trace in the data or in the new MSR parities, and the
+        conversion still reads the paper's q−1 data groups and r parities."""
+        q = -(-k // r)
+        rng = np.random.default_rng(k)
+        for block in range(k):
+            fusion = ECFusion(k, r)
+            data = make_data(rng, k, 4 * r * r)
+            fusion.write("s", data)
+            fusion.read_stripe("s")[block] = 0xA5
+            if streamed:
+                rep = fusion.recover_streamed("s", block, chunk_size=8)
+            else:
+                rep = fusion.recover("s", block)
+            assert [c.target for c in rep.conversions] == [CodeKind.MSR]
+            assert np.array_equal(fusion.read_stripe("s"), data), block
+            want = fusion.transformer.encode(data, "msr").parity
+            got = fusion._locate("s").parity
+            assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True)), block
+            cost = fusion.transform_cost
+            assert (cost.data_blocks_read, cost.parity_blocks_read) == ((q - 1) * r, r)
+
 
 class TestConversionCosts:
     def test_transform_costs_accumulate(self, fusion):

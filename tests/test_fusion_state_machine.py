@@ -14,9 +14,11 @@ intermediary-parity highway.  After every step:
 * the store's conversion cost is the paper's block count (Fig. 12) summed
   over the conversions it reported, and the journal holds nothing open.
 
-A lost row is poisoned before its repair whenever the stripe is already in
-MSR form (no conversion can run first and read it), so a repair that read
-the row it rebuilds would be caught too.
+A lost data row is poisoned before every repair, so a repair — or the
+stripe's own RS → MSR conversion that runs first — that read the row it
+rebuilds would be caught too.  A lost parity row is poisoned whenever the
+stripe is already in MSR form (its index addresses the layout after any
+conversion, which computes that row afresh).
 """
 
 import numpy as np
@@ -65,11 +67,6 @@ class StoreMachine(RuleBasedStateMachine):
             for i, blocks in enumerate(EDGE_COST[conv.target]):
                 self.cost[i] += blocks
 
-    def _poison(self, key: int, row) -> None:
-        """Spoil the lost row when no conversion can read it first."""
-        if self.fusion.code_of(key) is CodeKind.MSR:
-            row[:] = POISON
-
     @rule(units=units, seed=seeds)
     def write(self, units, seed):
         self._write(self.next_key, units, seed)
@@ -84,7 +81,7 @@ class StoreMachine(RuleBasedStateMachine):
     @rule(pick=picks, block=st.integers(0, K - 1))
     def recover(self, pick, block):
         key = self._pick(pick)
-        self._poison(key, self.fusion.read_stripe(key)[block])
+        self.fusion.read_stripe(key)[block] = POISON
         self._book(self.fusion.recover(key, block).conversions)
 
     @precondition(lambda self: self.data)
@@ -94,7 +91,7 @@ class StoreMachine(RuleBasedStateMachine):
         store = self.fusion._locate(key)
         if store.kind is CodeKind.MSR:
             g, x = divmod(index, R)
-            self._poison(key, store.parity[g][x])
+            store.parity[g][x] = POISON
         else:
             index %= R  # addresses a parity in either layout
         self._book(self.fusion.recover_parity(key, index).conversions)
@@ -107,7 +104,7 @@ class StoreMachine(RuleBasedStateMachine):
     )
     def recover_streamed(self, pick, block, chunk):
         key = self._pick(pick)
-        self._poison(key, self.fusion.read_stripe(key)[block])
+        self.fusion.read_stripe(key)[block] = POISON
         report = self.fusion.recover_streamed(key, block, chunk_size=chunk)
         self._book(report.conversions)
 

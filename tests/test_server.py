@@ -417,6 +417,73 @@ class TestArrivalChain:
         assert booked and max(booked) == 0
 
 
+class TestStreamedSchedule:
+    """``run_serving`` draws its schedule one arrival ahead instead of
+    materialising it: it must serve exactly :func:`generate_arrivals`."""
+
+    @pytest.mark.parametrize("connections", [None, 2], ids=["unbounded", "pool=2"])
+    @pytest.mark.parametrize("mode", ["open", "closed"])
+    @pytest.mark.parametrize("distribution", ["zipfian", "latest", "uniform"])
+    def test_serves_generate_arrivals_in_order(self, monkeypatch, distribution, mode, connections):
+        spec = WorkloadSpec(
+            target_ops=300.0, duration=1.0, read_fraction=0.7, distribution=distribution,
+            num_objects=16, connections=connections, mode=mode, workers=3, seed=12,
+        )
+        taken = self._taken(monkeypatch)
+        res = run_serving(spec)
+        want = [(a.time, a.op, a.rank) for a in generate_arrivals(spec)]
+        assert res.offered == len(want) == res.completed > 200
+        if mode == "open":  # the clock starts at the intended arrival
+            assert taken == want
+        else:  # ... or at dispatch, in schedule order
+            assert [t[1:] for t in taken] == [w[1:] for w in want]
+
+    def test_closed_loop_with_more_workers_than_arrivals(self, monkeypatch):
+        spec = WorkloadSpec(target_ops=4.0, duration=1.0, mode="closed", workers=16, seed=3)
+        want = [(a.op, a.rank) for a in generate_arrivals(spec)]
+        assert 0 < len(want) < spec.workers
+        taken = self._taken(monkeypatch)
+        res = run_serving(spec)
+        assert [t[1:] for t in taken] == want
+        assert res.offered == res.completed == len(want)
+        assert all(t[0] == 0.0 for t in taken)  # one worker per arrival, all at once
+
+    @staticmethod
+    def _taken(monkeypatch) -> list:
+        """Every offered request as ``(started_at, op, rank)``, in the
+        order the drive takes them from the schedule."""
+        from repro.server import loadgen
+
+        taken, init = [], loadgen._Offered.__init__
+
+        def spy(self, drive, op, rank, started_at):
+            taken.append((started_at, op, rank))
+            init(self, drive, op, rank, started_at)
+
+        monkeypatch.setattr(loadgen._Offered, "__init__", spy)
+        return taken
+
+    def test_memory_does_not_grow_with_the_offered_schedule(self):
+        """Only in-flight requests are held, so ``run_serving``'s traced
+        peak grows with what a run keeps by design (a latency sample per
+        request, state of the stripes its puts retire), well under the
+        ≈ 140 B per offered request that a materialised schedule adds."""
+        import tracemalloc
+
+        def peak(duration):
+            tracemalloc.start()
+            try:
+                res = run_serving(WorkloadSpec(target_ops=300.0, duration=duration, seed=1))
+                return tracemalloc.get_traced_memory()[1], res.offered
+            finally:
+                tracemalloc.stop()
+
+        run_serving(WorkloadSpec(target_ops=300.0, duration=1.0, seed=1))  # warm caches
+        (short, n_short), (long, n_long) = peak(20.0), peak(60.0)
+        assert n_long - n_short > 10_000
+        assert (long - short) / (n_long - n_short) < 100
+
+
 @pytest.mark.parametrize(
     "failure_rate, chaos",
     [(0.0, None), (200.0, None), (0.5, "storm")],
