@@ -27,7 +27,7 @@ def stripe_family():
         ReedSolomonCode(8, 3),
         HitchhikerCode(8, 3),
         LocalReconstructionCode(8, 2, 2),
-        MSRCode(6, 3, verify="off"),
+        MSRCode(6, 3),
     ]
     out = []
     for code in codes:

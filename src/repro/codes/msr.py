@@ -20,9 +20,10 @@ Two symbol spaces are related by an invertible *pairwise coupling*:
   ``{(x, y, z), (z_y, y, z[y→x])}`` mixes through ``[[1, γ], [γ, 1]]``
   (ordering the pair by the ``x`` coordinate), ``γ² ≠ 1``.
 
-Properties (verified at construction / in the test suite)
----------------------------------------------------------
-* MDS: any ``k`` of ``n`` blocks recover the stripe.
+Properties (checked exhaustively by the test suite)
+---------------------------------------------------
+* MDS: any ``k`` of ``n`` blocks recover the stripe, at the fixed
+  coupling coefficient ``γ = GAMMA = 2``.
 * Optimal repair: one failed node is rebuilt by reading only the ``l/s``
   planes ``{z : z_{y0} = x0}`` from *each* of the ``n−1`` survivors —
   ``(n−1)/r`` block-equivalents of traffic versus ``k`` for RS.
@@ -30,7 +31,6 @@ Properties (verified at construction / in the test suite)
 
 from __future__ import annotations
 
-import itertools
 from typing import Mapping
 
 import numpy as np
@@ -41,13 +41,18 @@ from ..gf import (
     apply_to_blocks_naive,
     cauchy,
     inverse,
-    is_invertible,
     solve,
 )
 from ..telemetry import METRICS
-from .base import LinearVectorCode, ParameterError, RepairResult, UnrecoverableError
+from .base import LinearVectorCode, ParameterError, RepairResult
 
 __all__ = ["MSRCode"]
+
+
+#: The coupling coefficient γ of ``[[1, γ], [γ, 1]]``.  Any γ ∉ {0, 1}
+#: keeps the coupling invertible; at γ = 2 every shape this repository builds
+#: is MDS, which the test suite checks erasure pattern by erasure pattern.
+GAMMA = 2
 
 
 class MSRCode(LinearVectorCode):
@@ -56,15 +61,9 @@ class MSRCode(LinearVectorCode):
     Parameters
     ----------
     n, k:
-        Total and data node counts; ``r = n - k`` must divide ``n``.
-    gamma:
-        Coupling coefficient; ``None`` searches from 2 upward until the
-        verification policy passes.
-    verify:
-        MDS verification at construction: ``"full"`` checks every
-        ``r``-erasure pattern, ``"sample"`` checks a random sample,
-        ``"off"`` trusts the construction, ``"auto"`` (default) picks
-        ``"full"`` for small codes and ``"sample"`` otherwise.
+        Total and data node counts; ``r = n - k`` must divide ``n`` and
+        leave at least two node groups (``n / r >= 2``).  The coupling
+        coefficient is :data:`GAMMA`.
 
     Examples
     --------
@@ -79,14 +78,7 @@ class MSRCode(LinearVectorCode):
     True
     """
 
-    def __init__(
-        self,
-        n: int,
-        k: int,
-        gamma: int | None = None,
-        verify: str = "auto",
-        rng_seed: int = 0x5EED,
-    ):
+    def __init__(self, n: int, k: int):
         r = n - k
         if r <= 0 or k <= 0:
             raise ParameterError(f"need n > k > 0, got n={n}, k={k}")
@@ -95,37 +87,26 @@ class MSRCode(LinearVectorCode):
         m = n // r
         if m < 2:
             raise ParameterError(f"need at least two node groups (n/r >= 2), got {m}")
-        if verify not in ("auto", "full", "sample", "off"):
-            raise ParameterError(f"unknown verify policy {verify!r}")
-        self._gf = GF.get()
         self.s = r
         self.m = m
-        l = r**m
-
-        h_scalar = np.concatenate([cauchy(r, k), np.eye(r, dtype=np.uint8)], axis=1)
-
-        candidates = [gamma] if gamma is not None else [g for g in range(2, self._gf.order)]
-        rng = np.random.default_rng(rng_seed)
-        last_err: Exception | None = None
-        for g in candidates:
-            if g in (0, 1):
-                raise ParameterError("gamma must satisfy gamma not in {0, 1}")
-            try:
-                generator = self._build_generator(n, k, r, m, l, g, h_scalar)
-            except np.linalg.LinAlgError as exc:
-                last_err = exc
-                continue
-            # the parity plan's factors read both
-            self.gamma = g
-            self.h_scalar = h_scalar
-            super().__init__(n=n, k=k, generator=generator, subpacketization=l)
-            self._prepare_repair_plans()
-            if self._verify_mds(verify, rng):
-                return
-            last_err = UnrecoverableError(f"gamma={g} fails the MDS check")
-        raise ParameterError(
-            f"no valid coupling coefficient found for MSR({n},{k}): {last_err}"
+        # the generator and the parity plan's factors read it
+        self.h_scalar = np.concatenate([cauchy(r, k), np.eye(r, dtype=np.uint8)], axis=1)
+        super().__init__(
+            n=n, k=k, generator=self._build_generator(), subpacketization=r**m
         )
+        #: failed node -> its fused ``(l × n·l)`` repair matrix, derived on
+        #: first use (:meth:`_repair_matrix`)
+        self._repair_matrices: dict[int, np.ndarray] = {}
+        #: (failed node, stored data rows) -> the compiled repair plan
+        self._repair_fused: dict[tuple[int, int], CodingPlan] = {}
+        self._helper_plans: dict[tuple[int, int], CodingPlan] = {}
+        #: (lost node, stored data rows) -> the nodes an in-place repair reads
+        self._stored_helpers: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    @property
+    def gamma(self) -> int:
+        """The coupling coefficient, :data:`GAMMA`."""
+        return GAMMA
 
     #: counters land under ``codes.msr.*``
     telemetry_key = "msr"
@@ -137,7 +118,7 @@ class MSRCode(LinearVectorCode):
 
     @property
     def fault_tolerance(self) -> int:
-        """MDS: tolerates any ``r`` erasures."""
+        """MDS (checked exhaustively by the test suite): any ``r`` erasures."""
         return self.r
 
     def _coords(self, node: int) -> tuple[int, int]:
@@ -165,27 +146,19 @@ class MSRCode(LinearVectorCode):
         return self._node(zy, y), self._set_digit(z, y, x)
 
     # --------------------------------------------------------------- construction
-    def _coupling_coeffs(self, gamma: int) -> tuple[np.ndarray, np.ndarray]:
+    def _coupling_coeffs(self) -> tuple[np.ndarray, np.ndarray]:
         """The pair mixing matrix M = [[1, γ], [γ, 1]] and its inverse."""
-        gf = GF.get()
-        M = np.array([[1, gamma], [gamma, 1]], dtype=gf.dtype)
+        M = np.array([[1, GAMMA], [GAMMA, 1]], dtype=np.uint8)
         return M, inverse(M)
 
-    def _build_generator(
-        self,
-        n: int,
-        k: int,
-        r: int,
-        m: int,
-        l: int,
-        gamma: int,
-        h_scalar: np.ndarray,
-    ) -> np.ndarray:
-        """Assemble the systematic (n·l × k·l) generator for coupling γ."""
+    def _build_generator(self) -> np.ndarray:
+        """Assemble the systematic (n·l × k·l) generator from the shape
+        (``s``, ``m``) and the scalar parity-check ``h_scalar``."""
         gf = GF.get()
-        self.s = r  # needed by helpers before super().__init__
-        self.m = m
-        _, Minv = self._coupling_coeffs(gamma)
+        r, m = self.s, self.m
+        n, l = r * m, r**m
+        k = n - r
+        _, Minv = self._coupling_coeffs()
 
         # Constraint matrix A (r·l × n·l) on *coupled* symbols:
         # row (t, z):  sum_i H_s[t, i] · U[i, z] = 0, with U expressed in C.
@@ -193,11 +166,11 @@ class MSRCode(LinearVectorCode):
         A = np.zeros((rl, nl), dtype=gf.dtype)
         row_base = np.arange(r) * l
         for i in range(n):
-            hcol = h_scalar[:, i]
+            hcol = self.h_scalar[:, i]
             x, _y = i % r, i // r
             for z in range(l):
                 rows = row_base + z
-                part = self._partner_static(i, z, r, m)
+                part = self._partner(i, z)
                 if part is None:
                     A[rows, i * l + z] = gf.add(A[rows, i * l + z], hcol)
                 else:
@@ -212,7 +185,7 @@ class MSRCode(LinearVectorCode):
 
         kl = k * l
         A_data, A_parity = A[:, :kl], A[:, kl:]
-        enc = solve(A_parity, A_data)  # raises LinAlgError if singular
+        enc = solve(A_parity, A_data)
         self._constraints = A
         return np.concatenate([np.eye(kl, dtype=np.uint8), enc], axis=0)
 
@@ -233,7 +206,7 @@ class MSRCode(LinearVectorCode):
         zy = z // s**y % s
         paired = x != zy
         partner = (y * s + zy - first) * l + z + (x - zy) * s**y
-        M, Minv = self._coupling_coeffs(self.gamma)
+        M, Minv = self._coupling_coeffs()
         c = Minv if uncouple else M
         first_of_pair = x < zy
         rows = np.arange(count * l)
@@ -269,71 +242,7 @@ class MSRCode(LinearVectorCode):
             self._coupling_factor(0, self.k, uncouple=False),
         ]
 
-    def _partner_static(self, node: int, z: int, s: int, m: int) -> tuple[int, int] | None:
-        """Partner lookup usable before ``self`` is fully initialised."""
-        x, y = node % s, node // s
-        zy = (z // s**y) % s
-        if x == zy:
-            return None
-        j = y * s + zy
-        z2 = z + (x - zy) * s**y
-        return j, z2
-
-    def _verify_mds(self, verify: str, rng: np.random.Generator) -> bool:
-        """Check decodability of r-erasure patterns per the chosen policy."""
-        if verify == "off":
-            return True
-        patterns = list(itertools.combinations(range(self.n), self.r))
-        if verify == "auto":
-            verify = "full" if len(patterns) <= 60 else "sample"
-        if verify == "sample" and len(patterns) > 40:
-            idx = rng.choice(len(patterns), size=40, replace=False)
-            patterns = [patterns[i] for i in idx]
-        l = self.subpacketization
-        for erased in patterns:
-            cols = [i * l + z for i in erased for z in range(l)]
-            if not is_invertible(self._constraints[:, cols]):
-                return False
-        return True
-
     # --------------------------------------------------------------------- repair
-    def _prepare_repair_plans(self) -> None:
-        """Precompute, per failed node, the fused repair plan.
-
-        The r×r solve matrix over the unknown U's is kept in
-        ``_repair_solvers`` for the plane-looped reference kernel.  The
-        *entire* repair pipeline (uncouple → solve → coupling rebuild) is
-        GF-linear in the helper symbols, so running that reference kernel
-        on the identity basis yields its ``(l × n·l)`` matrix;
-        :meth:`repair` executes that one fused :class:`CodingPlan`.
-        """
-        l = self.subpacketization
-        eye = np.eye(self.n * l, dtype=self._gf.dtype)
-        self._repair_solvers: dict[int, tuple[list[int], list[int], np.ndarray]] = {}
-        # the raw matrices are kept: their per-helper column slices are the
-        # partial-combination kernels of the streamed/pipelined repair
-        # (columns of the failed node stay zero)
-        self._repair_matrices: dict[int, np.ndarray] = {}
-        self._repair_fused: dict[int, CodingPlan] = {}
-        for f in range(self.n):
-            x0, y0 = self._coords(f)
-            same_col = [self._node(x, y0) for x in range(self.s) if x != x0]
-            unknown_nodes = [f] + same_col
-            known_nodes = [i for i in range(self.n) if i not in unknown_nodes]
-            hu_inv = inverse(self.h_scalar[:, unknown_nodes])
-            self._repair_solvers[f] = (unknown_nodes, known_nodes, hu_inv)
-
-            basis_view = {
-                i: eye[i * l : (i + 1) * l] for i in range(self.n) if i != f
-            }
-            repair_matrix = self._repair_coupled_naive(f, basis_view)
-            self._repair_matrices[f] = repair_matrix
-            self._repair_fused[f] = CodingPlan(repair_matrix)
-        self._shortened_fused: dict[tuple[int, int], CodingPlan] = {}
-        self._helper_plans: dict[tuple[int, int], CodingPlan] = {}
-        #: (lost node, stored data rows) -> the nodes an in-place repair reads
-        self._stored_helpers: dict[tuple[int, int], tuple[int, ...]] = {}
-
     def repair_planes(self, failed: int) -> list[int]:
         """The ``l/s`` plane indices every helper must read to repair ``failed``."""
         x0, y0 = self._coords(failed)
@@ -343,23 +252,45 @@ class MSRCode(LinearVectorCode):
         """Optimal repair reads 1/s of every one of the n−1 survivors."""
         return {i: 1.0 / self.s for i in range(self.n) if i != failed}
 
+    def _repair_matrix(self, failed: int) -> np.ndarray:
+        """The fused ``(l × n·l)`` repair matrix of node ``failed``.
+
+        The *entire* repair pipeline (uncouple → solve → coupling rebuild)
+        is GF-linear in the helper symbols, so running the reference kernel
+        on the identity basis yields its matrix.  Derived on the first
+        repair of ``failed`` and kept: :meth:`repair` compiles it, and its
+        per-helper column slices are the partial-combination kernels of the
+        streamed/pipelined repair (columns of the failed node stay zero).
+        """
+        mat = self._repair_matrices.get(failed)
+        if mat is None:
+            l = self.subpacketization
+            eye = np.eye(self.n * l, dtype=np.uint8)
+            basis = {i: eye[i * l : (i + 1) * l] for i in range(self.n) if i != failed}
+            mat = self._repair_matrices[failed] = self._repair_coupled_naive(failed, basis)
+        return mat
+
     def _repair_coupled_naive(self, failed: int, view: dict[int, np.ndarray]) -> np.ndarray:
         """Reference repair kernel: one solve per plane, Python-looped.
 
         The executable specification: the fused matrix is derived from it
-        at construction and :meth:`repair` is property-tested against it
-        (``tests/test_kernel_equivalence.py``).  ``view`` maps each helper
-        to its ``(l, sub)`` plane view; returns the rebuilt ``(l, sub)``
-        block.
+        (:meth:`_repair_matrix`) and :meth:`repair` is property-tested
+        against it (``tests/test_kernel_equivalence.py``).  ``view`` maps
+        each helper to its ``(l, sub)`` plane view; returns the rebuilt
+        ``(l, sub)`` block.
         """
         gf = GF.get()
         l = self.subpacketization
         sub = next(iter(view.values())).shape[1]
         x0, y0 = self._coords(failed)
         planes = self.repair_planes(failed)
-        unknown_nodes, known_nodes, hu_inv = self._repair_solvers[failed]
-        _, Minv = self._coupling_coeffs(self.gamma)
-        inv_gamma = int(gf.inv(self.gamma))
+        # the failed node and its column's other nodes are the r unknowns of
+        # every repair plane's scalar parity check
+        unknown_nodes = [failed] + [self._node(x, y0) for x in range(self.s) if x != x0]
+        known_nodes = [i for i in range(self.n) if i not in unknown_nodes]
+        hu_inv = inverse(self.h_scalar[:, unknown_nodes])
+        _, Minv = self._coupling_coeffs()
+        inv_gamma = int(gf.inv(GAMMA))
 
         def read(i: int, z: int) -> np.ndarray:
             """Coupled symbol (i, z); asserts it lies in the repair read-set."""
@@ -400,31 +331,26 @@ class MSRCode(LinearVectorCode):
                 if x < x0:
                     # helper is "a": c_a = u_a + γ u_b  =>  u_b, then c_b
                     u_f = gf.mul(inv_gamma, gf.add(c_h, u_h))
-                    c_f = gf.add(gf.mul(self.gamma, u_h), u_f)
+                    c_f = gf.add(gf.mul(GAMMA, u_h), u_f)
                 else:
                     # helper is "b": c_b = γ u_a + u_b  =>  u_a, then c_a
                     u_f = gf.mul(inv_gamma, gf.add(c_h, u_h))
-                    c_f = gf.add(u_f, gf.mul(self.gamma, u_h))
+                    c_f = gf.add(u_f, gf.mul(GAMMA, u_h))
                 failed_block[z_dst] = c_f
         return failed_block
 
     def _fused_plan(self, failed: int, data_nodes: int) -> CodingPlan:
         """The fused repair plan over a stripe holding ``data_nodes`` data rows.
 
-        A full stripe uses the precompiled ``(l × n·l)`` plan.  A shortened
+        A full stripe compiles the ``(l × n·l)`` repair matrix; a shortened
         one (trailing data nodes are virtual all-zero blocks) drops their
-        columns from the cached repair matrix; compiled on first use.
+        columns from it.  Compiled on first use.
         """
-        if data_nodes == self.k:
-            return self._repair_fused[failed]
-        key = (failed, data_nodes)
-        plan = self._shortened_fused.get(key)
-        if plan is None:
+        mat = self._repair_matrix(failed)
+        if data_nodes < self.k:
             l = self.subpacketization
-            cols = np.r_[0 : data_nodes * l, self.k * l : self.n * l]
-            plan = self._shortened_fused[key] = CodingPlan(
-                self._repair_matrices[failed][:, cols]
-            )
+            mat = mat[:, np.r_[0 : data_nodes * l, self.k * l : self.n * l]]
+        plan = self._repair_fused[failed, data_nodes] = CodingPlan(mat)
         return plan
 
     def repair(self, failed: int, shards) -> RepairResult:
@@ -432,11 +358,11 @@ class MSRCode(LinearVectorCode):
 
         Requires all ``n − 1`` helpers; with fewer survivors it falls back
         to a full MDS decode (reading ``k`` whole blocks).  The repair
-        executes one precompiled fused plan covering every ``l/s`` plane,
-        straight over the stripe's blocks viewed as ``(n·l, sub)`` symbols
-        and into the lost node's row — the fused matrix's columns for the
-        failed node are zero, so nothing is staged and that row is never
-        read.  The plane-looped reference kernel is kept as
+        executes one fused plan covering every ``l/s`` plane (compiled on
+        the first repair of ``failed``), straight over the stripe's blocks
+        viewed as ``(n·l, sub)`` symbols and into the lost node's row — the
+        fused matrix's columns for the failed node are zero, so nothing is
+        staged and that row is never read.  The plane-looped reference kernel is kept as
         :meth:`_repair_coupled_naive`.
 
         ``shards`` is either a mapping survivor → block (a fresh block is
@@ -452,6 +378,9 @@ class MSRCode(LinearVectorCode):
             shards = self._check_shards(shards)
             if failed in shards:
                 raise ValueError(f"node {failed} is present in the supplied shards")
+            # a node outside the stripe has no repair matrix to derive
+            if not 0 <= failed < self.n:
+                raise ValueError(f"failed node {failed} out of range for n={self.n}")
             helpers = [i for i in range(self.n) if i != failed]
             if not set(helpers) <= set(shards):
                 return super().repair(failed, shards)
@@ -472,7 +401,7 @@ class MSRCode(LinearVectorCode):
         block = data[failed] if failed < self.k else parity[failed - self.k]
         l = self.subpacketization
         sub = block.shape[0] // l
-        plan = self._repair_fused[failed] if real == self.k else self._fused_plan(failed, real)
+        plan = self._repair_fused.get((failed, real)) or self._fused_plan(failed, real)
         # the (n·l, sub) symbol views of _to_symbols
         plan.apply_into(
             data.reshape(real * l, sub), block.reshape(l, sub), False, parity.reshape(-1, sub)
@@ -527,7 +456,7 @@ class MSRCode(LinearVectorCode):
         if plan is None:
             l = self.subpacketization
             plan = self._helper_plans[key] = CodingPlan(
-                self._repair_matrices[failed][:, helper * l : (helper + 1) * l]
+                self._repair_matrix(failed)[:, helper * l : (helper + 1) * l]
             )
         return plan
 

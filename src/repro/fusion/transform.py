@@ -255,8 +255,6 @@ class FusionTransformer:
     k, r:
         The RS(k, r) shape.  The MSR side is always MSR(2r, r, r, r²); LRC
         and FR take the shapes their :attr:`cost_model` descriptors price.
-    msr:
-        Optionally share an existing :class:`MSRCode` (must be (2r, r)).
 
     Examples
     --------
@@ -276,17 +274,13 @@ class FusionTransformer:
     (True, 2)
     """
 
-    def __init__(self, k: int, r: int, msr: MSRCode | None = None):
+    def __init__(self, k: int, r: int):
         self.k = k
         self.r = r
         self.q = -(-k // r)  # ceil
         self.padding = self.q * r - k
         self.rs = ReedSolomonCode(k, r)
-        if msr is None:
-            msr = MSRCode(2 * r, r)
-        elif (msr.n, msr.k) != (2 * r, r):
-            raise ValueError(f"msr must be MSR({2 * r},{r}), got {msr.name}")
-        self.msr = msr
+        self.msr = msr = MSRCode(2 * r, r)
         #: block lengths must be a multiple of this (the MSR l = r²)
         self.subpacketization = l = msr.subpacketization
 

@@ -291,16 +291,23 @@ FOOTPRINTS = {
          "repro.gf.native", "repro.fusion.transform", "repro.telemetry.spans",
          "repro.telemetry.causal", "repro.telemetry.export"),
     ),
+    # a campaign prices its repairs from the family table: it builds no codec
     "campaign": (
-        "from repro.experiments import run_campaign\n",
+        "from repro.experiments import ExperimentConfig, run_campaign\n"
+        "campaign = run_campaign(ExperimentConfig(num_requests=40, num_stripes=8),"
+        " traces=['mds1'])\n"
+        "assert all(res.recovery_latencies for res in campaign.results.values())\n",
         ("repro.experiments.fig", "repro.server", "repro.codes.msr"),
     ),
+    # the MSR codec derives a node's repair plan on that node's first repair
     "fusion": (
         "import numpy as np\n"
         "from repro.fusion import ECFusion\n"
         "fusion = ECFusion(6, 3)\n"
         "fusion.write('s', np.zeros((6, 9), np.uint8))\n"
-        "assert fusion.recover('s', 0).conversions\n",
+        "assert fusion.recover('s', 0).conversions\n"
+        "msr = fusion.msr\n"
+        "assert list(msr._repair_matrices) == [0] and list(msr._repair_fused) == [(0, 3)]\n",
         ("repro.cluster", "repro.chaos", "repro.codes.lrc", "repro.codes.fr"),
     ),
 }  # fmt: skip

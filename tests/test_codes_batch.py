@@ -39,7 +39,7 @@ class TestVectorizedFastPath:
         }
 
     @pytest.mark.parametrize(
-        "code", [ReedSolomonCode(6, 3), MSRCode(6, 3, verify="off")], ids=["rs", "msr"]
+        "code", [ReedSolomonCode(6, 3), MSRCode(6, 3)], ids=["rs", "msr"]
     )
     def test_uniform_storm_matches_loop_with_telemetry(self, code):
         """Same failed node across every stripe — the vectorized storm."""

@@ -134,7 +134,7 @@ class TestRepair:
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_prop_roundtrip(seed):
     rng = np.random.default_rng(seed)
-    hh = HitchhikerCode(6, 3, verify=False)
+    hh = HitchhikerCode(6, 3)
     data = rng.integers(0, 256, (6, 8), dtype=np.uint8)
     coded = hh.encode(data)
     erased = sorted(rng.choice(9, size=3, replace=False))

@@ -11,10 +11,6 @@ from hypothesis import strategies as st
 from repro.codes import MSRCode, ParameterError, UnrecoverableError
 
 
-def make_code(n, k, **kw):
-    return MSRCode(n, k, verify=kw.pop("verify", "full"), **kw)
-
-
 def make_data(rng, code, blocks=4):
     L = code.subpacketization * blocks
     return rng.integers(0, 256, (code.k, L), dtype=np.uint8)
@@ -23,7 +19,7 @@ def make_data(rng, code, blocks=4):
 class TestConstruction:
     def test_paper_configuration(self):
         """MSR(2r, r, r, r²) with r=3 — the EC-Fusion building block."""
-        msr = make_code(6, 3)
+        msr = MSRCode(6, 3)
         assert (msr.n, msr.k, msr.r) == (6, 3, 3)
         assert msr.s == 3 and msr.m == 2
         assert msr.subpacketization == 9  # l = r²
@@ -31,14 +27,14 @@ class TestConstruction:
         assert msr.name == "MSR(6,3,3,9)"
 
     def test_generator_shape_and_systematic(self):
-        msr = make_code(4, 2)
+        msr = MSRCode(4, 2)
         l = msr.subpacketization
         assert msr.generator.shape == (4 * l, 2 * l)
         assert np.array_equal(msr.generator[: 2 * l], np.eye(2 * l, dtype=np.uint8))
 
     @pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (6, 4), (8, 6)])
     def test_valid_parameter_grid(self, n, k):
-        msr = make_code(n, k)
+        msr = MSRCode(n, k)
         r = n - k
         assert msr.subpacketization == r ** (n // r)
 
@@ -50,25 +46,17 @@ class TestConstruction:
         with pytest.raises(ParameterError):
             MSRCode(3, 1)  # r=2 does not divide n=3
 
-    def test_bad_gamma_rejected(self):
-        with pytest.raises(ParameterError):
-            MSRCode(4, 2, gamma=1)
-
-    def test_bad_verify_policy(self):
-        with pytest.raises(ParameterError):
-            MSRCode(4, 2, verify="everything")
-
 
 class TestPlaneGeometry:
     def test_digits_roundtrip(self):
-        msr = make_code(6, 3)
+        msr = MSRCode(6, 3)
         for z in range(msr.subpacketization):
             digits = [msr._digit(z, y) for y in range(msr.m)]
             rebuilt = sum(d * msr.s**y for y, d in enumerate(digits))
             assert rebuilt == z
 
     def test_partner_is_involution(self):
-        msr = make_code(6, 3)
+        msr = MSRCode(6, 3)
         for i in range(msr.n):
             for z in range(msr.subpacketization):
                 part = msr._partner(i, z)
@@ -80,7 +68,7 @@ class TestPlaneGeometry:
                     assert msr._partner(j, z2) == (i, z)
 
     def test_repair_planes_count(self):
-        msr = make_code(6, 3)
+        msr = MSRCode(6, 3)
         for f in range(6):
             planes = msr.repair_planes(f)
             assert len(planes) == msr.subpacketization // msr.s
@@ -89,7 +77,7 @@ class TestPlaneGeometry:
 class TestEncodeDecode:
     def test_systematic(self):
         rng = np.random.default_rng(0)
-        msr = make_code(4, 2)
+        msr = MSRCode(4, 2)
         data = make_data(rng, msr)
         coded = msr.encode(data)
         assert np.array_equal(coded[:2], data)
@@ -97,7 +85,7 @@ class TestEncodeDecode:
     def test_mds_all_erasure_patterns(self):
         """Any r losses are decodable, any k survivors suffice."""
         rng = np.random.default_rng(1)
-        msr = make_code(6, 3)
+        msr = MSRCode(6, 3)
         data = make_data(rng, msr, blocks=2)
         coded = msr.encode(data)
         for erased in itertools.combinations(range(6), 3):
@@ -106,26 +94,26 @@ class TestEncodeDecode:
 
     def test_partial_erasures_decodable(self):
         rng = np.random.default_rng(2)
-        msr = make_code(6, 3)
+        msr = MSRCode(6, 3)
         coded = msr.encode(make_data(rng, msr))
         shards = {i: coded[i] for i in range(6) if i != 4}
         assert np.array_equal(msr.decode(shards), coded)
 
     def test_too_many_erasures_raise(self):
         rng = np.random.default_rng(3)
-        msr = make_code(4, 2)
+        msr = MSRCode(4, 2)
         coded = msr.encode(make_data(rng, msr))
         with pytest.raises(UnrecoverableError):
             msr.decode({0: coded[0]})
 
     def test_block_length_must_be_multiple_of_l(self):
-        msr = make_code(4, 2)
+        msr = MSRCode(4, 2)
         with pytest.raises(ValueError):
             msr.encode(np.zeros((2, 7), dtype=np.uint8))
 
     def test_encode_linear(self):
         rng = np.random.default_rng(4)
-        msr = make_code(4, 2)
+        msr = MSRCode(4, 2)
         a, b = make_data(rng, msr), make_data(rng, msr)
         assert np.array_equal(msr.encode(a ^ b), msr.encode(a) ^ msr.encode(b))
 
@@ -134,7 +122,7 @@ class TestOptimalRepair:
     @pytest.mark.parametrize("n,k", [(4, 2), (6, 3), (6, 4)])
     def test_repair_every_node_correct(self, n, k):
         rng = np.random.default_rng(n * 10 + k)
-        msr = make_code(n, k)
+        msr = MSRCode(n, k)
         coded = msr.encode(make_data(rng, msr, blocks=3))
         for f in range(n):
             res = msr.repair(f, {i: coded[i] for i in range(n) if i != f})
@@ -143,7 +131,7 @@ class TestOptimalRepair:
     def test_repair_bandwidth_is_optimal(self):
         """Each helper contributes exactly 1/s of a block: (n−1)/r total."""
         rng = np.random.default_rng(5)
-        msr = make_code(6, 3)
+        msr = MSRCode(6, 3)
         L = msr.subpacketization * 8
         coded = msr.encode(rng.integers(0, 256, (3, L), dtype=np.uint8))
         res = msr.repair(0, {i: coded[i] for i in range(1, 6)})
@@ -155,7 +143,7 @@ class TestOptimalRepair:
         assert res.total_bytes_read < naive
 
     def test_repair_read_fractions_plan(self):
-        msr = make_code(6, 3)
+        msr = MSRCode(6, 3)
         plan = msr.repair_read_fractions(2)
         assert set(plan) == {0, 1, 3, 4, 5}
         assert all(v == pytest.approx(1 / 3) for v in plan.values())
@@ -163,7 +151,7 @@ class TestOptimalRepair:
     def test_repair_with_missing_helper_falls_back(self):
         """With n−2 survivors the optimal path is impossible; decode instead."""
         rng = np.random.default_rng(6)
-        msr = make_code(6, 3)
+        msr = MSRCode(6, 3)
         coded = msr.encode(make_data(rng, msr))
         shards = {i: coded[i] for i in (1, 2, 3, 4)}  # nodes 0 and 5 gone
         res = msr.repair(0, shards)
@@ -171,23 +159,55 @@ class TestOptimalRepair:
 
     def test_repair_rejects_present_node(self):
         rng = np.random.default_rng(7)
-        msr = make_code(4, 2)
+        msr = MSRCode(4, 2)
         coded = msr.encode(make_data(rng, msr))
         with pytest.raises(ValueError):
             msr.repair(1, {i: coded[i] for i in range(4)})
 
+    @pytest.mark.parametrize("failed", [-1, 4])
+    def test_repair_rejects_out_of_range_node(self, failed):
+        """No repair matrix exists for a node outside the stripe: refused,
+        never derived."""
+        rng = np.random.default_rng(7)
+        msr = MSRCode(4, 2)
+        coded = msr.encode(make_data(rng, msr))
+        with pytest.raises(ValueError, match="out of range"):
+            msr.repair(failed, {i: coded[i] for i in range(4)})
+        assert not msr._repair_matrices
+
     def test_repair_block_length_validation(self):
-        msr = make_code(4, 2)
+        msr = MSRCode(4, 2)
         bad = {i: np.zeros(7, dtype=np.uint8) for i in range(1, 4)}
         with pytest.raises(ValueError):
             msr.repair(0, bad)
+
+    def test_repair_plans_built_on_first_use(self):
+        """A fresh code holds no repair matrix or plan; repairing node f
+        derives f's matrix and compiles f's plan only."""
+        msr = MSRCode(12, 9)
+        assert not msr._repair_matrices and not msr._repair_fused and not msr._helper_plans
+        rng = np.random.default_rng(11)
+        coded = msr.encode(make_data(rng, msr, blocks=1))
+        res = msr.repair(4, {i: coded[i] for i in range(12) if i != 4})
+        assert np.array_equal(res.block, coded[4])
+        assert list(msr._repair_matrices) == [4] and list(msr._repair_fused) == [(4, 9)]
+        # a shortened stripe (7 stored data rows) compiles its own plan from
+        # the same matrix
+        data = coded[:7].copy()
+        parity = msr.encode(data, out=np.empty((3, data.shape[1]), np.uint8))
+        lost = parity[1].copy()
+        parity[1] = 0
+        assert np.array_equal(msr.repair(10, (data, parity)).block, lost)
+        assert list(msr._repair_matrices) == [4, 10]
+        assert list(msr._repair_fused) == [(4, 9), (10, 7)]
+        assert not msr._helper_plans
 
 
 class TestDecodeFromParitiesOnly:
     def test_k_equals_r_configuration(self):
         """MSR(2r, r): parities alone rebuild all data (used by msr_to_rs)."""
         rng = np.random.default_rng(8)
-        msr = make_code(6, 3)
+        msr = MSRCode(6, 3)
         data = make_data(rng, msr)
         coded = msr.encode(data)
         shards = {i: coded[i] for i in range(3, 6)}
@@ -199,7 +219,7 @@ class TestDecodeFromParitiesOnly:
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_prop_repair_equals_erased_block(seed):
     rng = np.random.default_rng(seed)
-    msr = MSRCode(4, 2, verify="off")
+    msr = MSRCode(4, 2)
     L = msr.subpacketization * int(rng.integers(1, 5))
     data = rng.integers(0, 256, (2, L), dtype=np.uint8)
     coded = msr.encode(data)
@@ -212,7 +232,7 @@ def test_prop_repair_equals_erased_block(seed):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_prop_decode_any_k_subset(seed):
     rng = np.random.default_rng(seed)
-    msr = MSRCode(6, 3, verify="off")
+    msr = MSRCode(6, 3)
     data = rng.integers(0, 256, (3, msr.subpacketization), dtype=np.uint8)
     coded = msr.encode(data)
     keep = sorted(rng.choice(6, size=3, replace=False))
@@ -225,7 +245,7 @@ class TestPaperBaselineConfigs:
 
     def test_msr_9_6_paper_config(self):
         """k=6: MSR(9,6,3,27) — no virtual node needed."""
-        msr = MSRCode(9, 6, verify="sample")
+        msr = MSRCode(9, 6)
         assert msr.subpacketization == 27
         rng = np.random.default_rng(0)
         data = rng.integers(0, 256, (6, 27), dtype=np.uint8)
@@ -235,11 +255,6 @@ class TestPaperBaselineConfigs:
         # optimal bandwidth: (n-1)/r blocks vs k
         assert res.total_bytes_read * 3 == 8 * coded.shape[1]
 
-    def test_sampled_verification_policy(self):
-        """comb(9,3) = 84 > 60 -> 'auto' falls back to sampling."""
-        msr = MSRCode(9, 6, verify="auto")
-        assert msr.gamma >= 2  # a verified coupling coefficient was chosen
-
 
 class TestConstraintInvariants:
     """Direct algebraic checks on the coupled construction."""
@@ -248,7 +263,7 @@ class TestConstraintInvariants:
         """A @ c = 0 for the constraint matrix A and any codeword c."""
         from repro.gf import mat_vec
 
-        msr = make_code(6, 3)
+        msr = MSRCode(6, 3)
         rng = np.random.default_rng(9)
         data = rng.integers(0, 256, (3, msr.subpacketization), dtype=np.uint8)
         coded = msr.encode(data)
@@ -259,14 +274,14 @@ class TestConstraintInvariants:
         """Undo the pairwise coupling by hand; each plane must satisfy H_s."""
         from repro.gf import GF, inverse, mat_vec
 
-        msr = make_code(6, 3)
+        msr = MSRCode(6, 3)
         gf = GF.get()
         rng = np.random.default_rng(10)
         data = rng.integers(0, 256, (3, msr.subpacketization), dtype=np.uint8)
         coded = msr.encode(data)
         l = msr.subpacketization
         c = coded.reshape(msr.n, l)
-        _, Minv = msr._coupling_coeffs(msr.gamma)
+        _, Minv = msr._coupling_coeffs()
         u = np.zeros_like(c)
         for i in range(msr.n):
             for z in range(l):
@@ -285,7 +300,7 @@ class TestConstraintInvariants:
             assert not mat_vec(msr.h_scalar, u[:, z]).any(), z
 
 
-#: sha256 of ``_repair_matrices[f].tobytes()`` per failed node, recorded at
+#: sha256 of ``_repair_matrix(f).tobytes()`` per failed node, recorded at
 #: commit d7a9440 while the plane-batched kernel still derived the matrices.
 #: Do not re-record: these pin the fused repair plan across rederivations.
 REPAIR_MATRIX_SHA256 = {
@@ -345,10 +360,10 @@ REPAIR_MATRIX_SHA256 = {
 def test_repair_matrix_digests(nk):
     """The fused ``(l × n·l)`` repair matrix of every node is unchanged."""
     n, k = nk
-    msr = MSRCode(n, k, verify="off")
+    msr = MSRCode(n, k)
     l = msr.subpacketization
     for f, want in enumerate(REPAIR_MATRIX_SHA256[nk]):
-        mat = msr._repair_matrices[f]
+        mat = msr._repair_matrix(f)
         assert mat.shape == (l, n * l) and mat.dtype == np.uint8
         assert not mat[:, f * l : (f + 1) * l].any()  # the lost node is never read
         assert hashlib.sha256(mat.tobytes()).hexdigest() == want, f"node {f}"

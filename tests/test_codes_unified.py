@@ -28,8 +28,8 @@ def all_codes():
     return [
         ReedSolomonCode(6, 3),
         ReedSolomonCode(4, 2),
-        MSRCode(4, 2, verify="full"),
-        MSRCode(6, 3, verify="full"),
+        MSRCode(4, 2),
+        MSRCode(6, 3),
         LocalReconstructionCode(6, 2, 2),
         LocalReconstructionCode(8, 2, 2, layout="interleaved"),
         HitchhikerCode(6, 3),

@@ -108,7 +108,7 @@ def test_poisoned_row_is_rebuilt_not_read(k, r, to_msr):
     assert np.array_equal(fusion.read_stripe("s"), data)
 
 
-@pytest.mark.parametrize("code", [ReedSolomonCode(5, 3), MSRCode(6, 3, verify="off")],
+@pytest.mark.parametrize("code", [ReedSolomonCode(5, 3), MSRCode(6, 3)],
                          ids=["rs", "msr"])
 def test_codec_in_place_repair_ignores_the_lost_row(code):
     rng = np.random.default_rng(4)
@@ -211,7 +211,7 @@ def test_aborted_conversion_leaves_the_stripe_as_it_was(direction, monkeypatch):
 
 @pytest.mark.parametrize(
     "code",
-    [ReedSolomonCode(4, 2), MSRCode(4, 2, verify="off"), LocalReconstructionCode(4, 2, 2)],
+    [ReedSolomonCode(4, 2), MSRCode(4, 2), LocalReconstructionCode(4, 2, 2)],
     ids=["rs", "msr", "lrc"],
 )
 def test_encode_rejects_a_bad_destination(code):
@@ -265,7 +265,7 @@ def test_in_place_repair_rejects_a_bad_stripe():
     ):
         with pytest.raises(ValueError):
             rs.repair(0, stripe)
-    msr = MSRCode(4, 2, verify="off")
+    msr = MSRCode(4, 2)
     coded = msr.encode(make_data(np.random.default_rng(9), 2, 16))
     with pytest.raises(ValueError):  # node 1 is a virtual block of this short stripe
         msr.repair(1, (coded[:1].copy(), coded[2:].copy()))
@@ -308,7 +308,7 @@ def _codes(k, r):
     yield ReedSolomonCode(k, r)
     yield LocalReconstructionCode(2 * k, r, 2)  # the LinearVectorCode base paths
     if (k + r) % r == 0:
-        yield MSRCode(k + r, k, verify="off")
+        yield MSRCode(k + r, k)
 
 
 @given(k=st.integers(2, 4), r=st.integers(2, 3), mult=st.integers(1, 40), seed=st.integers(0, 2**31))
@@ -342,7 +342,7 @@ def test_destination_passing_equals_allocating(k, r, mult, seed):
 @settings(max_examples=20, deadline=None)
 def test_shortened_stripe_equals_zero_padded_stripe(real, mult, seed):
     """Virtual zero blocks need not exist: dropping them changes no byte."""
-    msr = MSRCode(6, 3, verify="off")
+    msr = MSRCode(6, 3)
     L = msr.subpacketization * mult
     rng = np.random.default_rng(seed)
     padded = np.zeros((3, L), np.uint8)

@@ -46,12 +46,6 @@ class TestConstruction:
             assert np.array_equal(matmul(t1, t2), eye)
             assert np.array_equal(matmul(t2, t1), eye)
 
-    def test_mismatched_msr_rejected(self):
-        from repro.codes import MSRCode
-
-        with pytest.raises(ValueError):
-            FusionTransformer(k=6, r=3, msr=MSRCode(4, 2))
-
 
 class TestIntermediaryParities:
     def test_eq3_sum_equals_rs_parity(self, tr63):

@@ -42,8 +42,8 @@ def all_codes():
     return [
         ReedSolomonCode(6, 3),
         ReedSolomonCode(4, 2),
-        MSRCode(4, 2, verify="off"),
-        MSRCode(6, 3, verify="off"),
+        MSRCode(4, 2),
+        MSRCode(6, 3),
         LocalReconstructionCode(6, 2, 2),
         LocalReconstructionCode(8, 2, 2, layout="interleaved"),
         HitchhikerCode(6, 3),
@@ -125,7 +125,7 @@ def test_encode_decode_equivalence_odd_lengths(code):
 def test_msr_repair_kernel_ladder(nr):
     """spec == fused ``repair()`` for every failed node, odd block length."""
     n, r, sub = nr
-    code = MSRCode(n, r, verify="off")
+    code = MSRCode(n, r)
     l = code.subpacketization
     rng = np.random.default_rng(13)
     data = rng.integers(0, 256, (code.k, l * sub), dtype=np.uint8)

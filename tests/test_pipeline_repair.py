@@ -106,7 +106,7 @@ class TestStreamedMSR:
     )
     def test_byte_identical_to_one_shot(self, failed, chunk, seed):
         rng = np.random.default_rng(seed)
-        msr = MSRCode(8, 4, verify="off")
+        msr = MSRCode(8, 4)
         L = msr.subpacketization * 4
         data = rng.integers(0, 256, (msr.k, L), dtype=np.uint8)
         coded = msr.encode(data)
@@ -119,7 +119,7 @@ class TestStreamedMSR:
     def test_optimal_read_volume_preserved(self):
         """Streaming must not inflate reads past the l/s-per-helper optimum."""
         rng = np.random.default_rng(2)
-        msr = MSRCode(6, 3, verify="off")
+        msr = MSRCode(6, 3)
         L = msr.subpacketization * 2
         coded = msr.encode(rng.integers(0, 256, (msr.k, L), dtype=np.uint8))
         shards = {i: coded[i] for i in range(1, 6)}
@@ -129,7 +129,7 @@ class TestStreamedMSR:
 
     def test_requires_all_helpers(self):
         rng = np.random.default_rng(3)
-        msr = MSRCode(4, 2, verify="off")
+        msr = MSRCode(4, 2)
         coded = msr.encode(
             rng.integers(0, 256, (msr.k, msr.subpacketization), dtype=np.uint8)
         )
@@ -139,7 +139,7 @@ class TestStreamedMSR:
 
     def test_out_of_range_node_refused_before_it_counts(self):
         """A node past ``n`` is refused before the call is counted."""
-        msr = MSRCode(6, 3, verify="off")
+        msr = MSRCode(6, 3)
         block = np.zeros(msr.subpacketization, np.uint8)
         telemetry.disable()
         telemetry.reset()
